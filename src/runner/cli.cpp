@@ -35,8 +35,11 @@ Options parse_cli_args(int argc, const char* const* argv) {
       size_t dashes = 0;
       while (dashes < tok.size() && tok[dashes] == '-') ++dashes;
       const std::string key = normalise_key(tok.substr(dashes));
-      const bool next_is_value = i + 1 < argc && argv[i + 1][0] != '-' &&
-                                 std::string(argv[i + 1]).find('=') == std::string::npos;
+      // A following token is this option's value unless it is itself an
+      // option; a lone "-" is a value (stdout for --json/--csv).
+      const std::string next = i + 1 < argc ? argv[i + 1] : "";
+      const bool next_is_value = i + 1 < argc && (next == "-" || next[0] != '-') &&
+                                 next.find('=') == std::string::npos;
       if (!is_bare_flag(key) && next_is_value) {
         tokens.push_back(key + "=" + argv[++i]);
         continue;
@@ -153,7 +156,25 @@ CampaignSpec custom_campaign(const Options& opts) {
   return spec;
 }
 
+std::vector<std::string> preset_list(const std::string& arg) {
+  if (arg == "all") return preset_names();
+  std::vector<std::string> names;
+  size_t start = 0;
+  while (true) {
+    const size_t comma = arg.find(',', start);
+    names.push_back(arg.substr(start, comma - start));  // npos - start: to the end
+    if (!is_preset(names.back()))
+      throw std::invalid_argument("unknown preset '" + names.back() + "' (try --list)");
+    if (comma == std::string::npos) return names;
+    start = comma + 1;
+  }
+}
+
 int run_from_options(const std::string& preset, const Options& opts) {
+  // Validated before any sink file is created.
+  const std::vector<std::string> names =
+      preset.empty() ? std::vector<std::string>{} : preset_list(preset);
+
   // Structured sinks ("-" = stdout).
   std::vector<std::unique_ptr<std::ofstream>> files;
   std::vector<std::unique_ptr<ResultSink>> owned;
@@ -207,25 +228,15 @@ int run_from_options(const std::string& preset, const Options& opts) {
     }
   }
 
-  CampaignResult result;
-  std::string campaign_name;
-  if (!preset.empty()) {
-    PresetOptions popts;
-    popts.length = {opts.get_u64("insts", 120000), opts.get_u64("warmup", 60000)};
-    popts.jobs = jobs;
-    popts.extra_sinks = sinks;
-    popts.manifest_path = opts.get("manifest", "");
-    popts.resume = opts.get_bool("resume", false);
-    popts.render = render;
-    popts.sample_interval = opts.get_u64("sample_interval", 0);
-    popts.sample_dir = opts.get("sample_dir", "");
-    popts.workload = opts.get("workload", "");
-    popts.parallel_cores = parallel;
-    popts.parallel_quantum = static_cast<u32>(opts.get_u64("parallel_quantum", 0));
-    popts.notes = notes;
-    result = run_preset(preset, popts);
-    campaign_name = preset;
-  } else {
+  auto report = [jobs](const std::string& name, const CampaignResult& result) {
+    std::cerr << "campaign " << name << ": " << result.records.size() << " cells, "
+              << result.ok << " ok (" << result.deduplicated << " deduplicated), "
+              << result.failed << " failed, " << result.resumed << " resumed (" << jobs
+              << " worker" << (jobs == 1 ? "" : "s") << ")\n";
+    return result.failed > 0;
+  };
+
+  if (preset.empty()) {
     const CampaignSpec spec = custom_campaign(opts);
     EngineOptions eng;
     eng.jobs = jobs;
@@ -235,14 +246,31 @@ int run_from_options(const std::string& preset, const Options& opts) {
     FtTableSink table(stdout);
     if (render) eng.sinks.push_back(&table);
     for (ResultSink* s : sinks) eng.sinks.push_back(s);
-    result = run_campaign(spec, eng);
-    campaign_name = spec.name;
+    return report(spec.name, run_campaign(spec, eng)) ? 1 : 0;
   }
 
-  std::cerr << "campaign " << campaign_name << ": " << result.records.size() << " cells, "
-            << result.ok << " ok, " << result.failed << " failed, " << result.resumed
-            << " resumed (" << jobs << " worker" << (jobs == 1 ? "" : "s") << ")\n";
-  return result.failed > 0 ? 1 : 0;
+  // Presets run in order in this process, so they share the cell memo; the
+  // sinks and the manifest see what separate runs would have written, one
+  // after another.
+  bool any_failed = false;
+  for (size_t i = 0; i < names.size(); ++i) {
+    PresetOptions popts;
+    popts.length = {opts.get_u64("insts", 120000), opts.get_u64("warmup", 60000)};
+    popts.jobs = jobs;
+    popts.extra_sinks = sinks;
+    popts.manifest_path = opts.get("manifest", "");
+    popts.resume = opts.get_bool("resume", false);
+    popts.append_manifest = i > 0;
+    popts.render = render;
+    popts.sample_interval = opts.get_u64("sample_interval", 0);
+    popts.sample_dir = opts.get("sample_dir", "");
+    popts.workload = opts.get("workload", "");
+    popts.parallel_cores = parallel;
+    popts.parallel_quantum = static_cast<u32>(opts.get_u64("parallel_quantum", 0));
+    if (i == 0) popts.notes = notes;
+    any_failed |= report(names[i], run_preset(names[i], popts));
+  }
+  return any_failed ? 1 : 0;
 }
 
 int preset_main(const std::string& preset, int argc, const char* const* argv) {

@@ -3,7 +3,8 @@
 //
 // Accepted option spellings: `key=value`, `--key=value`, `--key value` and
 // bare `--flag` (stored as "1"); the historical bench spelling `insts=N
-// warmup=N` keeps working unchanged. Common options:
+// warmup=N` keeps working unchanged. A lone `-` after an option is its
+// value. Common options:
 //   --jobs N        worker threads (0 = hardware concurrency, 1 = serial)
 //   --insts N       committed-instruction target per run
 //   --warmup N      warmup commits excluded from statistics
@@ -40,10 +41,16 @@ Options parse_cli_args(int argc, const char* const* argv);
 /// Throws std::invalid_argument on unknown scheme or mix names.
 CampaignSpec custom_campaign(const Options& opts);
 
-/// Runs a campaign described by already-parsed options: a preset when
-/// `preset` is non-empty, otherwise the custom sweep options. Wires up the
-/// json/csv/manifest sinks. Returns a process exit code (non-zero when any
-/// cell failed).
+/// Expands a preset argument — one name, a comma-separated list, or "all"
+/// (every preset in preset_names() order). Throws std::invalid_argument
+/// naming the first unknown preset.
+std::vector<std::string> preset_list(const std::string& arg);
+
+/// Runs the campaigns described by already-parsed options: the presets of
+/// preset_list(preset) in order when `preset` is non-empty, otherwise the
+/// custom sweep options. Wires up the json/csv/manifest sinks, which
+/// receive the presets one after another. Returns a process exit code
+/// (non-zero when any cell failed).
 int run_from_options(const std::string& preset, const Options& opts);
 
 /// main() body for the ported bench binaries.

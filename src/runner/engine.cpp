@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "common/sync.hpp"
@@ -93,25 +96,96 @@ JobRecord execute_job(const JobSpec& spec) {
 
 namespace {
 
-/// Loads successful records from a manifest journal, keyed by cell
-/// identity. Unreadable or malformed lines are skipped (a journal truncated
-/// by a crash mid-line must not poison the resume). Ordered map on purpose
-/// (lint rule D1): anything that later iterates or emits the resume set
-/// must see one key order regardless of the journal's completion order.
+/// Memo slot for one cell_key, the single_thread_ipc pattern
+/// (sim/experiment.cpp): the once_flag serialises the simulation, and
+/// `record` is written exactly once under it. The record is kept as its
+/// JSON line, a third of its in-memory size. It stays empty when the cell
+/// must not be served from the memo, so every later request simulates for
+/// itself: the cell failed, or its line does not round-trip exactly (a
+/// non-finite double is written as null).
+struct CellMemoEntry {
+  std::once_flag once;
+  std::string record;
+};
+
+/// Guards the memo map's shape. Entries are shared_ptrs so a request that
+/// already holds one stays valid across clear_cell_memo().
+Mutex cell_memo_mu;
+std::map<std::string, std::shared_ptr<CellMemoEntry>> cell_memo TLROB_GUARDED_BY(cell_memo_mu);
+
+/// Cells whose output is not a pure function of cell_key: a sample_dir
+/// cell must write its own series file, and a self-profiled machine
+/// reports host time.
+bool memoizable(const JobSpec& js) {
+  return js.sample_dir.empty() && !js.config.telemetry.profile;
+}
+
+/// A stored record as the cell `js` would have produced it.
+JobRecord restamped(JobRecord rec, const JobSpec& js) {
+  rec.job = js.index;
+  rec.campaign = js.campaign;
+  rec.config = js.config_name;
+  rec.mix = js.mix.name;
+  return rec;
+}
+
+/// Runs `js` through the memo. Sets *deduplicated when the record is a
+/// copy of an earlier simulation.
+JobRecord memo_execute(const JobSpec& js, const std::string& key, bool* deduplicated) {
+  *deduplicated = false;
+  if (!memoizable(js)) return execute_job(js);
+  std::shared_ptr<CellMemoEntry> entry;
+  {
+    MutexLock lock(cell_memo_mu);
+    auto& slot = cell_memo[key];
+    if (!slot) slot = std::make_shared<CellMemoEntry>();
+    entry = slot;
+  }
+  // Concurrent requests for the key block here until the first finishes.
+  std::optional<JobRecord> fresh;
+  std::call_once(entry->once, [&] {
+    fresh = execute_job(js);
+    if (!fresh->ok()) return;
+    std::string line = to_json_line(*fresh);
+    if (to_json_line(record_from_json_line(line)) == line) entry->record = std::move(line);
+  });
+  if (fresh) return std::move(*fresh);
+  if (entry->record.empty()) return execute_job(js);
+  *deduplicated = true;
+  return restamped(record_from_json_line(entry->record), js);
+}
+
+/// A manifest line: the record's JSON line plus its cell digest.
+std::string manifest_line(const JobRecord& rec, const std::string& digest) {
+  std::string line = to_json_line(rec);
+  line.pop_back();  // the record object's closing brace
+  return line + ",\"cell\":" + json_escape(digest) + "}";
+}
+
+/// Loads successful records from a manifest journal, keyed by cell digest.
+/// Lines without a digest (journals from before it existed), unreadable and
+/// malformed lines are skipped: a journal truncated by a crash mid-line
+/// must not poison the resume, and an old line may describe a different
+/// machine under the same names. Ordered map on purpose (lint rule D1):
+/// anything that later iterates or emits the resume set must see one key
+/// order regardless of the journal's completion order.
 std::map<std::string, JobRecord> load_manifest(const std::string& path) {
-  std::map<std::string, JobRecord> by_key;
+  std::map<std::string, JobRecord> by_digest;
   std::ifstream in(path);
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     try {
-      JobRecord rec = record_from_json_line(line);
-      if (rec.ok()) by_key[rec.key()] = std::move(rec);
+      const JsonValue v = parse_json(line);
+      const std::string& digest = v.at("cell").as_string();
+      if (digest.empty()) continue;
+      JobRecord rec = record_from_json(v);
+      if (rec.ok()) by_digest[digest] = std::move(rec);
     } catch (const std::invalid_argument&) {
       continue;
     }
   }
-  return by_key;
+  return by_digest;
 }
 
 /// Serialises completions back into expansion order before any sink or the
@@ -121,19 +195,22 @@ class InOrderEmitter {
   InOrderEmitter(const EngineOptions& opts, std::ofstream* manifest, CampaignResult* result)
       : opts_(opts), manifest_(manifest), result_(result) {}
 
-  void complete(JobRecord rec, bool resumed) {
+  enum class Origin : u8 { kSimulated, kDeduplicated, kResumed };
+
+  void complete(JobRecord rec, Origin origin, const std::string& digest) {
     MutexLock lock(mu_);
-    if (!resumed && manifest_ && manifest_->is_open()) {
+    if (origin != Origin::kResumed && manifest_ && manifest_->is_open()) {
       // Journal in completion order — the manifest is a log, not a sink.
-      *manifest_ << to_json_line(rec) << "\n";
+      *manifest_ << manifest_line(rec, digest) << "\n";
       manifest_->flush();
     }
-    if (resumed)
+    if (origin == Origin::kResumed)
       ++result_->resumed;
     else if (rec.ok())
       ++result_->ok;
     else
       ++result_->failed;
+    if (origin == Origin::kDeduplicated) ++result_->deduplicated;
 
     pending_.emplace(rec.job, std::move(rec));
     while (!pending_.empty() && pending_.begin()->first == next_) {
@@ -167,7 +244,8 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
 
   std::ofstream manifest;
   if (!opts.manifest_path.empty()) {
-    manifest.open(opts.manifest_path, opts.resume ? std::ios::app : std::ios::trunc);
+    manifest.open(opts.manifest_path,
+                  opts.resume || opts.append_manifest ? std::ios::app : std::ios::trunc);
     if (!manifest.is_open())
       throw std::runtime_error("cannot open manifest: " + opts.manifest_path);
     // Annotations first, records after: the journal stays a line-oriented
@@ -182,14 +260,19 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
   result.records.reserve(jobs.size());
   InOrderEmitter emitter(opts, &manifest, &result);
 
+  using Origin = InOrderEmitter::Origin;
   auto run_one = [&](const JobSpec& js) {
-    if (const auto it = done.find(job_key(js)); it != done.end()) {
-      JobRecord rec = it->second;
-      rec.job = js.index;  // the cell may sit elsewhere in a grown campaign
-      emitter.complete(std::move(rec), /*resumed=*/true);
+    const std::string key = cell_key(js);
+    const std::string digest = cell_digest(key);
+    if (const auto it = done.find(digest); it != done.end()) {
+      // The journalled cell may sit elsewhere, or under other names.
+      emitter.complete(restamped(it->second, js), Origin::kResumed, digest);
       return;
     }
-    emitter.complete(execute_job(js), /*resumed=*/false);
+    bool deduplicated = false;
+    JobRecord rec = memo_execute(js, key, &deduplicated);
+    emitter.complete(std::move(rec), deduplicated ? Origin::kDeduplicated : Origin::kSimulated,
+                     digest);
   };
 
   if (opts.jobs == 1) {
@@ -202,6 +285,11 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
 
   for (ResultSink* sink : opts.sinks) sink->end();
   return result;
+}
+
+void clear_cell_memo() {
+  MutexLock lock(cell_memo_mu);
+  cell_memo.clear();
 }
 
 }  // namespace tlrob::runner

@@ -10,12 +10,21 @@
 // guard (sim/experiment.cpp) and are themselves pure, and (c) completions
 // pass through an in-order emission window before reaching any sink.
 //
+// Cell memo: because a cell is a pure function of its content (cell_key),
+// run_campaign simulates each distinct key once per process. A repeat — in
+// the same campaign or any later one, such as a Baseline_32 column shared
+// by several presets — is a copy of the first record, restamped with the
+// repeat's job index, campaign, column and mix names. Failed cells, cells
+// writing a sample series (sample_dir) and self-profiled machines are
+// always simulated.
+//
 // Robustness contract: a job that throws, or whose simulation fails to
 // reach its commit target within its cycle cap (the timeout mechanism — the
 // simulator is single-stepped and cannot hang, it can only diverge), is
 // recorded with status "failed" and the campaign continues. When a manifest
-// path is set, every completed record is journalled; resuming replays
-// previously successful cells from the journal and executes only the rest.
+// path is set, every completed record is journalled with its cell_digest;
+// resuming replays previously successful cells whose digest matches and
+// executes only the rest.
 #pragma once
 
 #include <string>
@@ -34,12 +43,17 @@ struct EngineOptions {
   /// Sinks receiving records in expansion order. Not owned.
   std::vector<ResultSink*> sinks;
 
-  /// Journal of completed cells (JSON lines of JobRecords). Empty = none.
+  /// Journal of completed cells: JSON lines of JobRecords, each with an
+  /// extra "cell" member holding its cell_digest. Empty = none.
   std::string manifest_path;
 
   /// Replay successful cells found in the manifest instead of re-running
   /// them; failed cells are always retried.
   bool resume = false;
+
+  /// Append to the manifest instead of truncating it when not resuming
+  /// (the later campaigns of one multi-preset run share a journal).
+  bool append_manifest = false;
 
   /// Structured annotations (pre-serialised JSON lines, e.g. the CLI's
   /// thread-budget warning) journalled into the manifest right after it
@@ -53,6 +67,7 @@ struct CampaignResult {
   u32 ok = 0;       // ran to the commit target this time
   u32 failed = 0;   // threw, or hit the cycle cap
   u32 resumed = 0;  // replayed from the manifest without re-running
+  u32 deduplicated = 0;  // of `ok`: copied from the cell memo, not simulated
 };
 
 /// Executes one cell. Exposed for tests and for callers that want a single
@@ -60,5 +75,9 @@ struct CampaignResult {
 JobRecord execute_job(const JobSpec& spec);
 
 CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts);
+
+/// Empties the process-wide cell memo. For tests that compare two runs of
+/// the same cell: without it the second run would be a copy of the first.
+void clear_cell_memo();
 
 }  // namespace tlrob::runner

@@ -428,6 +428,7 @@ CampaignResult run_preset(const std::string& name, const PresetOptions& opts) {
   eng.jobs = WorkStealingPool::resolve_threads(opts.jobs);
   eng.manifest_path = opts.manifest_path;
   eng.resume = opts.resume;
+  eng.append_manifest = opts.append_manifest;
   eng.notes = opts.notes;
 
   FtTableSink table(opts.out, preset.title == nullptr ? "" : preset.title);

@@ -24,6 +24,7 @@ struct PresetOptions {
   std::vector<ResultSink*> extra_sinks;
   std::string manifest_path;
   bool resume = false;
+  bool append_manifest = false;  // EngineOptions::append_manifest
   /// Render the preset's tables/epilogue to `out` (off for sink-only runs).
   bool render = true;
   std::FILE* out = stdout;

@@ -36,16 +36,28 @@ struct JobSpec {
   /// Interval telemetry (campaign-wide, copied from CampaignSpec): nonzero
   /// sample_interval enables sampling for this job; non-empty sample_dir
   /// makes the job write its series to
-  /// <sample_dir>/samples_job<index>.jsonl. Excluded from job_key — a
-  /// resumed cell is the same cell whether or not it was sampled.
+  /// <sample_dir>/samples_job<index>.jsonl. sample_interval is part of
+  /// cell_key (it adds obs.* counters); sample_dir is not.
   u64 sample_interval = 0;
   std::string sample_dir;
 };
 
-/// Stable identity of a cell across campaign runs — what the resume
-/// manifest matches on. Deliberately excludes `index` so a grown or
-/// reordered campaign still recognises previously completed cells.
+/// Named identity of a cell: campaign, column and mix names, run lengths
+/// and seed. Excludes `index`, so a grown or reordered campaign keeps it.
 std::string job_key(const JobSpec& spec);
+
+/// Content identity of a cell: a canonical serialization of every
+/// MachineConfig field (seed and sample_interval applied), the mix's
+/// workload tokens in order, insts, warmup, max_cycles and sample_interval.
+/// Names (campaign, column, mix) are not part of it, so the same machine
+/// on the same workload has one key in every preset. `trace:` tokens key
+/// on the token: the trace resolver pins one file content per token per
+/// process. This is what the engine's cell memo and manifest resume match
+/// on (DESIGN.md §7).
+std::string cell_key(const JobSpec& spec);
+
+/// 16-hex-digit FNV-1a digest of a cell_key, journalled on manifest lines.
+std::string cell_digest(const std::string& cell_key);
 
 enum class JobStatus : u8 { kOk, kFailed };
 
@@ -88,9 +100,6 @@ struct JobRecord {
   std::map<std::string, u64> counters;
 
   bool ok() const { return status == JobStatus::kOk; }
-
-  /// Cell identity in job_key() form (same fields, from the record side).
-  std::string key() const;
 };
 
 /// Canonical scheme name for a machine configuration ("baseline", "rrob",
@@ -102,8 +111,10 @@ std::string scheme_name(const MachineConfig& cfg);
 /// byte-identical regardless of which worker produced it.
 std::string to_json_line(const JobRecord& r);
 
-/// Inverse of to_json_line (used by manifest resume). Throws
-/// std::invalid_argument on malformed input.
+/// Inverse of to_json_line. Throws std::invalid_argument on malformed
+/// input. Members the record does not have (a manifest line's "cell") are
+/// ignored.
+JobRecord record_from_json(const JsonValue& v);
 JobRecord record_from_json_line(const std::string& line);
 
 /// CSV header matching to_csv_line's columns.

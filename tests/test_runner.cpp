@@ -1,8 +1,10 @@
 // Campaign-runner tests: record serialisation, the work-stealing pool, the
-// thread-safe single-thread-IPC memo, and the engine's three contracts —
-// serial/parallel bit-identity, failure isolation, and manifest resume.
+// thread-safe single-thread-IPC memo, the engine's contracts — serial/
+// parallel bit-identity, failure isolation, manifest resume and the cell
+// memo — and the CLI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
@@ -15,6 +17,7 @@
 #include "runner/engine.hpp"
 #include "runner/render.hpp"
 #include "common/thread_pool.hpp"
+#include "sim/config_override.hpp"
 #include "sim/experiment.hpp"
 
 namespace tlrob::runner {
@@ -36,6 +39,28 @@ CampaignSpec small_spec(const std::string& name = "test_campaign") {
 
 std::string temp_path(const std::string& stem) {
   return testing::TempDir() + stem + ".jsonl";
+}
+
+std::string jsonl_of(const CampaignResult& result) {
+  std::string out;
+  for (const JobRecord& rec : result.records) out += to_json_line(rec) + "\n";
+  return out;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// A record with the fields a memo hit restamps blanked out.
+std::string unnamed_json(JobRecord rec) {
+  rec.job = 0;
+  rec.campaign.clear();
+  rec.config.clear();
+  rec.mix.clear();
+  return to_json_line(rec);
 }
 
 TEST(RunnerJson, RecordRoundTrip) {
@@ -84,7 +109,6 @@ TEST(RunnerJson, RecordRoundTrip) {
   EXPECT_DOUBLE_EQ(p.dod_true.sum, r.dod_true.sum);
   EXPECT_EQ(p.dod_true.buckets, r.dod_true.buckets);
   EXPECT_EQ(p.counters, r.counters);
-  EXPECT_EQ(p.key(), r.key());
 
   // Serialisation is deterministic: a second pass produces identical bytes.
   EXPECT_EQ(to_json_line(r), to_json_line(p));
@@ -196,6 +220,7 @@ TEST(RunnerEngine, ExecuteJobMatchesDirectSimulation) {
 // byte-identical sink output to a serial one.
 TEST(RunnerEngine, SerialAndParallelSinksAreByteIdentical) {
   auto run_with_jobs = [](u32 jobs, std::string* json_out, std::string* csv_out) {
+    clear_cell_memo();  // two independent simulations, not one and its copy
     std::ostringstream json, csv;
     JsonlSink jsink(json);
     CsvSink csink(csv);
@@ -284,6 +309,7 @@ TEST(RunnerEngine, ResumeFromManifestSkipsCompletedCells) {
   // The resumed output is byte-identical to a from-scratch run.
   std::string fresh_json;
   {
+    clear_cell_memo();  // from scratch: simulate, don't copy the memo
     std::ostringstream json;
     JsonlSink jsink(json);
     EngineOptions eng;
@@ -364,6 +390,232 @@ TEST(RunnerEngine, ResumeIsManifestLineOrderIndependent) {
   std::remove(reversed.c_str());
 }
 
+// A journal matches on cell content, not on names: a manifest written by a
+// 1-core sweep must not replay into a 2-core sweep whose cells carry the
+// same campaign, column and mix names.
+TEST(RunnerEngine, ResumeMatchesOnCellContentNotNames) {
+  const std::string manifest = temp_path("tlrob_content_manifest");
+  std::remove(manifest.c_str());
+  Options one_core;
+  one_core.set("schemes", "baseline32");
+  one_core.set("mixes", "1");
+  one_core.set("insts", std::to_string(kInsts));
+  one_core.set("warmup", std::to_string(kWarmup));
+  Options two_core = one_core;
+  two_core.set("cores", "2");
+  const CampaignSpec small = custom_campaign(one_core);
+  const CampaignSpec cmp = custom_campaign(two_core);
+  ASSERT_EQ(job_key(expand(small)[0]), job_key(expand(cmp)[0]));  // same names
+
+  EngineOptions journal;
+  journal.jobs = 1;
+  journal.manifest_path = manifest;
+  const CampaignResult first = run_campaign(small, journal);
+  ASSERT_EQ(first.ok, 1u);
+
+  EngineOptions resume = journal;
+  resume.resume = true;
+  const CampaignResult resumed = run_campaign(cmp, resume);
+  EXPECT_EQ(resumed.resumed, 0u);
+  EXPECT_EQ(resumed.ok, 1u);
+  clear_cell_memo();
+  EXPECT_EQ(jsonl_of(resumed), jsonl_of(run_campaign(cmp, EngineOptions{})));
+  EXPECT_NE(jsonl_of(resumed), jsonl_of(first));
+
+  // Both cells are journalled now, each under its own digest.
+  EXPECT_EQ(run_campaign(small, resume).resumed, 1u);
+  EXPECT_EQ(run_campaign(cmp, resume).resumed, 1u);
+
+  // A journal line without a digest never matches: it re-runs.
+  {
+    std::ofstream out(manifest, std::ios::trunc);
+    out << to_json_line(first.records[0]) << "\n";
+  }
+  const CampaignResult legacy = run_campaign(small, resume);
+  EXPECT_EQ(legacy.resumed, 0u);
+  EXPECT_EQ(legacy.ok, 1u);
+  EXPECT_EQ(jsonl_of(legacy), jsonl_of(first));
+  std::remove(manifest.c_str());
+}
+
+// -- cell memo --------------------------------------------------------------
+
+TEST(RunnerMemo, RepeatUnderOtherNamesIsRestampedCopy) {
+  clear_cell_memo();
+  const CampaignResult first = run_campaign(small_spec("memo_a"), EngineOptions{});
+  EXPECT_EQ(first.deduplicated, 0u);
+
+  CampaignSpec renamed = small_spec("memo_b");
+  renamed.columns[0].name = "B32";
+  renamed.columns[1].name = "R16";
+  renamed.mixes[0].name = "first";
+  renamed.mixes[1].name = "second";
+  EngineOptions wide;
+  wide.jobs = 4;
+  const CampaignResult second = run_campaign(renamed, wide);
+  EXPECT_EQ(second.ok, 4u);
+  EXPECT_EQ(second.deduplicated, 4u);  // nothing simulated
+
+  ASSERT_EQ(first.records.size(), second.records.size());
+  for (size_t i = 0; i < first.records.size(); ++i) {
+    const JobRecord& a = first.records[i];
+    const JobRecord& b = second.records[i];
+    EXPECT_EQ(unnamed_json(a), unnamed_json(b)) << "record " << i;
+    EXPECT_EQ(b.job, i);
+    EXPECT_EQ(b.campaign, "memo_b");
+    EXPECT_EQ(b.config, renamed.columns[i % 2].name);
+    EXPECT_EQ(b.mix, renamed.mixes[i / 2].name);
+  }
+}
+
+// Every knob apply_overrides accepts reaches the key: a config differing
+// only in that knob is a different cell. So do the workload and the run
+// lengths; names do not.
+TEST(RunnerMemo, KeyCoversEveryOverrideKnob) {
+  JobSpec base;
+  base.config = baseline32_config();
+  base.seed = base.config.seed;
+  base.mix = table2_mix(1);
+  base.insts = kInsts;
+  base.warmup = kWarmup;
+  const std::string base_key = cell_key(base);
+
+  const AuditConfig audit = base.config.audit;
+  const std::vector<std::pair<std::string, std::string>> knobs = {
+      {"threads", "2"},
+      {"fetch_width", "4"},
+      {"fetch_threads", "1"},
+      {"dispatch_width", "4"},
+      {"issue_width", "4"},
+      {"commit_width", "4"},
+      {"decode_depth", "5"},
+      {"frontend_buffer", "16"},
+      {"rob1", "48"},
+      {"rob2", "256"},
+      {"iq", "32"},
+      {"lsq", "32"},
+      {"int_regs", "160"},
+      {"fp_regs", "160"},
+      {"reg_reserve", "8"},
+      {"shared_regfile", "1"},
+      {"policy", "icount"},
+      {"scheme", "rrob"},
+      {"threshold", "8"},
+      {"recheck", "20"},
+      {"cdr_delay", "16"},
+      {"lease", "1000"},
+      {"cooldown", "1000"},
+      {"predictor_entries", "1024"},
+      {"l2_kb", "1024"},
+      {"l2_ways", "4"},
+      {"l1d_kb", "64"},
+      {"l1i_kb", "32"},
+      {"mem_lat", "300"},
+      {"interchunk", "4"},
+      {"critical_bytes", "64"},
+      {"mshr", "8"},
+      {"dcra_sharing", "1.5"},
+      {"seed", "7"},
+      {"cores", "2"},
+      {"llc", "512"},
+      {"dram", "4"},
+      {"force_cmp", "1"},
+      {"parallel_cores", "1"},
+      {"parallel_quantum", "64"},
+      {"audit", audit.level == AuditLevel::kFull ? "off" : "full"},
+      {"audit_cheap_interval", "3"},
+      {"audit_full_interval", "5"},
+      {"audit_abort", audit.abort_on_violation ? "0" : "1"},
+  };
+  for (const auto& [knob, value] : knobs) {
+    Options opts;
+    opts.set(knob, value);
+    JobSpec js = base;
+    js.config = apply_overrides(base.config, opts);
+    js.seed = js.config.seed;  // a campaign's --seed reaches the cell this way
+    EXPECT_NE(cell_key(js), base_key) << knob << "=" << value;
+  }
+
+  auto differs = [&](const char* what, auto mutate) {
+    JobSpec js = base;
+    mutate(js);
+    EXPECT_NE(cell_key(js), base_key) << what;
+  };
+  differs("telemetry.profile", [](JobSpec& js) { js.config.telemetry.profile = true; });
+  differs("workload token", [](JobSpec& js) { js.mix.benchmarks[0] = "mcf"; });
+  differs("workload order",
+          [](JobSpec& js) { std::swap(js.mix.benchmarks[0], js.mix.benchmarks[1]); });
+  differs("insts", [](JobSpec& js) { js.insts += 1; });
+  differs("warmup", [](JobSpec& js) { js.warmup += 1; });
+  differs("max_cycles", [](JobSpec& js) { js.max_cycles = 99999; });
+  differs("sample_interval", [](JobSpec& js) { js.sample_interval = 500; });
+
+  JobSpec renamed = base;
+  renamed.index = 9;
+  renamed.campaign = "other";
+  renamed.config_name = "other";
+  renamed.mix.name = "other";
+  renamed.mix.classification = "other";
+  renamed.sample_dir = "other";
+  EXPECT_EQ(cell_key(renamed), base_key);
+  EXPECT_EQ(cell_digest(base_key).size(), 16u);
+  EXPECT_NE(cell_digest(base_key), cell_digest(cell_key(expand(small_spec())[1])));
+}
+
+// Many workers requesting one key at once: the first simulates, the rest
+// wait for it and copy (runs in the TSan runner-test step).
+TEST(RunnerMemo, ConcurrentRequestsForOneKeySimulateOnce) {
+  clear_cell_memo();
+  CampaignSpec spec = small_spec("memo_race");
+  spec.columns.resize(1);
+  spec.mixes.clear();
+  for (int i = 0; i < 8; ++i) {
+    Mix m = table2_mix(3);
+    m.name = "copy " + std::to_string(i);
+    spec.mixes.push_back(m);
+  }
+  EngineOptions eng;
+  eng.jobs = 8;
+  const CampaignResult res = run_campaign(spec, eng);
+  EXPECT_EQ(res.ok, 8u);
+  EXPECT_EQ(res.deduplicated, 7u);
+  for (const JobRecord& rec : res.records)
+    EXPECT_EQ(unnamed_json(rec), unnamed_json(res.records[0]));
+}
+
+TEST(RunnerMemo, FailedCellsAreAlwaysSimulated) {
+  clear_cell_memo();
+  CampaignSpec spec = small_spec("memo_failed");
+  spec.max_cycles = 50;  // every cell hits the cap
+  for (int run = 0; run < 2; ++run) {
+    const CampaignResult res = run_campaign(spec, EngineOptions{});
+    EXPECT_EQ(res.failed, 4u);
+    EXPECT_EQ(res.deduplicated, 0u) << "run " << run;
+  }
+}
+
+TEST(RunnerMemo, SampleDirAndProfiledCellsBypassTheMemo) {
+  clear_cell_memo();
+  const std::string dir = testing::TempDir();
+  CampaignSpec sampled = small_spec("memo_sampled");
+  sampled.sample_interval = 500;
+  sampled.sample_dir = dir;
+  for (int run = 0; run < 2; ++run) {
+    for (u64 job = 0; job < 4; ++job)
+      std::remove((dir + "/samples_job" + std::to_string(job) + ".jsonl").c_str());
+    const CampaignResult res = run_campaign(sampled, EngineOptions{});
+    EXPECT_EQ(res.ok, 4u);
+    EXPECT_EQ(res.deduplicated, 0u) << "run " << run;
+    for (u64 job = 0; job < 4; ++job)  // every run writes its own series
+      EXPECT_FALSE(read_file(dir + "/samples_job" + std::to_string(job) + ".jsonl").empty());
+  }
+
+  CampaignSpec profiled = small_spec("memo_profiled");
+  for (auto& c : profiled.columns) c.config.telemetry.profile = true;
+  for (int run = 0; run < 2; ++run)
+    EXPECT_EQ(run_campaign(profiled, EngineOptions{}).deduplicated, 0u) << "run " << run;
+}
+
 TEST(RunnerCli, ParsesMixedOptionForms) {
   const char* argv[] = {"prog",   "fig2",         "--jobs",   "4",
                         "--insts=2000", "warmup=500", "--resume", "--max-cycles", "123"};
@@ -398,6 +650,78 @@ TEST(RunnerCli, CustomCampaignFromOptions) {
   Options bad;
   bad.set("schemes", "nonsense");
   EXPECT_THROW(custom_campaign(bad), std::invalid_argument);
+}
+
+// "-" is the stdout value of --json/--csv, before or after the preset.
+TEST(RunnerCli, DashIsAValueInBothArgumentOrders) {
+  {
+    const char* argv[] = {"prog", "fig2", "--json", "-", "--csv", "-"};
+    const Options opts = parse_cli_args(6, argv);
+    EXPECT_EQ(opts.get("json"), "-");
+    EXPECT_EQ(opts.get("csv"), "-");
+    ASSERT_EQ(opts.positional().size(), 1u);
+    EXPECT_EQ(opts.positional()[0], "fig2");
+  }
+  {
+    const char* argv[] = {"prog", "--json", "-", "fig2"};
+    const Options opts = parse_cli_args(4, argv);
+    EXPECT_EQ(opts.get("json"), "-");
+    ASSERT_EQ(opts.positional().size(), 1u);
+    EXPECT_EQ(opts.positional()[0], "fig2");
+  }
+
+  const char* argv[] = {"prog", "--json", "-", "fig2", "--no-render", "--insts", "1500",
+                        "--warmup", "300", "--jobs", "2"};
+  const Options opts = parse_cli_args(11, argv);
+  testing::internal::CaptureStdout();
+  const int rc = run_from_options(opts.positional()[0], opts);
+  const std::string out = testing::internal::GetCapturedStdout();
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 33);  // fig2: 3 columns x 11 mixes
+  EXPECT_EQ(out.rfind("{\"job\":0,\"campaign\":\"fig2\"", 0), 0u);
+}
+
+TEST(RunnerCli, PresetListsExpand) {
+  EXPECT_EQ(preset_list("fig2"), std::vector<std::string>{"fig2"});
+  EXPECT_EQ(preset_list("fig2,fig3,fig6"), (std::vector<std::string>{"fig2", "fig3", "fig6"}));
+  EXPECT_EQ(preset_list("all"), preset_names());
+  EXPECT_THROW(preset_list("fig2,fig99"), std::invalid_argument);
+  EXPECT_THROW(preset_list("fig2,"), std::invalid_argument);
+}
+
+// One multi-preset run shares the memo across presets, and its sinks are
+// byte-identical to the three separate runs concatenated.
+TEST(RunnerCli, MultiPresetRunMatchesSeparateRunsConcatenated) {
+  const std::string manifest = temp_path("tlrob_multi_manifest");
+  auto run = [&](const std::string& presets, const std::string& json, const std::string& csv) {
+    clear_cell_memo();  // as a fresh process would start
+    Options opts;
+    opts.set("insts", std::to_string(kInsts));
+    opts.set("warmup", std::to_string(kWarmup));
+    opts.set("jobs", "2");
+    opts.set("no_render", "1");
+    opts.set("json", json);
+    opts.set("csv", csv);
+    opts.set("manifest", manifest);
+    EXPECT_EQ(run_from_options(presets, opts), 0) << presets;
+    return std::make_pair(read_file(json), read_file(csv));
+  };
+  const auto combined = run("fig2,fig3,fig6", temp_path("tlrob_multi"),
+                            temp_path("tlrob_multi_csv"));
+  // Later presets append to the journal instead of truncating it.
+  const std::string journal = read_file(manifest);
+  EXPECT_EQ(std::count(journal.begin(), journal.end(), '\n'), 99);
+  std::remove(manifest.c_str());
+  std::string json, csv;
+  for (const char* preset : {"fig2", "fig3", "fig6"}) {
+    const auto one = run(preset, temp_path(std::string("tlrob_") + preset),
+                         temp_path(std::string("tlrob_csv_") + preset));
+    json += one.first;
+    csv += one.second;
+  }
+  EXPECT_EQ(std::count(json.begin(), json.end(), '\n'), 99);
+  EXPECT_EQ(combined.first, json);
+  EXPECT_EQ(combined.second, csv);
 }
 
 TEST(RunnerPresets, AllPresetsExpand) {

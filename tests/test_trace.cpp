@@ -345,8 +345,12 @@ TEST(TraceCampaign, ByteIdenticalAcrossWorkerCountsAndInvocations) {
   EngineOptions parallel;
   parallel.jobs = 4;
 
+  // Each run simulates afresh instead of copying the previous one's cells.
+  runner::clear_cell_memo();
   const std::string first = jsonl_of(run_campaign(spec, serial));
+  runner::clear_cell_memo();
   const std::string wide = jsonl_of(run_campaign(spec, parallel));
+  runner::clear_cell_memo();
   const std::string again = jsonl_of(run_campaign(spec, serial));
   EXPECT_EQ(first, wide);
   EXPECT_EQ(first, again);
