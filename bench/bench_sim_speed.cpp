@@ -129,40 +129,6 @@ void BM_CmpFourCoreMix(benchmark::State& state) {
 }
 BENCHMARK(BM_CmpFourCoreMix)->Unit(benchmark::kMillisecond);
 
-// Parallel-engine companion to BM_CmpFourCoreMix: the identical machine run
-// with one worker thread per core and the deterministic epoch barrier at
-// the shared-backend boundary. Results are bit-identical to the serial
-// engine (tests/test_parallel_cmp.cpp), so the two benches measure exactly
-// the same simulation — the delta is pure engine speedup. UseRealTime is
-// required: the work happens on pool threads, so the default CPU-time rate
-// would count only the parked main thread and overstate throughput several
-// fold. On a multi-core host this approaches num_cores x for compute-bound
-// phases; even on a single hardware thread the epoch-chunked execution wins
-// on cache locality (one core's tables stay hot for a whole quantum instead
-// of four cores interleaving every cycle) and the CoreGate parks rather
-// than spins, so it does not fall below serial speed. The scheduling jitter
-// of a threaded bench is larger than the lockstep benches', which the
-// BENCH_sim_speed.json tolerance override accounts for.
-void BM_CmpFourCoreMixParallel(benchmark::State& state) {
-  u64 insts = 0, cycles = 0;
-  for (auto _ : state) {
-    std::vector<Benchmark> work;
-    for (const u32 m : {1u, 4u, 7u, 10u})
-      for (Benchmark& b : mix_benchmarks(table2_mix(m))) work.push_back(std::move(b));
-    MachineConfig cfg = cmp_config(4, RobScheme::kReactive, 16);
-    cfg.parallel_cores = 4;
-    CmpMachine machine(cfg, work);
-    const RunResult r = machine.run(10000);
-    for (const auto& t : r.threads) insts += t.committed;
-    cycles += r.cycles;
-  }
-  state.counters["sim_insts/s"] =
-      benchmark::Counter(static_cast<double>(insts), benchmark::Counter::kIsRate);
-  state.counters["sim_cycles/s"] =
-      benchmark::Counter(static_cast<double>(cycles), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_CmpFourCoreMixParallel)->Unit(benchmark::kMillisecond)->UseRealTime();
-
 // Telemetry-overhead companion to BM_CmpFourCoreMix: the identical machine
 // with interval sampling on, which arms the full observability stack — the
 // per-cycle stall-taxonomy attribution, the piecewise idle-span replay, and

@@ -14,10 +14,10 @@
 // Machine knobs: see sim/config_override.hpp (scheme=, threshold=, policy=,
 // rob1=, rob2=, l2_kb=, mem_lat=, seed=, ...). CMP knobs (cores=N,
 // llc=size_kb[:ways[:lat[:mshrs]]], dram=ch[:banks[:tcas[:trcd[:trp]]]])
-// route the run through the CmpMachine engine; the workload list is
-// core-major and cores= splits the machine-wide thread count, so
-// `simulate mix=1 cores=2` runs 2 cores x 2 threads over the same four
-// benchmarks. Pipeline trace / Chrome trace / profile attach to core 0.
+// shape the machine; the workload list is core-major and cores= splits the
+// machine-wide thread count, so `simulate mix=1 cores=2` runs 2 cores x 2
+// threads over the same four benchmarks. Pipeline trace / Chrome trace /
+// profile attach to core 0. An unknown key is an error (exit status 2).
 //
 // Observability knobs (src/obs):
 //   sample=N           interval telemetry every N cycles
@@ -36,7 +36,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -79,7 +78,8 @@ int main(int argc, char** argv) {
     cfg.rob_second_level = 384;  // Table 1 default when a two-level scheme is on
   // cores= splits the machine-wide thread count (num_threads so far counts
   // the whole workload list), matching tlrob-campaign's --cores semantics.
-  const u32 cores = cfg.num_cores == 0 ? 1 : cfg.num_cores;
+  if (cfg.num_cores == 0) cfg.num_cores = 1;  // cores=0 means the single-core machine
+  const u32 cores = cfg.num_cores;
   if (cores > 1) {
     if (cfg.num_threads % cores != 0) {
       std::fprintf(stderr, "threads=%u not divisible by cores=%u\n", cfg.num_threads, cores);
@@ -94,13 +94,20 @@ int main(int argc, char** argv) {
   const u64 insts = opts.get_u64("insts", 120000);
   const u64 warmup = opts.get_u64("warmup", 60000);
   const u64 max_cycles = opts.get_u64("max_cycles", 0);
+  const bool dump_stats = opts.get_bool("stats", false);
 
   // --- observability -------------------------------------------------------
   cfg.telemetry.sample_interval = opts.get_u64("sample", cfg.telemetry.sample_interval);
   cfg.telemetry.profile = opts.get_bool("profile", cfg.telemetry.profile);
-  if ((opts.has("sample_out") || opts.has("sample_csv")) &&
-      cfg.telemetry.sample_interval == 0)
+  const std::string sample_out = opts.get("sample_out"), sample_csv = opts.get("sample_csv");
+  const std::string trace_json = opts.get("trace_json"), trace_window = opts.get("trace");
+  if ((!sample_out.empty() || !sample_csv.empty()) && cfg.telemetry.sample_interval == 0)
     cfg.telemetry.sample_interval = 1000;  // asking for the series implies sampling
+
+  if (const std::vector<std::string> unread = opts.unread_keys(); !unread.empty()) {
+    std::fprintf(stderr, "unknown option '%s'\n", unread.front().c_str());
+    return 2;
+  }
 
   std::printf("%s", describe(cfg).c_str());
   std::printf("workload              ");
@@ -109,33 +116,23 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(insts),
               static_cast<unsigned long long>(warmup));
 
-  // Same engine routing as run_benchmarks: multiple cores or a shared
-  // backend go through CmpMachine; the observability hooks below then
-  // attach to core 0 (per-core trace files would interleave unusably).
-  const bool cmp_routed = cfg.num_cores > 1 || cfg.llc.enabled || cfg.force_cmp_engine;
-  std::unique_ptr<CmpMachine> machine;
-  std::unique_ptr<SmtCore> solo;
-  if (cmp_routed) {
-    machine = std::make_unique<CmpMachine>(cfg, benches);
-    if (cores > 1 && (opts.has("trace") || opts.has("trace_json") || cfg.telemetry.profile))
-      std::fprintf(stderr, "note: trace/profile observe core 0 of %u\n", cores);
-  } else {
-    solo = std::make_unique<SmtCore>(cfg, benches);
-  }
-  SmtCore& core = cmp_routed ? machine->core(0) : *solo;
-  if (opts.has("trace")) {
-    const std::string spec = opts.get("trace");
-    const auto colon = spec.find(':');
-    const Cycle lo = std::strtoull(spec.c_str(), nullptr, 0);
+  // The observability hooks attach to core 0 (per-core trace files would
+  // interleave unusably).
+  CmpMachine machine(cfg, benches);
+  SmtCore& core = machine.core(0);
+  if (cores > 1 && (!trace_window.empty() || !trace_json.empty() || cfg.telemetry.profile))
+    std::fprintf(stderr, "note: trace/profile observe core 0 of %u\n", cores);
+  if (!trace_window.empty()) {
+    const auto colon = trace_window.find(':');
+    const Cycle lo = std::strtoull(trace_window.c_str(), nullptr, 0);
     const Cycle hi = colon == std::string::npos
                          ? lo + 200
-                         : std::strtoull(spec.c_str() + colon + 1, nullptr, 0);
+                         : std::strtoull(trace_window.c_str() + colon + 1, nullptr, 0);
     core.tracer().attach(&std::cerr, lo, hi);
   }
   obs::ChromeTraceWriter chrome;
-  if (opts.has("trace_json")) core.attach_chrome_trace(&chrome);
-  const RunResult r = cmp_routed ? machine->run(insts, max_cycles, warmup)
-                                 : solo->run(insts, max_cycles, warmup);
+  if (!trace_json.empty()) core.attach_chrome_trace(&chrome);
+  const RunResult r = machine.run(insts, max_cycles, warmup);
 
   // A sink path of "-" means stdout; anything else is a file (created or
   // truncated). Returns false when the file cannot be opened.
@@ -153,15 +150,12 @@ int main(int argc, char** argv) {
     return true;
   };
   bool sinks_ok = true;
-  if (opts.has("sample_out"))
-    sinks_ok &= write_to(opts.get("sample_out"),
-                         [&](std::ostream& os) { r.samples.write_jsonl(os); });
-  if (opts.has("sample_csv"))
-    sinks_ok &= write_to(opts.get("sample_csv"),
-                         [&](std::ostream& os) { r.samples.write_csv(os); });
-  if (opts.has("trace_json"))
-    sinks_ok &= write_to(opts.get("trace_json"),
-                         [&](std::ostream& os) { chrome.write(os); });
+  if (!sample_out.empty())
+    sinks_ok &= write_to(sample_out, [&](std::ostream& os) { r.samples.write_jsonl(os); });
+  if (!sample_csv.empty())
+    sinks_ok &= write_to(sample_csv, [&](std::ostream& os) { r.samples.write_csv(os); });
+  if (!trace_json.empty())
+    sinks_ok &= write_to(trace_json, [&](std::ostream& os) { chrome.write(os); });
   if (cfg.telemetry.profile) core.profiler().print(std::cerr, core.executed_cycles());
 
   std::printf("%-10s %10s %10s\n", "thread", "committed", "IPC");
@@ -185,7 +179,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.dod_true.total_samples()),
                 r.dod_true.mean(), r.dod_proxy.mean());
 
-  if (opts.get_bool("stats", false)) {
+  if (dump_stats) {
     std::printf("\n--- all counters ---\n");
     for (const auto& [k, v] : r.counters)
       std::printf("%-44s %llu\n", k.c_str(), static_cast<unsigned long long>(v));

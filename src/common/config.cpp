@@ -33,19 +33,32 @@ Options Options::from_tokens(const std::vector<std::string>& tokens) {
   return opts;
 }
 
-std::string Options::get(const std::string& key, const std::string& fallback) const {
+const std::string* Options::find(const std::string& key) const {
+  read_.insert(key);
   auto it = values_.find(key);
-  return it == values_.end() ? fallback : it->second;
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+std::vector<std::string> Options::unread_keys() const {
+  std::vector<std::string> out;
+  for (const auto& kv : values_)
+    if (read_.count(kv.first) == 0) out.push_back(kv.first);
+  return out;
+}
+
+std::string Options::get(const std::string& key, const std::string& fallback) const {
+  const std::string* v = find(key);
+  return v == nullptr ? fallback : *v;
 }
 
 u64 Options::get_u64(const std::string& key, u64 fallback) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtoull(it->second.c_str(), nullptr, 0);
+  const std::string* v = find(key);
+  return v == nullptr ? fallback : std::strtoull(v->c_str(), nullptr, 0);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
-  auto it = values_.find(key);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  const std::string* v = find(key);
+  return v == nullptr ? fallback : std::strtod(v->c_str(), nullptr);
 }
 
 std::vector<std::string> Options::get_list(const std::string& key) const {
@@ -64,10 +77,9 @@ std::vector<std::string> Options::get_list(const std::string& key) const {
 }
 
 bool Options::get_bool(const std::string& key, bool fallback) const {
-  auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  const std::string& v = it->second;
-  return !(v == "0" || v == "false" || v == "no" || v == "off");
+  const std::string* v = find(key);
+  if (v == nullptr) return fallback;
+  return !(*v == "0" || *v == "false" || *v == "no" || *v == "off");
 }
 
 }  // namespace tlrob

@@ -5,6 +5,7 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,9 @@ namespace tlrob {
 
 /// Parses arguments of the form `key=value` (or bare `key`, stored as "1").
 /// Unrecognised positional arguments are kept in order and retrievable.
+/// Every has()/get*() call records its key as read, so a command line can
+/// reject the keys nothing asked for (unread_keys) once it has read all the
+/// ones it understands — the getters are the only list of valid keys.
 class Options {
  public:
   Options() = default;
@@ -26,7 +30,7 @@ class Options {
 
   void set(const std::string& key, const std::string& value) { values_[key] = value; }
 
-  bool has(const std::string& key) const { return values_.count(key) != 0; }
+  bool has(const std::string& key) const { return find(key) != nullptr; }
 
   std::string get(const std::string& key, const std::string& fallback = "") const;
   u64 get_u64(const std::string& key, u64 fallback) const;
@@ -39,8 +43,16 @@ class Options {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Keys that are set but were never passed to has() or a getter, in
+  /// sorted order: typos and flags the program does not know.
+  std::vector<std::string> unread_keys() const;
+
  private:
+  /// Looks `key` up and records it as read.
+  const std::string* find(const std::string& key) const;
+
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
   std::vector<std::string> positional_;
 };
 

@@ -16,15 +16,11 @@
 //     vocabulary is easier to lint and to reason about.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <thread>
-#include <vector>
 
 #include "common/thread_annotations.hpp"
-#include "common/types.hpp"
 
 namespace tlrob {
 
@@ -81,111 +77,6 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
-};
-
-/// Deterministic total-order gate for the parallel CMP engine (sim/cmp.cpp).
-///
-/// N cores advance on N worker threads; everything they share (the LLC/DRAM
-/// backend, the backend Chrome-trace writer, the audit's shared-memory view)
-/// must be touched in exactly the serial lockstep order: operations apply
-/// ordered by the key (tick cycle, core index), with one core's same-cycle
-/// operations applying in its own program order. The gate realises that
-/// order without a global lock:
-///
-///   - Each core publishes a monotonic clock — the cycle it is currently
-///     ticking. The pair (clock[i], i) is a lower bound on the key of any
-///     operation core i can still perform.
-///   - An operation with key (c, i) may apply once it is the global minimum:
-///     for every other core j, (clock[j], j) > (c, i) lexicographically.
-///     sync() blocks until that holds.
-///
-/// Mutual exclusion and publication both fall out of the protocol: while
-/// core i sits at clock c, no other core's operation with a larger key can
-/// pass its own sync() (it needs clock[i] beyond c), and the release-store
-/// of a clock advance paired with the acquire-loads in sync() sequences
-/// core i's writes before any later-keyed core's reads. Deadlock-freedom:
-/// clocks only grow, keys are totally ordered (the core index breaks ties),
-/// and the core holding the global-minimum bound is, by definition, never
-/// blocked — so some core always progresses and every sync() eventually
-/// returns, provided each participating core keeps advancing its clock to
-/// its epoch end (the engine publishes the epoch boundary after its last
-/// tick for exactly this reason).
-///
-/// Waiters spin briefly (the common case: the peer is one tick behind),
-/// then park on a condition variable; advance() only takes the lock when
-/// the sleeper count says someone is parked, so the per-tick publish stays
-/// a single release-store on the fast path.
-class CoreGate {
- public:
-  explicit CoreGate(u32 cores) : slots_(cores) {}
-
-  CoreGate(const CoreGate&) = delete;
-  CoreGate& operator=(const CoreGate&) = delete;
-
-  /// Publishes core `core`'s clock (monotonic; lower values are ignored).
-  /// Single writer per slot: only core `core`'s worker calls this.
-  void advance(u32 core, Cycle c) {
-    std::atomic<Cycle>& clk = slots_[core].clock;
-    if (clk.load(std::memory_order_relaxed) >= c) return;
-    clk.store(c, std::memory_order_release);
-    if (sleepers_.load(std::memory_order_acquire) != 0) {
-      {
-        MutexLock lock(mu_);
-        ++wakeups_;
-      }
-      cv_.notify_all();
-    }
-  }
-
-  /// Blocks until (clock[core], core) is the global minimum over all cores'
-  /// published bounds — i.e. until every operation that serially precedes
-  /// core `core`'s next shared-state access has been applied and no later
-  /// one can slip in front.
-  void sync(u32 core) {
-    const Cycle c = slots_[core].clock.load(std::memory_order_relaxed);
-    for (u32 j = 0; j < static_cast<u32>(slots_.size()); ++j) {
-      if (j == core) continue;
-      u32 spins = 0;
-      while (!passed(j, c, core)) {
-        if (++spins < kSpinLimit) {
-          std::this_thread::yield();
-          continue;
-        }
-        // Park: bounded waits make a missed notify a latency blip, not a
-        // deadlock (the condition is re-read after every wakeup).
-        sleepers_.fetch_add(1, std::memory_order_acq_rel);
-        {
-          MutexLock lock(mu_);
-          while (!passed(j, c, core)) cv_.wait_for(lock, std::chrono::milliseconds(1));
-        }
-        sleepers_.fetch_sub(1, std::memory_order_acq_rel);
-      }
-    }
-  }
-
-  Cycle clock(u32 core) const { return slots_[core].clock.load(std::memory_order_acquire); }
-  u32 cores() const { return static_cast<u32>(slots_.size()); }
-
- private:
-  /// True once core j's bound is lexicographically past (c, core).
-  bool passed(u32 j, Cycle c, u32 core) const {
-    const Cycle cj = slots_[j].clock.load(std::memory_order_acquire);
-    return cj > c || (cj == c && j > core);
-  }
-
-  static constexpr u32 kSpinLimit = 128;
-
-  struct alignas(64) Slot {  // cache-line padded: one writer per slot
-    std::atomic<Cycle> clock{0};
-  };
-  std::vector<Slot> slots_;
-
-  std::atomic<u32> sleepers_{0};  // fast-path gate on the notify below
-  Mutex mu_;
-  CondVar cv_;
-  /// Notify generation (diagnostics); also the state mu_ demonstrably
-  /// guards — the clocks themselves are lock-free by design.
-  u64 wakeups_ TLROB_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace tlrob

@@ -1,15 +1,7 @@
 // Work-stealing thread pool — the one threading substrate in the repo.
 //
-// Two consumers share it (deliberately, so the pools cannot drift apart):
-//   - the campaign runner (runner/engine.cpp) fans independent jobs out
-//     across `--jobs` workers, and
-//   - the parallel CMP engine (sim/cmp.cpp) runs one blocking epoch task
-//     per core on a pool sized exactly num_cores. That sizing is the
-//     pinned-worker contract: epoch tasks block inside CoreGate::sync()
-//     waiting on each other's clocks, which is deadlock-free only while
-//     every task can hold a worker simultaneously (a worker runs at most
-//     one task at a time; with #tasks <= #workers, a blocked task never
-//     starves the task it waits on of a thread).
+// The campaign runner (runner/engine.cpp) fans independent jobs out across
+// `--jobs` workers on it.
 //
 // Each worker owns a deque: it pushes/pops its own work LIFO (cache-warm)
 // and steals FIFO from the other end of a victim's deque (oldest job first,

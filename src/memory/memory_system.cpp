@@ -32,7 +32,7 @@ MemorySystem::L2Result MemorySystem::access_l2(Addr addr, Cycle when) {
     bool evicted_dirty = false;
     Addr victim = 0;
     l2_->fill(addr, tag_done, f.ready, f.llc_miss, &evicted_dirty, &victim);
-    if (evicted_dirty) backend_->request_writeback(victim, f.ready, core_id_);
+    if (evicted_dirty) backend_->request_writeback(victim, f.ready);
     // Private time ends at the L2 tag check; the backend supplies the
     // LLC/DRAM edges (clamped into order for the merged/hit paths, whose
     // edges collapse onto ready).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "common/sync.hpp"
 #include "obs/chrome_trace.hpp"
 
 namespace tlrob {
@@ -50,13 +49,6 @@ Cycle SharedMemory::admit(Cycle when) {
 }
 
 SharedMemory::Fill SharedMemory::request_fill(Addr addr, Cycle when, u32 core) {
-  // Parallel engine: block until (clock[core], core) is the global minimum,
-  // so this mutation lands in exactly the serial lockstep position. The key
-  // is the caller's published tick cycle, NOT `when` (`when` is the L2 tag
-  // completion, which can land mid-chain); cores issue backend calls in
-  // program order within a tick, so the gate's per-core FIFO-by-construction
-  // ordering finishes the serial key (cycle, core, program order).
-  if (gate_ != nullptr) gate_->sync(core);
   const Cycle tag_done = when + cfg_.geo.hit_latency;
   const Cache::Probe p = llc_->probe(addr, tag_done);
   if (p.present) {
@@ -93,25 +85,11 @@ SharedMemory::Fill SharedMemory::request_fill(Addr addr, Cycle when, u32 core) {
   return {a.done, true, start, a.row_done};
 }
 
-void SharedMemory::request_writeback(Addr addr, Cycle when, u32 core) {
-  if (gate_ != nullptr) gate_->sync(core);
+void SharedMemory::request_writeback(Addr addr, Cycle when) {
   cnt_writebacks_in_->inc();
   if (llc_->mark_dirty(addr)) return;  // resident: absorbed, dirty in the LLC
   cnt_writeback_misses_->inc();
   dram_->write(addr, when);
-}
-
-u32 SharedMemory::inflight_count_at(Cycle serial_cycle, u32 core) {
-  if (gate_ != nullptr) {
-    gate_->advance(core, serial_cycle);
-    gate_->sync(core);
-  }
-  return inflight_count();
-}
-
-std::string SharedMemory::audit_check_at(u32 core) const {
-  if (gate_ != nullptr) gate_->sync(core);
-  return audit_check();
 }
 
 std::string SharedMemory::audit_check() const {

@@ -26,8 +26,6 @@
 
 namespace tlrob {
 
-class CoreGate;
-
 struct LlcConfig {
   /// Routes L2 misses through the shared backend even for num_cores == 1
   /// (a single-core machine with an LLC). CMP machines always enable it.
@@ -62,7 +60,7 @@ class SharedMemory {
   /// Dirty L2 victim writeback. Absorbed by the LLC when the line is
   /// resident (inclusive-victim path: mark dirty, no traffic); otherwise it
   /// goes to DRAM.
-  void request_writeback(Addr addr, Cycle when, u32 core);
+  void request_writeback(Addr addr, Cycle when);
 
   /// MSHR-pool and DRAM invariants; empty string when consistent.
   std::string audit_check() const;
@@ -76,28 +74,6 @@ class SharedMemory {
   const LlcConfig& config() const { return cfg_; }
 
   u32 inflight_count() const { return static_cast<u32>(inflight_.size()); }
-
-  /// Parallel-engine ordering gate (common/sync.hpp). While attached, every
-  /// request_fill/request_writeback first blocks in CoreGate::sync() until
-  /// the calling core's published clock is the global minimum, which makes
-  /// the backend's mutation order exactly the serial lockstep order — the
-  /// backend itself stays single-threaded-in-effect and unannotated.
-  /// nullptr (the default, and what CmpMachine restores after a parallel
-  /// run) keeps every call a plain unsynchronised access.
-  void set_gate(CoreGate* gate) { gate_ = gate; }
-
-  /// MSHR occupancy as the serial engine would observe it at the point with
-  /// order key (serial_cycle, core): publishes the caller's clock and waits
-  /// for global minimality before reading. With no gate attached this is
-  /// inflight_count(). Used by the interval sampler, whose sample for label
-  /// L reads the pool after cycle L-1 completed on the sampling core.
-  u32 inflight_count_at(Cycle serial_cycle, u32 core);
-
-  /// audit_check() ordered at the caller's currently published clock: waits
-  /// for global minimality (no clock advance — the auditor runs inside the
-  /// owning core's tick, whose clock is already current). With no gate this
-  /// is plain audit_check().
-  std::string audit_check_at(u32 core) const;
 
   /// Attaches a Chrome trace writer (nullptr detaches) for the backend's
   /// pseudo-process: an MSHR-pool occupancy counter track plus cross-core
@@ -132,7 +108,6 @@ class SharedMemory {
   // so admit() min-scans; the pool is bounded by mshr_entries, so the scan
   // is short.
   std::vector<InflightFill> inflight_;
-  CoreGate* gate_ = nullptr;  // attached only during a parallel CmpMachine run
   obs::ChromeTraceWriter* trace_ = nullptr;
   ThreadId llc_tid_ = 0;  // trace track one past the DRAM bank tracks
   StatGroup stats_;

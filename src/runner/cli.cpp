@@ -16,8 +16,8 @@ namespace {
 
 /// Flags that never take a following-token value.
 bool is_bare_flag(const std::string& key) {
-  return key == "resume" || key == "per_job_seeds" || key == "no_render" ||
-         key == "list" || key == "help" || key == "allow_oversubscribe";
+  return key == "resume" || key == "per_job_seeds" || key == "no_render" || key == "list" ||
+         key == "help";
 }
 
 std::string normalise_key(std::string key) {
@@ -113,14 +113,6 @@ CampaignSpec custom_campaign(const Options& opts) {
     c.config.num_cores = cores;
     if (opts.has("llc")) apply_llc_spec(c.config.llc, opts.get("llc"));
     if (opts.has("dram")) apply_dram_spec(c.config.dram, opts.get("dram"));
-    c.config.force_cmp_engine = opts.get_bool("force_cmp", c.config.force_cmp_engine);
-    // --parallel-cores[=N]: any nonzero value turns the parallel CMP engine
-    // on (the machine always uses one worker per core; N only declares the
-    // per-job width to the thread-budget heuristic in run_from_options).
-    c.config.parallel_cores =
-        static_cast<u32>(opts.get_u64("parallel_cores", c.config.parallel_cores));
-    c.config.parallel_quantum =
-        static_cast<u32>(opts.get_u64("parallel_quantum", c.config.parallel_quantum));
   }
 
   const std::string workload = opts.get("workload", "");
@@ -171,9 +163,35 @@ std::vector<std::string> preset_list(const std::string& arg) {
 }
 
 int run_from_options(const std::string& preset, const Options& opts) {
-  // Validated before any sink file is created.
+  // Every option is read, and the command line validated, before any sink
+  // file is created.
   const std::vector<std::string> names =
       preset.empty() ? std::vector<std::string>{} : preset_list(preset);
+  const bool render = !opts.get_bool("no_render", false);
+  const u32 jobs = WorkStealingPool::resolve_threads(static_cast<u32>(opts.get_u64("jobs", 0)));
+  const std::string manifest_path = opts.get("manifest", "");
+  const bool resume = opts.get_bool("resume", false);
+  const bool want_json = opts.has("json"), want_csv = opts.has("csv");
+  CampaignSpec custom;
+  PresetOptions popts;
+  if (preset.empty()) {
+    custom = custom_campaign(opts);
+  } else {
+    popts.length = {opts.get_u64("insts", 120000), opts.get_u64("warmup", 60000)};
+    popts.jobs = jobs;
+    popts.manifest_path = manifest_path;
+    popts.resume = resume;
+    popts.render = render;
+    popts.sample_interval = opts.get_u64("sample_interval", 0);
+    popts.sample_dir = opts.get("sample_dir", "");
+    popts.workload = opts.get("workload", "");
+  }
+  if (const std::vector<std::string> unread = opts.unread_keys(); !unread.empty()) {
+    std::string flag = unread.front();
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    throw std::invalid_argument("unknown option --" + flag +
+                                (preset.empty() ? "" : " (or not used by presets)"));
+  }
 
   // Structured sinks ("-" = stdout).
   std::vector<std::unique_ptr<std::ofstream>> files;
@@ -194,39 +212,8 @@ int run_from_options(const std::string& preset, const Options& opts) {
   };
 
   std::vector<ResultSink*> sinks;
-  if (opts.has("json")) sinks.push_back(open_sink(opts.get("json"), /*csv=*/false));
-  if (opts.has("csv")) sinks.push_back(open_sink(opts.get("csv"), /*csv=*/true));
-
-  const bool render = !opts.get_bool("no_render", false);
-  u32 jobs = WorkStealingPool::resolve_threads(
-      static_cast<u32>(opts.get_u64("jobs", 0)));
-
-  // Thread-budget guard: with --parallel-cores every in-flight job holds one
-  // worker thread per simulated core, so --jobs N multiplies. Clamp jobs to
-  // keep jobs x width within the hardware threads unless the user overrides
-  // with --allow-oversubscribe; either way results are bit-identical (only
-  // scheduling changes). The width declaration is the larger of the
-  // --parallel-cores value and --cores (presets carry their own core counts,
-  // which is why --parallel-cores takes an optional numeric value at all).
-  std::vector<std::string> notes;
-  const u32 parallel = static_cast<u32>(opts.get_u64("parallel_cores", 0));
-  if (parallel != 0) {
-    const u32 width = std::max(parallel, static_cast<u32>(opts.get_u64("cores", 1)));
-    const u32 hw = WorkStealingPool::resolve_threads(0);
-    if (width > 1 && static_cast<u64>(jobs) * width > hw &&
-        !opts.get_bool("allow_oversubscribe", false)) {
-      const u32 clamped = std::max<u32>(1, hw / width);
-      std::cerr << "warning: --jobs " << jobs << " x " << width
-                << " core workers per job exceeds " << hw
-                << " hardware threads; clamping to --jobs " << clamped
-                << " (--allow-oversubscribe keeps the requested value)\n";
-      notes.push_back(std::string("{\"note\":\"thread_budget\",\"requested_jobs\":") +
-                      std::to_string(jobs) + ",\"parallel_width\":" + std::to_string(width) +
-                      ",\"hw_threads\":" + std::to_string(hw) +
-                      ",\"clamped_jobs\":" + std::to_string(clamped) + "}");
-      jobs = clamped;
-    }
-  }
+  if (want_json) sinks.push_back(open_sink(opts.get("json"), /*csv=*/false));
+  if (want_csv) sinks.push_back(open_sink(opts.get("csv"), /*csv=*/true));
 
   auto report = [jobs](const std::string& name, const CampaignResult& result) {
     std::cerr << "campaign " << name << ": " << result.records.size() << " cells, "
@@ -237,37 +224,23 @@ int run_from_options(const std::string& preset, const Options& opts) {
   };
 
   if (preset.empty()) {
-    const CampaignSpec spec = custom_campaign(opts);
     EngineOptions eng;
     eng.jobs = jobs;
-    eng.manifest_path = opts.get("manifest", "");
-    eng.resume = opts.get_bool("resume", false);
-    eng.notes = notes;
+    eng.manifest_path = manifest_path;
+    eng.resume = resume;
     FtTableSink table(stdout);
     if (render) eng.sinks.push_back(&table);
     for (ResultSink* s : sinks) eng.sinks.push_back(s);
-    return report(spec.name, run_campaign(spec, eng)) ? 1 : 0;
+    return report(custom.name, run_campaign(custom, eng)) ? 1 : 0;
   }
 
   // Presets run in order in this process, so they share the cell memo; the
   // sinks and the manifest see what separate runs would have written, one
   // after another.
+  popts.extra_sinks = sinks;
   bool any_failed = false;
   for (size_t i = 0; i < names.size(); ++i) {
-    PresetOptions popts;
-    popts.length = {opts.get_u64("insts", 120000), opts.get_u64("warmup", 60000)};
-    popts.jobs = jobs;
-    popts.extra_sinks = sinks;
-    popts.manifest_path = opts.get("manifest", "");
-    popts.resume = opts.get_bool("resume", false);
     popts.append_manifest = i > 0;
-    popts.render = render;
-    popts.sample_interval = opts.get_u64("sample_interval", 0);
-    popts.sample_dir = opts.get("sample_dir", "");
-    popts.workload = opts.get("workload", "");
-    popts.parallel_cores = parallel;
-    popts.parallel_quantum = static_cast<u32>(opts.get_u64("parallel_quantum", 0));
-    if (i == 0) popts.notes = notes;
     any_failed |= report(names[i], run_preset(names[i], popts));
   }
   return any_failed ? 1 : 0;

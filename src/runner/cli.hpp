@@ -1,5 +1,4 @@
-// Command-line front end shared by the tlrob-campaign binary and the ported
-// bench_fig*/bench_table* wrappers.
+// Command-line front end of the tlrob-campaign binary.
 //
 // Accepted option spellings: `key=value`, `--key=value`, `--key value` and
 // bare `--flag` (stored as "1"); the historical bench spelling `insts=N
@@ -50,10 +49,13 @@ std::vector<std::string> preset_list(const std::string& arg);
 /// preset_list(preset) in order when `preset` is non-empty, otherwise the
 /// custom sweep options. Wires up the json/csv/manifest sinks, which
 /// receive the presets one after another. Returns a process exit code
-/// (non-zero when any cell failed).
+/// (non-zero when any cell failed). Throws std::invalid_argument, before
+/// anything runs, on an option that nothing read: a typo, or a custom-sweep
+/// option given to presets.
 int run_from_options(const std::string& preset, const Options& opts);
 
-/// main() body for the ported bench binaries.
+/// main() body of tlrob-campaign: run_from_options on argv, with every
+/// exception reported on stderr as exit status 2.
 int preset_main(const std::string& preset, int argc, const char* const* argv);
 
 }  // namespace tlrob::runner

@@ -248,10 +248,6 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
                   opts.resume || opts.append_manifest ? std::ios::app : std::ios::trunc);
     if (!manifest.is_open())
       throw std::runtime_error("cannot open manifest: " + opts.manifest_path);
-    // Annotations first, records after: the journal stays a line-oriented
-    // log and resume skips anything that isn't a JobRecord.
-    for (const std::string& note : opts.notes) manifest << note << "\n";
-    if (!opts.notes.empty()) manifest.flush();
   }
 
   for (ResultSink* sink : opts.sinks) sink->begin(spec, jobs);

@@ -54,12 +54,6 @@ struct EngineOptions {
   /// Append to the manifest instead of truncating it when not resuming
   /// (the later campaigns of one multi-preset run share a journal).
   bool append_manifest = false;
-
-  /// Structured annotations (pre-serialised JSON lines, e.g. the CLI's
-  /// thread-budget warning) journalled into the manifest right after it
-  /// opens. Not JobRecords: load_manifest skips lines it cannot parse, so
-  /// notes never poison a resume.
-  std::vector<std::string> notes;
 };
 
 struct CampaignResult {

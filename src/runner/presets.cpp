@@ -417,19 +417,12 @@ CampaignResult run_preset(const std::string& name, const PresetOptions& opts) {
   }
   spec.sample_interval = opts.sample_interval;
   spec.sample_dir = opts.sample_dir;
-  if (opts.parallel_cores != 0 || opts.parallel_quantum != 0) {
-    for (auto& c : spec.columns) {
-      c.config.parallel_cores = opts.parallel_cores;
-      c.config.parallel_quantum = opts.parallel_quantum;
-    }
-  }
 
   EngineOptions eng;
   eng.jobs = WorkStealingPool::resolve_threads(opts.jobs);
   eng.manifest_path = opts.manifest_path;
   eng.resume = opts.resume;
   eng.append_manifest = opts.append_manifest;
-  eng.notes = opts.notes;
 
   FtTableSink table(opts.out, preset.title == nullptr ? "" : preset.title);
   if (opts.render && preset.title != nullptr) eng.sinks.push_back(&table);

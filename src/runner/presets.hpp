@@ -3,9 +3,8 @@
 // Each preset supplies a CampaignSpec (what to sweep) plus its stdout
 // rendering: the generic fair-throughput table (FtTableSink) and/or a
 // figure-specific epilogue (histograms, predictor quality, threshold
-// summary) rendered from the returned records. The bench_fig*/bench_table*
-// binaries are thin wrappers over run_preset; the tlrob-campaign CLI
-// reaches the same presets by name.
+// summary) rendered from the returned records. The tlrob-campaign CLI
+// reaches them by name.
 #pragma once
 
 #include <cstdio>
@@ -38,13 +37,6 @@ struct PresetOptions {
   /// on hardware thread i — and sizes every column's machine to match.
   /// Empty = the preset's own mixes.
   std::string workload;
-  /// Parallel CMP engine (MachineConfig::parallel_cores semantics): nonzero
-  /// runs every column's multi-core machines on one worker thread per core,
-  /// bit-identical to the serial engine. Applied uniformly to all columns.
-  u32 parallel_cores = 0;
-  u32 parallel_quantum = 0;  // epoch quantum override, 0 = engine default
-  /// Manifest annotations forwarded to EngineOptions::notes.
-  std::vector<std::string> notes;
 };
 
 /// All preset names, in presentation order.

@@ -27,7 +27,7 @@ static_assert(sizeof(RobPolicyConfig) == 72);
 static_assert(sizeof(PredictorConfig) == 16);
 static_assert(sizeof(AuditConfig) == 32);
 static_assert(sizeof(obs::TelemetryConfig) == 16);
-static_assert(sizeof(MachineConfig) == 472);
+static_assert(sizeof(MachineConfig) == 456);
 
 /// Appends "name=value;" — integers, bools and enums as decimal integers,
 /// doubles in their round-trippable JSON form.
@@ -52,9 +52,6 @@ void add_cache(std::string& out, const std::string& p, const CacheGeometry& g) {
 void add_config(std::string& out, const MachineConfig& c) {
   add(out, "num_cores", c.num_cores);
   add(out, "num_threads", c.num_threads);
-  add(out, "force_cmp_engine", c.force_cmp_engine);
-  add(out, "parallel_cores", c.parallel_cores);
-  add(out, "parallel_quantum", c.parallel_quantum);
   add(out, "addr_space_id_base", c.addr_space_id_base);
   add(out, "fetch_width", c.fetch_width);
   add(out, "fetch_threads", c.fetch_threads);

@@ -62,8 +62,7 @@ class CsvSink : public ResultSink {
 
 /// The paper-style fair-throughput table (one row per mix, one column per
 /// configuration, then the average row and each column's percentage
-/// improvement over the first, baseline, column) — the renderer that
-/// previously lived, copied, in every bench_fig* binary. Streams each row
+/// improvement over the first, baseline, column). Streams each row
 /// as soon as its cells arrive; failed cells print "failed" and are
 /// excluded from the averages.
 class FtTableSink : public ResultSink {

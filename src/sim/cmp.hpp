@@ -5,37 +5,23 @@
 // issue queue, register files, and its own second-level ROB partition — and
 // the cores couple only through SharedMemory (memory/shared_memory.hpp),
 // whose latency-chain contract means the memory side never generates events
-// of its own. That makes the machine-wide tick loop simple and the global
-// idle fast-forward sound:
+// of its own. That makes the machine-wide run loop (run_lockstep in
+// sim/smt_sim.hpp, the same loop a standalone SmtCore runs) simple and the
+// global idle fast-forward sound:
 //
 //   - Cores tick in fixed index order every cycle (deterministic
 //     interleaving of LLC/DRAM requests).
 //   - The machine fast-forwards only when EVERY core proved its cycle idle
 //     in the same lockstep cycle; the jump target is the minimum of the
 //     cores' individual wake bounds, and each core replays its own stall
-//     counters and sample points across the skipped distance (SmtCore's
-//     cmp_* decomposition of step()).
+//     counters and sample points across the skipped distance.
 //
 // Result merging: per-thread results concatenate core-major (core c's
 // thread t is machine thread c*M + t, matching the workload slicing and the
 // address-space bases), per-core counters sum under their historical names,
 // the shared llc.*/dram.* families append once, and the DoD histograms
-// merge. A 1-core machine without an LLC delegates run() to its single core
-// outright, which makes the no-backend CMP path byte-identical to the
-// legacy engine by construction — the differential test in
-// tests/test_pool_fuzz.cpp pins the remaining plumbing.
-//
-// Parallel engine (cfg.parallel_cores != 0): run() executes the same
-// machine on one pinned worker thread per core, synchronized by a
-// deterministic epoch barrier at the shared-backend boundary. Each epoch,
-// every core advances privately up to min(epoch quantum, termination
-// horizon) cycles, re-using the exact cmp_tick / cmp_idle_wake /
-// cmp_replay_idle_to decomposition the serial engine drives; every
-// shared-backend call blocks in CoreGate::sync() until its (cycle, core)
-// key is the global minimum, so LLC/DRAM mutations apply in exactly the
-// serial lockstep order and results are bit-identical to the serial engine
-// (DESIGN.md §14 carries the full argument; tests/test_parallel_cmp.cpp
-// pins it differentially over every CMP preset).
+// merge. A 1-core machine without an LLC has no backend, so its result is
+// exactly its core's.
 #pragma once
 
 #include <memory>
@@ -54,12 +40,9 @@ class CmpMachine {
 
   /// Runs until any thread on any core has committed `commit_target`
   /// instructions or `max_cycles` elapse (0 = derive a generous bound), with
-  /// `warmup_insts` excluded from every statistic — the same contract as
-  /// SmtCore::run.
+  /// `warmup_insts` excluded from every statistic: run_lockstep over every
+  /// core, then snapshot_result().
   RunResult run(u64 commit_target, u64 max_cycles = 0, u64 warmup_insts = 0);
-
-  /// Advances every core exactly one cycle, in core order (tests).
-  void tick();
 
   Cycle now() const { return cores_.front()->now(); }
   u32 num_cores() const { return static_cast<u32>(cores_.size()); }
@@ -69,7 +52,8 @@ class CmpMachine {
   SharedMemory* shared_memory() { return shared_.get(); }
 
   /// Machine-wide Chrome tracing: one writer per core (process track
-  /// "core<c>", pid = core index, carrying that core's thread/grant tracks)
+  /// "core<c>", pid = core index, carrying that core's thread/grant tracks;
+  /// a 1-core machine without a backend leaves its one process unnamed)
   /// plus an optional backend writer (pid = num_cores, process "shared
   /// backend") that records LLC MSHR-pool occupancy, per-bank DRAM row
   /// open/conflict instants and cross-core merge events. Pass
@@ -93,14 +77,6 @@ class CmpMachine {
   RunResult snapshot_result() const;
 
  private:
-  /// One lockstep cycle for all cores, fast-forwarding a globally idle
-  /// machine (bounded by `limit`).
-  void step_all(Cycle limit);
-  /// The epoch-parallel engine behind run() (cfg.parallel_cores != 0,
-  /// multi-core machines only). Same contract and bit-identical results;
-  /// max_cycles is already resolved by run().
-  RunResult run_parallel(u64 commit_target, u64 max_cycles, u64 warmup_insts);
-  void reset_measurement();
   /// Adds the shared backend's llc.*/dram.* counter families to `r` (no-op
   /// without a backend).
   void append_shared_counters(RunResult& r) const;

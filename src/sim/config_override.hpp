@@ -1,7 +1,8 @@
 // Command-line overrides for MachineConfig — the sim-outorder-style knobs a
 // downstream user expects. Keys are flat "name=value" options (see
-// common/config.hpp); unknown keys are ignored so experiment scripts can mix
-// machine knobs with their own options.
+// common/config.hpp); apply_overrides reads only the keys it knows, so a
+// command-line tool can mix machine knobs with its own options and reject
+// the rest with Options::unread_keys.
 #pragma once
 
 #include <string>
@@ -22,8 +23,7 @@ namespace tlrob {
 ///   l2_kb, l2_ways, l1d_kb, l1i_kb, mem_lat, interchunk, critical_bytes,
 ///   mshr, dcra_sharing, seed,
 ///   cores (CMP core count; > 1 enables the shared LLC/DRAM backend),
-///   llc (spec string, see apply_llc_spec), dram (see apply_dram_spec),
-///   force_cmp (0/1 — route a 1-core config through the CMP engine).
+///   llc (spec string, see apply_llc_spec), dram (see apply_dram_spec).
 /// Throws std::invalid_argument on an unrecognised policy/scheme value.
 MachineConfig apply_overrides(MachineConfig cfg, const Options& opts);
 

@@ -19,28 +19,9 @@ struct MachineConfig {
   /// each. Every core keeps its private L1/L2, branch state and second-level
   /// ROB partition; cores > 1 couple through the shared LLC + banked DRAM
   /// backend (`llc`/`dram`). The default (1 core, LLC off) is exactly the
-  /// paper's single-core machine and never touches the CMP engine.
+  /// paper's single-core machine.
   u32 num_cores = 1;
   u32 num_threads = 4;
-
-  /// Routes even a 1-core config through the CMP engine (CmpMachine). Used
-  /// by the differential tests that pin the engines byte-identical; normal
-  /// configs leave it off.
-  bool force_cmp_engine = false;
-
-  /// Parallel CMP engine: nonzero runs CmpMachine's cores on worker threads
-  /// (always one pinned worker per core — the CoreGate barrier protocol
-  /// requires every core to hold a thread), synchronized at the shared
-  /// LLC/DRAM boundary so results are bit-identical to the serial lockstep
-  /// engine. The numeric value is advisory: the campaign CLI's thread-budget
-  /// heuristic multiplies it against --jobs. 0 (default) = serial engine,
-  /// the reference all goldens are recorded against.
-  u32 parallel_cores = 0;
-  /// Epoch quantum in cycles for the parallel engine: the maximum distance
-  /// any core may run ahead between barriers before the engine re-clamps to
-  /// the termination horizon. Affects only scheduling granularity, never
-  /// results (bit-identity holds for any value >= 1). 0 selects the default.
-  u32 parallel_quantum = 0;
 
   /// First global thread index hosted by this core (CMP machines construct
   /// one SmtCore per core with `addr_space_id_base = core * num_threads`, so
@@ -75,7 +56,7 @@ struct MachineConfig {
   // Physical registers (Table 1: 224 int + 224 fp). Per-thread files by
   // default, following M-Sim's SMT model (each context renames out of its
   // own file); the shared-pool interpretation of Table 1 is available as an
-  // ablation (bench_ablation_regfile) and makes the register file, not the
+  // ablation (tlrob-campaign ablation_regfile) and makes the register file, not the
   // ROB, the binding window limit.
   u32 int_regs = 224;
   u32 fp_regs = 224;
@@ -131,7 +112,7 @@ MachineConfig single_thread_config();
 /// running the given ROB scheme (kBaseline => no second level per core).
 MachineConfig cmp_config(u32 cores, RobScheme scheme, u32 dod_threshold);
 
-/// Human-readable one-line-per-parameter dump (bench_table1_config).
+/// Human-readable one-line-per-parameter dump (simulate prints it).
 std::string describe(const MachineConfig& cfg);
 
 }  // namespace tlrob

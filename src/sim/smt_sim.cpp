@@ -28,7 +28,6 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
     : cfg_(cfg),
       benchmarks_(benchmarks),
       shared_(shared),
-      core_id_(core_id),
       rename_(RenameConfig{cfg.int_regs, cfg.fp_regs, cfg.num_threads, cfg.shared_regfile}),
       iq_(cfg.iq_entries, cfg.num_threads),
       fus_(),
@@ -142,7 +141,6 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
   audit_ctx_.ctrl = rob_ctrl_.get();
   audit_ctx_.wheel = &wheel_;
   audit_ctx_.shared = shared_;
-  audit_ctx_.core_id = core_id_;
   audit_ctx_.outstanding_l1.assign(cfg_.num_threads, 0);
   audit_ctx_.outstanding_l2.assign(cfg_.num_threads, 0);
   audit_ctx_.last_committed = &auditor_.last_committed();
@@ -1031,13 +1029,7 @@ void SmtCore::attribute_idle_span(Cycle from, Cycle to) {
 template bool SmtCore::tick_impl<false>();
 template bool SmtCore::tick_impl<true>();
 
-bool SmtCore::tick_dispatch() {
-  return profiler_.enabled() ? tick_impl<true>() : tick_impl<false>();
-}
-
-void SmtCore::tick() { tick_dispatch(); }
-
-bool SmtCore::cmp_tick() {
+bool SmtCore::tick() {
   ff_base_[0] = cnt_stall_rob_->value();
   ff_base_[1] = cnt_stall_iq_->value();
   ff_base_[2] = cnt_stall_lsq_->value();
@@ -1045,10 +1037,10 @@ bool SmtCore::cmp_tick() {
   ff_base_[4] = cnt_stall_reg_reserve_->value();
   ff_base_[5] = cnt_stall_dcra_->value();
   ff_base_[6] = cnt_fetch_policy_gated_->value();
-  return tick_dispatch();
+  return profiler_.enabled() ? tick_impl<true>() : tick_impl<false>();
 }
 
-Cycle SmtCore::cmp_idle_wake(Cycle limit) const {
+Cycle SmtCore::idle_wake(Cycle limit) const {
   // The tick just executed (at cycle_ - 1) was provably a no-op: no event
   // fired, nothing committed / issued / dispatched / fetched / released, and
   // the ROB controller made no state change. Every condition that could end
@@ -1076,7 +1068,7 @@ Cycle SmtCore::cmp_idle_wake(Cycle limit) const {
   return wake;
 }
 
-void SmtCore::cmp_replay_idle_to(Cycle wake) {
+void SmtCore::replay_idle_to(Cycle wake) {
   // Replay the sample points inside the skipped span. Every sampled quantity
   // (occupancies, outstanding misses, DCRA caps, committed counts, ownership)
   // is machine state, and a skippable cycle is by definition one in which no
@@ -1108,25 +1100,6 @@ void SmtCore::cmp_replay_idle_to(Cycle wake) {
   commit_rr_ += skipped;  // do_commit advances the rotation every cycle
   fast_forwarded_ += skipped;
   cycle_ = wake;
-}
-
-void SmtCore::step(Cycle limit) {
-  // The fast-forward needs every cycle to be invisible to observers: the
-  // auditor samples fixed cycle intervals and the tracer logs a window, so
-  // either being attached pins the core to cycle-by-cycle execution. (The
-  // Chrome trace and the interval sampler do NOT pin it: trace events only
-  // happen in state-changing ticks, and skipped sample points are replayed
-  // by cmp_replay_idle_to from the quiescent state every skipped cycle saw.)
-  if (cmp_pinned()) {
-    tick_dispatch();
-    return;
-  }
-
-  if (cmp_tick()) return;
-
-  const Cycle wake = cmp_idle_wake(limit);
-  if (wake <= cycle_) return;
-  cmp_replay_idle_to(wake);
 }
 
 void SmtCore::attach_chrome_trace(obs::ChromeTraceWriter* writer) {
@@ -1179,11 +1152,8 @@ void SmtCore::record_sample(Cycle label) {
   s.iq_occ_total = iq_.occupancy();
   // Shared-backend MSHR occupancy: quiescent state (the pool only mutates
   // inside request calls), so replayed samples see the same value the
-  // executed cycle would have. Sample `label` records the machine state
-  // after cycle label-1 finished, so the ordered read carries the serial key
-  // (label-1, core): under the parallel engine it publishes this core's
-  // clock and waits until no earlier-keyed backend call is still pending.
-  s.llc_mshr_occ = shared_ != nullptr ? shared_->inflight_count_at(label - 1, core_id_) : 0;
+  // executed cycle would have.
+  s.llc_mshr_occ = shared_ != nullptr ? shared_->inflight_count() : 0;
   s.threads.reserve(cfg_.num_threads);
   for (ThreadId t = 0; t < cfg_.num_threads; ++t) {
     const ThreadState& ts = threads_[t];
@@ -1249,15 +1219,47 @@ void SmtCore::reset_measurement() {
 }
 
 RunResult SmtCore::run(u64 commit_target, u64 max_cycles, u64 warmup_insts) {
+  SmtCore* const self = this;
+  run_lockstep({&self, 1}, commit_target, max_cycles, warmup_insts);
+  return snapshot_result();
+}
+
+void run_lockstep(std::span<SmtCore* const> cores, u64 commit_target, u64 max_cycles,
+                  u64 warmup_insts) {
   if (max_cycles == 0) max_cycles = (warmup_insts + commit_target) * 400 + 200000;
+  // Any pinned core pins the whole machine: lockstep only holds if nobody
+  // fast-forwards past a cycle a peer executed.
+  bool pinned = false;
+  for (const SmtCore* c : cores) pinned = pinned || c->pinned();
+  const SmtCore& lead = *cores.front();  // every core's clock equals this one
+
+  auto fastest_measured = [cores] {
+    u64 best = 0;
+    for (const SmtCore* c : cores) best = std::max(best, c->fastest_measured());
+    return best;
+  };
+  auto step = [&] {
+    // Tick every core, no short-circuit: all cores advance this cycle.
+    bool any = false;
+    for (SmtCore* c : cores) any = c->tick() || any;
+    if (any || pinned) return;
+    // Globally idle cycle: jump to the earliest cycle anything can happen at
+    // on ANY core. The shared backend never wakes a core on its own (latency
+    // chain), so the per-core wake bounds are machine-wide sound.
+    Cycle wake = max_cycles;
+    for (const SmtCore* c : cores) wake = std::min(wake, c->idle_wake(max_cycles));
+    if (wake <= lead.now()) return;
+    for (SmtCore* c : cores) c->replay_idle_to(wake);
+  };
 
   if (warmup_insts > 0) {
-    while (cycle_ < max_cycles && fastest_measured() < warmup_insts) step(max_cycles);
-    reset_measurement();
+    while (lead.now() < max_cycles && fastest_measured() < warmup_insts) step();
+    // Every core resets at the same lockstep boundary; each also resets the
+    // shared backend's stats (idempotent repeats).
+    for (SmtCore* c : cores) c->reset_measurement();
   }
-  while (cycle_ < max_cycles && fastest_measured() < commit_target) step(max_cycles);
-  flush_chrome_trace();
-  return snapshot_result();
+  while (lead.now() < max_cycles && fastest_measured() < commit_target) step();
+  for (SmtCore* c : cores) c->flush_chrome_trace();
 }
 
 RunResult SmtCore::snapshot_result() const {

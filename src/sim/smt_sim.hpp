@@ -15,17 +15,18 @@
 // Hot-path design (DESIGN.md §8): completion events live in a calendar wheel
 // (EventWheel) instead of a priority queue; every per-cycle scratch
 // collection is a reused member buffer; the DynInst windows are fixed ring
-// slabs; and run() fast-forwards runs of provably idle cycles — every stage
-// reports whether it changed state, and when none did, the core jumps
-// straight to the next cycle at which anything *can* happen (next scheduled
-// event, next frontend-head maturity, next fetch-stall expiry, next
-// controller re-check), replaying the per-cycle stall counters for the
-// skipped distance. Statistics are bit-identical to the cycle-by-cycle
+// slabs; and the run loop (run_lockstep below) fast-forwards runs of
+// provably idle cycles — every stage reports whether it changed state, and
+// when none did, the core jumps straight to the next cycle at which anything
+// *can* happen (next scheduled event, next frontend-head maturity, next
+// fetch-stall expiry, next controller re-check), replaying the per-cycle
+// stall counters for the skipped distance. Statistics are bit-identical to the cycle-by-cycle
 // execution; tests/golden pins that.
 #pragma once
 
 #include <chrono>  // tlrob-lint: allow(D2) host self-profiler time source, never architectural state
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/flat_map.hpp"
@@ -64,25 +65,25 @@ class SmtCore {
   SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchmarks,
           SharedMemory* shared = nullptr, u32 core_id = 0);
 
-  /// Runs until any thread has committed `commit_target` instructions or
-  /// `max_cycles` elapse (0 = derive a generous bound from the target).
-  /// `warmup_insts` commits per fastest thread are executed first and then
-  /// excluded from every statistic — the stand-in for the paper's Simpoint
-  /// fast-forwarding (cold caches otherwise dominate short runs).
+  /// run_lockstep over this core alone, then snapshot_result(): runs until
+  /// any thread has committed `commit_target` instructions or `max_cycles`
+  /// elapse, with `warmup_insts` excluded from every statistic.
   RunResult run(u64 commit_target, u64 max_cycles = 0, u64 warmup_insts = 0);
 
   /// Zeroes every statistic (counters, histograms, IPC baselines) while
   /// preserving microarchitectural state. Used at the warmup boundary.
   void reset_measurement();
 
-  /// Advances exactly one cycle (exposed for tests; never fast-forwards).
-  void tick();
+  /// Advances exactly one cycle (never fast-forwards). Returns true iff the
+  /// tick changed machine state; a false return means idle_wake() and
+  /// replay_idle_to() may be used for this cycle.
+  bool tick();
 
   Cycle now() const { return cycle_; }
   u64 committed(ThreadId t) const { return threads_[t].committed; }
 
   /// Largest measurement-relative commit count over this core's threads —
-  /// run()'s progress metric, exposed for the CMP machine's lockstep loop.
+  /// run_lockstep's progress metric.
   u64 fastest_measured() const {
     u64 best = 0;
     for (const auto& ts : threads_) {
@@ -113,8 +114,8 @@ class SmtCore {
 
   /// Closes any still-open second-level tenure into the attached Chrome
   /// trace (span end = the current cycle) without disturbing the live
-  /// grant; run() calls this at exit so traces never end with a dangling
-  /// allocation.
+  /// grant; run_lockstep calls this at exit so traces never end with a
+  /// dangling allocation.
   void flush_chrome_trace();
 
   /// Interval-telemetry series recorded so far (empty unless
@@ -128,8 +129,8 @@ class SmtCore {
   /// denominator for the profiler's ns/cycle column.
   u64 executed_cycles() const { return cycle_ - fast_forwarded_; }
 
-  /// Cycles run() skipped via idle fast-forward (diagnostics; counted in
-  /// cycle_ exactly as if they had been ticked).
+  /// Cycles run_lockstep skipped via idle fast-forward (diagnostics; counted
+  /// in cycle_ exactly as if they had been ticked).
   u64 fast_forwarded_cycles() const { return fast_forwarded_; }
 
   /// The pipeline invariant auditor (cfg.audit decides what runs per cycle).
@@ -150,32 +151,21 @@ class SmtCore {
   /// Builds the RunResult for the current state (run() calls this at exit).
   RunResult snapshot_result() const;
 
-  // -- CMP lockstep interface (sim/cmp.cpp) ----------------------------------
-  // step() is decomposed into these so a CmpMachine can tick N cores in
-  // lockstep and fast-forward only when EVERY core proved its cycle idle:
-  // step(limit) == { if (cmp_pinned()) tick; else if (!cmp_tick()) { w =
-  // cmp_idle_wake(limit); if (w > now()) cmp_replay_idle_to(w); } }.
+  // -- Fast-forward interface (run_lockstep) ---------------------------------
 
-  /// The auditor/tracer pin this core to cycle-by-cycle execution.
-  bool cmp_pinned() const { return auditor_.enabled() || tracer_.attached(); }
-  /// One tick with the fast-forward stall baselines captured; returns true
-  /// iff the tick changed machine state (a false return means
-  /// cmp_idle_wake/cmp_replay_idle_to may be used for this cycle).
-  bool cmp_tick();
-  /// After an idle cmp_tick(): the earliest future cycle anything can happen
-  /// at on this core, bounded by `limit`. A result <= now() means no skip.
-  Cycle cmp_idle_wake(Cycle limit) const;
+  /// The auditor samples fixed cycle intervals and the tracer logs a window,
+  /// so either being attached pins this core to cycle-by-cycle execution.
+  /// (The Chrome trace and the interval sampler do NOT pin it: trace events
+  /// only happen in state-changing ticks, and skipped sample points are
+  /// replayed by replay_idle_to from the quiescent state.)
+  bool pinned() const { return auditor_.enabled() || tracer_.attached(); }
+  /// After an idle tick(): the earliest future cycle anything can happen at
+  /// on this core, bounded by `limit`. A result <= now() means no skip.
+  Cycle idle_wake(Cycle limit) const;
   /// Jumps the core to `wake`, replaying per-cycle stall counters and sample
   /// points for the skipped distance (wake must not exceed this core's
-  /// cmp_idle_wake bound).
-  void cmp_replay_idle_to(Cycle wake);
-  /// Overrides the fast-forwarded-cycle count. The parallel CMP engine skips
-  /// per-core spans the serial engine only skips machine-wide; it reconstructs
-  /// the serial machine-wide count from the per-core idle logs and installs it
-  /// here before snapshot_result() so `core.fast_forwarded_cycles` (and
-  /// executed_cycles()) stay bit-identical to the serial engine. Every other
-  /// statistic is fast-forward-pattern-independent by the replay contract.
-  void cmp_set_fast_forwarded(u64 ff) { fast_forwarded_ = ff; }
+  /// idle_wake bound).
+  void replay_idle_to(Cycle wake);
 
  private:
   struct ThreadState {
@@ -226,14 +216,6 @@ class SmtCore {
   /// so they cannot drift apart).
   template <bool Profiled>
   bool tick_impl();
-  bool tick_once() { return tick_impl<false>(); }
-  /// tick_impl dispatch on the profiler flag (checked once per tick).
-  bool tick_dispatch();
-  /// tick_once() plus, when the cycle was provably idle and neither the
-  /// auditor nor a tracer needs to see every cycle, a jump to the next cycle
-  /// anything can happen at (bounded by `limit`), with the per-cycle stall
-  /// statistics replayed for the skipped distance.
-  void step(Cycle limit);
 
   // -- helpers ----------------------------------------------------------------
   void refresh_views();
@@ -250,8 +232,8 @@ class SmtCore {
   void drop_outstanding_counts(DynInst& di);
   void refresh_audit_ctx();
   /// Captures one interval sample labelled `label` from the current state
-  /// (also called from step()'s fast-forward replay, where the quiescent
-  /// state is exactly the state every skipped cycle saw).
+  /// (also called from replay_idle_to()'s fast-forward replay, where the
+  /// quiescent state is exactly the state every skipped cycle saw).
   void record_sample(Cycle label);
   /// Stall-cycle taxonomy (active iff sampling is on): classifies thread `t`
   /// at cycle `c` from current machine state. Pure; every input except the
@@ -285,7 +267,6 @@ class SmtCore {
   MachineConfig cfg_;
   std::vector<Benchmark> benchmarks_;
   SharedMemory* shared_ = nullptr;  // not owned; null outside CMP machines
-  u32 core_id_ = 0;
   std::vector<ThreadState> threads_;
   RenameUnit rename_;
   IssueQueue iq_;
@@ -304,8 +285,8 @@ class SmtCore {
   SeqNum next_seq_ = 1;
   u64 commit_rr_ = 0;
   u64 fast_forwarded_ = 0;
-  // Stall-counter values captured by cmp_tick() before the tick ran; the
-  // deltas are what cmp_replay_idle_to() multiplies across skipped cycles.
+  // Stall-counter values captured by tick() before the tick ran; the deltas
+  // are what replay_idle_to() multiplies across skipped cycles.
   u64 ff_base_[7] = {0, 0, 0, 0, 0, 0, 0};
   Rng wp_rng_;
 
@@ -378,8 +359,8 @@ class SmtCore {
   // Cached stat handles (StatGroup map nodes are address-stable and reset()
   // zeroes in place, so these stay valid across reset_measurement()). The
   // per-cycle map lookups were ~a quarter of the profile. Declared after
-  // stats_ (initialisation order). The stall counters are also what step()
-  // replays across fast-forwarded cycles.
+  // stats_ (initialisation order). The stall counters are also what
+  // replay_idle_to() replays across fast-forwarded cycles.
   Counter* cnt_events_dropped_;
   Counter* cnt_exec_completed_;
   Counter* cnt_issue_insts_;
@@ -414,5 +395,19 @@ class SmtCore {
   Counter* cnt_mispredicts_fetched_;
   Counter* cnt_early_released_;
 };
+
+/// The one run loop every machine goes through (SmtCore::run and
+/// CmpMachine::run). Ticks `cores` in lockstep, in index order (the
+/// deterministic interleaving of shared LLC/DRAM requests), until any thread
+/// on any core has committed `commit_target` instructions or `max_cycles`
+/// elapse (0 = derive a generous bound from the target). `warmup_insts`
+/// commits per fastest thread are executed first and then excluded from
+/// every statistic — the stand-in for the paper's Simpoint fast-forwarding
+/// (cold caches otherwise dominate short runs). The machine fast-forwards
+/// only when EVERY core proved its cycle idle, to the earliest of their wake
+/// bounds, and never while any core is pinned(). Closes open Chrome-trace
+/// tenures at exit; callers take snapshot_result() afterwards.
+void run_lockstep(std::span<SmtCore* const> cores, u64 commit_target, u64 max_cycles = 0,
+                  u64 warmup_insts = 0);
 
 }  // namespace tlrob

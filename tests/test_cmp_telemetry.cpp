@@ -227,6 +227,32 @@ TEST(CmpTelemetry, MergedChromeTraceCarriesBackendTracks) {
   EXPECT_NE(json.find("core1"), std::string::npos);
 }
 
+// A 1-core machine without a backend is the single-core machine, so its
+// trace is exactly a bare core's: one unnamed process, pid 0, same events.
+TEST(CmpTelemetry, OneCoreMachineTraceIsTheBareCoreTrace) {
+  const MachineConfig cfg = two_level_config(RobScheme::kReactive, 16);
+  const auto benches = benches_for(cfg);
+
+  SmtCore core(cfg, benches);
+  obs::ChromeTraceWriter bare;
+  core.attach_chrome_trace(&bare);
+  core.run(2000);
+
+  CmpMachine machine(cfg, benches);
+  obs::ChromeTraceWriter one;
+  obs::ChromeTraceWriter backend;
+  machine.attach_chrome_trace({&one}, &backend);
+  machine.run(2000);
+
+  std::ostringstream a, b;
+  bare.write(a);
+  one.write(b);
+  EXPECT_GT(bare.event_count(), 0u);
+  EXPECT_EQ(one.count_named('M', "process_name"), 0u);
+  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(backend.event_count(), 0u);  // no backend to trace
+}
+
 // Attaching the machine-wide trace must not change the simulated CMP.
 TEST(CmpTelemetry, TraceAttachmentDoesNotPerturbTheMachine) {
   const MachineConfig cfg = fast_forwarding(cmp_config(2, RobScheme::kReactive, 16));

@@ -261,5 +261,18 @@ TEST(Options, FallbacksAndBoolSpellings) {
   EXPECT_DOUBLE_EQ(o.get_double("absent", 1.5), 1.5);
 }
 
+TEST(Options, UnreadKeysAreTheOnesNothingAskedFor) {
+  const Options o = Options::from_tokens({"a=1", "b=2", "c=3", "--d", "e=5", "pos"});
+  EXPECT_EQ(o.unread_keys(), (std::vector<std::string>{"a", "b", "c", "d", "e"}));
+  (void)o.get_u64("a", 0);
+  (void)o.has("c");
+  (void)o.get_bool("d", false);
+  (void)o.get_list("e");
+  (void)o.get("absent");  // reading an absent key marks nothing set
+  EXPECT_EQ(o.unread_keys(), std::vector<std::string>{"b"});
+  (void)o.get_double("b", 0.0);
+  EXPECT_TRUE(o.unread_keys().empty());
+}
+
 }  // namespace
 }  // namespace tlrob

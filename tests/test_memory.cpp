@@ -412,7 +412,7 @@ TEST(SharedLlc, InclusiveVictimWritebackAbsorbedThenSpilled) {
   sm.request_fill(a, 0, 0);
   // Resident line: the L2's dirty victim is absorbed (marked dirty in the
   // LLC), no DRAM traffic.
-  sm.request_writeback(a, 1000, 0);
+  sm.request_writeback(a, 1000);
   EXPECT_EQ(sm.stats().counter_value("writebacks_in"), 1u);
   EXPECT_EQ(sm.stats().counter_value("writeback_misses"), 0u);
   EXPECT_EQ(sm.dram().stats().counter_value("writebacks"), 0u);
@@ -422,7 +422,7 @@ TEST(SharedLlc, InclusiveVictimWritebackAbsorbedThenSpilled) {
   sm.request_fill(2 * kLlcSetStride, 3000, 1);  // evicts dirty A
   EXPECT_EQ(sm.dram().stats().counter_value("writebacks"), 1u);
   // A writeback for a line the LLC no longer holds goes straight to DRAM.
-  sm.request_writeback(a, 4000, 0);
+  sm.request_writeback(a, 4000);
   EXPECT_EQ(sm.stats().counter_value("writeback_misses"), 1u);
   EXPECT_EQ(sm.dram().stats().counter_value("writebacks"), 2u);
   EXPECT_EQ(sm.audit_check(), "");

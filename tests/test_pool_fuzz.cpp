@@ -30,6 +30,7 @@
 #include "sim/metrics.hpp"
 #include "sim/presets.hpp"
 #include "sim/smt_sim.hpp"
+#include "trace/resolve.hpp"
 #include "workload/spec_profiles.hpp"
 
 namespace tlrob {
@@ -251,35 +252,45 @@ TEST_P(CmpFuzz, RandomizedCmpGeometrySurvivesSquashStormsUnderFullAudit) {
 INSTANTIATE_TEST_SUITE_P(Seeds, CmpFuzz, ::testing::Range(0u, 6u));
 
 // ---------------------------------------------------------------------------
-// Differential: the CMP engine with no backend IS the legacy engine.
+// Differential: SmtCore::run IS a 1-core CmpMachine::run.
 // ---------------------------------------------------------------------------
 //
-// Every single-core cell of every preset, re-run through CmpMachine with
-// force_cmp_engine set, must produce a byte-identical JSONL record: same
-// cycles, same per-thread results, same counter families, same DoD
-// histograms. Cells are stride-sampled (≤3 per preset) to keep the suite
-// fast; the full golden suite pins the legacy path itself.
+// Both drive run_lockstep. The campaign runner builds a CmpMachine for every
+// cell while perfbench runs single-core cells on a bare SmtCore, so the two
+// must agree exactly on every single-core cell of every preset: cycles,
+// every counter, per-thread commits. Cells are stride-sampled (<=3 per
+// preset) to keep the suite fast; the golden suite pins the results.
 
-TEST(CmpDifferential, ForcedCmpEngineIsByteIdenticalToLegacyOnEveryPreset) {
+TEST(CmpDifferential, SmtCoreRunMatchesOneCoreMachineOnEveryPreset) {
   using runner::JobSpec;
   for (const std::string& preset : runner::preset_names()) {
     runner::CampaignSpec spec = runner::preset_campaign(preset, runner::golden_run_length());
     std::vector<JobSpec> jobs = runner::expand(spec);
-    // Keep only cells the legacy engine would run (the cmp_* presets route
-    // through CmpMachine either way).
     std::erase_if(jobs, [](const JobSpec& j) {
-      return j.config.num_cores > 1 || j.config.llc.enabled || j.config.force_cmp_engine;
+      return j.config.num_cores > 1 || j.config.llc.enabled;
     });
     const size_t stride = jobs.size() <= 3 ? 1 : jobs.size() / 3;
     u32 compared = 0;
     for (size_t i = 0; i < jobs.size() && compared < 3; i += stride, ++compared) {
-      const JobSpec& legacy = jobs[i];
-      JobSpec forced = legacy;
-      forced.config.force_cmp_engine = true;
-      const std::string a = runner::to_json_line(runner::execute_job(legacy));
-      const std::string b = runner::to_json_line(runner::execute_job(forced));
-      EXPECT_EQ(a, b) << preset << " cell " << i << " (" << legacy.config_name << " / "
-                      << legacy.mix.name << "): forced CMP engine diverged";
+      const JobSpec& js = jobs[i];
+      MachineConfig cfg = js.config;
+      cfg.seed = js.seed;
+      const std::vector<Benchmark> benches = trace::resolve_mix_benchmarks(js.mix);
+      SmtCore core(cfg, benches);
+      const RunResult a = core.run(js.insts, js.max_cycles, js.warmup);
+      CmpMachine machine(cfg, benches);
+      const RunResult b = machine.run(js.insts, js.max_cycles, js.warmup);
+
+      const std::string where = preset + " cell " + std::to_string(i) + " (" + js.config_name +
+                                " / " + js.mix.name + ")";
+      EXPECT_EQ(a.cycles, b.cycles) << where;
+      EXPECT_EQ(a.counters, b.counters) << where;
+      ASSERT_EQ(a.threads.size(), b.threads.size()) << where;
+      for (size_t t = 0; t < a.threads.size(); ++t) {
+        EXPECT_EQ(a.threads[t].benchmark, b.threads[t].benchmark) << where;
+        EXPECT_EQ(a.threads[t].committed, b.threads[t].committed) << where << " thread " << t;
+      }
+      EXPECT_EQ(core.executed_cycles(), machine.executed_cycles()) << where;
     }
   }
 }

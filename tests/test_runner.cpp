@@ -519,9 +519,6 @@ TEST(RunnerMemo, KeyCoversEveryOverrideKnob) {
       {"cores", "2"},
       {"llc", "512"},
       {"dram", "4"},
-      {"force_cmp", "1"},
-      {"parallel_cores", "1"},
-      {"parallel_quantum", "64"},
       {"audit", audit.level == AuditLevel::kFull ? "off" : "full"},
       {"audit_cheap_interval", "3"},
       {"audit_full_interval", "5"},
@@ -679,6 +676,32 @@ TEST(RunnerCli, DashIsAValueInBothArgumentOrders) {
   EXPECT_EQ(rc, 0);
   EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 33);  // fig2: 3 columns x 11 mixes
   EXPECT_EQ(out.rfind("{\"job\":0,\"campaign\":\"fig2\"", 0), 0u);
+}
+
+// Options nothing reads are rejected before anything runs: exit 2, with the
+// option named on stderr.
+TEST(RunnerCli, UnknownOptionsExitTwoNamingTheFlag) {
+  auto run = [](const std::string& preset, std::vector<const char*> argv) {
+    testing::internal::CaptureStderr();
+    const int rc = preset_main(preset, static_cast<int>(argv.size()), argv.data());
+    return std::make_pair(rc, testing::internal::GetCapturedStderr());
+  };
+  const auto corez = run("", {"prog", "--schemes", "baseline32", "--mixes", "1", "--insts",
+                              "2000", "--warmup", "500", "--corez", "2"});
+  EXPECT_EQ(corez.first, 2);
+  EXPECT_NE(corez.second.find("--corez"), std::string::npos) << corez.second;
+  EXPECT_EQ(corez.second.find("campaign custom"), std::string::npos) << "ran anyway";
+
+  const auto parallel = run("", {"prog", "--schemes", "baseline32", "--mixes", "1", "--insts",
+                                 "2000", "--warmup", "500", "--parallel-cores", "2"});
+  EXPECT_EQ(parallel.first, 2);
+  EXPECT_NE(parallel.second.find("--parallel-cores"), std::string::npos) << parallel.second;
+
+  // A custom-sweep option given to a preset has no effect, so it is an
+  // error too.
+  const auto preset_seed = run("fig2", {"prog", "fig2", "--insts", "2000", "--seed", "7"});
+  EXPECT_EQ(preset_seed.first, 2);
+  EXPECT_NE(preset_seed.second.find("--seed"), std::string::npos) << preset_seed.second;
 }
 
 TEST(RunnerCli, PresetListsExpand) {

@@ -38,6 +38,39 @@ TEST(Presets, Table1Values) {
   EXPECT_EQ(cfg.iq_entries, 64u);
   EXPECT_EQ(cfg.lsq_entries, 48u);
   EXPECT_EQ(cfg.int_regs, 224u);
+  EXPECT_EQ(cfg.fp_regs, 224u);
+  // 8-wide fetch / issue / commit.
+  EXPECT_EQ(cfg.fetch_width, 8u);
+  EXPECT_EQ(cfg.issue_width, 8u);
+  EXPECT_EQ(cfg.commit_width, 8u);
+  // L1I 64KB / 2-way / 64B / 1 cycle; L1D 32KB / 4-way / 32B / 1 cycle;
+  // L2 2MB / 8-way / 128B / 10 cycles.
+  const MemoryConfig& mem = cfg.memory;
+  EXPECT_EQ(mem.l1i.size_bytes, 64u << 10);
+  EXPECT_EQ(mem.l1i.ways, 2u);
+  EXPECT_EQ(mem.l1i.line_bytes, 64u);
+  EXPECT_EQ(mem.l1i.hit_latency, 1u);
+  EXPECT_EQ(mem.l1d.size_bytes, 32u << 10);
+  EXPECT_EQ(mem.l1d.ways, 4u);
+  EXPECT_EQ(mem.l1d.line_bytes, 32u);
+  EXPECT_EQ(mem.l1d.hit_latency, 1u);
+  EXPECT_EQ(mem.l2.size_bytes, 2u << 20);
+  EXPECT_EQ(mem.l2.ways, 8u);
+  EXPECT_EQ(mem.l2.line_bytes, 128u);
+  EXPECT_EQ(mem.l2.hit_latency, 10u);
+  // Memory: 500-cycle first chunk, 2-cycle interchunk, 64-bit bus.
+  EXPECT_EQ(mem.channel.first_chunk, 500u);
+  EXPECT_EQ(mem.channel.interchunk, 2u);
+  EXPECT_EQ(mem.channel.bus_bytes, 8u);
+  // 2K-entry gshare with 10-bit history per thread; 2048-entry 2-way BTB.
+  EXPECT_EQ(cfg.predictor.gshare_entries, 2048u);
+  EXPECT_EQ(cfg.predictor.history_bits, 10u);
+  EXPECT_EQ(cfg.predictor.btb_entries, 2048u);
+  EXPECT_EQ(cfg.predictor.btb_ways, 2u);
+  // 1K-entry load-hit predictor with 8-bit history; DCRA fetch policy.
+  EXPECT_EQ(cfg.load_hit_entries, 1024u);
+  EXPECT_EQ(cfg.load_hit_history, 8u);
+  EXPECT_EQ(cfg.fetch_policy, FetchPolicyKind::kDcra);
   EXPECT_EQ(baseline128_config().rob_first_level, 128u);
   const MachineConfig tl = two_level_config(RobScheme::kCdr, 15);
   EXPECT_EQ(tl.rob.scheme, RobScheme::kCdr);

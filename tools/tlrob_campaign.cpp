@@ -40,32 +40,28 @@ void print_usage() {
       "  --manifest PATH  completion journal enabling --resume\n"
       "  --resume         replay successful cells from the manifest\n"
       "  --no-render      suppress stdout tables (sink-only run)\n"
+      "  --workload SPEC  explicit per-thread workload list instead of --mixes:\n"
+      "                   comma-separated profile names, trace:<file> (ChampSim\n"
+      "                   format, gzip ok), tracegen:<profile>@<records>[@<seed>],\n"
+      "                   or mix:<n>; thread count follows the list length\n"
+      "  --sample-interval N  interval telemetry every N cycles (0 = off)\n"
+      "  --sample-dir DIR also write each job's series to DIR\n"
+      "  --list           list the available presets\n"
+      "\n"
+      "custom sweeps only (no preset):\n"
       "  --max-cycles N   per-job cycle cap / timeout (0 = derived bound)\n"
       "  --seed N         base RNG seed (default 12345)\n"
       "  --per-job-seeds  derive a distinct deterministic seed per cell\n"
       "  --schemes LIST   baseline32|baseline128|rrob|relaxed|cdr|prob|adaptive\n"
       "  --thresholds L   DoD thresholds crossed with the schemes (default 16)\n"
       "  --mixes LIST     1-based Table 2 mix subset (default: all 11)\n"
-      "  --workload SPEC  explicit per-thread workload list instead of --mixes:\n"
-      "                   comma-separated profile names, trace:<file> (ChampSim\n"
-      "                   format, gzip ok), tracegen:<profile>@<records>[@<seed>],\n"
-      "                   or mix:<n>; thread count follows the list length\n"
-      "  --name NAME      campaign name for custom sweeps\n"
+      "  --name NAME      campaign name\n"
       "  --cores N        CMP: split each column's threads over N cores\n"
       "  --llc SPEC       shared LLC kb[:ways[:lat[:mshr]]] (implies a backend)\n"
       "  --dram SPEC      DRAM channels[:banks[:tcas[:trcd[:trp]]]]\n"
-      "  --parallel-cores[=N]\n"
-      "                   run each multi-core machine on one worker thread per\n"
-      "                   core (bit-identical to the serial engine; default off).\n"
-      "                   N declares the per-job width to the thread-budget\n"
-      "                   guard, which clamps --jobs so jobs x width stays\n"
-      "                   within the hardware threads\n"
-      "  --parallel-quantum N\n"
-      "                   parallel-engine epoch quantum in cycles (scheduling\n"
-      "                   granularity only; 0 = default)\n"
-      "  --allow-oversubscribe\n"
-      "                   skip the jobs x parallel-cores thread-budget clamp\n"
-      "  --list           list the available presets\n");
+      "\n"
+      "An option nothing uses (a typo, or a custom-sweep option given to a\n"
+      "preset) is an error: exit status 2, naming the option.\n");
 }
 
 }  // namespace
@@ -84,7 +80,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // preset_main rejects an unknown preset name with exit status 2.
+  // preset_main rejects an unknown preset name or option with exit status 2.
   const std::string preset = opts.positional().empty() ? "" : opts.positional().front();
   return preset_main(preset, argc, argv);
 }

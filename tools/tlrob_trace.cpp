@@ -16,14 +16,12 @@
 //   profile=0|1    host self-profile to stderr (default 1)
 //   insts= / warmup= / max_cycles= and all sim/config_override.hpp machine
 //   knobs (scheme=, threshold=, policy=, rob1=, rob2=, ...) apply —
-//   including the CMP topology knobs (cores=, llc=, dram=, force_cmp=, the
-//   same grammar tlrob-campaign accepts). Any of those routes the run
-//   through CmpMachine: the Chrome trace then carries one process track per
-//   core plus a "shared backend" process with LLC MSHR-pool occupancy and
-//   per-bank DRAM row-state tracks, and the sample series is the machine-
-//   wide core-merged one. parallel_cores=N / --parallel-cores runs a
-//   multi-core machine on one worker thread per core — trace, series and
-//   statistics all stay bit-identical to the serial engine.
+//   including the CMP topology knobs (cores=, llc=, dram=, the same grammar
+//   tlrob-campaign accepts). With more than one core or a shared backend the
+//   Chrome trace carries one process track per core plus a "shared backend"
+//   process with LLC MSHR-pool occupancy and per-bank DRAM row-state tracks,
+//   and the sample series is the machine-wide core-merged one. An unknown
+//   key is an error (exit status 2).
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -80,8 +78,7 @@ int main(int argc, char** argv) {
   MachineConfig cfg;
   cfg.num_threads = static_cast<u32>(benches.size());
   cfg = apply_overrides(cfg, opts);
-  // One benchmark per hardware thread, core-major (the legacy 1-core path
-  // degenerates to the old pad/trim behaviour).
+  // One benchmark per hardware thread, core-major.
   const size_t hw_threads = static_cast<size_t>(cfg.num_cores) * cfg.num_threads;
   while (benches.size() < hw_threads) benches.push_back(benches.back());
   if (benches.size() > hw_threads) benches.resize(hw_threads);
@@ -92,28 +89,12 @@ int main(int argc, char** argv) {
   const u64 insts = opts.get_u64("insts", 120000);
   const u64 warmup = opts.get_u64("warmup", 60000);
   const u64 max_cycles = opts.get_u64("max_cycles", 0);
+  const std::string out_path = opts.get("out", "trace.json");
+  const std::string samples_path = opts.get("samples"), csv_path = opts.get("csv");
 
-  const bool cmp_engine = cfg.num_cores > 1 || cfg.llc.enabled || cfg.force_cmp_engine;
-  if (!cmp_engine) {
-    SmtCore core(cfg, benches);
-    obs::ChromeTraceWriter chrome;
-    core.attach_chrome_trace(&chrome);
-    const RunResult r = core.run(insts, max_cycles, warmup);
-
-    std::fprintf(stderr, "%llu cycles, %zu samples, %zu trace events\n",
-                 static_cast<unsigned long long>(r.cycles), r.samples.size(),
-                 chrome.event_count());
-
-    bool ok = write_to(opts.get("out", "trace.json"), "Chrome trace",
-                       [&](std::ostream& os) { chrome.write(os); });
-    if (opts.has("samples"))
-      ok &= write_to(opts.get("samples"), "sample series (JSONL)",
-                     [&](std::ostream& os) { r.samples.write_jsonl(os); });
-    if (opts.has("csv"))
-      ok &= write_to(opts.get("csv"), "sample series (CSV)",
-                     [&](std::ostream& os) { r.samples.write_csv(os); });
-    if (cfg.telemetry.profile) core.profiler().print(std::cerr, core.executed_cycles());
-    return ok ? 0 : 1;
+  if (const std::vector<std::string> unread = opts.unread_keys(); !unread.empty()) {
+    std::fprintf(stderr, "unknown option '%s'\n", unread.front().c_str());
+    return 2;
   }
 
   CmpMachine machine(cfg, benches);
@@ -134,14 +115,14 @@ int main(int argc, char** argv) {
                machine.num_cores(), static_cast<unsigned long long>(r.cycles),
                r.samples.size(), events);
 
-  bool ok = write_to(opts.get("out", "trace.json"), "Chrome trace", [&](std::ostream& os) {
+  bool ok = write_to(out_path, "Chrome trace", [&](std::ostream& os) {
     obs::ChromeTraceWriter::write_merged(os, all);
   });
-  if (opts.has("samples"))
-    ok &= write_to(opts.get("samples"), "sample series (JSONL)",
+  if (!samples_path.empty())
+    ok &= write_to(samples_path, "sample series (JSONL)",
                    [&](std::ostream& os) { r.samples.write_jsonl(os); });
-  if (opts.has("csv"))
-    ok &= write_to(opts.get("csv"), "sample series (CSV)",
+  if (!csv_path.empty())
+    ok &= write_to(csv_path, "sample series (CSV)",
                    [&](std::ostream& os) { r.samples.write_csv(os); });
   if (cfg.telemetry.profile)
     machine.aggregate_profile().print(std::cerr, machine.executed_cycles());
