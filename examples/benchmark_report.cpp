@@ -22,10 +22,11 @@ const char* class_name(IlpClass c) {
 }
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Options opts = Options::from_args(argc, argv);
+int run_example(const Options& opts) {
   const u64 insts = opts.get_u64("insts", kDefaultCommitTarget);
   const std::string only = opts.get("bench");
+  const bool dump = opts.get_bool("dump", false);
+  opts.require_all_read();
 
   std::printf("%-9s %8s %6s | %10s %10s %10s %11s %9s\n", "benchmark", "ST IPC", "class",
               "l1d misses", "l2 misses", "mispreds", "l2/1kinst", "cycles");
@@ -46,10 +47,14 @@ int main(int argc, char** argv) {
                 committed ? 1000.0 * static_cast<double>(l2) / static_cast<double>(committed)
                           : 0.0,
                 static_cast<unsigned long long>(r.cycles));
-    if (opts.get_bool("dump", false)) {
+    if (dump) {
       for (const auto& [k, v] : r.counters)
         std::printf("    %-40s %llu\n", k.c_str(), static_cast<unsigned long long>(v));
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main([&] { return run_example(Options::from_args(argc, argv)); });
 }

@@ -38,8 +38,7 @@ class BestCellSink : public ResultSink {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const Options opts = Options::from_args(argc, argv);
+int run_example(const Options& opts) {
 
   CampaignSpec spec;
   spec.name = "example_sweep";
@@ -50,6 +49,8 @@ int main(int argc, char** argv) {
   };
   spec.mixes = {table2_mix(1), table2_mix(5), table2_mix(10)};
   spec.lengths = {{opts.get_u64("insts", 8000), opts.get_u64("warmup", 2000)}};
+  const u32 jobs = static_cast<u32>(opts.get_u64("jobs", 0));
+  opts.require_all_read();
 
   std::ostringstream jsonl;
   JsonlSink json_sink(jsonl);
@@ -57,8 +58,7 @@ int main(int argc, char** argv) {
   FtTableSink table(stdout, "Example sweep: reactive threshold on three mixes");
 
   EngineOptions eng;
-  eng.jobs = WorkStealingPool::resolve_threads(
-      static_cast<u32>(opts.get_u64("jobs", 0)));
+  eng.jobs = WorkStealingPool::resolve_threads(jobs);
   eng.sinks = {&table, &json_sink, &best_sink};
 
   const CampaignResult result = run_campaign(spec, eng);
@@ -69,4 +69,8 @@ int main(int argc, char** argv) {
   std::printf("first JSON record:\n%s\n",
               jsonl.str().substr(0, jsonl.str().find('\n')).c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main([&] { return run_example(Options::from_args(argc, argv)); });
 }

@@ -12,11 +12,11 @@
 
 using namespace tlrob;
 
-int main(int argc, char** argv) {
-  const Options opts = Options::from_args(argc, argv);
+int run_example(const Options& opts) {
   const u32 mix_id = static_cast<u32>(opts.get_u64("mix", 1));
   const u32 threshold = static_cast<u32>(opts.get_u64("threshold", 5));
   const u64 insts = opts.get_u64("insts", 120000);
+  opts.require_all_read();
   const Mix& mix = table2_mix(mix_id);
 
   const MachineConfig cfg = two_level_config(RobScheme::kPredictive, threshold);
@@ -53,4 +53,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(run_counter(r, "rob.verification_failures")),
               static_cast<unsigned long long>(run_counter(r, "rob.prediction_cold_misses")));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main([&] { return run_example(Options::from_args(argc, argv)); });
 }

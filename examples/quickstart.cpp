@@ -9,11 +9,11 @@
 
 using namespace tlrob;
 
-int main(int argc, char** argv) {
-  const Options opts = Options::from_args(argc, argv);
+int run_example(const Options& opts) {
   const u32 mix_id = static_cast<u32>(opts.get_u64("mix", 1));
   const u64 insts = opts.get_u64("insts", kDefaultCommitTarget);
   const u32 threshold = static_cast<u32>(opts.get_u64("threshold", 16));
+  opts.require_all_read();
 
   const Mix& mix = table2_mix(mix_id);
   std::printf("%s: %s, %s, %s, %s  (%s)\n\n", mix.name.c_str(), mix.benchmarks[0].c_str(),
@@ -38,4 +38,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(rrob.run.counters.at("rob2.busy_cycles")),
               static_cast<unsigned long long>(rrob.run.cycles));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main([&] { return run_example(Options::from_args(argc, argv)); });
 }

@@ -10,11 +10,11 @@
 
 using namespace tlrob;
 
-int main(int argc, char** argv) {
-  const Options opts = Options::from_args(argc, argv);
+int run_example(const Options& opts) {
   const u32 mix_id = static_cast<u32>(opts.get_u64("mix", 1));
   const u64 insts = opts.get_u64("insts", 120000);
   const u64 warmup = opts.get_u64("warmup", 60000);
+  opts.require_all_read();
   const Mix& mix = table2_mix(mix_id);
 
   struct Row {
@@ -59,4 +59,8 @@ int main(int argc, char** argv) {
               " '2L busy' is the fraction of cycles the shared second-level partition was"
               " allocated)\n");
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return cli_main([&] { return run_example(Options::from_args(argc, argv)); });
 }

@@ -1,41 +1,55 @@
 // Full simulator driver (the sim-outorder of this repository): run any
-// benchmark combination on any machine configuration and dump every
-// statistic the core collects.
+// workload on any machine configuration and dump every statistic the
+// machine collects.
 //
-//   ./simulate [bench names ...] [mix=N] [machine knobs] [run knobs]
+//   ./simulate [workload names ...] [mix=N] [machine knobs] [run knobs]
 //
-// Workload selection: either positional SPEC profile names (1..N, one per
-// hardware thread, e.g. `./simulate art mgrid crafty parser`) or `mix=N`
-// for a Table 2 mix. `threads=` defaults to the number of named benchmarks.
+// Workload selection: either positional names (SPEC profiles such as `art`,
+// or trace:<file> / tracegen:<profile>@<records>[@<seed>] tokens, see
+// src/trace/resolve.hpp), or `mix=N` for a Table 2 mix (default mix=1).
+// `threads=` is the machine-wide thread count (default: the list length);
+// the list is padded with copies of its last entry or trimmed to it. The
+// list is core-major: cores= splits it over the cores
+// (trace::threads_per_core), so `simulate mix=1 cores=2` runs 2 cores x 2
+// threads over the same four benchmarks, and `simulate mix=2 cores=4
+// threads=16` runs 4 cores x 4 threads.
 //
 // Run knobs: insts=N (default 120000), warmup=N (default 60000),
 // max_cycles=N, stats=0|1 (dump all counters),
-// trace=START:END (pipeline event trace for that cycle window, to stderr).
+// trace=START:END (core 0's pipeline event log for that cycle window, to
+// stderr).
 // Machine knobs: see sim/config_override.hpp (scheme=, threshold=, policy=,
 // rob1=, rob2=, l2_kb=, mem_lat=, seed=, ...). CMP knobs (cores=N,
 // llc=size_kb[:ways[:lat[:mshrs]]], dram=ch[:banks[:tcas[:trcd[:trp]]]])
-// shape the machine; the workload list is core-major and cores= splits the
-// machine-wide thread count, so `simulate mix=1 cores=2` runs 2 cores x 2
-// threads over the same four benchmarks. Pipeline trace / Chrome trace /
-// profile attach to core 0. An unknown key is an error (exit status 2).
+// shape the machine.
 //
 // Observability knobs (src/obs):
 //   sample=N           interval telemetry every N cycles
-//   sample_out=PATH    write the series as JSON lines ("-" = stdout)
+//   sample_out=PATH    write the machine-wide series as JSON lines ("-" = stdout)
 //   sample_csv=PATH    write the series as CSV ("-" = stdout)
-//   trace_json=PATH    Chrome trace-event JSON (open in ui.perfetto.dev)
-//   profile=1          host-side per-stage wall-time profile, to stderr
+//   trace_json=PATH    Chrome trace-event JSON (open in ui.perfetto.dev): one
+//                      process per core plus, on a machine with a shared
+//                      backend, a "shared backend" process (LLC MSHR-pool
+//                      occupancy, per-bank DRAM row state)
+//   profile=1          host-side per-stage wall-time profile summed over
+//                      every core, to stderr
+//
+// Options follow the common grammar (key=value, --key=value, --key value;
+// common/config.hpp). An unknown key, a bad value or a failed run prints
+// "error: ..." and exits with status 2.
 //
 // Examples:
 //   ./simulate mix=1 scheme=rrob threshold=16
 //   ./simulate art art mgrid crafty scheme=prob threshold=5 stats=1
 //   ./simulate mcf threads=1 rob1=128 policy=icount
+//   ./simulate tracegen:art@20000 tracegen:mcf@20000 scheme=rrob
 //   ./simulate mix=2 scheme=rrob sample=1000 sample_out=series.jsonl
 //       trace_json=trace.json
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -44,52 +58,33 @@
 #include "sim/cmp.hpp"
 #include "sim/config_override.hpp"
 #include "sim/experiment.hpp"
-#include "workload/spec_profiles.hpp"
+#include "trace/resolve.hpp"
 
 using namespace tlrob;
 
-int main(int argc, char** argv) {
-  const Options opts = Options::from_args(argc, argv);
+namespace {
 
+int simulate(const Options& opts) {
   // --- workload ------------------------------------------------------------
-  std::vector<Benchmark> benches;
-  if (opts.has("mix")) {
-    benches = mix_benchmarks(table2_mix(static_cast<u32>(opts.get_u64("mix", 1))));
-  } else {
-    for (const std::string& name : opts.positional()) {
-      if (!is_spec_benchmark(name)) {
-        std::fprintf(stderr, "unknown benchmark '%s'; available:", name.c_str());
-        for (const auto& b : spec_benchmarks()) std::fprintf(stderr, " %s", b.name.c_str());
-        std::fprintf(stderr, "\n");
-        return 1;
-      }
-      benches.push_back(spec_benchmark(name));
-    }
+  std::string workload = opts.has("mix") ? "mix:" + opts.get("mix") : "";
+  for (const std::string& name : opts.positional()) {
+    if (opts.has("mix"))
+      throw std::invalid_argument("mix= and positional workload names are mutually exclusive");
+    workload += (workload.empty() ? "" : ",") + name;
   }
-  if (benches.empty()) benches = mix_benchmarks(table2_mix(1));
+  Mix mix = trace::workload_mix(workload.empty() ? "mix:1" : workload);
 
   // --- machine ----------------------------------------------------------------
   MachineConfig cfg;
-  cfg.num_threads = static_cast<u32>(benches.size());
+  cfg.num_threads = static_cast<u32>(mix.benchmarks.size());
   cfg.rob_second_level = 0;
   cfg.rob.scheme = RobScheme::kBaseline;
   cfg = apply_overrides(cfg, opts);
   if (cfg.rob.scheme != RobScheme::kBaseline && !opts.has("rob2"))
     cfg.rob_second_level = 384;  // Table 1 default when a two-level scheme is on
-  // cores= splits the machine-wide thread count (num_threads so far counts
-  // the whole workload list), matching tlrob-campaign's --cores semantics.
-  if (cfg.num_cores == 0) cfg.num_cores = 1;  // cores=0 means the single-core machine
-  const u32 cores = cfg.num_cores;
-  if (cores > 1) {
-    if (cfg.num_threads % cores != 0) {
-      std::fprintf(stderr, "threads=%u not divisible by cores=%u\n", cfg.num_threads, cores);
-      return 1;
-    }
-    cfg.num_threads /= cores;
-  }
-  const size_t machine_threads = static_cast<size_t>(cfg.num_threads) * cores;
-  while (benches.size() < machine_threads) benches.push_back(benches.back());
-  if (benches.size() > machine_threads) benches.resize(machine_threads);
+  // num_threads so far is machine-wide (threads= or the list length).
+  mix.benchmarks.resize(cfg.num_threads, mix.benchmarks.back());
+  cfg.num_threads = trace::threads_per_core(mix, cfg.num_cores);
 
   const u64 insts = opts.get_u64("insts", 120000);
   const u64 warmup = opts.get_u64("warmup", 60000);
@@ -103,12 +98,30 @@ int main(int argc, char** argv) {
   const std::string trace_json = opts.get("trace_json"), trace_window = opts.get("trace");
   if ((!sample_out.empty() || !sample_csv.empty()) && cfg.telemetry.sample_interval == 0)
     cfg.telemetry.sample_interval = 1000;  // asking for the series implies sampling
-
-  if (const std::vector<std::string> unread = opts.unread_keys(); !unread.empty()) {
-    std::fprintf(stderr, "unknown option '%s'\n", unread.front().c_str());
-    return 2;
+  Cycle window_lo = 0, window_hi = 0;
+  if (!trace_window.empty()) {
+    const auto colon = trace_window.find(':');
+    window_lo = parse_u64(trace_window.substr(0, colon), "option trace");
+    window_hi = colon == std::string::npos
+                    ? window_lo + 200
+                    : parse_u64(trace_window.substr(colon + 1), "option trace");
   }
+  opts.require_all_read();
 
+  // Sinks open before the run, so a bad path fails fast; "-" is stdout.
+  std::vector<std::unique_ptr<std::ofstream>> files;
+  auto open_sink = [&files](const std::string& path) -> std::ostream* {
+    if (path.empty()) return nullptr;
+    if (path == "-") return &std::cout;
+    files.push_back(std::make_unique<std::ofstream>(path, std::ios::trunc));
+    if (!files.back()->is_open()) throw std::runtime_error("cannot open '" + path + "'");
+    return files.back().get();
+  };
+  std::ostream* const sample_os = open_sink(sample_out);
+  std::ostream* const csv_os = open_sink(sample_csv);
+  std::ostream* const trace_os = open_sink(trace_json);
+
+  const std::vector<Benchmark> benches = trace::resolve_mix_benchmarks(mix);
   std::printf("%s", describe(cfg).c_str());
   std::printf("workload              ");
   for (const auto& b : benches) std::printf(" %s", b.name.c_str());
@@ -116,47 +129,27 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(insts),
               static_cast<unsigned long long>(warmup));
 
-  // The observability hooks attach to core 0 (per-core trace files would
-  // interleave unusably).
   CmpMachine machine(cfg, benches);
-  SmtCore& core = machine.core(0);
-  if (cores > 1 && (!trace_window.empty() || !trace_json.empty() || cfg.telemetry.profile))
-    std::fprintf(stderr, "note: trace/profile observe core 0 of %u\n", cores);
-  if (!trace_window.empty()) {
-    const auto colon = trace_window.find(':');
-    const Cycle lo = std::strtoull(trace_window.c_str(), nullptr, 0);
-    const Cycle hi = colon == std::string::npos
-                         ? lo + 200
-                         : std::strtoull(trace_window.c_str() + colon + 1, nullptr, 0);
-    core.tracer().attach(&std::cerr, lo, hi);
+  if (!trace_window.empty()) machine.core(0).tracer().attach(&std::cerr, window_lo, window_hi);
+  std::vector<obs::ChromeTraceWriter> core_writers(trace_os != nullptr ? cfg.num_cores : 0);
+  obs::ChromeTraceWriter backend_writer;
+  if (trace_os != nullptr) {
+    std::vector<obs::ChromeTraceWriter*> per_core;
+    for (auto& w : core_writers) per_core.push_back(&w);
+    machine.attach_chrome_trace(per_core, &backend_writer);
   }
-  obs::ChromeTraceWriter chrome;
-  if (!trace_json.empty()) core.attach_chrome_trace(&chrome);
   const RunResult r = machine.run(insts, max_cycles, warmup);
 
-  // A sink path of "-" means stdout; anything else is a file (created or
-  // truncated). Returns false when the file cannot be opened.
-  auto write_to = [](const std::string& path, auto&& emit) {
-    if (path == "-") {
-      emit(std::cout);
-      return true;
-    }
-    std::ofstream out(path, std::ios::trunc);
-    if (!out.is_open()) {
-      std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-      return false;
-    }
-    emit(out);
-    return true;
-  };
-  bool sinks_ok = true;
-  if (!sample_out.empty())
-    sinks_ok &= write_to(sample_out, [&](std::ostream& os) { r.samples.write_jsonl(os); });
-  if (!sample_csv.empty())
-    sinks_ok &= write_to(sample_csv, [&](std::ostream& os) { r.samples.write_csv(os); });
-  if (!trace_json.empty())
-    sinks_ok &= write_to(trace_json, [&](std::ostream& os) { chrome.write(os); });
-  if (cfg.telemetry.profile) core.profiler().print(std::cerr, core.executed_cycles());
+  if (sample_os != nullptr) r.samples.write_jsonl(*sample_os);
+  if (csv_os != nullptr) r.samples.write_csv(*csv_os);
+  if (trace_os != nullptr) {
+    std::vector<const obs::ChromeTraceWriter*> all;
+    for (const auto& w : core_writers) all.push_back(&w);
+    if (machine.shared_memory() != nullptr) all.push_back(&backend_writer);
+    obs::ChromeTraceWriter::write_merged(*trace_os, all);
+  }
+  if (cfg.telemetry.profile)
+    machine.aggregate_profile().print(std::cerr, machine.executed_cycles());
 
   std::printf("%-10s %10s %10s\n", "thread", "committed", "IPC");
   for (const auto& t : r.threads)
@@ -166,13 +159,17 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.cycles), r.total_throughput());
 
   if (cfg.rob.scheme != RobScheme::kBaseline) {
-    std::printf("\nsecond level: %llu allocations, busy %llu/%llu cycles (%.1f%%)\n",
+    // rob2.busy_cycles sums over the cores, so it is out of core-cycles.
+    const u64 busy = run_counter(r, "rob2.busy_cycles");
+    const u64 core_cycles = r.cycles * cfg.num_cores;
+    const double pct = core_cycles == 0 ? 0.0
+                                        : 100.0 * static_cast<double>(busy) /
+                                              static_cast<double>(core_cycles);
+    std::printf("\nsecond level: %llu allocations, busy %llu/%llu %s (%.1f%%)\n",
                 static_cast<unsigned long long>(run_counter(r, "rob2.allocations")),
-                static_cast<unsigned long long>(run_counter(r, "rob2.busy_cycles")),
-                static_cast<unsigned long long>(r.cycles),
-                r.cycles ? 100.0 * static_cast<double>(run_counter(r, "rob2.busy_cycles")) /
-                               static_cast<double>(r.cycles)
-                         : 0.0);
+                static_cast<unsigned long long>(busy),
+                static_cast<unsigned long long>(core_cycles),
+                cfg.num_cores > 1 ? "core-cycles" : "cycles", pct);
   }
   if (r.dod_true.total_samples() > 0)
     std::printf("long-latency loads: %llu, mean DoD %.2f (proxy %.2f)\n",
@@ -184,5 +181,12 @@ int main(int argc, char** argv) {
     for (const auto& [k, v] : r.counters)
       std::printf("%-44s %llu\n", k.c_str(), static_cast<unsigned long long>(v));
   }
-  return sinks_ok ? 0 : 1;
+  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cli_main(
+      [&] { return simulate(Options::from_args(argc, argv, {"stats", "profile"})); });
 }

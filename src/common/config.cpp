@@ -1,12 +1,59 @@
 #include "common/config.hpp"
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
+#include <exception>
+#include <stdexcept>
 
 namespace tlrob {
 
-Options Options::from_args(int argc, const char* const* argv) {
+u64 parse_u64(const std::string& text, const std::string& what) {
+  // strtoull alone would skip leading blanks, negate a '-' and stop at the
+  // first junk character; only a bare digit string may pass.
+  const bool digits_first = !text.empty() && text[0] >= '0' && text[0] <= '9';
+  char* end = nullptr;
+  errno = 0;
+  const u64 value = digits_first ? std::strtoull(text.c_str(), &end, 0) : 0;
+  if (!digits_first || *end != '\0' || errno == ERANGE)
+    throw std::invalid_argument(what + ": expected an unsigned integer, got '" + text + "'");
+  return value;
+}
+
+Options Options::from_args(int argc, const char* const* argv,
+                           const std::set<std::string>& flags) {
+  auto strip_dashes = [](const std::string& s, size_t limit) {
+    size_t dashes = 0;
+    while (dashes < limit && s[dashes] == '-') ++dashes;
+    return dashes;
+  };
+  auto normalise = [](std::string key) {
+    std::replace(key.begin(), key.end(), '-', '_');
+    return key;
+  };
   std::vector<std::string> tokens;
-  for (int i = 1; i < argc; ++i) tokens.emplace_back(argv[i]);
+  for (int i = 1; i < argc; ++i) {
+    const std::string tok = argv[i];
+    const auto eq = tok.find('=');
+    if (eq != std::string::npos) {
+      const size_t dashes = strip_dashes(tok, eq);
+      tokens.push_back(normalise(tok.substr(dashes, eq - dashes)) + tok.substr(eq));
+    } else if (tok.size() > 1 && tok[0] == '-') {
+      const std::string key = normalise(tok.substr(strip_dashes(tok, tok.size())));
+      // The next token is this option's value unless the option is a
+      // declared flag or the next token is itself an option.
+      const std::string next = i + 1 < argc ? argv[i + 1] : "";
+      const bool next_is_value = i + 1 < argc && (next == "-" || next[0] != '-') &&
+                                 next.find('=') == std::string::npos;
+      if (flags.count(key) == 0 && next_is_value)
+        tokens.push_back(key + "=" + argv[++i]);
+      else
+        tokens.push_back("--" + key);
+    } else {
+      tokens.push_back(tok);  // positional, including a lone "-"
+    }
+  }
   return from_tokens(tokens);
 }
 
@@ -46,6 +93,14 @@ std::vector<std::string> Options::unread_keys() const {
   return out;
 }
 
+void Options::require_all_read(const std::string& note) const {
+  const std::vector<std::string> unread = unread_keys();
+  if (unread.empty()) return;
+  std::string flag = unread.front();
+  std::replace(flag.begin(), flag.end(), '_', '-');
+  throw std::invalid_argument("unknown option --" + flag + note);
+}
+
 std::string Options::get(const std::string& key, const std::string& fallback) const {
   const std::string* v = find(key);
   return v == nullptr ? fallback : *v;
@@ -53,12 +108,17 @@ std::string Options::get(const std::string& key, const std::string& fallback) co
 
 u64 Options::get_u64(const std::string& key, u64 fallback) const {
   const std::string* v = find(key);
-  return v == nullptr ? fallback : std::strtoull(v->c_str(), nullptr, 0);
+  return v == nullptr ? fallback : parse_u64(*v, "option " + key);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
   const std::string* v = find(key);
-  return v == nullptr ? fallback : std::strtod(v->c_str(), nullptr);
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  const double value = std::strtod(v->c_str(), &end);
+  if (v->empty() || *end != '\0')
+    throw std::invalid_argument("option " + key + ": expected a number, got '" + *v + "'");
+  return value;
 }
 
 std::vector<std::string> Options::get_list(const std::string& key) const {
@@ -76,10 +136,28 @@ std::vector<std::string> Options::get_list(const std::string& key) const {
   return out;
 }
 
+std::vector<u64> Options::get_u64_list(const std::string& key) const {
+  std::vector<u64> out;
+  for (const std::string& item : get_list(key)) out.push_back(parse_u64(item, "option " + key));
+  return out;
+}
+
 bool Options::get_bool(const std::string& key, bool fallback) const {
   const std::string* v = find(key);
   if (v == nullptr) return fallback;
-  return !(*v == "0" || *v == "false" || *v == "no" || *v == "off");
+  if (*v == "1" || *v == "true" || *v == "yes" || *v == "on") return true;
+  if (*v == "0" || *v == "false" || *v == "no" || *v == "off") return false;
+  throw std::invalid_argument("option " + key +
+                              ": expected 0/1, true/false, yes/no or on/off, got '" + *v + "'");
+}
+
+int cli_main(const std::function<int()>& body) {
+  try {
+    return body();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
 }
 
 }  // namespace tlrob

@@ -82,7 +82,7 @@ struct IntervalSample {
 };
 
 /// The recorded series plus its period. The core owns one and appends; the
-/// result plumbing (RunResult, campaign records, the tlrob-trace tool) copy
+/// result plumbing (RunResult, campaign records, simulate sample_out=) copy
 /// or serialise it.
 class IntervalSeries {
  public:

@@ -14,53 +14,6 @@ namespace tlrob::runner {
 
 namespace {
 
-/// Flags that never take a following-token value.
-bool is_bare_flag(const std::string& key) {
-  return key == "resume" || key == "per_job_seeds" || key == "no_render" || key == "list" ||
-         key == "help";
-}
-
-std::string normalise_key(std::string key) {
-  std::replace(key.begin(), key.end(), '-', '_');
-  return key;
-}
-
-}  // namespace
-
-Options parse_cli_args(int argc, const char* const* argv) {
-  std::vector<std::string> tokens;
-  for (int i = 1; i < argc; ++i) {
-    std::string tok = argv[i];
-    if (tok.size() > 1 && tok[0] == '-' && tok.find('=') == std::string::npos) {
-      size_t dashes = 0;
-      while (dashes < tok.size() && tok[dashes] == '-') ++dashes;
-      const std::string key = normalise_key(tok.substr(dashes));
-      // A following token is this option's value unless it is itself an
-      // option; a lone "-" is a value (stdout for --json/--csv).
-      const std::string next = i + 1 < argc ? argv[i + 1] : "";
-      const bool next_is_value = i + 1 < argc && (next == "-" || next[0] != '-') &&
-                                 next.find('=') == std::string::npos;
-      if (!is_bare_flag(key) && next_is_value) {
-        tokens.push_back(key + "=" + argv[++i]);
-        continue;
-      }
-      tokens.push_back("--" + key);
-      continue;
-    }
-    const auto eq = tok.find('=');
-    if (eq != std::string::npos) {
-      size_t dashes = 0;
-      while (dashes < eq && tok[dashes] == '-') ++dashes;
-      tokens.push_back(normalise_key(tok.substr(dashes, eq - dashes)) + tok.substr(eq));
-      continue;
-    }
-    tokens.push_back(tok);  // positional
-  }
-  return Options::from_tokens(tokens);
-}
-
-namespace {
-
 ConfigColumn scheme_column(const std::string& scheme, u32 threshold) {
   if (scheme == "baseline32") return {"Baseline_32", baseline32_config(), 0};
   if (scheme == "baseline128") return {"Baseline_128", baseline128_config(), 0};
@@ -85,58 +38,42 @@ CampaignSpec custom_campaign(const Options& opts) {
 
   auto schemes = opts.get_list("schemes");
   if (schemes.empty()) schemes = {"baseline32", "rrob"};
-  std::vector<u32> thresholds;
-  for (const auto& t : opts.get_list("thresholds"))
-    thresholds.push_back(static_cast<u32>(std::stoul(t)));
+  std::vector<u64> thresholds = opts.get_u64_list("thresholds");
   if (thresholds.empty()) thresholds = {16};
   for (const auto& scheme : schemes) {
     if (scheme == "baseline32" || scheme == "baseline128" || scheme == "baseline") {
       spec.columns.push_back(scheme_column(scheme, 0));
       continue;
     }
-    for (const u32 th : thresholds) spec.columns.push_back(scheme_column(scheme, th));
+    for (const u64 th : thresholds)
+      spec.columns.push_back(scheme_column(scheme, static_cast<u32>(th)));
   }
 
-  // CMP topology applies uniformly across columns: --cores N gives every
-  // column an N-core machine, --llc/--dram shape the shared backend. The
-  // machine-wide thread count is preserved — N cores split the column's
-  // threads (4-thread Table 2 mixes become 2 cores x 2 threads) — so the
-  // same mixes drive any core count.
-  for (auto& c : spec.columns) {
-    const u32 cores = static_cast<u32>(opts.get_u64("cores", c.config.num_cores));
-    if (cores > 1) {
-      if (c.config.num_threads % cores != 0)
-        throw std::invalid_argument("threads=" + std::to_string(c.config.num_threads) +
-                                    " not divisible by cores=" + std::to_string(cores));
-      c.config.num_threads /= cores;
-    }
-    c.config.num_cores = cores;
-    if (opts.has("llc")) apply_llc_spec(c.config.llc, opts.get("llc"));
-    if (opts.has("dram")) apply_dram_spec(c.config.dram, opts.get("dram"));
-  }
-
+  // The workload: an explicit --workload list (its length sets the thread
+  // count), the --mixes subset of Table 2, or all 11 mixes.
   const std::string workload = opts.get("workload", "");
-  const auto mix_ids = opts.get_list("mixes");
+  const std::vector<u64> mix_ids = opts.get_u64_list("mixes");
   if (!workload.empty()) {
     if (!mix_ids.empty())
       throw std::invalid_argument("--workload and --mixes are mutually exclusive");
-    const Mix mix = trace::workload_mix(workload);
-    // The workload list sets the thread count: a 2-entry trace mix runs a
-    // 2-thread machine under every column. On a CMP the list is core-major
-    // and must divide evenly into per-core thread counts.
-    for (auto& c : spec.columns) {
-      const u32 cores = c.config.num_cores == 0 ? 1 : c.config.num_cores;
-      if (mix.benchmarks.size() % cores != 0)
-        throw std::invalid_argument("workload size " + std::to_string(mix.benchmarks.size()) +
-                                    " not divisible by cores=" + std::to_string(cores));
-      c.config.num_threads = static_cast<u32>(mix.benchmarks.size() / cores);
-    }
-    spec.mixes = {mix};
+    spec.mixes = {trace::workload_mix(workload)};
   } else if (mix_ids.empty()) {
     spec.mixes = table2_mixes();
   } else {
-    for (const auto& id : mix_ids)
-      spec.mixes.push_back(table2_mix(static_cast<u32>(std::stoul(id))));
+    // table2_mix range-checks; the clamp keeps 2^32+1 out of range.
+    for (const u64 id : mix_ids)
+      spec.mixes.push_back(table2_mix(static_cast<u32>(std::min<u64>(id, 0xffffffffu))));
+  }
+
+  // CMP topology applies uniformly across columns: --cores N gives every
+  // column an N-core machine whose threads the workload list fills
+  // core-major (every Table 2 mix has four entries, so 2 cores run 2
+  // threads each), and --llc/--dram shape the shared backend.
+  for (auto& c : spec.columns) {
+    c.config.num_cores = static_cast<u32>(opts.get_u64("cores", c.config.num_cores));
+    c.config.num_threads = trace::threads_per_core(spec.mixes.front(), c.config.num_cores);
+    if (opts.has("llc")) apply_llc_spec(c.config.llc, opts.get("llc"));
+    if (opts.has("dram")) apply_dram_spec(c.config.dram, opts.get("dram"));
   }
 
   spec.lengths = {{opts.get_u64("insts", 120000), opts.get_u64("warmup", 60000)}};
@@ -186,12 +123,7 @@ int run_from_options(const std::string& preset, const Options& opts) {
     popts.sample_dir = opts.get("sample_dir", "");
     popts.workload = opts.get("workload", "");
   }
-  if (const std::vector<std::string> unread = opts.unread_keys(); !unread.empty()) {
-    std::string flag = unread.front();
-    std::replace(flag.begin(), flag.end(), '_', '-');
-    throw std::invalid_argument("unknown option --" + flag +
-                                (preset.empty() ? "" : " (or not used by presets)"));
-  }
+  opts.require_all_read(preset.empty() ? "" : " (or not used by presets)");
 
   // Structured sinks ("-" = stdout).
   std::vector<std::unique_ptr<std::ofstream>> files;
@@ -247,12 +179,8 @@ int run_from_options(const std::string& preset, const Options& opts) {
 }
 
 int preset_main(const std::string& preset, int argc, const char* const* argv) {
-  try {
-    return run_from_options(preset, parse_cli_args(argc, argv));
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  }
+  return cli_main(
+      [&] { return run_from_options(preset, Options::from_args(argc, argv, kCampaignFlags)); });
 }
 
 }  // namespace tlrob::runner

@@ -1,8 +1,8 @@
 // Command-line front end of the tlrob-campaign binary.
 //
-// Accepted option spellings: `key=value`, `--key=value`, `--key value` and
-// bare `--flag` (stored as "1"); the historical bench spelling `insts=N
-// warmup=N` keeps working unchanged. A lone `-` after an option is its
+// Options parse through Options::from_args (common/config.hpp) with
+// kCampaignFlags as the bare flags: `key=value`, `--key=value`, `--key
+// value` and `--flag` all work, and a lone `-` after an option is its
 // value. Common options:
 //   --jobs N        worker threads (0 = hardware concurrency, 1 = serial)
 //   --insts N       committed-instruction target per run
@@ -25,6 +25,7 @@
 //   --mixes 1,2,5   Table 2 mix subset (default: all 11)
 #pragma once
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,8 +34,9 @@
 
 namespace tlrob::runner {
 
-/// Normalises argv into the repo's key=value Options (see header comment).
-Options parse_cli_args(int argc, const char* const* argv);
+/// tlrob-campaign's options that never take a value.
+inline const std::set<std::string> kCampaignFlags = {"resume", "per_job_seeds", "no_render",
+                                                     "list", "help"};
 
 /// Builds a custom sweep spec from --schemes/--thresholds/--mixes options.
 /// Throws std::invalid_argument on unknown scheme or mix names.
@@ -54,8 +56,8 @@ std::vector<std::string> preset_list(const std::string& arg);
 /// option given to presets.
 int run_from_options(const std::string& preset, const Options& opts);
 
-/// main() body of tlrob-campaign: run_from_options on argv, with every
-/// exception reported on stderr as exit status 2.
+/// main() body of tlrob-campaign: run_from_options on argv, under the
+/// cli_main error contract (any exception is "error: ..." and exit 2).
 int preset_main(const std::string& preset, int argc, const char* const* argv);
 
 }  // namespace tlrob::runner

@@ -404,15 +404,8 @@ CampaignResult run_preset(const std::string& name, const PresetOptions& opts) {
   CampaignSpec spec = preset.make(opts.length);
   if (!opts.workload.empty()) {
     const Mix mix = trace::workload_mix(opts.workload);
-    // Core-major assignment: an N-core column splits the workload list into
-    // N equal per-core thread groups.
-    for (auto& c : spec.columns) {
-      const u32 cores = c.config.num_cores == 0 ? 1 : c.config.num_cores;
-      if (mix.benchmarks.size() % cores != 0)
-        throw std::invalid_argument("workload size " + std::to_string(mix.benchmarks.size()) +
-                                    " not divisible by cores=" + std::to_string(cores));
-      c.config.num_threads = static_cast<u32>(mix.benchmarks.size() / cores);
-    }
+    for (auto& c : spec.columns)
+      c.config.num_threads = trace::threads_per_core(mix, c.config.num_cores);
     spec.mixes = {mix};
   }
   spec.sample_interval = opts.sample_interval;

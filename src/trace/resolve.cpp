@@ -1,10 +1,12 @@
 #include "trace/resolve.hpp"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 
+#include "common/config.hpp"
 #include "common/sync.hpp"
 #include "trace/source.hpp"
 #include "trace/synth.hpp"
@@ -44,13 +46,9 @@ TraceGenSpec parse_tracegen(const std::string& name) {
   std::string rest = body.substr(at1 + 1);
   const auto at2 = rest.find('@');
   std::string records_str = rest.substr(0, at2);
-  try {
-    spec.records = std::stoull(records_str);
-    if (at2 != std::string::npos) spec.seed = std::stoull(rest.substr(at2 + 1));
-  } catch (const std::exception&) {
-    throw std::invalid_argument("malformed workload '" + name +
-                                "': record count and seed must be integers");
-  }
+  const std::string what = "malformed workload '" + name + "'";
+  spec.records = parse_u64(records_str, what + ", record count");
+  if (at2 != std::string::npos) spec.seed = parse_u64(rest.substr(at2 + 1), what + ", seed");
   if (spec.records == 0)
     throw std::invalid_argument("malformed workload '" + name + "': record count must be > 0");
   return spec;
@@ -116,13 +114,9 @@ Mix workload_mix(const std::string& spec) {
   if (spec.empty())
     throw std::invalid_argument("empty workload specification\n" + workload_backends_help());
   if (has_prefix(spec, "mix:")) {
-    u32 index = 0;
-    try {
-      index = static_cast<u32>(std::stoul(spec.substr(4)));
-    } catch (const std::exception&) {
-      throw std::invalid_argument("malformed workload '" + spec + "': expected mix:<1..11>");
-    }
-    return table2_mix(index);
+    const u64 index = parse_u64(spec.substr(4), "malformed workload '" + spec + "'");
+    // table2_mix range-checks; the clamp keeps 2^32+1 out of range.
+    return table2_mix(static_cast<u32>(std::min<u64>(index, 0xffffffffu)));
   }
 
   Mix mix;
@@ -150,6 +144,16 @@ Mix workload_mix(const std::string& spec) {
     start = comma + 1;
   }
   return mix;
+}
+
+u32 threads_per_core(const Mix& mix, u32 cores) {
+  const std::size_t n = mix.benchmarks.size();
+  if (n == 0) throw std::invalid_argument("empty workload list");
+  if (cores == 0) throw std::invalid_argument("cores=0: a machine needs at least one core");
+  if (n % cores != 0)
+    throw std::invalid_argument("workload size " + std::to_string(n) +
+                                " not divisible by cores=" + std::to_string(cores));
+  return static_cast<u32>(n / cores);
 }
 
 std::string workload_backends_help() {

@@ -42,6 +42,13 @@ std::vector<Benchmark> resolve_mix_benchmarks(const Mix& mix);
 /// std::invalid_argument with the backend list on bad input.
 Mix workload_mix(const std::string& spec);
 
+/// The workload-to-cores rule every front end shares: `mix` is core-major
+/// over `cores` cores (see above), so each core runs mix.size() / cores
+/// hardware threads. Returns that per-core count. Throws
+/// std::invalid_argument for an empty list, cores = 0, or a list length the
+/// core count does not divide.
+u32 threads_per_core(const Mix& mix, u32 cores);
+
 /// Human-readable summary of every accepted workload form (error messages,
 /// --help).
 std::string workload_backends_help();

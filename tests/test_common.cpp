@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -245,12 +246,55 @@ TEST(FlatMap, EmptyMapBehaves) {
 
 TEST(Options, ParsesKeyValueAndFlags) {
   const char* argv[] = {"prog", "insts=5000", "--scheme=rrob", "--verbose", "mix3"};
-  const Options o = Options::from_args(5, argv);
+  const Options o = Options::from_args(5, argv, {"verbose"});  // else verbose=mix3
   EXPECT_EQ(o.get_u64("insts", 0), 5000u);
   EXPECT_EQ(o.get("scheme"), "rrob");
   EXPECT_TRUE(o.get_bool("verbose", false));
   ASSERT_EQ(o.positional().size(), 1u);
   EXPECT_EQ(o.positional()[0], "mix3");
+}
+
+TEST(Options, SpaceSeparatedValueMatchesKeyValue) {
+  const char* spaced[] = {"prog", "--mix", "2", "--max-cycles", "9", "--json", "-", "art"};
+  const char* joined[] = {"prog", "mix=2", "max_cycles=9", "--json=-", "art"};
+  for (const Options& o : {Options::from_args(8, spaced), Options::from_args(5, joined)}) {
+    EXPECT_EQ(o.get_u64("mix", 0), 2u);
+    EXPECT_EQ(o.get_u64("max_cycles", 0), 9u);
+    EXPECT_EQ(o.get("json"), "-");
+    EXPECT_EQ(o.positional(), std::vector<std::string>{"art"});
+  }
+  // A following option, or a token with '=', is not a value.
+  const char* bare[] = {"prog", "--stats", "--profile", "mix=1"};
+  const Options o = Options::from_args(4, bare);
+  EXPECT_TRUE(o.get_bool("stats", false));
+  EXPECT_TRUE(o.get_bool("profile", false));
+  EXPECT_EQ(o.get_u64("mix", 0), 1u);
+}
+
+// Values must parse whole; the error names the key.
+TEST(Options, MalformedValuesAreRejectedNamingTheKey) {
+  const Options o = Options::from_tokens({"insts=2k", "neg=-1", "blank=", "hex=0x10",
+                                          "flag=maybe", "ratio=1.5x", "mixes=1,1x",
+                                          "thresholds=abc", "ok=8,16"});
+  auto message = [](auto&& read) -> std::string {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "(no error)";
+  };
+  EXPECT_NE(message([&] { (void)o.get_u64("insts", 0); }).find("insts"), std::string::npos);
+  EXPECT_NE(message([&] { (void)o.get_u64("neg", 0); }).find("neg"), std::string::npos);
+  EXPECT_NE(message([&] { (void)o.get_u64("blank", 0); }).find("blank"), std::string::npos);
+  EXPECT_NE(message([&] { (void)o.get_bool("flag", false); }).find("flag"), std::string::npos);
+  EXPECT_NE(message([&] { (void)o.get_double("ratio", 0); }).find("ratio"), std::string::npos);
+  EXPECT_NE(message([&] { (void)o.get_u64_list("mixes"); }).find("mixes"), std::string::npos);
+  EXPECT_NE(message([&] { (void)o.get_u64_list("thresholds"); }).find("thresholds"),
+            std::string::npos);
+  EXPECT_EQ(o.get_u64("hex", 0), 16u);
+  EXPECT_EQ(o.get_u64_list("ok"), (std::vector<u64>{8, 16}));
+  EXPECT_THROW((void)parse_u64("99999999999999999999", "big"), std::invalid_argument);
 }
 
 TEST(Options, FallbacksAndBoolSpellings) {
@@ -270,8 +314,20 @@ TEST(Options, UnreadKeysAreTheOnesNothingAskedFor) {
   (void)o.get_list("e");
   (void)o.get("absent");  // reading an absent key marks nothing set
   EXPECT_EQ(o.unread_keys(), std::vector<std::string>{"b"});
+  EXPECT_THROW(o.require_all_read(), std::invalid_argument);
   (void)o.get_double("b", 0.0);
   EXPECT_TRUE(o.unread_keys().empty());
+  o.require_all_read();
+}
+
+// cli_main is the front ends' error contract: a thrown exception is
+// "error: <message>" on stderr and exit status 2.
+TEST(Options, CliMainReportsExceptionsAsExitTwo) {
+  EXPECT_EQ(cli_main([] { return 0; }), 0);
+  testing::internal::CaptureStderr();
+  const int rc = cli_main([]() -> int { throw std::invalid_argument("bad knob"); });
+  EXPECT_EQ(rc, 2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "error: bad knob\n");
 }
 
 }  // namespace

@@ -616,7 +616,7 @@ TEST(RunnerMemo, SampleDirAndProfiledCellsBypassTheMemo) {
 TEST(RunnerCli, ParsesMixedOptionForms) {
   const char* argv[] = {"prog",   "fig2",         "--jobs",   "4",
                         "--insts=2000", "warmup=500", "--resume", "--max-cycles", "123"};
-  const Options opts = parse_cli_args(9, argv);
+  const Options opts = Options::from_args(9, argv, kCampaignFlags);
   EXPECT_EQ(opts.get_u64("jobs", 0), 4u);
   EXPECT_EQ(opts.get_u64("insts", 0), 2000u);
   EXPECT_EQ(opts.get_u64("warmup", 0), 500u);
@@ -649,11 +649,50 @@ TEST(RunnerCli, CustomCampaignFromOptions) {
   EXPECT_THROW(custom_campaign(bad), std::invalid_argument);
 }
 
+// --cores and --workload go through trace::threads_per_core: cores=0 and a
+// list the core count does not divide are rejected before anything runs,
+// and a malformed list item names its option.
+TEST(RunnerCli, CoreSplitRejectsZeroCoresAndIndivisibleLists) {
+  Options cores0;
+  cores0.set("cores", "0");
+  EXPECT_THROW(custom_campaign(cores0), std::invalid_argument);
+
+  Options three;
+  three.set("cores", "3");  // Table 2 mixes have four entries
+  EXPECT_THROW(custom_campaign(three), std::invalid_argument);
+
+  Options split;
+  split.set("cores", "2");
+  split.set("workload", "tracegen:art@500,mcf,art,tracegen:mcf@500");
+  const CampaignSpec spec = custom_campaign(split);
+  for (const auto& c : spec.columns) {
+    EXPECT_EQ(c.config.num_cores, 2u);
+    EXPECT_EQ(c.config.num_threads, 2u);
+  }
+  split.set("workload", "art,mcf,art");
+  EXPECT_THROW(custom_campaign(split), std::invalid_argument);
+
+  PresetOptions popts;
+  popts.length = {1000, 200};
+  popts.render = false;
+  popts.workload = "art,mcf,art";  // cmp_mix columns have two cores
+  EXPECT_THROW(run_preset("cmp_mix", popts), std::invalid_argument);
+
+  Options bad_threshold;
+  bad_threshold.set("thresholds", "abc");
+  try {
+    custom_campaign(bad_threshold);
+    ADD_FAILURE() << "--thresholds abc accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("thresholds"), std::string::npos) << e.what();
+  }
+}
+
 // "-" is the stdout value of --json/--csv, before or after the preset.
 TEST(RunnerCli, DashIsAValueInBothArgumentOrders) {
   {
     const char* argv[] = {"prog", "fig2", "--json", "-", "--csv", "-"};
-    const Options opts = parse_cli_args(6, argv);
+    const Options opts = Options::from_args(6, argv, kCampaignFlags);
     EXPECT_EQ(opts.get("json"), "-");
     EXPECT_EQ(opts.get("csv"), "-");
     ASSERT_EQ(opts.positional().size(), 1u);
@@ -661,7 +700,7 @@ TEST(RunnerCli, DashIsAValueInBothArgumentOrders) {
   }
   {
     const char* argv[] = {"prog", "--json", "-", "fig2"};
-    const Options opts = parse_cli_args(4, argv);
+    const Options opts = Options::from_args(4, argv, kCampaignFlags);
     EXPECT_EQ(opts.get("json"), "-");
     ASSERT_EQ(opts.positional().size(), 1u);
     EXPECT_EQ(opts.positional()[0], "fig2");
@@ -669,7 +708,7 @@ TEST(RunnerCli, DashIsAValueInBothArgumentOrders) {
 
   const char* argv[] = {"prog", "--json", "-", "fig2", "--no-render", "--insts", "1500",
                         "--warmup", "300", "--jobs", "2"};
-  const Options opts = parse_cli_args(11, argv);
+  const Options opts = Options::from_args(11, argv, kCampaignFlags);
   testing::internal::CaptureStdout();
   const int rc = run_from_options(opts.positional()[0], opts);
   const std::string out = testing::internal::GetCapturedStdout();

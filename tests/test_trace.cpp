@@ -13,6 +13,7 @@
 
 #include "rob/allocation_policy.hpp"
 #include "runner/engine.hpp"
+#include "sim/experiment.hpp"
 #include "sim/presets.hpp"
 #include "trace/byte_source.hpp"
 #include "trace/champsim.hpp"
@@ -307,6 +308,35 @@ TEST(TraceResolve, WorkloadMixForms) {
   EXPECT_THROW(workload_mix("tracegen:art@0"), std::invalid_argument);      // zero records
   EXPECT_THROW(workload_mix("tracegen:nosuch@10"), std::invalid_argument);  // bad profile
   EXPECT_THROW(workload_mix("tracegen:art@ten"), std::invalid_argument);
+}
+
+// The one workload-to-cores rule: core-major, and the core count must
+// divide the list.
+TEST(TraceResolve, ThreadsPerCoreRule) {
+  const Mix four = workload_mix("art,mcf,tracegen:mgrid@100,trace:/tmp/x.gz");
+  EXPECT_EQ(threads_per_core(four, 1), 4u);
+  EXPECT_EQ(threads_per_core(four, 2), 2u);
+  EXPECT_EQ(threads_per_core(four, 4), 1u);
+  EXPECT_THROW(threads_per_core(four, 0), std::invalid_argument);
+  EXPECT_THROW(threads_per_core(four, 3), std::invalid_argument);
+  EXPECT_THROW(threads_per_core(Mix{}, 1), std::invalid_argument);
+  EXPECT_EQ(threads_per_core(workload_mix("mix:2"), 2), 2u);
+  EXPECT_THROW(workload_mix("mix:9x"), std::invalid_argument);
+  EXPECT_THROW(workload_mix("tracegen:art@500x"), std::invalid_argument);
+}
+
+// simulate's path for a trace list: resolve, split over cores, run.
+TEST(TraceResolve, TracegenWorkloadRunsThroughTheCoreSplit) {
+  const Mix mix = workload_mix("tracegen:art@500@11,tracegen:mcf@500@13");
+  MachineConfig cfg = baseline32_config();
+  cfg.num_cores = 2;
+  cfg.num_threads = threads_per_core(mix, cfg.num_cores);
+  ASSERT_EQ(cfg.num_threads, 1u);
+  const RunResult r = run_benchmarks(cfg, resolve_mix_benchmarks(mix), 2000, 0, 500);
+  ASSERT_EQ(r.threads.size(), 2u);
+  EXPECT_EQ(r.threads[0].benchmark, "tracegen:art@500@11");
+  EXPECT_EQ(r.threads[1].benchmark, "tracegen:mcf@500@13");
+  for (const auto& t : r.threads) EXPECT_GT(t.committed, 0u);
 }
 
 TEST(TraceResolve, BenchmarkNameRoundTrips) {

@@ -5,8 +5,7 @@
 // comments (harvesting `tlrob-lint:` suppression directives from them) and
 // records #include targets. The rule implementations (rules.cpp) pattern-
 // match over this token stream — coarse next to a real AST, but dependency-
-// free, so the analyzer always runs even on a toolchain with no Clang dev
-// libraries (the TLROB_LINT_CLANG backend deepens D1/D2 when they exist).
+// free, so the analyzer runs on any toolchain.
 #pragma once
 
 #include <map>

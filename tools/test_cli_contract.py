@@ -1,0 +1,82 @@
+#!/usr/bin/env python3
+"""Command-line contract tests for the built front ends.
+
+Runs `simulate` and `tlrob-mktrace` as subprocesses and asserts the shared
+front-end contract (common/config.hpp): `--key value` means the same as
+`key=value`; a typo, a malformed value or an input the machine cannot run
+exits 2 with an `error:` line on stderr, never an abort; and `simulate`
+accepts trace workload tokens. Registered with ctest as `cli_contract_py`:
+
+    test_cli_contract.py <simulate binary> <tlrob-mktrace binary>
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+
+RUN = ["insts=2000", "warmup=500"]
+
+
+def run(*argv):
+    return subprocess.run(list(argv), capture_output=True, text=True, timeout=300)
+
+
+def main():
+    if len(sys.argv) != 3:
+        print(__doc__)
+        return 2
+    simulate, mktrace = sys.argv[1], sys.argv[2]
+    failures = []
+
+    def check(name, ok, detail=""):
+        print(("ok   " if ok else "FAIL ") + name + ("" if ok else f": {detail}"))
+        if not ok:
+            failures.append(name)
+
+    spaced = run(simulate, "mix=1", "--insts", "2000", "--warmup", "500")
+    joined = run(simulate, "mix=1", *RUN)
+    check("--insts 2000 --warmup 500 == insts=2000 warmup=500",
+          spaced.returncode == 0 and joined.returncode == 0 and spaced.stdout == joined.stdout,
+          f"rc {spaced.returncode}/{joined.returncode}")
+    check("the run commits 2000 instructions", "2000 insts after 500 warmup" in joined.stdout,
+          joined.stdout[:200])
+
+    traced = run(simulate, "tracegen:art@500@11", "tracegen:mcf@500@13", "cores=2", *RUN)
+    check("simulate runs tracegen tokens split over cores",
+          traced.returncode == 0 and "tracegen:mcf@500@13" in traced.stdout,
+          traced.stderr[-300:])
+
+    def rejected(name, proc):
+        check(name + " -> exit 2 with error:",
+              proc.returncode == 2 and "error:" in proc.stderr,
+              f"rc {proc.returncode}, stderr {proc.stderr[-200:]!r}")
+
+    rejected("scheme=bogus", run(simulate, "mix=1", "scheme=bogus", *RUN))
+    rejected("insts=2k", run(simulate, "mix=1", "insts=2k"))
+    rejected("mix=12", run(simulate, "mix=12", *RUN))
+    rejected("mix=9x", run(simulate, "mix=9x", *RUN))
+    rejected("cores=0", run(simulate, "mix=1", "cores=0", *RUN))
+    rejected("cores=3 on a 4-entry list", run(simulate, "mix=1", "cores=3", *RUN))
+    rejected("stats=maybe", run(simulate, "mix=1", "stats=maybe", *RUN))
+    rejected("unknown key", run(simulate, "mix=1", "bogus=1", *RUN))
+    rejected("unknown workload", run(simulate, "nosuch", *RUN))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "art.trace")
+        rejected("tlrob-mktrace --sed 7",
+                 run(mktrace, "--profile", "art", "--records", "100", "--out", out, "--sed", "7"))
+        check("tlrob-mktrace --sed 7 writes nothing", not os.path.exists(out))
+        made = run(mktrace, "--profile", "art", "--records", "100", "--out", out, "--seed", "7")
+        check("tlrob-mktrace --seed 7 writes the trace",
+              made.returncode == 0 and os.path.getsize(out) == 100 * 64, made.stderr[-200:])
+
+    if failures:
+        print(f"FAIL: {len(failures)} case(s): {', '.join(failures)}")
+        return 1
+    print("PASS")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -140,14 +140,7 @@ int main(int argc, char** argv) {
            run_registry_check(lexed, opts, display(root_path, design_path)))
         findings.push_back(std::move(fi));
 
-#if defined(TLROB_LINT_HAVE_CLANG)
-    if (!db_path.empty()) {
-      const std::string db_dir = fs::path(db_path).parent_path().string();
-      for (Finding& fi : run_clang_backend(db_dir, files, opts)) findings.push_back(std::move(fi));
-    }
-#endif
-
-    // Deterministic report order + dedupe (token and AST backends overlap).
+    // Deterministic report order, one finding per (file, line, rule).
     std::sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
       if (a.path != b.path) return a.path < b.path;
       if (a.line != b.line) return a.line < b.line;

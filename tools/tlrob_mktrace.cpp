@@ -10,9 +10,10 @@
 //
 // Output is gzip-compressed when --out ends in .gz (requires zlib), raw
 // records otherwise. The resulting file runs through the campaign CLI as
-// workload=trace:<file>.
+// workload=trace:<file>, or through `simulate trace:<file>`. Options parse
+// as in every front end (common/config.hpp); an unknown one or a bad value
+// is "error: ..." with exit status 2.
 #include <cstdio>
-#include <exception>
 #include <string>
 
 #include "common/config.hpp"
@@ -40,30 +41,13 @@ void print_usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    std::vector<std::string> tokens;
-    for (int i = 1; i < argc; ++i) {
-      const std::string tok = argv[i];
-      size_t dashes = 0;
-      while (dashes < tok.size() && tok[dashes] == '-') ++dashes;
-      const std::string key = tok.substr(dashes);
-      if (dashes == 0 || key.find('=') != std::string::npos) {
-        tokens.push_back(key.empty() ? tok : key);
-        continue;
-      }
-      const bool bare = key == "list" || key == "help";
-      if (!bare && i + 1 < argc)
-        tokens.push_back(key + "=" + argv[++i]);
-      else
-        tokens.push_back("--" + key);
-    }
-    const Options opts = Options::from_tokens(tokens);
-
-    if (opts.get_bool("help", false)) {
+  return cli_main([&] {
+    const Options opts = Options::from_args(argc, argv, {"list", "help"});
+    if (opts.has("help")) {
       print_usage();
       return 0;
     }
-    if (opts.get_bool("list", false)) {
+    if (opts.has("list")) {
       for (const auto& b : spec_benchmarks()) std::printf("%s\n", b.name.c_str());
       return 0;
     }
@@ -72,6 +56,7 @@ int main(int argc, char** argv) {
     const u64 records = opts.get_u64("records", 0);
     const std::string out = opts.get("out", "");
     const u64 seed = opts.get_u64("seed", 1);
+    opts.require_all_read();
     if (profile.empty() || records == 0 || out.empty()) {
       print_usage();
       return 2;
@@ -87,8 +72,5 @@ int main(int argc, char** argv) {
                  out.size() > 3 && out.compare(out.size() - 3, 3, ".gz") == 0 ? "gzip" : "raw",
                  static_cast<unsigned long long>(hash));
     return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
+  });
 }

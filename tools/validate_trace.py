@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate the telemetry artifacts the simulator exports (CI trace-smoke).
 
-Checks a Chrome trace-event JSON file (tlrob-trace / simulate trace_json=)
+Checks a Chrome trace-event JSON file (simulate trace_json=)
 and/or an interval-sample JSONL series (sample_out= / --sample-dir) for the
 contracts DESIGN.md §9 documents:
 
