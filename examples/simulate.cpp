@@ -31,8 +31,9 @@
 //                      process per core plus, on a machine with a shared
 //                      backend, a "shared backend" process (LLC MSHR-pool
 //                      occupancy, per-bank DRAM row state)
-//   profile=1          host-side per-stage wall-time profile summed over
-//                      every core, to stderr
+//   profile=1          host-side wall-time profile of the whole run (warmup
+//                      included) by pipeline stage, summed over every core,
+//                      to stderr (obs/self_profile.hpp)
 //
 // Options follow the common grammar (key=value, --key=value, --key value;
 // common/config.hpp). An unknown key, a bad value or a failed run prints
@@ -49,12 +50,14 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
 #include "obs/chrome_trace.hpp"
+#include "obs/self_profile.hpp"
 #include "sim/cmp.hpp"
 #include "sim/config_override.hpp"
 #include "sim/experiment.hpp"
@@ -93,7 +96,7 @@ int simulate(const Options& opts) {
 
   // --- observability -------------------------------------------------------
   cfg.telemetry.sample_interval = opts.get_u64("sample", cfg.telemetry.sample_interval);
-  cfg.telemetry.profile = opts.get_bool("profile", cfg.telemetry.profile);
+  const bool profile = opts.get_bool("profile", false);
   const std::string sample_out = opts.get("sample_out"), sample_csv = opts.get("sample_csv");
   const std::string trace_json = opts.get("trace_json"), trace_window = opts.get("trace");
   if ((!sample_out.empty() || !sample_csv.empty()) && cfg.telemetry.sample_interval == 0)
@@ -138,7 +141,10 @@ int simulate(const Options& opts) {
     for (auto& w : core_writers) per_core.push_back(&w);
     machine.attach_chrome_trace(per_core, &backend_writer);
   }
+  std::optional<obs::SelfProfiler> profiler;
+  if (profile) profiler.emplace();
   const RunResult r = machine.run(insts, max_cycles, warmup);
+  if (profiler) profiler->stop();
 
   if (sample_os != nullptr) r.samples.write_jsonl(*sample_os);
   if (csv_os != nullptr) r.samples.write_csv(*csv_os);
@@ -148,8 +154,7 @@ int simulate(const Options& opts) {
     if (machine.shared_memory() != nullptr) all.push_back(&backend_writer);
     obs::ChromeTraceWriter::write_merged(*trace_os, all);
   }
-  if (cfg.telemetry.profile)
-    machine.aggregate_profile().print(std::cerr, machine.executed_cycles());
+  if (profiler) profiler->print(std::cerr, machine.executed_cycles());
 
   std::printf("%-10s %10s %10s\n", "thread", "committed", "IPC");
   for (const auto& t : r.threads)

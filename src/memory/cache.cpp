@@ -21,8 +21,8 @@ Cache::Cache(std::string name, const CacheGeometry& geo) : name_(std::move(name)
   if (geo.ways == 0 || lines % geo.ways != 0)
     throw std::invalid_argument(name_ + ": line count must divide by ways");
   sets_ = static_cast<u32>(lines / geo.ways);
-  if ((sets_ & (sets_ - 1)) != 0)
-    throw std::invalid_argument(name_ + ": set count must be a power of two");
+  if (sets_ == 0 || (sets_ & (sets_ - 1)) != 0)
+    throw std::invalid_argument(name_ + ": set count must be a nonzero power of two");
   line_shift_ = log2_pow2(geo.line_bytes);
   set_shift_ = log2_pow2(sets_);
   set_mask_ = sets_ - 1;

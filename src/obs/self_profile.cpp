@@ -17,52 +17,56 @@ const char* phase_name(Phase p) {
     case Phase::kSample: return "sample";
     case Phase::kMemory: return "memory";
     case Phase::kPredict: return "predict";
+    case Phase::kLoop: return "loop";
     case Phase::kCount: break;
   }
   return "unknown";
 }
 
-u64 SelfProfiler::total_attributed_nanos() const {
+SelfProfiler::SelfProfiler()
+    : target_(&current_phase), start_(std::chrono::steady_clock::now()) {
+  sampler_ = std::thread([this] {
+    do {
+      std::this_thread::sleep_for(kSamplePeriod);
+      ++samples_[static_cast<size_t>(target_->load(std::memory_order_relaxed))];
+    } while (!stopping_.load(std::memory_order_acquire));
+  });
+}
+
+void SelfProfiler::stop() {
+  if (!sampler_.joinable()) return;
+  stopping_.store(true, std::memory_order_release);
+  sampler_.join();
+  wall_seconds_ = std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+}
+
+u64 SelfProfiler::total_samples() const {
   u64 total = 0;
-  for (const u64 n : nanos_) total += n;
+  for (const u64 n : samples_) total += n;
   return total;
 }
 
-void SelfProfiler::reset() {
-  nanos_.fill(0);
-  calls_.fill(0);
-}
-
-void SelfProfiler::print(std::ostream& os, u64 executed_cycles, double wall_seconds) const {
-  const u64 total = total_attributed_nanos();
+void SelfProfiler::print(std::ostream& os, u64 executed_cycles) const {
+  const u64 total = total_samples();
+  const double wall_ms = wall_seconds_ * 1e3;
   char line[160];
-  std::snprintf(line, sizeof(line), "%-14s %12s %7s %12s %10s\n", "phase", "total ms",
-                "share", "ns/call", "ns/cycle");
+  std::snprintf(line, sizeof(line), "%-14s %10s %7s %12s %10s\n", "phase", "samples", "share",
+                "ms", "ns/cycle");
   os << line;
-  for (size_t i = 0; i < static_cast<size_t>(Phase::kCount); ++i) {
-    const double ms = static_cast<double>(nanos_[i]) / 1e6;
+  for (size_t i = 0; i < samples_.size(); ++i) {
     const double share =
-        total == 0 ? 0.0 : 100.0 * static_cast<double>(nanos_[i]) / static_cast<double>(total);
-    const double per_call =
-        calls_[i] == 0 ? 0.0
-                       : static_cast<double>(nanos_[i]) / static_cast<double>(calls_[i]);
+        total == 0 ? 0.0 : static_cast<double>(samples_[i]) / static_cast<double>(total);
     const double per_cycle =
-        executed_cycles == 0
-            ? 0.0
-            : static_cast<double>(nanos_[i]) / static_cast<double>(executed_cycles);
-    std::snprintf(line, sizeof(line), "%-14s %12.3f %6.1f%% %12.1f %10.1f\n",
-                  phase_name(static_cast<Phase>(i)), ms, share, per_call, per_cycle);
+        executed_cycles == 0 ? 0.0 : share * wall_ms * 1e6 / static_cast<double>(executed_cycles);
+    std::snprintf(line, sizeof(line), "%-14s %10llu %6.1f%% %12.3f %10.1f\n",
+                  phase_name(static_cast<Phase>(i)), static_cast<unsigned long long>(samples_[i]),
+                  100.0 * share, share * wall_ms, per_cycle);
     os << line;
   }
-  std::snprintf(line, sizeof(line), "%-14s %12.3f\n", "attributed",
-                static_cast<double>(total) / 1e6);
+  std::snprintf(line, sizeof(line), "%-14s %10llu %7s %12.3f  (every %lld us)\n", "sampled",
+                static_cast<unsigned long long>(total), "", wall_ms,
+                static_cast<long long>(kSamplePeriod.count()));
   os << line;
-  if (wall_seconds > 0.0) {
-    const double residual_ms = wall_seconds * 1e3 - static_cast<double>(total) / 1e6;
-    std::snprintf(line, sizeof(line), "%-14s %12.3f  (fast-forward scans, run loop)\n",
-                  "unattributed", residual_ms);
-    os << line;
-  }
 }
 
 }  // namespace tlrob::obs

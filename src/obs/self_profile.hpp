@@ -1,27 +1,30 @@
 // Host-side simulator self-profiling: attributes wall-clock time to the
 // pipeline phases of the cycle loop (event drain, commit, issue, dispatch,
-// fetch, early release, ROB-controller tick, audit, interval sampling), so
-// "why is this configuration slow to simulate" is answerable without an
-// external profiler.
+// fetch, early release, ROB-controller tick, audit, interval sampling, and
+// the run loop around them), so "why is this configuration slow to
+// simulate" is answerable without an external profiler.
 //
-// Enabled via MachineConfig::telemetry.profile (or $TLROB_PROFILE=1); the
-// core then routes ticks through a timing wrapper that brackets each stage
-// with steady_clock reads. Disabled (the default), the only cost is one
-// boolean test per tick dispatch — the phase accumulators are never touched
-// and the golden fingerprints and perf-smoke contract are unaffected.
-// Attributed time deliberately excludes the fast-forward bookkeeping and
-// run()'s loop overhead; print() reports the residual against a caller-
-// measured wall time when one is provided.
+// Sampling, not timing. The simulating thread announces what it is doing by
+// storing a Phase into a thread-local byte (obs::enter, one relaxed store:
+// a single %fs-relative mov, with or without a profiler). A SelfProfiler
+// starts one host thread that reads the creating thread's byte every
+// kSamplePeriod and counts one sample for whichever phase it finds. Each
+// sample lands in exactly one phase, so nested phases (kMemory / kPredict
+// inside a stage, via PhaseScope) need no subtraction, and the table covers
+// the whole profiled wall time, run loop and fast-forward included.
 //
-// Two cross-cutting phases, kMemory and kPredict, time the memory-hierarchy
-// and predictor calls *inside* the pipeline stages; the enclosing stage's
-// measurement subtracts them, so the table still sums to the attributed
-// total and "is it the cache model or the issue logic" is answerable
-// directly from profile= output.
+// A sampler thread rather than a SIGPROF timer: it needs no async-signal
+// safety on the sinks, never interrupts a system call, runs unchanged under
+// ASan and TSan, and is not limited to the scheduler-tick resolution of
+// process CPU timers. A SelfProfiler is not thread-safe and samples only the
+// thread that constructed it.
 #pragma once
 
 #include <array>
+#include <atomic>
+#include <chrono>
 #include <ostream>
+#include <thread>
 
 #include "common/types.hpp"
 
@@ -36,50 +39,67 @@ enum class Phase : u8 {
   kEarlyRelease,  // optional Sharkey-Ponomarev early register release
   kController,    // TwoLevelRobController::tick
   kAudit,         // invariant checks
-  kSample,        // interval-sampler capture
-  kMemory,        // memory-hierarchy accesses (subtracted from the stage above)
-  kPredict,       // branch/load-hit predictor calls (likewise subtracted)
+  kSample,        // observability: ownership poll, stall taxonomy, sampler
+  kMemory,        // memory-hierarchy accesses, inside a stage
+  kPredict,       // branch/load-hit predictor calls, inside a stage
+  kLoop,          // outside any stage: run loop, fast-forward, setup
   kCount,
 };
 
 const char* phase_name(Phase p);
 
-class SelfProfiler {
+/// What the current thread is doing. Written by the simulated core, read by
+/// a SelfProfiler's sampler thread; nothing else depends on it.
+inline constinit thread_local std::atomic<Phase> current_phase{Phase::kLoop};
+
+inline void enter(Phase p) { current_phase.store(p, std::memory_order_relaxed); }
+
+/// Enters `p` for the scope's lifetime, then restores the enclosing phase.
+class PhaseScope {
  public:
-  void enable(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
-  void add(Phase p, u64 nanos) {
-    nanos_[static_cast<size_t>(p)] += nanos;
-    ++calls_[static_cast<size_t>(p)];
+  explicit PhaseScope(Phase p) : saved_(current_phase.load(std::memory_order_relaxed)) {
+    enter(p);
   }
-
-  u64 nanos(Phase p) const { return nanos_[static_cast<size_t>(p)]; }
-  u64 calls(Phase p) const { return calls_[static_cast<size_t>(p)]; }
-  u64 total_attributed_nanos() const;
-
-  /// Adds another profiler's accumulators into this one (phase-wise nanos
-  /// and call counts) — CmpMachine merges its cores' profiles this way.
-  void merge(const SelfProfiler& other) {
-    for (size_t i = 0; i < static_cast<size_t>(Phase::kCount); ++i) {
-      nanos_[i] += other.nanos_[i];
-      calls_[i] += other.calls_[i];
-    }
-  }
-
-  void reset();
-
-  /// Summary table: per phase, total ms, share of attributed time, and
-  /// ns/call. `executed_cycles` (ticks actually run, i.e. cycles minus the
-  /// fast-forwarded ones) yields the ns/cycle column; `wall_seconds` > 0
-  /// adds the unattributed residual (fast-forward scans, run()-loop
-  /// overhead) as a final row.
-  void print(std::ostream& os, u64 executed_cycles, double wall_seconds = 0.0) const;
+  ~PhaseScope() { enter(saved_); }
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
 
  private:
-  bool enabled_ = false;
-  std::array<u64, static_cast<size_t>(Phase::kCount)> nanos_{};
-  std::array<u64, static_cast<size_t>(Phase::kCount)> calls_{};
+  Phase saved_;
+};
+
+/// Samples the constructing thread's current phase every kSamplePeriod until
+/// stop() or destruction.
+class SelfProfiler {
+ public:
+  static constexpr std::chrono::microseconds kSamplePeriod{250};
+
+  SelfProfiler();
+  ~SelfProfiler() { stop(); }
+  SelfProfiler(const SelfProfiler&) = delete;
+  SelfProfiler& operator=(const SelfProfiler&) = delete;
+
+  /// Joins the sampler thread and fixes the wall time; idempotent. The
+  /// accessors below read the final counts only after stop().
+  void stop();
+
+  u64 samples(Phase p) const { return samples_[static_cast<size_t>(p)]; }
+  u64 total_samples() const;
+  /// Wall time from construction to stop(), the span the samples cover.
+  double wall_seconds() const { return wall_seconds_; }
+
+  /// Summary table: per phase, samples, share of all samples, ms (share x
+  /// wall) and ns per executed cycle (`executed_cycles`: ticks actually run
+  /// over the profiled span, i.e. cycles minus the fast-forwarded ones).
+  void print(std::ostream& os, u64 executed_cycles) const;
+
+ private:
+  const std::atomic<Phase>* target_;
+  std::atomic<bool> stopping_{false};
+  std::array<u64, static_cast<size_t>(Phase::kCount)> samples_{};
+  std::chrono::steady_clock::time_point start_;
+  double wall_seconds_ = 0.0;
+  std::thread sampler_;
 };
 
 }  // namespace tlrob::obs

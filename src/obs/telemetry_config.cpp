@@ -1,7 +1,8 @@
 #include "obs/telemetry_config.hpp"
 
 #include <cstdlib>
-#include <string>
+
+#include "common/config.hpp"
 
 namespace tlrob::obs {
 
@@ -12,9 +13,7 @@ TelemetryConfig default_telemetry_config() {
   static const TelemetryConfig cached = [] {
     TelemetryConfig cfg;
     if (const char* s = std::getenv("TLROB_SAMPLE"); s != nullptr && *s != '\0')
-      cfg.sample_interval = std::strtoull(s, nullptr, 0);
-    if (const char* p = std::getenv("TLROB_PROFILE"); p != nullptr && *p != '\0')
-      cfg.profile = std::string(p) != "0";
+      cfg.sample_interval = parse_u64(s, "$TLROB_SAMPLE");
     return cfg;
   }();
   return cached;

@@ -26,19 +26,15 @@ struct TelemetryConfig {
   /// exactly like the per-cycle stall counters, and tests pin that the
   /// series is bit-identical either way (see DESIGN.md §9).
   Cycle sample_interval = 0;
-
-  /// Host-side self-profiling: attribute wall time to pipeline phases
-  /// (events / commit / issue / dispatch / fetch / controller / audit /
-  /// sample) via obs/self_profile.hpp. Changes no simulated state; adds two
-  /// clock reads per stage per executed cycle while on.
-  bool profile = false;
 };
 
 /// The process-default telemetry configuration, mirroring
 /// default_audit_config(): $TLROB_SAMPLE sets sample_interval (cycles,
-/// 0/unset = off), $TLROB_PROFILE=1 turns self-profiling on. MachineConfig
-/// uses this as its initial value, so any existing binary picks the knobs up
-/// without new plumbing. Explicit assignment overrides.
+/// 0/unset = off; anything but an unsigned integer throws
+/// std::invalid_argument naming the variable). MachineConfig uses this as
+/// its initial value, so any existing binary picks the knob up without new
+/// plumbing. Explicit assignment overrides. Host self-profiling is not a
+/// machine knob: it wraps a run from outside (obs/self_profile.hpp).
 TelemetryConfig default_telemetry_config();
 
 }  // namespace tlrob::obs

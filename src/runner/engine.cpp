@@ -113,13 +113,6 @@ struct CellMemoEntry {
 Mutex cell_memo_mu;
 std::map<std::string, std::shared_ptr<CellMemoEntry>> cell_memo TLROB_GUARDED_BY(cell_memo_mu);
 
-/// Cells whose output is not a pure function of cell_key: a sample_dir
-/// cell must write its own series file, and a self-profiled machine
-/// reports host time.
-bool memoizable(const JobSpec& js) {
-  return js.sample_dir.empty() && !js.config.telemetry.profile;
-}
-
 /// A stored record as the cell `js` would have produced it.
 JobRecord restamped(JobRecord rec, const JobSpec& js) {
   rec.job = js.index;
@@ -133,7 +126,9 @@ JobRecord restamped(JobRecord rec, const JobSpec& js) {
 /// copy of an earlier simulation.
 JobRecord memo_execute(const JobSpec& js, const std::string& key, bool* deduplicated) {
   *deduplicated = false;
-  if (!memoizable(js)) return execute_job(js);
+  // A sample_dir cell must write its own series file, so its output is not
+  // a pure function of cell_key.
+  if (!js.sample_dir.empty()) return execute_job(js);
   std::shared_ptr<CellMemoEntry> entry;
   {
     MutexLock lock(cell_memo_mu);

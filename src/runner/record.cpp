@@ -26,8 +26,8 @@ static_assert(sizeof(DcraConfig) == 8);
 static_assert(sizeof(RobPolicyConfig) == 72);
 static_assert(sizeof(PredictorConfig) == 16);
 static_assert(sizeof(AuditConfig) == 32);
-static_assert(sizeof(obs::TelemetryConfig) == 16);
-static_assert(sizeof(MachineConfig) == 456);
+static_assert(sizeof(obs::TelemetryConfig) == 8);
+static_assert(sizeof(MachineConfig) == 448);
 
 /// Appends "name=value;" — integers, bools and enums as decimal integers,
 /// doubles in their round-trippable JSON form.
@@ -125,7 +125,6 @@ void add_config(std::string& out, const MachineConfig& c) {
   add(out, "audit.max_recorded", c.audit.max_recorded);
 
   add(out, "telemetry.sample_interval", c.telemetry.sample_interval);
-  add(out, "telemetry.profile", c.telemetry.profile);
   add(out, "seed", c.seed);
 }
 

@@ -56,13 +56,6 @@ void CmpMachine::attach_chrome_trace(const std::vector<obs::ChromeTraceWriter*>&
   }
 }
 
-obs::SelfProfiler CmpMachine::aggregate_profile() const {
-  obs::SelfProfiler total;
-  total.enable(cfg_.telemetry.profile);
-  for (const auto& c : cores_) total.merge(c->profiler());
-  return total;
-}
-
 u64 CmpMachine::executed_cycles() const {
   u64 total = 0;
   for (const auto& c : cores_) total += c->executed_cycles();

@@ -63,13 +63,9 @@ class CmpMachine {
   void attach_chrome_trace(const std::vector<obs::ChromeTraceWriter*>& per_core,
                            obs::ChromeTraceWriter* backend);
 
-  /// Sum of the cores' host self-profilers (phase nanos and call counts),
-  /// for one machine-wide profile= table.
-  obs::SelfProfiler aggregate_profile() const;
-
   /// Machine-wide executed ticks (sum over cores of cycles minus their
   /// fast-forwarded spans) — the ns/cycle denominator for
-  /// aggregate_profile().print.
+  /// obs::SelfProfiler::print.
   u64 executed_cycles() const;
 
   /// Machine-wide result: concatenated threads, summed per-core counters,

@@ -39,14 +39,7 @@ std::vector<u64> parse_spec_fields(const std::string& spec, size_t max_fields,
     const size_t colon = spec.find(':', pos);
     const std::string field =
         colon == std::string::npos ? spec.substr(pos) : spec.substr(pos, colon - pos);
-    try {
-      size_t used = 0;
-      fields.push_back(std::stoull(field, &used));
-      if (used != field.size()) throw std::invalid_argument(field);
-    } catch (const std::exception&) {
-      throw std::invalid_argument(std::string(what) + " spec: bad field \"" + field + "\" in \"" +
-                                  spec + "\"");
-    }
+    fields.push_back(parse_u64(field, std::string(what) + " spec \"" + spec + "\""));
     if (colon == std::string::npos) break;
     pos = colon + 1;
   }

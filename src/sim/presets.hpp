@@ -87,9 +87,10 @@ struct MachineConfig {
   /// existing test without touching them.
   AuditConfig audit = default_audit_config();
 
-  /// Observability (src/obs): interval sampling and host self-profiling.
-  /// Defaults to the process-wide $TLROB_SAMPLE / $TLROB_PROFILE settings;
-  /// everything off (the default) is provably zero-cost on the cycle loop.
+  /// Observability (src/obs): interval sampling. Defaults to the
+  /// process-wide $TLROB_SAMPLE setting; off (the default) is provably
+  /// zero-cost on the cycle loop. Host self-profiling is not part of the
+  /// machine: obs::SelfProfiler samples whichever thread runs it.
   obs::TelemetryConfig telemetry = obs::default_telemetry_config();
 
   u64 seed = 12345;

@@ -1,12 +1,12 @@
 #include "sim/smt_sim.hpp"
 
 #include <algorithm>
-#include <chrono>  // tlrob-lint: allow(D2) host self-profiler time source, never architectural state
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
 #include "memory/shared_memory.hpp"
+#include "obs/self_profile.hpp"
 
 namespace tlrob {
 
@@ -41,8 +41,6 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
       sample_every_(cfg.telemetry.sample_interval),
       next_sample_(cfg.telemetry.sample_interval),
       auditor_(cfg.audit, cfg.num_threads) {
-  profiler_.enable(cfg.telemetry.profile);
-  prof_detail_ = cfg.telemetry.profile;
   if (benchmarks_.size() != cfg.num_threads)
     throw std::invalid_argument("SmtCore: one benchmark per hardware thread required");
   if (cfg.early_register_release && cfg.fetch_policy == FetchPolicyKind::kFlush)
@@ -333,14 +331,14 @@ void SmtCore::finish_execution(DynInst& di) {
 void SmtCore::resolve_control(DynInst& di) {
   if (di.wrong_path) return;
   {
-    ProfScope ps(this, obs::Phase::kPredict);
+    obs::PhaseScope ps(obs::Phase::kPredict);
     bpred_.train(di.tid, *di.si, di.pred, di.taken, di.actual_target);
   }
   if (!di.mispredicted) return;
 
   cnt_mispredicts_resolved_->inc();
   {
-    ProfScope ps(this, obs::Phase::kPredict);
+    obs::PhaseScope ps(obs::Phase::kPredict);
     bpred_.recover(di.tid, *di.si, di.pred, di.taken);
   }
   squash_after(di.tid, di.tseq);
@@ -445,7 +443,7 @@ bool SmtCore::do_commit() {
         cnt_commit_wp_bug_->inc();
       }
       if (h->is_store() && !h->wrong_path) {
-        ProfScope ps(this, obs::Phase::kMemory);
+        obs::PhaseScope ps(obs::Phase::kMemory);
         mem_.access_data(h->mem_addr, true, cycle_);
       }
       if (h->is_mem() && h->lsq_allocated) ts.lsq.pop(h);
@@ -559,7 +557,7 @@ void SmtCore::issue_load(DynInst& di) {
           st->executed ? cycle_ + 2 : std::max<Cycle>(cycle_ + 2, cycle_ + 4);
       di.l1_hit = true;
       {
-        ProfScope ps(this, obs::Phase::kPredict);
+        obs::PhaseScope ps(obs::Phase::kPredict);
         lhp_.update(di.tid, di.pc, true);
       }
       schedule(data_at, EvKind::kLoadFill, di);
@@ -570,12 +568,12 @@ void SmtCore::issue_load(DynInst& di) {
 
   DataAccess da;
   {
-    ProfScope ps(this, obs::Phase::kMemory);
+    obs::PhaseScope ps(obs::Phase::kMemory);
     da = mem_.access_data(di.mem_addr, false, cycle_);
   }
   bool predicted_hit;
   {
-    ProfScope ps(this, obs::Phase::kPredict);
+    obs::PhaseScope ps(obs::Phase::kPredict);
     predicted_hit = lhp_.predict(di.tid, di.pc);
     lhp_.update(di.tid, di.pc, da.l1_hit);
   }
@@ -733,7 +731,7 @@ DynInst SmtCore::make_correct_path_inst(ThreadState& ts, ThreadId tid) {
     const Addr static_target =
         di.op == OpClass::kReturn ? 0 : ts.ctx->block_pc(op.si->taken_block);
     {
-      ProfScope ps(this, obs::Phase::kPredict);
+      obs::PhaseScope ps(obs::Phase::kPredict);
       di.pred = bpred_.predict(tid, *op.si, static_target, fallthrough_pc, fallthrough_pc);
     }
 
@@ -786,7 +784,7 @@ DynInst SmtCore::make_wrong_path_inst(ThreadState& ts, ThreadId tid) {
     const Addr static_target =
         si.op == OpClass::kReturn ? 0 : ts.ctx->block_pc(si.taken_block);
     {
-      ProfScope ps(this, obs::Phase::kPredict);
+      obs::PhaseScope ps(obs::Phase::kPredict);
       di.pred = bpred_.predict(tid, si, static_target, fallthrough_pc, fallthrough_pc);
     }
     di.taken = di.pred.taken;
@@ -817,7 +815,7 @@ bool SmtCore::fetch_one(ThreadState& ts, ThreadId tid) {
 
   Cycle iready;
   {
-    ProfScope ps(this, obs::Phase::kMemory);
+    obs::PhaseScope ps(obs::Phase::kMemory);
     iready = mem_.access_inst(icache_addr(ts, di.pc), cycle_);
   }
   di.fetch_cycle = std::max(cycle_, iready);
@@ -895,30 +893,14 @@ bool SmtCore::do_early_release() {
   return released > 0;
 }
 
-template <bool Profiled>
-bool SmtCore::tick_impl() {
-  // The profiled instantiation brackets each stage with steady_clock reads;
-  // the plain one compiles `lap` to nothing, so both share this body and the
-  // stage sequence cannot drift between them.
-  // tlrob-lint: allow(D2) profiler reads host time; it feeds SelfProfiler only
-  std::chrono::steady_clock::time_point t0;
-  if constexpr (Profiled) t0 = std::chrono::steady_clock::now();  // tlrob-lint: allow(D2) profiler
-  auto lap = [&](obs::Phase ph) {
-    if constexpr (Profiled) {
-      const auto t1 = std::chrono::steady_clock::now();  // tlrob-lint: allow(D2) profiler
-      u64 dt = static_cast<u64>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
-      // Time already attributed to the cross-cutting kMemory/kPredict
-      // phases inside this stage is subtracted so the table sums cleanly
-      // (clamped: clock granularity can make the parts exceed the whole).
-      dt -= std::min(dt, prof_steal_ns_);
-      prof_steal_ns_ = 0;
-      profiler_.add(ph, dt);
-      t0 = t1;
-    } else {
-      (void)ph;
-    }
-  };
+bool SmtCore::tick() {
+  ff_base_[0] = cnt_stall_rob_->value();
+  ff_base_[1] = cnt_stall_iq_->value();
+  ff_base_[2] = cnt_stall_lsq_->value();
+  ff_base_[3] = cnt_stall_regs_->value();
+  ff_base_[4] = cnt_stall_reg_reserve_->value();
+  ff_base_[5] = cnt_stall_dcra_->value();
+  ff_base_[6] = cnt_fetch_policy_gated_->value();
 
   // Commit baseline for the stall taxonomy's kCommit detection (on only with
   // the sampler; one predictable branch otherwise).
@@ -927,33 +909,34 @@ bool SmtCore::tick_impl() {
       commit_base_scratch_[t] = threads_[t].committed;
 
   bool active = false;
+  obs::enter(obs::Phase::kEvents);
   if (process_events()) active = true;
-  lap(obs::Phase::kEvents);
+  obs::enter(obs::Phase::kCommit);
   if (do_commit()) active = true;
-  lap(obs::Phase::kCommit);
+  obs::enter(obs::Phase::kIssue);
   if (do_issue()) active = true;
-  lap(obs::Phase::kIssue);
+  obs::enter(obs::Phase::kDispatch);
   if (do_dispatch()) active = true;
-  lap(obs::Phase::kDispatch);
+  obs::enter(obs::Phase::kFetch);
   if (do_fetch()) active = true;
-  lap(obs::Phase::kFetch);
   if (cfg_.early_register_release) {
+    obs::enter(obs::Phase::kEarlyRelease);
     if (do_early_release()) active = true;
-    lap(obs::Phase::kEarlyRelease);
   }
+  obs::enter(obs::Phase::kController);
   if (rob_ctrl_->tick(cycle_)) active = true;
-  lap(obs::Phase::kController);
   // Audit after the policy tick: maybe_release has run, so a granted window
   // whose justifying load completed this cycle has been revoked and any
   // surviving grant must be trigger-backed (see second_level_check.cpp).
   if (auditor_.enabled()) {
+    obs::enter(obs::Phase::kAudit);
     refresh_audit_ctx();
     auditor_.run_cycle(audit_ctx_);
-    lap(obs::Phase::kAudit);
   }
   // Observability, after every stage has settled. Ownership transitions only
   // happen in state-changing ticks, so polling per executed tick sees every
   // tenure edge; the sampler compare is the whole per-tick cost when off.
+  obs::enter(obs::Phase::kSample);
   if (trace_ != nullptr || tracer_.attached()) poll_second_level();
   // Stall taxonomy: attribute the cycle just simulated before the sampler
   // runs, so a sample labelled L carries the attribution through cycle L-1.
@@ -961,8 +944,8 @@ bool SmtCore::tick_impl() {
   if (sample_every_ != 0 && cycle_ + 1 == next_sample_) {
     record_sample(next_sample_);
     next_sample_ += sample_every_;
-    lap(obs::Phase::kSample);
   }
+  obs::enter(obs::Phase::kLoop);
   ++cycle_;
   return active;
 }
@@ -1024,20 +1007,6 @@ void SmtCore::attribute_idle_span(Cycle from, Cycle to) {
       c = end;
     }
   }
-}
-
-template bool SmtCore::tick_impl<false>();
-template bool SmtCore::tick_impl<true>();
-
-bool SmtCore::tick() {
-  ff_base_[0] = cnt_stall_rob_->value();
-  ff_base_[1] = cnt_stall_iq_->value();
-  ff_base_[2] = cnt_stall_lsq_->value();
-  ff_base_[3] = cnt_stall_regs_->value();
-  ff_base_[4] = cnt_stall_reg_reserve_->value();
-  ff_base_[5] = cnt_stall_dcra_->value();
-  ff_base_[6] = cnt_fetch_policy_gated_->value();
-  return profiler_.enabled() ? tick_impl<true>() : tick_impl<false>();
 }
 
 Cycle SmtCore::idle_wake(Cycle limit) const {
@@ -1215,7 +1184,6 @@ void SmtCore::reset_measurement() {
   // measured series stays on the same cycle grid regardless of warmup length.
   series_.reset();
   for (auto& a : stall_cycles_) a.fill(0);
-  profiler_.reset();
 }
 
 RunResult SmtCore::run(u64 commit_target, u64 max_cycles, u64 warmup_insts) {

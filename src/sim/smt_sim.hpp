@@ -24,7 +24,6 @@
 // execution; tests/golden pins that.
 #pragma once
 
-#include <chrono>  // tlrob-lint: allow(D2) host self-profiler time source, never architectural state
 #include <memory>
 #include <span>
 #include <vector>
@@ -36,7 +35,6 @@
 #include "common/ring_deque.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/interval_sampler.hpp"
-#include "obs/self_profile.hpp"
 #include "memory/memory_system.hpp"
 #include "pipeline/dcra.hpp"
 #include "pipeline/fetch_policy.hpp"
@@ -122,11 +120,8 @@ class SmtCore {
   /// cfg.telemetry.sample_interval is nonzero).
   const obs::IntervalSeries& samples() const { return series_; }
 
-  /// Host self-profiler (active when cfg.telemetry.profile).
-  const obs::SelfProfiler& profiler() const { return profiler_; }
-
   /// Ticks actually executed (cycle_ minus fast-forwarded ones) — the
-  /// denominator for the profiler's ns/cycle column.
+  /// denominator for the host profiler's ns/cycle column.
   u64 executed_cycles() const { return cycle_ - fast_forwarded_; }
 
   /// Cycles run_lockstep skipped via idle fast-forward (diagnostics; counted
@@ -209,14 +204,6 @@ class SmtCore {
   bool do_fetch();
   bool do_early_release();
 
-  /// One tick; returns true iff any stage (or the ROB controller) acted.
-  /// The template parameter selects host self-profiling: <true> brackets
-  /// each stage with steady_clock reads feeding profiler_, <false> compiles
-  /// to the bare stage sequence (the two share one body via if constexpr,
-  /// so they cannot drift apart).
-  template <bool Profiled>
-  bool tick_impl();
-
   // -- helpers ----------------------------------------------------------------
   void refresh_views();
   DynInst* find_inst(const InstRef& ref);
@@ -242,7 +229,7 @@ class SmtCore {
   /// piecewise instead of executing them.
   obs::StallClass classify_stall(ThreadId t, Cycle c, bool committed_now) const;
   /// Attributes the cycle being ticked (cycle_) for every thread; called at
-  /// the end of tick_impl, before the sampler, so samples see it.
+  /// the end of tick(), before the sampler, so samples see it.
   void attribute_tick();
   /// Attributes the idle cycles [from, to) from the quiescent state,
   /// splitting at the head load's segment edges (at most three breakpoints).
@@ -305,7 +292,7 @@ class SmtCore {
 
   // Observability (src/obs). All off by default: sample_every_ == 0 makes
   // the per-tick sampler test one short-circuited compare, trace_ == nullptr
-  // skips every event hook, and the profiler gates tick_impl selection.
+  // skips every event hook.
   obs::ChromeTraceWriter* trace_ = nullptr;
   obs::IntervalSeries series_;
   Cycle sample_every_ = 0;
@@ -319,34 +306,6 @@ class SmtCore {
   // Per-thread committed counts at the top of the current tick (kCommit
   // detection scratch; only maintained while the taxonomy is on).
   std::vector<u64> commit_base_scratch_;
-  obs::SelfProfiler profiler_;
-  // Detail attribution for the cross-cutting kMemory/kPredict phases: when
-  // the profiler is on, ProfScope brackets the memory-hierarchy and
-  // predictor calls, accumulating their time both into the detail phase and
-  // into prof_steal_ns_, which tick_impl's per-stage lap() subtracts from
-  // the enclosing stage. Off (the default), ProfScope is one predictable
-  // branch.
-  bool prof_detail_ = false;
-  u64 prof_steal_ns_ = 0;
-  struct ProfScope {
-    SmtCore* core;
-    obs::Phase phase;
-    // tlrob-lint: allow(D2) profiler scope reads host time; feeds SelfProfiler only
-    std::chrono::steady_clock::time_point t0;
-    ProfScope(SmtCore* c, obs::Phase p) : core(c), phase(p) {
-      if (core->prof_detail_) t0 = std::chrono::steady_clock::now();  // tlrob-lint: allow(D2) profiler
-    }
-    ~ProfScope() {
-      if (!core->prof_detail_) return;
-      // tlrob-lint: allow(D2) profiler scope exit: host-time delta for SelfProfiler
-      const u64 dt = static_cast<u64>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                          std::chrono::steady_clock::now() -  // tlrob-lint: allow(D2) profiler
-                                          t0)
-                                          .count());
-      core->profiler_.add(phase, dt);
-      core->prof_steal_ns_ += dt;
-    }
-  };
   // Second-level tenure being observed by poll_second_level().
   ThreadId sl_owner_ = SecondLevelRob::kNoOwner;
   Cycle sl_acquired_ = 0;

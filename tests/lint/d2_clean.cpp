@@ -1,5 +1,5 @@
 // tlrob-lint fixture: determinism-safe shapes D2 must NOT flag, including a
-// reviewed suppression (the same mechanism the self-profiler uses).
+// reviewed suppression for host-side measurement.
 // Expected findings: none.
 #include <chrono>  // tlrob-lint: allow(D2) fixture: host-side measurement, never architectural state
 #include <cstdint>

@@ -13,6 +13,8 @@ namespace {
 TEST(Cache, GeometryValidation) {
   EXPECT_THROW(Cache("bad", CacheGeometry{1024, 3, 32, 1}), std::invalid_argument);
   EXPECT_THROW(Cache("bad", CacheGeometry{1024, 4, 48, 1}), std::invalid_argument);
+  // Zero capacity divides by any way count but leaves no set (llc=0, l1d_kb=0).
+  EXPECT_THROW(Cache("empty", CacheGeometry{0, 4, 32, 1}), std::invalid_argument);
   Cache ok("ok", CacheGeometry{32 << 10, 4, 32, 1});
   EXPECT_EQ(ok.sets(), 256u);
 }

@@ -4,8 +4,10 @@
 // and the host self-profiler.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
+#include <thread>
 
 #include "obs/chrome_trace.hpp"
 #include "obs/interval_sampler.hpp"
@@ -221,43 +223,72 @@ TEST(ChromeTrace, AttachmentDoesNotPerturbTheRun) {
   EXPECT_GT(traced.fast_forwarded_cycles(), 0u);  // FF stayed on
 }
 
-TEST(SelfProfiler, DisabledByDefaultAndHarmless) {
-  obs::SelfProfiler p;
-  EXPECT_FALSE(p.enabled());
-  EXPECT_EQ(p.total_attributed_nanos(), 0u);
-  EXPECT_STREQ(obs::phase_name(obs::Phase::kCommit), "commit");
+TEST(SelfProfiler, PhaseScopeRestoresTheEnclosingPhase) {
+  auto current = [] { return obs::current_phase.load(std::memory_order_relaxed); };
+  obs::enter(obs::Phase::kIssue);
+  {
+    const obs::PhaseScope memory(obs::Phase::kMemory);
+    EXPECT_EQ(current(), obs::Phase::kMemory);
+    {
+      const obs::PhaseScope predict(obs::Phase::kPredict);
+      EXPECT_EQ(current(), obs::Phase::kPredict);
+    }
+    EXPECT_EQ(current(), obs::Phase::kMemory);
+  }
+  EXPECT_EQ(current(), obs::Phase::kIssue);
+  obs::enter(obs::Phase::kLoop);
+  EXPECT_STREQ(obs::phase_name(obs::Phase::kLoop), "loop");
+}
+
+// The sampler reads the creating thread's phase: a thread parked in one
+// phase for the profiler's whole life gets every sample there.
+TEST(SelfProfiler, EverySampleLandsInTheCurrentPhase) {
+  obs::enter(obs::Phase::kController);
+  obs::SelfProfiler profiler;
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  profiler.stop();
+  obs::enter(obs::Phase::kLoop);
+
+  EXPECT_GT(profiler.total_samples(), 0u);
+  EXPECT_EQ(profiler.samples(obs::Phase::kController), profiler.total_samples());
+  EXPECT_GE(profiler.wall_seconds(), 0.005);
+
+  std::ostringstream os;
+  profiler.print(os, 1000);
+  EXPECT_NE(os.str().find("controller"), std::string::npos);
+  EXPECT_NE(os.str().find("sampled"), std::string::npos);
 }
 
 TEST(SelfProfiler, ProfiledRunAttributesTimeWithoutChangingResults) {
   const auto benches = mix_benchmarks(table2_mix(1));
-  MachineConfig cfg = sampled_config(0);
+  const MachineConfig cfg = sampled_config(500);
 
   SmtCore plain(cfg, benches);
-  const RunResult a = plain.run(3000);
+  const RunResult a = plain.run(3000, 0, 1000);
 
-  cfg.telemetry.profile = true;
   SmtCore profiled(cfg, benches);
-  const RunResult b = profiled.run(3000);
+  obs::SelfProfiler profiler;
+  const RunResult b = profiled.run(3000, 0, 1000);
+  profiler.stop();
 
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.counters, b.counters);
-  EXPECT_TRUE(profiled.profiler().enabled());
-  EXPECT_GT(profiled.profiler().total_attributed_nanos(), 0u);
-  EXPECT_GT(profiled.profiler().calls(obs::Phase::kCommit), 0u);
-
-  std::ostringstream os;
-  profiled.profiler().print(os, profiled.executed_cycles(), 1.0);
-  EXPECT_NE(os.str().find("commit"), std::string::npos);
-  EXPECT_NE(os.str().find("unattributed"), std::string::npos);
+  EXPECT_EQ(a.samples, b.samples);
+  EXPECT_EQ(a.stall_cycles, b.stall_cycles);
+  ASSERT_EQ(a.threads.size(), b.threads.size());
+  for (size_t t = 0; t < a.threads.size(); ++t)
+    EXPECT_EQ(a.threads[t].committed, b.threads[t].committed) << "thread " << t;
+  EXPECT_GT(profiler.total_samples(), 0u);
+  // The run leaves its thread outside every stage.
+  EXPECT_EQ(obs::current_phase.load(std::memory_order_relaxed), obs::Phase::kLoop);
 }
 
 TEST(TelemetryConfig, EnvDefaultsAreOff) {
-  // The suite runs without $TLROB_SAMPLE / $TLROB_PROFILE; defaults must be
-  // fully off so every other test exercises the zero-cost path.
-  if (std::getenv("TLROB_SAMPLE") == nullptr && std::getenv("TLROB_PROFILE") == nullptr) {
+  // The suite runs without $TLROB_SAMPLE; the default must be off so every
+  // other test exercises the zero-cost path.
+  if (std::getenv("TLROB_SAMPLE") == nullptr) {
     const MachineConfig cfg;
     EXPECT_EQ(cfg.telemetry.sample_interval, 0u);
-    EXPECT_FALSE(cfg.telemetry.profile);
   }
 }
 

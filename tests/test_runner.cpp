@@ -538,7 +538,6 @@ TEST(RunnerMemo, KeyCoversEveryOverrideKnob) {
     mutate(js);
     EXPECT_NE(cell_key(js), base_key) << what;
   };
-  differs("telemetry.profile", [](JobSpec& js) { js.config.telemetry.profile = true; });
   differs("workload token", [](JobSpec& js) { js.mix.benchmarks[0] = "mcf"; });
   differs("workload order",
           [](JobSpec& js) { std::swap(js.mix.benchmarks[0], js.mix.benchmarks[1]); });
@@ -591,7 +590,7 @@ TEST(RunnerMemo, FailedCellsAreAlwaysSimulated) {
   }
 }
 
-TEST(RunnerMemo, SampleDirAndProfiledCellsBypassTheMemo) {
+TEST(RunnerMemo, SampleDirCellsBypassTheMemo) {
   clear_cell_memo();
   const std::string dir = testing::TempDir();
   CampaignSpec sampled = small_spec("memo_sampled");
@@ -606,11 +605,6 @@ TEST(RunnerMemo, SampleDirAndProfiledCellsBypassTheMemo) {
     for (u64 job = 0; job < 4; ++job)  // every run writes its own series
       EXPECT_FALSE(read_file(dir + "/samples_job" + std::to_string(job) + ".jsonl").empty());
   }
-
-  CampaignSpec profiled = small_spec("memo_profiled");
-  for (auto& c : profiled.columns) c.config.telemetry.profile = true;
-  for (int run = 0; run < 2; ++run)
-    EXPECT_EQ(run_campaign(profiled, EngineOptions{}).deduplicated, 0u) << "run " << run;
 }
 
 TEST(RunnerCli, ParsesMixedOptionForms) {

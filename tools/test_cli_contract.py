@@ -4,8 +4,10 @@
 Runs `simulate` and `tlrob-mktrace` as subprocesses and asserts the shared
 front-end contract (common/config.hpp): `--key value` means the same as
 `key=value`; a typo, a malformed value or an input the machine cannot run
-exits 2 with an `error:` line on stderr, never an abort; and `simulate`
-accepts trace workload tokens. Registered with ctest as `cli_contract_py`:
+exits 2 with an `error:` line on stderr, never an abort; `simulate`
+accepts trace workload tokens; and `simulate profile=1` adds its phase
+table on stderr without changing a byte of stdout. Registered with ctest as
+`cli_contract_py`:
 
     test_cli_contract.py <simulate binary> <tlrob-mktrace binary>
 """
@@ -61,6 +63,24 @@ def main():
     rejected("stats=maybe", run(simulate, "mix=1", "stats=maybe", *RUN))
     rejected("unknown key", run(simulate, "mix=1", "bogus=1", *RUN))
     rejected("unknown workload", run(simulate, "nosuch", *RUN))
+    rejected("llc=0", run(simulate, "mix=1", "llc=0", *RUN))
+    rejected("l1d_kb=0", run(simulate, "mix=1", "l1d_kb=0", *RUN))
+    rejected("llc=+64", run(simulate, "mix=1", "llc=+64", *RUN))
+    rejected("llc=' 64'", run(simulate, "mix=1", "llc= 64", *RUN))
+    rejected("dram=-2", run(simulate, "mix=1", "dram=-2", *RUN))
+    bad_env = subprocess.run([simulate, "mix=1", *RUN], capture_output=True, text=True,
+                             timeout=300, env={**os.environ, "TLROB_SAMPLE": "abc"})
+    rejected("$TLROB_SAMPLE=abc", bad_env)
+    check("$TLROB_SAMPLE=abc names the variable", "TLROB_SAMPLE" in bad_env.stderr,
+          bad_env.stderr[-200:])
+
+    profiled = run(simulate, "mix=1", "profile=1", *RUN)
+    check("profile=1 leaves stdout byte-identical",
+          profiled.returncode == 0 and profiled.stdout == joined.stdout,
+          f"rc {profiled.returncode}, stderr {profiled.stderr[-200:]!r}")
+    check("profile=1 prints the phase table on stderr",
+          "samples" in profiled.stderr and "sampled" in profiled.stderr
+          and "dispatch" in profiled.stderr, profiled.stderr[-300:])
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "art.trace")
