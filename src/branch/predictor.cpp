@@ -5,20 +5,14 @@ namespace tlrob {
 BranchPredictor::BranchPredictor(const PredictorConfig& cfg, u32 num_threads)
     : gshare_(cfg.gshare_entries, cfg.history_bits, num_threads),
       btb_(cfg.btb_entries, cfg.btb_ways),
-      ras_(num_threads) {
-  cnt_btb_hits_ = &stats_.counter("btb.hits");
-  cnt_cond_ = &stats_.counter("branch.cond");
-  cnt_cond_mispredict_ = &stats_.counter("branch.cond_mispredict");
-  cnt_returns_ = &stats_.counter("branch.returns");
-  cnt_ras_mispredict_ = &stats_.counter("branch.ras_mispredict");
-}
+      ras_(num_threads) {}
 
 BranchPrediction BranchPredictor::predict(ThreadId tid, const StaticInst& si,
                                           Addr static_target, Addr fallthrough,
                                           Addr return_pc) {
   BranchPrediction p;
   p.ras_checkpoint = ras_[tid].checkpoint();
-  if (btb_.lookup(tid, si.pc).has_value()) cnt_btb_hits_->inc();
+  if (btb_.lookup(tid, si.pc).has_value()) ++stats_.btb_hits;
 
   switch (si.op) {
     case OpClass::kBranch: {
@@ -54,12 +48,12 @@ void BranchPredictor::train(ThreadId tid, const StaticInst& si, const BranchPred
                             bool actual_taken, Addr actual_target) {
   if (si.op == OpClass::kBranch) {
     gshare_.update(si.pc, pred.history_before, actual_taken);
-    cnt_cond_->inc();
-    if (pred.taken != actual_taken) cnt_cond_mispredict_->inc();
+    ++stats_.cond;
+    if (pred.taken != actual_taken) ++stats_.cond_mispredict;
   }
   if (si.op == OpClass::kReturn) {
-    cnt_returns_->inc();
-    if (pred.target != actual_target) cnt_ras_mispredict_->inc();
+    ++stats_.returns;
+    if (pred.target != actual_target) ++stats_.ras_mispredict;
   }
   if (actual_taken) btb_.update(tid, si.pc, actual_target);
 }

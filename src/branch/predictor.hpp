@@ -33,6 +33,23 @@ struct BranchPrediction {
   bool used_ras = false;
 };
 
+struct BranchStats {
+  u64 btb_hits = 0;
+  u64 cond = 0;
+  u64 cond_mispredict = 0;
+  u64 returns = 0;
+  u64 ras_mispredict = 0;
+};
+
+inline constexpr auto kBranchStatFields = std::to_array<StatField<BranchStats>>({
+    {&BranchStats::btb_hits, "btb.hits"},
+    {&BranchStats::cond, "branch.cond"},
+    {&BranchStats::cond_mispredict, "branch.cond_mispredict"},
+    {&BranchStats::returns, "branch.returns"},
+    {&BranchStats::ras_mispredict, "branch.ras_mispredict"},
+});
+static_assert(names_every_field(kBranchStatFields));
+
 class BranchPredictor {
  public:
   BranchPredictor(const PredictorConfig& cfg, u32 num_threads);
@@ -52,22 +69,15 @@ class BranchPredictor {
   void recover(ThreadId tid, const StaticInst& si, const BranchPrediction& pred,
                bool actual_taken);
 
-  StatGroup& stats() { return stats_; }
+  const BranchStats& stats() const { return stats_; }
+  void reset_stats() { stats_ = {}; }
   ReturnAddressStack& ras(ThreadId tid) { return ras_[tid]; }
 
  private:
   Gshare gshare_;
   Btb btb_;
   std::vector<ReturnAddressStack> ras_;
-  StatGroup stats_;
-  // Cached stat handles (StatGroup map nodes are address-stable); predict()
-  // runs per fetched control op and train() per resolved one, so the
-  // string-keyed lookups were measurable. Declared after stats_.
-  Counter* cnt_btb_hits_;
-  Counter* cnt_cond_;
-  Counter* cnt_cond_mispredict_;
-  Counter* cnt_returns_;
-  Counter* cnt_ras_mispredict_;
+  BranchStats stats_;
 };
 
 }  // namespace tlrob

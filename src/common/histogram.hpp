@@ -43,6 +43,8 @@ class Histogram {
   /// Prints "value count" lines; `label` prefixes each line when non-empty.
   void print(std::ostream& os, const std::string& label = "") const;
 
+  bool operator==(const Histogram&) const = default;
+
  private:
   std::vector<u64> buckets_;
   u64 total_ = 0;

@@ -1,76 +1,56 @@
-// Lightweight named-statistics registry.
+// Component statistics as plain counters.
 //
-// Every simulator component registers scalar counters and averages with a
-// StatGroup; the experiment harness and benches print or diff them. This is
-// the moral equivalent of SimpleScalar's stat database, reduced to what the
-// reproduction needs.
+// Every simulator component that counts keeps its counters as u64 fields of
+// one XxxStats struct (incremented as `++stats_.misses`, reset with
+// `stats_ = {}`). Next to the struct, one constexpr table pairs each field
+// with its record name; the tables are the counter-name registry, and
+// export_stats() writes a struct into RunResult::counters under the
+// component's prefix. `static_assert(names_every_field(table))` makes a
+// field missing from its table a build error.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <map>
-#include <ostream>
 #include <string>
+#include <vector>
 
 #include "common/types.hpp"
 
 namespace tlrob {
 
-/// A monotonically increasing event counter.
-class Counter {
- public:
-  void inc(u64 by = 1) { value_ += by; }
-  void reset() { value_ = 0; }
-  u64 value() const { return value_; }
-
- private:
-  u64 value_ = 0;
+/// One counter of a stats struct: the field and its record name (without
+/// the component prefix).
+template <class S>
+struct StatField {
+  u64 S::*member;
+  const char* name;
 };
 
-/// Running mean of observed samples.
-class Average {
- public:
-  void sample(double v) {
-    sum_ += v;
-    ++count_;
-  }
-  void reset() {
-    sum_ = 0;
-    count_ = 0;
-  }
-  u64 count() const { return count_; }
-  double sum() const { return sum_; }
-  double mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
+/// True when `table` names every u64 field of S exactly once. `nested_bytes`
+/// is the size of sub-structs S embeds that have tables of their own.
+template <class S, std::size_t N>
+constexpr bool names_every_field(const std::array<StatField<S>, N>& table,
+                                 std::size_t nested_bytes = 0) {
+  if (sizeof(S) != N * sizeof(u64) + nested_bytes) return false;
+  for (std::size_t i = 0; i < N; ++i)
+    for (std::size_t j = i + 1; j < N; ++j)
+      if (table[i].member == table[j].member) return false;
+  return true;
+}
 
- private:
-  double sum_ = 0;
-  u64 count_ = 0;
-};
+/// Writes every field of `s` as `prefix + name` into `out`.
+template <class S, std::size_t N>
+void export_stats(std::map<std::string, u64>& out, const std::string& prefix, const S& s,
+                  const std::array<StatField<S>, N>& table) {
+  for (const StatField<S>& f : table) out[prefix + f.name] = s.*f.member;
+}
 
-/// A flat, ordered collection of named counters and averages.
-///
-/// Lookup is by full dotted name ("commit.insts"). Creation is idempotent:
-/// the first lookup creates the stat, later lookups return the same object.
-class StatGroup {
- public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Average& average(const std::string& name) { return averages_[name]; }
-
-  bool has_counter(const std::string& name) const { return counters_.count(name) != 0; }
-  bool has_average(const std::string& name) const { return averages_.count(name) != 0; }
-
-  /// Value of a counter, or 0 if it was never touched.
-  u64 counter_value(const std::string& name) const;
-
-  void reset();
-
-  /// Prints "name value" lines in name order.
-  void print(std::ostream& os) const;
-
-  const std::map<std::string, Counter>& counters_map() const { return counters_; }
-  const std::map<std::string, Average>& averages_map() const { return averages_; }
-
- private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Average> averages_;
-};
+/// Writes a per-index family (one counter per thread, ...) as
+/// `prefix + index` into `out`.
+inline void export_family(std::map<std::string, u64>& out, const std::string& prefix,
+                          const std::vector<u64>& values) {
+  for (std::size_t i = 0; i < values.size(); ++i) out[prefix + std::to_string(i)] = values[i];
+}
 
 }  // namespace tlrob

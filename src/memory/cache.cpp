@@ -30,11 +30,6 @@ Cache::Cache(std::string name, const CacheGeometry& geo) : name_(std::move(name)
   ready_at_.assign(lines, 0);
   lru_.assign(lines, 0);
   flags_.assign(lines, 0);
-  cnt_accesses_ = &stats_.counter("accesses");
-  cnt_misses_ = &stats_.counter("misses");
-  cnt_mshr_merges_ = &stats_.counter("mshr_merges");
-  cnt_fill_bypass_ = &stats_.counter("fill_bypass");
-  cnt_evictions_ = &stats_.counter("evictions");
 }
 
 bool Cache::fill(Addr addr, Cycle now, Cycle ready_at, bool from_memory, bool* evicted_dirty,
@@ -61,7 +56,7 @@ bool Cache::fill(Addr addr, Cycle now, Cycle ready_at, bool from_memory, bool* e
     if (victim == kNotFound || lru_[i] < lru_[victim]) victim = i;
   }
   if (victim == kNotFound) {
-    cnt_fill_bypass_->inc();
+    ++stats_.fill_bypass;
     return false;
   }
   const u8 vf = flags_[victim];
@@ -70,7 +65,7 @@ bool Cache::fill(Addr addr, Cycle now, Cycle ready_at, bool from_memory, bool* e
     if (evicted_addr)
       *evicted_addr = ((tags_[victim] << set_shift_) | set_of(addr)) << line_shift_;
   }
-  if ((vf & kValid) != 0) cnt_evictions_->inc();
+  if ((vf & kValid) != 0) ++stats_.evictions;
   tags_[victim] = tag_of(addr);
   ready_at_[victim] = ready_at;
   flags_[victim] = static_cast<u8>(kValid | (from_memory ? kFromMemory : 0));

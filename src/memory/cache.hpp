@@ -24,6 +24,23 @@
 
 namespace tlrob {
 
+struct CacheStats {
+  u64 accesses = 0;
+  u64 misses = 0;
+  u64 mshr_merges = 0;
+  u64 fill_bypass = 0;
+  u64 evictions = 0;
+};
+
+inline constexpr auto kCacheStatFields = std::to_array<StatField<CacheStats>>({
+    {&CacheStats::accesses, "accesses"},
+    {&CacheStats::misses, "misses"},
+    {&CacheStats::mshr_merges, "mshr_merges"},
+    {&CacheStats::fill_bypass, "fill_bypass"},
+    {&CacheStats::evictions, "evictions"},
+});
+static_assert(names_every_field(kCacheStatFields));
+
 struct CacheGeometry {
   u64 size_bytes = 32 << 10;
   u32 ways = 4;
@@ -45,7 +62,7 @@ class Cache {
   /// this is the hottest call in the memory system (every access, every
   /// level), and the hit path must not pay a call.
   Probe probe(Addr addr, Cycle now) {
-    cnt_accesses_->inc();
+    ++stats_.accesses;
     Probe p;
     const u32 i = find(addr);
     if (i != kNotFound) {
@@ -53,9 +70,9 @@ class Cache {
       p.ready_at = ready_at_[i];
       p.fill_from_memory = (flags_[i] & kFromMemory) != 0;
       lru_[i] = ++stamp_;
-      if (p.ready_at > now) cnt_mshr_merges_->inc();
+      if (p.ready_at > now) ++stats_.mshr_merges;
     } else {
-      cnt_misses_->inc();
+      ++stats_.misses;
     }
     return p;
   }
@@ -85,7 +102,8 @@ class Cache {
   const CacheGeometry& geometry() const { return geo_; }
   u32 sets() const { return sets_; }
   const std::string& name() const { return name_; }
-  StatGroup& stats() { return stats_; }
+  const CacheStats& stats() const { return stats_; }
+  void reset_stats() { stats_ = {}; }
 
  private:
   static constexpr u32 kNotFound = ~0u;
@@ -121,15 +139,7 @@ class Cache {
   std::vector<u64> lru_;   // last-touch stamp
   std::vector<u8> flags_;  // kValid | kDirty | kFromMemory
   u64 stamp_ = 0;
-  StatGroup stats_;
-  // Cached stat handles (StatGroup map nodes are address-stable and reset()
-  // zeroes in place); probe() runs on every memory access, so the per-call
-  // map lookups were measurable. Declared after stats_.
-  Counter* cnt_accesses_;
-  Counter* cnt_misses_;
-  Counter* cnt_mshr_merges_;
-  Counter* cnt_fill_bypass_;
-  Counter* cnt_evictions_;
+  CacheStats stats_;
 };
 
 }  // namespace tlrob

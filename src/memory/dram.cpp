@@ -38,11 +38,6 @@ DramModel::DramModel(const DramConfig& cfg) : cfg_(cfg) {
   bank_open_row_.assign(banks, 0);
   bank_row_valid_.assign(banks, 0);
   bus_free_.assign(cfg.channels, 0);
-  cnt_reads_ = &stats_.counter("reads");
-  cnt_writebacks_ = &stats_.counter("writebacks");
-  cnt_row_hits_ = &stats_.counter("row_hits");
-  cnt_row_misses_ = &stats_.counter("row_misses");
-  cnt_row_conflicts_ = &stats_.counter("row_conflicts");
 }
 
 DramModel::BankRef DramModel::map(Addr addr) const {
@@ -86,9 +81,9 @@ DramModel::Timing DramModel::access_bank(Addr addr, Cycle when) {
   }
 
   switch (outcome) {
-    case RowOutcome::kHit: cnt_row_hits_->inc(); break;
-    case RowOutcome::kMiss: cnt_row_misses_->inc(); break;
-    case RowOutcome::kConflict: cnt_row_conflicts_->inc(); break;
+    case RowOutcome::kHit: ++stats_.row_hits; break;
+    case RowOutcome::kMiss: ++stats_.row_misses; break;
+    case RowOutcome::kConflict: ++stats_.row_conflicts; break;
   }
   if (trace_ != nullptr) {
     const char* name = outcome == RowOutcome::kHit     ? "row_hit"
@@ -105,7 +100,7 @@ DramModel::Access DramModel::read(Addr addr, Cycle when) {
   const Cycle transfer_start = std::max(t.data_at, bus_free_[ch]);
   const Cycle done = transfer_start + transfer_;
   bus_free_[ch] = done;
-  cnt_reads_->inc();
+  ++stats_.reads;
   return {done, t.outcome, t.data_at};
 }
 
@@ -114,7 +109,7 @@ DramModel::Access DramModel::write(Addr addr, Cycle when) {
   const u32 ch = static_cast<u32>((addr >> line_shift_) & (cfg_.channels - 1));
   const Cycle transfer_start = std::max(t.data_at, bus_free_[ch]);
   bus_free_[ch] = transfer_start + transfer_;
-  cnt_writebacks_->inc();
+  ++stats_.writebacks;
   return {bus_free_[ch], t.outcome, t.data_at};
 }
 
@@ -131,10 +126,9 @@ u64 DramModel::bank_open_row(u32 channel, u32 bank) const {
 }
 
 std::string DramModel::audit_check() const {
-  const u64 reads = stats_.counter_value("reads");
-  const u64 writes = stats_.counter_value("writebacks");
-  const u64 outcomes = stats_.counter_value("row_hits") + stats_.counter_value("row_misses") +
-                       stats_.counter_value("row_conflicts");
+  const u64 reads = stats_.reads;
+  const u64 writes = stats_.writebacks;
+  const u64 outcomes = stats_.row_hits + stats_.row_misses + stats_.row_conflicts;
   if (outcomes != reads + writes) {
     std::ostringstream os;
     os << "dram: row outcomes (" << outcomes << ") != reads+writebacks (" << reads + writes

@@ -51,6 +51,23 @@ struct DramConfig {
   bool open_page = true;
 };
 
+struct DramStats {
+  u64 reads = 0;
+  u64 writebacks = 0;
+  u64 row_hits = 0;
+  u64 row_misses = 0;
+  u64 row_conflicts = 0;
+};
+
+inline constexpr auto kDramStatFields = std::to_array<StatField<DramStats>>({
+    {&DramStats::reads, "reads"},
+    {&DramStats::writebacks, "writebacks"},
+    {&DramStats::row_hits, "row_hits"},
+    {&DramStats::row_misses, "row_misses"},
+    {&DramStats::row_conflicts, "row_conflicts"},
+});
+static_assert(names_every_field(kDramStatFields));
+
 class DramModel {
  public:
   enum class RowOutcome : u8 { kHit, kMiss, kConflict };
@@ -92,8 +109,8 @@ class DramModel {
   Cycle transfer_cycles() const { return transfer_; }
 
   const DramConfig& config() const { return cfg_; }
-  StatGroup& stats() { return stats_; }
-  const StatGroup& stats() const { return stats_; }
+  const DramStats& stats() const { return stats_; }
+  void reset_stats() { stats_ = {}; }
   void reset();
 
   /// Attaches a Chrome trace writer (nullptr detaches): every bank access
@@ -125,12 +142,7 @@ class DramModel {
   std::vector<u8> bank_row_valid_;
   std::vector<Cycle> bus_free_;  // per channel
   obs::ChromeTraceWriter* trace_ = nullptr;
-  StatGroup stats_;
-  Counter* cnt_reads_;
-  Counter* cnt_writebacks_;
-  Counter* cnt_row_hits_;
-  Counter* cnt_row_misses_;
-  Counter* cnt_row_conflicts_;
+  DramStats stats_;
 };
 
 }  // namespace tlrob

@@ -12,9 +12,6 @@ MemoryChannel::MemoryChannel(const MemoryChannelConfig& cfg) : cfg_(cfg) {
   u32 cap = 8;
   while (cap < 2 * cfg.mshr_entries) cap <<= 1;
   fifo_.assign(cap, 0);
-  cnt_fills_ = &stats_.counter("fills");
-  cnt_writebacks_ = &stats_.counter("writebacks");
-  cnt_mshr_full_stalls_ = &stats_.counter("mshr_full_stalls");
 }
 
 void MemoryChannel::push_done(Cycle done) {
@@ -36,7 +33,7 @@ Cycle MemoryChannel::admit(Cycle when) {
     --count_;
   }
   if (count_ < cfg_.mshr_entries) return when;
-  cnt_mshr_full_stalls_->inc();
+  ++stats_.mshr_full_stalls;
   return fifo_[head_];
 }
 
@@ -48,13 +45,13 @@ Cycle MemoryChannel::request_fill(Cycle when) {
   const Cycle done = transfer_start + transfer_;
   bus_free_ = done;
   push_done(done);
-  cnt_fills_->inc();
+  ++stats_.fills;
   return done;
 }
 
 void MemoryChannel::request_writeback(Cycle when) {
   bus_free_ = std::max(bus_free_, when) + transfer_;
-  cnt_writebacks_->inc();
+  ++stats_.writebacks;
 }
 
 void MemoryChannel::reset() {

@@ -27,6 +27,19 @@ struct MemoryChannelConfig {
   u32 mshr_entries = 24;       // outstanding line fills
 };
 
+struct MemoryChannelStats {
+  u64 fills = 0;
+  u64 writebacks = 0;
+  u64 mshr_full_stalls = 0;
+};
+
+inline constexpr auto kMemoryChannelStatFields = std::to_array<StatField<MemoryChannelStats>>({
+    {&MemoryChannelStats::fills, "fills"},
+    {&MemoryChannelStats::writebacks, "writebacks"},
+    {&MemoryChannelStats::mshr_full_stalls, "mshr_full_stalls"},
+});
+static_assert(names_every_field(kMemoryChannelStatFields));
+
 class MemoryChannel {
  public:
   explicit MemoryChannel(const MemoryChannelConfig& cfg);
@@ -42,7 +55,8 @@ class MemoryChannel {
   /// Transfer time of one line over the bus.
   Cycle transfer_cycles() const { return transfer_; }
 
-  StatGroup& stats() { return stats_; }
+  const MemoryChannelStats& stats() const { return stats_; }
+  void reset_stats() { stats_ = {}; }
   void reset();
 
  private:
@@ -64,10 +78,7 @@ class MemoryChannel {
   std::vector<Cycle> fifo_;  // capacity kept a power of two
   u32 head_ = 0;
   u32 count_ = 0;
-  StatGroup stats_;
-  Counter* cnt_fills_;
-  Counter* cnt_writebacks_;
-  Counter* cnt_mshr_full_stalls_;
+  MemoryChannelStats stats_;
 };
 
 }  // namespace tlrob

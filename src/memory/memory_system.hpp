@@ -69,6 +69,10 @@ class MemorySystem {
   Cache& l1d() { return *l1d_; }
   Cache& l2() { return *l2_; }
   MemoryChannel& channel() { return *channel_; }
+  const Cache& l1i() const { return *l1i_; }
+  const Cache& l1d() const { return *l1d_; }
+  const Cache& l2() const { return *l2_; }
+  const MemoryChannel& channel() const { return *channel_; }
   const MemoryConfig& config() const { return cfg_; }
 
  private:

@@ -22,10 +22,6 @@ SharedMemory::SharedMemory(const LlcConfig& llc, const DramConfig& dram) : cfg_(
   line_shift_ = log2_pow2(llc.geo.line_bytes);
   llc_ = std::make_unique<Cache>("llc", llc.geo);
   dram_ = std::make_unique<DramModel>(d);
-  cnt_cross_core_merges_ = &stats_.counter("cross_core_merges");
-  cnt_mshr_full_stalls_ = &stats_.counter("mshr_full_stalls");
-  cnt_writebacks_in_ = &stats_.counter("writebacks_in");
-  cnt_writeback_misses_ = &stats_.counter("writeback_misses");
 }
 
 Cycle SharedMemory::admit(Cycle when) {
@@ -41,7 +37,7 @@ Cycle SharedMemory::admit(Cycle when) {
   };
   drop_through(when);
   if (inflight_.size() < cfg_.mshr_entries) return when;
-  cnt_mshr_full_stalls_->inc();
+  ++stats_.mshr_full_stalls;
   Cycle earliest = inflight_.front().done;
   for (const InflightFill& f : inflight_) earliest = std::min(earliest, f.done);
   drop_through(earliest);
@@ -60,7 +56,7 @@ SharedMemory::Fill SharedMemory::request_fill(Addr addr, Cycle when, u32 core) {
       for (auto it = inflight_.rbegin(); it != inflight_.rend(); ++it) {
         if (it->line == line) {
           if (it->core != core) {
-            cnt_cross_core_merges_->inc();
+            ++stats_.cross_core_merges;
             if (trace_ != nullptr)
               trace_->instant_event(llc_tid_, "cross_core_merge", tag_done,
                                     {{"core", core}, {"owner", it->core}});
@@ -86,9 +82,9 @@ SharedMemory::Fill SharedMemory::request_fill(Addr addr, Cycle when, u32 core) {
 }
 
 void SharedMemory::request_writeback(Addr addr, Cycle when) {
-  cnt_writebacks_in_->inc();
+  ++stats_.writebacks_in;
   if (llc_->mark_dirty(addr)) return;  // resident: absorbed, dirty in the LLC
-  cnt_writeback_misses_->inc();
+  ++stats_.writeback_misses;
   dram_->write(addr, when);
 }
 
@@ -109,9 +105,9 @@ void SharedMemory::attach_chrome_trace(obs::ChromeTraceWriter* w) {
 }
 
 void SharedMemory::reset_stats() {
-  llc_->stats().reset();
-  dram_->stats().reset();
-  stats_.reset();
+  llc_->reset_stats();
+  dram_->reset_stats();
+  stats_ = {};
 }
 
 void SharedMemory::corrupt_inflight_for_test() {

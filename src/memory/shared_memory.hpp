@@ -34,6 +34,23 @@ struct LlcConfig {
   u32 mshr_entries = 32;                    // outstanding DRAM fills, all cores
 };
 
+/// The backend's own counters, exported under "llc." next to the LLC
+/// cache's.
+struct SharedMemoryStats {
+  u64 cross_core_merges = 0;
+  u64 mshr_full_stalls = 0;
+  u64 writebacks_in = 0;
+  u64 writeback_misses = 0;
+};
+
+inline constexpr auto kSharedMemoryStatFields = std::to_array<StatField<SharedMemoryStats>>({
+    {&SharedMemoryStats::cross_core_merges, "cross_core_merges"},
+    {&SharedMemoryStats::mshr_full_stalls, "mshr_full_stalls"},
+    {&SharedMemoryStats::writebacks_in, "writebacks_in"},
+    {&SharedMemoryStats::writeback_misses, "writeback_misses"},
+});
+static_assert(names_every_field(kSharedMemoryStatFields));
+
 class SharedMemory {
  public:
   SharedMemory(const LlcConfig& llc, const DramConfig& dram);
@@ -69,8 +86,7 @@ class SharedMemory {
   const Cache& llc() const { return *llc_; }
   DramModel& dram() { return *dram_; }
   const DramModel& dram() const { return *dram_; }
-  StatGroup& stats() { return stats_; }
-  const StatGroup& stats() const { return stats_; }
+  const SharedMemoryStats& stats() const { return stats_; }
   const LlcConfig& config() const { return cfg_; }
 
   u32 inflight_count() const { return static_cast<u32>(inflight_.size()); }
@@ -110,11 +126,7 @@ class SharedMemory {
   std::vector<InflightFill> inflight_;
   obs::ChromeTraceWriter* trace_ = nullptr;
   ThreadId llc_tid_ = 0;  // trace track one past the DRAM bank tracks
-  StatGroup stats_;
-  Counter* cnt_cross_core_merges_;
-  Counter* cnt_mshr_full_stalls_;
-  Counter* cnt_writebacks_in_;
-  Counter* cnt_writeback_misses_;
+  SharedMemoryStats stats_;
 };
 
 }  // namespace tlrob

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "pipeline/dyn_inst.hpp"
 
 namespace tlrob {

@@ -19,25 +19,20 @@ const char* rob_scheme_name(RobScheme scheme) {
 TwoLevelRobController::TwoLevelRobController(const RobPolicyConfig& cfg,
                                              std::vector<ReorderBuffer*> robs,
                                              SecondLevelRob& second)
-    : cfg_(cfg), robs_(std::move(robs)), second_(second), threads_(robs_.size()) {
+    : cfg_(cfg),
+      robs_(std::move(robs)),
+      second_(second),
+      threads_(robs_.size()),
+      allocations_by_thread_(robs_.size(), 0),
+      busy_by_thread_(robs_.size(), 0) {
   if (cfg.scheme == RobScheme::kPredictive)
     predictor_ = std::make_unique<DodPredictor>(cfg.predictor_entries);
-  cnt_allocations_ = &stats_.counter("allocations");
-  cnt_lease_grants_ = &stats_.counter("lease_grants_or_renewals");
-  cnt_releases_ = &stats_.counter("releases");
-  cnt_l2_miss_candidates_ = &stats_.counter("l2_miss_candidates");
-  cnt_rejected_high_dod_ = &stats_.counter("rejected_high_dod");
-  cnt_predictions_ = &stats_.counter("predictions");
-  cnt_prediction_cold_misses_ = &stats_.counter("prediction_cold_misses");
-  cnt_predictive_allocations_ = &stats_.counter("predictive_allocations");
-  cnt_verification_failures_ = &stats_.counter("verification_failures");
-  cnt_adaptive_grows_ = &stats_.counter("adaptive.grows");
-  cnt_adaptive_shrinks_ = &stats_.counter("adaptive.shrinks");
-  avg_dod_at_decision_ = &stats_.average("dod_at_decision");
-  for (u32 t = 0; t < threads_.size(); ++t) {
-    cnt_allocations_tid_.push_back(&stats_.counter("allocations.t" + std::to_string(t)));
-    cnt_busy_tid_.push_back(&stats_.counter("busy.t" + std::to_string(t)));
-  }
+}
+
+void TwoLevelRobController::reset_stats() {
+  stats_ = {};
+  std::fill(allocations_by_thread_.begin(), allocations_by_thread_.end(), 0);
+  std::fill(busy_by_thread_.begin(), busy_by_thread_.end(), 0);
 }
 
 u32 TwoLevelRobController::dod_count(ThreadId tid, u64 tseq) const {
@@ -49,8 +44,8 @@ void TwoLevelRobController::acquire(ThreadId tid, u64 tseq, Cycle now) {
   if (second_.available()) {
     second_.allocate(tid, now);
     robs_[tid]->grant_extra(second_.entries());
-    cnt_allocations_->inc();
-    cnt_allocations_tid_[tid]->inc();
+    ++stats_.allocations;
+    ++allocations_by_thread_[tid];
   } else if (second_.owned_by(tid)) {
     // Renewal: a drain (revoked extra, waiting for release) can be re-armed
     // by a fresh qualifying miss while the lease lasts.
@@ -58,7 +53,7 @@ void TwoLevelRobController::acquire(ThreadId tid, u64 tseq, Cycle now) {
   }
   threads_[tid].trigger_tseq = tseq;
   threads_[tid].has_trigger = true;
-  cnt_lease_grants_->inc();
+  ++stats_.lease_grants_or_renewals;
 }
 
 bool TwoLevelRobController::maybe_release(ThreadId tid, Cycle now) {
@@ -79,7 +74,7 @@ bool TwoLevelRobController::maybe_release(ThreadId tid, Cycle now) {
   ts.has_trigger = false;
   if (rob.size() > rob.base_capacity()) return changed;  // drain into level 1 first
 
-  cnt_busy_tid_[tid]->inc(now - second_.acquired_at());
+  busy_by_thread_[tid] += now - second_.acquired_at();
   // The cooldown exists to rotate the partition among contenders; with no
   // other thread waiting for it, re-acquisition is free.
   bool contended = false;
@@ -87,7 +82,7 @@ bool TwoLevelRobController::maybe_release(ThreadId tid, Cycle now) {
     if (o != tid && !threads_[o].cands.empty()) contended = true;
   ts.cooldown_until = contended ? now + cfg_.lease_cooldown : now;
   second_.release(now);
-  cnt_releases_->inc();
+  ++stats_.releases;
   return true;
 }
 
@@ -100,20 +95,20 @@ void TwoLevelRobController::on_l2_miss_detected(DynInst& load, Cycle now) {
   if (load.wrong_path) return;
   const ThreadId tid = load.tid;
   ThreadState& ts = threads_[tid];
-  cnt_l2_miss_candidates_->inc();
+  ++stats_.l2_miss_candidates;
 
   if (cfg_.scheme == RobScheme::kPredictive) {
     const auto pred = predictor_->predict(tid, load.pc);
     if (pred.has_value()) {
-      cnt_predictions_->inc();
+      ++stats_.predictions;
       const bool can_acquire_fresh = second_.available() && now >= ts.cooldown_until;
       const bool can_renew = second_.owned_by(tid) && !lease_expired(tid, now);
       if (*pred < cfg_.dod_threshold && (can_acquire_fresh || can_renew)) {
         acquire(tid, load.tseq, now);
-        cnt_predictive_allocations_->inc();
+        ++stats_.predictive_allocations;
       }
     } else {
-      cnt_prediction_cold_misses_->inc();
+      ++stats_.prediction_cold_misses;
     }
     // Track for verification at fill regardless of the decision.
     ts.cands.push_back({load.tseq, now, kNeverCycle, false});
@@ -139,7 +134,7 @@ void TwoLevelRobController::on_load_fill(DynInst& load, Cycle now) {
     predictor_->update(tid, load.pc, actual);
     if (second_.owned_by(tid) && ts.has_trigger && ts.trigger_tseq == load.tseq &&
         actual >= cfg_.dod_threshold) {
-      cnt_verification_failures_->inc();
+      ++stats_.verification_failures;
       ts.has_trigger = false;  // lease no longer justified; release on drain
     }
   }
@@ -172,12 +167,11 @@ bool TwoLevelRobController::evaluate(ThreadId tid, Candidate& c, Cycle now) {
 
   if (conditions) {
     const u32 dod = dod_count(tid, c.tseq);
-    avg_dod_at_decision_->sample(static_cast<double>(dod));
     if (dod < cfg_.dod_threshold) {
       acquire(tid, c.tseq, now);
       return true;  // decision made; candidate retired
     }
-    cnt_rejected_high_dod_->inc();
+    ++stats_.rejected_high_dod;
     // A high count can shrink as independent work executes; keep re-checking
     // while the miss is outstanding.
   }
@@ -202,7 +196,7 @@ bool TwoLevelRobController::adaptive_tick(Cycle now) {
       // instructions at the shared issue logic — shrink one partition.
       if (ts.adaptive_extra >= cfg_.adaptive_step) {
         ts.adaptive_extra -= cfg_.adaptive_step;
-        cnt_adaptive_shrinks_->inc();
+        ++stats_.adaptive_shrinks;
         resized = true;
       }
     } else if (window_saturated && head_blocked) {
@@ -210,7 +204,7 @@ bool TwoLevelRobController::adaptive_tick(Cycle now) {
       // the work in it drains quickly — grow one partition.
       if (ts.adaptive_extra + cfg_.adaptive_step <= cfg_.adaptive_max_extra) {
         ts.adaptive_extra += cfg_.adaptive_step;
-        cnt_adaptive_grows_->inc();
+        ++stats_.adaptive_grows;
         resized = true;
       }
     }

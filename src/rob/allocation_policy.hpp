@@ -80,6 +80,35 @@ struct RobPolicyConfig {
   u32 adaptive_issue_bound_threshold = 16;
 };
 
+struct RobControllerStats {
+  u64 allocations = 0;
+  u64 lease_grants_or_renewals = 0;
+  u64 releases = 0;
+  u64 l2_miss_candidates = 0;
+  u64 rejected_high_dod = 0;
+  u64 predictions = 0;
+  u64 prediction_cold_misses = 0;
+  u64 predictive_allocations = 0;
+  u64 verification_failures = 0;
+  u64 adaptive_grows = 0;
+  u64 adaptive_shrinks = 0;
+};
+
+inline constexpr auto kRobControllerStatFields = std::to_array<StatField<RobControllerStats>>({
+    {&RobControllerStats::allocations, "allocations"},
+    {&RobControllerStats::lease_grants_or_renewals, "lease_grants_or_renewals"},
+    {&RobControllerStats::releases, "releases"},
+    {&RobControllerStats::l2_miss_candidates, "l2_miss_candidates"},
+    {&RobControllerStats::rejected_high_dod, "rejected_high_dod"},
+    {&RobControllerStats::predictions, "predictions"},
+    {&RobControllerStats::prediction_cold_misses, "prediction_cold_misses"},
+    {&RobControllerStats::predictive_allocations, "predictive_allocations"},
+    {&RobControllerStats::verification_failures, "verification_failures"},
+    {&RobControllerStats::adaptive_grows, "adaptive.grows"},
+    {&RobControllerStats::adaptive_shrinks, "adaptive.shrinks"},
+});
+static_assert(names_every_field(kRobControllerStatFields));
+
 class TwoLevelRobController {
  public:
   /// `robs[t]` must outlive the controller.
@@ -114,7 +143,13 @@ class TwoLevelRobController {
   const RobPolicyConfig& config() const { return cfg_; }
   SecondLevelRob& second_level() { return second_; }
   DodPredictor* predictor() { return predictor_.get(); }
-  StatGroup& stats() { return stats_; }
+  const DodPredictor* predictor() const { return predictor_.get(); }
+  const RobControllerStats& stats() const { return stats_; }
+  /// Per-thread families: second-level grants ("allocations.tN") and cycles
+  /// held ("busy.tN").
+  const std::vector<u64>& allocations_by_thread() const { return allocations_by_thread_; }
+  const std::vector<u64>& busy_by_thread() const { return busy_by_thread_; }
+  void reset_stats();
 
   /// Invariant-audit introspection: whether `tid`'s current grant is backed
   /// by a registered justifying miss, and which load it is. The audit's
@@ -168,26 +203,9 @@ class TwoLevelRobController {
   /// Lower bound on every live candidate's next_check; lets tick() skip the
   /// per-thread candidate loops on cycles where nothing can be due.
   Cycle next_check_floor_ = kNeverCycle;
-  StatGroup stats_;
-
-  // Cached stat handles: StatGroup::counter() is a map lookup and showed up
-  // hot in the per-cycle profile; map nodes are address-stable and reset()
-  // zeroes values in place, so these stay valid for the controller's life.
-  // Declared after stats_ (initialisation order).
-  Counter* cnt_allocations_;
-  Counter* cnt_lease_grants_;
-  Counter* cnt_releases_;
-  Counter* cnt_l2_miss_candidates_;
-  Counter* cnt_rejected_high_dod_;
-  Counter* cnt_predictions_;
-  Counter* cnt_prediction_cold_misses_;
-  Counter* cnt_predictive_allocations_;
-  Counter* cnt_verification_failures_;
-  Counter* cnt_adaptive_grows_;
-  Counter* cnt_adaptive_shrinks_;
-  Average* avg_dod_at_decision_;
-  std::vector<Counter*> cnt_allocations_tid_;  // "allocations.tN"
-  std::vector<Counter*> cnt_busy_tid_;         // "busy.tN"
+  RobControllerStats stats_;
+  std::vector<u64> allocations_by_thread_;
+  std::vector<u64> busy_by_thread_;
 };
 
 }  // namespace tlrob

@@ -19,9 +19,9 @@ void DodPredictor::update(ThreadId tid, Addr pc, u32 count) {
   Entry& e = table_[index(tid, pc)];
   const u64 t = tag(tid, pc);
   if (e.valid && e.tag == t) {
-    stats_.counter(e.count == count ? "exact_repeats" : "value_changes").inc();
+    ++(e.count == count ? stats_.exact_repeats : stats_.value_changes);
   } else {
-    stats_.counter("cold_installs").inc();
+    ++stats_.cold_installs;
   }
   e.valid = true;
   e.tag = t;

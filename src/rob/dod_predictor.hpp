@@ -16,6 +16,19 @@
 
 namespace tlrob {
 
+struct DodPredictorStats {
+  u64 exact_repeats = 0;
+  u64 value_changes = 0;
+  u64 cold_installs = 0;
+};
+
+inline constexpr auto kDodPredictorStatFields = std::to_array<StatField<DodPredictorStats>>({
+    {&DodPredictorStats::exact_repeats, "exact_repeats"},
+    {&DodPredictorStats::value_changes, "value_changes"},
+    {&DodPredictorStats::cold_installs, "cold_installs"},
+});
+static_assert(names_every_field(kDodPredictorStatFields));
+
 class DodPredictor {
  public:
   /// `entries` must be a power of two. Tags disambiguate (tid, pc) so the
@@ -30,7 +43,8 @@ class DodPredictor {
   /// miss service completes).
   void update(ThreadId tid, Addr pc, u32 count);
 
-  StatGroup& stats() { return stats_; }
+  const DodPredictorStats& stats() const { return stats_; }
+  void reset_stats() { stats_ = {}; }
 
  private:
   struct Entry {
@@ -44,7 +58,7 @@ class DodPredictor {
 
   std::vector<Entry> table_;
   u64 mask_;
-  StatGroup stats_;
+  DodPredictorStats stats_;
 };
 
 }  // namespace tlrob

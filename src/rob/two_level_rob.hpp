@@ -9,7 +9,6 @@
 // partition is shared between a core's threads, never across cores.
 #pragma once
 
-#include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace tlrob {

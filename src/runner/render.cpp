@@ -1,6 +1,7 @@
 #include "runner/render.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace tlrob::runner {
 
@@ -67,7 +68,9 @@ u64 column_counter(const CampaignResult& result, const std::string& config_name,
   u64 sum = 0;
   for (const JobRecord* r : column_records(result, config_name)) {
     const auto it = r->counters.find(counter);
-    if (it != r->counters.end()) sum += it->second;
+    if (it == r->counters.end())
+      throw std::out_of_range(config_name + " record has no counter named " + counter);
+    sum += it->second;
   }
   return sum;
 }

@@ -31,7 +31,8 @@ double column_average_ft(const CampaignResult& result, const std::string& config
 std::vector<DodSummary> column_dod(const CampaignResult& result,
                                    const std::string& config_name, bool proxy);
 
-/// Sum of a counter over one column's successful cells.
+/// Sum of a counter over one column's successful cells. Throws
+/// std::out_of_range naming the counter when a cell lacks it.
 u64 column_counter(const CampaignResult& result, const std::string& config_name,
                    const std::string& counter);
 

@@ -9,7 +9,7 @@
 namespace tlrob {
 
 CmpMachine::CmpMachine(const MachineConfig& cfg, const std::vector<Benchmark>& benchmarks)
-    : cfg_(cfg) {
+    : cfg_(cfg.validate()) {
   if (cfg.num_cores == 0) throw std::invalid_argument("CmpMachine: at least one core required");
   if (benchmarks.size() != static_cast<size_t>(cfg.num_cores) * cfg.num_threads)
     throw std::invalid_argument(
@@ -72,13 +72,10 @@ RunResult CmpMachine::run(u64 commit_target, u64 max_cycles, u64 warmup_insts) {
 
 void CmpMachine::append_shared_counters(RunResult& r) const {
   if (shared_ == nullptr) return;
-  auto& sm = const_cast<SharedMemory&>(*shared_);
-  auto merge = [&r](const std::string& prefix, const StatGroup& g) {
-    for (const auto& [name, c] : g.counters_map()) r.counters[prefix + name] = c.value();
-  };
-  merge("llc.", sm.llc().stats());
-  merge("llc.", sm.stats());  // cross-core merges, MSHR stalls, writebacks
-  merge("dram.", sm.dram().stats());
+  export_stats(r.counters, "llc.", shared_->llc().stats(), kCacheStatFields);
+  // Cross-core merges, MSHR stalls, writebacks.
+  export_stats(r.counters, "llc.", shared_->stats(), kSharedMemoryStatFields);
+  export_stats(r.counters, "dram.", shared_->dram().stats(), kDramStatFields);
 }
 
 RunResult CmpMachine::snapshot_result() const {
@@ -93,8 +90,10 @@ RunResult CmpMachine::snapshot_result() const {
     r.dod_true.merge(rc.dod_true);
     r.dod_proxy.merge(rc.dod_proxy);
     // Per-core counters sum under their historical names ("l2.misses" is the
-    // machine-wide L2 miss count, etc.).
-    for (const auto& [name, v] : rc.counters) r.counters[name] += v;
+    // machine-wide L2 miss count, etc.). Lockstep cores skip idle cycles
+    // together, so the skipped-cycle count stays core 0's.
+    for (const auto& [name, v] : rc.counters)
+      if (name != "core.fast_forwarded_cycles") r.counters[name] += v;
   }
   if (cores_.size() > 1 && cores_.front()->samples().enabled()) {
     std::vector<const obs::IntervalSeries*> series;

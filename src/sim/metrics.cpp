@@ -12,7 +12,8 @@ double RunResult::total_throughput() const {
 
 u64 run_counter(const RunResult& r, const std::string& name) {
   auto it = r.counters.find(name);
-  return it == r.counters.end() ? 0 : it->second;
+  if (it == r.counters.end()) throw std::out_of_range("no counter named " + name);
+  return it->second;
 }
 
 double weighted_ipc(double mt_ipc, double st_ipc) {

@@ -48,8 +48,9 @@ struct RunResult {
   double total_throughput() const;
 };
 
-/// Counter value from a run, 0 when the event never occurred (counters are
-/// created lazily, so absent means "never happened").
+/// Counter value from a run. Every component counter of the machine is
+/// present (0 when the event never occurred), so an absent name is a typo
+/// or a family this machine lacks: throws std::out_of_range naming it.
 u64 run_counter(const RunResult& r, const std::string& name);
 
 /// Weighted IPC of one thread: multithreaded IPC / single-threaded IPC.

@@ -1,8 +1,29 @@
 #include "sim/presets.hpp"
 
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
 namespace tlrob {
+
+const MachineConfig& MachineConfig::validate() const {
+  const std::pair<const char*, u32> nonzero[] = {
+      {"num_threads", num_threads},
+      {"fetch_width", fetch_width},
+      {"fetch_threads", fetch_threads},
+      {"dispatch_width", dispatch_width},
+      {"issue_width", issue_width},
+      {"commit_width", commit_width},
+      {"frontend_buffer", frontend_buffer},
+      {"rob_first_level", rob_first_level},
+      {"iq_entries", iq_entries},
+      {"lsq_entries", lsq_entries},
+  };
+  for (const auto& [field, value] : nonzero)
+    if (value == 0)
+      throw std::invalid_argument(std::string("MachineConfig: ") + field + " must be nonzero");
+  return *this;
+}
 
 MachineConfig baseline32_config() {
   MachineConfig cfg;  // defaults are Table 1

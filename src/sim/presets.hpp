@@ -94,6 +94,13 @@ struct MachineConfig {
   obs::TelemetryConfig telemetry = obs::default_telemetry_config();
 
   u64 seed = 12345;
+
+  /// The one validity check every machine construction path runs before any
+  /// structure is sized: throws std::invalid_argument naming the first
+  /// width or capacity that is zero (such a machine never commits and
+  /// would spin to the cycle cap). Returns *this, so constructors can
+  /// validate in their initializer list.
+  const MachineConfig& validate() const;
 };
 
 /// Table 1 baseline: 32-entry private ROBs, no second level, DCRA fetch.

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "memory/shared_memory.hpp"
 #include "obs/self_profile.hpp"
@@ -25,7 +26,7 @@ std::string concat(std::initializer_list<std::string_view> parts) {
 
 SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchmarks,
                  SharedMemory* shared, u32 core_id)
-    : cfg_(cfg),
+    : cfg_(cfg.validate()),
       benchmarks_(benchmarks),
       shared_(shared),
       rename_(RenameConfig{cfg.int_regs, cfg.fp_regs, cfg.num_threads, cfg.shared_regfile}),
@@ -88,40 +89,6 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
   ready_scratch_.reserve(cfg.iq_entries);
   replay_regs_.reserve(64);
   replay_victims_.reserve(cfg.iq_entries);
-
-  cnt_events_dropped_ = &stats_.counter("events.dropped");
-  cnt_exec_completed_ = &stats_.counter("exec.completed");
-  cnt_issue_insts_ = &stats_.counter("issue.insts");
-  cnt_issue_replays_ = &stats_.counter("issue.replays");
-  cnt_commit_insts_ = &stats_.counter("commit.insts");
-  cnt_commit_wp_bug_ = &stats_.counter("commit.wrong_path_bug");
-  cnt_dispatch_insts_ = &stats_.counter("dispatch.insts");
-  cnt_stall_rob_ = &stats_.counter("dispatch.stall_rob");
-  cnt_stall_iq_ = &stats_.counter("dispatch.stall_iq");
-  cnt_stall_lsq_ = &stats_.counter("dispatch.stall_lsq");
-  cnt_stall_regs_ = &stats_.counter("dispatch.stall_regs");
-  cnt_stall_reg_reserve_ = &stats_.counter("dispatch.stall_reg_reserve");
-  cnt_stall_dcra_ = &stats_.counter("dispatch.stall_dcra");
-  cnt_fetch_insts_ = &stats_.counter("fetch.insts");
-  cnt_fetch_wrong_path_ = &stats_.counter("fetch.wrong_path");
-  cnt_fetch_icache_stalls_ = &stats_.counter("fetch.icache_stalls");
-  cnt_fetch_policy_gated_ = &stats_.counter("fetch.policy_gated");
-  cnt_squash_insts_ = &stats_.counter("squash.insts");
-  cnt_lsq_forwards_ = &stats_.counter("lsq.forwards");
-  cnt_loads_l1_miss_ = &stats_.counter("loads.l1_miss");
-  cnt_loads_l1_miss_wp_ = &stats_.counter("loads.l1_miss_wp");
-  cnt_loads_spec_wakeups_ = &stats_.counter("loads.spec_wakeups");
-  cnt_loads_l2_miss_ = &stats_.counter("loads.l2_miss");
-  cnt_loads_l2_miss_wp_ = &stats_.counter("loads.l2_miss_wp");
-  cnt_loads_l2_miss_fills_ = &stats_.counter("loads.l2_miss_fills");
-  cnt_loads_l2_detect_after_fill_ = &stats_.counter("loads.l2_detect_after_fill");
-  cnt_loads_l2_miss_detect_ = &stats_.counter("loads.l2_miss_detect");
-  cnt_loads_l2_miss_detect_wp_ = &stats_.counter("loads.l2_miss_detect_wp");
-  cnt_flush_triggered_ = &stats_.counter("flush.triggered");
-  cnt_flush_undispatched_ = &stats_.counter("flush.undispatched");
-  cnt_mispredicts_resolved_ = &stats_.counter("branch.mispredicts_resolved");
-  cnt_mispredicts_fetched_ = &stats_.counter("branch.mispredicts_fetched");
-  cnt_early_released_ = &stats_.counter("rename.early_released");
 
   // The audit view is built once: every pointer below is stable for the
   // core's lifetime (threads_ never resizes after construction). Only the
@@ -188,7 +155,7 @@ bool SmtCore::process_events() {
                                            // fast-forward sees this cycle
     DynInst* di = find_inst(ev.ref);
     if (di == nullptr) {
-      cnt_events_dropped_->inc();
+      ++stats_.events_dropped;
       return;
     }
     switch (ev.kind) {
@@ -212,7 +179,7 @@ void SmtCore::handle_load_fill(DynInst& di) {
     const u32 dod_proxy = rob.count_unexecuted_younger(di.tseq, 0xffffffffu);
     dod_true_.record(dod_true);
     dod_proxy_.record(dod_proxy);
-    cnt_loads_l2_miss_fills_->inc();
+    ++stats_.loads_l2_miss_fills;
     if (trace_ != nullptr) {
       // The miss shadow: detection to line arrival, the window the paper's
       // second-level grants live in.
@@ -232,14 +199,14 @@ void SmtCore::handle_l2_miss_detect(DynInst& di) {
   // time (it piggybacks on a fill that is about to arrive); a "detection"
   // of an already-completed load must not gate fetch, flush, or count.
   if (di.executed) {
-    cnt_loads_l2_detect_after_fill_->inc();
+    ++stats_.loads_l2_detect_after_fill;
     return;
   }
   if (!di.l2_counted) {
     ++threads_[di.tid].outstanding_l2;
     di.l2_counted = true;
   }
-  (di.wrong_path ? cnt_loads_l2_miss_detect_wp_ : cnt_loads_l2_miss_detect_)->inc();
+  ++(di.wrong_path ? stats_.loads_l2_miss_detect_wp : stats_.loads_l2_miss_detect);
   if (di.wrong_path) return;
   rob_ctrl_->on_l2_miss_detected(di, cycle_);
   if (trace_ != nullptr)
@@ -247,7 +214,7 @@ void SmtCore::handle_l2_miss_detect(DynInst& di) {
                           {{"tseq", di.tseq}, {"pc", di.pc}});
   if (fetch_policy_->flush_on_l2_miss()) {
     undispatch_after(di.tid, di.tseq);
-    cnt_flush_triggered_->inc();
+    ++stats_.flush_triggered;
   }
 }
 
@@ -287,7 +254,7 @@ void SmtCore::replay_dependents_of(PhysReg reg) {
         e->l1_hit = false;
         e->addr_resolved = false;
       }
-      cnt_issue_replays_->inc();
+      ++stats_.issue_replays;
       if (e->dest_phys != kInvalidPhysReg && rename_.is_spec(e->dest_phys)) {
         rename_.clear_spec(e->dest_phys);
         replay_regs_.push_back(e->dest_phys);  // chained speculation
@@ -319,7 +286,7 @@ void SmtCore::finish_execution(DynInst& di) {
   if (di.in_iq) iq_.remove(&di);  // speculatively issued entries release here
   rename_.consumers_read(di);
   tracer_.event(cycle_, "complete", di);
-  cnt_exec_completed_->inc();
+  ++stats_.exec_completed;
   if (di.is_ctrl() && !di.branch_resolved) {
     di.branch_resolved = true;
     ThreadState& ts = threads_[di.tid];
@@ -336,7 +303,7 @@ void SmtCore::resolve_control(DynInst& di) {
   }
   if (!di.mispredicted) return;
 
-  cnt_mispredicts_resolved_->inc();
+  ++stats_.mispredicts_resolved;
   {
     obs::PhaseScope ps(obs::Phase::kPredict);
     bpred_.recover(di.tid, *di.si, di.pred, di.taken);
@@ -350,7 +317,7 @@ void SmtCore::resolve_control(DynInst& di) {
 
 void SmtCore::squash_after(ThreadId tid, u64 tseq) {
   ThreadState& ts = threads_[tid];
-  const u64 squashed_before = cnt_squash_insts_->value();
+  const u64 squashed_before = stats_.squash_insts;
   while (!ts.frontend.empty() && ts.frontend.back().tseq > tseq) ts.frontend.pop_back();
   ts.lsq.squash_after(tseq);  // before the ROB destroys the entries it points at
   ts.rob.squash_after(tseq, [&](DynInst& d) {
@@ -361,10 +328,10 @@ void SmtCore::squash_after(ThreadId tid, u64 tseq) {
     ++d.replay_gen;
     rename_.squash_undo(d);
     tracer_.event(cycle_, "squash  ", d);
-    cnt_squash_insts_->inc();
+    ++stats_.squash_insts;
   });
   rob_ctrl_->on_squash(tid, tseq);
-  const u64 squashed = cnt_squash_insts_->value() - squashed_before;
+  const u64 squashed = stats_.squash_insts - squashed_before;
   if (trace_ != nullptr)
     trace_->instant_event(tid, "squash", cycle_, {{"insts", squashed}, {"after_tseq", tseq}});
   tracer_.note_if(cycle_, [&] {
@@ -412,7 +379,7 @@ void SmtCore::undispatch_after(ThreadId tid, u64 tseq) {
     // vector. The frontend ring is sized for the whole window, so this
     // cannot overflow.
     ts.frontend.push_front(std::move(d));
-    cnt_flush_undispatched_->inc();
+    ++stats_.flush_undispatched;
   });
   rob_ctrl_->on_squash(tid, tseq);
 }
@@ -440,7 +407,7 @@ bool SmtCore::do_commit() {
       if (h->wrong_path) {
         // Should be unreachable: the mispredicted branch squashes before
         // committing. Counted rather than asserted so long runs surface it.
-        cnt_commit_wp_bug_->inc();
+        ++stats_.commit_wrong_path_bug;
       }
       if (h->is_store() && !h->wrong_path) {
         obs::PhaseScope ps(obs::Phase::kMemory);
@@ -453,7 +420,7 @@ bool SmtCore::do_commit() {
       tracer_.event(cycle_, "commit  ", *h);
       if (!h->wrong_path) {
         ++ts.committed;
-        cnt_commit_insts_->inc();
+        ++stats_.commit_insts;
       }
       ts.rob.pop_head();
       --budget;
@@ -516,7 +483,7 @@ bool SmtCore::issue_one(DynInst& di) {
   iq_.mark_issued(&di);
   di.issue_cycle = cycle_;
   tracer_.event(cycle_, "issue   ", di, any_spec ? "spec" : "");
-  cnt_issue_insts_->inc();
+  ++stats_.issue_insts;
 
   if (di.is_load()) {
     fus_.issue(di.op, cycle_);
@@ -561,7 +528,7 @@ void SmtCore::issue_load(DynInst& di) {
         lhp_.update(di.tid, di.pc, true);
       }
       schedule(data_at, EvKind::kLoadFill, di);
-      cnt_lsq_forwards_->inc();
+      ++stats_.lsq_forwards;
       return;
     }
   }
@@ -592,7 +559,7 @@ void SmtCore::issue_load(DynInst& di) {
   di.seg_llc_end = da.seg_llc;
   di.seg_dram_end = da.seg_dram;
 
-  (di.wrong_path ? cnt_loads_l1_miss_wp_ : cnt_loads_l1_miss_)->inc();
+  ++(di.wrong_path ? stats_.loads_l1_miss_wp : stats_.loads_l1_miss);
   if (!di.l1_counted) {
     ++ts.outstanding_l1;
     di.l1_counted = true;
@@ -606,14 +573,14 @@ void SmtCore::issue_load(DynInst& di) {
     // fast-forward: a dependent may issue the moment spec_at arrives.
     schedule(cycle_ + 2, EvKind::kWake, di);
     schedule(cycle_ + 3, EvKind::kLoadReplay, di);
-    cnt_loads_spec_wakeups_->inc();
+    ++stats_.loads_spec_wakeups;
   }
   if (da.l2_miss) {
     di.is_l2_miss = true;
     di.l2_miss_detect_cycle = da.l2_miss_detect;
     di.fill_cycle = data_cycle;
     schedule(da.l2_miss_detect, EvKind::kL2MissDetect, di);
-    (di.wrong_path ? cnt_loads_l2_miss_wp_ : cnt_loads_l2_miss_)->inc();
+    ++(di.wrong_path ? stats_.loads_l2_miss_wp : stats_.loads_l2_miss);
   }
   schedule(data_cycle, EvKind::kLoadFill, di);
 }
@@ -637,19 +604,19 @@ bool SmtCore::try_dispatch_one(ThreadState& ts, ThreadId tid) {
   DynInst& f = ts.frontend.front();
   if (f.fetch_cycle + cfg_.decode_depth > cycle_) return false;
   if (ts.rob.full()) {
-    cnt_stall_rob_->inc();
+    ++stats_.per_cycle.stall_rob;
     return false;
   }
   if (!iq_.has_free()) {
-    cnt_stall_iq_->inc();
+    ++stats_.per_cycle.stall_iq;
     return false;
   }
   if (f.is_mem() && !ts.lsq.has_free()) {
-    cnt_stall_lsq_->inc();
+    ++stats_.per_cycle.stall_lsq;
     return false;
   }
   if (!rename_.can_rename(tid, *f.si)) {
-    cnt_stall_regs_->inc();
+    ++stats_.per_cycle.stall_regs;
     return false;
   }
   if (ts.rob.extra() > 0 && ts.rob.size() >= ts.rob.base_capacity() && f.si->has_dest() &&
@@ -659,7 +626,7 @@ bool SmtCore::try_dispatch_one(ThreadState& ts, ThreadId tid) {
     const bool fp = is_fp_reg(f.si->dest);
     const u32 free = fp ? rename_.free_fp(tid) : rename_.free_int(tid);
     if (free <= cfg_.second_level_reg_reserve) {
-      cnt_stall_reg_reserve_->inc();
+      ++stats_.per_cycle.stall_reg_reserve;
       return false;
     }
   }
@@ -670,7 +637,7 @@ bool SmtCore::try_dispatch_one(ThreadState& ts, ThreadId tid) {
     if (!dcra_.within_caps(tid, iq_.occupancy(tid), iq_.capacity(), rename_.int_in_use(tid),
                            rename_.int_rename_pool(), rename_.fp_in_use(tid),
                            rename_.fp_rename_pool())) {
-      cnt_stall_dcra_->inc();
+      ++stats_.per_cycle.stall_dcra;
       return false;
     }
   }
@@ -685,7 +652,7 @@ bool SmtCore::try_dispatch_one(ThreadState& ts, ThreadId tid) {
   if (slot.is_mem()) ts.lsq.push(&slot);
   if (slot.is_ctrl()) ++ts.unresolved_ctrl;
   tracer_.event(cycle_, "dispatch", slot);
-  cnt_dispatch_insts_->inc();
+  ++stats_.dispatch_insts;
   return true;
 }
 
@@ -749,7 +716,7 @@ DynInst SmtCore::make_correct_path_inst(ThreadState& ts, ThreadId tid) {
         else
           ts.wp_dead = true;
       }
-      cnt_mispredicts_fetched_->inc();
+      ++stats_.mispredicts_fetched;
     }
   }
   return di;
@@ -821,14 +788,14 @@ bool SmtCore::fetch_one(ThreadState& ts, ThreadId tid) {
   di.fetch_cycle = std::max(cycle_, iready);
   if (iready > cycle_) {
     ts.fetch_stall_until = iready;
-    cnt_fetch_icache_stalls_->inc();
+    ++stats_.fetch_icache_stalls;
   }
 
   di.seq = next_seq_++;
   di.tseq = ts.next_tseq++;
   tracer_.event(cycle_, "fetch   ", di);
   ts.frontend.push_back(std::move(di));
-  (ts.frontend.back().wrong_path ? cnt_fetch_wrong_path_ : cnt_fetch_insts_)->inc();
+  ++(ts.frontend.back().wrong_path ? stats_.fetch_wrong_path : stats_.fetch_insts);
   return true;
 }
 
@@ -846,7 +813,7 @@ bool SmtCore::do_fetch() {
     if (ts.wrong_path && ts.wp_dead) continue;
     if (ts.frontend.size() >= cfg_.frontend_buffer) continue;
     if (!fetch_policy_->may_fetch(t, views_)) {
-      cnt_fetch_policy_gated_->inc();
+      ++stats_.per_cycle.policy_gated;
       continue;
     }
 
@@ -886,7 +853,7 @@ bool SmtCore::do_early_release() {
       if (rename_.pending_readers(d.prev_dest_phys) != 0) return;
       if (!rename_.is_value_ready(d.prev_dest_phys)) return;
       rename_.early_free_prev(d);
-      cnt_early_released_->inc();
+      ++stats_.early_released;
       ++released;
     });
   }
@@ -894,13 +861,7 @@ bool SmtCore::do_early_release() {
 }
 
 bool SmtCore::tick() {
-  ff_base_[0] = cnt_stall_rob_->value();
-  ff_base_[1] = cnt_stall_iq_->value();
-  ff_base_[2] = cnt_stall_lsq_->value();
-  ff_base_[3] = cnt_stall_regs_->value();
-  ff_base_[4] = cnt_stall_reg_reserve_->value();
-  ff_base_[5] = cnt_stall_dcra_->value();
-  ff_base_[6] = cnt_fetch_policy_gated_->value();
+  per_cycle_base_ = stats_.per_cycle;
 
   // Commit baseline for the stall taxonomy's kCommit detection (on only with
   // the sampler; one predictable branch otherwise).
@@ -1059,15 +1020,13 @@ void SmtCore::replay_idle_to(Cycle wake) {
   }
 
   const u64 skipped = wake - cycle_;
-  cnt_stall_rob_->inc((cnt_stall_rob_->value() - ff_base_[0]) * skipped);
-  cnt_stall_iq_->inc((cnt_stall_iq_->value() - ff_base_[1]) * skipped);
-  cnt_stall_lsq_->inc((cnt_stall_lsq_->value() - ff_base_[2]) * skipped);
-  cnt_stall_regs_->inc((cnt_stall_regs_->value() - ff_base_[3]) * skipped);
-  cnt_stall_reg_reserve_->inc((cnt_stall_reg_reserve_->value() - ff_base_[4]) * skipped);
-  cnt_stall_dcra_->inc((cnt_stall_dcra_->value() - ff_base_[5]) * skipped);
-  cnt_fetch_policy_gated_->inc((cnt_fetch_policy_gated_->value() - ff_base_[6]) * skipped);
+  for (const auto& f : kCorePerCycleStatFields) {
+    u64& counter = stats_.per_cycle.*f.member;
+    counter += (counter - per_cycle_base_.*f.member) * skipped;
+  }
   commit_rr_ += skipped;  // do_commit advances the rotation every cycle
   fast_forwarded_ += skipped;
+  stats_.fast_forwarded_cycles += skipped;
   cycle_ = wake;
 }
 
@@ -1166,16 +1125,16 @@ void SmtCore::reset_measurement() {
   cycle_base_ = cycle_;
   for (auto& ts : threads_) ts.committed_base = ts.committed;
   second_.reset_accounting(cycle_);
-  stats_.reset();
+  stats_ = {};
   dod_true_.reset();
   dod_proxy_.reset();
-  bpred_.stats().reset();
-  rob_ctrl_->stats().reset();
-  if (auto* p = rob_ctrl_->predictor()) p->stats().reset();
-  mem_.l1i().stats().reset();
-  mem_.l1d().stats().reset();
-  mem_.l2().stats().reset();
-  mem_.channel().stats().reset();
+  bpred_.reset_stats();
+  rob_ctrl_->reset_stats();
+  if (auto* p = rob_ctrl_->predictor()) p->reset_stats();
+  mem_.l1i().reset_stats();
+  mem_.l1d().reset_stats();
+  mem_.l2().reset_stats();
+  mem_.channel().reset_stats();
   // CMP: the shared backend is reset once per machine-wide measurement
   // boundary; every core resets at the same lockstep cycle, so the repeats
   // are idempotent.
@@ -1248,23 +1207,26 @@ RunResult SmtCore::snapshot_result() const {
   r.samples = series_;
   if (sample_every_ != 0) r.stall_cycles = stall_cycles_;
 
-  auto merge = [&r](const std::string& prefix, const StatGroup& g) {
-    for (const auto& [name, c] : g.counters_map()) r.counters[prefix + name] = c.value();
-  };
-  merge("core.", stats_);
-  merge("bpred.", const_cast<BranchPredictor&>(bpred_).stats());
-  merge("rob.", const_cast<TwoLevelRobController&>(*rob_ctrl_).stats());
-  auto& mem = const_cast<MemorySystem&>(mem_);
-  merge("l1i.", mem.l1i().stats());
-  merge("l1d.", mem.l1d().stats());
-  merge("l2.", mem.l2().stats());
-  merge("channel.", mem.channel().stats());
-  if (auto* p = const_cast<TwoLevelRobController&>(*rob_ctrl_).predictor())
-    merge("dodpred.", p->stats());
-  merge("audit.", const_cast<InvariantChecker&>(auditor_).stats());
-  r.counters["rob2.allocations"] = second_.total_allocations();
-  r.counters["rob2.busy_cycles"] = second_.busy_cycles(cycle_);
-  r.counters["core.fast_forwarded_cycles"] = fast_forwarded_;
+  auto& c = r.counters;
+  export_stats(c, "core.", stats_.per_cycle, kCorePerCycleStatFields);
+  export_stats(c, "core.", stats_, kCoreStatFields);
+  export_stats(c, "bpred.", bpred_.stats(), kBranchStatFields);
+  export_stats(c, "rob.", rob_ctrl_->stats(), kRobControllerStatFields);
+  export_family(c, "rob.allocations.t", rob_ctrl_->allocations_by_thread());
+  export_family(c, "rob.busy.t", rob_ctrl_->busy_by_thread());
+  if (const DodPredictor* p = std::as_const(*rob_ctrl_).predictor())
+    export_stats(c, "dodpred.", p->stats(), kDodPredictorStatFields);
+  export_stats(c, "l1i.", mem_.l1i().stats(), kCacheStatFields);
+  export_stats(c, "l1d.", mem_.l1d().stats(), kCacheStatFields);
+  export_stats(c, "l2.", mem_.l2().stats(), kCacheStatFields);
+  export_stats(c, "channel.", mem_.channel().stats(), kMemoryChannelStatFields);
+  if (auditor_.enabled()) {
+    export_stats(c, "audit.", auditor_.stats(), kAuditStatFields);
+    for (size_t k = 0; k < kViolationKinds.size(); ++k)
+      c[std::string("audit.violations.") + kViolationKinds[k]] = auditor_.violations_by_kind()[k];
+  }
+  c["rob2.allocations"] = second_.total_allocations();
+  c["rob2.busy_cycles"] = second_.busy_cycles(cycle_);
   // Instruction sources merge last: the default hook is a no-op, so purely
   // synthetic runs produce exactly the counter set they always did. Sources
   // report under the machine-global thread index so CMP cores never collide.

@@ -33,6 +33,7 @@
 #include "branch/load_hit_predictor.hpp"
 #include "branch/predictor.hpp"
 #include "common/ring_deque.hpp"
+#include "common/stats.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/interval_sampler.hpp"
 #include "memory/memory_system.hpp"
@@ -53,6 +54,97 @@
 #include "workload/thread_context.hpp"
 
 namespace tlrob {
+
+/// SmtCore counters that accrue once per cycle while the core is stalled.
+/// An idle cycle repeats the previous cycle's increments, so
+/// replay_idle_to() multiplies each field's last-tick delta across the
+/// skipped cycles; a field added here is replayed with no further edit.
+struct CorePerCycleStats {
+  u64 stall_rob = 0;
+  u64 stall_iq = 0;
+  u64 stall_lsq = 0;
+  u64 stall_regs = 0;
+  u64 stall_reg_reserve = 0;
+  u64 stall_dcra = 0;
+  u64 policy_gated = 0;
+};
+
+inline constexpr auto kCorePerCycleStatFields = std::to_array<StatField<CorePerCycleStats>>({
+    {&CorePerCycleStats::stall_rob, "dispatch.stall_rob"},
+    {&CorePerCycleStats::stall_iq, "dispatch.stall_iq"},
+    {&CorePerCycleStats::stall_lsq, "dispatch.stall_lsq"},
+    {&CorePerCycleStats::stall_regs, "dispatch.stall_regs"},
+    {&CorePerCycleStats::stall_reg_reserve, "dispatch.stall_reg_reserve"},
+    {&CorePerCycleStats::stall_dcra, "dispatch.stall_dcra"},
+    {&CorePerCycleStats::policy_gated, "fetch.policy_gated"},
+});
+static_assert(names_every_field(kCorePerCycleStatFields));
+
+/// Every SmtCore counter, exported under "core.". Counters are measured
+/// from the last reset_measurement().
+struct CoreStats {
+  CorePerCycleStats per_cycle;
+  u64 events_dropped = 0;
+  u64 exec_completed = 0;
+  u64 issue_insts = 0;
+  u64 issue_replays = 0;
+  u64 commit_insts = 0;
+  u64 commit_wrong_path_bug = 0;
+  u64 dispatch_insts = 0;
+  u64 fetch_insts = 0;
+  u64 fetch_wrong_path = 0;
+  u64 fetch_icache_stalls = 0;
+  u64 squash_insts = 0;
+  u64 lsq_forwards = 0;
+  u64 loads_l1_miss = 0;
+  u64 loads_l1_miss_wp = 0;
+  u64 loads_spec_wakeups = 0;
+  u64 loads_l2_miss = 0;
+  u64 loads_l2_miss_wp = 0;
+  u64 loads_l2_miss_fills = 0;
+  u64 loads_l2_detect_after_fill = 0;
+  u64 loads_l2_miss_detect = 0;
+  u64 loads_l2_miss_detect_wp = 0;
+  u64 flush_triggered = 0;
+  u64 flush_undispatched = 0;
+  u64 mispredicts_resolved = 0;
+  u64 mispredicts_fetched = 0;
+  u64 early_released = 0;
+  /// Cycles the run loop skipped by idle fast-forward. Lockstep cores skip
+  /// together, so a CMP machine reports one core's count.
+  u64 fast_forwarded_cycles = 0;
+};
+
+inline constexpr auto kCoreStatFields = std::to_array<StatField<CoreStats>>({
+    {&CoreStats::events_dropped, "events.dropped"},
+    {&CoreStats::exec_completed, "exec.completed"},
+    {&CoreStats::issue_insts, "issue.insts"},
+    {&CoreStats::issue_replays, "issue.replays"},
+    {&CoreStats::commit_insts, "commit.insts"},
+    {&CoreStats::commit_wrong_path_bug, "commit.wrong_path_bug"},
+    {&CoreStats::dispatch_insts, "dispatch.insts"},
+    {&CoreStats::fetch_insts, "fetch.insts"},
+    {&CoreStats::fetch_wrong_path, "fetch.wrong_path"},
+    {&CoreStats::fetch_icache_stalls, "fetch.icache_stalls"},
+    {&CoreStats::squash_insts, "squash.insts"},
+    {&CoreStats::lsq_forwards, "lsq.forwards"},
+    {&CoreStats::loads_l1_miss, "loads.l1_miss"},
+    {&CoreStats::loads_l1_miss_wp, "loads.l1_miss_wp"},
+    {&CoreStats::loads_spec_wakeups, "loads.spec_wakeups"},
+    {&CoreStats::loads_l2_miss, "loads.l2_miss"},
+    {&CoreStats::loads_l2_miss_wp, "loads.l2_miss_wp"},
+    {&CoreStats::loads_l2_miss_fills, "loads.l2_miss_fills"},
+    {&CoreStats::loads_l2_detect_after_fill, "loads.l2_detect_after_fill"},
+    {&CoreStats::loads_l2_miss_detect, "loads.l2_miss_detect"},
+    {&CoreStats::loads_l2_miss_detect_wp, "loads.l2_miss_detect_wp"},
+    {&CoreStats::flush_triggered, "flush.triggered"},
+    {&CoreStats::flush_undispatched, "flush.undispatched"},
+    {&CoreStats::mispredicts_resolved, "branch.mispredicts_resolved"},
+    {&CoreStats::mispredicts_fetched, "branch.mispredicts_fetched"},
+    {&CoreStats::early_released, "rename.early_released"},
+    {&CoreStats::fast_forwarded_cycles, "fast_forwarded_cycles"},
+});
+static_assert(names_every_field(kCoreStatFields, sizeof(CorePerCycleStats)));
 
 class SmtCore {
  public:
@@ -99,7 +191,7 @@ class SmtCore {
   SecondLevelRob& second_level() { return second_; }
   RenameUnit& rename_unit() { return rename_; }
   BranchPredictor& branch_predictor() { return bpred_; }
-  StatGroup& stats() { return stats_; }
+  const CoreStats& stats() const { return stats_; }
   PipelineTracer& tracer() { return tracer_; }
   const MachineConfig& config() const { return cfg_; }
   const EventWheel& event_wheel() const { return wheel_; }
@@ -124,8 +216,8 @@ class SmtCore {
   /// denominator for the host profiler's ns/cycle column.
   u64 executed_cycles() const { return cycle_ - fast_forwarded_; }
 
-  /// Cycles run_lockstep skipped via idle fast-forward (diagnostics; counted
-  /// in cycle_ exactly as if they had been ticked).
+  /// Cycles run_lockstep skipped via idle fast-forward over the whole run,
+  /// warmup included (counted in cycle_ exactly as if they had been ticked).
   u64 fast_forwarded_cycles() const { return fast_forwarded_; }
 
   /// The pipeline invariant auditor (cfg.audit decides what runs per cycle).
@@ -271,10 +363,10 @@ class SmtCore {
   Cycle cycle_base_ = 0;  // cycle count at the last measurement reset
   SeqNum next_seq_ = 1;
   u64 commit_rr_ = 0;
-  u64 fast_forwarded_ = 0;
-  // Stall-counter values captured by tick() before the tick ran; the deltas
+  u64 fast_forwarded_ = 0;  // whole run; stats_ counts the measured part
+  // Per-cycle counters captured by tick() before the tick ran; the deltas
   // are what replay_idle_to() multiplies across skipped cycles.
-  u64 ff_base_[7] = {0, 0, 0, 0, 0, 0, 0};
+  CorePerCycleStats per_cycle_base_;
   Rng wp_rng_;
 
   // Reused per-cycle scratch (capacity retained; steady state never
@@ -285,7 +377,7 @@ class SmtCore {
   std::vector<PhysReg> replay_regs_;     // worklist for replay_dependents_of
   std::vector<DynInst*> replay_victims_;
 
-  StatGroup stats_;
+  CoreStats stats_;
   PipelineTracer tracer_;
   Histogram dod_true_{31};
   Histogram dod_proxy_{31};
@@ -314,45 +406,6 @@ class SmtCore {
 
   InvariantChecker auditor_;
   AuditContext audit_ctx_;  // stable pointers into the members above
-
-  // Cached stat handles (StatGroup map nodes are address-stable and reset()
-  // zeroes in place, so these stay valid across reset_measurement()). The
-  // per-cycle map lookups were ~a quarter of the profile. Declared after
-  // stats_ (initialisation order). The stall counters are also what
-  // replay_idle_to() replays across fast-forwarded cycles.
-  Counter* cnt_events_dropped_;
-  Counter* cnt_exec_completed_;
-  Counter* cnt_issue_insts_;
-  Counter* cnt_issue_replays_;
-  Counter* cnt_commit_insts_;
-  Counter* cnt_commit_wp_bug_;
-  Counter* cnt_dispatch_insts_;
-  Counter* cnt_stall_rob_;
-  Counter* cnt_stall_iq_;
-  Counter* cnt_stall_lsq_;
-  Counter* cnt_stall_regs_;
-  Counter* cnt_stall_reg_reserve_;
-  Counter* cnt_stall_dcra_;
-  Counter* cnt_fetch_insts_;
-  Counter* cnt_fetch_wrong_path_;
-  Counter* cnt_fetch_icache_stalls_;
-  Counter* cnt_fetch_policy_gated_;
-  Counter* cnt_squash_insts_;
-  Counter* cnt_lsq_forwards_;
-  Counter* cnt_loads_l1_miss_;
-  Counter* cnt_loads_l1_miss_wp_;
-  Counter* cnt_loads_spec_wakeups_;
-  Counter* cnt_loads_l2_miss_;
-  Counter* cnt_loads_l2_miss_wp_;
-  Counter* cnt_loads_l2_miss_fills_;
-  Counter* cnt_loads_l2_detect_after_fill_;
-  Counter* cnt_loads_l2_miss_detect_;
-  Counter* cnt_loads_l2_miss_detect_wp_;
-  Counter* cnt_flush_triggered_;
-  Counter* cnt_flush_undispatched_;
-  Counter* cnt_mispredicts_resolved_;
-  Counter* cnt_mispredicts_fetched_;
-  Counter* cnt_early_released_;
 };
 
 /// The one run loop every machine goes through (SmtCore::run and

@@ -1,6 +1,8 @@
 #include "verify/invariant_checker.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
 
@@ -63,8 +65,7 @@ void InvariantChecker::run_tier(const AuditContext& ctx, InvariantCheck::Tier ti
   for (const auto& check : checks_) {
     if (check->tier() != tier) continue;
     check->run(ctx, *this);
-    ++checks_executed_;
-    stats_.counter("checks_run").inc();
+    ++stats_.checks_run;
   }
 }
 
@@ -76,10 +77,10 @@ void InvariantChecker::run_cycle(const AuditContext& ctx) {
 }
 
 u32 InvariantChecker::run_all(const AuditContext& ctx) {
-  const u64 before = total_violations_;
+  const u64 before = stats_.violations;
   run_tier(ctx, InvariantCheck::Tier::kCheap);
   run_tier(ctx, InvariantCheck::Tier::kFull);
-  return static_cast<u32>(total_violations_ - before);
+  return static_cast<u32>(stats_.violations - before);
 }
 
 void InvariantChecker::on_commit(ThreadId tid, u64 tseq, Cycle now) {
@@ -96,9 +97,12 @@ void InvariantChecker::on_commit(ThreadId tid, u64 tseq, Cycle now) {
 
 void InvariantChecker::violation(Cycle cycle, ThreadId tid, const char* check,
                                  std::string detail) {
-  ++total_violations_;
-  stats_.counter("violations").inc();
-  stats_.counter(std::string("violations.") + check).inc();
+  const auto kind = std::find_if(kViolationKinds.begin(), kViolationKinds.end(),
+                                 [check](const char* k) { return std::strcmp(k, check) == 0; });
+  if (kind == kViolationKinds.end())
+    throw std::logic_error(std::string("unlisted violation kind ") + check);
+  ++violations_by_kind_[static_cast<size_t>(kind - kViolationKinds.begin())];
+  ++stats_.violations;
   if (violations_.size() < cfg_.max_recorded)
     violations_.push_back(AuditViolation{cycle, tid, check, std::move(detail)});
   if (cfg_.abort_on_violation) throw AuditFailure("pipeline invariant violated\n" + report());
@@ -106,15 +110,15 @@ void InvariantChecker::violation(Cycle cycle, ThreadId tid, const char* check,
 
 std::string InvariantChecker::report() const {
   std::ostringstream os;
-  os << "audit report: " << total_violations_ << " violation(s), " << checks_executed_
+  os << "audit report: " << stats_.violations << " violation(s), " << stats_.checks_run
      << " check execution(s)\n";
   for (const AuditViolation& v : violations_) {
     os << "  [cycle " << v.cycle << "] ";
     if (v.tid != kNoThread) os << "thread " << v.tid << " ";
     os << v.check << ": " << v.detail << "\n";
   }
-  if (total_violations_ > violations_.size())
-    os << "  ... " << (total_violations_ - violations_.size()) << " more not recorded\n";
+  if (stats_.violations > violations_.size())
+    os << "  ... " << (stats_.violations - violations_.size()) << " more not recorded\n";
   return os.str();
 }
 

@@ -22,6 +22,26 @@
 
 namespace tlrob {
 
+struct AuditStats {
+  u64 checks_run = 0;  // one check over one context = 1
+  u64 violations = 0;
+};
+
+inline constexpr auto kAuditStatFields = std::to_array<StatField<AuditStats>>({
+    {&AuditStats::checks_run, "checks_run"},
+    {&AuditStats::violations, "violations"},
+});
+static_assert(names_every_field(kAuditStatFields));
+
+/// Every violation kind a check may report, each counted as
+/// "violations.<kind>" (InvariantChecker::violations_by_kind is indexed
+/// like this list).
+inline constexpr auto kViolationKinds = std::to_array<const char*>({
+    "commit.order", "dod.execflag", "dod.outstanding", "dod.recount", "events.wheel",
+    "iq.counts", "iq.rob_identity", "lsq.occupancy", "pool.liveness", "rename.accounting",
+    "rob.capacity", "rob.order", "rob2.ownership", "rob2.trigger", "shared.memory",
+});
+
 /// One recorded contract violation.
 struct AuditViolation {
   Cycle cycle = 0;
@@ -78,20 +98,20 @@ class InvariantChecker {
   /// committed cross check.
   void on_commit(ThreadId tid, u64 tseq, Cycle now);
 
-  /// Records a violation (called by checks). Honours max_recorded and
-  /// abort_on_violation.
+  /// Records a violation (called by checks); `check` must be one of
+  /// kViolationKinds. Honours max_recorded and abort_on_violation.
   void violation(Cycle cycle, ThreadId tid, const char* check, std::string detail);
 
   const std::vector<AuditViolation>& violations() const { return violations_; }
-  u64 total_violations() const { return total_violations_; }
-  /// Total check executions (one check over one context = 1).
-  u64 checks_executed() const { return checks_executed_; }
+  u64 total_violations() const { return stats_.violations; }
+  u64 checks_executed() const { return stats_.checks_run; }
   const std::vector<u64>& last_committed() const { return last_committed_; }
 
   /// Human-readable structured report of every recorded violation.
   std::string report() const;
 
-  StatGroup& stats() { return stats_; }
+  const AuditStats& stats() const { return stats_; }
+  const std::vector<u64>& violations_by_kind() const { return violations_by_kind_; }
 
  private:
   void run_tier(const AuditContext& ctx, InvariantCheck::Tier tier);
@@ -100,9 +120,8 @@ class InvariantChecker {
   std::vector<std::unique_ptr<InvariantCheck>> checks_;
   std::vector<u64> last_committed_;  // per thread; 0 = nothing committed
   std::vector<AuditViolation> violations_;
-  u64 total_violations_ = 0;
-  u64 checks_executed_ = 0;
-  StatGroup stats_;
+  AuditStats stats_;
+  std::vector<u64> violations_by_kind_ = std::vector<u64>(kViolationKinds.size(), 0);
 };
 
 }  // namespace tlrob

@@ -174,9 +174,9 @@ TEST(BranchPredictor, TrainCountsMispredicts) {
     bp.train(0, br, p, actual, 0x400004);
     if (p.taken != actual) bp.recover(0, br, p, actual);
   }
-  EXPECT_EQ(bp.stats().counter_value("branch.cond"), 50u);
+  EXPECT_EQ(bp.stats().cond, 50u);
   // After warmup the never-taken branch is predicted correctly.
-  EXPECT_LT(bp.stats().counter_value("branch.cond_mispredict"), 10u);
+  EXPECT_LT(bp.stats().cond_mispredict, 10u);
 }
 
 TEST(LoadHitPredictor, LearnsStableBehaviour) {

@@ -2,7 +2,9 @@
 // and the determinism-safe FlatMap.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -82,32 +84,38 @@ TEST(Rng, GeometricMeanAndCap) {
   EXPECT_EQ(r.geometric(0.0, 10), 10u);
 }
 
-TEST(Stats, CounterBasics) {
-  StatGroup g;
-  g.counter("a").inc();
-  g.counter("a").inc(4);
-  EXPECT_EQ(g.counter_value("a"), 5u);
-  EXPECT_EQ(g.counter_value("missing"), 0u);
-  EXPECT_TRUE(g.has_counter("a"));
-  EXPECT_FALSE(g.has_counter("missing"));
-}
+struct TwoStats {
+  u64 hits = 0;
+  u64 misses = 0;
+};
 
-TEST(Stats, AverageBasics) {
-  StatGroup g;
-  g.average("x").sample(1.0);
-  g.average("x").sample(3.0);
-  EXPECT_DOUBLE_EQ(g.average("x").mean(), 2.0);
-  EXPECT_EQ(g.average("x").count(), 2u);
-  EXPECT_DOUBLE_EQ(g.average("never").mean(), 0.0);
+constexpr auto kTwoStatFields = std::to_array<StatField<TwoStats>>({
+    {&TwoStats::hits, "hits"},
+    {&TwoStats::misses, "miss.count"},
+});
+
+TEST(Stats, CounterBasics) {
+  static_assert(names_every_field(kTwoStatFields));
+  // A table missing a field, or naming one twice, fails the check.
+  static_assert(!names_every_field(
+      std::to_array<StatField<TwoStats>>({{&TwoStats::hits, "hits"}})));
+  static_assert(!names_every_field(std::to_array<StatField<TwoStats>>(
+      {{&TwoStats::hits, "hits"}, {&TwoStats::hits, "again"}})));
+
+  TwoStats s;
+  ++s.hits;
+  s.misses += 4;
+  std::map<std::string, u64> out;
+  export_stats(out, "l9.", s, kTwoStatFields);
+  EXPECT_EQ(out, (std::map<std::string, u64>{{"l9.hits", 1}, {"l9.miss.count", 4}}));
 }
 
 TEST(Stats, ResetClearsEverything) {
-  StatGroup g;
-  g.counter("a").inc(3);
-  g.average("b").sample(9);
-  g.reset();
-  EXPECT_EQ(g.counter_value("a"), 0u);
-  EXPECT_EQ(g.average("b").count(), 0u);
+  TwoStats s{3, 9};
+  s = {};
+  std::map<std::string, u64> out;
+  export_stats(out, "", s, kTwoStatFields);
+  EXPECT_EQ(out, (std::map<std::string, u64>{{"hits", 0}, {"miss.count", 0}}));
 }
 
 TEST(Histogram, RecordAndClamp) {

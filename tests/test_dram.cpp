@@ -140,8 +140,8 @@ TEST(Dram, WritebackOccupiesBankAndBus) {
   const auto rd = dram.read(make_addr(cfg, 0, 0, 7, 1), 0);
   EXPECT_EQ(rd.outcome, DramModel::RowOutcome::kHit);
   EXPECT_EQ(rd.done, 160u + 100u + 16u);
-  EXPECT_EQ(dram.stats().counter_value("writebacks"), 1u);
-  EXPECT_EQ(dram.stats().counter_value("reads"), 1u);
+  EXPECT_EQ(dram.stats().writebacks, 1u);
+  EXPECT_EQ(dram.stats().reads, 1u);
 }
 
 TEST(Dram, ClosedPagePaysActivateEveryTimeAndAuditsClean) {
@@ -182,9 +182,7 @@ TEST(Dram, OutcomeCountersConserveAcrossMixedTraffic) {
     when += static_cast<Cycle>((x >> 32) & 0x3F);
   }
   const auto& s = dram.stats();
-  EXPECT_EQ(s.counter_value("row_hits") + s.counter_value("row_misses") +
-                s.counter_value("row_conflicts"),
-            s.counter_value("reads") + s.counter_value("writebacks"));
+  EXPECT_EQ(s.row_hits + s.row_misses + s.row_conflicts, s.reads + s.writebacks);
   EXPECT_EQ(dram.audit_check(), "");
 }
 
@@ -220,7 +218,7 @@ TEST(Dram, ReplayIsDeterministicAndChannelsCommute) {
 
   DramModel a(cfg), b(cfg);
   EXPECT_EQ(run(a, trace), run(b, trace));
-  EXPECT_EQ(a.stats().counter_value("row_hits"), b.stats().counter_value("row_hits"));
+  EXPECT_EQ(a.stats().row_hits, b.stats().row_hits);
 
   // Split by channel, replay each stream alone: per-request completions
   // must match the interleaved run (cross-channel requests are independent).

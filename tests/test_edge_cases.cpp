@@ -2,7 +2,9 @@
 // boundary conditions and defensive-path behaviour not exercised elsewhere.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/histogram.hpp"
 #include "common/stats.hpp"
@@ -16,15 +18,13 @@
 namespace tlrob {
 namespace {
 
-TEST(StatsPrint, FormatsCountersAndAverages) {
-  StatGroup g;
-  g.counter("alpha").inc(3);
-  g.average("beta").sample(2.0);
-  g.average("beta").sample(4.0);
-  std::ostringstream os;
-  g.print(os);
-  EXPECT_NE(os.str().find("alpha 3"), std::string::npos);
-  EXPECT_NE(os.str().find("beta mean=3"), std::string::npos);
+TEST(StatsExport, FamilyKeysCarryTheirIndex) {
+  std::map<std::string, u64> out;
+  export_family(out, "rob.busy.t", {5, 0, 7});
+  EXPECT_EQ(out, (std::map<std::string, u64>{
+                     {"rob.busy.t0", 5}, {"rob.busy.t1", 0}, {"rob.busy.t2", 7}}));
+  export_family(out, "rob.busy.t", {});
+  EXPECT_EQ(out.size(), 3u);
 }
 
 TEST(HistogramPrint, LabelledRows) {
@@ -37,9 +37,9 @@ TEST(HistogramPrint, LabelledRows) {
   EXPECT_NE(os.str().find("mix1 3 1"), std::string::npos);
 }
 
-TEST(Metrics, RunCounterDefaultsToZero) {
+TEST(Metrics, RunCounterThrowsOnAbsentName) {
   RunResult r;
-  EXPECT_EQ(run_counter(r, "nope"), 0u);
+  EXPECT_THROW(run_counter(r, "nope"), std::out_of_range);
   r.counters["x"] = 7;
   EXPECT_EQ(run_counter(r, "x"), 7u);
 }

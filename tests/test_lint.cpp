@@ -1,6 +1,6 @@
 // Tests for tlrob-lint itself (tools/lint): every rule in the catalogue is
 // proven live by a seeded-violation fixture and proven quiet by a clean
-// fixture, plus lexer/suppression/scoping/registry-parsing unit tests.
+// fixture, plus lexer/suppression/scoping unit tests.
 // Fixtures live in tests/lint/ and are lexed, never compiled.
 #include <gtest/gtest.h>
 
@@ -96,88 +96,6 @@ TEST(LintC2, RaiiLockingPasses) {
   EXPECT_TRUE(run_rule("c2_clean.cpp", "C2").empty());
 }
 
-// ---- D3 --------------------------------------------------------------------
-
-TEST(LintD3, CleanRegistryAndCodeAgree) {
-  std::string err;
-  LintOptions opts;
-  opts.all_scopes = true;
-  opts.registry = parse_registry(fixture("d3_registry_clean.md"), &err);
-  ASSERT_TRUE(err.empty()) << err;
-  ASSERT_EQ(opts.registry.size(), 4u);
-
-  LexedFile lf = lex_file(fixture("d3_clean.cpp"));
-  lf.display_path = "d3_clean.cpp";
-  EXPECT_TRUE(run_registry_check({lf}, opts, "d3_registry_clean.md").empty());
-}
-
-TEST(LintD3, BothDirectionsFire) {
-  std::string err;
-  LintOptions opts;
-  opts.all_scopes = true;
-  opts.registry = parse_registry(fixture("d3_registry_violation.md"), &err);
-  ASSERT_TRUE(err.empty()) << err;
-
-  LexedFile lf = lex_file(fixture("d3_violation.cpp"));
-  lf.display_path = "d3_violation.cpp";
-  const auto fs = run_registry_check({lf}, opts, "d3_registry_violation.md");
-  ASSERT_EQ(fs.size(), 2u);
-  // Forward: unregistered literal, reported against the code.
-  EXPECT_TRUE(any_message_contains(fs, "unregistered_counter"));
-  // Reverse: dead exact entry, reported against the registry file.
-  EXPECT_TRUE(any_message_contains(fs, "ghost_counter"));
-  EXPECT_TRUE(std::any_of(fs.begin(), fs.end(), [](const Finding& f) {
-    return f.path == "d3_registry_violation.md";
-  }));
-}
-
-TEST(LintD3, TraceFamilyCleanShapesPass) {
-  // The trace frontend's counter shapes: exact aggregates via counters[...],
-  // a per-thread family behind a "trace.t*" pattern, and a dynamic-prefix
-  // export the lexical capture deliberately ignores.
-  std::string err;
-  LintOptions opts;
-  opts.all_scopes = true;
-  opts.registry = parse_registry(fixture("d3_registry_trace.md"), &err);
-  ASSERT_TRUE(err.empty()) << err;
-  ASSERT_EQ(opts.registry.size(), 5u);
-
-  LexedFile lf = lex_file(fixture("d3_trace.cpp"));
-  lf.display_path = "d3_trace.cpp";
-  EXPECT_TRUE(run_registry_check({lf}, opts, "d3_registry_trace.md").empty());
-}
-
-TEST(LintD3, UnregisteredTraceCounterFires) {
-  std::string err;
-  LintOptions opts;
-  opts.all_scopes = true;
-  opts.registry = parse_registry(fixture("d3_registry_trace.md"), &err);
-  ASSERT_TRUE(err.empty()) << err;
-
-  LexedFile lf = lex_file(fixture("d3_trace_violation.cpp"));
-  lf.display_path = "d3_trace_violation.cpp";
-  const auto fs = run_registry_check({lf}, opts, "d3_registry_trace.md");
-  ASSERT_EQ(fs.size(), 1u);
-  EXPECT_EQ(fs[0].rule, "D3");
-  EXPECT_TRUE(any_message_contains(fs, "trace.bogus_stat"));
-}
-
-TEST(LintD3, MissingRegistryBlockIsAnError) {
-  std::string err;
-  const auto reg = parse_registry(fixture("d1_clean.cpp"), &err);
-  EXPECT_TRUE(reg.empty());
-  EXPECT_NE(err.find("counter-registry"), std::string::npos);
-}
-
-TEST(LintD3, RepoRegistryParses) {
-  // The real DESIGN.md block must stay parseable (the repo lint gate needs
-  // it); this pins the fence name and comment syntax.
-  std::string err;
-  const auto reg = parse_registry(std::string(TLROB_LINT_FIXTURE_DIR) + "/../../DESIGN.md", &err);
-  EXPECT_TRUE(err.empty()) << err;
-  EXPECT_GE(reg.size(), 60u);
-}
-
 // ---- lexer + suppression ---------------------------------------------------
 
 TEST(LintLexer, CommentsStringsAndIncludes) {
@@ -230,13 +148,12 @@ TEST(LintScopes, RulesBindToTheirModules) {
   EXPECT_TRUE(in_scope("C1", "src/common/sync.hpp"));
   EXPECT_TRUE(in_scope("C2", "src/sim/cmp.cpp"));
   EXPECT_FALSE(in_scope("C2", "src/rob/allocation_policy.cpp"));
-  EXPECT_TRUE(in_scope("D3", "tools/tlrob_campaign.cpp"));
 }
 
-TEST(LintCatalogue, FiveRules) {
+TEST(LintCatalogue, FourRules) {
   const auto lines = rule_catalogue();
-  ASSERT_EQ(lines.size(), 5u);
-  for (const char* id : {"D1", "D2", "D3", "C1", "C2"})
+  ASSERT_EQ(lines.size(), 4u);
+  for (const char* id : {"D1", "D2", "C1", "C2"})
     EXPECT_TRUE(std::any_of(lines.begin(), lines.end(), [&](const std::string& l) {
       return l.rfind(id, 0) == 0;
     })) << id;

@@ -26,7 +26,7 @@ TEST(Cache, MissThenResidentHit) {
   const auto p = c.probe(0x100, 20);
   EXPECT_TRUE(p.present);
   EXPECT_EQ(p.ready_at, 10u);
-  EXPECT_EQ(c.stats().counter_value("misses"), 1u);
+  EXPECT_EQ(c.stats().misses, 1u);
 }
 
 TEST(Cache, PendingLineMergesAndReportsOrigin) {
@@ -36,7 +36,7 @@ TEST(Cache, PendingLineMergesAndReportsOrigin) {
   EXPECT_TRUE(p.present);
   EXPECT_TRUE(p.fill_from_memory);
   EXPECT_EQ(p.ready_at, 500u);
-  EXPECT_EQ(c.stats().counter_value("mshr_merges"), 1u);
+  EXPECT_EQ(c.stats().mshr_merges, 1u);
 }
 
 TEST(Cache, LruVictimSelection) {
@@ -57,7 +57,7 @@ TEST(Cache, InFlightLinesAreNotVictimised) {
   c.fill(64, 0, /*ready_at=*/1000, true, nullptr);  // pending
   // Both ways of set 0 are in flight: a third fill must bypass.
   EXPECT_FALSE(c.fill(128, 1, 1, false, nullptr));
-  EXPECT_EQ(c.stats().counter_value("fill_bypass"), 1u);
+  EXPECT_EQ(c.stats().fill_bypass, 1u);
 }
 
 TEST(Cache, DirtyEvictionReported) {
@@ -111,7 +111,7 @@ TEST(Channel, MshrLimitDelaysAdmission) {
   // Third request at time 0 cannot be admitted before the first completes.
   const Cycle f3 = ch.request_fill(0);
   EXPECT_GE(f3, f1 + cfg.first_chunk);
-  EXPECT_EQ(ch.stats().counter_value("mshr_full_stalls"), 1u);
+  EXPECT_EQ(ch.stats().mshr_full_stalls, 1u);
 }
 
 TEST(Channel, WritebackConsumesBandwidthOnly) {
@@ -190,11 +190,11 @@ TEST(MemorySystem, StoresDirtyTheLine) {
   MemoryConfig cfg;
   MemorySystem ms(cfg);
   ms.access_data(0x300000, true, 0);  // write-allocate + dirty
-  const u64 wb_before = ms.channel().stats().counter_value("writebacks");
+  const u64 wb_before = ms.channel().stats().writebacks;
   // Evict the dirty L2 line: same L2 set every 2048*128 bytes, 8 ways.
   for (int w = 1; w <= 8; ++w)
     ms.access_data(0x300000 + static_cast<Addr>(w) * 2048 * 128, false, 1000 + w * 600);
-  EXPECT_GT(ms.channel().stats().counter_value("writebacks"), wb_before);
+  EXPECT_GT(ms.channel().stats().writebacks, wb_before);
 }
 
 // --- Replacement / MSHR pinning tests ---------------------------------------
@@ -209,7 +209,7 @@ TEST(Cache, InvalidWayPreferredOverEviction) {
   Cache c("c", CacheGeometry{128, 2, 32, 1});
   c.fill(0, 0, 0, false, nullptr);
   c.fill(64, 1, 1, false, nullptr);
-  EXPECT_EQ(c.stats().counter_value("evictions"), 0u);
+  EXPECT_EQ(c.stats().evictions, 0u);
   EXPECT_TRUE(c.probe(0, 2).present);
   EXPECT_TRUE(c.probe(64, 2).present);
 }
@@ -247,7 +247,7 @@ TEST(Cache, InFlightLineVictimisableOnceReady) {
   // Before the fills land every way is locked; after, normal LRU applies.
   EXPECT_FALSE(c.fill(128, 999, 999, false, nullptr));
   EXPECT_TRUE(c.fill(128, 1000, 1500, false, nullptr));
-  EXPECT_EQ(c.stats().counter_value("evictions"), 1u);
+  EXPECT_EQ(c.stats().evictions, 1u);
 }
 
 TEST(Cache, RefillKeepsLaterReadyAt) {
@@ -285,9 +285,9 @@ TEST(Cache, MergeCountsNeitherMissNorEviction) {
   c.fill(0x100, 0, /*ready_at=*/500, true, nullptr);
   c.probe(0x100, 10);  // merge
   c.probe(0x100, 20);  // merge
-  EXPECT_EQ(c.stats().counter_value("mshr_merges"), 2u);
-  EXPECT_EQ(c.stats().counter_value("misses"), 0u);
-  EXPECT_EQ(c.stats().counter_value("evictions"), 0u);
+  EXPECT_EQ(c.stats().mshr_merges, 2u);
+  EXPECT_EQ(c.stats().misses, 0u);
+  EXPECT_EQ(c.stats().evictions, 0u);
 }
 
 TEST(Channel, CompletionsAreMonotonic) {
@@ -318,11 +318,11 @@ TEST(Channel, MshrDrainAdmitsInCompletionOrder) {
   const Cycle f3 = ch.request_fill(0);  // also admitted at f1; bus-bound
   EXPECT_EQ(f2, f1 + cfg.first_chunk + ch.transfer_cycles());
   EXPECT_EQ(f3, f2 + ch.transfer_cycles());
-  EXPECT_EQ(ch.stats().counter_value("mshr_full_stalls"), 2u);
+  EXPECT_EQ(ch.stats().mshr_full_stalls, 2u);
   // A request after everything drained is admitted immediately again.
   const Cycle f4 = ch.request_fill(f3 + 10);
   EXPECT_EQ(f4, f3 + 10 + cfg.first_chunk + ch.transfer_cycles());
-  EXPECT_EQ(ch.stats().counter_value("mshr_full_stalls"), 2u);
+  EXPECT_EQ(ch.stats().mshr_full_stalls, 2u);
 }
 
 TEST(MemorySystem, DirtyL2EvictionQueuesWritebackBeforeNextFill) {
@@ -332,7 +332,7 @@ TEST(MemorySystem, DirtyL2EvictionQueuesWritebackBeforeNextFill) {
   MemoryConfig cfg;
   MemorySystem ms(cfg);
   ms.access_data(0x300000, true, 0);  // dirty in L1+L2
-  const u64 wb_before = ms.channel().stats().counter_value("writebacks");
+  const u64 wb_before = ms.channel().stats().writebacks;
   // Fill seven more ways of the dirty line's L2 set (8-way; same set every
   // 2048*128 bytes), spaced so every fill has landed before the next access.
   const Addr stride = 2048 * 128;
@@ -344,7 +344,7 @@ TEST(MemorySystem, DirtyL2EvictionQueuesWritebackBeforeNextFill) {
   // cycle must wait out that extra bus occupancy.
   const Cycle tr = ms.channel().transfer_cycles();
   ms.access_data(0x300000 + 8 * stride, false, t);  // evicts, queues writeback
-  EXPECT_EQ(ms.channel().stats().counter_value("writebacks"), wb_before + 1);
+  EXPECT_EQ(ms.channel().stats().writebacks, wb_before + 1);
   const DataAccess next = ms.access_data(0x900000, false, t);
   EXPECT_TRUE(next.l2_miss);
   const Cycle tag_done = t + cfg.l1d.hit_latency + cfg.l2.hit_latency;
@@ -383,8 +383,8 @@ TEST(SharedLlc, CrossCoreSetThrashingEvictsAndRemisses) {
   EXPECT_TRUE(sm.request_fill(d, 3000, 1).llc_miss);  // evicts B
   // Core 0 lost its working set to core 1: A misses again.
   EXPECT_TRUE(sm.request_fill(a, 4000, 0).llc_miss);
-  EXPECT_EQ(sm.llc().stats().counter_value("misses"), 5u);
-  EXPECT_EQ(sm.llc().stats().counter_value("evictions"), 3u);
+  EXPECT_EQ(sm.llc().stats().misses, 5u);
+  EXPECT_EQ(sm.llc().stats().evictions, 3u);
   EXPECT_EQ(sm.audit_check(), "");
 }
 
@@ -398,11 +398,11 @@ TEST(SharedLlc, CrossCoreMshrMergeAttributedOnce) {
   const SharedMemory::Fill merged = sm.request_fill(0x40, 5, /*core=*/1);
   EXPECT_TRUE(merged.llc_miss);
   EXPECT_EQ(merged.ready, first.ready);
-  EXPECT_EQ(sm.stats().counter_value("cross_core_merges"), 1u);
+  EXPECT_EQ(sm.stats().cross_core_merges, 1u);
   // A same-core merge rides the fill too but is not a cross-core event.
   sm.request_fill(0x40, 6, /*core=*/0);
-  EXPECT_EQ(sm.stats().counter_value("cross_core_merges"), 1u);
-  EXPECT_EQ(sm.llc().stats().counter_value("mshr_merges"), 2u);
+  EXPECT_EQ(sm.stats().cross_core_merges, 1u);
+  EXPECT_EQ(sm.llc().stats().mshr_merges, 2u);
   // After the fill lands the line is a plain LLC hit for every core.
   const SharedMemory::Fill hit = sm.request_fill(0x40, first.ready + 100, /*core=*/1);
   EXPECT_FALSE(hit.llc_miss);
@@ -415,18 +415,18 @@ TEST(SharedLlc, InclusiveVictimWritebackAbsorbedThenSpilled) {
   // Resident line: the L2's dirty victim is absorbed (marked dirty in the
   // LLC), no DRAM traffic.
   sm.request_writeback(a, 1000);
-  EXPECT_EQ(sm.stats().counter_value("writebacks_in"), 1u);
-  EXPECT_EQ(sm.stats().counter_value("writeback_misses"), 0u);
-  EXPECT_EQ(sm.dram().stats().counter_value("writebacks"), 0u);
+  EXPECT_EQ(sm.stats().writebacks_in, 1u);
+  EXPECT_EQ(sm.stats().writeback_misses, 0u);
+  EXPECT_EQ(sm.dram().stats().writebacks, 0u);
   // Thrash the set from the other core until the dirty line is the LRU
   // victim: its eviction must spill to DRAM.
   sm.request_fill(kLlcSetStride, 2000, 1);
   sm.request_fill(2 * kLlcSetStride, 3000, 1);  // evicts dirty A
-  EXPECT_EQ(sm.dram().stats().counter_value("writebacks"), 1u);
+  EXPECT_EQ(sm.dram().stats().writebacks, 1u);
   // A writeback for a line the LLC no longer holds goes straight to DRAM.
   sm.request_writeback(a, 4000);
-  EXPECT_EQ(sm.stats().counter_value("writeback_misses"), 1u);
-  EXPECT_EQ(sm.dram().stats().counter_value("writebacks"), 2u);
+  EXPECT_EQ(sm.stats().writeback_misses, 1u);
+  EXPECT_EQ(sm.dram().stats().writebacks, 2u);
   EXPECT_EQ(sm.audit_check(), "");
 }
 
@@ -438,7 +438,7 @@ TEST(SharedLlc, MshrPoolBoundDelaysAdmission) {
   // Second miss the same cycle: the single MSHR is held until the first
   // fill completes, so the DRAM access starts late.
   const SharedMemory::Fill second = sm.request_fill(kLlcSetStride, 0, 1);
-  EXPECT_EQ(sm.stats().counter_value("mshr_full_stalls"), 1u);
+  EXPECT_EQ(sm.stats().mshr_full_stalls, 1u);
   EXPECT_GT(second.ready, first.ready);
   EXPECT_GE(second.ready, first.ready + sm.dram().config().tcas);
 }

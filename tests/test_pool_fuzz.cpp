@@ -19,6 +19,9 @@
 
 #include <algorithm>
 #include <random>
+#include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "runner/campaign.hpp"
@@ -31,6 +34,7 @@
 #include "sim/presets.hpp"
 #include "sim/smt_sim.hpp"
 #include "trace/resolve.hpp"
+#include "workload/mixes.hpp"
 #include "workload/spec_profiles.hpp"
 
 namespace tlrob {
@@ -292,6 +296,79 @@ TEST(CmpDifferential, SmtCoreRunMatchesOneCoreMachineOnEveryPreset) {
       }
       EXPECT_EQ(core.executed_cycles(), machine.executed_cycles()) << where;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Differential: idle fast-forward changes nothing but the skipped-cycle count.
+// ---------------------------------------------------------------------------
+//
+// The run loop skips provably idle cycles and replays the per-cycle counters
+// across them (SmtCore::replay_idle_to). Every cell runs through CmpMachine
+// twice, once fast-forwarding and once pinned to cycle-by-cycle execution
+// by a silent text tracer on core 0; cycles, commits, both DoD histograms
+// and every counter except core.fast_forwarded_cycles must agree.
+
+void expect_fast_forward_matches_pinned(MachineConfig cfg, const std::vector<Benchmark>& benches,
+                                        u64 insts, u64 max_cycles, u64 warmup,
+                                        const std::string& where) {
+  cfg.audit.level = AuditLevel::kOff;  // the auditor would pin both runs
+  CmpMachine ff(cfg, benches);
+  RunResult a = ff.run(insts, max_cycles, warmup);
+  CmpMachine pinned(cfg, benches);
+  std::ostringstream sink;
+  pinned.core(0).tracer().attach(&sink, 0, 0);
+  RunResult b = pinned.run(insts, max_cycles, warmup);
+
+  EXPECT_GT(ff.core(0).fast_forwarded_cycles(), 0u) << where;
+  EXPECT_EQ(pinned.core(0).fast_forwarded_cycles(), 0u) << where;
+  EXPECT_LE(run_counter(a, "core.fast_forwarded_cycles"), a.cycles) << where;
+  EXPECT_EQ(run_counter(b, "core.fast_forwarded_cycles"), 0u) << where;
+  EXPECT_EQ(a.cycles, b.cycles) << where;
+  ASSERT_EQ(a.threads.size(), b.threads.size()) << where;
+  for (size_t t = 0; t < a.threads.size(); ++t)
+    EXPECT_EQ(a.threads[t].committed, b.threads[t].committed) << where << " thread " << t;
+  EXPECT_EQ(a.dod_true, b.dod_true) << where;
+  EXPECT_EQ(a.dod_proxy, b.dod_proxy) << where;
+  a.counters.erase("core.fast_forwarded_cycles");
+  b.counters.erase("core.fast_forwarded_cycles");
+  EXPECT_EQ(a.counters, b.counters) << where;
+  EXPECT_EQ(sink.str(), "") << where;
+}
+
+TEST(FastForwardDifferential, SampledCellsOfEveryPreset) {
+  using runner::JobSpec;
+  for (const std::string& preset : runner::preset_names()) {
+    const std::vector<JobSpec> jobs =
+        runner::expand(runner::preset_campaign(preset, runner::golden_run_length()));
+    const size_t stride = jobs.size() <= 3 ? 1 : jobs.size() / 3;
+    u32 compared = 0;
+    for (size_t i = 0; i < jobs.size() && compared < 3; i += stride, ++compared) {
+      const JobSpec& js = jobs[i];
+      MachineConfig cfg = js.config;
+      cfg.seed = js.seed;
+      expect_fast_forward_matches_pinned(cfg, trace::resolve_mix_benchmarks(js.mix), js.insts,
+                                         js.max_cycles, js.warmup,
+                                         preset + " cell " + std::to_string(i) + " (" +
+                                             js.config_name + " / " + js.mix.name + ")");
+    }
+  }
+}
+
+TEST(FastForwardDifferential, ShortLeasesOnEveryReactiveAndPredictiveScheme) {
+  // A 200-cycle lease and a 100-cycle cooldown make the controller's time
+  // gates (lease expiry, re-acquisition after cooldown) fire inside the run.
+  const std::pair<RobScheme, u32> schemes[] = {{RobScheme::kReactive, 16},
+                                               {RobScheme::kRelaxedReactive, 15},
+                                               {RobScheme::kCdr, 15},
+                                               {RobScheme::kPredictive, 5}};
+  const runner::RunLengthSpec len = runner::golden_run_length();
+  for (const auto& [scheme, threshold] : schemes) {
+    MachineConfig cfg = two_level_config(scheme, threshold);
+    cfg.rob.lease_limit = 200;
+    cfg.rob.lease_cooldown = 100;
+    expect_fast_forward_matches_pinned(cfg, mix_benchmarks(table2_mix(1)), len.insts, 0,
+                                       len.warmup, rob_scheme_name(scheme));
   }
 }
 

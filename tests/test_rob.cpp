@@ -148,8 +148,8 @@ TEST(DodPredictor, LastValueSemantics) {
   EXPECT_EQ(p.predict(0, 0x400).value(), 7u);
   p.update(0, 0x400, 3);
   EXPECT_EQ(p.predict(0, 0x400).value(), 3u);
-  EXPECT_EQ(p.stats().counter_value("cold_installs"), 1u);
-  EXPECT_EQ(p.stats().counter_value("value_changes"), 1u);
+  EXPECT_EQ(p.stats().cold_installs, 1u);
+  EXPECT_EQ(p.stats().value_changes, 1u);
 }
 
 TEST(DodPredictor, ThreadsAndPcsAreDistinguished) {
@@ -217,7 +217,7 @@ TEST_F(ControllerTest, ReactiveRejectsHighDod) {
   ctrl.on_l2_miss_detected(load, 100);
   ctrl.tick(100);
   EXPECT_TRUE(second_.available());
-  EXPECT_GE(ctrl.stats().counter_value("rejected_high_dod"), 1u);
+  EXPECT_GE(ctrl.stats().rejected_high_dod, 1u);
 }
 
 TEST_F(ControllerTest, ReactiveRequiresLoadAtHead) {
@@ -287,7 +287,7 @@ TEST_F(ControllerTest, PredictiveAllocatesOnlyWithTrainedPredictor) {
   ctrl.on_l2_miss_detected(load, 100);  // cold: no prediction
   ctrl.tick(100);
   EXPECT_TRUE(second_.available());
-  EXPECT_EQ(ctrl.stats().counter_value("prediction_cold_misses"), 1u);
+  EXPECT_EQ(ctrl.stats().prediction_cold_misses, 1u);
 
   // The fill trains the predictor with the actual count (5 < 8).
   ctrl.on_load_fill(load, 600);
@@ -298,7 +298,7 @@ TEST_F(ControllerTest, PredictiveAllocatesOnlyWithTrainedPredictor) {
   DynInst& load2 = fill_rob0_with_miss(/*unexec=*/5);
   ctrl.on_l2_miss_detected(load2, 1200);
   EXPECT_TRUE(second_.owned_by(0));
-  EXPECT_EQ(ctrl.stats().counter_value("predictive_allocations"), 1u);
+  EXPECT_EQ(ctrl.stats().predictive_allocations, 1u);
 }
 
 TEST_F(ControllerTest, PredictiveVerificationFailureDropsLease) {
@@ -311,7 +311,7 @@ TEST_F(ControllerTest, PredictiveVerificationFailureDropsLease) {
   ctrl.on_l2_miss_detected(load2, 1000);                // predicted 5 -> allocate
   ASSERT_TRUE(second_.owned_by(0));
   ctrl.on_load_fill(load2, 1500);  // verification: 20 >= 8
-  EXPECT_EQ(ctrl.stats().counter_value("verification_failures"), 1u);
+  EXPECT_EQ(ctrl.stats().verification_failures, 1u);
   // Lease is no longer justified: once drained the partition frees.
   rob0_.squash_after(0, [](DynInst&) {});
   ctrl.tick(1501);
@@ -405,7 +405,7 @@ TEST_F(ControllerTest, AdaptiveGrowsWhenCommitBoundAndShrinksWhenIssueBound) {
   while (!rob0_.full()) rob0_.push(make_inst(next_tseq_++, true));
   ctrl.tick(384);
   EXPECT_EQ(rob0_.extra(), 32u);
-  EXPECT_EQ(ctrl.stats().counter_value("adaptive.grows"), 2u);
+  EXPECT_EQ(ctrl.stats().adaptive_grows, 2u);
 
   // Issue-bound: many unexecuted instructions in the window.
   rob0_.for_each([](DynInst& d) {
@@ -420,7 +420,7 @@ TEST_F(ControllerTest, AdaptiveGrowsWhenCommitBoundAndShrinksWhenIssueBound) {
 
   // Decisions only at the interval boundary; never touches the partition.
   ctrl.tick(830);
-  EXPECT_EQ(ctrl.stats().counter_value("adaptive.shrinks"), 2u);
+  EXPECT_EQ(ctrl.stats().adaptive_shrinks, 2u);
   EXPECT_TRUE(second_.available());
 }
 
@@ -445,7 +445,7 @@ TEST_F(ControllerTest, BaselineSchemeIsInert) {
   ctrl.tick(100);
   ctrl.on_load_fill(load, 600);
   EXPECT_TRUE(second_.available());
-  EXPECT_EQ(ctrl.stats().counter_value("allocations"), 0u);
+  EXPECT_EQ(ctrl.stats().allocations, 0u);
 }
 
 }  // namespace

@@ -791,5 +791,23 @@ TEST(RunnerPresets, AllPresetsExpand) {
   EXPECT_THROW(preset_campaign("fig99", {1000, 200}), std::invalid_argument);
 }
 
+// Every preset runs its tables and epilogue, so every by-name counter read
+// in an epilogue (column_counter throws on an absent name) executes here.
+TEST(RunnerPresets, EveryPresetRenders) {
+  const std::string path = temp_path("tlrob_render");
+  for (const auto& name : preset_names()) {
+    std::FILE* out = std::fopen(path.c_str(), "w");
+    ASSERT_NE(out, nullptr);
+    PresetOptions popts;
+    popts.length = {1000, 200};
+    popts.jobs = 2;
+    popts.out = out;
+    EXPECT_NO_THROW(run_preset(name, popts)) << name;
+    std::fclose(out);
+    EXPECT_FALSE(read_file(path).empty()) << name;
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace tlrob::runner

@@ -1,7 +1,7 @@
-// Driver plumbing for tlrob-lint: DESIGN.md registry parsing and the
-// compile_commands.json file enumeration. The JSON parsing reuses the
-// campaign runner's deterministic parser (runner/json.hpp) — the lint tool
-// links the tlrob library anyway for common/types.
+// Driver plumbing for tlrob-lint: the compile_commands.json file
+// enumeration. The JSON parsing reuses the campaign runner's deterministic
+// parser (runner/json.hpp) — the lint tool links the tlrob library anyway
+// for common/types.
 #include "lint/lint.hpp"
 
 #include <fstream>
@@ -11,43 +11,6 @@
 #include "runner/json.hpp"
 
 namespace tlrob::lint {
-
-std::vector<RegistryEntry> parse_registry(const std::string& design_path, std::string* error) {
-  std::vector<RegistryEntry> out;
-  std::ifstream in(design_path);
-  if (!in.is_open()) {
-    if (error) *error = "cannot read " + design_path;
-    return out;
-  }
-  std::string line;
-  u32 lineno = 0;
-  bool in_block = false;
-  bool seen_block = false;
-  while (std::getline(in, line)) {
-    ++lineno;
-    // Strip trailing CR so a CRLF checkout parses identically.
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (!in_block && line.rfind("```counter-registry", 0) == 0) {
-      in_block = true;
-      seen_block = true;
-      continue;
-    }
-    if (in_block && line.rfind("```", 0) == 0) {
-      in_block = false;
-      continue;
-    }
-    if (!in_block) continue;
-    // Entry lines: "name", with optional trailing "# comment".
-    std::string entry = line.substr(0, line.find('#'));
-    while (!entry.empty() && (entry.back() == ' ' || entry.back() == '\t')) entry.pop_back();
-    size_t start = entry.find_first_not_of(" \t");
-    if (start == std::string::npos) continue;
-    out.push_back(RegistryEntry{entry.substr(start), lineno});
-  }
-  if (!seen_block && error)
-    *error = design_path + " has no ```counter-registry block (DESIGN.md §9)";
-  return out;
-}
 
 std::vector<std::string> compile_db_files(const std::string& db_path) {
   std::ifstream in(db_path);

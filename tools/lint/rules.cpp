@@ -21,7 +21,7 @@ using TokIt = std::vector<Token>::const_iterator;
 
 // ---- rule scopes (root-relative path substrings) ---------------------------
 
-/// D1: emission paths — everything between a StatGroup/RunResult and bytes
+/// D1: emission paths — everything between a RunResult and bytes
 /// on disk: records, sinks, golden fingerprints, render tables, the engine
 /// (manifest + resume), and the whole observability tree.
 const char* const kEmissionScope[] = {
@@ -35,9 +35,6 @@ const char* const kEmissionScope[] = {
 const char* const kCoreScope[] = {
     "src/sim/", "src/pipeline/", "src/rob/", "src/memory/",
 };
-
-/// D3: everywhere counters are registered or read by name.
-const char* const kCounterScope[] = {"src/", "tools/"};
 
 /// C1/C2: the concurrent modules (the shared pool and lock primitives in
 /// common/, the campaign engine/emitter/sinks, the single-thread-IPC memo,
@@ -98,24 +95,6 @@ TokIt skip_angles(TokIt it, TokIt end) {
       return it;
   }
   return it;
-}
-
-/// Collects every string literal between a call's '(' and its matching ')'.
-/// `it` points at the identifier before '('.
-std::vector<const Token*> call_string_args(TokIt it, TokIt end) {
-  std::vector<const Token*> out;
-  ++it;
-  if (it == end || !it->is_punct("(")) return out;
-  int depth = 0;
-  for (; it != end; ++it) {
-    if (it->is_punct("("))
-      ++depth;
-    else if (it->is_punct(")") && --depth == 0)
-      break;
-    else if (it->kind == Token::Kind::kString)
-      out.push_back(&*it);
-  }
-  return out;
 }
 
 bool prev_is_member_access(TokIt it, TokIt begin) {
@@ -316,108 +295,7 @@ void rule_c2(const LexedFile& f, std::vector<Finding>& out) {
   }
 }
 
-// ---- D3: counter-name registry ---------------------------------------------
-
-/// Counter-name string literals referenced by this file, with lines:
-/// .counter("x") / .average("x") / counter_value("x") / counter_or_zero(r, "x") /
-/// column_counter(res, "CFG", "x") / counters["x"] / counters.at("x").
-std::vector<std::pair<std::string, u32>> counter_literals(const LexedFile& f) {
-  std::vector<std::pair<std::string, u32>> out;
-  const auto& ts = f.tokens;
-  for (auto it = ts.begin(); it != ts.end(); ++it) {
-    if (it->kind != Token::Kind::kIdent) continue;
-    if (it->text == "counter" || it->text == "average" || it->text == "counter_value" ||
-        it->text == "counter_or_zero") {
-      // Only the accessor calls, not e.g. a local named "counter": require a
-      // member access or a call directly ( `stats.counter("x")` / bare
-      // `counter_value("x")` ).
-      for (const Token* s : call_string_args(it, ts.end()))
-        if (!s->text.empty()) out.emplace_back(s->text, s->line);
-    } else if (it->text == "column_counter") {
-      // column_counter(result, "CONFIG-NAME", "counter.name"): only the last
-      // string argument names a counter; the first is a campaign column.
-      const auto args = call_string_args(it, ts.end());
-      if (!args.empty() && !args.back()->text.empty())
-        out.emplace_back(args.back()->text, args.back()->line);
-    } else if (it->text == "counters") {
-      auto j = it + 1;
-      if (j != ts.end() && j->is_punct("[")) {
-        ++j;
-        if (j != ts.end() && j->kind == Token::Kind::kString && !j->text.empty())
-          out.emplace_back(j->text, j->line);
-      } else if (j != ts.end() && (j->is_punct(".") || j->is_punct("->"))) {
-        ++j;
-        if (j != ts.end() && (j->is_ident("at") || j->is_ident("count") ||
-                              j->is_ident("find") || j->is_ident("contains")))
-          for (const Token* s : call_string_args(j, ts.end()))
-            if (!s->text.empty()) out.emplace_back(s->text, s->line);
-      }
-    }
-  }
-  return out;
-}
-
-/// Does literal L (as written in code, possibly component-unprefixed, and
-/// with a trailing '.' when it is a dynamic prefix) satisfy entry E?
-bool literal_matches_entry(const std::string& lit, const RegistryEntry& e) {
-  if (e.name == lit) return true;
-  if (e.is_pattern()) {
-    const std::string prefix = e.name.substr(0, e.name.size() - 1);
-    if (lit.compare(0, prefix.size(), prefix) == 0 && lit.size() >= prefix.size()) return true;
-    // Dynamic-prefix literal ("violations.", "allocations.t") against a
-    // namespaced pattern ("audit.violations.*", "rob.allocations.t*"): the
-    // pattern's prefix ends with the literal. Dynamic counter names are
-    // always built as `"literal" + suffix`, so the literal is a prefix of
-    // the full name even when it does not end at a '.' boundary.
-    if (lit.size() >= 2 && prefix.size() >= lit.size() &&
-        prefix.compare(prefix.size() - lit.size(), lit.size(), lit) == 0)
-      return true;
-    return false;
-  }
-  // Component-local literal ("accesses") against a full name
-  // ("l1d.accesses"): the entry ends with "." + literal.
-  if (e.name.size() > lit.size() + 1 &&
-      e.name.compare(e.name.size() - lit.size() - 1, lit.size() + 1, "." + lit) == 0)
-    return true;
-  return false;
-}
-
 }  // namespace
-
-std::vector<Finding> run_registry_check(const std::vector<LexedFile>& files,
-                                        const LintOptions& opts,
-                                        const std::string& design_path) {
-  const std::vector<RegistryEntry>& registry = opts.registry;
-  std::vector<Finding> out;
-  std::vector<bool> entry_hit(registry.size(), false);
-
-  for (const LexedFile& f : files) {
-    if (!opts.all_scopes && !in_scope("D3", f.display_path)) continue;
-    for (const auto& [lit, line] : counter_literals(f)) {
-      bool matched = false;
-      for (size_t i = 0; i < registry.size(); ++i) {
-        if (literal_matches_entry(lit, registry[i])) {
-          entry_hit[i] = true;
-          matched = true;  // keep scanning: one literal can satisfy several entries
-        }
-      }
-      if (!matched && !f.allowed("D3", line))
-        out.push_back(Finding{"D3", f.display_path, line,
-                              "counter name \"" + lit +
-                                  "\" is not in the DESIGN.md §9 counter-name registry; "
-                                  "register it (names in golden fixtures are API)"});
-    }
-  }
-
-  for (size_t i = 0; i < registry.size(); ++i) {
-    if (entry_hit[i] || registry[i].is_pattern()) continue;
-    out.push_back(Finding{"D3", design_path, registry[i].line,
-                          "registry entry \"" + registry[i].name +
-                              "\" is referenced by no code: stale registry entries hide real "
-                              "drift, remove it or wire the counter back up"});
-  }
-  return out;
-}
 
 bool LintOptions::rule_enabled(const std::string& id) const {
   return rules.empty() || std::find(rules.begin(), rules.end(), id) != rules.end();
@@ -426,7 +304,6 @@ bool LintOptions::rule_enabled(const std::string& id) const {
 bool in_scope(const std::string& rule, const std::string& p) {
   if (rule == "D1") return match_scope(kEmissionScope, p);
   if (rule == "D2") return match_scope(kCoreScope, p);
-  if (rule == "D3") return match_scope(kCounterScope, p);
   if (rule == "C1" || rule == "C2") return match_scope(kConcurrencyScope, p);
   return false;
 }
@@ -455,8 +332,6 @@ std::vector<std::string> rule_catalogue() {
       "render/json/engine, obs)",
       "D2  no nondeterminism sources in the simulator core (sim, pipeline, rob, memory): "
       "rand/clocks/pointer-keyed maps",
-      "D3  StatGroup counter names referenced in code <=> DESIGN.md §9 registry, both "
-      "directions",
       "C1  every mutex in a concurrent module is named by a TLROB_GUARDED_BY annotation",
       "C2  RAII locking only in concurrent modules (no naked .lock()/.unlock())",
   };

@@ -68,6 +68,16 @@ def main():
     rejected("llc=+64", run(simulate, "mix=1", "llc=+64", *RUN))
     rejected("llc=' 64'", run(simulate, "mix=1", "llc= 64", *RUN))
     rejected("dram=-2", run(simulate, "mix=1", "dram=-2", *RUN))
+    # Zero widths and capacities never commit: MachineConfig::validate()
+    # rejects them, naming the field, instead of spinning to the cycle cap.
+    for knob, field in [("rob1", "rob_first_level"), ("commit_width", "commit_width"),
+                        ("fetch_width", "fetch_width"), ("dispatch_width", "dispatch_width"),
+                        ("issue_width", "issue_width"), ("iq", "iq_entries"),
+                        ("lsq", "lsq_entries"), ("frontend_buffer", "frontend_buffer"),
+                        ("fetch_threads", "fetch_threads")]:
+        zero = run(simulate, "mix=1", knob + "=0", *RUN)
+        rejected(knob + "=0", zero)
+        check(knob + "=0 names " + field, field in zero.stderr, zero.stderr[-200:])
     bad_env = subprocess.run([simulate, "mix=1", *RUN], capture_output=True, text=True,
                              timeout=300, env={**os.environ, "TLROB_SAMPLE": "abc"})
     rejected("$TLROB_SAMPLE=abc", bad_env)

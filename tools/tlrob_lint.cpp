@@ -3,11 +3,10 @@
 // Repo mode (CI, ctest):
 //   tlrob-lint -p build/compile_commands.json --root .
 // lints every translation unit in the compile database plus every header
-// under <root>/src, runs the D3 registry check against <root>/DESIGN.md,
-// and exits 1 on any finding (2 on usage/IO errors).
+// under <root>/src and exits 1 on any finding (2 on usage/IO errors).
 //
 // Fixture mode (rule tests):
-//   tlrob-lint --all-scopes [--rules D1,C2] [--design <registry.md>] file...
+//   tlrob-lint --all-scopes [--rules D1,C2] file...
 // lints exactly the named files with path scoping disabled, which is how
 // tests/lint/ proves every rule still bites.
 #include <algorithm>
@@ -27,8 +26,8 @@ namespace {
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [-p compile_commands.json] [--root DIR] [--design FILE]\n"
-               "          [--rules D1,D2,...] [--all-scopes] [--list-rules] [file...]\n",
+               "usage: %s [-p compile_commands.json] [--root DIR] [--rules D1,D2,...]\n"
+               "          [--all-scopes] [--list-rules] [file...]\n",
                argv0);
   return 2;
 }
@@ -46,7 +45,6 @@ std::string display(const fs::path& root, const std::string& path) {
 int main(int argc, char** argv) {
   std::string db_path;
   std::string root = ".";
-  std::string design;
   LintOptions opts;
   std::vector<std::string> files;
 
@@ -63,8 +61,6 @@ int main(int argc, char** argv) {
       db_path = value("-p");
     else if (arg == "--root")
       root = value("--root");
-    else if (arg == "--design")
-      design = value("--design");
     else if (arg == "--all-scopes")
       opts.all_scopes = true;
     else if (arg == "--rules") {
@@ -108,20 +104,7 @@ int main(int argc, char** argv) {
             files.push_back(e.path().string());
     }
 
-    // D3 registry (repo mode defaults to <root>/DESIGN.md; fixture mode
-    // only runs the registry check when --design names one).
-    std::string design_path = design;
-    if (design_path.empty() && repo_mode) design_path = (root_path / "DESIGN.md").string();
-    if (!design_path.empty() && opts.rule_enabled("D3")) {
-      std::string err;
-      opts.registry = parse_registry(design_path, &err);
-      if (!err.empty()) {
-        std::fprintf(stderr, "tlrob-lint: %s\n", err.c_str());
-        return 2;
-      }
-    }
-
-    // Lex once, then run the per-file rules and the cross-file D3 check.
+    // Lex once, then run the per-file rules.
     std::sort(files.begin(), files.end());
     files.erase(std::unique(files.begin(), files.end()), files.end());
     std::vector<LexedFile> lexed;
@@ -135,10 +118,6 @@ int main(int argc, char** argv) {
     std::vector<Finding> findings;
     for (const LexedFile& lf : lexed)
       for (Finding& fi : run_file_rules(lf, opts)) findings.push_back(std::move(fi));
-    if (!opts.registry.empty() && opts.rule_enabled("D3"))
-      for (Finding& fi :
-           run_registry_check(lexed, opts, display(root_path, design_path)))
-        findings.push_back(std::move(fi));
 
     // Deterministic report order, one finding per (file, line, rule).
     std::sort(findings.begin(), findings.end(), [](const Finding& a, const Finding& b) {
@@ -158,8 +137,7 @@ int main(int argc, char** argv) {
       std::printf("tlrob-lint: %u finding(s) in %zu file(s)\n", reported, lexed.size());
       return 1;
     }
-    std::printf("tlrob-lint: clean (%zu files, %zu registry entries)\n", lexed.size(),
-                opts.registry.size());
+    std::printf("tlrob-lint: clean (%zu files)\n", lexed.size());
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tlrob-lint: %s\n", e.what());
