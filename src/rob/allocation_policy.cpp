@@ -111,14 +111,14 @@ void TwoLevelRobController::on_l2_miss_detected(DynInst& load, Cycle now) {
       ++stats_.prediction_cold_misses;
     }
     // Track for verification at fill regardless of the decision.
-    ts.cands.push_back({load.tseq, now, kNeverCycle, false});
+    ts.cands.push_back({load.tseq, kNeverCycle});
     return;
   }
 
   const Cycle first_check =
       cfg_.scheme == RobScheme::kCdr ? now + cfg_.cdr_delay : now;
   next_check_floor_ = std::min(next_check_floor_, first_check);
-  ts.cands.push_back({load.tseq, now, first_check, false});
+  ts.cands.push_back({load.tseq, first_check});
 }
 
 void TwoLevelRobController::on_load_fill(DynInst& load, Cycle now) {
@@ -152,10 +152,12 @@ bool TwoLevelRobController::evaluate(ThreadId tid, Candidate& c, Cycle now) {
 
   const bool can_acquire_fresh = second_.available() && now >= threads_[tid].cooldown_until;
   const bool can_renew = second_.owned_by(tid) && !lease_expired(tid, now);
-  if (!can_acquire_fresh && !can_renew) {
-    c.next_check = now + cfg_.recheck_interval;
-    return false;
-  }
+  // Every outcome that keeps the candidate defers it to the next re-check;
+  // next_wake() may replay that deferral while the machine stays quiet.
+  c.last_eval = now;
+  c.next_check = now + cfg_.recheck_interval;
+  c.rejected = false;
+  if (!can_acquire_fresh && !can_renew) return false;
 
   bool conditions = true;
   if (cfg_.scheme == RobScheme::kReactive) {
@@ -172,10 +174,10 @@ bool TwoLevelRobController::evaluate(ThreadId tid, Candidate& c, Cycle now) {
       return true;  // decision made; candidate retired
     }
     ++stats_.rejected_high_dod;
+    c.rejected = true;
     // A high count can shrink as independent work executes; keep re-checking
     // while the miss is outstanding.
   }
-  c.next_check = now + cfg_.recheck_interval;
   return false;
 }
 
@@ -247,7 +249,37 @@ bool TwoLevelRobController::tick(Cycle now) {
   return activity;
 }
 
-Cycle TwoLevelRobController::next_wake(Cycle now) const {
+bool TwoLevelRobController::repeats(const Candidate& c, Cycle quiet_since) const {
+  // An evaluation before the quiet spell may have seen state that has
+  // changed since (and one inside an active tick may precede a later
+  // thread's release in the same tick), so only a no-op tick's evaluation
+  // is known to repeat.
+  return c.last_eval != kNeverCycle && c.last_eval >= quiet_since;
+}
+
+Cycle TwoLevelRobController::grid_at_or_after(const Candidate& c, Cycle t) const {
+  if (t <= c.next_check) return c.next_check;
+  const Cycle steps = (t - c.next_check + cfg_.recheck_interval - 1) / cfg_.recheck_interval;
+  return c.next_check + steps * cfg_.recheck_interval;
+}
+
+Cycle TwoLevelRobController::replay_until(ThreadId tid, const Candidate& c,
+                                          Cycle quiet_since) const {
+  if (!repeats(c, quiet_since)) return c.next_check;
+  // With the machine quiet, the outcome depends on time only through
+  // now >= cooldown_until and now >= acquired_at + lease_limit. A gate at
+  // or before the evaluation had already flipped when it ran; only a later
+  // one can change the outcome.
+  Cycle gate = kNeverCycle;
+  if (threads_[tid].cooldown_until > c.last_eval) gate = threads_[tid].cooldown_until;
+  if (second_.owned_by(tid)) {
+    const Cycle expiry = second_.acquired_at() + cfg_.lease_limit;
+    if (expiry > c.last_eval) gate = std::min(gate, expiry);
+  }
+  return gate == kNeverCycle ? kNeverCycle : grid_at_or_after(c, gate);
+}
+
+Cycle TwoLevelRobController::next_wake(Cycle now, Cycle quiet_since) const {
   switch (cfg_.scheme) {
     case RobScheme::kBaseline:
     case RobScheme::kPredictive:
@@ -260,9 +292,25 @@ Cycle TwoLevelRobController::next_wake(Cycle now) const {
       break;
   }
   Cycle best = kNeverCycle;
-  for (const ThreadState& ts : threads_)
-    for (const Candidate& c : ts.cands) best = std::min(best, c.next_check);
+  for (ThreadId tid = 0; tid < threads_.size(); ++tid)
+    for (const Candidate& c : threads_[tid].cands)
+      best = std::min(best, replay_until(tid, c, quiet_since));
   return best;
+}
+
+void TwoLevelRobController::replay_idle_to(Cycle wake, Cycle quiet_since) {
+  for (ThreadState& ts : threads_) {
+    for (Candidate& c : ts.cands) {
+      // next_wake kept `wake` at or before the re-check of every other
+      // candidate (P-ROB's never-checked ones included).
+      if (c.next_check >= wake || !repeats(c, quiet_since)) continue;
+      const Cycle next = grid_at_or_after(c, wake);
+      if (c.rejected) stats_.rejected_high_dod += (next - c.next_check) / cfg_.recheck_interval;
+      c.next_check = next;
+      c.last_eval = next - cfg_.recheck_interval;
+    }
+  }
+  // next_check_floor_ stays a lower bound: replay only raised next_checks.
 }
 
 void TwoLevelRobController::on_squash(ThreadId tid, u64 tseq) {

@@ -130,12 +130,25 @@ class TwoLevelRobController {
   bool tick(Cycle now);
 
   /// Earliest future cycle at which tick() could act without any new
-  /// notification arriving first: the next due candidate re-check (reactive
-  /// variants), the next phase-classification boundary (kAdaptive), or
-  /// kNeverCycle (baseline / predictive, which act only on notifications).
+  /// notification arriving first, given that every core tick from
+  /// `quiet_since` through `now` was a no-op: the next phase-classification
+  /// boundary (kAdaptive), kNeverCycle (baseline / predictive, which act
+  /// only on notifications), or the earliest candidate wake (reactive
+  /// variants). A candidate's wake is its next re-check, unless its last
+  /// deferring evaluation ran at or after `quiet_since`: that evaluation saw
+  /// today's state, so its re-checks repeat its outcome until a time gate
+  /// flips — the thread's cooldown_until or its lease expiry (acquired_at +
+  /// lease_limit), counting only gates after the evaluation, not after
+  /// `now`. Its wake is then the first re-check at or after that gate.
   /// Pure time-gates only — state-driven work (lease release on drain) is
   /// triggered by commits/fills, which are activity in their own right.
-  Cycle next_wake(Cycle now) const;
+  Cycle next_wake(Cycle now, Cycle quiet_since) const;
+
+  /// Fast-forward to `wake` (at most next_wake(now, quiet_since)): advances
+  /// each replayable candidate's re-check along its grid to the first point
+  /// at or after `wake`, counting one rejected_high_dod per replayed
+  /// rejection, exactly as ticking every skipped re-check would.
+  void replay_idle_to(Cycle wake, Cycle quiet_since);
 
   /// Squash hook: drops candidates of `tid` younger than `tseq`.
   void on_squash(ThreadId tid, u64 tseq);
@@ -167,9 +180,9 @@ class TwoLevelRobController {
  private:
   struct Candidate {
     u64 tseq = 0;
-    Cycle detect = 0;
     Cycle next_check = 0;
-    bool filled = false;
+    Cycle last_eval = kNeverCycle;  // last deferring evaluation (none yet)
+    bool rejected = false;          // that evaluation rejected a high DoD
   };
   struct ThreadState {
     std::vector<Candidate> cands;
@@ -193,6 +206,13 @@ class TwoLevelRobController {
   /// True when `tid` holds the partition past the fairness bound, so its
   /// lease must not be renewed by further misses.
   bool lease_expired(ThreadId tid, Cycle now) const;
+  /// next_wake()'s bound for one candidate of thread `tid`.
+  Cycle replay_until(ThreadId tid, const Candidate& c, Cycle quiet_since) const;
+  /// Whether `c`'s last deferring evaluation ran in the current quiet spell.
+  bool repeats(const Candidate& c, Cycle quiet_since) const;
+  /// First point of `c`'s re-check grid (next_check + k * recheck_interval,
+  /// k >= 0) at or after `t`.
+  Cycle grid_at_or_after(const Candidate& c, Cycle t) const;
   u32 dod_count(ThreadId tid, u64 tseq) const;
 
   RobPolicyConfig cfg_;

@@ -907,6 +907,7 @@ bool SmtCore::tick() {
     next_sample_ += sample_every_;
   }
   obs::enter(obs::Phase::kLoop);
+  if (active) quiet_since_ = cycle_ + 1;
   ++cycle_;
   return active;
 }
@@ -978,7 +979,9 @@ Cycle SmtCore::idle_wake(Cycle limit) const {
   //   - the next scheduled event (fills, completions, wake markers),
   //   - a frontend head reaching decode maturity,
   //   - a fetch stall (I-cache miss / post-squash redirect) expiring,
-  //   - the controller's next due re-check or phase boundary.
+  //   - the controller's next due re-check or phase boundary (a re-check
+  //     that repeats an evaluation made during this quiet spell is no
+  //     boundary: see TwoLevelRobController::next_wake).
   // (Nothing memory-side: the latency-chain model resolves every LLC/DRAM
   // access at issue time, so the shared backend never wakes a core on its
   // own — the completion is already in this core's wheel.)
@@ -987,7 +990,7 @@ Cycle SmtCore::idle_wake(Cycle limit) const {
   const Cycle now = cycle_ - 1;
   Cycle wake = limit;
   wake = std::min(wake, wheel_.next_event_or(kNeverCycle));
-  wake = std::min(wake, rob_ctrl_->next_wake(now));
+  wake = std::min(wake, rob_ctrl_->next_wake(now, quiet_since_));
   for (const ThreadState& ts : threads_) {
     if (!ts.frontend.empty()) {
       const Cycle mature = ts.frontend.front().fetch_cycle + cfg_.decode_depth;
@@ -1024,6 +1027,7 @@ void SmtCore::replay_idle_to(Cycle wake) {
     u64& counter = stats_.per_cycle.*f.member;
     counter += (counter - per_cycle_base_.*f.member) * skipped;
   }
+  rob_ctrl_->replay_idle_to(wake, quiet_since_);
   commit_rr_ += skipped;  // do_commit advances the rotation every cycle
   fast_forwarded_ += skipped;
   stats_.fast_forwarded_cycles += skipped;
@@ -1124,7 +1128,10 @@ u32 SmtCore::audit_now() {
 void SmtCore::reset_measurement() {
   cycle_base_ = cycle_;
   for (auto& ts : threads_) ts.committed_base = ts.committed;
+  // Restarting the holder's tenure moves its lease expiry, a controller
+  // input, outside any tick: no earlier evaluation may be replayed.
   second_.reset_accounting(cycle_);
+  quiet_since_ = cycle_;
   stats_ = {};
   dod_true_.reset();
   dod_proxy_.reset();

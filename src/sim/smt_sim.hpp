@@ -249,9 +249,9 @@ class SmtCore {
   /// After an idle tick(): the earliest future cycle anything can happen at
   /// on this core, bounded by `limit`. A result <= now() means no skip.
   Cycle idle_wake(Cycle limit) const;
-  /// Jumps the core to `wake`, replaying per-cycle stall counters and sample
-  /// points for the skipped distance (wake must not exceed this core's
-  /// idle_wake bound).
+  /// Jumps the core to `wake`, replaying per-cycle stall counters, sample
+  /// points and the controller's quiet re-checks for the skipped distance
+  /// (wake must not exceed this core's idle_wake bound).
   void replay_idle_to(Cycle wake);
 
  private:
@@ -364,6 +364,9 @@ class SmtCore {
   SeqNum next_seq_ = 1;
   u64 commit_rr_ = 0;
   u64 fast_forwarded_ = 0;  // whole run; stats_ counts the measured part
+  // First cycle of the current run of no-op ticks (fast-forwarded cycles
+  // included): the controller replays re-checks evaluated since then.
+  Cycle quiet_since_ = 0;
   // Per-cycle counters captured by tick() before the tick ran; the deltas
   // are what replay_idle_to() multiplies across skipped cycles.
   CorePerCycleStats per_cycle_base_;

@@ -68,7 +68,8 @@ class EventWheelCheck final : public InvariantCheck {
       os << "wheel accounting broken: pending=" << ctx.wheel->pending()
          << " scheduled=" << ctx.wheel->scheduled_total()
          << " processed=" << ctx.wheel->processed_total()
-         << " (slot recount disagrees — an event was dropped or duplicated)";
+         << " (slot recount, occupancy bitmap or overflow minimum disagrees — an event"
+         << " was dropped, duplicated or hidden)";
       out.violation(ctx.cycle, kNoThread, "events.wheel", os.str());
     }
   }

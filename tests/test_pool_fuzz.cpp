@@ -13,8 +13,9 @@
 //     the first recycled in-flight entry or wheel miscount;
 //   * wheel-vs-reference model — a tiny-horizon wheel is driven with random
 //     schedule/drain interleavings (including past-due and beyond-horizon
-//     whens) and must hand out exactly the multiset of events a reference
-//     stable-sorted queue produces, in the same order.
+//     whens, fast-forward jumps to the next event and drains up to three
+//     horizons ahead) and must hand out exactly the multiset of events a
+//     reference stable-sorted queue produces, in the same order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -127,7 +128,17 @@ TEST_P(WheelFuzz, MatchesStableSortedReferenceQueue) {
       ++order;
     }
 
-    const Cycle now = drained + rng() % 6;
+    // Mostly a tick or a short hop; sometimes a fast-forward-style jump to
+    // the next event, sometimes a drain up to three horizons ahead (the jump
+    // that must not strand overflow events).
+    Cycle now = drained + rng() % 6;
+    const u32 mode = rng() % 8;
+    if (mode == 0) {
+      const Cycle next = wheel.next_event_or(kNeverCycle);
+      if (next != kNeverCycle) now = next;
+    } else if (mode == 1) {
+      now = drained + rng() % (3 * wheel.horizon());
+    }
     // Reference drain: stable order is ascending when, then schedule order.
     std::vector<RefEvent> expect;
     for (const RefEvent& e : ref)
@@ -184,6 +195,25 @@ TEST(WheelFuzz, HandlerSchedulingDuringDrainIsSafe) {
   EXPECT_EQ(fired_later, 8u);
   EXPECT_TRUE(wheel.audit_consistent());
   EXPECT_EQ(wheel.pending(), 0u);
+}
+
+// A drain that jumps more than a horizon ahead must deliver the overflow
+// events it passes: one left behind the cursor never fires, stays pending,
+// and makes next_event_or() report a cycle that has already passed.
+TEST(WheelFuzz, LongJumpDeliversOverflowEvents) {
+  EventWheel wheel(4);
+  wheel.schedule(100, EvKind::kWake, InstRef{});
+  EXPECT_EQ(wheel.overflowed_total(), 1u);
+  u32 fired = 0;
+  wheel.process_due(wheel.next_event_or(kNeverCycle), [&](const SimEvent& ev) {
+    EXPECT_EQ(ev.when, 100u);
+    ++fired;
+  });
+  EXPECT_EQ(fired, 1u);
+  EXPECT_EQ(wheel.pending(), 0u);
+  EXPECT_EQ(wheel.drained_until(), 101u);
+  EXPECT_EQ(wheel.next_event_or(kNeverCycle), kNeverCycle);
+  EXPECT_TRUE(wheel.audit_consistent());
 }
 
 // ---------------------------------------------------------------------------
@@ -309,9 +339,11 @@ TEST(CmpDifferential, SmtCoreRunMatchesOneCoreMachineOnEveryPreset) {
 // by a silent text tracer on core 0; cycles, commits, both DoD histograms
 // and every counter except core.fast_forwarded_cycles must agree.
 
-void expect_fast_forward_matches_pinned(MachineConfig cfg, const std::vector<Benchmark>& benches,
-                                        u64 insts, u64 max_cycles, u64 warmup,
-                                        const std::string& where) {
+/// Returns the fast-forwarded run's result.
+RunResult expect_fast_forward_matches_pinned(MachineConfig cfg,
+                                             const std::vector<Benchmark>& benches, u64 insts,
+                                             u64 max_cycles, u64 warmup,
+                                             const std::string& where) {
   cfg.audit.level = AuditLevel::kOff;  // the auditor would pin both runs
   CmpMachine ff(cfg, benches);
   RunResult a = ff.run(insts, max_cycles, warmup);
@@ -325,15 +357,18 @@ void expect_fast_forward_matches_pinned(MachineConfig cfg, const std::vector<Ben
   EXPECT_LE(run_counter(a, "core.fast_forwarded_cycles"), a.cycles) << where;
   EXPECT_EQ(run_counter(b, "core.fast_forwarded_cycles"), 0u) << where;
   EXPECT_EQ(a.cycles, b.cycles) << where;
-  ASSERT_EQ(a.threads.size(), b.threads.size()) << where;
-  for (size_t t = 0; t < a.threads.size(); ++t)
+  EXPECT_EQ(a.threads.size(), b.threads.size()) << where;
+  for (size_t t = 0; t < std::min(a.threads.size(), b.threads.size()); ++t)
     EXPECT_EQ(a.threads[t].committed, b.threads[t].committed) << where << " thread " << t;
   EXPECT_EQ(a.dod_true, b.dod_true) << where;
   EXPECT_EQ(a.dod_proxy, b.dod_proxy) << where;
+  EXPECT_EQ(run_counter(a, "rob.rejected_high_dod"), run_counter(b, "rob.rejected_high_dod"))
+      << where;
   a.counters.erase("core.fast_forwarded_cycles");
   b.counters.erase("core.fast_forwarded_cycles");
   EXPECT_EQ(a.counters, b.counters) << where;
   EXPECT_EQ(sink.str(), "") << where;
+  return a;
 }
 
 TEST(FastForwardDifferential, SampledCellsOfEveryPreset) {
@@ -369,6 +404,42 @@ TEST(FastForwardDifferential, ShortLeasesOnEveryReactiveAndPredictiveScheme) {
     cfg.rob.lease_cooldown = 100;
     expect_fast_forward_matches_pinned(cfg, mix_benchmarks(table2_mix(1)), len.insts, 0,
                                        len.warmup, rob_scheme_name(scheme));
+  }
+}
+
+// The fast-forward replays a reactive candidate's re-checks while the core is
+// quiet, until its thread's cooldown ends or its lease expires. Short leases
+// and cooldowns put both gates inside the run on every cell below, and each
+// cell must also reach high-DoD rejections, the counter the replay adds to.
+// The runs are longer than the golden length: a replay that measured a gate
+// from the fast-forward's start instead of from the candidate's last
+// evaluation first drifts the CMP and CDR cells at this length.
+constexpr u64 kGateInsts = 20000;
+constexpr u64 kGateWarmup = 5000;
+
+TEST(FastForwardDifferential, ShortLeasesOnRRobCmp) {
+  for (const u32 cores : {2u, 4u}) {
+    MachineConfig cfg = cmp_config(cores, RobScheme::kReactive, 16);
+    cfg.rob.lease_limit = 200;
+    cfg.rob.lease_cooldown = 100;
+    std::vector<Benchmark> benches;  // core c runs Table 2 mix c + 1
+    for (u32 m = 1; m <= cores; ++m)
+      for (Benchmark& b : mix_benchmarks(table2_mix(m))) benches.push_back(std::move(b));
+    const std::string where = "CMP" + std::to_string(cores) + "-R-ROB16";
+    const RunResult r =
+        expect_fast_forward_matches_pinned(cfg, benches, kGateInsts, 0, kGateWarmup, where);
+    EXPECT_GT(run_counter(r, "rob.rejected_high_dod"), 0u) << where;
+  }
+}
+
+TEST(FastForwardDifferential, ShortLeasesOnMix3RelaxedAndCdr) {
+  for (const RobScheme scheme : {RobScheme::kRelaxedReactive, RobScheme::kCdr}) {
+    MachineConfig cfg = two_level_config(scheme, 15);
+    cfg.rob.lease_limit = 200;
+    cfg.rob.lease_cooldown = 100;
+    const RunResult r = expect_fast_forward_matches_pinned(
+        cfg, mix_benchmarks(table2_mix(3)), kGateInsts, 0, kGateWarmup, rob_scheme_name(scheme));
+    EXPECT_GT(run_counter(r, "rob.rejected_high_dod"), 0u) << rob_scheme_name(scheme);
   }
 }
 

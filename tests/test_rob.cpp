@@ -375,6 +375,50 @@ TEST_F(ControllerTest, LeaseExpiryStopsRenewalAndCooldownBlocksReacquisition) {
   EXPECT_FALSE(second_.owned_by(0)) << "cooldown must block re-acquisition";
 }
 
+// Quiet re-check replay. CDR, thread 0: load A takes the partition at 132
+// (lease expiry 132 + 1000 = 1132), then its younger load B, detected at
+// 1005, is rejected for a high DoD at every re-check (1037, 1047, ...) while
+// the lease can still be renewed. From the first re-check after the expiry
+// (1137) on, B can no longer renew and is deferred without a rejection.
+class QuietReplayTest : public ControllerTest {
+ protected:
+  QuietReplayTest() : ctrl_(make(RobScheme::kCdr, 15)) {
+    DynInst& a = fill_rob0_with_miss(/*unexec=*/5);
+    ctrl_.on_l2_miss_detected(a, 100);
+    ctrl_.tick(132);  // CDR snapshot: DoD 5 < 15
+    EXPECT_TRUE(second_.owned_by(0));
+    rob0_.for_each([&](DynInst& d) {
+      if (d.tseq != a.tseq) d.executed = false;  // B's DoD: 30 younger
+    });
+    ctrl_.on_l2_miss_detected(*rob0_.find(a.tseq + 1), 1005);
+  }
+
+  TwoLevelRobController ctrl_;
+};
+
+TEST_F(QuietReplayTest, TickedRechecksRejectUntilTheLeaseExpires) {
+  for (Cycle t = 1037; t <= 1127; t += 10) ctrl_.tick(t);
+  EXPECT_EQ(ctrl_.stats().rejected_high_dod, 10u);
+  // The expiry (1132) lies after B's last evaluation (1127), so the re-check
+  // at 1137 may differ, even though the expiry is behind `now` (1133).
+  EXPECT_EQ(ctrl_.next_wake(1133, /*quiet_since=*/1037), 1137u);
+  ctrl_.tick(1137);
+  EXPECT_EQ(ctrl_.stats().rejected_high_dod, 10u);
+}
+
+TEST_F(QuietReplayTest, ReplayMatchesTickingUpToTheGate) {
+  ctrl_.tick(1037);
+  ASSERT_EQ(ctrl_.stats().rejected_high_dod, 1u);
+  // An evaluation from before the quiet spell is not replayed.
+  EXPECT_EQ(ctrl_.next_wake(1040, /*quiet_since=*/1038), 1047u);
+  // One made inside it repeats up to the first re-check at or after 1132.
+  EXPECT_EQ(ctrl_.next_wake(1040, /*quiet_since=*/1037), 1137u);
+  ctrl_.replay_idle_to(1137, /*quiet_since=*/1037);
+  EXPECT_EQ(ctrl_.stats().rejected_high_dod, 10u);  // as ticked: 1037 ... 1127
+  ctrl_.tick(1137);
+  EXPECT_EQ(ctrl_.stats().rejected_high_dod, 10u);
+}
+
 TEST_F(ControllerTest, SquashDropsCandidates) {
   auto ctrl = make(RobScheme::kReactive, 16);
   DynInst& load = fill_rob0_with_miss(/*unexec=*/20);  // rejected, stays pending

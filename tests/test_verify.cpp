@@ -302,6 +302,20 @@ TEST(InjectedCorruption, SkewedPendingCountFiresEventWheel) {
   EXPECT_EQ(core.audit_now(), 0u) << core.auditor().report();
 }
 
+TEST(InjectedCorruption, StaleOccupancyBitFiresEventWheel) {
+  SmtCore core = make_audited_core(RobScheme::kReactive);
+  core.run(500);
+  ASSERT_EQ(core.audit_now(), 0u);
+  // Either direction is stale: a cleared bit hides an occupied slot from the
+  // drain and the next-event scan, a set one points them at an empty slot.
+  const Cycle c = core.now() + 7;
+  core.wheel_for_test().test_only_flip_occupancy(c);
+  EXPECT_GT(core.audit_now(), 0u);
+  EXPECT_TRUE(any_violation_of(core, "events.wheel"));
+  core.wheel_for_test().test_only_flip_occupancy(c);
+  EXPECT_EQ(core.audit_now(), 0u) << core.auditor().report();
+}
+
 TEST(InjectedCorruption, AbortOnViolationThrowsStructuredReport) {
   SmtCore core = make_audited_core(RobScheme::kReactive, /*abort_on_violation=*/true);
   EXPECT_NO_THROW(core.run(500));
