@@ -33,7 +33,8 @@
 //                      occupancy, per-bank DRAM row state)
 //   profile=1          host-side wall-time profile of the whole run (warmup
 //                      included) by pipeline stage, summed over every core,
-//                      to stderr (obs/self_profile.hpp)
+//                      to stderr (obs/self_profile.hpp), plus how many events
+//                      took the event wheel's overflow path
 //
 // Options follow the common grammar (key=value, --key=value, --key value;
 // common/config.hpp). An unknown key, a bad value or a failed run prints
@@ -154,7 +155,15 @@ int simulate(const Options& opts) {
     if (machine.shared_memory() != nullptr) all.push_back(&backend_writer);
     obs::ChromeTraceWriter::write_merged(*trace_os, all);
   }
-  if (profiler) profiler->print(std::cerr, machine.executed_cycles());
+  if (profiler) {
+    profiler->print(std::cerr, machine.executed_cycles());
+    u64 overflowed = 0;
+    for (u32 c = 0; c < machine.num_cores(); ++c)
+      overflowed += machine.core(c).event_wheel().overflowed_total();
+    std::fprintf(stderr, "event wheel    %10llu events scheduled past the %u-cycle horizon\n",
+                 static_cast<unsigned long long>(overflowed),
+                 machine.core(0).event_wheel().horizon());
+  }
 
   std::printf("%-10s %10s %10s\n", "thread", "committed", "IPC");
   for (const auto& t : r.threads)

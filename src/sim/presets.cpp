@@ -7,7 +7,7 @@
 namespace tlrob {
 
 const MachineConfig& MachineConfig::validate() const {
-  const std::pair<const char*, u32> nonzero[] = {
+  const std::pair<const char*, u64> nonzero[] = {
       {"num_threads", num_threads},
       {"fetch_width", fetch_width},
       {"fetch_threads", fetch_threads},
@@ -18,6 +18,7 @@ const MachineConfig& MachineConfig::validate() const {
       {"rob_first_level", rob_first_level},
       {"iq_entries", iq_entries},
       {"lsq_entries", lsq_entries},
+      {"rob.recheck_interval", rob.recheck_interval},
   };
   for (const auto& [field, value] : nonzero)
     if (value == 0)

@@ -98,7 +98,8 @@ struct MachineConfig {
   /// The one validity check every machine construction path runs before any
   /// structure is sized: throws std::invalid_argument naming the first
   /// width or capacity that is zero (such a machine never commits and
-  /// would spin to the cycle cap). Returns *this, so constructors can
+  /// would spin to the cycle cap), or a zero `rob.recheck_interval` (the
+  /// re-check grid needs a step). Returns *this, so constructors can
   /// validate in their initializer list.
   const MachineConfig& validate() const;
 };

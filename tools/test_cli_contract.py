@@ -70,11 +70,12 @@ def main():
     rejected("dram=-2", run(simulate, "mix=1", "dram=-2", *RUN))
     # Zero widths and capacities never commit: MachineConfig::validate()
     # rejects them, naming the field, instead of spinning to the cycle cap.
+    # A zero re-check interval leaves the reactive schemes' grid no step.
     for knob, field in [("rob1", "rob_first_level"), ("commit_width", "commit_width"),
                         ("fetch_width", "fetch_width"), ("dispatch_width", "dispatch_width"),
                         ("issue_width", "issue_width"), ("iq", "iq_entries"),
                         ("lsq", "lsq_entries"), ("frontend_buffer", "frontend_buffer"),
-                        ("fetch_threads", "fetch_threads")]:
+                        ("fetch_threads", "fetch_threads"), ("recheck", "recheck_interval")]:
         zero = run(simulate, "mix=1", knob + "=0", *RUN)
         rejected(knob + "=0", zero)
         check(knob + "=0 names " + field, field in zero.stderr, zero.stderr[-200:])
@@ -91,6 +92,8 @@ def main():
     check("profile=1 prints the phase table on stderr",
           "samples" in profiled.stderr and "sampled" in profiled.stderr
           and "dispatch" in profiled.stderr, profiled.stderr[-300:])
+    check("profile=1 reports the event-wheel overflow count",
+          "events scheduled past the" in profiled.stderr, profiled.stderr[-300:])
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "art.trace")
