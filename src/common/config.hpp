@@ -1,7 +1,7 @@
 // The command-line option bag every front end parses through (simulate,
-// tlrob-campaign, tlrob-mktrace, the examples), plus the error contract
-// they share (cli_main). No flags library: one argv grammar, documented on
-// from_args.
+// tlrob-campaign, tlrob-mktrace, tlrob-golden, campaign_sweep), plus the
+// error contract they share (cli_main). No flags library: one argv grammar,
+// documented on from_args.
 #pragma once
 
 #include <functional>

@@ -49,6 +49,8 @@ struct DramConfig {
   /// Open-page keeps the accessed row latched (hit/conflict dynamics);
   /// closed-page auto-precharges after every access (every access pays tRCD).
   bool open_page = true;
+
+  bool operator==(const DramConfig&) const = default;
 };
 
 struct DramStats {

@@ -28,13 +28,4 @@ struct TelemetryConfig {
   Cycle sample_interval = 0;
 };
 
-/// The process-default telemetry configuration, mirroring
-/// default_audit_config(): $TLROB_SAMPLE sets sample_interval (cycles,
-/// 0/unset = off; anything but an unsigned integer throws
-/// std::invalid_argument naming the variable). MachineConfig uses this as
-/// its initial value, so any existing binary picks the knob up without new
-/// plumbing. Explicit assignment overrides. Host self-profiling is not a
-/// machine knob: it wraps a run from outside (obs/self_profile.hpp).
-TelemetryConfig default_telemetry_config();
-
 }  // namespace tlrob::obs

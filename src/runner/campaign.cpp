@@ -32,7 +32,6 @@ std::vector<JobSpec> expand(const CampaignSpec& spec) {
         js.warmup = rl.warmup;
         js.max_cycles = col.max_cycles != 0 ? col.max_cycles : spec.max_cycles;
         js.seed = spec.per_job_seeds ? splitmix64(spec.seed ^ (index + 1)) : spec.seed;
-        js.sample_interval = spec.sample_interval;
         js.sample_dir = spec.sample_dir;
         jobs.push_back(std::move(js));
         ++index;

@@ -49,12 +49,11 @@ struct CampaignSpec {
   /// derived generous bound.
   u64 max_cycles = 0;
 
-  /// Interval telemetry (src/obs), applied to every job. A nonzero
-  /// sample_interval turns sampling on: each record gains the obs.* summary
-  /// counters, and when sample_dir is also set each job writes its full
-  /// series to <sample_dir>/samples_job<index>.jsonl. Both outputs are pure
-  /// functions of the JobSpec, so they are byte-identical for any --jobs N.
-  u64 sample_interval = 0;
+  /// Where sampling columns (a nonzero config.telemetry.sample_interval,
+  /// which also adds the obs.* summary counters to each record) write each
+  /// job's full series: <sample_dir>/samples_job<index>.jsonl. Empty = no
+  /// files. The series is a pure function of the JobSpec, so the files are
+  /// byte-identical for any --jobs N.
   std::string sample_dir;
 };
 

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "common/thread_pool.hpp"
@@ -30,6 +31,11 @@ ConfigColumn scheme_column(const std::string& scheme, u32 threshold) {
   return {prefix + std::to_string(threshold), two_level_config(kind, threshold), 0};
 }
 
+RunLengthSpec run_length(const Options& opts) {
+  const RunLengthSpec defaults;
+  return {opts.get_u64("insts", defaults.insts), opts.get_u64("warmup", defaults.warmup)};
+}
+
 }  // namespace
 
 CampaignSpec custom_campaign(const Options& opts) {
@@ -49,14 +55,13 @@ CampaignSpec custom_campaign(const Options& opts) {
       spec.columns.push_back(scheme_column(scheme, static_cast<u32>(th)));
   }
 
-  // The workload: an explicit --workload list (its length sets the thread
-  // count), the --mixes subset of Table 2, or all 11 mixes.
-  const std::string workload = opts.get("workload", "");
+  // The workload: the --mixes subset of Table 2, or all 11 mixes. An
+  // explicit --workload list replaces them in apply_shared_options, which
+  // then also sizes the machines.
   const std::vector<u64> mix_ids = opts.get_u64_list("mixes");
-  if (!workload.empty()) {
+  if (opts.has("workload")) {
     if (!mix_ids.empty())
       throw std::invalid_argument("--workload and --mixes are mutually exclusive");
-    spec.mixes = {trace::workload_mix(workload)};
   } else if (mix_ids.empty()) {
     spec.mixes = table2_mixes();
   } else {
@@ -71,19 +76,41 @@ CampaignSpec custom_campaign(const Options& opts) {
   // threads each), and --llc/--dram shape the shared backend.
   for (auto& c : spec.columns) {
     c.config.num_cores = static_cast<u32>(opts.get_u64("cores", c.config.num_cores));
-    c.config.num_threads = trace::threads_per_core(spec.mixes.front(), c.config.num_cores);
+    if (!spec.mixes.empty())
+      c.config.num_threads = trace::threads_per_core(spec.mixes.front(), c.config.num_cores);
     if (opts.has("llc")) apply_llc_spec(c.config.llc, opts.get("llc"));
     if (opts.has("dram")) apply_dram_spec(c.config.dram, opts.get("dram"));
   }
 
-  spec.lengths = {{opts.get_u64("insts", 120000), opts.get_u64("warmup", 60000)}};
+  spec.lengths = {run_length(opts)};
   spec.seed = opts.get_u64("seed", spec.seed);
   spec.per_job_seeds = opts.get_bool("per_job_seeds", false);
   spec.max_cycles = opts.get_u64("max_cycles", 0);
-  spec.sample_interval = opts.get_u64("sample_interval", 0);
-  spec.sample_dir = opts.get("sample_dir", "");
   return spec;
 }
+
+namespace {
+
+/// The options every campaign of one command line shares: --workload
+/// replaces each campaign's mixes with one workload list and sizes every
+/// column's machine to it, --sample-interval is every column's sampling
+/// period and --sample-dir where the series go.
+void apply_shared_options(std::vector<PresetRun>& runs, const Options& opts) {
+  std::optional<Mix> workload;
+  if (opts.has("workload")) workload = trace::workload_mix(opts.get("workload"));
+  const u64 sample_interval = opts.get_u64("sample_interval", 0);
+  const std::string sample_dir = opts.get("sample_dir", "");
+  for (PresetRun& run : runs) {
+    if (workload) run.spec.mixes = {*workload};
+    for (ConfigColumn& c : run.spec.columns) {
+      if (workload) c.config.num_threads = trace::threads_per_core(*workload, c.config.num_cores);
+      c.config.telemetry.sample_interval = sample_interval;
+    }
+    run.spec.sample_dir = sample_dir;
+  }
+}
+
+}  // namespace
 
 std::vector<std::string> preset_list(const std::string& arg) {
   if (arg == "all") return preset_names();
@@ -99,30 +126,27 @@ std::vector<std::string> preset_list(const std::string& arg) {
   }
 }
 
+std::vector<PresetRun> campaign_list(const std::string& preset, const Options& opts) {
+  std::vector<PresetRun> runs;
+  if (preset.empty()) {
+    runs.emplace_back().spec = custom_campaign(opts);
+  } else {
+    const RunLengthSpec length = run_length(opts);
+    for (const std::string& name : preset_list(preset)) runs.push_back(preset_run(name, length));
+  }
+  apply_shared_options(runs, opts);
+  return runs;
+}
+
 int run_from_options(const std::string& preset, const Options& opts) {
   // Every option is read, and the command line validated, before any sink
   // file is created.
-  const std::vector<std::string> names =
-      preset.empty() ? std::vector<std::string>{} : preset_list(preset);
+  const std::vector<PresetRun> runs = campaign_list(preset, opts);
   const bool render = !opts.get_bool("no_render", false);
   const u32 jobs = WorkStealingPool::resolve_threads(static_cast<u32>(opts.get_u64("jobs", 0)));
   const std::string manifest_path = opts.get("manifest", "");
   const bool resume = opts.get_bool("resume", false);
   const bool want_json = opts.has("json"), want_csv = opts.has("csv");
-  CampaignSpec custom;
-  PresetOptions popts;
-  if (preset.empty()) {
-    custom = custom_campaign(opts);
-  } else {
-    popts.length = {opts.get_u64("insts", 120000), opts.get_u64("warmup", 60000)};
-    popts.jobs = jobs;
-    popts.manifest_path = manifest_path;
-    popts.resume = resume;
-    popts.render = render;
-    popts.sample_interval = opts.get_u64("sample_interval", 0);
-    popts.sample_dir = opts.get("sample_dir", "");
-    popts.workload = opts.get("workload", "");
-  }
   opts.require_all_read(preset.empty() ? "" : " (or not used by presets)");
 
   // Structured sinks ("-" = stdout).
@@ -147,33 +171,28 @@ int run_from_options(const std::string& preset, const Options& opts) {
   if (want_json) sinks.push_back(open_sink(opts.get("json"), /*csv=*/false));
   if (want_csv) sinks.push_back(open_sink(opts.get("csv"), /*csv=*/true));
 
-  auto report = [jobs](const std::string& name, const CampaignResult& result) {
-    std::cerr << "campaign " << name << ": " << result.records.size() << " cells, "
-              << result.ok << " ok (" << result.deduplicated << " deduplicated), "
-              << result.failed << " failed, " << result.resumed << " resumed (" << jobs
-              << " worker" << (jobs == 1 ? "" : "s") << ")\n";
-    return result.failed > 0;
-  };
-
-  if (preset.empty()) {
+  // The campaigns run in order in this process, so they share the cell
+  // memo; the sinks and the manifest see what separate runs would have
+  // written, one after another.
+  bool any_failed = false;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const PresetRun& run = runs[i];
     EngineOptions eng;
     eng.jobs = jobs;
     eng.manifest_path = manifest_path;
     eng.resume = resume;
-    FtTableSink table(stdout);
-    if (render) eng.sinks.push_back(&table);
-    for (ResultSink* s : sinks) eng.sinks.push_back(s);
-    return report(custom.name, run_campaign(custom, eng)) ? 1 : 0;
-  }
+    eng.append_manifest = i > 0;
+    FtTableSink table(stdout, run.title);
+    if (render && run.table) eng.sinks.push_back(&table);
+    eng.sinks.insert(eng.sinks.end(), sinks.begin(), sinks.end());
 
-  // Presets run in order in this process, so they share the cell memo; the
-  // sinks and the manifest see what separate runs would have written, one
-  // after another.
-  popts.extra_sinks = sinks;
-  bool any_failed = false;
-  for (size_t i = 0; i < names.size(); ++i) {
-    popts.append_manifest = i > 0;
-    any_failed |= report(names[i], run_preset(names[i], popts));
+    const CampaignResult result = run_campaign(run.spec, eng);
+    if (render && run.epilogue != nullptr) run.epilogue(result, run.spec, stdout);
+    std::cerr << "campaign " << run.spec.name << ": " << result.records.size() << " cells, "
+              << result.ok << " ok (" << result.deduplicated << " deduplicated), "
+              << result.failed << " failed, " << result.resumed << " resumed (" << jobs
+              << " worker" << (jobs == 1 ? "" : "s") << ")\n";
+    any_failed |= result.failed > 0;
   }
   return any_failed ? 1 : 0;
 }

@@ -38,8 +38,11 @@ namespace tlrob::runner {
 inline const std::set<std::string> kCampaignFlags = {"resume", "per_job_seeds", "no_render",
                                                      "list", "help"};
 
-/// Builds a custom sweep spec from --schemes/--thresholds/--mixes options.
-/// Throws std::invalid_argument on unknown scheme or mix names.
+/// Builds a custom sweep spec from --schemes/--thresholds/--mixes and the
+/// other custom-sweep options. The options it shares with presets
+/// (--workload, --sample-interval, --sample-dir) are left to campaign_list;
+/// with --workload the spec has no mixes yet. Throws std::invalid_argument
+/// on unknown scheme or mix names.
 CampaignSpec custom_campaign(const Options& opts);
 
 /// Expands a preset argument — one name, a comma-separated list, or "all"
@@ -47,13 +50,21 @@ CampaignSpec custom_campaign(const Options& opts);
 /// naming the first unknown preset.
 std::vector<std::string> preset_list(const std::string& arg);
 
-/// Runs the campaigns described by already-parsed options: the presets of
-/// preset_list(preset) in order when `preset` is non-empty, otherwise the
-/// custom sweep options. Wires up the json/csv/manifest sinks, which
-/// receive the presets one after another. Returns a process exit code
-/// (non-zero when any cell failed). Throws std::invalid_argument, before
-/// anything runs, on an option that nothing read: a typo, or a custom-sweep
-/// option given to presets.
+/// The campaigns a command line runs, in order: the presets of
+/// preset_list(preset), or the custom sweep (an unnamed preset) when
+/// `preset` is empty. Each has the shared options applied: --workload
+/// replaces its mixes and sizes its machines (std::invalid_argument when
+/// the list does not split over a column's cores), --sample-interval sets
+/// every column's config.telemetry.sample_interval and --sample-dir its
+/// series directory.
+std::vector<PresetRun> campaign_list(const std::string& preset, const Options& opts);
+
+/// Runs campaign_list(preset, opts) one campaign after another, each with
+/// its stdout rendering (unless --no-render), and wires up the
+/// json/csv/manifest sinks, which see the campaigns in order. Returns a
+/// process exit code (non-zero when any cell failed). Throws
+/// std::invalid_argument, before anything runs, on an option that nothing
+/// read: a typo, or a custom-sweep option given to presets.
 int run_from_options(const std::string& preset, const Options& opts);
 
 /// main() body of tlrob-campaign: run_from_options on argv, under the

@@ -31,7 +31,6 @@ JobRecord execute_job(const JobSpec& spec) {
   try {
     MachineConfig cfg = spec.config;
     cfg.seed = spec.seed;
-    if (spec.sample_interval != 0) cfg.telemetry.sample_interval = spec.sample_interval;
     // Workload resolution happens inside the try: a missing or malformed
     // trace file fails this cell with a structured record, not the process.
     const RunResult run = run_benchmarks(cfg, trace::resolve_mix_benchmarks(spec.mix),
@@ -253,7 +252,16 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
 
   using Origin = InOrderEmitter::Origin;
   auto run_one = [&](const JobSpec& js) {
-    const std::string key = cell_key(js);
+    std::string key;
+    try {
+      key = cell_key(js);
+    } catch (const std::exception&) {
+      // A trace file that does not load has no content to key on: skip the
+      // memo and the resume lookup, and let execute_job record the failure.
+      // An empty digest keeps the journal line out of any later resume.
+      emitter.complete(execute_job(js), Origin::kSimulated, "");
+      return;
+    }
     const std::string digest = cell_digest(key);
     if (const auto it = done.find(digest); it != done.end()) {
       // The journalled cell may sit elsewhere, or under other names.

@@ -14,8 +14,9 @@
 // run_campaign simulates each distinct key once per process. A repeat — in
 // the same campaign or any later one, such as a Baseline_32 column shared
 // by several presets — is a copy of the first record, restamped with the
-// repeat's job index, campaign, column and mix names. Failed cells and cells
-// writing a sample series (sample_dir) are always simulated.
+// repeat's job index, campaign, column and mix names. Failed cells, cells
+// writing a sample series (sample_dir) and cells whose trace file does not
+// load (cell_key throws) are always simulated.
 //
 // Robustness contract: a job that throws, or whose simulation fails to
 // reach its commit target within its cycle cap (the timeout mechanism — the

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
 #include "sim/experiment.hpp"
 #include "trace/resolve.hpp"
 #include "workload/spec_profiles.hpp"
@@ -399,31 +398,10 @@ CampaignSpec preset_campaign(const std::string& name, const RunLengthSpec& lengt
   return find_preset(name).make(length);
 }
 
-CampaignResult run_preset(const std::string& name, const PresetOptions& opts) {
+PresetRun preset_run(const std::string& name, const RunLengthSpec& length) {
   const Preset& preset = find_preset(name);
-  CampaignSpec spec = preset.make(opts.length);
-  if (!opts.workload.empty()) {
-    const Mix mix = trace::workload_mix(opts.workload);
-    for (auto& c : spec.columns)
-      c.config.num_threads = trace::threads_per_core(mix, c.config.num_cores);
-    spec.mixes = {mix};
-  }
-  spec.sample_interval = opts.sample_interval;
-  spec.sample_dir = opts.sample_dir;
-
-  EngineOptions eng;
-  eng.jobs = WorkStealingPool::resolve_threads(opts.jobs);
-  eng.manifest_path = opts.manifest_path;
-  eng.resume = opts.resume;
-  eng.append_manifest = opts.append_manifest;
-
-  FtTableSink table(opts.out, preset.title == nullptr ? "" : preset.title);
-  if (opts.render && preset.title != nullptr) eng.sinks.push_back(&table);
-  for (ResultSink* sink : opts.extra_sinks) eng.sinks.push_back(sink);
-
-  CampaignResult result = run_campaign(spec, eng);
-  if (opts.render && preset.epilogue != nullptr) preset.epilogue(result, spec, opts.out);
-  return result;
+  return {preset.make(length), preset.title != nullptr,
+          preset.title == nullptr ? "" : preset.title, preset.epilogue};
 }
 
 }  // namespace tlrob::runner

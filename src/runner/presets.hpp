@@ -4,7 +4,8 @@
 // rendering: the generic fair-throughput table (FtTableSink) and/or a
 // figure-specific epilogue (histograms, predictor quality, threshold
 // summary) rendered from the returned records. The tlrob-campaign CLI
-// reaches them by name.
+// reaches them by name and runs them, and custom sweeps, on one path
+// (runner/cli.hpp).
 #pragma once
 
 #include <cstdio>
@@ -16,27 +17,16 @@
 
 namespace tlrob::runner {
 
-struct PresetOptions {
-  RunLengthSpec length{};
-  u32 jobs = 0;  // 0 = hardware concurrency, 1 = serial
-  /// Structured sinks in addition to the preset's stdout rendering.
-  std::vector<ResultSink*> extra_sinks;
-  std::string manifest_path;
-  bool resume = false;
-  bool append_manifest = false;  // EngineOptions::append_manifest
-  /// Render the preset's tables/epilogue to `out` (off for sink-only runs).
-  bool render = true;
-  std::FILE* out = stdout;
-  /// Interval telemetry forwarded into the preset's CampaignSpec
-  /// (campaign.hpp: obs.* summary counters per record; per-job series
-  /// files when sample_dir is set).
-  u64 sample_interval = 0;
-  std::string sample_dir;
-  /// Workload override (src/trace/resolve.hpp syntax): replaces the
-  /// preset's Table 2 mixes with this single mix — per-thread entry i runs
-  /// on hardware thread i — and sizes every column's machine to match.
-  /// Empty = the preset's own mixes.
-  std::string workload;
+/// A campaign plus its stdout rendering: the fair-throughput table
+/// (FtTableSink), streamed while the campaign runs and headed `title` (the
+/// campaign name when empty; no table when `table` is false), then
+/// `epilogue`, rendered from the finished records. A custom sweep is an
+/// unnamed preset: the table under its campaign name and no epilogue.
+struct PresetRun {
+  CampaignSpec spec;
+  bool table = true;
+  std::string title;
+  void (*epilogue)(const CampaignResult&, const CampaignSpec&, std::FILE*) = nullptr;
 };
 
 /// All preset names, in presentation order.
@@ -51,7 +41,8 @@ std::string preset_summary(const std::string& name);
 /// names.
 CampaignSpec preset_campaign(const std::string& name, const RunLengthSpec& length);
 
-/// Runs a preset end-to-end (campaign + rendering).
-CampaignResult run_preset(const std::string& name, const PresetOptions& opts);
+/// The campaign a preset sweeps, with its rendering. Throws
+/// std::invalid_argument on unknown names.
+PresetRun preset_run(const std::string& name, const RunLengthSpec& length);
 
 }  // namespace tlrob::runner

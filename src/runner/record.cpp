@@ -6,6 +6,8 @@
 #include <string_view>
 #include <type_traits>
 
+#include "trace/resolve.hpp"
+
 namespace tlrob::runner {
 
 namespace {
@@ -186,7 +188,6 @@ std::string cell_key(const JobSpec& spec) {
   // The machine exactly as execute_job builds it.
   MachineConfig cfg = spec.config;
   cfg.seed = spec.seed;
-  if (spec.sample_interval != 0) cfg.telemetry.sample_interval = spec.sample_interval;
 
   std::string out = "config{";
   add_config(out, cfg);
@@ -196,12 +197,12 @@ std::string cell_key(const JobSpec& spec) {
     out += std::to_string(token.size());
     out += ':';
     out += token;
+    if (const auto hash = trace::trace_file_hash(token)) add(out, "content_hash", *hash);
   }
   out += '}';
   add(out, "insts", spec.insts);
   add(out, "warmup", spec.warmup);
   add(out, "max_cycles", spec.max_cycles);
-  add(out, "sample_interval", spec.sample_interval);
   return out;
 }
 

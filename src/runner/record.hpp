@@ -33,12 +33,9 @@ struct JobSpec {
   u64 max_cycles = 0;  // 0 = the simulator's derived generous bound
   u64 seed = 0;        // applied to config.seed before the run
 
-  /// Interval telemetry (campaign-wide, copied from CampaignSpec): nonzero
-  /// sample_interval enables sampling for this job; non-empty sample_dir
-  /// makes the job write its series to
-  /// <sample_dir>/samples_job<index>.jsonl. sample_interval is part of
-  /// cell_key (it adds obs.* counters); sample_dir is not.
-  u64 sample_interval = 0;
+  /// Copied from CampaignSpec: when non-empty and the config samples
+  /// (config.telemetry.sample_interval), the job writes its series to
+  /// <sample_dir>/samples_job<index>.jsonl. Not part of cell_key.
   std::string sample_dir;
 };
 
@@ -47,13 +44,15 @@ struct JobSpec {
 std::string job_key(const JobSpec& spec);
 
 /// Content identity of a cell: a canonical serialization of every
-/// MachineConfig field (seed and sample_interval applied), the mix's
-/// workload tokens in order, insts, warmup, max_cycles and sample_interval.
-/// Names (campaign, column, mix) are not part of it, so the same machine
-/// on the same workload has one key in every preset. `trace:` tokens key
-/// on the token: the trace resolver pins one file content per token per
-/// process. This is what the engine's cell memo and manifest resume match
-/// on (DESIGN.md §7).
+/// MachineConfig field (seed applied; the sampling period is the config's
+/// own telemetry.sample_interval), the mix's workload tokens in order, insts,
+/// warmup and max_cycles. A `trace:` token also keys on its file's content
+/// hash, read through the trace resolver's cache (which pins one content per
+/// token per process), so a rewritten trace file is a different cell. Names
+/// (campaign, column, mix) are not part of it, so the same machine on the
+/// same workload has one key in every preset. This is what the engine's
+/// cell memo and manifest resume match on (DESIGN.md §7). Throws
+/// std::runtime_error when a `trace:` file cannot be loaded.
 std::string cell_key(const JobSpec& spec);
 
 /// 16-hex-digit FNV-1a digest of a cell_key, journalled on manifest lines.

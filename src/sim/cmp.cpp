@@ -17,11 +17,17 @@ CmpMachine::CmpMachine(const MachineConfig& cfg, const std::vector<Benchmark>& b
 
   // A 1-core machine with the LLC off has nothing to share; leaving shared_
   // null keeps it the paper's single-core machine (private memory channel,
-  // no llc.*/dram.* counters).
+  // no llc.*/dram.* counters). It has no DRAM model either, so a DRAM
+  // setting there would do nothing. The check lives here, not in validate():
+  // each core of a CMP is validated as a 1-core machine.
   if (cfg.llc.enabled || cfg.num_cores > 1) {
     LlcConfig llc = cfg.llc;
     llc.enabled = true;
     shared_ = std::make_unique<SharedMemory>(llc, cfg.dram);
+  } else if (cfg.dram != DramConfig{}) {
+    throw std::invalid_argument(
+        "CmpMachine: dram is set, but a 1-core machine without an LLC has no DRAM model "
+        "(add cores > 1 or an llc)");
   }
 
   cores_.reserve(cfg.num_cores);

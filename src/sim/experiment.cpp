@@ -56,16 +56,4 @@ double single_thread_ipc(const std::string& benchmark, u64 commit_target) {
   return entry->ipc;
 }
 
-MixOutcome run_mix(const MachineConfig& cfg, const Mix& mix, u64 commit_target) {
-  MixOutcome out;
-  out.run = run_benchmarks(cfg, trace::resolve_mix_benchmarks(mix), commit_target);
-  for (const auto& t : out.run.threads) {
-    out.mt_ipc.push_back(t.ipc);
-    out.st_ipc.push_back(single_thread_ipc(t.benchmark, commit_target));
-  }
-  out.ft = fair_throughput(out.mt_ipc, out.st_ipc);
-  out.throughput = out.run.total_throughput();
-  return out;
-}
-
 }  // namespace tlrob

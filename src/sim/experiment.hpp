@@ -1,5 +1,6 @@
-// Experiment harness shared by the benches, examples and integration tests:
-// runs mixes on configured machines and computes the paper's metrics.
+// Experiment harness under the campaign runner (runner::execute_job) and the
+// tests: runs benchmarks on a configured machine and measures the
+// single-thread references the paper's metrics weight by.
 //
 // Weighted-IPC denominators (each benchmark's IPC "in a single-threaded
 // situation", §3) are measured on the fixed single-thread reference machine
@@ -29,17 +30,5 @@ RunResult run_benchmarks(const MachineConfig& cfg, const std::vector<Benchmark>&
 /// exactly once, concurrent callers of an in-flight key block until the
 /// value exists (the campaign runner hits this from many workers at once).
 double single_thread_ipc(const std::string& benchmark, u64 commit_target = kDefaultCommitTarget);
-
-/// Everything a figure needs for one (machine, mix) cell.
-struct MixOutcome {
-  RunResult run;
-  std::vector<double> mt_ipc;
-  std::vector<double> st_ipc;
-  double ft = 0.0;          // fair throughput (harmonic mean of weighted IPCs)
-  double throughput = 0.0;  // sum of multithreaded IPCs
-};
-
-MixOutcome run_mix(const MachineConfig& cfg, const Mix& mix,
-                   u64 commit_target = kDefaultCommitTarget);
 
 }  // namespace tlrob

@@ -23,6 +23,13 @@ const MachineConfig& MachineConfig::validate() const {
   for (const auto& [field, value] : nonzero)
     if (value == 0)
       throw std::invalid_argument(std::string("MachineConfig: ") + field + " must be nonzero");
+  // Baseline has no second level and Adaptive grows the private ROBs; every
+  // other scheme allocates out of the shared second level.
+  if (rob_second_level == 0 && rob.scheme != RobScheme::kBaseline &&
+      rob.scheme != RobScheme::kAdaptive)
+    throw std::invalid_argument(std::string("MachineConfig: rob_second_level must be nonzero "
+                                            "under scheme ") +
+                                rob_scheme_name(rob.scheme));
   return *this;
 }
 

@@ -87,20 +87,22 @@ struct MachineConfig {
   /// existing test without touching them.
   AuditConfig audit = default_audit_config();
 
-  /// Observability (src/obs): interval sampling. Defaults to the
-  /// process-wide $TLROB_SAMPLE setting; off (the default) is provably
-  /// zero-cost on the cycle loop. Host self-profiling is not part of the
-  /// machine: obs::SelfProfiler samples whichever thread runs it.
-  obs::TelemetryConfig telemetry = obs::default_telemetry_config();
+  /// Observability (src/obs): interval sampling, off by default and then
+  /// provably zero-cost on the cycle loop. The one place a run's sampling
+  /// period lives: simulate's `sample=` and tlrob-campaign's
+  /// `--sample-interval` write it here. Host self-profiling is not part of
+  /// the machine: obs::SelfProfiler samples whichever thread runs it.
+  obs::TelemetryConfig telemetry{};
 
   u64 seed = 12345;
 
   /// The one validity check every machine construction path runs before any
   /// structure is sized: throws std::invalid_argument naming the first
   /// width or capacity that is zero (such a machine never commits and
-  /// would spin to the cycle cap), or a zero `rob.recheck_interval` (the
-  /// re-check grid needs a step). Returns *this, so constructors can
-  /// validate in their initializer list.
+  /// would spin to the cycle cap), a zero `rob.recheck_interval` (the
+  /// re-check grid needs a step), or a zero `rob_second_level` under a
+  /// scheme that allocates from it (R-ROB, Relaxed, CDR, P-ROB). Returns
+  /// *this, so constructors can validate in their initializer list.
   const MachineConfig& validate() const;
 };
 

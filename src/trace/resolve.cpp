@@ -103,6 +103,11 @@ Benchmark resolve_benchmark(const std::string& name) {
   throw std::invalid_argument("unknown workload '" + name + "'\n" + workload_backends_help());
 }
 
+std::optional<u64> trace_file_hash(const std::string& name) {
+  if (!has_prefix(name, kTracePrefix)) return std::nullopt;
+  return trace_workload(name)->lowering().content_hash;
+}
+
 std::vector<Benchmark> resolve_mix_benchmarks(const Mix& mix) {
   std::vector<Benchmark> v;
   v.reserve(mix.benchmarks.size());

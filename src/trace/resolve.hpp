@@ -13,6 +13,7 @@
 // N-core x M-thread machine's list become core c's threads 0..M-1.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,13 @@ bool is_trace_workload_name(const std::string& name);
 /// the available backends for an unknown name, std::runtime_error for a
 /// trace that fails to load or parse.
 Benchmark resolve_benchmark(const std::string& name);
+
+/// For a `trace:<file>` name, the file's content hash
+/// (TraceLowering::content_hash), read through the cache resolve_benchmark
+/// loads into, so it is the content this process runs under that name;
+/// nullopt for every other name. Throws as resolve_benchmark does when the
+/// file fails to load.
+std::optional<u64> trace_file_hash(const std::string& name);
 
 /// Resolves every name in a mix. Mixes may combine backends freely.
 std::vector<Benchmark> resolve_mix_benchmarks(const Mix& mix);

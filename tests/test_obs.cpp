@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 #include <thread>
 
@@ -281,15 +280,6 @@ TEST(SelfProfiler, ProfiledRunAttributesTimeWithoutChangingResults) {
   EXPECT_GT(profiler.total_samples(), 0u);
   // The run leaves its thread outside every stage.
   EXPECT_EQ(obs::current_phase.load(std::memory_order_relaxed), obs::Phase::kLoop);
-}
-
-TEST(TelemetryConfig, EnvDefaultsAreOff) {
-  // The suite runs without $TLROB_SAMPLE; the default must be off so every
-  // other test exercises the zero-cost path.
-  if (std::getenv("TLROB_SAMPLE") == nullptr) {
-    const MachineConfig cfg;
-    EXPECT_EQ(cfg.telemetry.sample_interval, 0u);
-  }
 }
 
 }  // namespace

@@ -544,7 +544,8 @@ TEST(RunnerMemo, KeyCoversEveryOverrideKnob) {
   differs("insts", [](JobSpec& js) { js.insts += 1; });
   differs("warmup", [](JobSpec& js) { js.warmup += 1; });
   differs("max_cycles", [](JobSpec& js) { js.max_cycles = 99999; });
-  differs("sample_interval", [](JobSpec& js) { js.sample_interval = 500; });
+  differs("sampling period",
+          [](JobSpec& js) { js.config.telemetry.sample_interval = 500; });
 
   JobSpec renamed = base;
   renamed.index = 9;
@@ -594,7 +595,7 @@ TEST(RunnerMemo, SampleDirCellsBypassTheMemo) {
   clear_cell_memo();
   const std::string dir = testing::TempDir();
   CampaignSpec sampled = small_spec("memo_sampled");
-  sampled.sample_interval = 500;
+  for (ConfigColumn& c : sampled.columns) c.config.telemetry.sample_interval = 500;
   sampled.sample_dir = dir;
   for (int run = 0; run < 2; ++run) {
     for (u64 job = 0; job < 4; ++job)
@@ -658,19 +659,23 @@ TEST(RunnerCli, CoreSplitRejectsZeroCoresAndIndivisibleLists) {
   Options split;
   split.set("cores", "2");
   split.set("workload", "tracegen:art@500,mcf,art,tracegen:mcf@500");
-  const CampaignSpec spec = custom_campaign(split);
+  const CampaignSpec spec = campaign_list("", split).at(0).spec;
+  ASSERT_EQ(spec.mixes.size(), 1u);
+  EXPECT_EQ(spec.mixes[0].benchmarks.size(), 4u);
   for (const auto& c : spec.columns) {
     EXPECT_EQ(c.config.num_cores, 2u);
     EXPECT_EQ(c.config.num_threads, 2u);
   }
   split.set("workload", "art,mcf,art");
-  EXPECT_THROW(custom_campaign(split), std::invalid_argument);
+  EXPECT_THROW(campaign_list("", split), std::invalid_argument);
 
-  PresetOptions popts;
-  popts.length = {1000, 200};
-  popts.render = false;
-  popts.workload = "art,mcf,art";  // cmp_mix columns have two cores
-  EXPECT_THROW(run_preset("cmp_mix", popts), std::invalid_argument);
+  // A preset goes through the same split: cmp_mix columns have two cores.
+  Options preset;
+  preset.set("insts", "1000");
+  preset.set("warmup", "200");
+  preset.set("no_render", "1");
+  preset.set("workload", "art,mcf,art");
+  EXPECT_THROW(run_from_options("cmp_mix", preset), std::invalid_argument);
 
   Options bad_threshold;
   bad_threshold.set("thresholds", "abc");
@@ -794,19 +799,15 @@ TEST(RunnerPresets, AllPresetsExpand) {
 // Every preset runs its tables and epilogue, so every by-name counter read
 // in an epilogue (column_counter throws on an absent name) executes here.
 TEST(RunnerPresets, EveryPresetRenders) {
-  const std::string path = temp_path("tlrob_render");
+  Options opts;
+  opts.set("insts", "1000");
+  opts.set("warmup", "200");
+  opts.set("jobs", "2");
   for (const auto& name : preset_names()) {
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    ASSERT_NE(out, nullptr);
-    PresetOptions popts;
-    popts.length = {1000, 200};
-    popts.jobs = 2;
-    popts.out = out;
-    EXPECT_NO_THROW(run_preset(name, popts)) << name;
-    std::fclose(out);
-    EXPECT_FALSE(read_file(path).empty()) << name;
+    testing::internal::CaptureStdout();
+    EXPECT_NO_THROW(run_from_options(name, opts)) << name;
+    EXPECT_FALSE(testing::internal::GetCapturedStdout().empty()) << name;
   }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 // behaviour and the paper's mechanisms working together.
 #include <gtest/gtest.h>
 
+#include "runner/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/presets.hpp"
@@ -236,14 +237,21 @@ TEST(Experiment, SingleThreadIpcIsMemoised) {
   EXPECT_GT(a, 1.0);
 }
 
-TEST(Experiment, RunMixProducesConsistentOutcome) {
-  const MixOutcome out = run_mix(baseline32_config(), table2_mix(2), 6000);
-  ASSERT_EQ(out.mt_ipc.size(), 4u);
-  ASSERT_EQ(out.st_ipc.size(), 4u);
-  EXPECT_GT(out.ft, 0.0);
-  EXPECT_NEAR(out.throughput, out.mt_ipc[0] + out.mt_ipc[1] + out.mt_ipc[2] + out.mt_ipc[3],
+TEST(Experiment, ExecuteJobProducesConsistentOutcome) {
+  runner::JobSpec js;
+  js.config = baseline32_config();
+  js.seed = js.config.seed;
+  js.mix = table2_mix(2);
+  js.insts = 6000;
+  js.warmup = kDefaultWarmup;
+  const runner::JobRecord rec = runner::execute_job(js);
+  ASSERT_TRUE(rec.ok()) << rec.error;
+  ASSERT_EQ(rec.mt_ipc.size(), 4u);
+  ASSERT_EQ(rec.st_ipc.size(), 4u);
+  EXPECT_GT(rec.ft, 0.0);
+  EXPECT_NEAR(rec.throughput, rec.mt_ipc[0] + rec.mt_ipc[1] + rec.mt_ipc[2] + rec.mt_ipc[3],
               1e-12);
-  EXPECT_EQ(out.run.threads.size(), 4u);
+  EXPECT_EQ(rec.benchmarks, table2_mix(2).benchmarks);
 }
 
 TEST(Experiment, IlpClassesSeparateAsMeasured) {

@@ -3,6 +3,7 @@
 // breaks one of these, every figure moves — these tests catch it first.
 #include <gtest/gtest.h>
 
+#include "runner/engine.hpp"
 #include "sim/experiment.hpp"
 #include "sim/smt_sim.hpp"
 #include "workload/spec_profiles.hpp"
@@ -16,6 +17,25 @@ RunResult run_single(const char* bench, RobScheme scheme, u32 threshold, u64 ins
   cfg.num_threads = 1;
   SmtCore core(cfg, {spec_benchmark(bench)});
   return core.run(insts, 0, 20000);
+}
+
+/// One campaign cell: Table 2 mix `mix` on `cfg`, 40k instructions after the
+/// default 60k warmup, at the machine's own seed.
+runner::JobRecord run_cell(const MachineConfig& cfg, u32 mix) {
+  runner::JobSpec js;
+  js.config = cfg;
+  js.seed = cfg.seed;
+  js.mix = table2_mix(mix);
+  js.insts = 40000;
+  js.warmup = kDefaultWarmup;
+  return runner::execute_job(js);
+}
+
+/// IPC of `bench`'s thread in a cell.
+double thread_ipc(const runner::JobRecord& rec, const std::string& bench) {
+  for (size_t t = 0; t < rec.benchmarks.size(); ++t)
+    if (rec.benchmarks[t] == bench) return rec.mt_ipc[t];
+  return 0.0;
 }
 
 // Gather- and stream-class benchmarks carry low-DoD long-latency loads: they
@@ -68,10 +88,7 @@ TEST(WorkloadCharacter, GatherDodIsSmallChaseDodIsLarge) {
 // thrash), which is what makes it the thread the mechanism rescues.
 TEST(WorkloadCharacter, ReuseSetsThrashUnderSharing) {
   const double st = single_thread_ipc("art", 40000);
-  const MixOutcome mix = run_mix(baseline32_config(), table2_mix(1), 40000);
-  double art_mt = 0;
-  for (size_t t = 0; t < mix.run.threads.size(); ++t)
-    if (mix.run.threads[t].benchmark == "art") art_mt = mix.run.threads[t].ipc;
+  const double art_mt = thread_ipc(run_cell(baseline32_config(), 1), "art");
   EXPECT_LT(art_mt, 0.8 * st) << "art should lose most of its reuse set under sharing";
 }
 
@@ -81,9 +98,9 @@ TEST(WorkloadCharacter, ReuseSetsThrashUnderSharing) {
 TEST(WorkloadCharacter, HeadlineShapeOnMemoryBoundMixes) {
   double ft_base = 0, ft_rrob = 0, ft_b128 = 0;
   for (u32 m : {1u, 2u, 3u, 4u}) {
-    ft_base += run_mix(baseline32_config(), table2_mix(m), 40000).ft;
-    ft_rrob += run_mix(two_level_config(RobScheme::kReactive, 16), table2_mix(m), 40000).ft;
-    ft_b128 += run_mix(baseline128_config(), table2_mix(m), 40000).ft;
+    ft_base += run_cell(baseline32_config(), m).ft;
+    ft_rrob += run_cell(two_level_config(RobScheme::kReactive, 16), m).ft;
+    ft_b128 += run_cell(baseline128_config(), m).ft;
   }
   EXPECT_GT(ft_rrob, ft_base * 1.05) << "R-ROB16 must clearly beat Baseline_32";
   EXPECT_GT(ft_rrob, ft_b128 * 0.95) << "R-ROB16 must not lose to Baseline_128";
@@ -92,14 +109,9 @@ TEST(WorkloadCharacter, HeadlineShapeOnMemoryBoundMixes) {
 // Compute-class threads must stay unharmed by the two-level mechanism (the
 // paper's "without adversely impacting other applications" claim).
 TEST(WorkloadCharacter, ComputeThreadsNotHurtByTwoLevel) {
-  const MixOutcome base = run_mix(baseline32_config(), table2_mix(5), 40000);
-  const MixOutcome rrob = run_mix(two_level_config(RobScheme::kReactive, 16), table2_mix(5), 40000);
-  double crafty_base = 0, crafty_rrob = 0;
-  for (size_t t = 0; t < base.run.threads.size(); ++t)
-    if (base.run.threads[t].benchmark == "crafty") {
-      crafty_base = base.mt_ipc[t];
-      crafty_rrob = rrob.mt_ipc[t];
-    }
+  const double crafty_base = thread_ipc(run_cell(baseline32_config(), 5), "crafty");
+  const double crafty_rrob =
+      thread_ipc(run_cell(two_level_config(RobScheme::kReactive, 16), 5), "crafty");
   EXPECT_GT(crafty_rrob, 0.85 * crafty_base);
 }
 

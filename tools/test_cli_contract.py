@@ -1,23 +1,28 @@
 #!/usr/bin/env python3
 """Command-line contract tests for the built front ends.
 
-Runs `simulate` and `tlrob-mktrace` as subprocesses and asserts the shared
-front-end contract (common/config.hpp): `--key value` means the same as
-`key=value`; a typo, a malformed value or an input the machine cannot run
-exits 2 with an `error:` line on stderr, never an abort; `simulate`
-accepts trace workload tokens; and `simulate profile=1` adds its phase
-table on stderr without changing a byte of stdout. Registered with ctest as
-`cli_contract_py`:
+Runs `simulate`, `tlrob-mktrace`, `tlrob-campaign` and `tlrob-golden` as
+subprocesses and asserts the shared front-end contract (common/config.hpp):
+`--key value` means the same as `key=value`; a typo, a malformed value or an
+input the machine cannot run exits 2 with an `error:` line on stderr, never
+an abort; `simulate` accepts trace workload tokens; and `simulate profile=1`
+adds its phase table on stderr without changing a byte of stdout. For
+`tlrob-campaign` it also checks that a preset and the equivalent custom
+sweep write the same records, that `--resume` re-simulates a cell whose
+trace file was rewritten, and that a missing trace file is a structured
+failed record. Registered with ctest as `cli_contract_py`:
 
-    test_cli_contract.py <simulate binary> <tlrob-mktrace binary>
+    test_cli_contract.py <simulate> <tlrob-mktrace> <tlrob-campaign> <tlrob-golden>
 """
 
+import json
 import os
 import subprocess
 import sys
 import tempfile
 
 RUN = ["insts=2000", "warmup=500"]
+SHORT = ["--insts", "3000", "--warmup", "1000", "--no-render"]
 
 
 def run(*argv):
@@ -25,10 +30,10 @@ def run(*argv):
 
 
 def main():
-    if len(sys.argv) != 3:
+    if len(sys.argv) != 5:
         print(__doc__)
         return 2
-    simulate, mktrace = sys.argv[1], sys.argv[2]
+    simulate, mktrace, campaign, golden = sys.argv[1:5]
     failures = []
 
     def check(name, ok, detail=""):
@@ -79,11 +84,16 @@ def main():
         zero = run(simulate, "mix=1", knob + "=0", *RUN)
         rejected(knob + "=0", zero)
         check(knob + "=0 names " + field, field in zero.stderr, zero.stderr[-200:])
-    bad_env = subprocess.run([simulate, "mix=1", *RUN], capture_output=True, text=True,
-                             timeout=300, env={**os.environ, "TLROB_SAMPLE": "abc"})
-    rejected("$TLROB_SAMPLE=abc", bad_env)
-    check("$TLROB_SAMPLE=abc names the variable", "TLROB_SAMPLE" in bad_env.stderr,
-          bad_env.stderr[-200:])
+    # Knobs that would do nothing are rejected too: a second-level scheme
+    # with no second level, and DRAM timing on a machine with no DRAM model.
+    for argv, setting in [(["scheme=rrob", "rob2=0"], "rob_second_level"),
+                          (["dram=3"], "dram")]:
+        idle = run(simulate, "mix=1", *argv, *RUN)
+        rejected(" ".join(argv), idle)
+        check(" ".join(argv) + " names " + setting, setting in idle.stderr, idle.stderr[-200:])
+
+    rejected("tlrob-golden --bogus", run(golden, "--bogus"))
+    rejected("tlrob-golden --preset fig99", run(golden, "--preset", "fig99"))
 
     profiled = run(simulate, "mix=1", "profile=1", *RUN)
     check("profile=1 leaves stdout byte-identical",
@@ -103,6 +113,55 @@ def main():
         made = run(mktrace, "--profile", "art", "--records", "100", "--out", out, "--seed", "7")
         check("tlrob-mktrace --seed 7 writes the trace",
               made.returncode == 0 and os.path.getsize(out) == 100 * 64, made.stderr[-200:])
+
+        # A preset is a campaign cell list like any custom sweep: fig2 on
+        # one mix and the same three columns by hand write the same records,
+        # with and without sampling.
+        for sampling in ([], ["--sample-interval", "500"]):
+            label = " with --sample-interval 500" if sampling else ""
+            a, b = os.path.join(tmp, "preset.jsonl"), os.path.join(tmp, "custom.jsonl")
+            preset = run(campaign, "fig2", "--workload", "mix:1", *SHORT, *sampling,
+                         "--json", a)
+            custom = run(campaign, "--schemes", "baseline32,baseline128,rrob",
+                         "--thresholds", "16", "--mixes", "1", "--name", "fig2", *SHORT,
+                         *sampling, "--json", b)
+            same = (preset.returncode == 0 and custom.returncode == 0
+                    and open(a).read() == open(b).read())
+            check("fig2 --workload mix:1 == the custom sweep" + label, same,
+                  f"rc {preset.returncode}/{custom.returncode}, {custom.stderr[-200:]!r}")
+
+        # --resume keys a trace: cell on the file's content, not its name.
+        trace = os.path.join(tmp, "f.trace")
+        manifest = os.path.join(tmp, "m.jsonl")
+        cell = ["--workload", "trace:" + trace + ",crafty", "--schemes", "baseline32",
+                *SHORT, "--manifest", manifest]
+        run(mktrace, "--profile", "art", "--records", "3000", "--seed", "3", "--out", trace)
+        first = run(campaign, *cell, "--json", os.path.join(tmp, "a.jsonl"))
+        run(mktrace, "--profile", "mcf", "--records", "3000", "--seed", "5", "--out", trace)
+        second = run(campaign, *cell, "--resume", "--json", os.path.join(tmp, "b.jsonl"))
+        def trace_hash(name):
+            with open(os.path.join(tmp, name)) as f:
+                return json.loads(f.readline())["counters"]["trace.t0.content_hash"]
+        check("--resume after a trace rewrite re-simulates the cell",
+              first.returncode == 0 and second.returncode == 0
+              and "0 resumed" in second.stderr
+              and trace_hash("a.jsonl") != trace_hash("b.jsonl"),
+              f"rc {first.returncode}/{second.returncode}, {second.stderr[-200:]!r}")
+        again = run(campaign, *cell, "--resume", "--json", os.path.join(tmp, "c.jsonl"))
+        check("--resume of the unchanged trace replays the cell",
+              again.returncode == 0 and "1 resumed" in again.stderr
+              and open(os.path.join(tmp, "b.jsonl")).read()
+              == open(os.path.join(tmp, "c.jsonl")).read(), again.stderr[-200:])
+
+        bad = os.path.join(tmp, "bad.jsonl")
+        missing = run(campaign, "--workload", "trace:does_not_exist.gz,crafty",
+                      "--schemes", "baseline32", *SHORT, "--manifest", manifest, "--resume",
+                      "--json", bad)
+        record = open(bad).read() if os.path.exists(bad) else ""
+        check("a missing trace file is a failed record",
+              missing.returncode == 1 and '"status":"failed"' in record
+              and "cannot open trace file" in record,
+              f"rc {missing.returncode}, {record[:200]!r}")
 
     if failures:
         print(f"FAIL: {len(failures)} case(s): {', '.join(failures)}")

@@ -7,20 +7,26 @@
 // intentional architectural-model change — never to paper over drift from a
 // performance refactor.
 //
-//   tlrob-golden [--dir tests/golden] [--preset NAME ...] [--regen]
+//   tlrob-golden [--dir tests/golden] [--preset NAME[,NAME...]] [--regen]
+//
+// Options follow the common grammar (common/config.hpp); --preset takes the
+// preset list tlrob-campaign does. Exit status: 0 all fixtures match (or
+// were rewritten), 1 drift, 2 bad input ("error: ..." on stderr).
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/config.hpp"
+#include "runner/cli.hpp"
 #include "runner/golden.hpp"
-#include "runner/presets.hpp"
 
 namespace {
 
+using namespace tlrob;
 using namespace tlrob::runner;
 
 bool read_file(const std::string& path, std::string& out) {
@@ -32,42 +38,14 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--dir DIR] [--preset NAME ...] [--regen]\n"
-               "  --dir DIR      fixture directory (default tests/golden)\n"
-               "  --preset NAME  restrict to one preset (repeatable)\n"
-               "  --regen        rewrite fixtures instead of checking them\n",
-               argv0);
-  return 2;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string dir = "tests/golden";
-  std::vector<std::string> presets;
-  bool regen = false;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--dir" && i + 1 < argc) {
-      dir = argv[++i];
-    } else if (arg == "--preset" && i + 1 < argc) {
-      presets.emplace_back(argv[++i]);
-    } else if (arg == "--regen") {
-      regen = true;
-    } else {
-      return usage(argv[0]);
-    }
-  }
-  if (presets.empty()) presets = preset_names();
-  for (const std::string& name : presets) {
-    if (!is_preset(name)) {
-      std::fprintf(stderr, "unknown preset: %s\n", name.c_str());
-      return 2;
-    }
-  }
+int check_or_regen(const Options& opts) {
+  const std::string dir = opts.get("dir", "tests/golden");
+  const std::vector<std::string> presets =
+      opts.has("preset") ? preset_list(opts.get("preset")) : preset_names();
+  const bool regen = opts.get_bool("regen", false);
+  opts.require_all_read();
+  if (!opts.positional().empty())
+    throw std::invalid_argument("unexpected argument '" + opts.positional().front() + "'");
 
   int failures = 0;
   for (const std::string& name : presets) {
@@ -75,10 +53,7 @@ int main(int argc, char** argv) {
     const std::vector<GoldenRow> rows = golden_fingerprints(name);
     if (regen) {
       std::ofstream out(path);
-      if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return 1;
-      }
+      if (!out) throw std::runtime_error("cannot write " + path);
       out << golden_to_json(name, rows);
       std::printf("wrote %s (%zu rows)\n", path.c_str(), rows.size());
       continue;
@@ -108,4 +83,10 @@ int main(int argc, char** argv) {
     }
   }
   return failures == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cli_main([&] { return check_or_regen(Options::from_args(argc, argv, {"regen"})); });
 }
