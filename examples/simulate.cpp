@@ -79,13 +79,9 @@ int simulate(const Options& opts) {
   Mix mix = trace::workload_mix(workload.empty() ? "mix:1" : workload);
 
   // --- machine ----------------------------------------------------------------
-  MachineConfig cfg;
+  MachineConfig cfg = two_level_config(parse_scheme(opts.get("scheme", "baseline")), 16);
   cfg.num_threads = static_cast<u32>(mix.benchmarks.size());
-  cfg.rob_second_level = 0;
-  cfg.rob.scheme = RobScheme::kBaseline;
   cfg = apply_overrides(cfg, opts);
-  if (cfg.rob.scheme != RobScheme::kBaseline && !opts.has("rob2"))
-    cfg.rob_second_level = 384;  // Table 1 default when a two-level scheme is on
   // num_threads so far is machine-wide (threads= or the list length).
   mix.benchmarks.resize(cfg.num_threads, mix.benchmarks.back());
   cfg.num_threads = trace::threads_per_core(mix, cfg.num_cores);

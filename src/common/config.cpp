@@ -111,6 +111,14 @@ u64 Options::get_u64(const std::string& key, u64 fallback) const {
   return v == nullptr ? fallback : parse_u64(*v, "option " + key);
 }
 
+u32 Options::get_u32(const std::string& key, u32 fallback) const {
+  const u64 value = get_u64(key, fallback);
+  if (value > 0xffffffffu)
+    throw std::invalid_argument("option " + key + ": " + std::to_string(value) +
+                                " does not fit in 32 bits");
+  return static_cast<u32>(value);
+}
+
 double Options::get_double(const std::string& key, double fallback) const {
   const std::string* v = find(key);
   if (v == nullptr) return fallback;

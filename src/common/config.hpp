@@ -50,6 +50,8 @@ class Options {
 
   std::string get(const std::string& key, const std::string& fallback = "") const;
   u64 get_u64(const std::string& key, u64 fallback) const;
+  /// get_u64 that also rejects a value above 2^32-1.
+  u32 get_u32(const std::string& key, u32 fallback) const;
   double get_double(const std::string& key, double fallback) const;
   /// Accepts 0/1, true/false, yes/no and on/off.
   bool get_bool(const std::string& key, bool fallback) const;

@@ -97,15 +97,4 @@ std::unique_ptr<FetchPolicy> FetchPolicy::create(FetchPolicyKind kind, DcraContr
   return std::make_unique<IcountPolicy>();
 }
 
-const char* fetch_policy_name(FetchPolicyKind kind) {
-  switch (kind) {
-    case FetchPolicyKind::kRoundRobin: return "round_robin";
-    case FetchPolicyKind::kIcount: return "icount";
-    case FetchPolicyKind::kStall: return "stall";
-    case FetchPolicyKind::kFlush: return "flush";
-    case FetchPolicyKind::kDcra: return "dcra";
-  }
-  return "unknown";
-}
-
 }  // namespace tlrob

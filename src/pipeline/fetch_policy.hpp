@@ -8,13 +8,29 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/names.hpp"
 #include "common/types.hpp"
 
 namespace tlrob {
 
 enum class FetchPolicyKind : u8 { kRoundRobin, kIcount, kStall, kFlush, kDcra };
+
+/// The policy= vocabulary; "rr" is an alias.
+inline constexpr EnumName<FetchPolicyKind> kFetchPolicyNames[] = {
+    {FetchPolicyKind::kDcra, "dcra"},   {FetchPolicyKind::kIcount, "icount"},
+    {FetchPolicyKind::kStall, "stall"}, {FetchPolicyKind::kFlush, "flush"},
+    {FetchPolicyKind::kRoundRobin, "round_robin"}, {FetchPolicyKind::kRoundRobin, "rr"}};
+
+inline const char* fetch_policy_name(FetchPolicyKind kind) {
+  return enum_row(kFetchPolicyNames, kind).name;
+}
+
+inline FetchPolicyKind parse_fetch_policy(const std::string& name) {
+  return parse_enum(kFetchPolicyNames, name, "fetch policy");
+}
 
 /// Per-thread snapshot handed to policies each cycle.
 struct ThreadFetchView {
@@ -55,7 +71,5 @@ class FetchPolicy {
   /// otherwise.
   static std::unique_ptr<FetchPolicy> create(FetchPolicyKind kind, DcraController* dcra);
 };
-
-const char* fetch_policy_name(FetchPolicyKind kind);
 
 }  // namespace tlrob

@@ -4,18 +4,6 @@
 
 namespace tlrob {
 
-const char* rob_scheme_name(RobScheme scheme) {
-  switch (scheme) {
-    case RobScheme::kBaseline: return "baseline";
-    case RobScheme::kReactive: return "r-rob";
-    case RobScheme::kRelaxedReactive: return "relaxed-r-rob";
-    case RobScheme::kCdr: return "cdr-rob";
-    case RobScheme::kPredictive: return "p-rob";
-    case RobScheme::kAdaptive: return "adaptive-rob";
-  }
-  return "unknown";
-}
-
 TwoLevelRobController::TwoLevelRobController(const RobPolicyConfig& cfg,
                                              std::vector<ReorderBuffer*> robs,
                                              SecondLevelRob& second)
@@ -91,8 +79,7 @@ bool TwoLevelRobController::lease_expired(ThreadId tid, Cycle now) const {
 }
 
 void TwoLevelRobController::on_l2_miss_detected(DynInst& load, Cycle now) {
-  if (cfg_.scheme == RobScheme::kBaseline || cfg_.scheme == RobScheme::kAdaptive) return;
-  if (load.wrong_path) return;
+  if (!uses_second_level(cfg_.scheme) || load.wrong_path) return;
   const ThreadId tid = load.tid;
   ThreadState& ts = threads_[tid];
   ++stats_.l2_miss_candidates;
@@ -122,8 +109,7 @@ void TwoLevelRobController::on_l2_miss_detected(DynInst& load, Cycle now) {
 }
 
 void TwoLevelRobController::on_load_fill(DynInst& load, Cycle now) {
-  if (cfg_.scheme == RobScheme::kBaseline || cfg_.scheme == RobScheme::kAdaptive) return;
-  if (load.wrong_path) return;
+  if (!uses_second_level(cfg_.scheme) || load.wrong_path) return;
   const ThreadId tid = load.tid;
   ThreadState& ts = threads_[tid];
 
@@ -314,7 +300,7 @@ void TwoLevelRobController::replay_idle_to(Cycle wake, Cycle quiet_since) {
 }
 
 void TwoLevelRobController::on_squash(ThreadId tid, u64 tseq) {
-  if (cfg_.scheme == RobScheme::kBaseline || cfg_.scheme == RobScheme::kAdaptive) return;
+  if (!uses_second_level(cfg_.scheme)) return;
   ThreadState& ts = threads_[tid];
   ts.cands.erase(std::remove_if(ts.cands.begin(), ts.cands.end(),
                                 [&](const Candidate& c) { return c.tseq > tseq; }),

@@ -23,8 +23,10 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/names.hpp"
 #include "common/stats.hpp"
 #include "rob/dod_predictor.hpp"
 #include "rob/rob.hpp"
@@ -49,7 +51,37 @@ enum class RobScheme : u8 {
   kAdaptive,
 };
 
-const char* rob_scheme_name(RobScheme scheme);
+/// The scheme vocabulary: the name scheme=, --schemes and records use, and
+/// the campaign column prefix ("R-ROB" + threshold). Rows without a column
+/// are aliases.
+struct RobSchemeName {
+  RobScheme value;
+  const char* name;
+  const char* column = nullptr;
+};
+inline constexpr RobSchemeName kRobSchemeNames[] = {
+    {RobScheme::kBaseline, "baseline", "Baseline_32"},
+    {RobScheme::kReactive, "rrob", "R-ROB"},
+    {RobScheme::kRelaxedReactive, "relaxed", "RelaxedR"},
+    {RobScheme::kCdr, "cdr", "CDR-ROB"},
+    {RobScheme::kPredictive, "prob", "P-ROB"},
+    {RobScheme::kAdaptive, "adaptive", "Adaptive"},
+    {RobScheme::kReactive, "reactive"},
+    {RobScheme::kPredictive, "predictive"}};
+
+inline const char* rob_scheme_name(RobScheme scheme) {
+  return enum_row(kRobSchemeNames, scheme).name;
+}
+
+inline RobScheme parse_scheme(const std::string& name) {
+  return parse_enum(kRobSchemeNames, name, "ROB scheme");
+}
+
+/// R-ROB, Relaxed, CDR and P-ROB allocate the shared second level; Baseline
+/// has none and Adaptive grows the private ROBs instead.
+constexpr bool uses_second_level(RobScheme scheme) {
+  return scheme != RobScheme::kBaseline && scheme != RobScheme::kAdaptive;
+}
 
 struct RobPolicyConfig {
   RobScheme scheme = RobScheme::kBaseline;

@@ -15,22 +15,6 @@ namespace tlrob::runner {
 
 namespace {
 
-ConfigColumn scheme_column(const std::string& scheme, u32 threshold) {
-  if (scheme == "baseline32") return {"Baseline_32", baseline32_config(), 0};
-  if (scheme == "baseline128") return {"Baseline_128", baseline128_config(), 0};
-  const RobScheme kind = parse_scheme(scheme);  // throws on unknown names
-  std::string prefix;
-  switch (kind) {
-    case RobScheme::kReactive: prefix = "R-ROB"; break;
-    case RobScheme::kRelaxedReactive: prefix = "RelaxedR"; break;
-    case RobScheme::kCdr: prefix = "CDR-ROB"; break;
-    case RobScheme::kPredictive: prefix = "P-ROB"; break;
-    case RobScheme::kAdaptive: prefix = "Adaptive"; break;
-    case RobScheme::kBaseline: return {"Baseline_32", baseline32_config(), 0};
-  }
-  return {prefix + std::to_string(threshold), two_level_config(kind, threshold), 0};
-}
-
 RunLengthSpec run_length(const Options& opts) {
   const RunLengthSpec defaults;
   return {opts.get_u64("insts", defaults.insts), opts.get_u64("warmup", defaults.warmup)};
@@ -47,12 +31,18 @@ CampaignSpec custom_campaign(const Options& opts) {
   std::vector<u64> thresholds = opts.get_u64_list("thresholds");
   if (thresholds.empty()) thresholds = {16};
   for (const auto& scheme : schemes) {
-    if (scheme == "baseline32" || scheme == "baseline128" || scheme == "baseline") {
-      spec.columns.push_back(scheme_column(scheme, 0));
+    if (scheme == "baseline128") {
+      spec.columns.push_back({"Baseline_128", baseline128_config(), 0});
       continue;
     }
-    for (const u64 th : thresholds)
-      spec.columns.push_back(scheme_column(scheme, static_cast<u32>(th)));
+    const RobScheme kind = parse_scheme(scheme == "baseline32" ? "baseline" : scheme);
+    const std::string prefix = enum_row(kRobSchemeNames, kind).column;
+    if (kind == RobScheme::kBaseline)
+      spec.columns.push_back({prefix, baseline32_config(), 0});
+    else
+      for (const u64 th : thresholds)
+        spec.columns.push_back(
+            {prefix + std::to_string(th), two_level_config(kind, static_cast<u32>(th)), 0});
   }
 
   // The workload: the --mixes subset of Table 2, or all 11 mixes. An
@@ -75,11 +65,11 @@ CampaignSpec custom_campaign(const Options& opts) {
   // core-major (every Table 2 mix has four entries, so 2 cores run 2
   // threads each), and --llc/--dram shape the shared backend.
   for (auto& c : spec.columns) {
-    c.config.num_cores = static_cast<u32>(opts.get_u64("cores", c.config.num_cores));
+    c.config.num_cores = opts.get_u32("cores", c.config.num_cores);
     if (!spec.mixes.empty())
       c.config.num_threads = trace::threads_per_core(spec.mixes.front(), c.config.num_cores);
-    if (opts.has("llc")) apply_llc_spec(c.config.llc, opts.get("llc"));
-    if (opts.has("dram")) apply_dram_spec(c.config.dram, opts.get("dram"));
+    if (opts.has("llc")) apply_llc_spec(c.config, opts.get("llc"));
+    if (opts.has("dram")) apply_dram_spec(c.config, opts.get("dram"));
   }
 
   spec.lengths = {run_length(opts)};

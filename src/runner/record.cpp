@@ -6,6 +6,7 @@
 #include <string_view>
 #include <type_traits>
 
+#include "sim/config_override.hpp"
 #include "trace/resolve.hpp"
 
 namespace tlrob::runner {
@@ -13,23 +14,6 @@ namespace tlrob::runner {
 namespace {
 
 // -- cell content key -------------------------------------------------------
-
-// Adding a field to any of these structs changes its size and fails the
-// build here until add_config() serialises the field too (sizes are for
-// the LP64 ABI of every supported toolchain). A field that fits in
-// existing padding slips past; the key-completeness test in
-// test_runner.cpp covers every apply_overrides knob.
-static_assert(sizeof(CacheGeometry) == 24);
-static_assert(sizeof(MemoryChannelConfig) == 40);
-static_assert(sizeof(MemoryConfig) == 112);
-static_assert(sizeof(LlcConfig) == 40);
-static_assert(sizeof(DramConfig) == 72);
-static_assert(sizeof(DcraConfig) == 8);
-static_assert(sizeof(RobPolicyConfig) == 72);
-static_assert(sizeof(PredictorConfig) == 16);
-static_assert(sizeof(AuditConfig) == 32);
-static_assert(sizeof(obs::TelemetryConfig) == 8);
-static_assert(sizeof(MachineConfig) == 448);
 
 /// Appends "name=value;" — integers, bools and enums as decimal integers,
 /// doubles in their round-trippable JSON form.
@@ -42,92 +26,6 @@ void add(std::string& out, std::string_view name, T v) {
   else
     out += std::to_string(static_cast<u64>(v));
   out += ';';
-}
-
-void add_cache(std::string& out, const std::string& p, const CacheGeometry& g) {
-  add(out, p + ".size_bytes", g.size_bytes);
-  add(out, p + ".ways", g.ways);
-  add(out, p + ".line_bytes", g.line_bytes);
-  add(out, p + ".hit_latency", g.hit_latency);
-}
-
-void add_config(std::string& out, const MachineConfig& c) {
-  add(out, "num_cores", c.num_cores);
-  add(out, "num_threads", c.num_threads);
-  add(out, "addr_space_id_base", c.addr_space_id_base);
-  add(out, "fetch_width", c.fetch_width);
-  add(out, "fetch_threads", c.fetch_threads);
-  add(out, "dispatch_width", c.dispatch_width);
-  add(out, "issue_width", c.issue_width);
-  add(out, "commit_width", c.commit_width);
-  add(out, "decode_depth", c.decode_depth);
-  add(out, "frontend_buffer", c.frontend_buffer);
-  add(out, "rob_first_level", c.rob_first_level);
-  add(out, "rob_second_level", c.rob_second_level);
-  add(out, "second_level_reg_reserve", c.second_level_reg_reserve);
-  add(out, "iq_entries", c.iq_entries);
-  add(out, "lsq_entries", c.lsq_entries);
-  add(out, "int_regs", c.int_regs);
-  add(out, "fp_regs", c.fp_regs);
-  add(out, "shared_regfile", c.shared_regfile);
-  add(out, "early_register_release", c.early_register_release);
-  add(out, "fetch_policy", c.fetch_policy);
-  add(out, "dcra.sharing", c.dcra.sharing);
-
-  add(out, "rob.scheme", c.rob.scheme);
-  add(out, "rob.dod_threshold", c.rob.dod_threshold);
-  add(out, "rob.recheck_interval", c.rob.recheck_interval);
-  add(out, "rob.cdr_delay", c.rob.cdr_delay);
-  add(out, "rob.predictor_entries", c.rob.predictor_entries);
-  add(out, "rob.lease_limit", c.rob.lease_limit);
-  add(out, "rob.lease_cooldown", c.rob.lease_cooldown);
-  add(out, "rob.adaptive_interval", c.rob.adaptive_interval);
-  add(out, "rob.adaptive_step", c.rob.adaptive_step);
-  add(out, "rob.adaptive_max_extra", c.rob.adaptive_max_extra);
-  add(out, "rob.adaptive_issue_bound_threshold", c.rob.adaptive_issue_bound_threshold);
-
-  add_cache(out, "memory.l1i", c.memory.l1i);
-  add_cache(out, "memory.l1d", c.memory.l1d);
-  add_cache(out, "memory.l2", c.memory.l2);
-  const MemoryChannelConfig& ch = c.memory.channel;
-  add(out, "memory.channel.bus_bytes", ch.bus_bytes);
-  add(out, "memory.channel.first_chunk", ch.first_chunk);
-  add(out, "memory.channel.interchunk", ch.interchunk);
-  add(out, "memory.channel.line_bytes", ch.line_bytes);
-  add(out, "memory.channel.critical_bytes", ch.critical_bytes);
-  add(out, "memory.channel.mshr_entries", ch.mshr_entries);
-
-  add(out, "llc.enabled", c.llc.enabled);
-  add_cache(out, "llc.geo", c.llc.geo);
-  add(out, "llc.mshr_entries", c.llc.mshr_entries);
-
-  add(out, "dram.channels", c.dram.channels);
-  add(out, "dram.banks_per_channel", c.dram.banks_per_channel);
-  add(out, "dram.row_bytes", c.dram.row_bytes);
-  add(out, "dram.tcas", c.dram.tcas);
-  add(out, "dram.trcd", c.dram.trcd);
-  add(out, "dram.trp", c.dram.trp);
-  add(out, "dram.bus_bytes", c.dram.bus_bytes);
-  add(out, "dram.interchunk", c.dram.interchunk);
-  add(out, "dram.line_bytes", c.dram.line_bytes);
-  add(out, "dram.critical_bytes", c.dram.critical_bytes);
-  add(out, "dram.open_page", c.dram.open_page);
-
-  add(out, "predictor.gshare_entries", c.predictor.gshare_entries);
-  add(out, "predictor.history_bits", c.predictor.history_bits);
-  add(out, "predictor.btb_entries", c.predictor.btb_entries);
-  add(out, "predictor.btb_ways", c.predictor.btb_ways);
-  add(out, "load_hit_entries", c.load_hit_entries);
-  add(out, "load_hit_history", c.load_hit_history);
-
-  add(out, "audit.level", c.audit.level);
-  add(out, "audit.cheap_interval", c.audit.cheap_interval);
-  add(out, "audit.full_interval", c.audit.full_interval);
-  add(out, "audit.abort_on_violation", c.audit.abort_on_violation);
-  add(out, "audit.max_recorded", c.audit.max_recorded);
-
-  add(out, "telemetry.sample_interval", c.telemetry.sample_interval);
-  add(out, "seed", c.seed);
 }
 
 template <typename T, typename Fn>
@@ -190,7 +88,7 @@ std::string cell_key(const JobSpec& spec) {
   cfg.seed = spec.seed;
 
   std::string out = "config{";
-  add_config(out, cfg);
+  for_each_knob(cfg, [&](const Knob& k, const auto& value) { add(out, k.name, value); });
   out += "}mix{";
   // Length-prefixed, so no token content can imitate a separator.
   for (const std::string& token : spec.mix.benchmarks) {
@@ -219,17 +117,7 @@ std::string cell_digest(const std::string& cell_key) {
 
 const char* to_string(JobStatus s) { return s == JobStatus::kOk ? "ok" : "failed"; }
 
-std::string scheme_name(const MachineConfig& cfg) {
-  switch (cfg.rob.scheme) {
-    case RobScheme::kBaseline: return "baseline";
-    case RobScheme::kReactive: return "rrob";
-    case RobScheme::kRelaxedReactive: return "relaxed";
-    case RobScheme::kCdr: return "cdr";
-    case RobScheme::kPredictive: return "prob";
-    case RobScheme::kAdaptive: return "adaptive";
-  }
-  return "?";
-}
+std::string scheme_name(const MachineConfig& cfg) { return rob_scheme_name(cfg.rob.scheme); }
 
 std::string to_json_line(const JobRecord& r) {
   std::ostringstream os;

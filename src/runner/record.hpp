@@ -101,9 +101,7 @@ struct JobRecord {
   bool ok() const { return status == JobStatus::kOk; }
 };
 
-/// Canonical scheme name for a machine configuration ("baseline", "rrob",
-/// "relaxed", "cdr", "prob", "adaptive") — the vocabulary of
-/// sim/config_override.hpp.
+/// The record name of the configuration's scheme (rob_scheme_name).
 std::string scheme_name(const MachineConfig& cfg);
 
 /// One JSON object, single line, fixed key order and number formatting —

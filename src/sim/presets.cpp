@@ -2,31 +2,20 @@
 
 #include <sstream>
 #include <stdexcept>
-#include <utility>
+#include <type_traits>
+
+#include "sim/config_override.hpp"
 
 namespace tlrob {
 
 const MachineConfig& MachineConfig::validate() const {
-  const std::pair<const char*, u64> nonzero[] = {
-      {"num_threads", num_threads},
-      {"fetch_width", fetch_width},
-      {"fetch_threads", fetch_threads},
-      {"dispatch_width", dispatch_width},
-      {"issue_width", issue_width},
-      {"commit_width", commit_width},
-      {"frontend_buffer", frontend_buffer},
-      {"rob_first_level", rob_first_level},
-      {"iq_entries", iq_entries},
-      {"lsq_entries", lsq_entries},
-      {"rob.recheck_interval", rob.recheck_interval},
-  };
-  for (const auto& [field, value] : nonzero)
-    if (value == 0)
-      throw std::invalid_argument(std::string("MachineConfig: ") + field + " must be nonzero");
-  // Baseline has no second level and Adaptive grows the private ROBs; every
-  // other scheme allocates out of the shared second level.
-  if (rob_second_level == 0 && rob.scheme != RobScheme::kBaseline &&
-      rob.scheme != RobScheme::kAdaptive)
+  for_each_knob(*this, [](const Knob& k, const auto& value) {
+    if constexpr (std::is_integral_v<std::remove_cvref_t<decltype(value)>>)
+      if ((k.flags & kNonzero) != 0 && value == 0)
+        throw std::invalid_argument(std::string("MachineConfig: ") + k.name +
+                                    " must be nonzero");
+  });
+  if (rob_second_level == 0 && uses_second_level(rob.scheme))
     throw std::invalid_argument(std::string("MachineConfig: rob_second_level must be nonzero "
                                             "under scheme ") +
                                 rob_scheme_name(rob.scheme));
@@ -47,10 +36,11 @@ MachineConfig baseline128_config() {
 }
 
 MachineConfig two_level_config(RobScheme scheme, u32 dod_threshold) {
+  if (scheme == RobScheme::kBaseline) return baseline32_config();
   MachineConfig cfg;
   cfg.rob.scheme = scheme;
   cfg.rob.dod_threshold = dod_threshold;
-  if (scheme == RobScheme::kAdaptive) cfg.rob_second_level = 0;  // private growth only
+  if (!uses_second_level(scheme)) cfg.rob_second_level = 0;
   return cfg;
 }
 
@@ -61,8 +51,7 @@ MachineConfig single_thread_config() {
 }
 
 MachineConfig cmp_config(u32 cores, RobScheme scheme, u32 dod_threshold) {
-  MachineConfig cfg = scheme == RobScheme::kBaseline ? baseline32_config()
-                                                     : two_level_config(scheme, dod_threshold);
+  MachineConfig cfg = two_level_config(scheme, dod_threshold);
   cfg.num_cores = cores;
   cfg.llc.enabled = true;
   return cfg;

@@ -98,10 +98,9 @@ struct MachineConfig {
 
   /// The one validity check every machine construction path runs before any
   /// structure is sized: throws std::invalid_argument naming the first
-  /// width or capacity that is zero (such a machine never commits and
-  /// would spin to the cycle cap), a zero `rob.recheck_interval` (the
-  /// re-check grid needs a step), or a zero `rob_second_level` under a
-  /// scheme that allocates from it (R-ROB, Relaxed, CDR, P-ROB). Returns
+  /// kNonzero knob (sim/config_override.hpp) that is zero — a width,
+  /// capacity, MSHR pool or re-check interval — or a zero
+  /// `rob_second_level` under a scheme that uses_second_level. Returns
   /// *this, so constructors can validate in their initializer list.
   const MachineConfig& validate() const;
 };
@@ -112,7 +111,9 @@ MachineConfig baseline32_config();
 /// Baseline_128 of Figure 2: private ROBs blindly scaled to 128 entries.
 MachineConfig baseline128_config();
 
-/// Two-level configurations used in §5.
+/// The Table 1 machine running `scheme`: the two-level configurations of
+/// §5, Adaptive with no second level, and Baseline_32 for kBaseline (whose
+/// threshold is ignored).
 MachineConfig two_level_config(RobScheme scheme, u32 dod_threshold);
 
 /// The single-threaded reference machine used as the weighted-IPC

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/names.hpp"
 #include "common/types.hpp"
 
 namespace tlrob {
@@ -41,10 +42,18 @@ enum class RobScheme : u8;
 ///           `full_interval` cycles.
 enum class AuditLevel : u8 { kOff, kCheap, kFull };
 
-const char* audit_level_name(AuditLevel level);
+/// The audit= and $TLROB_AUDIT vocabulary; "none" is an alias.
+inline constexpr EnumName<AuditLevel> kAuditLevelNames[] = {
+    {AuditLevel::kOff, "off"}, {AuditLevel::kCheap, "cheap"}, {AuditLevel::kFull, "full"},
+    {AuditLevel::kOff, "none"}};
 
-/// Parses "off" | "cheap" | "full" (throws std::invalid_argument otherwise).
-AuditLevel parse_audit_level(const std::string& name);
+inline const char* audit_level_name(AuditLevel level) {
+  return enum_row(kAuditLevelNames, level).name;
+}
+
+inline AuditLevel parse_audit_level(const std::string& name) {
+  return parse_enum(kAuditLevelNames, name, "audit level");
+}
 
 struct AuditConfig {
   AuditLevel level = AuditLevel::kOff;

@@ -29,10 +29,8 @@ class SecondLevelCheck final : public InvariantCheck {
 
   void run(const AuditContext& ctx, InvariantChecker& out) const override {
     const SecondLevelRob& second = *ctx.second;
-    const bool two_level = ctx.scheme != RobScheme::kBaseline &&
-                           ctx.scheme != RobScheme::kAdaptive;
 
-    if (!two_level && second.owner() != SecondLevelRob::kNoOwner) {
+    if (!uses_second_level(ctx.scheme) && second.owner() != SecondLevelRob::kNoOwner) {
       std::ostringstream os;
       os << rob_scheme_name(ctx.scheme) << " scheme must never allocate the shared "
          << "partition, but thread " << second.owner() << " owns it";

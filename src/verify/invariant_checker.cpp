@@ -10,22 +10,6 @@
 
 namespace tlrob {
 
-const char* audit_level_name(AuditLevel level) {
-  switch (level) {
-    case AuditLevel::kOff: return "off";
-    case AuditLevel::kCheap: return "cheap";
-    case AuditLevel::kFull: return "full";
-  }
-  return "unknown";
-}
-
-AuditLevel parse_audit_level(const std::string& name) {
-  if (name == "off" || name == "none") return AuditLevel::kOff;
-  if (name == "cheap") return AuditLevel::kCheap;
-  if (name == "full") return AuditLevel::kFull;
-  throw std::invalid_argument("unknown audit level: " + name + " (expected off|cheap|full)");
-}
-
 AuditConfig default_audit_config() {
   // Computed once: the environment is the process-wide CI switch, not a
   // per-config knob (explicit assignment to MachineConfig::audit overrides).

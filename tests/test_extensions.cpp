@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "sim/config_override.hpp"
 #include "sim/experiment.hpp"
@@ -117,6 +121,56 @@ TEST(ConfigOverride, AppliesMachineKnobs) {
   EXPECT_EQ(cfg.seed, 99u);
   EXPECT_EQ(cfg.rob.lease_limit, 1234u);
   EXPECT_EQ(cfg.memory.channel.mshr_entries, 8u);
+}
+
+TEST(ConfigOverride, RejectsValuesOutOfRange) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"rob1=4294967328", "rob1"},
+      {"threads=4294967296", "threads"},
+      {"cores=4294967298", "cores"},
+      {"l2_kb=18014398509481985", "l2_kb"},
+      {"l1d_kb=18446744073709551615", "l1d_kb"},
+      {"llc=8192:4294967312", "llc.geo.ways"},
+      {"llc=18014398509481985", "llc.geo.size_bytes"},
+      {"dram=2:8:240:160:100:1", "dram spec"},
+  };
+  for (const auto& [token, named] : cases) {
+    try {
+      apply_overrides(baseline32_config(), Options::from_tokens({token}));
+      ADD_FAILURE() << token << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos) << e.what();
+    }
+  }
+  // The largest value of each type still fits.
+  const Options largest = Options::from_tokens({"rob1=4294967295", "l2_kb=18014398509481983"});
+  const MachineConfig cfg = apply_overrides(baseline32_config(), largest);
+  EXPECT_EQ(cfg.rob_first_level, 4294967295u);
+  EXPECT_EQ(cfg.memory.l2.size_bytes, u64{18014398509481983} << 10);
+}
+
+// Every knob the table flags nonzero fails validate(), naming the field.
+TEST(ConfigOverride, EveryNonzeroKnobRejectsZero) {
+  const MachineConfig base = two_level_config(RobScheme::kReactive, 16);
+  EXPECT_NO_THROW(base.validate());
+  std::vector<std::string> rows;
+  for_each_knob(base, [&](const Knob& k, const auto&) {
+    if ((k.flags & kNonzero) != 0) rows.push_back(k.name);
+  });
+  EXPECT_EQ(rows.size(), 13u);
+  for (const std::string& name : rows) {
+    MachineConfig cfg = base;
+    for_each_knob(cfg, [&]<typename T>(const Knob& k, T& field) {
+      if constexpr (std::is_integral_v<T>)
+        if (name == k.name) field = 0;
+    });
+    try {
+      cfg.validate();
+      ADD_FAILURE() << name << "=0 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "MachineConfig: " + name + " must be nonzero");
+    }
+  }
 }
 
 TEST(ConfigOverride, LeavesDefaultsAlone) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -532,6 +533,13 @@ TEST(RunnerMemo, KeyCoversEveryOverrideKnob) {
     js.seed = js.config.seed;  // a campaign's --seed reaches the cell this way
     EXPECT_NE(cell_key(js), base_key) << knob << "=" << value;
   }
+  // The list above is every CLI key of the knob table plus the two specs.
+  std::set<std::string> table_keys = {"llc", "dram"}, listed;
+  for_each_knob(base.config, [&](const Knob& k, const auto&) {
+    if (k.cli != nullptr) table_keys.insert(k.cli);
+  });
+  for (const auto& [knob, value] : knobs) listed.insert(knob);
+  EXPECT_EQ(listed, table_keys);
 
   auto differs = [&](const char* what, auto mutate) {
     JobSpec js = base;

@@ -94,16 +94,19 @@ TEST_P(CleanSchemes, FullAuditRunsViolationFree) {
   EXPECT_EQ(core.audit_now(), 0u);
 }
 
+// The suite's ids keep the schemes' long names.
+std::string clean_scheme_id(RobScheme scheme) {
+  static const char* const kIds[] = {"baseline", "r_rob", "relaxed_r_rob",
+                                     "cdr_rob", "p_rob", "adaptive_rob"};
+  return kIds[static_cast<int>(scheme)];
+}
+
 INSTANTIATE_TEST_SUITE_P(AllocationSchemes, CleanSchemes,
                          ::testing::Values(RobScheme::kReactive,
                                            RobScheme::kRelaxedReactive, RobScheme::kCdr,
                                            RobScheme::kPredictive, RobScheme::kBaseline,
                                            RobScheme::kAdaptive),
-                         [](const auto& info) {
-                           std::string name = rob_scheme_name(info.param);
-                           std::replace(name.begin(), name.end(), '-', '_');
-                           return name;
-                         });
+                         [](const auto& info) { return clean_scheme_id(info.param); });
 
 TEST(CleanRuns, SingleThreadFullAudit) {
   MachineConfig cfg = single_thread_config();

@@ -84,13 +84,21 @@ def main():
         zero = run(simulate, "mix=1", knob + "=0", *RUN)
         rejected(knob + "=0", zero)
         check(knob + "=0 names " + field, field in zero.stderr, zero.stderr[-200:])
-    # Knobs that would do nothing are rejected too: a second-level scheme
-    # with no second level, and DRAM timing on a machine with no DRAM model.
+    # Also rejected: a two-level scheme with no second level, DRAM timing with
+    # no DRAM model, an MSHR pool with no slot, a value too big for its field.
     for argv, setting in [(["scheme=rrob", "rob2=0"], "rob_second_level"),
-                          (["dram=3"], "dram")]:
+                          (["dram=3"], "dram"),
+                          (["mshr=0"], "memory.channel.mshr_entries"),
+                          (["llc=8192:16:24:0"], "llc.mshr_entries"),
+                          (["rob1=4294967328"], "rob1"),
+                          (["l2_kb=18014398509481985"], "l2_kb")]:
         idle = run(simulate, "mix=1", *argv, *RUN)
         rejected(" ".join(argv), idle)
         check(" ".join(argv) + " names " + setting, setting in idle.stderr, idle.stderr[-200:])
+
+    cores = run(campaign, "--cores", "4294967298", "--schemes", "rrob", "--mixes", "1", *SHORT)
+    rejected("tlrob-campaign --cores 4294967298", cores)
+    check("--cores 4294967298 names cores", "option cores" in cores.stderr, cores.stderr[-200:])
 
     rejected("tlrob-golden --bogus", run(golden, "--bogus"))
     rejected("tlrob-golden --preset fig99", run(golden, "--preset", "fig99"))
@@ -153,15 +161,18 @@ def main():
               and open(os.path.join(tmp, "b.jsonl")).read()
               == open(os.path.join(tmp, "c.jsonl")).read(), again.stderr[-200:])
 
-        bad = os.path.join(tmp, "bad.jsonl")
-        missing = run(campaign, "--workload", "trace:does_not_exist.gz,crafty",
-                      "--schemes", "baseline32", *SHORT, "--manifest", manifest, "--resume",
-                      "--json", bad)
-        record = open(bad).read() if os.path.exists(bad) else ""
-        check("a missing trace file is a failed record",
-              missing.returncode == 1 and '"status":"failed"' in record
-              and "cannot open trace file" in record,
-              f"rc {missing.returncode}, {record[:200]!r}")
+        def failed_record(name, needle, *argv):
+            bad = os.path.join(tmp, "bad.jsonl")
+            proc = run(campaign, *argv, *SHORT, "--json", bad)
+            record = open(bad).read() if os.path.exists(bad) else ""
+            check(name, proc.returncode == 1 and '"status":"failed"' in record
+                  and needle in record, f"rc {proc.returncode}, {record[:200]!r}")
+
+        failed_record("a missing trace file is a failed record", "cannot open trace file",
+                      "--workload", "trace:does_not_exist.gz,crafty", "--schemes", "baseline32",
+                      "--manifest", manifest, "--resume")
+        failed_record("a zero LLC MSHR pool is a failed record", "llc.mshr_entries", "--cores",
+                      "2", "--llc", "8192:16:24:0", "--schemes", "rrob", "--mixes", "1")
 
     if failures:
         print(f"FAIL: {len(failures)} case(s): {', '.join(failures)}")
