@@ -38,7 +38,8 @@
 //
 // Options follow the common grammar (key=value, --key=value, --key value;
 // common/config.hpp). An unknown key, a bad value or a failed run prints
-// "error: ..." and exits with status 2.
+// "error: ..." and exits with status 2. So does a run in which no thread
+// committed insts= before max_cycles=, after printing what it did.
 //
 // Examples:
 //   ./simulate mix=1 scheme=rrob threshold=16
@@ -191,6 +192,9 @@ int simulate(const Options& opts) {
     for (const auto& [k, v] : r.counters)
       std::printf("%-44s %llu\n", k.c_str(), static_cast<unsigned long long>(v));
   }
+  // What the run did is printed above; a run no thread finished still fails.
+  if (const std::string error = r.cycle_cap_error(insts); !error.empty())
+    throw std::runtime_error(error);
   return 0;
 }
 

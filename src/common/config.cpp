@@ -21,6 +21,13 @@ u64 parse_u64(const std::string& text, const std::string& what) {
   return value;
 }
 
+u32 parse_u32(const std::string& text, const std::string& what) {
+  const u64 value = parse_u64(text, what);
+  if (value > 0xffffffffu)
+    throw std::invalid_argument(what + ": " + std::to_string(value) + " does not fit in 32 bits");
+  return static_cast<u32>(value);
+}
+
 Options Options::from_args(int argc, const char* const* argv,
                            const std::set<std::string>& flags) {
   auto strip_dashes = [](const std::string& s, size_t limit) {
@@ -112,11 +119,8 @@ u64 Options::get_u64(const std::string& key, u64 fallback) const {
 }
 
 u32 Options::get_u32(const std::string& key, u32 fallback) const {
-  const u64 value = get_u64(key, fallback);
-  if (value > 0xffffffffu)
-    throw std::invalid_argument("option " + key + ": " + std::to_string(value) +
-                                " does not fit in 32 bits");
-  return static_cast<u32>(value);
+  const std::string* v = find(key);
+  return v == nullptr ? fallback : parse_u32(*v, "option " + key);
 }
 
 double Options::get_double(const std::string& key, double fallback) const {
@@ -144,9 +148,9 @@ std::vector<std::string> Options::get_list(const std::string& key) const {
   return out;
 }
 
-std::vector<u64> Options::get_u64_list(const std::string& key) const {
-  std::vector<u64> out;
-  for (const std::string& item : get_list(key)) out.push_back(parse_u64(item, "option " + key));
+std::vector<u32> Options::get_u32_list(const std::string& key) const {
+  std::vector<u32> out;
+  for (const std::string& item : get_list(key)) out.push_back(parse_u32(item, "option " + key));
   return out;
 }
 

@@ -19,6 +19,8 @@ namespace tlrob {
 /// octal). Throws std::invalid_argument naming `what` when `text` is empty,
 /// signed, has trailing characters or does not fit in 64 bits.
 u64 parse_u64(const std::string& text, const std::string& what);
+/// parse_u64 that also rejects a value above 2^32-1.
+u32 parse_u32(const std::string& text, const std::string& what);
 
 /// Key/value options plus positional arguments. Every has()/get*() call
 /// records its key as read, so a command line can reject the keys nothing
@@ -59,8 +61,8 @@ class Options {
   /// Comma-separated list value ("1,2,5" -> {"1","2","5"}); empty items are
   /// dropped, an absent key yields an empty vector.
   std::vector<std::string> get_list(const std::string& key) const;
-  /// get_list with every item parsed as by get_u64.
-  std::vector<u64> get_u64_list(const std::string& key) const;
+  /// get_list with every item parsed as by get_u32.
+  std::vector<u32> get_u32_list(const std::string& key) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
 

@@ -4,7 +4,7 @@
 // thread-safety capability attributes (common/thread_annotations.hpp).
 // std::mutex itself is unannotated, so code locking it directly gets no
 // static checking; everything concurrent in this repo (the campaign pool,
-// the in-order emitter, the single-thread-IPC memo) locks through these
+// the in-order emitter, the cell memo) locks through these
 // types instead, which is what lets the static-analysis CI job compile with
 // -Werror=thread-safety and actually prove the lock discipline.
 //

@@ -1,6 +1,5 @@
 #include "runner/cli.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -28,7 +27,7 @@ CampaignSpec custom_campaign(const Options& opts) {
 
   auto schemes = opts.get_list("schemes");
   if (schemes.empty()) schemes = {"baseline32", "rrob"};
-  std::vector<u64> thresholds = opts.get_u64_list("thresholds");
+  std::vector<u32> thresholds = opts.get_u32_list("thresholds");
   if (thresholds.empty()) thresholds = {16};
   for (const auto& scheme : schemes) {
     if (scheme == "baseline128") {
@@ -40,24 +39,21 @@ CampaignSpec custom_campaign(const Options& opts) {
     if (kind == RobScheme::kBaseline)
       spec.columns.push_back({prefix, baseline32_config(), 0});
     else
-      for (const u64 th : thresholds)
-        spec.columns.push_back(
-            {prefix + std::to_string(th), two_level_config(kind, static_cast<u32>(th)), 0});
+      for (const u32 th : thresholds)
+        spec.columns.push_back({prefix + std::to_string(th), two_level_config(kind, th), 0});
   }
 
   // The workload: the --mixes subset of Table 2, or all 11 mixes. An
   // explicit --workload list replaces them in apply_shared_options, which
   // then also sizes the machines.
-  const std::vector<u64> mix_ids = opts.get_u64_list("mixes");
+  const std::vector<u32> mix_ids = opts.get_u32_list("mixes");
   if (opts.has("workload")) {
     if (!mix_ids.empty())
       throw std::invalid_argument("--workload and --mixes are mutually exclusive");
   } else if (mix_ids.empty()) {
     spec.mixes = table2_mixes();
   } else {
-    // table2_mix range-checks; the clamp keeps 2^32+1 out of range.
-    for (const u64 id : mix_ids)
-      spec.mixes.push_back(table2_mix(static_cast<u32>(std::min<u64>(id, 0xffffffffu))));
+    for (const u32 id : mix_ids) spec.mixes.push_back(table2_mix(id));
   }
 
   // CMP topology applies uniformly across columns: --cores N gives every

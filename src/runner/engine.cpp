@@ -1,11 +1,11 @@
 #include "runner/engine.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <stdexcept>
 
 #include "common/sync.hpp"
@@ -16,7 +16,11 @@
 
 namespace tlrob::runner {
 
-JobRecord execute_job(const JobSpec& spec) {
+namespace {
+
+/// Everything execute_job records but the single-thread weights (st_ipc,
+/// ft), which weigh() adds.
+JobRecord simulate_job(const JobSpec& spec) {
   JobRecord rec;
   rec.job = spec.index;
   rec.campaign = spec.campaign;
@@ -37,15 +41,11 @@ JobRecord execute_job(const JobSpec& spec) {
                                          spec.insts, spec.max_cycles, spec.warmup);
 
     rec.cycles = run.cycles;
-    u64 fastest = 0;
     for (const auto& t : run.threads) {
       rec.benchmarks.push_back(t.benchmark);
       rec.committed.push_back(t.committed);
       rec.mt_ipc.push_back(t.ipc);
-      rec.st_ipc.push_back(single_thread_ipc(t.benchmark, spec.insts));
-      fastest = std::max(fastest, t.committed);
     }
-    rec.ft = fair_throughput(rec.mt_ipc, rec.st_ipc);
     rec.throughput = run.total_throughput();
     rec.dod_true = {run.dod_true.total_samples(),
                     run.dod_true.mean() * static_cast<double>(run.dod_true.total_samples()),
@@ -81,11 +81,8 @@ JobRecord execute_job(const JobSpec& spec) {
       run.samples.write_jsonl(out);
     }
 
-    if (fastest < spec.insts) {
-      rec.status = JobStatus::kFailed;
-      rec.error = "cycle cap exceeded before commit target (" + std::to_string(fastest) +
-                  "/" + std::to_string(spec.insts) + " commits)";
-    }
+    rec.error = run.cycle_cap_error(spec.insts);
+    if (!rec.error.empty()) rec.status = JobStatus::kFailed;
   } catch (const std::exception& e) {
     rec.status = JobStatus::kFailed;
     rec.error = e.what();
@@ -93,10 +90,23 @@ JobRecord execute_job(const JobSpec& spec) {
   return rec;
 }
 
-namespace {
+/// Adds a simulated record's single-thread references (st_ipc) and fair
+/// throughput. It runs outside every memo slot, because a reference cell
+/// weighs by its own key.
+void weigh(JobRecord& rec) {
+  if (rec.benchmarks.empty()) return;  // the simulation threw
+  try {
+    rec.st_ipc.clear();
+    for (const std::string& b : rec.benchmarks)
+      rec.st_ipc.push_back(single_thread_ipc(b, rec.insts));
+    rec.ft = fair_throughput(rec.mt_ipc, rec.st_ipc);
+  } catch (const std::exception& e) {
+    rec.status = JobStatus::kFailed;
+    rec.error = e.what();
+  }
+}
 
-/// Memo slot for one cell_key, the single_thread_ipc pattern
-/// (sim/experiment.cpp): the once_flag serialises the simulation, and
+/// Memo slot for one cell_key: the once_flag serialises the simulation, and
 /// `record` is written exactly once under it. The record is kept as its
 /// JSON line, a third of its in-memory size. It stays empty when the cell
 /// must not be served from the memo, so every later request simulates for
@@ -112,6 +122,21 @@ struct CellMemoEntry {
 Mutex cell_memo_mu;
 std::map<std::string, std::shared_ptr<CellMemoEntry>> cell_memo TLROB_GUARDED_BY(cell_memo_mu);
 
+std::shared_ptr<CellMemoEntry> memo_entry(const std::string& key) {
+  MutexLock lock(cell_memo_mu);
+  auto& slot = cell_memo[key];
+  if (!slot) slot = std::make_shared<CellMemoEntry>();
+  return slot;
+}
+
+/// What the memo stores for `rec`: its JSON line, or nothing when the
+/// record must not be served.
+std::string memo_line(const JobRecord& rec) {
+  if (!rec.ok()) return "";
+  std::string line = to_json_line(rec);
+  return to_json_line(record_from_json_line(line)) == line ? line : "";
+}
+
 /// A stored record as the cell `js` would have produced it.
 JobRecord restamped(JobRecord rec, const JobSpec& js) {
   rec.job = js.index;
@@ -121,32 +146,41 @@ JobRecord restamped(JobRecord rec, const JobSpec& js) {
   return rec;
 }
 
-/// Runs `js` through the memo. Sets *deduplicated when the record is a
-/// copy of an earlier simulation.
-JobRecord memo_execute(const JobSpec& js, const std::string& key, bool* deduplicated) {
+/// Simulates `js` through the memo, without weights. Sets *deduplicated
+/// when the record is a copy of an earlier simulation.
+JobRecord memo_simulate(const JobSpec& js, const std::string& key, bool* deduplicated) {
   *deduplicated = false;
   // A sample_dir cell must write its own series file, so its output is not
   // a pure function of cell_key.
-  if (!js.sample_dir.empty()) return execute_job(js);
-  std::shared_ptr<CellMemoEntry> entry;
-  {
-    MutexLock lock(cell_memo_mu);
-    auto& slot = cell_memo[key];
-    if (!slot) slot = std::make_shared<CellMemoEntry>();
-    entry = slot;
-  }
+  if (!js.sample_dir.empty()) return simulate_job(js);
+  const std::shared_ptr<CellMemoEntry> entry = memo_entry(key);
   // Concurrent requests for the key block here until the first finishes.
   std::optional<JobRecord> fresh;
   std::call_once(entry->once, [&] {
-    fresh = execute_job(js);
-    if (!fresh->ok()) return;
-    std::string line = to_json_line(*fresh);
-    if (to_json_line(record_from_json_line(line)) == line) entry->record = std::move(line);
+    fresh = simulate_job(js);
+    entry->record = memo_line(*fresh);
   });
   if (fresh) return std::move(*fresh);
-  if (entry->record.empty()) return execute_job(js);
+  if (entry->record.empty()) return simulate_job(js);
   *deduplicated = true;
   return restamped(record_from_json_line(entry->record), js);
+}
+
+/// Stores a journalled record under `key`, unless the key already has one.
+void seed_memo(const std::string& key, const JobRecord& rec) {
+  const std::shared_ptr<CellMemoEntry> entry = memo_entry(key);
+  std::call_once(entry->once, [&] { entry->record = memo_line(rec); });
+}
+
+/// The reference cells `jobs` weigh by: one per distinct (workload token,
+/// insts). A token is the benchmark name its thread's record carries.
+std::vector<JobSpec> reference_jobs(const std::vector<JobSpec>& jobs) {
+  std::set<std::pair<std::string, u64>> seen;
+  std::vector<JobSpec> refs;
+  for (const JobSpec& js : jobs)
+    for (const std::string& b : js.mix.benchmarks)
+      if (seen.emplace(b, js.insts).second) refs.push_back(reference_job(b, js.insts));
+  return refs;
 }
 
 /// A manifest line: the record's JSON line plus its cell digest.
@@ -193,11 +227,7 @@ class InOrderEmitter {
 
   void complete(JobRecord rec, Origin origin, const std::string& digest) {
     MutexLock lock(mu_);
-    if (origin != Origin::kResumed && manifest_ && manifest_->is_open()) {
-      // Journal in completion order — the manifest is a log, not a sink.
-      *manifest_ << manifest_line(rec, digest) << "\n";
-      manifest_->flush();
-    }
+    if (origin != Origin::kResumed) write_journal(rec, digest);
     if (origin == Origin::kResumed)
       ++result_->resumed;
     else if (rec.ok())
@@ -216,7 +246,20 @@ class InOrderEmitter {
     }
   }
 
+  /// A reference cell reaches the journal only: no sink, record or tally.
+  void complete_reference(const JobRecord& rec, const std::string& digest) {
+    MutexLock lock(mu_);
+    write_journal(rec, digest);
+  }
+
  private:
+  /// Journals in completion order: the manifest is a log, not a sink.
+  void write_journal(const JobRecord& rec, const std::string& digest) TLROB_REQUIRES(mu_) {
+    if (manifest_ == nullptr || !manifest_->is_open()) return;
+    *manifest_ << manifest_line(rec, digest) << "\n";
+    manifest_->flush();
+  }
+
   const EngineOptions& opts_;
   /// mu_ serialises completions from pool workers: it guards the reorder
   /// window and, via the emitter being their only caller, the manifest
@@ -229,6 +272,24 @@ class InOrderEmitter {
 };
 
 }  // namespace
+
+JobRecord execute_job(const JobSpec& spec) {
+  JobRecord rec = simulate_job(spec);
+  weigh(rec);
+  return rec;
+}
+
+JobSpec reference_job(const std::string& benchmark, u64 insts) {
+  JobSpec js;
+  js.config_name = "single-thread";
+  js.config = single_thread_config();
+  js.mix.name = benchmark;
+  js.mix.benchmarks = {benchmark};
+  js.insts = insts;
+  js.warmup = kDefaultWarmup;
+  js.seed = js.config.seed;
+  return js;
+}
 
 CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts) {
   const std::vector<JobSpec> jobs = expand(spec);
@@ -250,8 +311,28 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
   result.records.reserve(jobs.size());
   InOrderEmitter emitter(opts, &manifest, &result);
 
+  // The resume lookup of a reference cell: a journalled one seeds the memo
+  // and needs no task. It runs before any cell, so a cell's weights never
+  // depend on which worker reaches a reference first. The references left
+  // are not in the journal, so run_one's lookup only ever finds cells.
+  std::vector<JobSpec> refs;
+  for (JobSpec& ref : reference_jobs(jobs)) {
+    if (!done.empty()) {
+      try {
+        const std::string key = cell_key(ref);
+        if (const auto it = done.find(cell_digest(key)); it != done.end()) {
+          seed_memo(key, it->second);
+          continue;
+        }
+      } catch (const std::exception&) {
+        continue;  // an unloadable trace: the cells that run it fail
+      }
+    }
+    refs.push_back(std::move(ref));
+  }
+
   using Origin = InOrderEmitter::Origin;
-  auto run_one = [&](const JobSpec& js) {
+  auto run_one = [&](const JobSpec& js, bool reference) {
     std::string key;
     try {
       key = cell_key(js);
@@ -259,7 +340,7 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
       // A trace file that does not load has no content to key on: skip the
       // memo and the resume lookup, and let execute_job record the failure.
       // An empty digest keeps the journal line out of any later resume.
-      emitter.complete(execute_job(js), Origin::kSimulated, "");
+      if (!reference) emitter.complete(execute_job(js), Origin::kSimulated, "");
       return;
     }
     const std::string digest = cell_digest(key);
@@ -269,16 +350,24 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
       return;
     }
     bool deduplicated = false;
-    JobRecord rec = memo_execute(js, key, &deduplicated);
-    emitter.complete(std::move(rec), deduplicated ? Origin::kDeduplicated : Origin::kSimulated,
-                     digest);
+    JobRecord rec = memo_simulate(js, key, &deduplicated);
+    weigh(rec);
+    if (reference)
+      emitter.complete_reference(rec, digest);
+    else
+      emitter.complete(std::move(rec), deduplicated ? Origin::kDeduplicated : Origin::kSimulated,
+                       digest);
   };
 
   if (opts.jobs == 1) {
-    for (const JobSpec& js : jobs) run_one(js);
+    for (const JobSpec& js : jobs) run_one(js, false);
+    for (const JobSpec& ref : refs) run_one(ref, true);
   } else {
     WorkStealingPool pool(opts.jobs);
-    for (const JobSpec& js : jobs) pool.submit([&run_one, &js] { run_one(js); });
+    for (const JobSpec& js : jobs) pool.submit([&run_one, &js] { run_one(js, false); });
+    // A worker pops its own deque newest first, so the references,
+    // submitted last, start ahead of the queued cells that weigh by them.
+    for (const JobSpec& ref : refs) pool.submit([&run_one, &ref] { run_one(ref, true); });
     pool.wait_idle();
   }
 
@@ -292,3 +381,16 @@ void clear_cell_memo() {
 }
 
 }  // namespace tlrob::runner
+
+namespace tlrob {
+
+double single_thread_ipc(const std::string& benchmark, u64 commit_target) {
+  const runner::JobSpec js = runner::reference_job(benchmark, commit_target);
+  bool deduplicated = false;
+  const runner::JobRecord rec = runner::memo_simulate(js, runner::cell_key(js), &deduplicated);
+  if (!rec.ok())
+    throw std::runtime_error("single-thread reference " + benchmark + ": " + rec.error);
+  return rec.mt_ipc.at(0);
+}
+
+}  // namespace tlrob

@@ -6,9 +6,10 @@
 // bytes — are identical for any worker count, because (a) each job is a
 // pure function of its JobSpec (the simulator is deterministic given a
 // config and seed, and per-job seeds are fixed at expansion time), (b) the
-// shared single-thread reference IPCs are memoised behind a once-per-key
-// guard (sim/experiment.cpp) and are themselves pure, and (c) completions
-// pass through an in-order emission window before reaching any sink.
+// single-thread references the records weigh by are cells too, pure
+// functions of their own JobSpecs (reference_job) served by the one cell
+// memo below, and (c) completions pass through an in-order emission window
+// before reaching any sink.
 //
 // Cell memo: because a cell is a pure function of its content (cell_key),
 // run_campaign simulates each distinct key once per process. A repeat — in
@@ -16,15 +17,18 @@
 // by several presets — is a copy of the first record, restamped with the
 // repeat's job index, campaign, column and mix names. Failed cells, cells
 // writing a sample series (sample_dir) and cells whose trace file does not
-// load (cell_key throws) are always simulated.
+// load (cell_key throws) are always simulated. The memo holds simulations;
+// a record's weights (st_ipc, ft) are looked up afterwards, outside its
+// memo slot, since a reference cell weighs by its own key.
 //
 // Robustness contract: a job that throws, or whose simulation fails to
 // reach its commit target within its cycle cap (the timeout mechanism — the
 // simulator is single-stepped and cannot hang, it can only diverge), is
 // recorded with status "failed" and the campaign continues. When a manifest
-// path is set, every completed record is journalled with its cell_digest;
-// resuming replays previously successful cells whose digest matches and
-// executes only the rest.
+// path is set, every completed record is journalled with its cell_digest,
+// and so is every reference cell the campaign weighs by; resuming replays
+// previously successful cells whose digest matches, seeds the memo with the
+// journalled references and executes only the rest.
 #pragma once
 
 #include <string>
@@ -64,9 +68,21 @@ struct CampaignResult {
   u32 deduplicated = 0;  // of `ok`: copied from the cell memo, not simulated
 };
 
-/// Executes one cell. Exposed for tests and for callers that want a single
-/// cell without engine machinery; run_campaign uses exactly this.
+/// Executes one cell, weights included, outside the memo. Exposed for tests
+/// and for callers that want a single cell without engine machinery;
+/// run_campaign runs the same simulation and weighting through the memo.
 JobRecord execute_job(const JobSpec& spec);
+
+/// The single-thread reference cell of `benchmark` at `insts` (PAPER.md §3:
+/// weighted IPC divides by the IPC "in a single-threaded situation"):
+/// single_thread_config() on that one workload, kDefaultWarmup, no cycle
+/// cap and the config's own seed, whatever the campaign's warmup and seed.
+/// Its column is "single-thread" and its mix is named after the benchmark.
+/// run_campaign adds one per distinct (benchmark, insts) its cells weigh
+/// by and journals it, but it reaches no sink, record list or tally.
+/// single_thread_ipc (sim/experiment.hpp) is its IPC, read through the
+/// cell memo.
+JobSpec reference_job(const std::string& benchmark, u64 insts);
 
 CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts);
 

@@ -137,9 +137,10 @@ void fig7_epilogue(const CampaignResult& res, const CampaignSpec&, std::FILE* ou
 }
 
 void table2_epilogue(const CampaignResult&, const CampaignSpec& spec, std::FILE* out) {
-  // Part 1 reads the single-thread reference memo, which the campaign's mix
-  // cells have just warmed in parallel; benchmarks outside every mix are
-  // computed here on first use.
+  // Part 1 reads the single-thread reference cells through the cell memo.
+  // The campaign has just run the references of every benchmark in its
+  // mixes; one outside every mix is simulated here on first use, and is not
+  // journalled.
   const u64 insts = spec.lengths.at(0).insts;
   std::fprintf(out, "=== Table 2 (part 1): single-thread classification ===\n");
   std::fprintf(out, "%-10s %8s %8s\n", "benchmark", "ST IPC", "class");

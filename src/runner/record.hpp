@@ -19,9 +19,10 @@
 namespace tlrob::runner {
 
 /// One (configuration, mix, run-length) cell of a campaign, fully resolved:
-/// executing a JobSpec depends on nothing but its own fields (plus the
-/// memoised single-thread reference, which is a pure function of
-/// (benchmark, insts)), which is what makes cells order-independent.
+/// executing a JobSpec depends on nothing but its own fields and the
+/// single-thread reference cells its record weighs by (runner::reference_job,
+/// one per (benchmark, insts), JobSpecs themselves), which is what makes
+/// cells order-independent.
 struct JobSpec {
   u64 index = 0;  // position in campaign expansion order
   std::string campaign;

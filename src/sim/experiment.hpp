@@ -1,11 +1,12 @@
 // Experiment harness under the campaign runner (runner::execute_job) and the
-// tests: runs benchmarks on a configured machine and measures the
+// tests: runs benchmarks on a configured machine and reads the
 // single-thread references the paper's metrics weight by.
 //
 // Weighted-IPC denominators (each benchmark's IPC "in a single-threaded
-// situation", §3) are measured on the fixed single-thread reference machine
-// (sim/presets.hpp) and memoised per (benchmark, commit_target), since every
-// figure reuses them.
+// situation", §3) are campaign cells on the fixed single-thread reference
+// machine (sim/presets.hpp): runner::reference_job. The campaign engine
+// defines single_thread_ipc, so every reference is simulated once per
+// process in its cell memo and journalled in its manifest.
 #pragma once
 
 #include "sim/metrics.hpp"
@@ -25,10 +26,12 @@ RunResult run_benchmarks(const MachineConfig& cfg, const std::vector<Benchmark>&
                          u64 commit_target = kDefaultCommitTarget, u64 max_cycles = 0,
                          u64 warmup_insts = kDefaultWarmup);
 
-/// Single-threaded IPC of a SPEC profile on the reference machine.
-/// Memoised and thread-safe: each (benchmark, commit_target) is simulated
-/// exactly once, concurrent callers of an in-flight key block until the
-/// value exists (the campaign runner hits this from many workers at once).
+/// Single-threaded IPC of a workload on the reference machine: the IPC of
+/// the cell runner::reference_job(benchmark, commit_target), looked up
+/// through the campaign engine's cell memo. Thread-safe: each key is
+/// simulated once per process, and concurrent callers of an in-flight key
+/// block until its record exists. Throws std::runtime_error when the
+/// reference fails.
 double single_thread_ipc(const std::string& benchmark, u64 commit_target = kDefaultCommitTarget);
 
 }  // namespace tlrob

@@ -1,5 +1,6 @@
 #include "sim/metrics.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace tlrob {
@@ -8,6 +9,19 @@ double RunResult::total_throughput() const {
   double sum = 0;
   for (const auto& t : threads) sum += t.ipc;
   return sum;
+}
+
+std::string RunResult::cycle_cap_error(u64 insts) const {
+  u64 fastest = 0;
+  for (const auto& t : threads) fastest = std::max(fastest, t.committed);
+  if (fastest >= insts) return "";
+  // Built piecewise: GCC 12's -O3 -Wrestrict misfires on operator+ chains.
+  std::string error = "cycle cap exceeded before commit target (";
+  error += std::to_string(fastest);
+  error += '/';
+  error += std::to_string(insts);
+  error += " commits)";
+  return error;
 }
 
 u64 run_counter(const RunResult& r, const std::string& name) {

@@ -46,6 +46,10 @@ struct RunResult {
   std::vector<std::array<u64, obs::kStallClassCount>> stall_cycles;
 
   double total_throughput() const;
+
+  /// Empty when some thread committed `insts`. Otherwise the run hit its
+  /// cycle cap first, and this is the error every front end reports.
+  std::string cycle_cap_error(u64 insts) const;
 };
 
 /// Counter value from a run. Every component counter of the machine is

@@ -4,9 +4,39 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "isa/static_inst.hpp"
 #include "sim/config_override.hpp"
 
 namespace tlrob {
+
+namespace {
+
+bool is_pow2(u64 v) { return v != 0 && (v & (v - 1)) == 0; }
+
+/// How an error names a knob: its table path, and its CLI key if that
+/// differs.
+std::string label(const Knob& k) {
+  std::string out = k.name;
+  if (k.cli != nullptr && out != k.cli) {
+    out += " (";
+    out += k.cli;
+    out += ')';
+  }
+  return out;
+}
+
+/// Throws std::invalid_argument naming the knob whose field is `field`.
+[[noreturn]] void reject(const MachineConfig& cfg, const void* field, const std::string& why) {
+  std::string what = "MachineConfig: ";
+  for_each_knob(cfg, [&](const Knob& k, const auto& value) {
+    if (static_cast<const void*>(&value) == field) what += label(k);
+  });
+  what += ' ';
+  what += why;
+  throw std::invalid_argument(what);
+}
+
+}  // namespace
 
 const MachineConfig& MachineConfig::validate() const {
   for_each_knob(*this, [](const Knob& k, const auto& value) {
@@ -19,6 +49,33 @@ const MachineConfig& MachineConfig::validate() const {
     throw std::invalid_argument(std::string("MachineConfig: rob_second_level must be nonzero "
                                             "under scheme ") +
                                 rob_scheme_name(rob.scheme));
+  // The shapes the Cache and RenameUnit constructors need, checked here too
+  // so the error names the knob rather than the structure.
+  auto check_cache = [this](const CacheGeometry& g) {
+    if (!is_pow2(g.line_bytes)) reject(*this, &g.line_bytes, "must be a power of two");
+    const u64 lines = g.size_bytes / g.line_bytes;
+    if (g.ways == 0 || lines % g.ways != 0)
+      reject(*this, &g.ways, "must divide the line count " + std::to_string(lines));
+    if (!is_pow2(lines / g.ways))
+      reject(*this, &g.size_bytes,
+             "gives " + std::to_string(lines / g.ways) +
+                 " sets; the set count must be a nonzero power of two");
+  };
+  check_cache(memory.l1i);
+  check_cache(memory.l1d);
+  check_cache(memory.l2);
+  if (llc.enabled || num_cores > 1) check_cache(llc.geo);
+  // Each register file keeps the committed architectural state of every
+  // thread it serves resident.
+  const u64 served = shared_regfile ? num_threads : 1;
+  if (int_regs <= served * kNumIntArchRegs)
+    reject(*this, &int_regs,
+           "must exceed the " + std::to_string(served * kNumIntArchRegs) +
+               " committed architectural registers of its file");
+  if (fp_regs <= served * kNumFpArchRegs)
+    reject(*this, &fp_regs,
+           "must exceed the " + std::to_string(served * kNumFpArchRegs) +
+               " committed architectural registers of its file");
   return *this;
 }
 

@@ -99,9 +99,13 @@ struct MachineConfig {
   /// The one validity check every machine construction path runs before any
   /// structure is sized: throws std::invalid_argument naming the first
   /// kNonzero knob (sim/config_override.hpp) that is zero — a width,
-  /// capacity, MSHR pool or re-check interval — or a zero
-  /// `rob_second_level` under a scheme that uses_second_level. Returns
-  /// *this, so constructors can validate in their initializer list.
+  /// capacity, MSHR pool or re-check interval — a zero `rob_second_level`
+  /// under a scheme that uses_second_level, a cache geometry (L1s, L2, and
+  /// the LLC when the machine has one) whose line size or set count is not
+  /// a power of two, or a register file too small for the committed
+  /// architectural state. Errors name the knob (its table path and CLI
+  /// key). Returns *this, so constructors can validate in their
+  /// initializer list.
   const MachineConfig& validate() const;
 };
 

@@ -1,6 +1,5 @@
 #include "trace/resolve.hpp"
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -119,9 +118,7 @@ Mix workload_mix(const std::string& spec) {
   if (spec.empty())
     throw std::invalid_argument("empty workload specification\n" + workload_backends_help());
   if (has_prefix(spec, "mix:")) {
-    const u64 index = parse_u64(spec.substr(4), "malformed workload '" + spec + "'");
-    // table2_mix range-checks; the clamp keeps 2^32+1 out of range.
-    return table2_mix(static_cast<u32>(std::min<u64>(index, 0xffffffffu)));
+    return table2_mix(parse_u32(spec.substr(4), "malformed workload '" + spec + "'"));
   }
 
   Mix mix;

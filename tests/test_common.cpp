@@ -283,7 +283,7 @@ TEST(Options, SpaceSeparatedValueMatchesKeyValue) {
 TEST(Options, MalformedValuesAreRejectedNamingTheKey) {
   const Options o = Options::from_tokens({"insts=2k", "neg=-1", "blank=", "hex=0x10",
                                           "flag=maybe", "ratio=1.5x", "mixes=1,1x",
-                                          "thresholds=abc", "ok=8,16"});
+                                          "thresholds=abc", "wide=16,4294967312", "ok=8,16"});
   auto message = [](auto&& read) -> std::string {
     try {
       read();
@@ -297,11 +297,13 @@ TEST(Options, MalformedValuesAreRejectedNamingTheKey) {
   EXPECT_NE(message([&] { (void)o.get_u64("blank", 0); }).find("blank"), std::string::npos);
   EXPECT_NE(message([&] { (void)o.get_bool("flag", false); }).find("flag"), std::string::npos);
   EXPECT_NE(message([&] { (void)o.get_double("ratio", 0); }).find("ratio"), std::string::npos);
-  EXPECT_NE(message([&] { (void)o.get_u64_list("mixes"); }).find("mixes"), std::string::npos);
-  EXPECT_NE(message([&] { (void)o.get_u64_list("thresholds"); }).find("thresholds"),
+  EXPECT_NE(message([&] { (void)o.get_u32_list("mixes"); }).find("mixes"), std::string::npos);
+  EXPECT_NE(message([&] { (void)o.get_u32_list("thresholds"); }).find("thresholds"),
+            std::string::npos);
+  EXPECT_NE(message([&] { (void)o.get_u32_list("wide"); }).find("option wide"),
             std::string::npos);
   EXPECT_EQ(o.get_u64("hex", 0), 16u);
-  EXPECT_EQ(o.get_u64_list("ok"), (std::vector<u64>{8, 16}));
+  EXPECT_EQ(o.get_u32_list("ok"), (std::vector<u32>{8, 16}));
   EXPECT_THROW((void)parse_u64("99999999999999999999", "big"), std::invalid_argument);
 }
 

@@ -1,13 +1,14 @@
 // Campaign-runner tests: record serialisation, the work-stealing pool, the
-// thread-safe single-thread-IPC memo, the engine's contracts — serial/
-// parallel bit-identity, failure isolation, manifest resume and the cell
-// memo — and the CLI.
+// single-thread reference cells, the engine's contracts — serial/parallel
+// bit-identity, failure isolation, manifest resume and the cell memo — and
+// the CLI.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "common/thread_pool.hpp"
 #include "sim/config_override.hpp"
 #include "sim/experiment.hpp"
+#include "trace/resolve.hpp"
 
 namespace tlrob::runner {
 namespace {
@@ -53,6 +55,23 @@ std::string read_file(const std::string& path) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+/// Reference cells a campaign journals beside its own: one per distinct
+/// (benchmark, insts) of its cells.
+size_t reference_count(const CampaignSpec& spec) {
+  std::set<std::pair<std::string, u64>> refs;
+  for (const JobSpec& js : expand(spec))
+    for (const std::string& b : js.mix.benchmarks) refs.emplace(b, js.insts);
+  return refs.size();
+}
+
+/// Thread 0's IPC of `benchmark` run alone on the single-thread machine,
+/// simulated here rather than read through the memo.
+double direct_st_ipc(const std::string& benchmark, u64 insts) {
+  return run_benchmarks(single_thread_config(), {trace::resolve_benchmark(benchmark)}, insts)
+      .threads.at(0)
+      .ipc;
 }
 
 /// A record with the fields a memo hit restamps blanked out.
@@ -152,9 +171,9 @@ TEST(RunnerPool, ResolveThreadsDefaultsToHardware) {
   EXPECT_EQ(WorkStealingPool::resolve_threads(7), 7u);
 }
 
-// Satellite regression for the single_thread_ipc memo: hammer the same and
-// different keys from many threads; every result must equal the serial
-// value and (under TSan) produce no data race.
+// single_thread_ipc reads reference cells through the cell memo: hammer the
+// same and different keys from many threads; every result must equal the
+// serial value and (under TSan) produce no data race.
 TEST(RunnerReferenceCache, SingleThreadIpcIsThreadSafe) {
   const double art = single_thread_ipc("art", 800);
   const double mcf = single_thread_ipc("mcf", 800);
@@ -209,12 +228,33 @@ TEST(RunnerEngine, ExecuteJobMatchesDirectSimulation) {
   std::vector<double> mt, st;
   for (const auto& t : direct.threads) {
     mt.push_back(t.ipc);
-    st.push_back(single_thread_ipc(t.benchmark, js.insts));
+    st.push_back(direct_st_ipc(t.benchmark, js.insts));
   }
   EXPECT_EQ(rec.cycles, direct.cycles);
+  EXPECT_EQ(rec.st_ipc, st);
   EXPECT_EQ(rec.ft, fair_throughput(mt, st));
   EXPECT_EQ(rec.throughput, direct.total_throughput());
   EXPECT_EQ(rec.counters, direct.counters);
+}
+
+// The reference definition: every record of a campaign weighs thread i by
+// its benchmark run alone on single_thread_config() at the record's insts,
+// with the default warmup, bit for bit.
+TEST(RunnerEngine, RecordsWeighBySingleThreadRuns) {
+  EngineOptions eng;
+  eng.jobs = 2;
+  const CampaignResult res = run_campaign(small_spec("reference_definition"), eng);
+  std::map<std::string, double> direct;
+  for (const JobRecord& rec : res.records) {
+    ASSERT_TRUE(rec.ok()) << rec.error;
+    ASSERT_EQ(rec.st_ipc.size(), rec.benchmarks.size());
+    for (size_t i = 0; i < rec.benchmarks.size(); ++i) {
+      const std::string& b = rec.benchmarks[i];
+      if (direct.count(b) == 0) direct[b] = direct_st_ipc(b, rec.insts);
+      EXPECT_EQ(rec.st_ipc[i], direct[b]) << rec.mix << " thread " << i;
+    }
+    EXPECT_EQ(rec.ft, fair_throughput(rec.mt_ipc, rec.st_ipc));
+  }
 }
 
 // The tentpole determinism guarantee: a parallel campaign produces
@@ -361,7 +401,7 @@ TEST(RunnerEngine, ResumeIsManifestLineOrderIndependent) {
     while (std::getline(in, line))
       if (!line.empty()) lines.push_back(line);
   }
-  ASSERT_EQ(lines.size(), 4u);
+  ASSERT_EQ(lines.size(), 4u + reference_count(spec));
   {
     std::ofstream out(reversed);
     out << "\n";  // blank line: skipped
@@ -436,6 +476,56 @@ TEST(RunnerEngine, ResumeMatchesOnCellContentNotNames) {
   EXPECT_EQ(legacy.resumed, 0u);
   EXPECT_EQ(legacy.ok, 1u);
   EXPECT_EQ(jsonl_of(legacy), jsonl_of(first));
+  std::remove(manifest.c_str());
+}
+
+// A journalled reference seeds the memo: the resumed campaign's cells weigh
+// by the journal's value, and the reference is not simulated again.
+TEST(RunnerEngine, ResumeWeighsByJournalledReferences) {
+  const std::string manifest = temp_path("tlrob_reference_manifest");
+  const CampaignSpec spec = small_spec("reference_resume");
+  const std::string bench = spec.mixes[0].benchmarks[0];
+  const JobSpec ref = reference_job(bench, kInsts);
+  const std::string digest = cell_digest(cell_key(ref));
+  constexpr double kSentinel = 0.0625;
+  {
+    JobRecord line;
+    line.config = ref.config_name;
+    line.mix = bench;
+    line.insts = ref.insts;
+    line.warmup = ref.warmup;
+    line.seed = ref.seed;
+    line.benchmarks = {bench};
+    line.committed = {ref.insts};
+    line.mt_ipc = {kSentinel};
+    std::string json = to_json_line(line);
+    json.pop_back();  // the closing brace: the journal adds the digest
+    std::ofstream out(manifest, std::ios::trunc);
+    out << json << ",\"cell\":\"" << digest << "\"}\n";
+  }
+  clear_cell_memo();
+  EngineOptions eng;
+  eng.jobs = 2;
+  eng.manifest_path = manifest;
+  eng.resume = true;
+  const CampaignResult res = run_campaign(spec, eng);
+  EXPECT_EQ(res.ok, 4u);
+  EXPECT_EQ(res.resumed, 0u);
+  u32 weighed = 0;
+  for (const JobRecord& rec : res.records)
+    for (size_t i = 0; i < rec.benchmarks.size(); ++i)
+      if (rec.benchmarks[i] == bench) {
+        EXPECT_EQ(rec.st_ipc.at(i), kSentinel) << rec.mix << " thread " << i;
+        ++weighed;
+      }
+  EXPECT_GT(weighed, 0u);
+  EXPECT_EQ(single_thread_ipc(bench, kInsts), kSentinel);
+  // The other references were journalled; the resumed one was not again.
+  const std::string journal = read_file(manifest);
+  EXPECT_EQ(std::count(journal.begin(), journal.end(), '\n'),
+            static_cast<long>(1 + 4 + reference_count(spec) - 1));
+  EXPECT_EQ(journal.find(digest), journal.rfind(digest));
+  clear_cell_memo();  // no later test may weigh by the sentinel
   std::remove(manifest.c_str());
 }
 
@@ -777,9 +867,14 @@ TEST(RunnerCli, MultiPresetRunMatchesSeparateRunsConcatenated) {
   };
   const auto combined = run("fig2,fig3,fig6", temp_path("tlrob_multi"),
                             temp_path("tlrob_multi_csv"));
-  // Later presets append to the journal instead of truncating it.
+  // Later presets append to the journal instead of truncating it. Each
+  // preset also journals the reference cells its records weigh by.
   const std::string journal = read_file(manifest);
-  EXPECT_EQ(std::count(journal.begin(), journal.end(), '\n'), 99);
+  size_t references = 0;
+  for (const char* preset : {"fig2", "fig3", "fig6"})
+    references += reference_count(preset_campaign(preset, {kInsts, kWarmup}));
+  EXPECT_EQ(std::count(journal.begin(), journal.end(), '\n'),
+            static_cast<long>(99 + references));
   std::remove(manifest.c_str());
   std::string json, csv;
   for (const char* preset : {"fig2", "fig3", "fig6"}) {

@@ -37,10 +37,11 @@ const char* const kCoreScope[] = {
 };
 
 /// C1/C2: the concurrent modules (the shared pool and lock primitives in
-/// common/, the campaign engine/emitter/sinks, the single-thread-IPC memo,
-/// observability sample sinks). src/sim/cmp is single-threaded today; it
-/// stays in scope so any future threading of the CMP machine is held to
-/// C1/C2 from its first line.
+/// common/, the campaign engine/emitter/sinks and its cell memo, which also
+/// serves the single-thread references, observability sample sinks).
+/// src/sim/experiment and src/sim/cmp are single-threaded today; they stay
+/// in scope so any future threading of the harness or the CMP machine is
+/// held to C1/C2 from its first line.
 const char* const kConcurrencyScope[] = {
     "src/common/thread_pool", "src/common/sync", "src/runner/engine",
     "src/runner/sinks",       "src/sim/experiment", "src/sim/cmp",

@@ -9,8 +9,9 @@ an abort; `simulate` accepts trace workload tokens; and `simulate profile=1`
 adds its phase table on stderr without changing a byte of stdout. For
 `tlrob-campaign` it also checks that a preset and the equivalent custom
 sweep write the same records, that `--resume` re-simulates a cell whose
-trace file was rewritten, and that a missing trace file is a structured
-failed record. Registered with ctest as `cli_contract_py`:
+trace file was rewritten (and the single-thread reference it weighs by),
+and that a missing trace file is a structured failed record. `simulate`
+fails a run that hits its cycle cap. Registered with ctest as `cli_contract_py`:
 
     test_cli_contract.py <simulate> <tlrob-mktrace> <tlrob-campaign> <tlrob-golden>
 """
@@ -85,13 +86,19 @@ def main():
         rejected(knob + "=0", zero)
         check(knob + "=0 names " + field, field in zero.stderr, zero.stderr[-200:])
     # Also rejected: a two-level scheme with no second level, DRAM timing with
-    # no DRAM model, an MSHR pool with no slot, a value too big for its field.
+    # no DRAM model, an MSHR pool with no slot, a value too big for its field,
+    # a cache geometry the cache cannot index and a register file too small
+    # for the architectural state; each error names the knob, not the
+    # structure.
     for argv, setting in [(["scheme=rrob", "rob2=0"], "rob_second_level"),
                           (["dram=3"], "dram"),
                           (["mshr=0"], "memory.channel.mshr_entries"),
                           (["llc=8192:16:24:0"], "llc.mshr_entries"),
                           (["rob1=4294967328"], "rob1"),
-                          (["l2_kb=18014398509481985"], "l2_kb")]:
+                          (["l2_kb=18014398509481985"], "l2_kb"),
+                          (["l2_kb=3"], "l2_kb"),
+                          (["cores=2", "llc=64:3"], "llc.geo.ways"),
+                          (["int_regs=4"], "int_regs")]:
         idle = run(simulate, "mix=1", *argv, *RUN)
         rejected(" ".join(argv), idle)
         check(" ".join(argv) + " names " + setting, setting in idle.stderr, idle.stderr[-200:])
@@ -99,6 +106,17 @@ def main():
     cores = run(campaign, "--cores", "4294967298", "--schemes", "rrob", "--mixes", "1", *SHORT)
     rejected("tlrob-campaign --cores 4294967298", cores)
     check("--cores 4294967298 names cores", "option cores" in cores.stderr, cores.stderr[-200:])
+
+    thresholds = run(campaign, "--thresholds", "4294967312", "--mixes", "1", *SHORT)
+    rejected("tlrob-campaign --thresholds 4294967312", thresholds)
+    check("--thresholds 4294967312 names thresholds", "option thresholds" in thresholds.stderr,
+          thresholds.stderr[-200:])
+
+    # A run no thread finishes is an error, not a zero-commit result.
+    capped = run(simulate, "mix=1", "max_cycles=1000", "insts=3000", "warmup=500")
+    check("simulate max_cycles=1000 fails with a cycle-cap error",
+          capped.returncode != 0 and "error: cycle cap exceeded" in capped.stderr,
+          f"rc {capped.returncode}, stderr {capped.stderr[-200:]!r}")
 
     rejected("tlrob-golden --bogus", run(golden, "--bogus"))
     rejected("tlrob-golden --preset fig99", run(golden, "--preset", "fig99"))
@@ -138,7 +156,8 @@ def main():
             check("fig2 --workload mix:1 == the custom sweep" + label, same,
                   f"rc {preset.returncode}/{custom.returncode}, {custom.stderr[-200:]!r}")
 
-        # --resume keys a trace: cell on the file's content, not its name.
+        # --resume keys a trace: cell on the file's content, not its name; so
+        # does the single-thread reference cell the record weighs by.
         trace = os.path.join(tmp, "f.trace")
         manifest = os.path.join(tmp, "m.jsonl")
         cell = ["--workload", "trace:" + trace + ",crafty", "--schemes", "baseline32",
@@ -147,14 +166,18 @@ def main():
         first = run(campaign, *cell, "--json", os.path.join(tmp, "a.jsonl"))
         run(mktrace, "--profile", "mcf", "--records", "3000", "--seed", "5", "--out", trace)
         second = run(campaign, *cell, "--resume", "--json", os.path.join(tmp, "b.jsonl"))
-        def trace_hash(name):
+        def first_record(name):
             with open(os.path.join(tmp, name)) as f:
-                return json.loads(f.readline())["counters"]["trace.t0.content_hash"]
+                return json.loads(f.readline())
+        a, b = first_record("a.jsonl"), first_record("b.jsonl")
         check("--resume after a trace rewrite re-simulates the cell",
               first.returncode == 0 and second.returncode == 0
               and "0 resumed" in second.stderr
-              and trace_hash("a.jsonl") != trace_hash("b.jsonl"),
+              and a["counters"]["trace.t0.content_hash"]
+              != b["counters"]["trace.t0.content_hash"],
               f"rc {first.returncode}/{second.returncode}, {second.stderr[-200:]!r}")
+        check("--resume after a trace rewrite re-simulates its reference",
+              a["st_ipc"][0] != b["st_ipc"][0], f"st_ipc {a['st_ipc']} / {b['st_ipc']}")
         again = run(campaign, *cell, "--resume", "--json", os.path.join(tmp, "c.jsonl"))
         check("--resume of the unchanged trace replays the cell",
               again.returncode == 0 and "1 resumed" in again.stderr
