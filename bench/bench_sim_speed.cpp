@@ -133,7 +133,7 @@ BENCHMARK(BM_CmpFourCoreMix)->Unit(benchmark::kMillisecond);
 // with interval sampling on, which arms the full observability stack — the
 // per-cycle stall-taxonomy attribution, the piecewise idle-span replay, and
 // the machine-wide sample merge. The regression gate holds the sampled
-// engine to the same tolerance band as everything else, so attribution
+// engine to the same floor as everything else, so attribution
 // creeping into the hot path (instead of staying behind the
 // sample_every_ != 0 gate) shows up as a perf-smoke failure, not a
 // mystery slowdown.

@@ -69,7 +69,7 @@ JobRecord simulate_job(const JobSpec& spec) {
     // a telemetry-on run's engine counters stay identical to telemetry-off).
     for (const auto& [name, v] : obs::stall_summary_counters(run.stall_cycles))
       rec.counters[name] = v;
-    if (cfg.num_cores > 1 || cfg.llc.enabled)
+    if (cfg.has_shared_backend())
       for (const auto& [name, v] :
            obs::cmp_summary_counters(run.samples, run.stall_cycles, cfg.num_cores))
         rec.counters[name] = v;

@@ -20,7 +20,7 @@ CmpMachine::CmpMachine(const MachineConfig& cfg, const std::vector<Benchmark>& b
   // no llc.*/dram.* counters). It has no DRAM model either, so a DRAM
   // setting there would do nothing. The check lives here, not in validate():
   // each core of a CMP is validated as a 1-core machine.
-  if (cfg.llc.enabled || cfg.num_cores > 1) {
+  if (cfg.has_shared_backend()) {
     LlcConfig llc = cfg.llc;
     llc.enabled = true;
     shared_ = std::make_unique<SharedMemory>(llc, cfg.dram);

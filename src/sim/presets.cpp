@@ -64,7 +64,16 @@ const MachineConfig& MachineConfig::validate() const {
   check_cache(memory.l1i);
   check_cache(memory.l1d);
   check_cache(memory.l2);
-  if (llc.enabled || num_cores > 1) check_cache(llc.geo);
+  if (has_shared_backend()) {
+    check_cache(llc.geo);
+    // The address mapping DramModel's constructor needs.
+    for (const u32* field : {&dram.channels, &dram.banks_per_channel, &dram.line_bytes,
+                             &dram.row_bytes})
+      if (!is_pow2(*field)) reject(*this, field, "must be a power of two");
+    if (dram.row_bytes < dram.line_bytes)
+      reject(*this, &dram.row_bytes,
+             "must be at least dram.line_bytes (" + std::to_string(dram.line_bytes) + ")");
+  }
   // Each register file keeps the committed architectural state of every
   // thread it serves resident.
   const u64 served = shared_regfile ? num_threads : 1;
@@ -142,7 +151,7 @@ std::string describe(const MachineConfig& cfg) {
      << "memory                 " << cfg.memory.channel.first_chunk << "cyc first chunk, "
      << cfg.memory.channel.interchunk << "cyc interchunk, " << cfg.memory.channel.bus_bytes * 8
      << "-bit bus\n";
-  if (cfg.llc.enabled || cfg.num_cores > 1)
+  if (cfg.has_shared_backend())
     os << "llc (shared)           " << (cfg.llc.geo.size_bytes >> 10) << "KB/" << cfg.llc.geo.ways
        << "w/" << cfg.llc.geo.line_bytes << "B/" << cfg.llc.geo.hit_latency << "cyc, "
        << cfg.llc.mshr_entries << " MSHRs\n"

@@ -75,7 +75,7 @@ struct MachineConfig {
   RobPolicyConfig rob{};
   MemoryConfig memory{};
   /// Shared memory-side backend (CMP mode): LLC geometry/MSHRs and banked
-  /// DRAM timing. Ignored while llc.enabled is false and num_cores == 1.
+  /// DRAM timing. Ignored unless has_shared_backend().
   LlcConfig llc{};
   DramConfig dram{};
   PredictorConfig predictor{};
@@ -96,15 +96,21 @@ struct MachineConfig {
 
   u64 seed = 12345;
 
+  /// Whether L2 misses go to a shared LLC and banked DRAM: the LLC is on,
+  /// or more than one core shares them. Otherwise the machine is the
+  /// paper's single core with a private memory channel.
+  bool has_shared_backend() const { return llc.enabled || num_cores > 1; }
+
   /// The one validity check every machine construction path runs before any
   /// structure is sized: throws std::invalid_argument naming the first
   /// kNonzero knob (sim/config_override.hpp) that is zero — a width,
   /// capacity, MSHR pool or re-check interval — a zero `rob_second_level`
   /// under a scheme that uses_second_level, a cache geometry (L1s, L2, and
-  /// the LLC when the machine has one) whose line size or set count is not
-  /// a power of two, or a register file too small for the committed
-  /// architectural state. Errors name the knob (its table path and CLI
-  /// key). Returns *this, so constructors can validate in their
+  /// the LLC when the machine has a shared backend) whose line size or set
+  /// count is not a power of two, a DRAM geometry (with a shared backend)
+  /// the DRAM model cannot map, or a register file too small for the
+  /// committed architectural state. Errors name the knob (its table path
+  /// and CLI key). Returns *this, so constructors can validate in their
   /// initializer list.
   const MachineConfig& validate() const;
 };

@@ -173,6 +173,39 @@ TEST(ConfigOverride, EveryNonzeroKnobRejectsZero) {
   }
 }
 
+// A machine with a shared backend has its DRAM geometry checked by
+// validate(), naming the field; one without a backend has no DRAM model.
+TEST(ConfigOverride, SharedBackendValidatesDramGeometry) {
+  const MachineConfig base = cmp_config(2, RobScheme::kReactive, 16);
+  EXPECT_TRUE(base.has_shared_backend());
+  EXPECT_FALSE(baseline32_config().has_shared_backend());
+  EXPECT_NO_THROW(base.validate());
+  const auto error = [](const MachineConfig& cfg) -> std::string {
+    try {
+      cfg.validate();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const std::pair<u32 DramConfig::*, std::string> fields[] = {
+      {&DramConfig::channels, "channels"},
+      {&DramConfig::banks_per_channel, "banks_per_channel"},
+      {&DramConfig::line_bytes, "line_bytes"},
+      {&DramConfig::row_bytes, "row_bytes"}};
+  for (const auto& [field, name] : fields) {
+    MachineConfig cfg = base;
+    cfg.dram.*field = 3;
+    EXPECT_EQ(error(cfg), "MachineConfig: dram." + name + " must be a power of two");
+  }
+  MachineConfig cfg = base;
+  cfg.dram.row_bytes = cfg.dram.line_bytes / 2;
+  EXPECT_EQ(error(cfg), "MachineConfig: dram.row_bytes must be at least dram.line_bytes (128)");
+  MachineConfig single = baseline32_config();
+  single.dram.channels = 3;
+  EXPECT_NO_THROW(single.validate());
+}
+
 TEST(ConfigOverride, LeavesDefaultsAlone) {
   const MachineConfig base = baseline32_config();
   const MachineConfig cfg = apply_overrides(base, Options::from_tokens({}));

@@ -300,9 +300,7 @@ TEST(CmpDifferential, SmtCoreRunMatchesOneCoreMachineOnEveryPreset) {
   for (const std::string& preset : runner::preset_names()) {
     runner::CampaignSpec spec = runner::preset_campaign(preset, runner::golden_run_length());
     std::vector<JobSpec> jobs = runner::expand(spec);
-    std::erase_if(jobs, [](const JobSpec& j) {
-      return j.config.num_cores > 1 || j.config.llc.enabled;
-    });
+    std::erase_if(jobs, [](const JobSpec& j) { return j.config.has_shared_backend(); });
     const size_t stride = jobs.size() <= 3 ? 1 : jobs.size() / 3;
     u32 compared = 0;
     for (size_t i = 0; i < jobs.size() && compared < 3; i += stride, ++compared) {

@@ -1,199 +1,102 @@
 #!/usr/bin/env python3
 """Exit-code contract tests for check_bench_regression.py.
 
-Runs the checker as a subprocess against synthetic baseline/current files and
-asserts the documented contract: 0 = pass, 1 = regression, 2 = usage/format
-error — and that format errors produce a one-line diagnostic, never a Python
-traceback. Registered with ctest as `check_bench_regression_py`.
+Runs the gate as a subprocess against fake bench_sim_speed executables (small
+shell scripts printing canned google-benchmark JSON) and asserts the
+documented contract: 0 = pass, 1 = regression, 2 = usage/format error, a
+format error being one `error:` line and never a Python traceback. The real
+benchmark never runs. Registered with ctest as `check_bench_regression_py`.
 """
 
 import json
 import os
+import shlex
+import stat
 import subprocess
 import sys
 import tempfile
 
 CHECKER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "check_bench_regression.py")
 
-BASELINE_OK = {
-    "tolerance_pct": 20,
-    "history": [
-        {
-            "label": "seed",
-            "date": "2026-01-01",
-            "benchmarks": {"BM_sim_speed/mix1": 1000000.0},
-        }
-    ],
-}
+RATES = {"BM_SingleThreadCompute": 2.0e6, "BM_FourThreadMixTwoLevel": 5.0e6}
 
 
-def current_json(rate):
-    return {
-        "benchmarks": [
-            {"name": "BM_sim_speed/mix1", "run_type": "iteration", "sim_cycles/s": rate}
-        ]
-    }
+def canned(scale=1.0, metric="sim_cycles/s", names=tuple(RATES)):
+    rows = [{"name": n, "run_type": "iteration", metric: RATES.get(n, 1.0e6) * scale}
+            for n in names]
+    return json.dumps({"context": {}, "benchmarks": rows})
 
 
-def write(tmp, name, content):
+def fake_bench(tmp, name, stdout):
+    """An executable that appends its name to order.log and prints `stdout`.
+    A shell script, not Python: the gate starts it 240 times per run, and
+    an interpreter start-up each time would multiply this test's time."""
     path = os.path.join(tmp, name)
+    with open(path + ".out", "w") as f:
+        f.write(stdout)
     with open(path, "w") as f:
-        if isinstance(content, str):
-            f.write(content)
-        else:
-            json.dump(content, f)
+        f.write("#!/bin/sh\n"
+                f"echo {name} >> {shlex.quote(os.path.join(tmp, 'order.log'))}\n"
+                f"cat {shlex.quote(path + '.out')}\n")
+    os.chmod(path, os.stat(path).st_mode | stat.S_IXUSR)
     return path
 
 
-def run(baseline, current, *extra):
-    proc = subprocess.run(
-        [sys.executable, CHECKER, "--baseline", baseline, "--current", current, *extra],
-        capture_output=True,
-        text=True,
-    )
-    return proc
+def run(parent, change):
+    return subprocess.run([sys.executable, CHECKER, "--parent", parent, "--change", change],
+                          capture_output=True, text=True)
 
 
 failures = []
 
 
-def check(label, proc, want_code, want_stdout=()):
-    ok = proc.returncode == want_code and "Traceback" not in proc.stderr
-    for needle in want_stdout:
-        if needle not in proc.stdout:
-            ok = False
-    status = "ok" if ok else f"FAIL (exit {proc.returncode}, wanted {want_code})"
-    print(f"  {label:44s} {status}")
+def check(label, ok, detail=""):
+    print(f"  {label:44s} {'ok' if ok else 'FAIL'}")
     if not ok:
         failures.append(label)
-        sys.stderr.write(proc.stderr)
-        sys.stderr.write(proc.stdout)
+        sys.stderr.write(detail)
+
+
+def exits(proc, want_code, *needles):
+    """(passed, detail): exit code `want_code`, no traceback, every needle in
+    stdout, and for code 2 exactly one `error:` line."""
+    ok = proc.returncode == want_code and "Traceback" not in proc.stderr
+    if want_code == 2:
+        ok = ok and proc.stderr.count("error:") == 1
+    ok = ok and all(needle in proc.stdout for needle in needles)
+    return ok, f"exit {proc.returncode}, wanted {want_code}\n{proc.stderr}{proc.stdout}"
 
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        good_base = write(tmp, "base.json", BASELINE_OK)
-        good_cur = write(tmp, "cur_ok.json", current_json(990000.0))
-        slow_cur = write(tmp, "cur_slow.json", current_json(100000.0))
-        empty_hist = write(tmp, "base_empty.json", {"tolerance_pct": 20, "history": []})
-        no_rows = write(tmp, "cur_norows.json", {"benchmarks": [{"name": "x"}]})
-        not_json = write(tmp, "garbage.json", "this is not json {")
-        missing = os.path.join(tmp, "does_not_exist.json")
-
-        # Per-benchmark tolerance overrides: the same -30% drop passes a
-        # benchmark whose override grants 40% slack and fails one tightened
-        # to 5%, while --tolerance on the command line beats both.
-        loose_base = dict(BASELINE_OK, tolerance_pct_overrides={"BM_sim_speed/mix1": 40})
-        tight_base = dict(BASELINE_OK, tolerance_pct_overrides={"BM_sim_speed/mix1": 5})
-        bad_overrides = dict(BASELINE_OK, tolerance_pct_overrides={"BM_sim_speed/mix1": "x"})
-        commented_overrides = dict(
-            BASELINE_OK,
-            tolerance_pct_overrides={"_comment": "why", "BM_sim_speed/mix1": 40},
-        )
-        loose = write(tmp, "base_loose.json", loose_base)
-        tight = write(tmp, "base_tight.json", tight_base)
-        bad_ovr = write(tmp, "base_badovr.json", bad_overrides)
-        commented = write(tmp, "base_commented.json", commented_overrides)
-        drop30 = write(tmp, "cur_drop30.json", current_json(700000.0))
-        drop10 = write(tmp, "cur_drop10.json", current_json(900000.0))
-
-        # Median-of-last-3 reference: the newest entry records an outlier
-        # (2e6 where two prior sessions said 1e6). The reference is the
-        # median 1e6, so 950k passes — against the raw newest value it
-        # would read as a -52% regression.
-        def entry(label, rate):
-            return {"label": label, "date": "2026-01-01", "benchmarks": {"BM_sim_speed/mix1": rate}}
-
-        outlier_base = write(
-            tmp,
-            "base_outlier.json",
-            {
-                "tolerance_pct": 20,
-                "history": [entry("a", 1000000.0), entry("b", 1000000.0), entry("c", 2000000.0)],
-            },
-        )
-        # Only the last 3 entries count: an ancient 10e6 recording must not
-        # drag the median up past what the recent sessions sustain.
-        windowed_base = write(
-            tmp,
-            "base_windowed.json",
-            {
-                "tolerance_pct": 20,
-                "history": [
-                    entry("old", 10000000.0),
-                    entry("a", 1000000.0),
-                    entry("b", 1000000.0),
-                    entry("c", 1000000.0),
-                ],
-            },
-        )
-        # A benchmark added in the newest entry has a 1-deep history; its own
-        # value is its reference (no KeyError against older entries).
-        new_bench_base = write(
-            tmp,
-            "base_newbench.json",
-            {
-                "tolerance_pct": 20,
-                "history": [
-                    {"label": "a", "date": "2026-01-01", "benchmarks": {}},
-                    entry("b", 1000000.0),
-                ],
-            },
-        )
-        bad_value_base = write(
-            tmp,
-            "base_badvalue.json",
-            {"tolerance_pct": 20, "history": [entry("a", "fast")]},
-        )
+        fast = fake_bench(tmp, "fast", canned())
+        fast2 = fake_bench(tmp, "fast2", canned())
+        slow = fake_bench(tmp, "slow", canned(scale=0.6))
+        not_json = fake_bench(tmp, "garbage", "this is not json {")
+        no_rows = fake_bench(tmp, "norows", canned(metric="sim_insts/s"))
+        other = fake_bench(tmp, "other", canned(names=("BM_Other",)))
+        missing = os.path.join(tmp, "missing")
 
         print("check_bench_regression.py exit-code contract:")
-        check("within tolerance -> 0", run(good_base, good_cur), 0)
-        check("regression -> 1", run(good_base, slow_cur), 1)
-        check("override grants slack -> 0", run(loose, drop30), 0)
-        check("override tightens -> 1", run(tight, drop10), 1)
-        check("--tolerance beats override -> 0", run(tight, drop10, "--tolerance", "20"), 0)
-        check("non-numeric override -> 2", run(bad_ovr, good_cur), 2)
-        check("_comment key in overrides ignored -> 0", run(commented, drop30), 0)
-        check(
-            "signed deltas printed",
-            run(good_base, good_cur),
-            0,
-            want_stdout=["-1.00%"],
-        )
-        check(
-            "improvement delta printed",
-            run(good_base, write(tmp, "cur_fast.json", current_json(1500000.0))),
-            0,
-            want_stdout=["+50.00%"],
-        )
-        check(
-            "median absorbs newest outlier -> 0",
-            run(outlier_base, write(tmp, "cur_950k.json", current_json(950000.0))),
-            0,
-            want_stdout=["median of last 3"],
-        )
-        check(
-            "history window is last 3 -> 0",
-            run(windowed_base, good_cur),
-            0,
-        )
-        check(
-            "newly added benchmark uses its own history -> 0",
-            run(new_bench_base, good_cur),
-            0,
-        )
-        check("non-numeric history value -> 2", run(bad_value_base, good_cur), 2)
-        check("empty baseline history -> 2", run(empty_hist, good_cur), 2)
-        check("current without metric rows -> 2", run(good_base, no_rows), 2)
-        check("malformed baseline JSON -> 2", run(not_json, good_cur), 2)
-        check("malformed current JSON -> 2", run(good_base, not_json), 2)
-        check("missing baseline file -> 2", run(missing, good_cur), 2)
-        check("missing current file -> 2", run(good_base, missing), 2)
+        check("same speed -> 0", *exits(run(fast, fast2), 0, "PASS", '"ratio": 1.0'))
+        with open(os.path.join(tmp, "order.log")) as f:
+            order = f.read().split()
+        # Parent first in odd pairs, change first in even pairs.
+        check("runs alternate, parent first in odd pairs",
+              len(order) >= 4 and order == ["fast", "fast2", "fast2", "fast"] * (len(order) // 4),
+              " ".join(order))
+        check("slowed change -> 1, names the benchmarks",
+              *exits(run(fast, slow), 1, "FAIL", "BM_SingleThreadCompute",
+                     "BM_FourThreadMixTwoLevel"))
+        check("missing binary -> 2", *exits(run(missing, fast), 2))
+        check("non-JSON output -> 2", *exits(run(fast, not_json), 2))
+        check("no sim_cycles/s rows -> 2", *exits(run(no_rows, fast), 2))
+        check("no benchmark common to both -> 2", *exits(run(fast, other), 2))
 
     if failures:
-        print(f"FAIL: {len(failures)} case(s): {', '.join(failures)}")
+        print(f"{len(failures)} contract check(s) failed: {', '.join(failures)}")
         return 1
-    print("PASS")
+    print("all contract checks passed")
     return 0
 
 

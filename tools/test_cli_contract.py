@@ -87,9 +87,9 @@ def main():
         check(knob + "=0 names " + field, field in zero.stderr, zero.stderr[-200:])
     # Also rejected: a two-level scheme with no second level, DRAM timing with
     # no DRAM model, an MSHR pool with no slot, a value too big for its field,
-    # a cache geometry the cache cannot index and a register file too small
-    # for the architectural state; each error names the knob, not the
-    # structure.
+    # a cache or DRAM geometry the structure cannot index and a register file
+    # too small for the architectural state; each error names the knob, not
+    # the structure.
     for argv, setting in [(["scheme=rrob", "rob2=0"], "rob_second_level"),
                           (["dram=3"], "dram"),
                           (["mshr=0"], "memory.channel.mshr_entries"),
@@ -98,6 +98,8 @@ def main():
                           (["l2_kb=18014398509481985"], "l2_kb"),
                           (["l2_kb=3"], "l2_kb"),
                           (["cores=2", "llc=64:3"], "llc.geo.ways"),
+                          (["cores=2", "threads=8", "dram=3"], "dram.channels"),
+                          (["cores=2", "threads=8", "dram=2:3"], "dram.banks_per_channel"),
                           (["int_regs=4"], "int_regs")]:
         idle = run(simulate, "mix=1", *argv, *RUN)
         rejected(" ".join(argv), idle)
