@@ -1,6 +1,7 @@
 // Programmatic use of the campaign runner (src/runner): build a declarative
-// sweep spec, run it on the work-stealing pool, stream records into JSON
-// lines and a custom sink, and read the aggregated result back.
+// sweep spec, run it on `jobs` workers (0 = one per hardware thread), stream
+// records into JSON lines and a custom sink, and read the aggregated result
+// back.
 //
 //   ./campaign_sweep [insts=8000] [warmup=2000] [jobs=0]
 #include <cstdio>
@@ -9,7 +10,6 @@
 #include "common/config.hpp"
 #include "runner/engine.hpp"
 #include "runner/render.hpp"
-#include "common/thread_pool.hpp"
 
 using namespace tlrob;
 using namespace tlrob::runner;
@@ -58,7 +58,7 @@ int run_example(const Options& opts) {
   FtTableSink table(stdout, "Example sweep: reactive threshold on three mixes");
 
   EngineOptions eng;
-  eng.jobs = WorkStealingPool::resolve_threads(jobs);
+  eng.jobs = jobs;
   eng.sinks = {&table, &json_sink, &best_sink};
 
   const CampaignResult result = run_campaign(spec, eng);

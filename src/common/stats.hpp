@@ -47,10 +47,11 @@ void export_stats(std::map<std::string, u64>& out, const std::string& prefix, co
 }
 
 /// Writes a per-index family (one counter per thread, ...) as
-/// `prefix + index` into `out`.
+/// `prefix + (first + index)` into `out`.
 inline void export_family(std::map<std::string, u64>& out, const std::string& prefix,
-                          const std::vector<u64>& values) {
-  for (std::size_t i = 0; i < values.size(); ++i) out[prefix + std::to_string(i)] = values[i];
+                          const std::vector<u64>& values, std::size_t first = 0) {
+  for (std::size_t i = 0; i < values.size(); ++i)
+    out[prefix + std::to_string(first + i)] = values[i];
 }
 
 }  // namespace tlrob

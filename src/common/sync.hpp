@@ -16,7 +16,6 @@
 //     vocabulary is easier to lint and to reason about.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -58,19 +57,14 @@ class TLROB_SCOPED_CAPABILITY MutexLock {
   std::unique_lock<std::mutex> lk_;
 };
 
-/// Condition variable bound to Mutex/MutexLock. wait()/wait_for() require
-/// the caller to hold the lock they pass (enforced at compile time under
-/// Clang by MutexLock's scoped capability); the lock is released for the
-/// duration of the block and reacquired before return, exactly like
+/// Condition variable bound to Mutex/MutexLock. wait() requires the caller
+/// to hold the lock it passes (enforced at compile time under Clang by
+/// MutexLock's scoped capability); the lock is released for the duration of
+/// the block and reacquired before return, exactly like
 /// std::condition_variable.
 class CondVar {
  public:
   void wait(MutexLock& lock) { cv_.wait(lock.lk_); }
-
-  template <typename Rep, typename Period>
-  void wait_for(MutexLock& lock, const std::chrono::duration<Rep, Period>& dur) {
-    cv_.wait_for(lock.lk_, dur);
-  }
 
   void notify_one() { cv_.notify_one(); }
   void notify_all() { cv_.notify_all(); }

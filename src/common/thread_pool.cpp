@@ -1,105 +1,56 @@
 #include "common/thread_pool.hpp"
 
-#include <chrono>
-
 namespace tlrob {
 
-namespace {
-// Identity of the current pool worker, so submit() from inside a job lands
-// on the submitter's own deque (LIFO) instead of round-robin.
-thread_local const WorkStealingPool* tl_pool = nullptr;
-thread_local u32 tl_index = 0;
-}  // namespace
-
-u32 WorkStealingPool::resolve_threads(u32 threads) {
+u32 ThreadPool::resolve_threads(u32 threads) {
   if (threads != 0) return threads;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<u32>(hw);
 }
 
-WorkStealingPool::WorkStealingPool(u32 threads) {
+ThreadPool::ThreadPool(u32 threads) {
   const u32 n = resolve_threads(threads);
-  queues_.reserve(n);
-  for (u32 i = 0; i < n; ++i) queues_.push_back(std::make_unique<Worker>());
   workers_.reserve(n);
-  for (u32 i = 0; i < n; ++i) workers_.emplace_back([this, i] { worker_loop(i); });
+  for (u32 i = 0; i < n; ++i) workers_.emplace_back([this] { worker_loop(); });
 }
 
-WorkStealingPool::~WorkStealingPool() {
+ThreadPool::~ThreadPool() {
   wait_idle();
   {
-    MutexLock lock(state_mu_);
+    MutexLock lock(mu_);
     stopping_ = true;
   }
   work_cv_.notify_all();
   for (auto& t : workers_) t.join();
 }
 
-void WorkStealingPool::submit(std::function<void()> task) {
-  u64 slot;
-  const bool own = tl_pool == this;
+void ThreadPool::submit(std::function<void()> task) {
   {
-    MutexLock lock(state_mu_);
+    MutexLock lock(mu_);
+    queue_.push_back(std::move(task));
     ++unfinished_;
-    slot = own ? tl_index : next_victim_++ % queues_.size();
-  }
-  {
-    Worker& w = *queues_[slot];
-    MutexLock lock(w.mu);
-    if (own)
-      w.deque.push_front(std::move(task));  // LIFO for the owner
-    else
-      w.deque.push_back(std::move(task));
   }
   work_cv_.notify_one();
 }
 
-bool WorkStealingPool::take_task(u32 self, std::function<void()>& out) {
-  {
-    Worker& mine = *queues_[self];
-    MutexLock lock(mine.mu);
-    if (!mine.deque.empty()) {
-      out = std::move(mine.deque.front());
-      mine.deque.pop_front();
-      return true;
-    }
-  }
-  // Steal the oldest task from the first non-empty victim.
-  for (size_t i = 1; i < queues_.size(); ++i) {
-    Worker& victim = *queues_[(self + i) % queues_.size()];
-    MutexLock lock(victim.mu);
-    if (!victim.deque.empty()) {
-      out = std::move(victim.deque.back());
-      victim.deque.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-void WorkStealingPool::worker_loop(u32 self) {
-  tl_pool = this;
-  tl_index = self;
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
-    if (take_task(self, task)) {
-      task();
-      MutexLock lock(state_mu_);
-      if (--unfinished_ == 0) idle_cv_.notify_all();
-      continue;
+    {
+      MutexLock lock(mu_);
+      while (queue_.empty() && !stopping_) work_cv_.wait(lock);
+      if (queue_.empty()) return;  // stopping, and nothing left to run
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    MutexLock lock(state_mu_);
-    if (stopping_) return;
-    // Re-probe after a bounded nap: a task may have been enqueued between
-    // the failed take and acquiring the lock, and the bounded wait keeps
-    // the loop free of a queued-task counter that take_task would have to
-    // keep consistent with three mutexes held in sequence.
-    work_cv_.wait_for(lock, std::chrono::milliseconds(2));
+    task();
+    MutexLock lock(mu_);
+    if (--unfinished_ == 0) idle_cv_.notify_all();
   }
 }
 
-void WorkStealingPool::wait_idle() {
-  MutexLock lock(state_mu_);
+void ThreadPool::wait_idle() {
+  MutexLock lock(mu_);
   while (unfinished_ != 0) idle_cv_.wait(lock);
 }
 

@@ -40,20 +40,11 @@ ProgramBuilder& ProgramBuilder::int_alu(ArchReg d, ArchReg a, ArchReg b) {
 ProgramBuilder& ProgramBuilder::int_mult(ArchReg d, ArchReg a, ArchReg b) {
   return emit(make3(OpClass::kIntMult, d, a, b));
 }
-ProgramBuilder& ProgramBuilder::int_div(ArchReg d, ArchReg a, ArchReg b) {
-  return emit(make3(OpClass::kIntDiv, d, a, b));
-}
 ProgramBuilder& ProgramBuilder::fp_add(ArchReg d, ArchReg a, ArchReg b) {
   return emit(make3(OpClass::kFpAdd, d, a, b));
 }
 ProgramBuilder& ProgramBuilder::fp_mult(ArchReg d, ArchReg a, ArchReg b) {
   return emit(make3(OpClass::kFpMult, d, a, b));
-}
-ProgramBuilder& ProgramBuilder::fp_div(ArchReg d, ArchReg a, ArchReg b) {
-  return emit(make3(OpClass::kFpDiv, d, a, b));
-}
-ProgramBuilder& ProgramBuilder::fp_sqrt(ArchReg d, ArchReg a) {
-  return emit(make3(OpClass::kFpSqrt, d, a, kNoReg));
 }
 
 ProgramBuilder& ProgramBuilder::load(ArchReg d, u32 agen, ArchReg addr_dep) {
@@ -91,8 +82,6 @@ ProgramBuilder& ProgramBuilder::ret() {
   StaticInst si = make3(OpClass::kReturn, kNoReg, kNoReg, kNoReg);
   return emit(si);
 }
-
-ProgramBuilder& ProgramBuilder::nop() { return emit(StaticInst{}); }
 
 Program ProgramBuilder::build(u32 num_agens, u32 num_bgens, Addr code_base) {
   prog_.set_generator_counts(num_agens, num_bgens);

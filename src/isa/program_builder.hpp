@@ -31,11 +31,8 @@ class ProgramBuilder {
   ProgramBuilder& emit(StaticInst si);
   ProgramBuilder& int_alu(ArchReg d, ArchReg a = kNoReg, ArchReg b = kNoReg);
   ProgramBuilder& int_mult(ArchReg d, ArchReg a = kNoReg, ArchReg b = kNoReg);
-  ProgramBuilder& int_div(ArchReg d, ArchReg a = kNoReg, ArchReg b = kNoReg);
   ProgramBuilder& fp_add(ArchReg d, ArchReg a = kNoReg, ArchReg b = kNoReg);
   ProgramBuilder& fp_mult(ArchReg d, ArchReg a = kNoReg, ArchReg b = kNoReg);
-  ProgramBuilder& fp_div(ArchReg d, ArchReg a = kNoReg, ArchReg b = kNoReg);
-  ProgramBuilder& fp_sqrt(ArchReg d, ArchReg a = kNoReg);
   /// `addr_dep` expresses an address dependence (e.g. pointer chasing loads
   /// name their own previous destination).
   ProgramBuilder& load(ArchReg d, u32 agen, ArchReg addr_dep = kNoReg);
@@ -44,7 +41,6 @@ class ProgramBuilder {
   ProgramBuilder& jump(u32 target);
   ProgramBuilder& call(u32 target);
   ProgramBuilder& ret();
-  ProgramBuilder& nop();
 
   /// Finalizes and returns the program. `num_agens`/`num_bgens` are the spec
   /// table sizes the workload layer will provide at thread creation.

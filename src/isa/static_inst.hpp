@@ -49,7 +49,6 @@ struct StaticInst {
   bool has_dest() const { return dest != kNoReg; }
   bool is_load() const { return op == OpClass::kLoad; }
   bool is_store() const { return op == OpClass::kStore; }
-  bool is_cond_branch() const { return op == OpClass::kBranch; }
 };
 
 }  // namespace tlrob

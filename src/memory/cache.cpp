@@ -73,12 +73,4 @@ bool Cache::fill(Addr addr, Cycle now, Cycle ready_at, bool from_memory, bool* e
   return true;
 }
 
-void Cache::clear() {
-  std::fill(tags_.begin(), tags_.end(), 0);
-  std::fill(ready_at_.begin(), ready_at_.end(), 0);
-  std::fill(lru_.begin(), lru_.end(), 0);
-  std::fill(flags_.begin(), flags_.end(), 0);
-  stamp_ = 0;
-}
-
 }  // namespace tlrob

@@ -96,9 +96,6 @@ class Cache {
     return true;
   }
 
-  /// Invalidates everything (used between experiment phases).
-  void clear();
-
   const CacheGeometry& geometry() const { return geo_; }
   u32 sets() const { return sets_; }
   const std::string& name() const { return name_; }

@@ -19,18 +19,17 @@ bool is_pow2(u64 v) { return v != 0 && (v & (v - 1)) == 0; }
 
 }  // namespace
 
-DramModel::DramModel(const DramConfig& cfg) : cfg_(cfg) {
+DramModel::DramModel(const DramConfig& cfg, u32 line_bytes) : cfg_(cfg) {
   if (!is_pow2(cfg.channels) || !is_pow2(cfg.banks_per_channel))
     throw std::invalid_argument("dram: channels and banks must be powers of two");
-  if (!is_pow2(cfg.line_bytes) || !is_pow2(cfg.row_bytes) || cfg.row_bytes < cfg.line_bytes)
+  if (!is_pow2(line_bytes) || !is_pow2(cfg.row_bytes) || cfg.row_bytes < line_bytes)
     throw std::invalid_argument("dram: row/line sizes must be powers of two, row >= line");
-  line_shift_ = log2_pow2(cfg.line_bytes);
+  line_shift_ = log2_pow2(line_bytes);
   channel_shift_ = log2_pow2(cfg.channels);
   bank_shift_ = log2_pow2(cfg.banks_per_channel);
-  lines_per_row_ = cfg.row_bytes / cfg.line_bytes;
+  lines_per_row_ = cfg.row_bytes / line_bytes;
   row_group_shift_ = log2_pow2(lines_per_row_);
-  const u32 unit = cfg.critical_bytes > 0 ? std::min(cfg.critical_bytes, cfg.line_bytes)
-                                          : cfg.line_bytes;
+  const u32 unit = cfg.critical_bytes > 0 ? std::min(cfg.critical_bytes, line_bytes) : line_bytes;
   const u32 chunks = std::max<u32>(1, unit / std::max<u32>(1, cfg.bus_bytes));
   transfer_ = static_cast<Cycle>(chunks) * cfg.interchunk;
   const u32 banks = cfg.channels * cfg.banks_per_channel;

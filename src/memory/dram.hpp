@@ -42,7 +42,6 @@ struct DramConfig {
   Cycle trp = 100;            // precharge (row conflict)
   u32 bus_bytes = 8;          // per-channel data-bus width
   Cycle interchunk = 2;       // per bus chunk
-  u32 line_bytes = 128;       // transfer unit (LLC line)
   /// Critical-chunk-first: requester unblocks after this many bytes (0 =
   /// full line), mirroring MemoryChannelConfig::critical_bytes.
   u32 critical_bytes = 32;
@@ -84,7 +83,8 @@ class DramModel {
     Cycle row_done = 0;
   };
 
-  explicit DramModel(const DramConfig& cfg);
+  /// `line_bytes` is the transfer unit: the owning cache's line size.
+  DramModel(const DramConfig& cfg, u32 line_bytes);
 
   /// Line read (fill) issued at `when`; returns the completion cycle and the
   /// row-buffer outcome. Requests to the same bank serialise; requests to
@@ -135,7 +135,7 @@ class DramModel {
   u32 line_shift_;
   u32 channel_shift_;   // log2(channels)
   u32 bank_shift_;      // log2(banks_per_channel)
-  u64 lines_per_row_;   // row_bytes / line_bytes
+  u64 lines_per_row_;   // row_bytes / line size
   u32 row_group_shift_; // log2(lines_per_row_)
   Cycle transfer_;
   // Structure-of-arrays bank state, channel-major ([channel * banks + bank]).

@@ -4,9 +4,8 @@
 
 namespace tlrob {
 
-MemoryChannel::MemoryChannel(const MemoryChannelConfig& cfg) : cfg_(cfg) {
-  const u32 unit = cfg.critical_bytes > 0 ? std::min(cfg.critical_bytes, cfg.line_bytes)
-                                          : cfg.line_bytes;
+MemoryChannel::MemoryChannel(const MemoryChannelConfig& cfg, u32 line_bytes) : cfg_(cfg) {
+  const u32 unit = cfg.critical_bytes > 0 ? std::min(cfg.critical_bytes, line_bytes) : line_bytes;
   const u32 chunks = std::max<u32>(1, unit / std::max<u32>(1, cfg.bus_bytes));
   transfer_ = static_cast<Cycle>(chunks) * cfg.interchunk;
   u32 cap = 8;

@@ -18,7 +18,6 @@ struct MemoryChannelConfig {
   u32 bus_bytes = 8;           // 64-bit wide
   Cycle first_chunk = 500;     // access latency to the first chunk
   Cycle interchunk = 2;        // per additional chunk
-  u32 line_bytes = 128;        // L2 line (transfer unit)
   /// Critical-chunk-first delivery: the requester is unblocked once this
   /// many bytes have arrived (one L1-D line); the rest of the L2 line
   /// streams in the background without serialising later fills. 0 disables
@@ -42,7 +41,8 @@ static_assert(names_every_field(kMemoryChannelStatFields));
 
 class MemoryChannel {
  public:
-  explicit MemoryChannel(const MemoryChannelConfig& cfg);
+  /// `line_bytes` is the transfer unit: the owning L2's line size.
+  MemoryChannel(const MemoryChannelConfig& cfg, u32 line_bytes);
 
   /// Requests a full-line fill at cycle `when`; returns the cycle at which
   /// the complete line has arrived.

@@ -8,12 +8,10 @@ namespace tlrob {
 
 MemorySystem::MemorySystem(const MemoryConfig& cfg, SharedMemory* backend, u32 core_id)
     : cfg_(cfg), backend_(backend), core_id_(core_id) {
-  MemoryChannelConfig ch = cfg.channel;
-  ch.line_bytes = cfg.l2.line_bytes;
   l1i_ = std::make_unique<Cache>("l1i", cfg.l1i);
   l1d_ = std::make_unique<Cache>("l1d", cfg.l1d);
   l2_ = std::make_unique<Cache>("l2", cfg.l2);
-  channel_ = std::make_unique<MemoryChannel>(ch);
+  channel_ = std::make_unique<MemoryChannel>(cfg.channel, cfg.l2.line_bytes);
 }
 
 MemorySystem::L2Result MemorySystem::access_l2(Addr addr, Cycle when) {

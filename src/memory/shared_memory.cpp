@@ -17,11 +17,9 @@ u32 log2_pow2(u64 v) {
 }  // namespace
 
 SharedMemory::SharedMemory(const LlcConfig& llc, const DramConfig& dram) : cfg_(llc) {
-  DramConfig d = dram;
-  d.line_bytes = llc.geo.line_bytes;
   line_shift_ = log2_pow2(llc.geo.line_bytes);
   llc_ = std::make_unique<Cache>("llc", llc.geo);
-  dram_ = std::make_unique<DramModel>(d);
+  dram_ = std::make_unique<DramModel>(dram, llc.geo.line_bytes);
 }
 
 Cycle SharedMemory::admit(Cycle when) {

@@ -129,7 +129,7 @@ int run_from_options(const std::string& preset, const Options& opts) {
   // file is created.
   const std::vector<PresetRun> runs = campaign_list(preset, opts);
   const bool render = !opts.get_bool("no_render", false);
-  const u32 jobs = WorkStealingPool::resolve_threads(static_cast<u32>(opts.get_u64("jobs", 0)));
+  const u32 jobs = ThreadPool::resolve_threads(static_cast<u32>(opts.get_u64("jobs", 0)));
   const std::string manifest_path = opts.get("manifest", "");
   const bool resume = opts.get_bool("resume", false);
   const bool want_json = opts.has("json"), want_csv = opts.has("csv");

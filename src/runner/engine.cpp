@@ -359,17 +359,12 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
                        digest);
   };
 
-  if (opts.jobs == 1) {
-    for (const JobSpec& js : jobs) run_one(js, false);
-    for (const JobSpec& ref : refs) run_one(ref, true);
-  } else {
-    WorkStealingPool pool(opts.jobs);
-    for (const JobSpec& js : jobs) pool.submit([&run_one, &js] { run_one(js, false); });
-    // A worker pops its own deque newest first, so the references,
-    // submitted last, start ahead of the queued cells that weigh by them.
-    for (const JobSpec& ref : refs) pool.submit([&run_one, &ref] { run_one(ref, true); });
-    pool.wait_idle();
-  }
+  // Tasks start in queue order, so the references, queued first, start
+  // ahead of the cells that weigh by them.
+  ThreadPool pool(opts.jobs);
+  for (const JobSpec& ref : refs) pool.submit([&run_one, &ref] { run_one(ref, true); });
+  for (const JobSpec& js : jobs) pool.submit([&run_one, &js] { run_one(js, false); });
+  pool.wait_idle();
 
   for (ResultSink* sink : opts.sinks) sink->end();
   return result;

@@ -1,6 +1,6 @@
 // The campaign engine: expands a CampaignSpec, executes the jobs on a
-// work-stealing pool, and streams JobRecords to the sinks in expansion
-// order.
+// thread pool of EngineOptions::jobs workers (its reference cells queued
+// first), and streams JobRecords to the sinks in expansion order.
 //
 // Determinism contract: a campaign's records — and therefore every sink's
 // bytes — are identical for any worker count, because (a) each job is a
@@ -40,8 +40,8 @@
 namespace tlrob::runner {
 
 struct EngineOptions {
-  /// Worker threads; 0 = hardware concurrency, 1 = run inline (serial
-  /// reference mode, no pool).
+  /// Pool workers; 0 = hardware concurrency. One worker runs the tasks
+  /// serially, in queue order.
   u32 jobs = 1;
 
   /// Sinks receiving records in expansion order. Not owned.

@@ -34,7 +34,6 @@ CmpMachine::CmpMachine(const MachineConfig& cfg, const std::vector<Benchmark>& b
   for (u32 c = 0; c < cfg.num_cores; ++c) {
     MachineConfig core_cfg = cfg;
     core_cfg.num_cores = 1;
-    core_cfg.addr_space_id_base = c * cfg.num_threads;
     const std::vector<Benchmark> slice(benchmarks.begin() + c * cfg.num_threads,
                                        benchmarks.begin() + (c + 1) * cfg.num_threads);
     cores_.push_back(std::make_unique<SmtCore>(core_cfg, slice, shared_.get(), c));

@@ -29,16 +29,16 @@ struct Knob {
 // until for_each_knob names it too. One that fits in padding slips past;
 // RunnerMemo.KeyCoversEveryOverrideKnob covers every CLI key.
 static_assert(sizeof(CacheGeometry) == 24);
-static_assert(sizeof(MemoryChannelConfig) == 40);
-static_assert(sizeof(MemoryConfig) == 112);
+static_assert(sizeof(MemoryChannelConfig) == 32);
+static_assert(sizeof(MemoryConfig) == 104);
 static_assert(sizeof(LlcConfig) == 40);
-static_assert(sizeof(DramConfig) == 72);
+static_assert(sizeof(DramConfig) == 64);
 static_assert(sizeof(DcraConfig) == 8);
 static_assert(sizeof(RobPolicyConfig) == 72);
 static_assert(sizeof(PredictorConfig) == 16);
 static_assert(sizeof(AuditConfig) == 32);
 static_assert(sizeof(obs::TelemetryConfig) == 8);
-static_assert(sizeof(MachineConfig) == 448);
+static_assert(sizeof(MachineConfig) == 432);
 
 /// Calls f(knob, field) for every MachineConfig field, in cell-key order.
 /// `Config` is MachineConfig or const MachineConfig. `llc.*` and `dram.*`
@@ -48,7 +48,6 @@ template <typename Config, typename F>
 void for_each_knob(Config& c, F&& f) {
   f(Knob{"num_cores", "cores"}, c.num_cores);
   f(Knob{"num_threads", "threads", kNonzero}, c.num_threads);
-  f(Knob{"addr_space_id_base"}, c.addr_space_id_base);
   f(Knob{"fetch_width", "fetch_width", kNonzero}, c.fetch_width);
   f(Knob{"fetch_threads", "fetch_threads", kNonzero}, c.fetch_threads);
   f(Knob{"dispatch_width", "dispatch_width", kNonzero}, c.dispatch_width);
@@ -95,7 +94,6 @@ void for_each_knob(Config& c, F&& f) {
   f(Knob{"memory.channel.bus_bytes"}, c.memory.channel.bus_bytes);
   f(Knob{"memory.channel.first_chunk", "mem_lat"}, c.memory.channel.first_chunk);
   f(Knob{"memory.channel.interchunk", "interchunk"}, c.memory.channel.interchunk);
-  f(Knob{"memory.channel.line_bytes"}, c.memory.channel.line_bytes);
   f(Knob{"memory.channel.critical_bytes", "critical_bytes"}, c.memory.channel.critical_bytes);
   f(Knob{"memory.channel.mshr_entries", "mshr", kNonzero}, c.memory.channel.mshr_entries);
 
@@ -114,7 +112,6 @@ void for_each_knob(Config& c, F&& f) {
   f(Knob{"dram.trp"}, c.dram.trp);
   f(Knob{"dram.bus_bytes"}, c.dram.bus_bytes);
   f(Knob{"dram.interchunk"}, c.dram.interchunk);
-  f(Knob{"dram.line_bytes"}, c.dram.line_bytes);
   f(Knob{"dram.critical_bytes"}, c.dram.critical_bytes);
   f(Knob{"dram.open_page"}, c.dram.open_page);
 

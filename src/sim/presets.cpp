@@ -67,12 +67,11 @@ const MachineConfig& MachineConfig::validate() const {
   if (has_shared_backend()) {
     check_cache(llc.geo);
     // The address mapping DramModel's constructor needs.
-    for (const u32* field : {&dram.channels, &dram.banks_per_channel, &dram.line_bytes,
-                             &dram.row_bytes})
+    for (const u32* field : {&dram.channels, &dram.banks_per_channel, &dram.row_bytes})
       if (!is_pow2(*field)) reject(*this, field, "must be a power of two");
-    if (dram.row_bytes < dram.line_bytes)
+    if (dram.row_bytes < llc.geo.line_bytes)
       reject(*this, &dram.row_bytes,
-             "must be at least dram.line_bytes (" + std::to_string(dram.line_bytes) + ")");
+             "must be at least llc.geo.line_bytes (" + std::to_string(llc.geo.line_bytes) + ")");
   }
   // Each register file keeps the committed architectural state of every
   // thread it serves resident.

@@ -23,13 +23,6 @@ struct MachineConfig {
   u32 num_cores = 1;
   u32 num_threads = 4;
 
-  /// First global thread index hosted by this core (CMP machines construct
-  /// one SmtCore per core with `addr_space_id_base = core * num_threads`, so
-  /// every thread in the machine gets a distinct address space and workload
-  /// seed). 0 for single-core machines — thread bases then reduce to the
-  /// historical values bit-for-bit.
-  u32 addr_space_id_base = 0;
-
   // Machine width (Table 1: 8-wide fetch / issue / commit).
   u32 fetch_width = 8;
   u32 fetch_threads = 2;  // ICOUNT 2.8: up to 2 threads per cycle

@@ -27,6 +27,7 @@ std::string concat(std::initializer_list<std::string_view> parts) {
 SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchmarks,
                  SharedMemory* shared, u32 core_id)
     : cfg_(cfg.validate()),
+      thread_base_(core_id * cfg.num_threads),
       benchmarks_(benchmarks),
       shared_(shared),
       rename_(RenameConfig{cfg.int_regs, cfg.fp_regs, cfg.num_threads, cfg.shared_regfile}),
@@ -62,9 +63,8 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
     ThreadState& ts = threads_.back();
     // Global thread identity: CMP machines offset each core's threads so
     // every thread in the machine gets a distinct address space and workload
-    // seed; addr_space_id_base == 0 reduces to the historical single-core
-    // values bit-for-bit.
-    const u64 gt = cfg.addr_space_id_base + t;
+    // seed; core 0 keeps the historical single-core values bit-for-bit.
+    const u64 gt = thread_base_ + t;
     const Addr base = static_cast<Addr>(gt + 1) << 36;
     const u64 salt = cfg.seed + 7919ULL * (gt + 1);
     ts.ctx = benchmarks_[t].source_factory
@@ -1219,8 +1219,8 @@ RunResult SmtCore::snapshot_result() const {
   export_stats(c, "core.", stats_, kCoreStatFields);
   export_stats(c, "bpred.", bpred_.stats(), kBranchStatFields);
   export_stats(c, "rob.", rob_ctrl_->stats(), kRobControllerStatFields);
-  export_family(c, "rob.allocations.t", rob_ctrl_->allocations_by_thread());
-  export_family(c, "rob.busy.t", rob_ctrl_->busy_by_thread());
+  export_family(c, "rob.allocations.t", rob_ctrl_->allocations_by_thread(), thread_base_);
+  export_family(c, "rob.busy.t", rob_ctrl_->busy_by_thread(), thread_base_);
   if (const DodPredictor* p = std::as_const(*rob_ctrl_).predictor())
     export_stats(c, "dodpred.", p->stats(), kDodPredictorStatFields);
   export_stats(c, "l1i.", mem_.l1i().stats(), kCacheStatFields);
@@ -1235,10 +1235,11 @@ RunResult SmtCore::snapshot_result() const {
   c["rob2.allocations"] = second_.total_allocations();
   c["rob2.busy_cycles"] = second_.busy_cycles(cycle_);
   // Instruction sources merge last: the default hook is a no-op, so purely
-  // synthetic runs produce exactly the counter set they always did. Sources
-  // report under the machine-global thread index so CMP cores never collide.
+  // synthetic runs produce exactly the counter set they always did. Like the
+  // families above, sources report under the machine-global thread index,
+  // so CMP cores never collide.
   for (ThreadId t = 0; t < cfg_.num_threads; ++t)
-    threads_[t].ctx->append_source_counters(cfg_.addr_space_id_base + t, r.counters);
+    threads_[t].ctx->append_source_counters(thread_base_ + t, r.counters);
   return r;
 }
 

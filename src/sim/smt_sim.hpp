@@ -152,6 +152,8 @@ class SmtCore {
   /// cfg.num_threads. In CMP machines, `shared` is the machine-wide LLC/DRAM
   /// backend behind this core's L2 and `core_id` attributes its requests;
   /// standalone cores (null backend) keep the private fixed-latency channel.
+  /// Core `core_id` hosts the machine-global threads from
+  /// `core_id * cfg.num_threads` on.
   SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchmarks,
           SharedMemory* shared = nullptr, u32 core_id = 0);
 
@@ -190,7 +192,6 @@ class SmtCore {
   TwoLevelRobController& rob_controller() { return *rob_ctrl_; }
   SecondLevelRob& second_level() { return second_; }
   RenameUnit& rename_unit() { return rename_; }
-  BranchPredictor& branch_predictor() { return bpred_; }
   const CoreStats& stats() const { return stats_; }
   PipelineTracer& tracer() { return tracer_; }
   const MachineConfig& config() const { return cfg_; }
@@ -334,7 +335,6 @@ class SmtCore {
   bool fetch_one(ThreadState& ts, ThreadId tid);
   DynInst make_correct_path_inst(ThreadState& ts, ThreadId tid);
   DynInst make_wrong_path_inst(ThreadState& ts, ThreadId tid);
-  void predict_and_steer(ThreadState& ts, DynInst& di);
   bool try_dispatch_one(ThreadState& ts, ThreadId tid);
   bool issue_one(DynInst& di);
   void issue_load(DynInst& di);
@@ -344,6 +344,9 @@ class SmtCore {
   }
 
   MachineConfig cfg_;
+  /// Machine-global index of thread 0 (core_id * num_threads): it keys the
+  /// address space and workload seed, and the per-thread counter families.
+  u32 thread_base_;
   std::vector<Benchmark> benchmarks_;
   SharedMemory* shared_ = nullptr;  // not owned; null outside CMP machines
   std::vector<ThreadState> threads_;

@@ -14,6 +14,7 @@
 #include "obs/interval_sampler.hpp"
 #include "sim/cmp.hpp"
 #include "sim/experiment.hpp"
+#include "sim/metrics.hpp"
 #include "sim/smt_sim.hpp"
 #include "workload/spec_profiles.hpp"
 
@@ -154,6 +155,32 @@ TEST(CmpTelemetry, SamplingDoesNotPerturbTheMachine) {
   // The merged series carries the machine-wide MSHR occupancy and every
   // core's thread slices.
   EXPECT_EQ(r_on.samples.samples().front().threads.size(), benches.size());
+}
+
+// The per-thread second-level families key each thread by its
+// machine-global index, so core 1's thread 0 is t4 on a 2x4 machine and no
+// two threads share a key.
+TEST(CmpTelemetry, PerThreadRobFamiliesUseTheMachineGlobalIndex) {
+  const MachineConfig cfg = cmp_config(2, RobScheme::kReactive, 16);
+  ASSERT_EQ(cfg.num_threads, 4u);
+  CmpMachine machine(cfg, benches_for(cfg));
+  const RunResult r = machine.run(4000);
+  u64 allocations = 0;
+  for (u32 t = 0; t < 8; ++t) {
+    allocations += run_counter(r, "rob.allocations.t" + std::to_string(t));
+    EXPECT_TRUE(r.counters.contains("rob.busy.t" + std::to_string(t))) << t;
+  }
+  EXPECT_FALSE(r.counters.contains("rob.allocations.t8"));
+  EXPECT_FALSE(r.counters.contains("rob.busy.t8"));
+  EXPECT_GT(allocations, 0u);
+  EXPECT_EQ(allocations, run_counter(r, "rob.allocations"));
+  for (u32 c = 0; c < 2; ++c)
+    for (u32 t = 0; t < 4; ++t) {
+      const std::string id = std::to_string(c * 4 + t);
+      const TwoLevelRobController& ctrl = machine.core(c).rob_controller();
+      EXPECT_EQ(run_counter(r, "rob.allocations.t" + id), ctrl.allocations_by_thread()[t]) << id;
+      EXPECT_EQ(run_counter(r, "rob.busy.t" + id), ctrl.busy_by_thread()[t]) << id;
+    }
 }
 
 TEST(CmpTelemetry, SummaryCountersFlattenTheTaxonomy) {

@@ -13,6 +13,9 @@
 namespace tlrob {
 namespace {
 
+/// The transfer unit every model here is built with (the owning LLC's line).
+constexpr u32 kLineBytes = 64;
+
 /// Small geometry so the tests can name banks directly: 2 channels x 4
 /// banks, 64B lines, 256B rows (4 lines per row), 8B bus, critical chunk
 /// one line. transfer = 64/8 * interchunk(2) = 16 cycles.
@@ -21,7 +24,6 @@ DramConfig small_config() {
   cfg.channels = 2;
   cfg.banks_per_channel = 4;
   cfg.row_bytes = 256;
-  cfg.line_bytes = 64;
   cfg.bus_bytes = 8;
   cfg.interchunk = 2;
   cfg.critical_bytes = 64;
@@ -34,17 +36,17 @@ DramConfig small_config() {
 /// Inverse of DramModel::map for the small geometry: builds the address of
 /// `line_in_row` within (channel, bank, row).
 Addr make_addr(const DramConfig& cfg, u32 channel, u32 bank, u64 row, u64 line_in_row) {
-  const u64 lines_per_row = cfg.row_bytes / cfg.line_bytes;
+  const u64 lines_per_row = cfg.row_bytes / kLineBytes;
   u64 line = row;
   line = line * cfg.banks_per_channel + bank;
   line = line * lines_per_row + line_in_row;
   line = line * cfg.channels + channel;
-  return line * cfg.line_bytes;
+  return line * kLineBytes;
 }
 
 TEST(Dram, MapRoundTripsMakeAddr) {
   const DramConfig cfg = small_config();
-  DramModel dram(cfg);
+  DramModel dram(cfg, kLineBytes);
   for (u32 ch = 0; ch < cfg.channels; ++ch)
     for (u32 b = 0; b < cfg.banks_per_channel; ++b)
       for (u64 row : {u64{0}, u64{3}, u64{1000}}) {
@@ -58,10 +60,10 @@ TEST(Dram, MapRoundTripsMakeAddr) {
 TEST(Dram, ConfigValidation) {
   DramConfig cfg = small_config();
   cfg.channels = 3;
-  EXPECT_THROW(DramModel{cfg}, std::invalid_argument);
+  EXPECT_THROW((DramModel{cfg, kLineBytes}), std::invalid_argument);
   cfg = small_config();
   cfg.row_bytes = 32;  // smaller than the 64B line
-  EXPECT_THROW(DramModel{cfg}, std::invalid_argument);
+  EXPECT_THROW((DramModel{cfg, kLineBytes}), std::invalid_argument);
 }
 
 // The table: row-buffer outcome -> absolute completion cycle for a request
@@ -82,7 +84,7 @@ TEST(Dram, RowOutcomeLatencyTable) {
       {"row conflict", 4, true, 5, DramModel::RowOutcome::kConflict, 40 + 60 + 100 + 16},
   };
   for (const Case& c : kCases) {
-    DramModel dram(cfg);
+    DramModel dram(cfg, kLineBytes);
     Cycle issue = 0;
     if (c.prepare) {
       // Open prepared_row, then issue the measured access after the bank
@@ -94,12 +96,12 @@ TEST(Dram, RowOutcomeLatencyTable) {
     EXPECT_EQ(got.outcome, c.want) << c.name;
     EXPECT_EQ(got.done - issue, c.want_latency) << c.name;
   }
-  EXPECT_EQ(DramModel(cfg).transfer_cycles(), 16u);
+  EXPECT_EQ(DramModel(cfg, kLineBytes).transfer_cycles(), 16u);
 }
 
 TEST(Dram, SameBankRequestsSerialise) {
   const DramConfig cfg = small_config();
-  DramModel dram(cfg);
+  DramModel dram(cfg, kLineBytes);
   // Two conflicting rows of one bank, both issued at cycle 0: the second
   // request waits for the first's row command to finish, then pays the
   // full conflict penalty on top of it.
@@ -114,7 +116,7 @@ TEST(Dram, SameBankRequestsSerialise) {
 
 TEST(Dram, DistinctBanksOverlapButShareTheChannelBus) {
   const DramConfig cfg = small_config();
-  DramModel dram(cfg);
+  DramModel dram(cfg, kLineBytes);
   // Same channel, different banks: row commands overlap (both cold misses
   // resolve data at cycle 160), the 16-cycle transfers serialise on the bus.
   const auto a = dram.read(make_addr(cfg, 0, 0, 0, 0), 0);
@@ -125,7 +127,7 @@ TEST(Dram, DistinctBanksOverlapButShareTheChannelBus) {
 
 TEST(Dram, DistinctChannelsFullyOverlap) {
   const DramConfig cfg = small_config();
-  DramModel dram(cfg);
+  DramModel dram(cfg, kLineBytes);
   const auto a = dram.read(make_addr(cfg, 0, 0, 0, 0), 0);
   const auto b = dram.read(make_addr(cfg, 1, 0, 0, 0), 0);
   EXPECT_EQ(a.done, b.done);
@@ -133,7 +135,7 @@ TEST(Dram, DistinctChannelsFullyOverlap) {
 
 TEST(Dram, WritebackOccupiesBankAndBus) {
   const DramConfig cfg = small_config();
-  DramModel dram(cfg);
+  DramModel dram(cfg, kLineBytes);
   dram.write(make_addr(cfg, 0, 0, 7, 0), 0);
   // A read behind the writeback on the same bank pays the bank busy window
   // plus its own (hit) latency; the bus slot is consumed too.
@@ -147,7 +149,7 @@ TEST(Dram, WritebackOccupiesBankAndBus) {
 TEST(Dram, ClosedPagePaysActivateEveryTimeAndAuditsClean) {
   DramConfig cfg = small_config();
   cfg.open_page = false;
-  DramModel dram(cfg);
+  DramModel dram(cfg, kLineBytes);
   const Addr addr = make_addr(cfg, 0, 0, 3, 0);
   const auto first = dram.read(addr, 0);
   EXPECT_EQ(first.outcome, DramModel::RowOutcome::kMiss);
@@ -162,12 +164,12 @@ TEST(Dram, ClosedPagePaysActivateEveryTimeAndAuditsClean) {
 TEST(Dram, CriticalBytesZeroTransfersTheFullLine) {
   DramConfig cfg = small_config();
   cfg.critical_bytes = 0;
-  EXPECT_EQ(DramModel(cfg).transfer_cycles(), 64u / 8u * 2u);
+  EXPECT_EQ(DramModel(cfg, kLineBytes).transfer_cycles(), 64u / 8u * 2u);
 }
 
 TEST(Dram, OutcomeCountersConserveAcrossMixedTraffic) {
   const DramConfig cfg = small_config();
-  DramModel dram(cfg);
+  DramModel dram(cfg, kLineBytes);
   u64 x = 0x2545F4914F6CDD1Dull;
   Cycle when = 0;
   for (int i = 0; i < 500; ++i) {
@@ -216,7 +218,7 @@ TEST(Dram, ReplayIsDeterministicAndChannelsCommute) {
     return done;
   };
 
-  DramModel a(cfg), b(cfg);
+  DramModel a(cfg, kLineBytes), b(cfg, kLineBytes);
   EXPECT_EQ(run(a, trace), run(b, trace));
   EXPECT_EQ(a.stats().row_hits, b.stats().row_hits);
 
@@ -225,7 +227,7 @@ TEST(Dram, ReplayIsDeterministicAndChannelsCommute) {
   for (u32 ch = 0; ch < cfg.channels; ++ch) {
     std::vector<Req> stream;
     std::vector<Cycle> interleaved;
-    DramModel full(cfg);
+    DramModel full(cfg, kLineBytes);
     for (const Req& r : trace) {
       const Cycle done = r.is_write ? full.write(r.addr, r.when).done
                                     : full.read(r.addr, r.when).done;
@@ -234,14 +236,14 @@ TEST(Dram, ReplayIsDeterministicAndChannelsCommute) {
         interleaved.push_back(done);
       }
     }
-    DramModel alone(cfg);
+    DramModel alone(cfg, kLineBytes);
     EXPECT_EQ(run(alone, stream), interleaved) << "channel " << ch;
   }
 }
 
 TEST(Dram, ResetRestoresColdState) {
   const DramConfig cfg = small_config();
-  DramModel dram(cfg);
+  DramModel dram(cfg, kLineBytes);
   const Addr addr = make_addr(cfg, 1, 2, 9, 0);
   const auto first = dram.read(addr, 0);
   dram.reset();

@@ -97,7 +97,7 @@ TEST(BranchGen, ZeroTripClampsToOne) {
 
 TEST(Channel, ResetRestoresIdleState) {
   MemoryChannelConfig cfg;
-  MemoryChannel ch(cfg);
+  MemoryChannel ch(cfg, 128);
   ch.request_fill(0);
   ch.request_fill(0);
   ch.reset();

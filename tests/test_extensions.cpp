@@ -191,7 +191,6 @@ TEST(ConfigOverride, SharedBackendValidatesDramGeometry) {
   const std::pair<u32 DramConfig::*, std::string> fields[] = {
       {&DramConfig::channels, "channels"},
       {&DramConfig::banks_per_channel, "banks_per_channel"},
-      {&DramConfig::line_bytes, "line_bytes"},
       {&DramConfig::row_bytes, "row_bytes"}};
   for (const auto& [field, name] : fields) {
     MachineConfig cfg = base;
@@ -199,8 +198,8 @@ TEST(ConfigOverride, SharedBackendValidatesDramGeometry) {
     EXPECT_EQ(error(cfg), "MachineConfig: dram." + name + " must be a power of two");
   }
   MachineConfig cfg = base;
-  cfg.dram.row_bytes = cfg.dram.line_bytes / 2;
-  EXPECT_EQ(error(cfg), "MachineConfig: dram.row_bytes must be at least dram.line_bytes (128)");
+  cfg.dram.row_bytes = cfg.llc.geo.line_bytes / 2;
+  EXPECT_EQ(error(cfg), "MachineConfig: dram.row_bytes must be at least llc.geo.line_bytes (128)");
   MachineConfig single = baseline32_config();
   single.dram.channels = 3;
   EXPECT_NO_THROW(single.validate());

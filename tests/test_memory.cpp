@@ -75,9 +75,8 @@ TEST(Channel, FirstChunkPlusTransfer) {
   cfg.first_chunk = 500;
   cfg.interchunk = 2;
   cfg.bus_bytes = 8;
-  cfg.line_bytes = 128;
   cfg.critical_bytes = 32;  // 4 chunks * 2 cycles
-  MemoryChannel ch(cfg);
+  MemoryChannel ch(cfg, 128);
   EXPECT_EQ(ch.transfer_cycles(), 8u);
   EXPECT_EQ(ch.request_fill(0), 508u);
 }
@@ -85,14 +84,14 @@ TEST(Channel, FirstChunkPlusTransfer) {
 TEST(Channel, FullLineTransferWhenCriticalDisabled) {
   MemoryChannelConfig cfg;
   cfg.critical_bytes = 0;  // pessimistic: whole 128B line occupies the bus
-  MemoryChannel ch(cfg);
+  MemoryChannel ch(cfg, 128);
   EXPECT_EQ(ch.transfer_cycles(), 32u);
   EXPECT_EQ(ch.request_fill(0), 532u);
 }
 
 TEST(Channel, BusSerialisesOverlappingFills) {
   MemoryChannelConfig cfg;
-  MemoryChannel ch(cfg);
+  MemoryChannel ch(cfg, 128);
   const Cycle t = cfg.first_chunk;
   const Cycle f1 = ch.request_fill(0);
   const Cycle f2 = ch.request_fill(0);
@@ -105,7 +104,7 @@ TEST(Channel, BusSerialisesOverlappingFills) {
 TEST(Channel, MshrLimitDelaysAdmission) {
   MemoryChannelConfig cfg;
   cfg.mshr_entries = 2;
-  MemoryChannel ch(cfg);
+  MemoryChannel ch(cfg, 128);
   const Cycle f1 = ch.request_fill(0);
   ch.request_fill(0);
   // Third request at time 0 cannot be admitted before the first completes.
@@ -116,7 +115,7 @@ TEST(Channel, MshrLimitDelaysAdmission) {
 
 TEST(Channel, WritebackConsumesBandwidthOnly) {
   MemoryChannelConfig cfg;
-  MemoryChannel ch(cfg);
+  MemoryChannel ch(cfg, 128);
   // A writeback finishing just as the fill's DRAM access completes delays
   // the fill's bus transfer by its own occupancy.
   ch.request_writeback(cfg.first_chunk);
@@ -296,7 +295,7 @@ TEST(Channel, CompletionsAreMonotonic) {
   // relies on this: the earliest outstanding completion is the oldest one.)
   MemoryChannelConfig cfg;
   cfg.mshr_entries = 4;
-  MemoryChannel ch(cfg);
+  MemoryChannel ch(cfg, 128);
   Cycle prev = 0;
   const Cycle whens[] = {0, 0, 700, 100, 1500, 1500, 1500, 1500, 1490, 5000};
   for (const Cycle w : whens) {
@@ -312,7 +311,7 @@ TEST(Channel, MshrDrainAdmitsInCompletionOrder) {
   // fill completes — the stall chain is deterministic.
   MemoryChannelConfig cfg;
   cfg.mshr_entries = 1;
-  MemoryChannel ch(cfg);
+  MemoryChannel ch(cfg, 128);
   const Cycle f1 = ch.request_fill(0);
   const Cycle f2 = ch.request_fill(0);  // admitted at f1's completion
   const Cycle f3 = ch.request_fill(0);  // also admitted at f1; bus-bound

@@ -1,4 +1,4 @@
-// Campaign-runner tests: record serialisation, the work-stealing pool, the
+// Campaign-runner tests: record serialisation, the thread pool, the
 // single-thread reference cells, the engine's contracts — serial/parallel
 // bit-identity, failure isolation, manifest resume and the cell memo — and
 // the CLI.
@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -140,7 +141,7 @@ TEST(RunnerJson, RecordRoundTrip) {
 TEST(RunnerPool, RunsEverySubmittedTask) {
   std::atomic<int> count{0};
   {
-    WorkStealingPool pool(4);
+    ThreadPool pool(4);
     EXPECT_EQ(pool.size(), 4u);
     for (int i = 0; i < 500; ++i)
       pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
@@ -155,7 +156,7 @@ TEST(RunnerPool, RunsEverySubmittedTask) {
 
 TEST(RunnerPool, NestedSubmissionsAreStealable) {
   std::atomic<int> count{0};
-  WorkStealingPool pool(3);
+  ThreadPool pool(3);
   for (int i = 0; i < 8; ++i) {
     pool.submit([&pool, &count] {
       for (int j = 0; j < 50; ++j)
@@ -166,9 +167,45 @@ TEST(RunnerPool, NestedSubmissionsAreStealable) {
   EXPECT_EQ(count.load(), 8 * 50);
 }
 
+TEST(RunnerPool, OneWorkerRunsTasksInSubmissionOrder) {
+  std::vector<int> order;
+  std::set<std::thread::id> ids;
+  ThreadPool pool(1);
+  for (int i = 0; i < 100; ++i)
+    pool.submit([&order, &ids, i] {
+      order.push_back(i);
+      ids.insert(std::this_thread::get_id());
+    });
+  pool.wait_idle();
+  std::vector<int> expected(100);
+  for (int i = 0; i < 100; ++i) expected[i] = i;
+  EXPECT_EQ(order, expected);
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_NE(*ids.begin(), std::this_thread::get_id());
+}
+
+TEST(RunnerPool, DestructorRunsEveryQueuedTask) {
+  std::atomic<int> count{0};
+  {
+    ThreadPool pool(1);
+    // The first task holds the one worker, so the rest are still queued
+    // when the pool goes out of scope; the last one submits one more.
+    pool.submit([&count] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      count.fetch_add(1, std::memory_order_relaxed);
+    });
+    for (int i = 0; i < 99; ++i)
+      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+    pool.submit([&pool, &count] {
+      pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+    });
+  }
+  EXPECT_EQ(count.load(), 101);
+}
+
 TEST(RunnerPool, ResolveThreadsDefaultsToHardware) {
-  EXPECT_GE(WorkStealingPool::resolve_threads(0), 1u);
-  EXPECT_EQ(WorkStealingPool::resolve_threads(7), 7u);
+  EXPECT_GE(ThreadPool::resolve_threads(0), 1u);
+  EXPECT_EQ(ThreadPool::resolve_threads(7), 7u);
 }
 
 // single_thread_ipc reads reference cells through the cell memo: hammer the

@@ -2,7 +2,7 @@
 //
 // Expands a declarative sweep (schemes × thresholds × mixes × run length)
 // or named presets (fig1..fig7, table2, ablation_*) into independent jobs,
-// executes them on a work-stealing pool, and streams results into
+// executes them on `--jobs` workers, and streams results into
 // structured sinks. Parallel runs are byte-identical to serial ones, and
 // several presets in one run are byte-identical to separate runs
 // concatenated (they share the engine's cell memo, so a machine that
