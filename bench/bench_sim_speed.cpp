@@ -160,8 +160,8 @@ BENCHMARK(BM_CmpFourCoreMixSampled)->Unit(benchmark::kMillisecond);
 // Invariant-audit overhead: the four-thread two-level mix with the auditor
 // at each level, explicitly overriding any $TLROB_AUDIT ambient setting so
 // the three variants measure exactly what their names say. The cheap tier is
-// the always-on CI candidate and must stay within ~10% of Off; Full is the
-// debugging tier and is expected to be much slower (ground-truth recounts).
+// the always-on CI tier (DESIGN.md §6 records its cost against Off); Full is
+// the debugging tier and is expected to be much slower (ground-truth recounts).
 void BM_AuditOverhead(benchmark::State& state, AuditLevel level) {
   u64 insts = 0, cycles = 0;
   for (auto _ : state) {

@@ -72,14 +72,10 @@ DataAccess MemorySystem::access_data(Addr addr, bool is_store, Cycle now) {
     out.seg_private = l2r.seg_private;
     out.seg_llc = l2r.seg_llc;
     out.seg_dram = l2r.seg_dram;
-    bool evicted_dirty = false;
-    l1d_->fill(addr, l1_done, l2r.ready, l2r.from_memory, &evicted_dirty);
-    if (evicted_dirty) {
-      // L1 dirty evictions are absorbed by the L2 (write-back); mark the
-      // victim's data dirty there if resident. Addresses of victims are not
-      // tracked in the latency-chain model, so this is bandwidth-free — L2
-      // dirtiness dominates writeback traffic and is modelled precisely.
-    }
+    // L1 dirty evictions are absorbed by the L2 (write-back), so the victim's
+    // dirty bit is not asked for: bandwidth-free, as L2 dirtiness dominates
+    // writeback traffic and is modelled precisely.
+    l1d_->fill(addr, l1_done, l2r.ready, l2r.from_memory, nullptr);
   }
 
   if (is_store) {
@@ -89,22 +85,14 @@ DataAccess MemorySystem::access_data(Addr addr, bool is_store, Cycle now) {
   return out;
 }
 
-void MemorySystem::prewarm_region(Addr base, u64 bytes, u64 hot_prefix_bytes) {
-  const u64 l2_line = cfg_.l2.line_bytes;
-  const u64 hot = std::min(hot_prefix_bytes, bytes);
-  auto warm_l2 = [&](Addr lo, u64 len) {
-    // Touching more than the cache only churns it; warm the tail.
-    const u64 span = std::min<u64>(len, 2 * cfg_.l2.size_bytes);
-    for (Addr a = lo + len - span; a < lo + len; a += l2_line)
-      l2_->fill(a, 0, 0, /*from_memory=*/false, nullptr);
-  };
-  if (bytes > hot) warm_l2(base + hot, bytes - hot);  // cold body first
-  if (hot > 0) warm_l2(base, hot);                    // reused prefix last
-
-  // The L1 keeps the most recently warmed lines of the reused part.
-  const u64 l1_seed = hot > 0 ? hot : bytes;
-  const u64 l1_span = std::min<u64>(l1_seed, cfg_.l1d.size_bytes);
-  for (Addr a = base + l1_seed - l1_span; a < base + l1_seed; a += cfg_.l1d.line_bytes)
+void MemorySystem::prewarm_region(Addr base, u64 bytes) {
+  // Touching more than the cache only churns it; warm the tail.
+  const u64 l2_span = std::min<u64>(bytes, 2 * cfg_.l2.size_bytes);
+  for (Addr a = base + bytes - l2_span; a < base + bytes; a += cfg_.l2.line_bytes)
+    l2_->fill(a, 0, 0, /*from_memory=*/false, nullptr);
+  // The L1 keeps the most recently warmed lines.
+  const u64 l1_span = std::min<u64>(bytes, cfg_.l1d.size_bytes);
+  for (Addr a = base + bytes - l1_span; a < base + bytes; a += cfg_.l1d.line_bytes)
     l1d_->fill(a, 0, 0, /*from_memory=*/false, nullptr);
 }
 

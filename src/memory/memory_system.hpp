@@ -61,9 +61,8 @@ class MemorySystem {
   /// [base, base+bytes) as instantly-ready and clean, bypassing the channel.
   /// Used before measurement so that cache-resident working sets start
   /// resident (the stand-in for Simpoint functional warming); touch order is
-  /// LRU order, so content touched later survives capacity pressure. A
-  /// region's frequently-reused prefix of `hot_prefix_bytes` is warmed last.
-  void prewarm_region(Addr base, u64 bytes, u64 hot_prefix_bytes = 0);
+  /// LRU order, so content touched later survives capacity pressure.
+  void prewarm_region(Addr base, u64 bytes);
 
   Cache& l1i() { return *l1i_; }
   Cache& l1d() { return *l1d_; }
@@ -73,7 +72,6 @@ class MemorySystem {
   const Cache& l1d() const { return *l1d_; }
   const Cache& l2() const { return *l2_; }
   const MemoryChannel& channel() const { return *channel_; }
-  const MemoryConfig& config() const { return cfg_; }
 
  private:
   /// Looks up the L2 at `when`; returns when the line (containing `addr`)

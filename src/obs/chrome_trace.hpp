@@ -19,8 +19,8 @@
 // Interaction with the idle-cycle fast-forward: every span edge and instant
 // above happens in a tick that changed machine state, and a fast-forwarded
 // cycle is by construction one in which nothing changed, so the event trace
-// is identical with fast-forwarding on or off and the writer does not pin
-// the core to cycle-by-cycle execution (unlike the text PipelineTracer).
+// is identical with fast-forwarding on or off and the writer, like the text
+// PipelineTracer, does not pin the core to cycle-by-cycle execution.
 // Counter samples inside a skipped span are replayed by the sampler.
 //
 // Attachment mirrors PipelineTracer: host code owns the writer, attaches it

@@ -315,18 +315,22 @@ void SmtCore::resolve_control(DynInst& di) {
   ts.fetch_stall_until = std::max(ts.fetch_stall_until, cycle_ + 1);
 }
 
+void SmtCore::release_entry(ThreadState& ts, DynInst& d) {
+  if (d.in_iq) iq_.remove(&d);
+  drop_outstanding_counts(d);
+  if (!d.executed) rename_.consumers_cancel(d);
+  if (d.is_ctrl() && !d.branch_resolved && ts.unresolved_ctrl > 0) --ts.unresolved_ctrl;
+  ++d.replay_gen;  // poison its in-flight events
+  rename_.squash_undo(d);
+}
+
 void SmtCore::squash_after(ThreadId tid, u64 tseq) {
   ThreadState& ts = threads_[tid];
   const u64 squashed_before = stats_.squash_insts;
   while (!ts.frontend.empty() && ts.frontend.back().tseq > tseq) ts.frontend.pop_back();
   ts.lsq.squash_after(tseq);  // before the ROB destroys the entries it points at
   ts.rob.squash_after(tseq, [&](DynInst& d) {
-    if (d.in_iq) iq_.remove(&d);
-    drop_outstanding_counts(d);
-    if (!d.executed) rename_.consumers_cancel(d);
-    if (d.is_ctrl() && !d.branch_resolved && ts.unresolved_ctrl > 0) --ts.unresolved_ctrl;
-    ++d.replay_gen;
-    rename_.squash_undo(d);
+    release_entry(ts, d);
     tracer_.event(cycle_, "squash  ", d);
     ++stats_.squash_insts;
   });
@@ -348,12 +352,7 @@ void SmtCore::undispatch_after(ThreadId tid, u64 tseq) {
   ThreadState& ts = threads_[tid];
   ts.lsq.squash_after(tseq);  // before the ROB pops the entries it points at
   ts.rob.squash_after(tseq, [&](DynInst& d) {
-    if (d.in_iq) iq_.remove(&d);
-    drop_outstanding_counts(d);
-    if (!d.executed) rename_.consumers_cancel(d);
-    if (d.is_ctrl() && !d.branch_resolved && ts.unresolved_ctrl > 0) --ts.unresolved_ctrl;
-    rename_.squash_undo(d);
-    ++d.replay_gen;
+    release_entry(ts, d);
     d.dispatched = false;
     d.issued = false;
     d.executed = false;
@@ -892,7 +891,7 @@ bool SmtCore::tick() {
   if (auditor_.enabled()) {
     obs::enter(obs::Phase::kAudit);
     refresh_audit_ctx();
-    auditor_.run_cycle(audit_ctx_);
+    auditor_.run_span(audit_ctx_, cycle_, cycle_ + 1);
   }
   // Observability, after every stage has settled. Ownership transitions only
   // happen in state-changing ticks, so polling per executed tick sees every
@@ -1002,12 +1001,15 @@ Cycle SmtCore::idle_wake(Cycle limit) const {
 }
 
 void SmtCore::replay_idle_to(Cycle wake) {
-  // Replay the sample points inside the skipped span. Every sampled quantity
-  // (occupancies, outstanding misses, DCRA caps, committed counts, ownership)
-  // is machine state, and a skippable cycle is by definition one in which no
-  // machine state changes — so each skipped sample point would have captured
-  // exactly the state visible right now. Label semantics match the tick path:
-  // sample L is the state after cycle L-1 completed.
+  // A skippable cycle is by definition one in which no machine state
+  // changes, so every audit and sample point inside the skipped span would
+  // have seen exactly the state visible now: audit the span once per tier,
+  // then replay the sample points (label L is the state after cycle L-1).
+  if (auditor_.enabled()) {
+    const obs::PhaseScope ps(obs::Phase::kAudit);
+    refresh_audit_ctx();
+    auditor_.run_span(audit_ctx_, cycle_, wake);
+  }
   if (sample_every_ != 0) {
     // Interleave the taxonomy with the sample replay: a sample labelled L
     // must carry the attribution of every cycle < L, exactly as the tick
@@ -1161,10 +1163,9 @@ RunResult SmtCore::run(u64 commit_target, u64 max_cycles, u64 warmup_insts) {
 void run_lockstep(std::span<SmtCore* const> cores, u64 commit_target, u64 max_cycles,
                   u64 warmup_insts) {
   if (max_cycles == 0) max_cycles = (warmup_insts + commit_target) * 400 + 200000;
-  // Any pinned core pins the whole machine: lockstep only holds if nobody
-  // fast-forwards past a cycle a peer executed.
-  bool pinned = false;
-  for (const SmtCore* c : cores) pinned = pinned || c->pinned();
+  // A core pinned by a test pins the whole machine: lockstep only holds if
+  // nobody fast-forwards past a cycle a peer executed.
+  const bool pinned = std::ranges::any_of(cores, &SmtCore::pinned);
   const SmtCore& lead = *cores.front();  // every core's clock equals this one
 
   auto fastest_measured = [cores] {
@@ -1226,7 +1227,9 @@ RunResult SmtCore::snapshot_result() const {
   export_stats(c, "l1i.", mem_.l1i().stats(), kCacheStatFields);
   export_stats(c, "l1d.", mem_.l1d().stats(), kCacheStatFields);
   export_stats(c, "l2.", mem_.l2().stats(), kCacheStatFields);
-  export_stats(c, "channel.", mem_.channel().stats(), kMemoryChannelStatFields);
+  // Behind a shared backend the private channel is unused (llc.*/dram.* instead).
+  if (shared_ == nullptr)
+    export_stats(c, "channel.", mem_.channel().stats(), kMemoryChannelStatFields);
   if (auditor_.enabled()) {
     export_stats(c, "audit.", auditor_.stats(), kAuditStatFields);
     for (size_t k = 0; k < kViolationKinds.size(); ++k)

@@ -188,7 +188,6 @@ class SmtCore {
   u32 outstanding_l2(ThreadId t) const { return threads_[t].outstanding_l2; }
   const ReorderBuffer& rob(ThreadId t) const { return threads_[t].rob; }
   const IssueQueue& issue_queue() const { return iq_; }
-  MemorySystem& memory() { return mem_; }
   TwoLevelRobController& rob_controller() { return *rob_ctrl_; }
   SecondLevelRob& second_level() { return second_; }
   RenameUnit& rename_unit() { return rename_; }
@@ -197,10 +196,10 @@ class SmtCore {
   const MachineConfig& config() const { return cfg_; }
   const EventWheel& event_wheel() const { return wheel_; }
 
-  /// Attaches a Chrome trace-event writer (nullptr detaches). Unlike the
-  /// text tracer this does not pin the core to cycle-by-cycle execution:
-  /// every span edge and instant happens in a state-changing tick, which
-  /// the idle-cycle fast-forward never skips (obs/chrome_trace.hpp).
+  /// Attaches a Chrome trace-event writer (nullptr detaches). Like the text
+  /// tracer it leaves the idle-cycle fast-forward on: every span edge and
+  /// instant happens in a state-changing tick, which the fast-forward never
+  /// skips (obs/chrome_trace.hpp).
   void attach_chrome_trace(obs::ChromeTraceWriter* writer);
 
   /// Closes any still-open second-level tenure into the attached Chrome
@@ -235,24 +234,24 @@ class SmtCore {
   LoadStoreQueue& lsq_for_test(ThreadId t) { return threads_[t].lsq; }
   IssueQueue& iq_for_test() { return iq_; }
   EventWheel& wheel_for_test() { return wheel_; }
+  /// Pins this core, and so its lockstep machine, to cycle-by-cycle
+  /// execution: the reference the fast-forward is tested against.
+  void pin_for_test() { pinned_ = true; }
 
   /// Builds the RunResult for the current state (run() calls this at exit).
   RunResult snapshot_result() const;
 
   // -- Fast-forward interface (run_lockstep) ---------------------------------
 
-  /// The auditor samples fixed cycle intervals and the tracer logs a window,
-  /// so either being attached pins this core to cycle-by-cycle execution.
-  /// (The Chrome trace and the interval sampler do NOT pin it: trace events
-  /// only happen in state-changing ticks, and skipped sample points are
-  /// replayed by replay_idle_to from the quiescent state.)
-  bool pinned() const { return auditor_.enabled() || tracer_.attached(); }
+  /// Only pin_for_test() pins a core; no observer does (trace events happen
+  /// in executed ticks, replay_idle_to replays skipped audit/sample points).
+  bool pinned() const { return pinned_; }
   /// After an idle tick(): the earliest future cycle anything can happen at
   /// on this core, bounded by `limit`. A result <= now() means no skip.
   Cycle idle_wake(Cycle limit) const;
-  /// Jumps the core to `wake`, replaying per-cycle stall counters, sample
-  /// points and the controller's quiet re-checks for the skipped distance
-  /// (wake must not exceed this core's idle_wake bound).
+  /// Jumps the core to `wake`, replaying per-cycle stall counters, audit and
+  /// sample points and the controller's quiet re-checks for the skipped
+  /// distance (wake must not exceed this core's idle_wake bound).
   void replay_idle_to(Cycle wake);
 
  private:
@@ -309,6 +308,9 @@ class SmtCore {
   void resolve_control(DynInst& di);
   void squash_after(ThreadId tid, u64 tseq);
   void undispatch_after(ThreadId tid, u64 tseq);
+  /// Releases what a squashed or un-dispatched window entry holds (IQ slot,
+  /// outstanding-miss counts, rename state) and poisons its in-flight events.
+  void release_entry(ThreadState& ts, DynInst& d);
   void drop_outstanding_counts(DynInst& di);
   void refresh_audit_ctx();
   /// Captures one interval sample labelled `label` from the current state
@@ -367,6 +369,7 @@ class SmtCore {
   SeqNum next_seq_ = 1;
   u64 commit_rr_ = 0;
   u64 fast_forwarded_ = 0;  // whole run; stats_ counts the measured part
+  bool pinned_ = false;     // pin_for_test()
   // First cycle of the current run of no-op ticks (fast-forwarded cycles
   // included): the controller replays re-checks evaluated since then.
   Cycle quiet_since_ = 0;

@@ -27,9 +27,9 @@ class PipelineTracer {
 
   bool active(Cycle now) const { return os_ != nullptr && now >= start_ && now < end_; }
 
-  /// A stream is attached (regardless of the cycle window). The core's
-  /// idle-cycle fast-forward stays off while tracing so the log shows every
-  /// cycle, including the window's quiet ones.
+  /// A stream is attached (regardless of the cycle window). Tracing leaves the
+  /// idle-cycle fast-forward on: events and notes only happen in ticks it never
+  /// skips (state-changing ones), so the log is the same.
   bool attached() const { return os_ != nullptr; }
 
   /// One line per instruction event. `extra` is appended verbatim.

@@ -3,7 +3,7 @@
 //
 // The audit subsystem makes the simulator's microarchitectural contracts
 // (DESIGN.md §"Invariants & auditing") executable: the core hands every
-// registered check an AuditContext each cycle and the checks recount /
+// registered check an AuditContext at audit points and the checks recount /
 // cross-reference the live structures. Everything here is compiled in
 // unconditionally; the AuditLevel decides at runtime how much work is done,
 // so release builds can leave the cheap tier on permanently (CI does).
@@ -35,8 +35,7 @@ enum class RobScheme : u8;
 /// How much auditing runs.
 ///   kOff:   no checks at all (beyond the per-event hooks being no-ops).
 ///   kCheap: O(window) structural checks every `cheap_interval` cycles —
-///           cheap enough to leave on in CI (<10% throughput, see
-///           bench_sim_speed).
+///           cheap enough to leave on in CI (DESIGN.md §6 records its cost).
 ///   kFull:  kCheap plus the ground-truth recounts (DoD, cross-structure
 ///           pointer identity, rename free-list integrity) every
 ///           `full_interval` cycles.
@@ -57,10 +56,10 @@ inline AuditLevel parse_audit_level(const std::string& name) {
 
 struct AuditConfig {
   AuditLevel level = AuditLevel::kOff;
-  /// Cheap-tier period in cycles (1 = every cycle). The default keeps the
-  /// cheap tier under 10% simulation-throughput overhead (bench_sim_speed's
-  /// audit-overhead benchmarks measure this) while still catching a
-  /// corruption within 8 cycles of it happening.
+  /// Cheap-tier period in cycles (1 = every cycle; InvariantChecker::run_span
+  /// says where the points fall in a fast-forwarded span). The default
+  /// catches a corruption within 8 cycles of it happening (bench_sim_speed's
+  /// audit-overhead benchmarks measure the cost; DESIGN.md §6 records it).
   Cycle cheap_interval = 8;
   /// Full-recount period in cycles (kFull only).
   Cycle full_interval = 64;

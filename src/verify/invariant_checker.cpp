@@ -53,11 +53,17 @@ void InvariantChecker::run_tier(const AuditContext& ctx, InvariantCheck::Tier ti
   }
 }
 
-void InvariantChecker::run_cycle(const AuditContext& ctx) {
+void InvariantChecker::run_span(AuditContext& ctx, Cycle from, Cycle to) {
   if (cfg_.level == AuditLevel::kOff) return;
-  if (ctx.cycle % cfg_.cheap_interval == 0) run_tier(ctx, InvariantCheck::Tier::kCheap);
-  if (cfg_.level == AuditLevel::kFull && ctx.cycle % cfg_.full_interval == 0)
-    run_tier(ctx, InvariantCheck::Tier::kFull);
+  auto at_first_point = [&](InvariantCheck::Tier tier, Cycle interval) {
+    const Cycle gap = (interval - from % interval) % interval;  // cannot overflow
+    if (gap >= to - from) return;
+    ctx.cycle = from + gap;
+    run_tier(ctx, tier);
+  };
+  at_first_point(InvariantCheck::Tier::kCheap, cfg_.cheap_interval);
+  if (cfg_.level == AuditLevel::kFull)
+    at_first_point(InvariantCheck::Tier::kFull, cfg_.full_interval);
 }
 
 u32 InvariantChecker::run_all(const AuditContext& ctx) {

@@ -3,8 +3,8 @@
 // A check is a stateless object inspecting an AuditContext and reporting
 // violations through the checker. The checker owns the violation log, the
 // per-event commit-order state, the audit statistics, and the tier gating
-// (cheap checks every cheap_interval cycles, full checks every
-// full_interval cycles at AuditLevel::kFull).
+// (cheap checks on multiples of cheap_interval, full checks on multiples of
+// full_interval at AuditLevel::kFull).
 //
 // Violations are structured (cycle, thread, check id, detail) so a CI
 // failure names the broken contract instead of dumping an IPC diff; with
@@ -77,16 +77,17 @@ class InvariantChecker {
  public:
   explicit InvariantChecker(const AuditConfig& cfg, u32 num_threads);
 
-  /// Installs the standard check set (rob order, second-level ownership,
-  /// occupancy accounting, DoD recount). Done by the constructor; exposed so
-  /// tests can build a checker with a custom subset.
+  /// Adds a check; the constructor installs the standard set (rob order,
+  /// second-level ownership, occupancy accounting, DoD recount, ...) this way.
   void register_check(std::unique_ptr<InvariantCheck> check);
 
   bool enabled() const { return cfg_.level != AuditLevel::kOff; }
-  const AuditConfig& config() const { return cfg_; }
 
-  /// Per-cycle driver: honours the level and the tier intervals.
-  void run_cycle(const AuditContext& ctx);
+  /// The one audit driver, over cycles [from, to) (from <= to) in which the
+  /// state `ctx` views does not change: one executed tick, or an idle span
+  /// the fast-forward skips. Honours the level; each tier runs once, at the
+  /// first of its audit points inside the span, with ctx.cycle set to it.
+  void run_span(AuditContext& ctx, Cycle from, Cycle to);
 
   /// Runs every registered check (both tiers) immediately, regardless of
   /// level or interval. Returns the number of violations found by this

@@ -35,13 +35,6 @@ MachineConfig sampled(MachineConfig cfg, Cycle interval) {
   return cfg;
 }
 
-// Audit off so the fast-forward actually fires (an armed audit pins every
-// core cycle-by-cycle and would trivialise the FF-equivalence premise).
-MachineConfig fast_forwarding(MachineConfig cfg) {
-  cfg.audit.level = AuditLevel::kOff;
-  return cfg;
-}
-
 u64 stall_sum(const std::array<u64, obs::kStallClassCount>& per_class) {
   return std::accumulate(per_class.begin(), per_class.end(), u64{0});
 }
@@ -107,18 +100,14 @@ TEST(StallTaxonomy, CmpRunAttributesBackendStalls) {
 // machine pinned cycle-by-cycle (one pinned core pins the whole lockstep
 // machine).
 TEST(CmpTelemetry, SeriesAndTaxonomyIdenticalWithAndWithoutFastForward) {
-  const MachineConfig cfg =
-      fast_forwarding(sampled(cmp_config(4, RobScheme::kReactive, 16), 250));
+  const MachineConfig cfg = sampled(cmp_config(4, RobScheme::kReactive, 16), 250);
   const auto benches = benches_for(cfg);
 
   CmpMachine ff(cfg, benches);
   const RunResult with_ff = ff.run(2000);
 
   CmpMachine pinned(cfg, benches);
-  std::ostringstream sink;
-  // A silent text tracer on core 0 pins every core: CmpMachine only
-  // fast-forwards when no core is pinned in the lockstep cycle.
-  pinned.core(0).tracer().attach(&sink, 0, 0);
+  pinned.core(0).pin_for_test();
   const RunResult without_ff = pinned.run(2000);
 
   u64 skipped = 0;
@@ -131,7 +120,6 @@ TEST(CmpTelemetry, SeriesAndTaxonomyIdenticalWithAndWithoutFastForward) {
   ASSERT_FALSE(with_ff.samples.empty());
   EXPECT_EQ(with_ff.samples, without_ff.samples);
   EXPECT_EQ(with_ff.stall_cycles, without_ff.stall_cycles);
-  EXPECT_EQ(sink.str(), "");
 }
 
 // Turning machine-wide sampling on must not perturb the simulated CMP:
@@ -282,7 +270,7 @@ TEST(CmpTelemetry, OneCoreMachineTraceIsTheBareCoreTrace) {
 
 // Attaching the machine-wide trace must not change the simulated CMP.
 TEST(CmpTelemetry, TraceAttachmentDoesNotPerturbTheMachine) {
-  const MachineConfig cfg = fast_forwarding(cmp_config(2, RobScheme::kReactive, 16));
+  const MachineConfig cfg = cmp_config(2, RobScheme::kReactive, 16);
   const auto benches = benches_for(cfg);
 
   CmpMachine plain(cfg, benches);

@@ -248,6 +248,30 @@ TEST(Tracer, EmitsEventsOnlyInsideWindow) {
   }
 }
 
+// The text tracer leaves the idle-cycle fast-forward on: events and notes
+// only happen in state-changing ticks, so a traced run that skips idle
+// cycles logs exactly what a run pinned to cycle-by-cycle execution logs.
+TEST(Tracer, TracedRunFastForwardsWithThePinnedRunsLog) {
+  const MachineConfig cfg = two_level_config(RobScheme::kReactive, 16);
+  const auto benches = mix_benchmarks(table2_mix(3));
+  SmtCore traced(cfg, benches);
+  std::ostringstream log;
+  traced.tracer().attach(&log);
+  const RunResult a = traced.run(2000);
+  SmtCore pinned(cfg, benches);
+  std::ostringstream reference;
+  pinned.tracer().attach(&reference);
+  pinned.pin_for_test();
+  const RunResult b = pinned.run(2000);
+
+  EXPECT_GT(traced.fast_forwarded_cycles(), 0u);
+  EXPECT_EQ(pinned.fast_forwarded_cycles(), 0u);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_NE(log.str().find("granted second-level partition"), std::string::npos);
+  EXPECT_NE(log.str().find("squash after"), std::string::npos);
+  EXPECT_TRUE(log.str() == reference.str());  // not EXPECT_EQ: megabytes of diff
+}
+
 TEST(Tracer, DetachedTracerIsFree) {
   MachineConfig cfg = single_thread_config();
   SmtCore core(cfg, {spec_benchmark("gzip")});

@@ -176,15 +176,6 @@ TEST(MemorySystem, PrewarmMakesRegionResident) {
   EXPECT_FALSE(a.l2_miss);
 }
 
-TEST(MemorySystem, PrewarmHotPrefixSurvivesColdBody) {
-  MemoryConfig cfg;
-  MemorySystem ms(cfg);
-  // Region far larger than the L2, with a 256KB reused prefix.
-  ms.prewarm_region(0x1000000, 8 << 20, 256 << 10);
-  const DataAccess hot = ms.access_data(0x1000000 + 1024, false, 0);
-  EXPECT_FALSE(hot.l2_miss) << "hot prefix must be resident after prewarm";
-}
-
 TEST(MemorySystem, StoresDirtyTheLine) {
   MemoryConfig cfg;
   MemorySystem ms(cfg);

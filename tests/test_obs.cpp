@@ -25,15 +25,6 @@ MachineConfig sampled_config(Cycle interval) {
   return cfg;
 }
 
-// The fast-forward-equivalence tests below assert that cycles actually get
-// skipped, which requires the audit off (an armed audit pins the core to
-// cycle-by-cycle execution). Force it off so a $TLROB_AUDIT=cheap
-// environment (the CI test jobs) can't invalidate the tests' premise.
-MachineConfig fast_forwarding(MachineConfig cfg) {
-  cfg.audit.level = AuditLevel::kOff;
-  return cfg;
-}
-
 // The determinism contract at the heart of the design: the series recorded
 // with idle-cycle fast-forwarding active (skipped sample points replayed
 // from the quiescent state) is bit-identical to the series recorded while
@@ -41,14 +32,11 @@ MachineConfig fast_forwarding(MachineConfig cfg) {
 TEST(IntervalSampler, SeriesIdenticalWithAndWithoutFastForward) {
   const auto benches = mix_benchmarks(table2_mix(2));
 
-  SmtCore ff(fast_forwarding(sampled_config(250)), benches);
+  SmtCore ff(sampled_config(250), benches);
   const RunResult with_ff = ff.run(4000);
 
-  SmtCore pinned(fast_forwarding(sampled_config(250)), benches);
-  // An attached text tracer pins the core to cycle-by-cycle execution; a
-  // [0, 0) window keeps it silent, so the only difference is the pinning.
-  std::ostringstream sink;
-  pinned.tracer().attach(&sink, 0, 0);
+  SmtCore pinned(sampled_config(250), benches);
+  pinned.pin_for_test();
   const RunResult without_ff = pinned.run(4000);
 
   // The comparison is only meaningful if the first run actually skipped
@@ -59,7 +47,6 @@ TEST(IntervalSampler, SeriesIdenticalWithAndWithoutFastForward) {
   EXPECT_EQ(with_ff.cycles, without_ff.cycles);
   ASSERT_FALSE(with_ff.samples.empty());
   EXPECT_EQ(with_ff.samples, without_ff.samples);
-  EXPECT_EQ(sink.str(), "");  // the pinning tracer never printed
 }
 
 // Turning the sampler on must not perturb the simulated machine: cycles,
@@ -207,7 +194,7 @@ TEST(ChromeTrace, GrantLifecycleSpansAppearInATwoLevelRun) {
 // state-changing ticks only and never pins the fast-forward off).
 TEST(ChromeTrace, AttachmentDoesNotPerturbTheRun) {
   const auto benches = mix_benchmarks(table2_mix(2));
-  const MachineConfig cfg = fast_forwarding(two_level_config(RobScheme::kReactive, 16));
+  const MachineConfig cfg = two_level_config(RobScheme::kReactive, 16);
 
   SmtCore plain(cfg, benches);
   const RunResult a = plain.run(3000);

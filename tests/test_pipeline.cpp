@@ -196,8 +196,7 @@ TEST(IssueQueue, CollectOrderIsSlotOrderNotAge) {
 
 // Regression test for the tracer's cycle-window edges: the window is
 // half-open [start, end) — an event at start-1 or end must not print, events
-// at start and end-1 must. The fast-forward gate (attached()) is independent
-// of the window so the core keeps single-stepping even outside it.
+// at start and end-1 must. attached() is independent of the window.
 TEST(PipelineTracer, WindowEdgesAreHalfOpen) {
   PipelineTracer tracer;
   static const StaticInst w = alu(ireg(1));
@@ -226,7 +225,7 @@ TEST(PipelineTracer, WindowEdgesAreHalfOpen) {
   tracer.note(200, "late");
   EXPECT_EQ(log.str(), before_end);
 
-  // Detaching clears attached() — and with it the fast-forward inhibition.
+  // Detaching clears attached().
   tracer.attach(nullptr);
   EXPECT_FALSE(tracer.attached());
   EXPECT_FALSE(tracer.active(150));

@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <random>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -334,20 +333,20 @@ TEST(CmpDifferential, SmtCoreRunMatchesOneCoreMachineOnEveryPreset) {
 // The run loop skips provably idle cycles and replays the per-cycle counters
 // across them (SmtCore::replay_idle_to). Every cell runs through CmpMachine
 // twice, once fast-forwarding and once pinned to cycle-by-cycle execution
-// by a silent text tracer on core 0; cycles, commits, both DoD histograms
-// and every counter except core.fast_forwarded_cycles must agree.
+// through core 0's pin_for_test(); cycles, commits, both DoD histograms and
+// every counter except core.fast_forwarded_cycles and audit.checks_run must
+// agree. An armed audit ($TLROB_AUDIT) runs in both: the fast-forward audits
+// each skipped span once per tier, so only its check count differs.
 
 /// Returns the fast-forwarded run's result.
-RunResult expect_fast_forward_matches_pinned(MachineConfig cfg,
+RunResult expect_fast_forward_matches_pinned(const MachineConfig& cfg,
                                              const std::vector<Benchmark>& benches, u64 insts,
                                              u64 max_cycles, u64 warmup,
                                              const std::string& where) {
-  cfg.audit.level = AuditLevel::kOff;  // the auditor would pin both runs
   CmpMachine ff(cfg, benches);
   RunResult a = ff.run(insts, max_cycles, warmup);
   CmpMachine pinned(cfg, benches);
-  std::ostringstream sink;
-  pinned.core(0).tracer().attach(&sink, 0, 0);
+  pinned.core(0).pin_for_test();
   RunResult b = pinned.run(insts, max_cycles, warmup);
 
   EXPECT_GT(ff.core(0).fast_forwarded_cycles(), 0u) << where;
@@ -362,10 +361,11 @@ RunResult expect_fast_forward_matches_pinned(MachineConfig cfg,
   EXPECT_EQ(a.dod_proxy, b.dod_proxy) << where;
   EXPECT_EQ(run_counter(a, "rob.rejected_high_dod"), run_counter(b, "rob.rejected_high_dod"))
       << where;
-  a.counters.erase("core.fast_forwarded_cycles");
-  b.counters.erase("core.fast_forwarded_cycles");
+  for (const char* differs : {"core.fast_forwarded_cycles", "audit.checks_run"}) {
+    a.counters.erase(differs);
+    b.counters.erase(differs);
+  }
   EXPECT_EQ(a.counters, b.counters) << where;
-  EXPECT_EQ(sink.str(), "") << where;
   return a;
 }
 

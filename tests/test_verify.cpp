@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "sim/presets.hpp"
 #include "sim/smt_sim.hpp"
@@ -108,12 +110,119 @@ INSTANTIATE_TEST_SUITE_P(AllocationSchemes, CleanSchemes,
                                            RobScheme::kAdaptive),
                          [](const auto& info) { return clean_scheme_id(info.param); });
 
+// The audit watches the path every run takes: a fully audited run
+// fast-forwards its idle spans, auditing each once per tier, and its results
+// match an unaudited run's in everything outside audit.*.
+TEST(CleanRuns, FullAuditFastForwardsAndChangesNothingElse) {
+  MachineConfig cfg = two_level_config(RobScheme::kReactive, 16);
+  cfg.audit = AuditConfig{};
+  const auto benches = mix_benchmarks(table2_mix(1));
+  SmtCore plain(cfg, benches);
+  RunResult a = plain.run(4000, 0, 1000);
+  cfg.audit.level = AuditLevel::kFull;
+  cfg.audit.abort_on_violation = true;
+  SmtCore audited(cfg, benches);
+  RunResult b = audited.run(4000, 0, 1000);
+
+  EXPECT_GT(run_counter(b, "core.fast_forwarded_cycles"), 0u);
+  EXPECT_GT(run_counter(b, "audit.checks_run"), 0u);
+  EXPECT_EQ(run_counter(b, "audit.violations"), 0u);
+  EXPECT_EQ(a.cycles, b.cycles);
+  ASSERT_EQ(a.threads.size(), b.threads.size());
+  for (size_t t = 0; t < a.threads.size(); ++t)
+    EXPECT_EQ(a.threads[t].committed, b.threads[t].committed) << "thread " << t;
+  EXPECT_EQ(a.dod_true, b.dod_true);
+  EXPECT_EQ(a.dod_proxy, b.dod_proxy);
+  std::erase_if(b.counters, [](const auto& kv) { return kv.first.starts_with("audit."); });
+  EXPECT_EQ(a.counters, b.counters);
+}
+
 TEST(CleanRuns, SingleThreadFullAudit) {
   MachineConfig cfg = single_thread_config();
   cfg.audit = full_audit(true);
   SmtCore core(cfg, {spec_benchmark("art")});
   EXPECT_NO_THROW(core.run(4000));
   EXPECT_EQ(core.auditor().total_violations(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The span driver: one gating rule for executed ticks and skipped spans
+// ---------------------------------------------------------------------------
+
+/// Records the cycle of every run; optionally reports a violation there.
+class RecordingCheck final : public InvariantCheck {
+ public:
+  RecordingCheck(Tier tier, std::vector<Cycle>& runs, bool fire = false)
+      : tier_(tier), runs_(runs), fire_(fire) {}
+  const char* id() const override { return "recording"; }
+  Tier tier() const override { return tier_; }
+  void run(const AuditContext& ctx, InvariantChecker& out) const override {
+    runs_.push_back(ctx.cycle);
+    if (fire_) out.violation(ctx.cycle, kNoThread, "rob.order", "recording check fired");
+  }
+
+ private:
+  Tier tier_;
+  std::vector<Cycle>& runs_;
+  bool fire_;
+};
+
+/// A full-level checker (cheap tier every 8 cycles, full every 64) with one
+/// recording check per tier; the standard checks see a fresh one-thread core.
+struct SpanFixture {
+  SmtCore core{single_thread_config(), {spec_benchmark("crafty")}};
+  AuditContext ctx;
+  std::vector<Cycle> cheap, full;
+  InvariantChecker checker;
+
+  explicit SpanFixture(bool fire = false, Cycle cheap_interval = 8)
+      : checker(AuditConfig{AuditLevel::kFull, cheap_interval, 64, false, 64}, 1) {
+    ctx.num_threads = 1;
+    ctx.robs = {&core.rob(0)};
+    ctx.lsqs = {&core.lsq_for_test(0)};
+    ctx.iq = &core.issue_queue();
+    ctx.rename = &core.rename_unit();
+    ctx.second = &core.second_level();
+    ctx.ctrl = &core.rob_controller();
+    ctx.wheel = &core.event_wheel();
+    ctx.outstanding_l1 = ctx.outstanding_l2 = {0};
+    checker.register_check(
+        std::make_unique<RecordingCheck>(InvariantCheck::Tier::kCheap, cheap, fire));
+    checker.register_check(std::make_unique<RecordingCheck>(InvariantCheck::Tier::kFull, full));
+  }
+  void span(Cycle from, Cycle to) { checker.run_span(ctx, from, to); }
+};
+
+TEST(AuditSpan, SpanWithoutAnAuditPointRunsNothing) {
+  SpanFixture f;
+  f.span(1, 8);
+  f.span(65, 72);
+  f.span(9, 9);
+  EXPECT_TRUE(f.cheap.empty());
+  EXPECT_TRUE(f.full.empty());
+  EXPECT_EQ(f.checker.checks_executed(), 0u);
+  // An interval near the top of the cycle range must not wrap around.
+  SpanFixture huge(false, ~Cycle{0} - 1);
+  huge.span(5, 1000000);
+  EXPECT_TRUE(huge.cheap.empty());
+}
+
+TEST(AuditSpan, EachTierRunsOnceAtItsFirstPoint) {
+  SpanFixture f;
+  f.span(3, 200);  // cheap points 8, 16, ..., 192; full points 64, 128, 192
+  EXPECT_EQ(f.cheap, std::vector<Cycle>{8});
+  EXPECT_EQ(f.full, std::vector<Cycle>{64});
+  f.span(256, 257);  // the one-cycle case of an executed tick
+  EXPECT_EQ(f.cheap, (std::vector<Cycle>{8, 256}));
+  EXPECT_EQ(f.full, (std::vector<Cycle>{64, 256}));
+}
+
+TEST(AuditSpan, ViolationReportsTheFirstPointsCycle) {
+  SpanFixture f(/*fire=*/true);
+  f.span(3, 200);
+  ASSERT_EQ(f.checker.violations().size(), 1u) << f.checker.report();
+  EXPECT_EQ(f.checker.violations()[0].cycle, 8u);
+  EXPECT_EQ(f.checker.violations()[0].check, "rob.order");
 }
 
 // ---------------------------------------------------------------------------
