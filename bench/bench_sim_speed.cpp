@@ -107,8 +107,9 @@ BENCHMARK(BM_TraceFrontendDecode)->Unit(benchmark::kMillisecond);
 // CMP-engine throughput: four SMT cores (16 hardware threads) in lockstep
 // behind the shared LLC + banked DRAM, each core on a different Table 2
 // mix. Exercises everything the single-core benches cannot: the per-cycle
-// all-core tick loop, the machine-wide idle fast-forward (all cores must
-// agree), and the shared-backend request path under cross-core contention.
+// lockstep tick loop, the per-core idle fast-forward (a core sleeps while
+// its peers run), and the shared-backend request path under cross-core
+// contention.
 // Cycles counted once per machine (lockstep), so cycles/s compares directly
 // with the 1-core numbers as "machine cycles simulated per second".
 void BM_CmpFourCoreMix(benchmark::State& state) {

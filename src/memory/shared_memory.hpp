@@ -96,7 +96,7 @@ class SharedMemory {
   /// merge instants on an "llc" track (tid = one past the DRAM bank tids),
   /// and per-bank row-buffer instants via DramModel::attach_chrome_trace.
   /// Every hook fires inside a request call — state-changing ticks only — so
-  /// the trace is identical under machine-wide idle fast-forward.
+  /// the trace is identical under the per-core idle fast-forward.
   void attach_chrome_trace(obs::ChromeTraceWriter* w);
 
   void reset_stats();

@@ -156,6 +156,11 @@ int run_from_options(const std::string& preset, const Options& opts) {
   std::vector<ResultSink*> sinks;
   if (want_json) sinks.push_back(open_sink(opts.get("json"), /*csv=*/false));
   if (want_csv) sinks.push_back(open_sink(opts.get("csv"), /*csv=*/true));
+  // A structured sink on stdout keeps it to itself: the rendered tables and
+  // epilogues go to stderr, so every stdout line stays one record.
+  const bool sink_on_stdout =
+      (want_json && opts.get("json") == "-") || (want_csv && opts.get("csv") == "-");
+  std::FILE* const text = sink_on_stdout ? stderr : stdout;
 
   // The campaigns run in order in this process, so they share the cell
   // memo; the sinks and the manifest see what separate runs would have
@@ -168,12 +173,12 @@ int run_from_options(const std::string& preset, const Options& opts) {
     eng.manifest_path = manifest_path;
     eng.resume = resume;
     eng.append_manifest = i > 0;
-    FtTableSink table(stdout, run.title);
+    FtTableSink table(text, run.title);
     if (render && run.table) eng.sinks.push_back(&table);
     eng.sinks.insert(eng.sinks.end(), sinks.begin(), sinks.end());
 
     const CampaignResult result = run_campaign(run.spec, eng);
-    if (render && run.epilogue != nullptr) run.epilogue(result, run.spec, stdout);
+    if (render && run.epilogue != nullptr) run.epilogue(result, run.spec, text);
     std::cerr << "campaign " << run.spec.name << ": " << result.records.size() << " cells, "
               << result.ok << " ok (" << result.deduplicated << " deduplicated), "
               << result.failed << " failed, " << result.resumed << " resumed (" << jobs

@@ -95,10 +95,9 @@ RunResult CmpMachine::snapshot_result() const {
     r.dod_true.merge(rc.dod_true);
     r.dod_proxy.merge(rc.dod_proxy);
     // Per-core counters sum under their historical names ("l2.misses" is the
-    // machine-wide L2 miss count, etc.). Lockstep cores skip idle cycles
-    // together, so the skipped-cycle count stays core 0's.
-    for (const auto& [name, v] : rc.counters)
-      if (name != "core.fast_forwarded_cycles") r.counters[name] += v;
+    // machine-wide L2 miss count, core.fast_forwarded_cycles the core-cycles
+    // skipped, etc.).
+    for (const auto& [name, v] : rc.counters) r.counters[name] += v;
   }
   if (cores_.size() > 1 && cores_.front()->samples().enabled()) {
     std::vector<const obs::IntervalSeries*> series;

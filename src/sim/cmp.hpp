@@ -5,20 +5,22 @@
 // issue queue, register files, and its own second-level ROB partition — and
 // the cores couple only through SharedMemory (memory/shared_memory.hpp),
 // whose latency-chain contract means the memory side never generates events
-// of its own. That makes the machine-wide run loop (run_lockstep in
-// sim/smt_sim.hpp, the same loop a standalone SmtCore runs) simple and the
-// global idle fast-forward sound:
+// of its own or writes a core's private state. That makes the machine-wide
+// run loop (run_lockstep in sim/smt_sim.hpp, the same loop a standalone
+// SmtCore runs) simple and the per-core idle fast-forward sound:
 //
-//   - Cores tick in fixed index order every cycle (deterministic
+//   - Awake cores tick in fixed index order every cycle (deterministic
 //     interleaving of LLC/DRAM requests).
-//   - The machine fast-forwards only when EVERY core proved its cycle idle
-//     in the same lockstep cycle; the jump target is the minimum of the
-//     cores' individual wake bounds, and each core replays its own stall
-//     counters and sample points across the skipped distance.
+//   - A core whose tick was idle sleeps until its own wake bound while its
+//     peers keep ticking; it takes its samples in its own slot (they read
+//     the shared MSHR pool) and replays its stall counters across the
+//     skipped distance when it wakes. The machine clock jumps only when
+//     every core sleeps.
 //
 // Result merging: per-thread results concatenate core-major (core c's
 // thread t is machine thread c*M + t, matching the workload slicing and the
-// address-space bases), per-core counters sum under their historical names,
+// address-space bases), per-core counters sum under their historical names
+// (core.fast_forwarded_cycles counts core-cycles skipped),
 // the shared llc.*/dram.* families append once, and the DoD histograms
 // merge. A 1-core machine without an LLC has no backend, so its result is
 // exactly its core's.

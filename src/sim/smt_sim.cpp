@@ -908,6 +908,7 @@ bool SmtCore::tick() {
   obs::enter(obs::Phase::kLoop);
   if (active) quiet_since_ = cycle_ + 1;
   ++cycle_;
+  idle_from_ = cycle_;
   return active;
 }
 
@@ -1002,38 +1003,48 @@ Cycle SmtCore::idle_wake(Cycle limit) const {
 
 void SmtCore::replay_idle_to(Cycle wake) {
   // A skippable cycle is by definition one in which no machine state
-  // changes, so every audit and sample point inside the skipped span would
-  // have seen exactly the state visible now: audit the span once per tier,
-  // then replay the sample points (label L is the state after cycle L-1).
+  // changes, so every audit point inside the skipped span would have seen
+  // exactly the state visible now: audit the whole span once per tier, also
+  // when sample points split its replay (advance_idle_to).
   if (auditor_.enabled()) {
     const obs::PhaseScope ps(obs::Phase::kAudit);
     refresh_audit_ctx();
-    auditor_.run_span(audit_ctx_, cycle_, wake);
+    auditor_.run_span(audit_ctx_, idle_from_, wake);
   }
+  advance_idle_to(wake);
+}
+
+void SmtCore::advance_idle_to(Cycle to) {
   if (sample_every_ != 0) {
-    // Interleave the taxonomy with the sample replay: a sample labelled L
-    // must carry the attribution of every cycle < L, exactly as the tick
-    // path orders attribute_tick() before record_sample().
+    // Replay the sample points (label L is the state after cycle L-1),
+    // interleaving the taxonomy: a sample labelled L must carry the
+    // attribution of every cycle < L, exactly as the tick path orders
+    // attribute_tick() before record_sample().
     Cycle attributed = cycle_;
-    while (next_sample_ <= wake) {
+    while (next_sample_ <= to) {
       attribute_idle_span(attributed, next_sample_);
       attributed = next_sample_;
       record_sample(next_sample_);
       next_sample_ += sample_every_;
     }
-    attribute_idle_span(attributed, wake);
+    attribute_idle_span(attributed, to);
   }
 
-  const u64 skipped = wake - cycle_;
+  // The base moves with the counter, so a span replayed in several calls
+  // repeats the last tick's delta, not the sum of earlier replays.
+  const u64 skipped = to - cycle_;
   for (const auto& f : kCorePerCycleStatFields) {
     u64& counter = stats_.per_cycle.*f.member;
-    counter += (counter - per_cycle_base_.*f.member) * skipped;
+    u64& base = per_cycle_base_.*f.member;
+    const u64 replayed = (counter - base) * skipped;
+    counter += replayed;
+    base += replayed;
   }
-  rob_ctrl_->replay_idle_to(wake, quiet_since_);
+  rob_ctrl_->replay_idle_to(to, quiet_since_);
   commit_rr_ += skipped;  // do_commit advances the rotation every cycle
   fast_forwarded_ += skipped;
   stats_.fast_forwarded_cycles += skipped;
-  cycle_ = wake;
+  cycle_ = to;
 }
 
 void SmtCore::attach_chrome_trace(obs::ChromeTraceWriter* writer) {
@@ -1163,10 +1174,13 @@ RunResult SmtCore::run(u64 commit_target, u64 max_cycles, u64 warmup_insts) {
 void run_lockstep(std::span<SmtCore* const> cores, u64 commit_target, u64 max_cycles,
                   u64 warmup_insts) {
   if (max_cycles == 0) max_cycles = (warmup_insts + commit_target) * 400 + 200000;
-  // A core pinned by a test pins the whole machine: lockstep only holds if
-  // nobody fast-forwards past a cycle a peer executed.
+  // A core pinned by a test pins the whole machine: nobody sleeps.
   const bool pinned = std::ranges::any_of(cores, &SmtCore::pinned);
-  const SmtCore& lead = *cores.front();  // every core's clock equals this one
+  Cycle now = cores.front()->now();  // the machine clock; every core starts on it
+  // A core whose tick was idle sleeps until its own wake bound: sound because
+  // the shared backend never wakes a core or writes its private state
+  // (latency chain), so peers cannot end its quiet spell. 0 = awake.
+  std::vector<Cycle> wake(cores.size(), 0);
 
   auto fastest_measured = [cores] {
     u64 best = 0;
@@ -1174,26 +1188,53 @@ void run_lockstep(std::span<SmtCore* const> cores, u64 commit_target, u64 max_cy
     return best;
   };
   auto step = [&] {
-    // Tick every core, no short-circuit: all cores advance this cycle.
-    bool any = false;
-    for (SmtCore* c : cores) any = c->tick() || any;
-    if (any || pinned) return;
-    // Globally idle cycle: jump to the earliest cycle anything can happen at
-    // on ANY core. The shared backend never wakes a core on its own (latency
-    // chain), so the per-core wake bounds are machine-wide sound.
-    Cycle wake = max_cycles;
-    for (const SmtCore* c : cores) wake = std::min(wake, c->idle_wake(max_cycles));
-    if (wake <= lead.now()) return;
-    for (SmtCore* c : cores) c->replay_idle_to(wake);
+    // Cores take their slots in index order (the deterministic interleaving
+    // of shared LLC/DRAM requests); `next` is the next cycle any core needs
+    // a slot in.
+    Cycle next = max_cycles;
+    for (size_t i = 0; i < cores.size(); ++i) {
+      SmtCore& c = *cores[i];
+      if (wake[i] > now) {
+        // Asleep. A sample reads the shared MSHR pool, which peers change, so
+        // the sample labelled L is taken in this core's slot of cycle L - 1,
+        // as its idle tick would have taken it.
+        if (c.sample_slot() == now) c.advance_idle_to(now + 1);
+        next = std::min({next, wake[i], c.sample_slot()});
+        continue;
+      }
+      if (wake[i] != 0) {
+        c.replay_idle_to(now);
+        wake[i] = 0;
+      }
+      const Cycle w = c.tick() || pinned ? now + 1 : c.idle_wake(max_cycles);
+      if (w <= now + 1) {
+        next = now + 1;
+        continue;
+      }
+      wake[i] = w;
+      next = std::min({next, w, c.sample_slot()});
+    }
+    now = next;
+  };
+  // Brings every sleeping core up to the machine clock, awake.
+  auto wake_all = [&] {
+    for (size_t i = 0; i < cores.size(); ++i)
+      if (wake[i] != 0) {
+        cores[i]->replay_idle_to(now);
+        wake[i] = 0;
+      }
   };
 
   if (warmup_insts > 0) {
-    while (lead.now() < max_cycles && fastest_measured() < warmup_insts) step();
-    // Every core resets at the same lockstep boundary; each also resets the
-    // shared backend's stats (idempotent repeats).
+    while (now < max_cycles && fastest_measured() < warmup_insts) step();
+    // The reset moves the partition holder's lease clock, so every core
+    // resets on the machine clock and ticks the first measured cycle; each
+    // also resets the shared backend's stats (idempotent repeats).
+    wake_all();
     for (SmtCore* c : cores) c->reset_measurement();
   }
-  while (lead.now() < max_cycles && fastest_measured() < commit_target) step();
+  while (now < max_cycles && fastest_measured() < commit_target) step();
+  wake_all();
   for (SmtCore* c : cores) c->flush_chrome_trace();
 }
 

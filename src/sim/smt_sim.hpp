@@ -17,7 +17,7 @@
 // collection is a reused member buffer; the DynInst windows are fixed ring
 // slabs; and the run loop (run_lockstep below) fast-forwards runs of
 // provably idle cycles — every stage reports whether it changed state, and
-// when none did, the core jumps straight to the next cycle at which anything
+// when none did, the core sleeps until the next cycle at which anything
 // *can* happen (next scheduled event, next frontend-head maturity, next
 // fetch-stall expiry, next controller re-check), replaying the per-cycle
 // stall counters for the skipped distance. Statistics are bit-identical to the cycle-by-cycle
@@ -57,7 +57,7 @@ namespace tlrob {
 
 /// SmtCore counters that accrue once per cycle while the core is stalled.
 /// An idle cycle repeats the previous cycle's increments, so
-/// replay_idle_to() multiplies each field's last-tick delta across the
+/// advance_idle_to() multiplies each field's last-tick delta across the
 /// skipped cycles; a field added here is replayed with no further edit.
 struct CorePerCycleStats {
   u64 stall_rob = 0;
@@ -110,8 +110,8 @@ struct CoreStats {
   u64 mispredicts_resolved = 0;
   u64 mispredicts_fetched = 0;
   u64 early_released = 0;
-  /// Cycles the run loop skipped by idle fast-forward. Lockstep cores skip
-  /// together, so a CMP machine reports one core's count.
+  /// Cycles the run loop skipped by idle fast-forward. Each core sleeps on
+  /// its own, so a CMP machine reports the sum: core-cycles skipped.
   u64 fast_forwarded_cycles = 0;
 };
 
@@ -249,9 +249,16 @@ class SmtCore {
   /// After an idle tick(): the earliest future cycle anything can happen at
   /// on this core, bounded by `limit`. A result <= now() means no skip.
   Cycle idle_wake(Cycle limit) const;
-  /// Jumps the core to `wake`, replaying per-cycle stall counters, audit and
+  /// While the core sleeps: the cycle in whose slot run_lockstep takes its
+  /// next sample (advance_idle_to past it), kNeverCycle when sampling is off.
+  Cycle sample_slot() const { return sample_every_ != 0 ? next_sample_ - 1 : kNeverCycle; }
+  /// Jumps a sleeping core to `to`, replaying per-cycle stall counters,
   /// sample points and the controller's quiet re-checks for the skipped
-  /// distance (wake must not exceed this core's idle_wake bound).
+  /// distance (`to` must not exceed its idle_wake bound). A sleep may be
+  /// replayed in several calls; replay_idle_to ends it.
+  void advance_idle_to(Cycle to);
+  /// Ends a sleep at `wake`: audits the whole skipped span once per tier,
+  /// then advance_idle_to(wake).
   void replay_idle_to(Cycle wake);
 
  private:
@@ -314,7 +321,7 @@ class SmtCore {
   void drop_outstanding_counts(DynInst& di);
   void refresh_audit_ctx();
   /// Captures one interval sample labelled `label` from the current state
-  /// (also called from replay_idle_to()'s fast-forward replay, where the
+  /// (also called from advance_idle_to()'s fast-forward replay, where the
   /// quiescent state is exactly the state every skipped cycle saw).
   void record_sample(Cycle label);
   /// Stall-cycle taxonomy (active iff sampling is on): classifies thread `t`
@@ -373,8 +380,12 @@ class SmtCore {
   // First cycle of the current run of no-op ticks (fast-forwarded cycles
   // included): the controller replays re-checks evaluated since then.
   Cycle quiet_since_ = 0;
+  // First cycle after the last executed tick: the start of the skipped span
+  // replay_idle_to audits.
+  Cycle idle_from_ = 0;
   // Per-cycle counters captured by tick() before the tick ran; the deltas
-  // are what replay_idle_to() multiplies across skipped cycles.
+  // are what advance_idle_to() multiplies across skipped cycles, moving
+  // this base with each counter.
   CorePerCycleStats per_cycle_base_;
   Rng wp_rng_;
 
@@ -418,16 +429,20 @@ class SmtCore {
 };
 
 /// The one run loop every machine goes through (SmtCore::run and
-/// CmpMachine::run). Ticks `cores` in lockstep, in index order (the
-/// deterministic interleaving of shared LLC/DRAM requests), until any thread
-/// on any core has committed `commit_target` instructions or `max_cycles`
-/// elapse (0 = derive a generous bound from the target). `warmup_insts`
-/// commits per fastest thread are executed first and then excluded from
-/// every statistic — the stand-in for the paper's Simpoint fast-forwarding
-/// (cold caches otherwise dominate short runs). The machine fast-forwards
-/// only when EVERY core proved its cycle idle, to the earliest of their wake
-/// bounds, and never while any core is pinned(). Closes open Chrome-trace
-/// tenures at exit; callers take snapshot_result() afterwards.
+/// CmpMachine::run). Ticks `cores` in lockstep on one machine clock, each in
+/// its index slot (the deterministic interleaving of shared LLC/DRAM
+/// requests), until any thread on any core has committed `commit_target`
+/// instructions or `max_cycles` elapse (0 = derive a generous bound from the
+/// target). `warmup_insts` commits per fastest thread are executed first and
+/// then excluded from every statistic — the stand-in for the paper's
+/// Simpoint fast-forwarding (cold caches otherwise dominate short runs).
+/// A core whose tick was idle sleeps until its own wake bound while its
+/// peers run: the loop passes over it (stopping in its slot only to take
+/// its samples) and replays the skipped span when it wakes. The clock jumps
+/// only when every core sleeps, to the earliest wake or sample slot. No core
+/// sleeps while any core is pinned(). Every core is brought up to the clock,
+/// awake, for the warmup reset and at exit, where open Chrome-trace tenures
+/// are closed; callers take snapshot_result() afterwards.
 void run_lockstep(std::span<SmtCore* const> cores, u64 commit_target, u64 max_cycles = 0,
                   u64 warmup_insts = 0);
 

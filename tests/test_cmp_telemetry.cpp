@@ -1,7 +1,7 @@
 // CMP-wide telemetry tests: the closed stall-cycle taxonomy (every measured
 // cycle of every thread attributed to exactly one StallClass, in every
 // preset, with or without idle fast-forwarding), the machine-wide interval
-// sampler under CmpMachine's global fast-forward, the interference rollup
+// sampler under CmpMachine's per-core fast-forward, the interference rollup
 // counters, and the merged per-core/backend Chrome trace.
 #include <gtest/gtest.h>
 
@@ -96,7 +96,7 @@ TEST(StallTaxonomy, CmpRunAttributesBackendStalls) {
 }
 
 // Machine-wide determinism contract: the merged series AND the taxonomy of
-// a CmpMachine using the global idle fast-forward are bit-identical to a
+// a CmpMachine using the per-core idle fast-forward are bit-identical to a
 // machine pinned cycle-by-cycle (one pinned core pins the whole lockstep
 // machine).
 TEST(CmpTelemetry, SeriesAndTaxonomyIdenticalWithAndWithoutFastForward) {

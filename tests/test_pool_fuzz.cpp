@@ -220,8 +220,8 @@ TEST(WheelFuzz, LongJumpDeliversOverflowEvents) {
 // ---------------------------------------------------------------------------
 //
 // The lockstep engine adds two failure surfaces the single-core fuzz cannot
-// reach: the machine-wide idle fast-forward (every core must prove the same
-// cycle idle, and the replay must keep per-core stall counters exact) and
+// reach: the per-core idle fast-forward (a core sleeps while its peers run,
+// and the replay must keep per-core stall counters exact) and
 // the shared LLC/MSHR/DRAM bookkeeping that every core mutates in arrival
 // order. Squash storms on several cores at once churn both.
 
@@ -330,15 +330,16 @@ TEST(CmpDifferential, SmtCoreRunMatchesOneCoreMachineOnEveryPreset) {
 // Differential: idle fast-forward changes nothing but the skipped-cycle count.
 // ---------------------------------------------------------------------------
 //
-// The run loop skips provably idle cycles and replays the per-cycle counters
-// across them (SmtCore::replay_idle_to). Every cell runs through CmpMachine
-// twice, once fast-forwarding and once pinned to cycle-by-cycle execution
-// through core 0's pin_for_test(); cycles, commits, both DoD histograms and
-// every counter except core.fast_forwarded_cycles and audit.checks_run must
-// agree. An armed audit ($TLROB_AUDIT) runs in both: the fast-forward audits
-// each skipped span once per tier, so only its check count differs.
+// The run loop lets each idle core sleep and replays the per-cycle counters
+// across its skipped cycles (SmtCore::replay_idle_to). Every cell runs
+// through CmpMachine twice, once fast-forwarding and once pinned to
+// cycle-by-cycle execution through core 0's pin_for_test(); cycles, commits,
+// both DoD histograms, the sample series, the stall taxonomy and every
+// counter except core.fast_forwarded_cycles and audit.checks_run must agree.
+// An armed audit ($TLROB_AUDIT) runs in both: the fast-forward audits each
+// skipped span once per tier, so only its check count differs.
 
-/// Returns the fast-forwarded run's result.
+/// Returns the fast-forwarded run's result, every counter included.
 RunResult expect_fast_forward_matches_pinned(const MachineConfig& cfg,
                                              const std::vector<Benchmark>& benches, u64 insts,
                                              u64 max_cycles, u64 warmup,
@@ -351,7 +352,7 @@ RunResult expect_fast_forward_matches_pinned(const MachineConfig& cfg,
 
   EXPECT_GT(ff.core(0).fast_forwarded_cycles(), 0u) << where;
   EXPECT_EQ(pinned.core(0).fast_forwarded_cycles(), 0u) << where;
-  EXPECT_LE(run_counter(a, "core.fast_forwarded_cycles"), a.cycles) << where;
+  EXPECT_LE(run_counter(a, "core.fast_forwarded_cycles"), a.cycles * cfg.num_cores) << where;
   EXPECT_EQ(run_counter(b, "core.fast_forwarded_cycles"), 0u) << where;
   EXPECT_EQ(a.cycles, b.cycles) << where;
   EXPECT_EQ(a.threads.size(), b.threads.size()) << where;
@@ -359,13 +360,16 @@ RunResult expect_fast_forward_matches_pinned(const MachineConfig& cfg,
     EXPECT_EQ(a.threads[t].committed, b.threads[t].committed) << where << " thread " << t;
   EXPECT_EQ(a.dod_true, b.dod_true) << where;
   EXPECT_EQ(a.dod_proxy, b.dod_proxy) << where;
+  EXPECT_EQ(a.samples, b.samples) << where;
+  EXPECT_EQ(a.stall_cycles, b.stall_cycles) << where;
   EXPECT_EQ(run_counter(a, "rob.rejected_high_dod"), run_counter(b, "rob.rejected_high_dod"))
       << where;
+  auto same_a = a.counters, same_b = b.counters;
   for (const char* differs : {"core.fast_forwarded_cycles", "audit.checks_run"}) {
-    a.counters.erase(differs);
-    b.counters.erase(differs);
+    same_a.erase(differs);
+    same_b.erase(differs);
   }
-  EXPECT_EQ(a.counters, b.counters) << where;
+  EXPECT_EQ(same_a, same_b) << where;
   return a;
 }
 
@@ -428,6 +432,77 @@ TEST(FastForwardDifferential, ShortLeasesOnRRobCmp) {
         expect_fast_forward_matches_pinned(cfg, benches, kGateInsts, 0, kGateWarmup, where);
     EXPECT_GT(run_counter(r, "rob.rejected_high_dod"), 0u) << where;
   }
+}
+
+// Per-core sleep meets every cross-core read at once on a 4-core R-ROB16
+// CMP: the warmup reset (it moves the partition holder's lease clock, so
+// every core must tick the first measured cycle), sample points (a sleeping
+// core takes its sample in its own slot, where peers have changed the shared
+// MSHR pool, and its replay is split there) and short leases (controller
+// gates fall inside the sleeps). An audit runs too, and the sampled run must
+// count exactly the checks of the unsampled one: a sample point never splits
+// an audited span.
+TEST(FastForwardDifferential, SampledWarmupShortLeasesOnRRobCmp4) {
+  MachineConfig cfg = cmp_config(4, RobScheme::kReactive, 16);
+  cfg.rob.lease_limit = 200;
+  cfg.rob.lease_cooldown = 100;
+  if (cfg.audit.level == AuditLevel::kOff) cfg.audit.level = AuditLevel::kCheap;
+  std::vector<Benchmark> benches;  // core c runs Table 2 mix c + 1
+  for (u32 m = 1; m <= 4; ++m)
+    for (Benchmark& b : mix_benchmarks(table2_mix(m))) benches.push_back(std::move(b));
+
+  CmpMachine unsampled(cfg, benches);
+  const RunResult plain = unsampled.run(kGateInsts, 0, kGateWarmup);
+  cfg.telemetry.sample_interval = 97;
+  const RunResult r = expect_fast_forward_matches_pinned(cfg, benches, kGateInsts, 0, kGateWarmup,
+                                                         "CMP4-R-ROB16 sample=97");
+  EXPECT_FALSE(r.samples.empty());
+  EXPECT_GT(run_counter(r, "rob.rejected_high_dod"), 0u);
+  EXPECT_EQ(run_counter(r, "audit.violations"), 0u);
+  EXPECT_EQ(r.counters, plain.counters);
+}
+
+// Each core sleeps on its own: beside a compute-bound core, a memory-bound
+// core skips most of its cycles. The machine-wide skip, driven here through
+// the same SmtCore hooks, ticks every core while any core is busy; it must
+// reach the same result with more core ticks.
+TEST(FastForwardDifferential, IdleCoreSleepsWhileItsPeerRuns) {
+  const MachineConfig cfg = cmp_config(2, RobScheme::kReactive, 16);
+  std::vector<Benchmark> benches = mix_benchmarks(table2_mix(1));
+  for (Benchmark& b : mix_benchmarks(Mix{"ILP", {"crafty", "eon", "gzip", "vortex"}, ""}))
+    benches.push_back(std::move(b));
+  constexpr u64 kInsts = 10000;
+
+  CmpMachine per_core(cfg, benches);
+  RunResult a = per_core.run(kInsts);
+
+  CmpMachine global(cfg, benches);
+  const Cycle cap = kInsts * 400 + 200000;  // run_lockstep's default cap
+  auto fastest = [&] {
+    return std::max(global.core(0).fastest_measured(), global.core(1).fastest_measured());
+  };
+  while (global.now() < cap && fastest() < kInsts) {
+    bool any = false;
+    for (u32 c = 0; c < global.num_cores(); ++c) any = global.core(c).tick() || any;
+    if (any) continue;
+    Cycle wake = cap;
+    for (u32 c = 0; c < global.num_cores(); ++c)
+      wake = std::min(wake, global.core(c).idle_wake(cap));
+    if (wake <= global.now()) continue;
+    for (u32 c = 0; c < global.num_cores(); ++c) global.core(c).replay_idle_to(wake);
+  }
+  RunResult b = global.snapshot_result();
+
+  const u64 memory_bound = per_core.core(0).executed_cycles();
+  const u64 compute = per_core.core(1).executed_cycles();
+  EXPECT_LT(memory_bound, compute);
+  EXPECT_LT(per_core.executed_cycles(), global.executed_cycles());
+  EXPECT_EQ(a.cycles, b.cycles);
+  for (const char* differs : {"core.fast_forwarded_cycles", "audit.checks_run"}) {
+    a.counters.erase(differs);
+    b.counters.erase(differs);
+  }
+  EXPECT_EQ(a.counters, b.counters);
 }
 
 TEST(FastForwardDifferential, ShortLeasesOnMix3RelaxedAndCdr) {

@@ -10,7 +10,8 @@ adds its phase table on stderr without changing a byte of stdout. For
 `tlrob-campaign` it also checks that a preset and the equivalent custom
 sweep write the same records, that `--resume` re-simulates a cell whose
 trace file was rewritten (and the single-thread reference it weighs by),
-and that a missing trace file is a structured failed record. `simulate`
+that a missing trace file is a structured failed record, and that `--json -`
+keeps stdout to the records while the tables go to stderr. `simulate`
 fails a run that hits its cycle cap. Registered with ctest as `cli_contract_py`:
 
     test_cli_contract.py <simulate> <tlrob-mktrace> <tlrob-campaign> <tlrob-golden>
@@ -198,6 +199,22 @@ def main():
                       "--manifest", manifest, "--resume")
         failed_record("a zero LLC MSHR pool is a failed record", "llc.mshr_entries", "--cores",
                       "2", "--llc", "8192:16:24:0", "--schemes", "rrob", "--mixes", "1")
+
+    # A structured sink on stdout keeps it to itself; the rendered tables go
+    # to stderr.
+    piped = run(campaign, "fig2", "--insts", "2000", "--warmup", "500", "--json", "-")
+
+    def is_record(line):
+        try:
+            return isinstance(json.loads(line), dict)
+        except ValueError:
+            return False
+
+    lines = piped.stdout.splitlines()
+    check("--json - with rendering on writes one record per stdout line",
+          piped.returncode == 0 and lines and all(map(is_record, lines)),
+          f"rc {piped.returncode}, {len(lines)} lines, "
+          f"first bad {next((l for l in lines if not is_record(l)), '')[:120]!r}")
 
     if failures:
         print(f"FAIL: {len(failures)} case(s): {', '.join(failures)}")
