@@ -4,13 +4,6 @@
 
 namespace tlrob::runner {
 
-u64 splitmix64(u64 x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::vector<JobSpec> expand(const CampaignSpec& spec) {
   if (spec.columns.empty()) throw std::invalid_argument("campaign has no configurations");
   if (spec.mixes.empty()) throw std::invalid_argument("campaign has no mixes");
@@ -31,7 +24,7 @@ std::vector<JobSpec> expand(const CampaignSpec& spec) {
         js.insts = rl.insts;
         js.warmup = rl.warmup;
         js.max_cycles = col.max_cycles != 0 ? col.max_cycles : spec.max_cycles;
-        js.seed = spec.per_job_seeds ? splitmix64(spec.seed ^ (index + 1)) : spec.seed;
+        js.seed = spec.seed;
         js.sample_dir = spec.sample_dir;
         jobs.push_back(std::move(js));
         ++index;

@@ -36,12 +36,9 @@ struct CampaignSpec {
   std::vector<Mix> mixes;
   std::vector<RunLengthSpec> lengths{RunLengthSpec{}};
 
-  /// Base RNG seed. By default every job runs with exactly this seed (the
-  /// historical bench behaviour); with per_job_seeds each cell gets a
-  /// distinct seed derived deterministically from (base seed, cell index),
-  /// so replication campaigns decorrelate without losing reproducibility.
+  /// RNG seed of every job, so the columns of one mix run the same
+  /// workload and a column's delta is the scheme's alone.
   u64 seed = 12345;
-  bool per_job_seeds = false;
 
   /// Campaign-wide cycle cap per job (the timeout mechanism: a cell whose
   /// simulation has not reached its commit target when the cap elapses is
@@ -56,10 +53,6 @@ struct CampaignSpec {
   /// byte-identical for any --jobs N.
   std::string sample_dir;
 };
-
-/// splitmix64 — the standard 64-bit seed scrambler (Steele et al.),
-/// used to derive per-job seeds.
-u64 splitmix64(u64 x);
 
 /// Expands the cross product into fully resolved jobs, in the canonical
 /// order. Throws std::invalid_argument on an empty axis.

@@ -70,7 +70,6 @@ CampaignSpec custom_campaign(const Options& opts) {
 
   spec.lengths = {run_length(opts)};
   spec.seed = opts.get_u64("seed", spec.seed);
-  spec.per_job_seeds = opts.get_bool("per_job_seeds", false);
   spec.max_cycles = opts.get_u64("max_cycles", 0);
   return spec;
 }

@@ -3,26 +3,8 @@
 // Options parse through Options::from_args (common/config.hpp) with
 // kCampaignFlags as the bare flags: `key=value`, `--key=value`, `--key
 // value` and `--flag` all work, and a lone `-` after an option is its
-// value. Common options:
-//   --jobs N        worker threads (0 = hardware concurrency, 1 = serial)
-//   --insts N       committed-instruction target per run
-//   --warmup N      warmup commits excluded from statistics
-//   --json PATH     JSON-lines sink ("-" = stdout)
-//   --csv PATH      CSV sink ("-" = stdout)
-//   --manifest PATH completion journal enabling --resume
-//   --resume        replay successful cells from the manifest
-//   --no-render     suppress the stdout tables (sink-only run)
-//   --max-cycles N  per-job cycle cap (the timeout; 0 = derived bound)
-//   --seed N        base RNG seed
-//   --per-job-seeds derive a distinct deterministic seed per cell
-//   --sample-interval N  interval telemetry every N cycles (obs.* summary
-//                   counters per record; 0 = off)
-//   --sample-dir D  also write each job's full series to
-//                   D/samples_job<index>.jsonl
-// Custom sweeps (tlrob-campaign without a preset):
-//   --schemes a,b   baseline32|baseline128|rrob|relaxed|cdr|prob|adaptive
-//   --thresholds l  DoD thresholds crossed with the threshold-taking schemes
-//   --mixes 1,2,5   Table 2 mix subset (default: all 11)
+// value. `tlrob-campaign --help` (tools/tlrob_campaign.cpp) is the one
+// list of the options.
 #pragma once
 
 #include <set>
@@ -35,8 +17,7 @@
 namespace tlrob::runner {
 
 /// tlrob-campaign's options that never take a value.
-inline const std::set<std::string> kCampaignFlags = {"resume", "per_job_seeds", "no_render",
-                                                     "list", "help"};
+inline const std::set<std::string> kCampaignFlags = {"resume", "no_render", "list", "help"};
 
 /// Builds a custom sweep spec from --schemes/--thresholds/--mixes and the
 /// other custom-sweep options. The options it shares with presets

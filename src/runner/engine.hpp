@@ -5,7 +5,7 @@
 // Determinism contract: a campaign's records — and therefore every sink's
 // bytes — are identical for any worker count, because (a) each job is a
 // pure function of its JobSpec (the simulator is deterministic given a
-// config and seed, and per-job seeds are fixed at expansion time), (b) the
+// config and seed, and each job's seed is fixed at expansion time), (b) the
 // single-thread references the records weigh by are cells too, pure
 // functions of their own JobSpecs (reference_job) served by the one cell
 // memo below, and (c) completions pass through an in-order emission window

@@ -1,153 +1,16 @@
 #include "runner/golden.hpp"
 
-#include <cstddef>
-#include <sstream>
-#include <stdexcept>
-
-#include "runner/engine.hpp"
-#include "runner/json.hpp"
-#include "runner/presets.hpp"
-
 namespace tlrob::runner {
-namespace {
-
-u64 counter_or_zero(const JobRecord& r, const std::string& name) {
-  auto it = r.counters.find(name);
-  return it == r.counters.end() ? 0 : it->second;
-}
-
-std::string u64_vec_json(const std::vector<u64>& v) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i != 0) out += ",";
-    out += json_u64(v[i]);
-  }
-  return out + "]";
-}
-
-std::string double_vec_json(const std::vector<double>& v) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i != 0) out += ",";
-    out += json_double(v[i]);
-  }
-  return out + "]";
-}
-
-std::vector<u64> u64_vec(const JsonValue& v) {
-  std::vector<u64> out;
-  out.reserve(v.items.size());
-  for (const auto& item : v.items) out.push_back(item.as_u64());
-  return out;
-}
-
-std::vector<double> double_vec(const JsonValue& v) {
-  std::vector<double> out;
-  out.reserve(v.items.size());
-  for (const auto& item : v.items) out.push_back(item.as_double());
-  return out;
-}
-
-}  // namespace
 
 RunLengthSpec golden_run_length() { return RunLengthSpec{3000, 1000}; }
 
 GoldenRow golden_row(const JobRecord& record) {
-  GoldenRow row;
-  row.config = record.config;
-  row.mix = record.mix;
-  row.status = to_string(record.status);
-  row.cycles = record.cycles;
-  row.committed = record.committed;
-  row.mt_ipc = record.mt_ipc;
-  row.l2_misses = counter_or_zero(record, "l2.misses");
-  row.second_level_grants = counter_or_zero(record, "rob2.allocations");
-  return row;
-}
-
-std::vector<GoldenRow> golden_fingerprints(const std::string& preset) {
-  const CampaignSpec campaign = preset_campaign(preset, golden_run_length());
-  std::vector<GoldenRow> rows;
-  for (const JobSpec& spec : expand(campaign)) rows.push_back(golden_row(execute_job(spec)));
-  return rows;
-}
-
-std::string golden_to_json(const std::string& preset, const std::vector<GoldenRow>& rows) {
-  const RunLengthSpec length = golden_run_length();
-  std::string out = "{\n";
-  out += "\"preset\": " + json_escape(preset) + ",\n";
-  out += "\"insts\": " + json_u64(length.insts) + ",\n";
-  out += "\"warmup\": " + json_u64(length.warmup) + ",\n";
-  out += "\"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const GoldenRow& r = rows[i];
-    out += "{\"config\": " + json_escape(r.config) + ", \"mix\": " + json_escape(r.mix) +
-           ", \"status\": " + json_escape(r.status) + ", \"cycles\": " + json_u64(r.cycles) +
-           ", \"committed\": " + u64_vec_json(r.committed) +
-           ", \"mt_ipc\": " + double_vec_json(r.mt_ipc) +
-           ", \"l2_misses\": " + json_u64(r.l2_misses) +
-           ", \"second_level_grants\": " + json_u64(r.second_level_grants) + "}";
-    if (i + 1 != rows.size()) out += ",";
-    out += "\n";
-  }
-  out += "]\n}\n";
-  return out;
-}
-
-GoldenFile golden_from_json(const std::string& text) {
-  const JsonValue doc = parse_json(text);
-  if (!doc.is_object()) throw std::invalid_argument("golden fixture: not a JSON object");
-  GoldenFile file;
-  file.preset = doc.at("preset").as_string();
-  file.length.insts = doc.at("insts").as_u64();
-  file.length.warmup = doc.at("warmup").as_u64();
-  const JsonValue& rows = doc.at("rows");
-  if (!rows.is_array()) throw std::invalid_argument("golden fixture: rows is not an array");
-  for (const JsonValue& v : rows.items) {
-    GoldenRow row;
-    row.config = v.at("config").as_string();
-    row.mix = v.at("mix").as_string();
-    row.status = v.at("status").as_string();
-    row.cycles = v.at("cycles").as_u64();
-    row.committed = u64_vec(v.at("committed"));
-    row.mt_ipc = double_vec(v.at("mt_ipc"));
-    row.l2_misses = v.at("l2_misses").as_u64();
-    row.second_level_grants = v.at("second_level_grants").as_u64();
-    file.rows.push_back(std::move(row));
-  }
-  return file;
-}
-
-std::string golden_diff(const std::vector<GoldenRow>& expected,
-                        const std::vector<GoldenRow>& actual) {
-  std::ostringstream os;
-  if (expected.size() != actual.size()) {
-    os << "row count: expected " << expected.size() << ", got " << actual.size();
-    return os.str();
-  }
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    const GoldenRow& e = expected[i];
-    const GoldenRow& a = actual[i];
-    if (e == a) continue;
-    os << "row " << i << " (" << e.config << " / " << e.mix << "): ";
-    if (e.config != a.config || e.mix != a.mix) {
-      os << "cell identity differs (got " << a.config << " / " << a.mix << ")";
-    } else if (e.status != a.status) {
-      os << "status " << e.status << " -> " << a.status;
-    } else if (e.cycles != a.cycles) {
-      os << "cycles " << e.cycles << " -> " << a.cycles;
-    } else if (e.committed != a.committed) {
-      os << "committed " << u64_vec_json(e.committed) << " -> " << u64_vec_json(a.committed);
-    } else if (e.mt_ipc != a.mt_ipc) {
-      os << "mt_ipc " << double_vec_json(e.mt_ipc) << " -> " << double_vec_json(a.mt_ipc);
-    } else if (e.l2_misses != a.l2_misses) {
-      os << "l2_misses " << e.l2_misses << " -> " << a.l2_misses;
-    } else {
-      os << "second_level_grants " << e.second_level_grants << " -> " << a.second_level_grants;
-    }
-    return os.str();
-  }
-  return "";
+  auto counter = [&record](const char* name) {
+    const auto it = record.counters.find(name);
+    return it == record.counters.end() ? u64{0} : it->second;
+  };
+  return {record.config, record.mix, to_string(record.status), record.cycles, record.committed,
+          record.mt_ipc, counter("l2.misses"), counter("rob2.allocations")};
 }
 
 }  // namespace tlrob::runner

@@ -1,12 +1,7 @@
-// Golden-run fingerprints: the bit-identity contract for simulator rework.
-//
-// A GoldenRow is the architectural signature of one campaign cell — cycles,
-// per-thread committed counts and multithreaded IPC, L2 misses and
-// second-level grant count. Performance work on the simulator core (event
-// scheduling, pooling, fast-forwarding of idle cycles) must leave every row
-// byte-identical: the fixtures under tests/golden/ are recorded once from a
-// known-good build and only rewritten deliberately via the tlrob-golden
-// tool. Any drift is an architectural-model change, not an optimisation.
+// The golden run length, and the per-cell fingerprint perfbench gates on.
+// The golden fixture itself, tests/golden/records.jsonl, is the campaign's
+// own JSONL records of every preset at golden_run_length() (EXPERIMENTS.md
+// "Golden-run fixtures"); tests/test_golden_runs.cpp compares against it.
 #pragma once
 
 #include <string>
@@ -27,8 +22,6 @@ struct GoldenRow {
   std::vector<double> mt_ipc;   // per thread, derived from committed/cycles
   u64 l2_misses = 0;            // shared-L2 "l2.misses" counter
   u64 second_level_grants = 0;  // "rob2.allocations" counter
-
-  bool operator==(const GoldenRow&) const = default;
 };
 
 /// The run length fixtures are recorded at. Deliberately short: long enough
@@ -39,31 +32,5 @@ RunLengthSpec golden_run_length();
 
 /// Projects a completed cell onto its fingerprint fields.
 GoldenRow golden_row(const JobRecord& record);
-
-/// Runs every cell of `preset` serially at golden_run_length() and returns
-/// the fingerprints in canonical campaign-expansion order.
-std::vector<GoldenRow> golden_fingerprints(const std::string& preset);
-
-/// Deterministic fixture serialisation: one JSON document, one row per line,
-/// fixed key order and number formatting (json_double/json_u64), so regens
-/// that change nothing are byte-identical and review diffs are per-cell.
-std::string golden_to_json(const std::string& preset, const std::vector<GoldenRow>& rows);
-
-/// Parsed fixture: preset name, recorded run length, and rows.
-struct GoldenFile {
-  std::string preset;
-  RunLengthSpec length;
-  std::vector<GoldenRow> rows;
-};
-
-/// Inverse of golden_to_json. Throws std::invalid_argument on malformed
-/// input or missing fields.
-GoldenFile golden_from_json(const std::string& text);
-
-/// Human-readable first-difference report ("" when equal): which cell
-/// diverged and in which field, for test failure messages and the tool's
-/// check mode.
-std::string golden_diff(const std::vector<GoldenRow>& expected,
-                        const std::vector<GoldenRow>& actual);
 
 }  // namespace tlrob::runner

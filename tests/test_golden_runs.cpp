@@ -1,22 +1,25 @@
-// Golden-run regression suite: every figure/table preset, re-executed at the
-// short golden run length and compared bit-for-bit against the fixtures
-// recorded under tests/golden/ (see src/runner/golden.hpp). One TEST per
-// preset so ctest parallelises across presets.
+// Golden-run regression suite: every figure/table preset, re-run at the
+// short golden run length and compared against tests/golden/records.jsonl,
+// the JSONL records `tlrob-campaign all` writes at that length. Every field
+// and every counter must match exactly; EXPERIMENTS.md "Golden-run
+// fixtures" has the one command that re-records the fixture.
 //
-// A failure here means the architectural model changed: cycles, per-thread
-// committed counts, IPC, L2 misses or second-level grants drifted on some
-// cell. Performance work on the simulator core must keep this suite green;
-// deliberate model changes regenerate fixtures via `tlrob-golden --regen`
-// (see EXPERIMENTS.md).
+// A failure here means the architectural model changed. Performance work
+// on the simulator core must keep this suite green; a deliberate model
+// change re-records the fixture and says so.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <fstream>
-#include <set>
+#include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "runner/engine.hpp"
 #include "runner/golden.hpp"
 #include "runner/presets.hpp"
 
@@ -27,112 +30,156 @@ namespace {
 #error "TLROB_GOLDEN_DIR must point at tests/golden (set in tests/CMakeLists.txt)"
 #endif
 
-std::string fixture_path(const std::string& preset) {
-  return std::string(TLROB_GOLDEN_DIR) + "/" + preset + ".json";
+const std::string kFixture = std::string(TLROB_GOLDEN_DIR) + "/records.jsonl";
+
+// Counters the engine owns rather than the model: core.fast_forwarded_cycles
+// counts how a result was reached (it moves when the idle fast-forward
+// does), and audit.* appears only under an audit (TLROB_AUDIT).
+const std::vector<std::string> kSkippedCounters = {"core.fast_forwarded_cycles", "audit."};
+
+constexpr size_t kMaxReportedCells = 20;
+
+const std::vector<std::string>& fixture_lines() {
+  static const std::vector<std::string> lines = [] {
+    std::vector<std::string> out;
+    std::ifstream in(kFixture);
+    for (std::string line; std::getline(in, line);) out.push_back(line);
+    return out;
+  }();
+  return lines;
 }
 
-GoldenFile load_fixture(const std::string& preset) {
-  const std::string path = fixture_path(preset);
-  std::ifstream in(path);
-  if (!in) {
-    ADD_FAILURE() << "missing golden fixture " << path
-                  << " — record it with: tlrob-golden --regen --preset " << preset;
-    return {};
+const std::vector<JobRecord>& fixture_records() {
+  static const std::vector<JobRecord> records = [] {
+    std::vector<JobRecord> out;
+    for (const std::string& line : fixture_lines()) out.push_back(record_from_json_line(line));
+    return out;
+  }();
+  return records;
+}
+
+std::vector<JobRecord> fixture_records(const std::string& campaign) {
+  std::vector<JobRecord> out;
+  std::copy_if(fixture_records().begin(), fixture_records().end(), std::back_inserter(out),
+               [&](const JobRecord& r) { return r.campaign == campaign; });
+  return out;
+}
+
+// Flattens a JSON value to path -> scalar text ("st_ipc[1]",
+// "counters.l1d.misses"), so two records diff key by key.
+void flatten(const JsonValue& v, const std::string& path,
+             std::map<std::string, std::string>& out) {
+  switch (v.kind) {
+    case JsonValue::Kind::kObject:
+      for (const auto& [key, member] : v.members)
+        flatten(member, path.empty() ? key : path + "." + key, out);
+      break;
+    case JsonValue::Kind::kArray:
+      for (size_t i = 0; i < v.items.size(); ++i)
+        flatten(v.items[i], path + "[" + std::to_string(i) + "]", out);
+      break;
+    case JsonValue::Kind::kString: out[path] = json_escape(v.lexeme); break;
+    case JsonValue::Kind::kBool: out[path] = v.boolean ? "true" : "false"; break;
+    case JsonValue::Kind::kNumber: out[path] = v.lexeme; break;
+    case JsonValue::Kind::kNull: out[path] = "null"; break;
   }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return golden_from_json(ss.str());
 }
 
-void check_preset(const std::string& preset) {
-  const GoldenFile fixture = load_fixture(preset);
-  if (fixture.rows.empty()) return;  // load_fixture already failed the test
-  EXPECT_EQ(fixture.preset, preset);
-  const RunLengthSpec length = golden_run_length();
-  ASSERT_EQ(fixture.length.insts, length.insts)
-      << "fixture recorded at a different run length; regenerate deliberately";
-  ASSERT_EQ(fixture.length.warmup, length.warmup)
-      << "fixture recorded at a different run length; regenerate deliberately";
-
-  const std::vector<GoldenRow> actual = golden_fingerprints(preset);
-  const std::string diff = golden_diff(fixture.rows, actual);
-  EXPECT_EQ(diff, "") << "architectural drift on preset " << preset << ": " << diff;
+std::map<std::string, std::string> compared_keys(JobRecord r) {
+  std::erase_if(r.counters, [](const auto& counter) {
+    return std::any_of(kSkippedCounters.begin(), kSkippedCounters.end(),
+                       [&](const std::string& key) { return counter.first.starts_with(key); });
+  });
+  std::map<std::string, std::string> keys;
+  flatten(parse_json(to_json_line(r)), "", keys);
+  return keys;
 }
 
-// The explicit preset list below must cover src/runner/presets.cpp exactly;
-// this test fails the moment a preset is added without a golden TEST.
-const std::vector<std::string> kCoveredPresets = {
-    "fig1",          "fig2",
-    "fig3",          "fig4",
-    "fig5",          "fig6",
-    "fig7",          "table2",
-    "ablation_threshold", "ablation_fetch_policy",
-    "ablation_regfile",   "ablation_early_release",
-    "ablation_adaptive",  "trace_synth",
-    "cmp_mix",            "cmp_trace",
+// "" when the records match; otherwise each differing cell
+// (campaign/config/mix) and each key in it, expected -> actual.
+std::string records_diff(const std::vector<JobRecord>& expected,
+                         const std::vector<JobRecord>& actual) {
+  std::ostringstream os;
+  if (expected.size() != actual.size())
+    os << "record count: fixture " << expected.size() << ", run " << actual.size() << "\n";
+  size_t cells = 0;
+  for (size_t i = 0; i < std::min(expected.size(), actual.size()); ++i) {
+    auto want = compared_keys(expected[i]), got = compared_keys(actual[i]);
+    if (want == got || ++cells > kMaxReportedCells) continue;
+    os << expected[i].campaign << "/" << expected[i].config << "/" << expected[i].mix << ":\n";
+    for (const auto& [key, value] : got) want.try_emplace(key, "(absent)");
+    for (const auto& [key, value] : want) {
+      const auto it = got.find(key);
+      const std::string now = it == got.end() ? "(absent)" : it->second;
+      if (now != value) os << "  " << key << ": " << value << " -> " << now << "\n";
+    }
+  }
+  if (cells > kMaxReportedCells)
+    os << "... and " << (cells - kMaxReportedCells) << " more differing cells\n";
+  return os.str();
+}
+
+// Runs `preset` the way `tlrob-campaign` does, through the process-wide cell
+// memo, and compares its records with the preset's fixture lines position
+// by position. A preset with no fixture lines fails on the record count.
+struct PresetMatchesFixture : ::testing::Test {
+  explicit PresetMatchesFixture(std::string name) : preset(std::move(name)) {}
+  void TestBody() override {
+    const CampaignResult run = run_campaign(preset_campaign(preset, golden_run_length()), {});
+    const std::string diff = records_diff(fixture_records(preset), run.records);
+    EXPECT_TRUE(diff.empty()) << "architectural drift on preset " << preset << ":\n" << diff;
+  }
+  std::string preset;
 };
 
-TEST(GoldenRuns, SuiteCoversEveryPreset) {
-  const std::set<std::string> covered(kCoveredPresets.begin(), kCoveredPresets.end());
-  for (const std::string& name : preset_names()) {
-    EXPECT_TRUE(covered.count(name))
-        << "preset " << name << " has no golden-run test; add it to kCoveredPresets, "
-        << "add a TEST below, and record its fixture with tlrob-golden --regen";
+// GoldenRuns.<Preset> for each name in preset_names() (ablation_fetch_policy
+// is AblationFetchPolicy), so ctest runs the presets in parallel and a new
+// preset gets its test without a hand-kept list.
+const bool kPresetTestsRegistered = [] {
+  for (const std::string& preset : preset_names()) {
+    std::string name;
+    for (size_t i = 0; i < preset.size(); ++i)
+      if (preset[i] != '_')
+        name += i == 0 || preset[i - 1] == '_' ? static_cast<char>(std::toupper(preset[i]))
+                                               : preset[i];
+    ::testing::RegisterTest("GoldenRuns", name.c_str(), nullptr, nullptr, __FILE__, __LINE__,
+                            [preset]() -> ::testing::Test* {
+                              return new PresetMatchesFixture(preset);
+                            });
   }
-  EXPECT_EQ(covered.size(), preset_names().size())
-      << "kCoveredPresets lists a preset that no longer exists";
+  return true;
+}();
+
+// The fixture holds each preset's records as one block, in preset_names()
+// order, and nothing else: lines left from a deleted preset, or a preset
+// added without re-recording, fail here.
+TEST(GoldenRuns, SuiteCoversEveryPreset) {
+  ASSERT_FALSE(fixture_lines().empty()) << "missing or empty " << kFixture;
+  std::vector<std::string> blocks;
+  for (const JobRecord& r : fixture_records())
+    if (blocks.empty() || blocks.back() != r.campaign) blocks.push_back(r.campaign);
+  EXPECT_EQ(blocks, preset_names()) << "re-record " << kFixture << " (EXPERIMENTS.md)";
 }
 
-TEST(GoldenRuns, Fig1) { check_preset("fig1"); }
-TEST(GoldenRuns, Fig2) { check_preset("fig2"); }
-TEST(GoldenRuns, Fig3) { check_preset("fig3"); }
-TEST(GoldenRuns, Fig4) { check_preset("fig4"); }
-TEST(GoldenRuns, Fig5) { check_preset("fig5"); }
-TEST(GoldenRuns, Fig6) { check_preset("fig6"); }
-TEST(GoldenRuns, Fig7) { check_preset("fig7"); }
-TEST(GoldenRuns, Table2) { check_preset("table2"); }
-TEST(GoldenRuns, AblationThreshold) { check_preset("ablation_threshold"); }
-TEST(GoldenRuns, AblationFetchPolicy) { check_preset("ablation_fetch_policy"); }
-TEST(GoldenRuns, AblationRegfile) { check_preset("ablation_regfile"); }
-TEST(GoldenRuns, AblationEarlyRelease) { check_preset("ablation_early_release"); }
-TEST(GoldenRuns, AblationAdaptive) { check_preset("ablation_adaptive"); }
-// The 14th fingerprint: a trace-workload cell (synthesized in memory via the
-// tracegen backend, so no fixture file beyond the JSON is needed). Covers
-// the whole trace frontend — decode, lowering, replay, rewind — against
-// drift, alongside the 13 synthetic presets.
-TEST(GoldenRuns, TraceSynth) { check_preset("trace_synth"); }
-// CMP fingerprints: two SMT cores behind the shared LLC + banked DRAM
-// backend. cmp_mix pins the lockstep engine and cross-core contention on
-// paired Table 2 mixes; cmp_trace pins per-core trace assignment. Any drift
-// in LLC/DRAM timing, MSHR merging, or the core-major thread mapping lands
-// here as a cycle/IPC diff.
-TEST(GoldenRuns, CmpMix) { check_preset("cmp_mix"); }
-TEST(GoldenRuns, CmpTrace) { check_preset("cmp_trace"); }
-
-// The fixtures must witness the second-level machinery actually engaging at
-// the golden run length: a fixture where every two-level scheme records zero
-// grants would let the whole R-ROB/P-ROB path drift undetected.
+// The fixture must witness the second-level machinery engaging at the golden
+// run length: if every two-level scheme recorded zero grants, the whole
+// R-ROB/P-ROB path could drift undetected.
 TEST(GoldenRuns, FixturesExerciseSecondLevel) {
   u64 grants = 0;
-  for (const char* preset : {"fig2", "fig4", "fig5", "fig6"}) {
-    const GoldenFile fixture = load_fixture(preset);
-    for (const GoldenRow& row : fixture.rows) grants += row.second_level_grants;
-  }
+  for (const char* preset : {"fig2", "fig4", "fig5", "fig6"})
+    for (const JobRecord& r : fixture_records(preset))
+      grants += r.counters.at("rob2.allocations");
   EXPECT_GT(grants, 0u) << "no fixture records a second-level grant; the golden "
                            "run length is too short to exercise two-level schemes";
 }
 
-// JSON round-trip: serialising the parsed fixture reproduces the file
-// byte-for-byte, so regens that change nothing are no-op diffs.
+// Every fixture line round-trips through the record parser byte for byte,
+// so comparing parsed records compares the file, and a re-record that
+// changes nothing is a no-op diff.
 TEST(GoldenRuns, FixtureRoundTripIsByteIdentical) {
-  const std::string path = fixture_path("fig2");
-  std::ifstream in(path);
-  ASSERT_TRUE(in) << "missing " << path;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  const GoldenFile fixture = golden_from_json(text);
-  EXPECT_EQ(golden_to_json(fixture.preset, fixture.rows), text);
+  ASSERT_FALSE(fixture_lines().empty()) << "missing or empty " << kFixture;
+  for (const std::string& line : fixture_lines())
+    EXPECT_EQ(to_json_line(record_from_json_line(line)), line);
 }
 
 }  // namespace

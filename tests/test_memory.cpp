@@ -191,7 +191,7 @@ TEST(MemorySystem, StoresDirtyTheLine) {
 //
 // These pin the exact replacement and merge semantics the rest of the model
 // depends on, so a storage-layout rework of the cache is checked directly
-// rather than only through the golden fingerprints.
+// rather than only through the golden records.
 
 TEST(Cache, InvalidWayPreferredOverEviction) {
   // 2-way, 2 sets. One way of set 0 holds a line; a second fill to the same

@@ -51,7 +51,7 @@ TEST(IntervalSampler, SeriesIdenticalWithAndWithoutFastForward) {
 
 // Turning the sampler on must not perturb the simulated machine: cycles,
 // committed counts and every architectural counter stay bit-identical to a
-// telemetry-off run (the golden-fingerprint contract from the other side).
+// telemetry-off run (the golden-record contract from the other side).
 TEST(IntervalSampler, SamplingDoesNotPerturbTheRun) {
   const auto benches = mix_benchmarks(table2_mix(1));
 

@@ -239,13 +239,8 @@ TEST(RunnerCampaign, ExpansionOrderAndSeeds) {
   EXPECT_EQ(jobs[2].mix.name, "Mix 2");
   for (size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(jobs[i].index, i);
-    EXPECT_EQ(jobs[i].seed, spec.seed);  // fixed seed by default
+    EXPECT_EQ(jobs[i].seed, spec.seed);  // every cell runs the campaign's seed
   }
-
-  spec.per_job_seeds = true;
-  const auto seeded = expand(spec);
-  EXPECT_NE(seeded[0].seed, seeded[1].seed);
-  EXPECT_EQ(seeded[0].seed, expand(spec)[0].seed);  // still deterministic
 
   CampaignSpec empty;
   EXPECT_THROW(expand(empty), std::invalid_argument);

@@ -1,7 +1,7 @@
 // tlrob-lint: the repo's own determinism & concurrency static analyzer.
 //
 // Everything this repository certifies rests on one property: bit-identical
-// golden fingerprints across all 13 presets at any --jobs N. The golden
+// golden records across all 16 presets at any --jobs N. The golden
 // suite and TSan enforce that property dynamically; tlrob-lint enforces the
 // *contracts that make it true* statically, as named rules:
 //

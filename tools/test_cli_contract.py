@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Command-line contract tests for the built front ends.
 
-Runs `simulate`, `tlrob-mktrace`, `tlrob-campaign` and `tlrob-golden` as
-subprocesses and asserts the shared front-end contract (common/config.hpp):
-`--key value` means the same as `key=value`; a typo, a malformed value or an
-input the machine cannot run exits 2 with an `error:` line on stderr, never
-an abort; `simulate` accepts trace workload tokens; and `simulate profile=1`
-adds its phase table on stderr without changing a byte of stdout. For
+Runs `simulate`, `tlrob-mktrace` and `tlrob-campaign` as subprocesses and
+asserts the shared front-end contract (common/config.hpp): `--key value`
+means the same as `key=value`; a typo, a malformed value or an input the
+machine cannot run exits 2 with an `error:` line on stderr, never an abort;
+`simulate` accepts trace workload tokens; and `simulate profile=1` adds its
+phase table on stderr without changing a byte of stdout. For
 `tlrob-campaign` it also checks that a preset and the equivalent custom
 sweep write the same records, that `--resume` re-simulates a cell whose
 trace file was rewritten (and the single-thread reference it weighs by),
@@ -14,7 +14,7 @@ that a missing trace file is a structured failed record, and that `--json -`
 keeps stdout to the records while the tables go to stderr. `simulate`
 fails a run that hits its cycle cap. Registered with ctest as `cli_contract_py`:
 
-    test_cli_contract.py <simulate> <tlrob-mktrace> <tlrob-campaign> <tlrob-golden>
+    test_cli_contract.py <simulate> <tlrob-mktrace> <tlrob-campaign>
 """
 
 import json
@@ -32,10 +32,10 @@ def run(*argv):
 
 
 def main():
-    if len(sys.argv) != 5:
+    if len(sys.argv) != 4:
         print(__doc__)
         return 2
-    simulate, mktrace, campaign, golden = sys.argv[1:5]
+    simulate, mktrace, campaign = sys.argv[1:4]
     failures = []
 
     def check(name, ok, detail=""):
@@ -106,6 +106,9 @@ def main():
         rejected(" ".join(argv), idle)
         check(" ".join(argv) + " names " + setting, setting in idle.stderr, idle.stderr[-200:])
 
+    rejected("tlrob-campaign fig2,fig99", run(campaign, "fig2,fig99", *SHORT))
+    rejected("tlrob-campaign --per-job-seeds", run(campaign, "--per-job-seeds", *SHORT))
+
     cores = run(campaign, "--cores", "4294967298", "--schemes", "rrob", "--mixes", "1", *SHORT)
     rejected("tlrob-campaign --cores 4294967298", cores)
     check("--cores 4294967298 names cores", "option cores" in cores.stderr, cores.stderr[-200:])
@@ -120,9 +123,6 @@ def main():
     check("simulate max_cycles=1000 fails with a cycle-cap error",
           capped.returncode != 0 and "error: cycle cap exceeded" in capped.stderr,
           f"rc {capped.returncode}, stderr {capped.stderr[-200:]!r}")
-
-    rejected("tlrob-golden --bogus", run(golden, "--bogus"))
-    rejected("tlrob-golden --preset fig99", run(golden, "--preset", "fig99"))
 
     profiled = run(simulate, "mix=1", "profile=1", *RUN)
     check("profile=1 leaves stdout byte-identical",

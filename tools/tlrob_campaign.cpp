@@ -38,7 +38,10 @@ void print_usage() {
       "  --json PATH      JSON-lines sink ('-' = stdout)\n"
       "  --csv PATH       CSV sink ('-' = stdout)\n"
       "  --manifest PATH  completion journal enabling --resume\n"
-      "  --resume         replay successful cells from the manifest\n"
+      "  --resume         replay successful cells from the manifest; a manifest\n"
+      "                   without single-thread reference lines (written by an\n"
+      "                   older build) has its references simulated once and\n"
+      "                   appended, even when every cell resumes\n"
       "  --no-render      suppress stdout tables (sink-only run)\n"
       "  --workload SPEC  explicit per-thread workload list instead of --mixes:\n"
       "                   comma-separated profile names, trace:<file> (ChampSim\n"
@@ -51,7 +54,6 @@ void print_usage() {
       "custom sweeps only (no preset):\n"
       "  --max-cycles N   per-job cycle cap / timeout (0 = derived bound)\n"
       "  --seed N         base RNG seed (default 12345)\n"
-      "  --per-job-seeds  derive a distinct deterministic seed per cell\n"
       "  --schemes LIST   baseline32|baseline128|rrob|relaxed|cdr|prob|adaptive\n"
       "  --thresholds L   DoD thresholds crossed with the schemes (default 16)\n"
       "  --mixes LIST     1-based Table 2 mix subset (default: all 11)\n"
