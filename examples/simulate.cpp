@@ -14,10 +14,9 @@
 // threads over the same four benchmarks, and `simulate mix=2 cores=4
 // threads=16` runs 4 cores x 4 threads.
 //
-// Run knobs: insts=N (default 120000), warmup=N (default 60000),
-// max_cycles=N, stats=0|1 (dump all counters),
-// trace=START:END (core 0's pipeline event log for that cycle window, to
-// stderr).
+// Run knobs: insts=N (default kDefaultCommitTarget), warmup=N (default
+// kDefaultWarmup; both in sim/experiment.hpp), max_cycles=N, stats=0|1 (dump
+// all counters).
 // Machine knobs: see sim/config_override.hpp (scheme=, threshold=, policy=,
 // rob1=, rob2=, l2_kb=, mem_lat=, seed=, ...). CMP knobs (cores=N,
 // llc=size_kb[:ways[:lat[:mshrs]]], dram=ch[:banks[:tcas[:trcd[:trp]]]])
@@ -31,6 +30,10 @@
 //                      process per core plus, on a machine with a shared
 //                      backend, a "shared backend" process (LLC MSHR-pool
 //                      occupancy, per-bank DRAM row state)
+//   trace=START[:END]  also record every instruction's fetch / dispatch /
+//                      issue / complete / commit / squashed instants on
+//                      every core for cycles [START, END) (default END:
+//                      START+200) into the trace_json= file
 //   profile=1          host-side wall-time profile of the whole run (warmup
 //                      included) by pipeline stage, summed over every core,
 //                      to stderr (obs/self_profile.hpp), plus how many events
@@ -47,7 +50,7 @@
 //   ./simulate mcf threads=1 rob1=128 policy=icount
 //   ./simulate tracegen:art@20000 tracegen:mcf@20000 scheme=rrob
 //   ./simulate mix=2 scheme=rrob sample=1000 sample_out=series.jsonl
-//       trace_json=trace.json
+//       trace_json=trace.json trace=20000:21000
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -87,8 +90,8 @@ int simulate(const Options& opts) {
   mix.benchmarks.resize(cfg.num_threads, mix.benchmarks.back());
   cfg.num_threads = trace::threads_per_core(mix, cfg.num_cores);
 
-  const u64 insts = opts.get_u64("insts", 120000);
-  const u64 warmup = opts.get_u64("warmup", 60000);
+  const u64 insts = opts.get_u64("insts", kDefaultCommitTarget);
+  const u64 warmup = opts.get_u64("warmup", kDefaultWarmup);
   const u64 max_cycles = opts.get_u64("max_cycles", 0);
   const bool dump_stats = opts.get_bool("stats", false);
 
@@ -106,6 +109,11 @@ int simulate(const Options& opts) {
     window_hi = colon == std::string::npos
                     ? window_lo + 200
                     : parse_u64(trace_window.substr(colon + 1), "option trace");
+    if (window_hi <= window_lo)
+      throw std::invalid_argument("option trace: empty window '" + trace_window +
+                                  "' (END must exceed START)");
+    if (trace_json.empty())
+      throw std::invalid_argument("option trace requires trace_json= (its instants go there)");
   }
   opts.require_all_read();
 
@@ -131,12 +139,14 @@ int simulate(const Options& opts) {
               static_cast<unsigned long long>(warmup));
 
   CmpMachine machine(cfg, benches);
-  if (!trace_window.empty()) machine.core(0).tracer().attach(&std::cerr, window_lo, window_hi);
   std::vector<obs::ChromeTraceWriter> core_writers(trace_os != nullptr ? cfg.num_cores : 0);
   obs::ChromeTraceWriter backend_writer;
   if (trace_os != nullptr) {
     std::vector<obs::ChromeTraceWriter*> per_core;
-    for (auto& w : core_writers) per_core.push_back(&w);
+    for (auto& w : core_writers) {
+      w.set_instruction_window(window_lo, window_hi);
+      per_core.push_back(&w);
+    }
     machine.attach_chrome_trace(per_core, &backend_writer);
   }
   std::optional<obs::SelfProfiler> profiler;

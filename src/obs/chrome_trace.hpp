@@ -10,6 +10,12 @@
 //     and L2-miss shadows (miss detection -> line fill, per load);
 //   - instant events ("i"): second-level allocation requests (candidate
 //     registration), squashes, and DoD snapshots at decision points;
+//   - per-instruction instants, only inside the instruction window
+//     (set_instruction_window; empty by default): each instruction's
+//     fetch / dispatch / issue / complete / commit and, when a squash
+//     discards it, "squashed", with its tseq, pc, op (the OpClass value),
+//     addr on memory ops, wp=1 on the wrong path and spec=1 on an issue
+//     that read a speculatively woken operand;
 //   - counter tracks ("C"): per-thread ROB occupancy / outstanding L2
 //     misses at every interval-sampler boundary, when sampling is on.
 //
@@ -19,14 +25,14 @@
 // Interaction with the idle-cycle fast-forward: every span edge and instant
 // above happens in a tick that changed machine state, and a fast-forwarded
 // cycle is by construction one in which nothing changed, so the event trace
-// is identical with fast-forwarding on or off and the writer, like the text
-// PipelineTracer, does not pin the core to cycle-by-cycle execution.
-// Counter samples inside a skipped span are replayed by the sampler.
+// is identical with fast-forwarding on or off and the writer does not pin
+// the core to cycle-by-cycle execution. Counter samples inside a skipped
+// span are replayed by the sampler.
 //
-// Attachment mirrors PipelineTracer: host code owns the writer, attaches it
-// to a core (SmtCore::attach_chrome_trace) before running, and serialises
-// with write() afterwards. Detached (the default) costs one null-pointer
-// test per hooked event, never per cycle.
+// Host code owns the writer, attaches it to a core
+// (SmtCore::attach_chrome_trace) before running, and serialises with write()
+// afterwards. Detached (the default) costs one null-pointer test per hooked
+// event, never per cycle.
 #pragma once
 
 #include <ostream>
@@ -59,6 +65,17 @@ class ChromeTraceWriter {
   /// Names the track for hardware thread `tid` (shown by Perfetto in track
   /// order); typically "t0 <benchmark>".
   void set_thread_name(ThreadId tid, const std::string& name);
+
+  /// Records per-instruction stage instants for cycles in [start, end);
+  /// the window is empty by default, so only the machine-level events above
+  /// are recorded.
+  void set_instruction_window(Cycle start, Cycle end) {
+    window_start_ = start;
+    window_end_ = end;
+  }
+  bool in_instruction_window(Cycle now) const {
+    return now >= window_start_ && now < window_end_;
+  }
 
   /// Duration span [start, end) on `tid`'s track.
   void complete_event(ThreadId tid, const std::string& name, Cycle start, Cycle end,
@@ -104,6 +121,8 @@ class ChromeTraceWriter {
   static void write_events(std::ostream& os, const std::vector<Event>& events, bool& first);
 
   u32 pid_ = 0;
+  Cycle window_start_ = 0;
+  Cycle window_end_ = 0;
   std::vector<Event> events_;
 };
 

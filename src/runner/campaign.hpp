@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "runner/record.hpp"
+#include "sim/experiment.hpp"
 #include "sim/presets.hpp"
 #include "workload/mixes.hpp"
 
@@ -26,8 +27,8 @@ struct ConfigColumn {
 
 /// One point on the run-length axis.
 struct RunLengthSpec {
-  u64 insts = 120000;
-  u64 warmup = 60000;
+  u64 insts = kDefaultCommitTarget;
+  u64 warmup = kDefaultWarmup;
 };
 
 struct CampaignSpec {

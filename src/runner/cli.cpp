@@ -85,6 +85,9 @@ void apply_shared_options(std::vector<PresetRun>& runs, const Options& opts) {
   if (opts.has("workload")) workload = trace::workload_mix(opts.get("workload"));
   const u64 sample_interval = opts.get_u64("sample_interval", 0);
   const std::string sample_dir = opts.get("sample_dir", "");
+  if (!sample_dir.empty() && sample_interval == 0)
+    throw std::invalid_argument(
+        "--sample-dir needs a nonzero --sample-interval (there is no series to write)");
   for (PresetRun& run : runs) {
     if (workload) run.spec.mixes = {*workload};
     for (ConfigColumn& c : run.spec.columns) {
@@ -133,6 +136,9 @@ int run_from_options(const std::string& preset, const Options& opts) {
   const bool resume = opts.get_bool("resume", false);
   const bool want_json = opts.has("json"), want_csv = opts.has("csv");
   opts.require_all_read(preset.empty() ? "" : " (or not used by presets)");
+  if (want_json && want_csv && opts.get("json") == "-" && opts.get("csv") == "-")
+    throw std::invalid_argument(
+        "--json - and --csv - would interleave on stdout (send one to a file)");
 
   // Structured sinks ("-" = stdout).
   std::vector<std::unique_ptr<std::ofstream>> files;

@@ -344,7 +344,10 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
       return;
     }
     const std::string digest = cell_digest(key);
-    if (const auto it = done.find(digest); it != done.end()) {
+    // A sample_dir cell must write its own series file: like the memo, the
+    // journal cannot replay it.
+    const auto it = js.sample_dir.empty() ? done.find(digest) : done.end();
+    if (it != done.end()) {
       // The journalled cell may sit elsewhere, or under other names.
       emitter.complete(restamped(it->second, js), Origin::kResumed, digest);
       return;

@@ -16,9 +16,11 @@
 
 namespace tlrob {
 
-/// Default per-run length (committed instructions on the fastest thread).
-inline constexpr u64 kDefaultCommitTarget = 200000;
-/// Default warmup (committed instructions, excluded from all statistics).
+/// Default per-run length (committed instructions on the fastest thread) and
+/// warmup (committed instructions, excluded from all statistics): the one
+/// source of `simulate`'s insts=/warmup= defaults, runner::RunLengthSpec's
+/// and `tlrob-campaign --help`'s.
+inline constexpr u64 kDefaultCommitTarget = 120000;
 inline constexpr u64 kDefaultWarmup = 60000;
 
 /// Runs `benchmarks` (one per thread) on `cfg`.

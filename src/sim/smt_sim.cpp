@@ -3,26 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 #include <utility>
 
 #include "memory/shared_memory.hpp"
 #include "obs/self_profile.hpp"
 
 namespace tlrob {
-
-namespace {
-
-// Incremental append instead of an operator+ chain: GCC 12's -O3 restrict
-// analysis misfires on long chains over std::to_string temporaries
-// (GCC PR 105329) and -Werror turns that into a build break.
-std::string concat(std::initializer_list<std::string_view> parts) {
-  std::string out;
-  for (const auto part : parts) out += part;
-  return out;
-}
-
-}  // namespace
 
 SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchmarks,
                  SharedMemory* shared, u32 core_id)
@@ -285,7 +271,7 @@ void SmtCore::finish_execution(DynInst& di) {
   }
   if (di.in_iq) iq_.remove(&di);  // speculatively issued entries release here
   rename_.consumers_read(di);
-  tracer_.event(cycle_, "complete", di);
+  if (trace_ != nullptr) trace_stage("complete", di);
   ++stats_.exec_completed;
   if (di.is_ctrl() && !di.branch_resolved) {
     di.branch_resolved = true;
@@ -331,17 +317,13 @@ void SmtCore::squash_after(ThreadId tid, u64 tseq) {
   ts.lsq.squash_after(tseq);  // before the ROB destroys the entries it points at
   ts.rob.squash_after(tseq, [&](DynInst& d) {
     release_entry(ts, d);
-    tracer_.event(cycle_, "squash  ", d);
+    if (trace_ != nullptr) trace_stage("squashed", d);
     ++stats_.squash_insts;
   });
   rob_ctrl_->on_squash(tid, tseq);
   const u64 squashed = stats_.squash_insts - squashed_before;
   if (trace_ != nullptr)
     trace_->instant_event(tid, "squash", cycle_, {{"insts", squashed}, {"after_tseq", tseq}});
-  tracer_.note_if(cycle_, [&] {
-    return concat({"t", std::to_string(tid), " squash after #", std::to_string(tseq), " (",
-                   std::to_string(squashed), " insts)"});
-  });
 }
 
 void SmtCore::undispatch_after(ThreadId tid, u64 tseq) {
@@ -416,7 +398,7 @@ bool SmtCore::do_commit() {
       drop_outstanding_counts(*h);  // defensive: no committed op may keep gating fetch
       rename_.commit_free(*h);
       auditor_.on_commit(t, h->tseq, cycle_);
-      tracer_.event(cycle_, "commit  ", *h);
+      if (trace_ != nullptr) trace_stage("commit", *h);
       if (!h->wrong_path) {
         ++ts.committed;
         ++stats_.commit_insts;
@@ -481,7 +463,7 @@ bool SmtCore::issue_one(DynInst& di) {
   di.issued = true;
   iq_.mark_issued(&di);
   di.issue_cycle = cycle_;
-  tracer_.event(cycle_, "issue   ", di, any_spec ? "spec" : "");
+  if (trace_ != nullptr) trace_stage("issue", di, any_spec);
   ++stats_.issue_insts;
 
   if (di.is_load()) {
@@ -650,7 +632,7 @@ bool SmtCore::try_dispatch_one(ThreadState& ts, ThreadId tid) {
   iq_.insert(&slot);
   if (slot.is_mem()) ts.lsq.push(&slot);
   if (slot.is_ctrl()) ++ts.unresolved_ctrl;
-  tracer_.event(cycle_, "dispatch", slot);
+  if (trace_ != nullptr) trace_stage("dispatch", slot);
   ++stats_.dispatch_insts;
   return true;
 }
@@ -792,7 +774,7 @@ bool SmtCore::fetch_one(ThreadState& ts, ThreadId tid) {
 
   di.seq = next_seq_++;
   di.tseq = ts.next_tseq++;
-  tracer_.event(cycle_, "fetch   ", di);
+  if (trace_ != nullptr) trace_stage("fetch", di);
   ts.frontend.push_back(std::move(di));
   ++(ts.frontend.back().wrong_path ? stats_.fetch_wrong_path : stats_.fetch_insts);
   return true;
@@ -897,7 +879,7 @@ bool SmtCore::tick() {
   // happen in state-changing ticks, so polling per executed tick sees every
   // tenure edge; the sampler compare is the whole per-tick cost when off.
   obs::enter(obs::Phase::kSample);
-  if (trace_ != nullptr || tracer_.attached()) poll_second_level();
+  if (trace_ != nullptr) poll_second_level();
   // Stall taxonomy: attribute the cycle just simulated before the sampler
   // runs, so a sample labelled L carries the attribution through cycle L-1.
   if (sample_every_ != 0) attribute_tick();
@@ -1051,7 +1033,8 @@ void SmtCore::attach_chrome_trace(obs::ChromeTraceWriter* writer) {
   trace_ = writer;
   if (trace_ == nullptr) return;
   for (ThreadId t = 0; t < cfg_.num_threads; ++t)
-    trace_->set_thread_name(t, concat({"t", std::to_string(t), " ", benchmarks_[t].name}));
+    trace_->set_thread_name(  // appends: GCC 12 -O3 misreads an operator+ chain (PR 105329)
+        t, std::string("t").append(std::to_string(t)).append(" ").append(benchmarks_[t].name));
 }
 
 void SmtCore::flush_chrome_trace() {
@@ -1069,25 +1052,25 @@ void SmtCore::poll_second_level() {
   // A changed allocation count with an unchanged owner is a release and
   // re-grant inside one tick (the controller's maybe_release + acquire) —
   // still one tenure ending and another beginning.
-  if (sl_owner_ != SecondLevelRob::kNoOwner) {
-    if (trace_ != nullptr)
-      trace_->complete_event(sl_owner_, "second_level_grant", sl_acquired_, cycle_,
-                             {{"trigger_tseq", sl_trigger_}, {"alloc", sl_allocs_}});
-    tracer_.note_if(cycle_, [&] {
-      return concat({"t", std::to_string(sl_owner_), " releases second-level partition (held since ",
-                     std::to_string(sl_acquired_), ")"});
-    });
-  }
+  if (sl_owner_ != SecondLevelRob::kNoOwner)
+    trace_->complete_event(sl_owner_, "second_level_grant", sl_acquired_, cycle_,
+                           {{"trigger_tseq", sl_trigger_}, {"alloc", sl_allocs_}});
   sl_owner_ = owner;
   sl_allocs_ = allocs;
   if (owner != SecondLevelRob::kNoOwner) {
     sl_acquired_ = second_.acquired_at();
     sl_trigger_ = rob_ctrl_->audit_trigger_tseq(owner);
-    tracer_.note_if(cycle_, [&] {
-      return concat({"t", std::to_string(owner), " granted second-level partition (trigger #",
-                     std::to_string(sl_trigger_), ")"});
-    });
   }
+}
+
+void SmtCore::trace_stage(const char* stage, const DynInst& di, bool spec) {
+  if (!trace_->in_instruction_window(cycle_)) return;
+  std::vector<obs::ChromeTraceWriter::Arg> args = {
+      {"tseq", di.tseq}, {"pc", di.pc}, {"op", static_cast<u64>(di.op)}};
+  if (di.is_mem()) args.push_back({"addr", di.mem_addr});
+  if (di.wrong_path) args.push_back({"wp", 1});
+  if (spec) args.push_back({"spec", 1});
+  trace_->instant_event(di.tid, stage, cycle_, std::move(args));
 }
 
 void SmtCore::record_sample(Cycle label) {

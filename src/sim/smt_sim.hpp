@@ -49,7 +49,6 @@
 #include "sim/event_wheel.hpp"
 #include "sim/metrics.hpp"
 #include "sim/presets.hpp"
-#include "sim/trace.hpp"
 #include "verify/invariant_checker.hpp"
 #include "workload/thread_context.hpp"
 
@@ -192,14 +191,14 @@ class SmtCore {
   SecondLevelRob& second_level() { return second_; }
   RenameUnit& rename_unit() { return rename_; }
   const CoreStats& stats() const { return stats_; }
-  PipelineTracer& tracer() { return tracer_; }
   const MachineConfig& config() const { return cfg_; }
   const EventWheel& event_wheel() const { return wheel_; }
 
-  /// Attaches a Chrome trace-event writer (nullptr detaches). Like the text
-  /// tracer it leaves the idle-cycle fast-forward on: every span edge and
-  /// instant happens in a state-changing tick, which the fast-forward never
-  /// skips (obs/chrome_trace.hpp).
+  /// Attaches a Chrome trace-event writer (nullptr detaches): the core's one
+  /// pipeline observer. It leaves the idle-cycle fast-forward on: every span
+  /// edge and instant, per-instruction ones included, happens in a
+  /// state-changing tick, which the fast-forward never skips
+  /// (obs/chrome_trace.hpp).
   void attach_chrome_trace(obs::ChromeTraceWriter* writer);
 
   /// Closes any still-open second-level tenure into the attached Chrome
@@ -337,10 +336,14 @@ class SmtCore {
   /// splitting at the head load's segment edges (at most three breakpoints).
   void attribute_idle_span(Cycle from, Cycle to);
   /// Observes second-level ownership transitions for the Chrome trace's
-  /// grant-lifecycle spans and the text tracer's grant notes. Called at the
-  /// end of a tick only while an observer is attached; transitions can only
-  /// happen in state-changing ticks, which are never fast-forwarded.
+  /// grant-lifecycle spans. Called at the end of a tick only while a writer
+  /// is attached; transitions can only happen in state-changing ticks, which
+  /// are never fast-forwarded.
   void poll_second_level();
+  /// Records `di`'s `stage` instant ("fetch" ... "commit", "squashed") when
+  /// the attached writer's instruction window holds the current cycle.
+  /// Callers test trace_ != nullptr first.
+  void trace_stage(const char* stage, const DynInst& di, bool spec = false);
   bool fetch_one(ThreadState& ts, ThreadId tid);
   DynInst make_correct_path_inst(ThreadState& ts, ThreadId tid);
   DynInst make_wrong_path_inst(ThreadState& ts, ThreadId tid);
@@ -398,7 +401,6 @@ class SmtCore {
   std::vector<DynInst*> replay_victims_;
 
   CoreStats stats_;
-  PipelineTracer tracer_;
   Histogram dod_true_{31};
   Histogram dod_proxy_{31};
 

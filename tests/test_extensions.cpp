@@ -1,13 +1,20 @@
 // Tests for the optional extensions: early register release (ref [24] of the
-// paper) and the CLI configuration-override layer.
+// paper), the CLI configuration-override layer and the per-instruction
+// stage instants of the Chrome trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <set>
 #include <sstream>
 #include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "obs/chrome_trace.hpp"
+#include "runner/json.hpp"
+#include "sim/cmp.hpp"
 #include "sim/config_override.hpp"
 #include "sim/experiment.hpp"
 #include "sim/smt_sim.hpp"
@@ -224,58 +231,172 @@ TEST(ConfigOverride, OverriddenMachineRuns) {
   EXPECT_GT(r.threads[1].committed, 0u);
 }
 
+// The per-instruction stage instants SmtCore records inside a writer's
+// instruction window.
+constexpr std::array<const char*, 6> kStages = {"fetch",    "dispatch", "issue",
+                                                "complete", "commit",   "squashed"};
+
+std::string trace_json(const std::vector<const obs::ChromeTraceWriter*>& writers) {
+  std::ostringstream os;
+  obs::ChromeTraceWriter::write_merged(os, writers);
+  return os.str();
+}
+
+std::vector<runner::JsonValue> stage_instants(const std::string& json) {
+  const runner::JsonValue doc = runner::parse_json(json);
+  std::vector<runner::JsonValue> out;
+  for (const runner::JsonValue& e : doc.at("traceEvents").items)
+    if (e.at("ph").as_string() == "i" &&
+        std::find(kStages.begin(), kStages.end(), e.at("name").as_string()) != kStages.end())
+      out.push_back(e);
+  return out;
+}
+
 TEST(Tracer, EmitsEventsOnlyInsideWindow) {
   MachineConfig cfg = single_thread_config();
   SmtCore core(cfg, {spec_benchmark("art")});
-  std::ostringstream os;
+  obs::ChromeTraceWriter trace;
   // Mid-run window, well past the cold I-cache fill that silences the first
   // few hundred cycles.
-  core.tracer().attach(&os, 2000, 2400);
+  trace.set_instruction_window(2000, 2400);
+  core.attach_chrome_trace(&trace);
   core.run(3000);
-  const std::string log = os.str();
-  ASSERT_FALSE(log.empty());
-  EXPECT_NE(log.find("fetch"), std::string::npos);
-  EXPECT_NE(log.find("dispatch"), std::string::npos);
-  EXPECT_NE(log.find("issue"), std::string::npos);
-  EXPECT_NE(log.find("commit"), std::string::npos);
-  // Every line starts with a cycle inside [2000, 2400).
-  std::istringstream in(log);
-  std::string line;
-  while (std::getline(in, line)) {
-    const u64 cyc = std::strtoull(line.c_str(), nullptr, 10);
-    EXPECT_GE(cyc, 2000u);
-    EXPECT_LT(cyc, 2400u);
+  for (const char* stage : {"fetch", "dispatch", "issue", "complete", "commit"})
+    EXPECT_GT(trace.count_named('i', stage), 0u) << stage;
+  const std::vector<runner::JsonValue> instants = stage_instants(trace_json({&trace}));
+  ASSERT_FALSE(instants.empty());
+  bool saw_addr = false;
+  for (const runner::JsonValue& e : instants) {
+    EXPECT_GE(e.at("ts").as_u64(), 2000u);
+    EXPECT_LT(e.at("ts").as_u64(), 2400u);
+    const runner::JsonValue& args = e.at("args");
+    EXPECT_FALSE(args.at("tseq").lexeme.empty());
+    EXPECT_FALSE(args.at("pc").lexeme.empty());
+    // addr exactly on memory ops.
+    const auto op = static_cast<OpClass>(args.at("op").as_u64());
+    EXPECT_EQ(args.at("addr").lexeme.empty(), !is_memory(op));
+    saw_addr |= !args.at("addr").lexeme.empty();
   }
+  EXPECT_TRUE(saw_addr);
 }
 
-// The text tracer leaves the idle-cycle fast-forward on: events and notes
-// only happen in state-changing ticks, so a traced run that skips idle
-// cycles logs exactly what a run pinned to cycle-by-cycle execution logs.
+// A one-cycle window [W, W+1) records exactly the instants a whole-run
+// window records at cycle W: none at W-1 or W+1, none missing at W.
+TEST(Tracer, OneCycleWindowRecordsExactlyThatCycle) {
+  const MachineConfig cfg = two_level_config(RobScheme::kReactive, 16);
+  const auto benches = mix_benchmarks(table2_mix(3));
+  auto traced_run = [&](Cycle start, Cycle end) {
+    SmtCore core(cfg, benches);
+    obs::ChromeTraceWriter w;
+    w.set_instruction_window(start, end);
+    core.attach_chrome_trace(&w);
+    core.run(2000);
+    return stage_instants(trace_json({&w}));
+  };
+  const std::vector<runner::JsonValue> whole = traced_run(0, kNeverCycle);
+  ASSERT_GT(whole.size(), 1000u);
+  const u64 w = whole[whole.size() / 2].at("ts").as_u64();
+  std::vector<std::string> expected;
+  for (const runner::JsonValue& e : whole)
+    if (e.at("ts").as_u64() == w) expected.push_back(e.at("name").as_string());
+  std::vector<std::string> got;
+  for (const runner::JsonValue& e : traced_run(w, w + 1)) {
+    EXPECT_EQ(e.at("ts").as_u64(), w);
+    got.push_back(e.at("name").as_string());
+  }
+  EXPECT_EQ(got, expected);
+}
+
+// The per-instruction instants leave the idle-cycle fast-forward on: they
+// only happen in state-changing ticks, so a traced run that skips idle cycles
+// writes exactly the trace of a run pinned to cycle-by-cycle execution.
 TEST(Tracer, TracedRunFastForwardsWithThePinnedRunsLog) {
   const MachineConfig cfg = two_level_config(RobScheme::kReactive, 16);
   const auto benches = mix_benchmarks(table2_mix(3));
   SmtCore traced(cfg, benches);
-  std::ostringstream log;
-  traced.tracer().attach(&log);
+  obs::ChromeTraceWriter log;
+  log.set_instruction_window(0, kNeverCycle);
+  traced.attach_chrome_trace(&log);
   const RunResult a = traced.run(2000);
   SmtCore pinned(cfg, benches);
-  std::ostringstream reference;
-  pinned.tracer().attach(&reference);
+  obs::ChromeTraceWriter reference;
+  reference.set_instruction_window(0, kNeverCycle);
+  pinned.attach_chrome_trace(&reference);
   pinned.pin_for_test();
   const RunResult b = pinned.run(2000);
 
   EXPECT_GT(traced.fast_forwarded_cycles(), 0u);
   EXPECT_EQ(pinned.fast_forwarded_cycles(), 0u);
   EXPECT_EQ(a.cycles, b.cycles);
-  EXPECT_NE(log.str().find("granted second-level partition"), std::string::npos);
-  EXPECT_NE(log.str().find("squash after"), std::string::npos);
-  EXPECT_TRUE(log.str() == reference.str());  // not EXPECT_EQ: megabytes of diff
+  EXPECT_GT(log.count_named('X', "second_level_grant"), 0u);
+  EXPECT_GT(log.count_named('i', "squash"), 0u);
+  for (const char* stage : kStages) EXPECT_GT(log.count_named('i', stage), 0u) << stage;
+  // Not EXPECT_EQ: megabytes of diff.
+  EXPECT_TRUE(trace_json({&log}) == trace_json({&reference}));
+}
+
+// The same on a CMP, where each core sleeps on its own while its peers run.
+TEST(Tracer, CmpTracedRunFastForwardsWithThePinnedRunsTrace) {
+  MachineConfig cfg = cmp_config(2, RobScheme::kReactive, 16);
+  cfg.num_threads = 2;
+  const auto benches = mix_benchmarks(table2_mix(2));
+  auto traced_run = [&](bool pin, std::vector<obs::ChromeTraceWriter>& writers) {
+    CmpMachine machine(cfg, benches);
+    std::vector<obs::ChromeTraceWriter*> per_core;
+    for (obs::ChromeTraceWriter& w : writers) {
+      w.set_instruction_window(0, kNeverCycle);
+      per_core.push_back(&w);
+    }
+    obs::ChromeTraceWriter backend;
+    machine.attach_chrome_trace(per_core, &backend);
+    if (pin) machine.core(0).pin_for_test();
+    machine.run(2000);
+    u64 skipped = 0;
+    for (u32 c = 0; c < machine.num_cores(); ++c)
+      skipped += machine.core(c).fast_forwarded_cycles();
+    return skipped;
+  };
+  std::vector<obs::ChromeTraceWriter> ff(cfg.num_cores), pinned(cfg.num_cores);
+  EXPECT_GT(traced_run(false, ff), 0u);
+  EXPECT_EQ(traced_run(true, pinned), 0u);
+  for (u32 c = 0; c < cfg.num_cores; ++c) {
+    EXPECT_GT(ff[c].count_named('i', "commit"), 0u) << "core " << c;
+    EXPECT_TRUE(trace_json({&ff[c]}) == trace_json({&pinned[c]})) << "core " << c;
+  }
+}
+
+// On a CMP every core's writer takes the window: per-instruction instants
+// appear under every core's pid.
+TEST(Tracer, CmpInstantsAppearUnderEveryCore) {
+  MachineConfig cfg = cmp_config(4, RobScheme::kReactive, 16);
+  cfg.num_threads = 1;
+  CmpMachine machine(cfg, mix_benchmarks(table2_mix(2)));
+  std::vector<obs::ChromeTraceWriter> writers(cfg.num_cores);
+  std::vector<obs::ChromeTraceWriter*> per_core;
+  for (obs::ChromeTraceWriter& w : writers) {
+    w.set_instruction_window(2500, 3000);
+    per_core.push_back(&w);
+  }
+  obs::ChromeTraceWriter backend;
+  machine.attach_chrome_trace(per_core, &backend);
+  machine.run(2000);
+
+  std::vector<const obs::ChromeTraceWriter*> all;
+  for (const obs::ChromeTraceWriter& w : writers) all.push_back(&w);
+  std::set<u64> pids;
+  for (const runner::JsonValue& e : stage_instants(trace_json(all))) {
+    pids.insert(e.at("pid").as_u64());
+    EXPECT_GE(e.at("ts").as_u64(), 2500u);
+    EXPECT_LT(e.at("ts").as_u64(), 3000u);
+  }
+  EXPECT_EQ(pids.size(), cfg.num_cores);
+  EXPECT_EQ(backend.count_named('i', "commit"), 0u);
 }
 
 TEST(Tracer, DetachedTracerIsFree) {
   MachineConfig cfg = single_thread_config();
   SmtCore core(cfg, {spec_benchmark("gzip")});
-  core.run(2000);  // no tracer attached: must simply work
+  core.run(2000);  // no writer attached: must simply work
   EXPECT_GE(core.committed(0), 2000u);
 }
 

@@ -172,6 +172,26 @@ TEST(ChromeTrace, WriterEmitsWellFormedEvents) {
   EXPECT_EQ(w.event_count(), 0u);
 }
 
+// Regression test for the instruction window's edges: it is half-open
+// [start, end) and empty by default, so a cycle at start-1 or end records no
+// per-instruction instant and cycles start and end-1 do.
+TEST(ChromeTrace, InstructionWindowEdgesAreHalfOpen) {
+  obs::ChromeTraceWriter w;
+  EXPECT_FALSE(w.in_instruction_window(0));
+  EXPECT_FALSE(w.in_instruction_window(150));
+
+  w.set_instruction_window(/*start=*/100, /*end=*/200);
+  EXPECT_FALSE(w.in_instruction_window(99));
+  EXPECT_TRUE(w.in_instruction_window(100));
+  EXPECT_TRUE(w.in_instruction_window(199));
+  EXPECT_FALSE(w.in_instruction_window(200));
+
+  // An empty window again records nothing.
+  w.set_instruction_window(150, 150);
+  EXPECT_FALSE(w.in_instruction_window(149));
+  EXPECT_FALSE(w.in_instruction_window(150));
+}
+
 // Acceptance criterion for the structured trace: running a two-level scheme
 // on a memory-bound mix produces named grant-lifecycle duration spans, and
 // the request -> grant -> shadow chain is present per thread track.

@@ -11,7 +11,6 @@
 #include "pipeline/issue_queue.hpp"
 #include "pipeline/lsq.hpp"
 #include "pipeline/rename.hpp"
-#include "sim/trace.hpp"
 
 namespace tlrob {
 namespace {
@@ -192,74 +191,6 @@ TEST(IssueQueue, CollectOrderIsSlotOrderNotAge) {
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0], &d);
   EXPECT_EQ(all[1], &c);
-}
-
-// Regression test for the tracer's cycle-window edges: the window is
-// half-open [start, end) — an event at start-1 or end must not print, events
-// at start and end-1 must. attached() is independent of the window.
-TEST(PipelineTracer, WindowEdgesAreHalfOpen) {
-  PipelineTracer tracer;
-  static const StaticInst w = alu(ireg(1));
-  DynInst di = dyn(&w, 0, 7);
-
-  std::ostringstream log;
-  tracer.attach(&log, /*start=*/100, /*end=*/200);
-  EXPECT_TRUE(tracer.attached());
-  EXPECT_FALSE(tracer.active(99));
-  EXPECT_TRUE(tracer.active(100));
-  EXPECT_TRUE(tracer.active(199));
-  EXPECT_FALSE(tracer.active(200));
-
-  tracer.event(99, "fetch", di);
-  tracer.note(99, "early");
-  EXPECT_EQ(log.str(), "");
-  tracer.event(100, "fetch", di);
-  const std::string at_start = log.str();
-  EXPECT_NE(at_start.find("100 t0 #7 fetch"), std::string::npos);
-  tracer.event(199, "commit", di);
-  tracer.note(199, "inside");
-  EXPECT_NE(log.str().find("199 t0 #7 commit"), std::string::npos);
-  EXPECT_NE(log.str().find("199 -- inside"), std::string::npos);
-  const std::string before_end = log.str();
-  tracer.event(200, "commit", di);
-  tracer.note(200, "late");
-  EXPECT_EQ(log.str(), before_end);
-
-  // Detaching clears attached().
-  tracer.attach(nullptr);
-  EXPECT_FALSE(tracer.attached());
-  EXPECT_FALSE(tracer.active(150));
-}
-
-// note_if must not evaluate its message builder unless the tracer is active
-// at that cycle — that laziness is the whole point of the facility (hot-path
-// call sites would otherwise build std::strings on millions of untraced
-// cycles).
-TEST(PipelineTracer, NoteIfIsLazy) {
-  PipelineTracer tracer;
-  int builds = 0;
-  auto build = [&] {
-    ++builds;
-    return std::string("expensive message");
-  };
-
-  // Detached: builder must not run.
-  tracer.note_if(50, build);
-  EXPECT_EQ(builds, 0);
-
-  std::ostringstream log;
-  tracer.attach(&log, /*start=*/100, /*end=*/200);
-
-  // Attached but outside the window: still no build.
-  tracer.note_if(99, build);
-  tracer.note_if(200, build);
-  EXPECT_EQ(builds, 0);
-  EXPECT_EQ(log.str(), "");
-
-  // Inside the window: built exactly once and printed.
-  tracer.note_if(150, build);
-  EXPECT_EQ(builds, 1);
-  EXPECT_EQ(log.str(), "150 -- expensive message\n");
 }
 
 StaticInst mem_op(OpClass op) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -736,6 +737,32 @@ TEST(RunnerMemo, SampleDirCellsBypassTheMemo) {
     for (u64 job = 0; job < 4; ++job)  // every run writes its own series
       EXPECT_FALSE(read_file(dir + "/samples_job" + std::to_string(job) + ".jsonl").empty());
   }
+}
+
+// A resumed sample_dir cell still writes its series: the journal holds the
+// record, not the file, so such a cell re-runs like it bypasses the memo.
+TEST(RunnerEngine, ResumeStillWritesSampleDirSeries) {
+  clear_cell_memo();
+  const std::string dir = testing::TempDir() + "tlrob_resume_samples";
+  std::filesystem::create_directories(dir);
+  const std::string manifest = temp_path("tlrob_resume_samples_manifest");
+  std::remove(manifest.c_str());
+  CampaignSpec sampled = small_spec("resume_sampled");
+  for (ConfigColumn& c : sampled.columns) c.config.telemetry.sample_interval = 500;
+  sampled.sample_dir = dir;
+  EngineOptions eng;
+  eng.manifest_path = manifest;
+  EXPECT_EQ(run_campaign(sampled, eng).ok, 4u);
+
+  for (u64 job = 0; job < 4; ++job)
+    std::remove((dir + "/samples_job" + std::to_string(job) + ".jsonl").c_str());
+  eng.resume = true;
+  const CampaignResult res = run_campaign(sampled, eng);
+  EXPECT_EQ(res.ok, 4u);
+  EXPECT_EQ(res.resumed, 0u);
+  for (u64 job = 0; job < 4; ++job)
+    EXPECT_FALSE(read_file(dir + "/samples_job" + std::to_string(job) + ".jsonl").empty())
+        << "job " << job;
 }
 
 TEST(RunnerCli, ParsesMixedOptionForms) {

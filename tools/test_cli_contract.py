@@ -5,8 +5,9 @@ Runs `simulate`, `tlrob-mktrace` and `tlrob-campaign` as subprocesses and
 asserts the shared front-end contract (common/config.hpp): `--key value`
 means the same as `key=value`; a typo, a malformed value or an input the
 machine cannot run exits 2 with an `error:` line on stderr, never an abort;
-`simulate` accepts trace workload tokens; and `simulate profile=1` adds its
-phase table on stderr without changing a byte of stdout. For
+`simulate` accepts trace workload tokens; `simulate profile=1` adds its
+phase table on stderr and `trace=` its instants to `trace_json=`, neither
+changing a byte of stdout. For
 `tlrob-campaign` it also checks that a preset and the equivalent custom
 sweep write the same records, that `--resume` re-simulates a cell whose
 trace file was rewritten (and the single-thread reference it weighs by),
@@ -56,10 +57,13 @@ def main():
           traced.returncode == 0 and "tracegen:mcf@500@13" in traced.stdout,
           traced.stderr[-300:])
 
-    def rejected(name, proc):
+    def rejected(name, proc, *keys):
         check(name + " -> exit 2 with error:",
               proc.returncode == 2 and "error:" in proc.stderr,
               f"rc {proc.returncode}, stderr {proc.stderr[-200:]!r}")
+        if keys:
+            check(name + " names " + " and ".join(keys), all(k in proc.stderr for k in keys),
+                  proc.stderr[-200:])
 
     rejected("scheme=bogus", run(simulate, "mix=1", "scheme=bogus", *RUN))
     rejected("insts=2k", run(simulate, "mix=1", "insts=2k"))
@@ -83,9 +87,7 @@ def main():
                         ("issue_width", "issue_width"), ("iq", "iq_entries"),
                         ("lsq", "lsq_entries"), ("frontend_buffer", "frontend_buffer"),
                         ("fetch_threads", "fetch_threads"), ("recheck", "recheck_interval")]:
-        zero = run(simulate, "mix=1", knob + "=0", *RUN)
-        rejected(knob + "=0", zero)
-        check(knob + "=0 names " + field, field in zero.stderr, zero.stderr[-200:])
+        rejected(knob + "=0", run(simulate, "mix=1", knob + "=0", *RUN), field)
     # Also rejected: a two-level scheme with no second level, DRAM timing with
     # no DRAM model, an MSHR pool with no slot, a value too big for its field,
     # a cache or DRAM geometry the structure cannot index and a register file
@@ -102,21 +104,17 @@ def main():
                           (["cores=2", "threads=8", "dram=3"], "dram.channels"),
                           (["cores=2", "threads=8", "dram=2:3"], "dram.banks_per_channel"),
                           (["int_regs=4"], "int_regs")]:
-        idle = run(simulate, "mix=1", *argv, *RUN)
-        rejected(" ".join(argv), idle)
-        check(" ".join(argv) + " names " + setting, setting in idle.stderr, idle.stderr[-200:])
+        rejected(" ".join(argv), run(simulate, "mix=1", *argv, *RUN), setting)
 
     rejected("tlrob-campaign fig2,fig99", run(campaign, "fig2,fig99", *SHORT))
     rejected("tlrob-campaign --per-job-seeds", run(campaign, "--per-job-seeds", *SHORT))
 
-    cores = run(campaign, "--cores", "4294967298", "--schemes", "rrob", "--mixes", "1", *SHORT)
-    rejected("tlrob-campaign --cores 4294967298", cores)
-    check("--cores 4294967298 names cores", "option cores" in cores.stderr, cores.stderr[-200:])
-
-    thresholds = run(campaign, "--thresholds", "4294967312", "--mixes", "1", *SHORT)
-    rejected("tlrob-campaign --thresholds 4294967312", thresholds)
-    check("--thresholds 4294967312 names thresholds", "option thresholds" in thresholds.stderr,
-          thresholds.stderr[-200:])
+    rejected("tlrob-campaign --cores 4294967298",
+             run(campaign, "--cores", "4294967298", "--schemes", "rrob", "--mixes", "1", *SHORT),
+             "option cores")
+    rejected("tlrob-campaign --thresholds 4294967312",
+             run(campaign, "--thresholds", "4294967312", "--mixes", "1", *SHORT),
+             "option thresholds")
 
     # A run no thread finishes is an error, not a zero-commit result.
     capped = run(simulate, "mix=1", "max_cycles=1000", "insts=3000", "warmup=500")
@@ -135,6 +133,34 @@ def main():
           "events scheduled past the" in profiled.stderr, profiled.stderr[-300:])
 
     with tempfile.TemporaryDirectory() as tmp:
+        # trace= adds per-instruction instants to the trace_json= file on
+        # every core; an empty window or a missing file is an error.
+        trace_json = os.path.join(tmp, "t.json")
+        windowed = run(simulate, "mix=1", "cores=2", "trace=3000:4000",
+                       "trace_json=" + trace_json, *RUN)
+        events = json.load(open(trace_json))["traceEvents"] if windowed.returncode == 0 else []
+        commits = [e for e in events if e["name"] == "commit" and e["ph"] == "i"]
+        check("trace=3000:4000 records commit instants on both cores, inside the window",
+              {e["pid"] for e in commits} == {0, 1}
+              and all(3000 <= e["ts"] < 4000 for e in commits),
+              f"rc {windowed.returncode}, {len(commits)} commits, {windowed.stderr[-200:]!r}")
+        check("trace= leaves stdout byte-identical",
+              windowed.stdout == run(simulate, "mix=1", "cores=2", *RUN).stdout)
+        rejected("trace=500:100", run(simulate, "mix=1", "trace=500:100",
+                                      "trace_json=" + trace_json, *RUN), "option trace")
+        rejected("trace=500 without trace_json=", run(simulate, "mix=1", "trace=500", *RUN),
+                 "option trace", "trace_json")
+
+        one_cell = ["--schemes", "baseline32", "--mixes", "1", *SHORT]
+        samples = os.path.join(tmp, "samples")
+        os.mkdir(samples)
+        rejected("--sample-dir without --sample-interval",
+                 run(campaign, *one_cell, "--sample-dir", samples),
+                 "--sample-dir", "--sample-interval")
+        check("--sample-dir without --sample-interval writes nothing", not os.listdir(samples))
+        rejected("--json - --csv -", run(campaign, *one_cell, "--json", "-", "--csv", "-"),
+                 "--json", "--csv")
+
         out = os.path.join(tmp, "art.trace")
         rejected("tlrob-mktrace --sed 7",
                  run(mktrace, "--profile", "art", "--records", "100", "--out", out, "--sed", "7"))

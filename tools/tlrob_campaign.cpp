@@ -20,6 +20,7 @@
 #include <cstdio>
 
 #include "runner/cli.hpp"
+#include "sim/experiment.hpp"
 
 using namespace tlrob;
 using namespace tlrob::runner;
@@ -33,8 +34,8 @@ void print_usage() {
       "\n"
       "options (both --key value and key=value forms are accepted):\n"
       "  --jobs N         worker threads (0 = hardware concurrency, 1 = serial)\n"
-      "  --insts N        committed-instruction target per run (default 120000)\n"
-      "  --warmup N       warmup commits excluded from statistics (default 60000)\n"
+      "  --insts N        committed-instruction target per run (default %llu)\n"
+      "  --warmup N       warmup commits excluded from statistics (default %llu)\n"
       "  --json PATH      JSON-lines sink ('-' = stdout)\n"
       "  --csv PATH       CSV sink ('-' = stdout)\n"
       "  --manifest PATH  completion journal enabling --resume\n"
@@ -63,7 +64,9 @@ void print_usage() {
       "  --dram SPEC      DRAM channels[:banks[:tcas[:trcd[:trp]]]]\n"
       "\n"
       "An option nothing uses (a typo, or a custom-sweep option given to a\n"
-      "preset) is an error: exit status 2, naming the option.\n");
+      "preset) is an error: exit status 2, naming the option.\n",
+      static_cast<unsigned long long>(kDefaultCommitTarget),
+      static_cast<unsigned long long>(kDefaultWarmup));
 }
 
 }  // namespace
