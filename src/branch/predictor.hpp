@@ -25,13 +25,15 @@ struct PredictorConfig {
   u32 btb_ways = 2;
 };
 
+/// Fields ordered by size: every DynInst carries one, so 16 bytes, not 32.
 struct BranchPrediction {
-  bool taken = true;        // predicted direction (unconditional ops: true)
   Addr target = 0;          // predicted target (returns: RAS; else static)
-  u16 history_before = 0;   // gshare snapshot (conditional branches)
   u32 ras_checkpoint = 0;   // RAS top-of-stack snapshot
+  u16 history_before = 0;   // gshare snapshot (conditional branches)
+  bool taken = true;        // predicted direction (unconditional ops: true)
   bool used_ras = false;
 };
+static_assert(sizeof(BranchPrediction) == 16);
 
 struct BranchStats {
   u64 btb_hits = 0;

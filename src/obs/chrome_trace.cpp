@@ -1,6 +1,7 @@
 #include "obs/chrome_trace.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "runner/json.hpp"
 
@@ -9,59 +10,58 @@ namespace tlrob::obs {
 using runner::json_escape;
 using runner::json_u64;
 
-void ChromeTraceWriter::set_process_name(const std::string& name) {
-  Event e;
-  e.ph = 'M';
-  e.proc_meta = true;
-  e.pid = pid_;
-  e.name = name;
-  events_.push_back(std::move(e));
+void TraceArgs::push_back(const TraceArg& a) {
+  if (size_ == kMax) throw std::logic_error("TraceArgs: more than kMax arguments");
+  items_[size_++] = a;
 }
 
-void ChromeTraceWriter::set_thread_name(ThreadId tid, const std::string& name) {
-  Event e;
+void ChromeTraceWriter::metadata(bool proc_meta, ThreadId tid, const std::string& label) {
+  Event& e = events_.emplace_back();
   e.ph = 'M';
+  e.proc_meta = proc_meta;
   e.pid = pid_;
   e.tid = tid;
-  e.name = name;
-  events_.push_back(std::move(e));
+  e.label = static_cast<u32>(labels_.size());
+  labels_.push_back(label);
 }
 
-void ChromeTraceWriter::complete_event(ThreadId tid, const std::string& name, Cycle start,
-                                       Cycle end, std::vector<Arg> args) {
-  Event e;
+void ChromeTraceWriter::set_process_name(const std::string& name) { metadata(true, 0, name); }
+
+void ChromeTraceWriter::set_thread_name(ThreadId tid, const std::string& name) {
+  metadata(false, tid, name);
+}
+
+void ChromeTraceWriter::complete_event(ThreadId tid, const char* name, Cycle start, Cycle end,
+                                       const TraceArgs& args) {
+  Event& e = events_.emplace_back();
   e.ph = 'X';
   e.pid = pid_;
   e.tid = tid;
   e.name = name;
   e.ts = start;
   e.dur = end >= start ? end - start : 0;
-  e.args = std::move(args);
-  events_.push_back(std::move(e));
+  e.args = args;
 }
 
-void ChromeTraceWriter::instant_event(ThreadId tid, const std::string& name, Cycle ts,
-                                      std::vector<Arg> args) {
-  Event e;
+void ChromeTraceWriter::instant_event(ThreadId tid, const char* name, Cycle ts,
+                                      const TraceArgs& args) {
+  Event& e = events_.emplace_back();
   e.ph = 'i';
   e.pid = pid_;
   e.tid = tid;
   e.name = name;
   e.ts = ts;
-  e.args = std::move(args);
-  events_.push_back(std::move(e));
+  e.args = args;
 }
 
-void ChromeTraceWriter::counter_event(ThreadId tid, const std::string& name, Cycle ts,
-                                      u64 value) {
-  Event e;
+void ChromeTraceWriter::counter_event(ThreadId tid, const char* name, Cycle ts, u64 value) {
+  Event& e = events_.emplace_back();
   e.ph = 'C';
   e.pid = pid_;
   e.tid = tid;
   e.name = name;
   e.ts = ts;
   e.args.push_back({"value", value});
-  events_.push_back(std::move(e));
 }
 
 size_t ChromeTraceWriter::count_named(char ph, const std::string& name) const {
@@ -71,13 +71,12 @@ size_t ChromeTraceWriter::count_named(char ph, const std::string& name) const {
     // emits.
     if (e.ph == 'M')
       return ph == 'M' && name == (e.proc_meta ? "process_name" : "thread_name");
-    return e.ph == ph && e.name == name;
+    return e.ph == ph && name == e.name;
   }));
 }
 
-void ChromeTraceWriter::write_events(std::ostream& os, const std::vector<Event>& events,
-                                     bool& first) {
-  for (const Event& e : events) {
+void ChromeTraceWriter::write_events(std::ostream& os, bool& first) const {
+  for (const Event& e : events_) {
     if (!first) os << ",\n";
     first = false;
     if (e.ph == 'M') {
@@ -86,7 +85,7 @@ void ChromeTraceWriter::write_events(std::ostream& os, const std::vector<Event>&
       os << "{\"ph\":\"M\",\"pid\":" << json_u64(e.pid);
       if (!e.proc_meta) os << ",\"tid\":" << json_u64(e.tid);
       os << ",\"name\":\"" << (e.proc_meta ? "process_name" : "thread_name")
-         << "\",\"args\":{\"name\":" << json_escape(e.name) << "}}";
+         << "\",\"args\":{\"name\":" << json_escape(labels_[e.label]) << "}}";
       continue;
     }
     os << "{\"ph\":\"" << e.ph << "\",\"pid\":" << json_u64(e.pid)
@@ -96,9 +95,11 @@ void ChromeTraceWriter::write_events(std::ostream& os, const std::vector<Event>&
     if (e.ph == 'i') os << ",\"s\":\"t\"";  // thread-scoped instant
     if (!e.args.empty()) {
       os << ",\"args\":{";
-      for (size_t i = 0; i < e.args.size(); ++i) {
-        if (i != 0) os << ",";
-        os << json_escape(e.args[i].key) << ":" << json_u64(e.args[i].value);
+      bool first_arg = true;
+      for (const TraceArg& a : e.args) {
+        if (!first_arg) os << ",";
+        first_arg = false;
+        os << json_escape(a.key) << ":" << json_u64(a.value);
       }
       os << "}";
     }
@@ -115,7 +116,7 @@ void ChromeTraceWriter::write_merged(std::ostream& os,
   os << "{\"traceEvents\":[";
   bool first = true;
   for (const ChromeTraceWriter* w : writers)
-    if (w != nullptr) write_events(os, w->events_, first);
+    if (w != nullptr) w->write_events(os, first);
   os << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"1 ts = 1 simulated cycle\"}}\n";
 }
 

@@ -33,8 +33,17 @@
 // (SmtCore::attach_chrome_trace) before running, and serialises with write()
 // afterwards. Detached (the default) costs one null-pointer test per hooked
 // event, never per cycle.
+//
+// Events are buffered until write(), so their storage is kept flat: event
+// names and argument keys are `const char*` (every call site passes a string
+// literal), up to TraceArgs::kMax arguments sit inline in the event, and the
+// buffer is a deque, so growing it never copies what is already recorded.
+// Only the metadata labels (thread and process names) are owned strings.
 #pragma once
 
+#include <array>
+#include <deque>
+#include <initializer_list>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -43,14 +52,35 @@
 
 namespace tlrob::obs {
 
+/// One key/value argument pair rendered into a trace event's "args" object.
+/// The key must outlive the writer (call sites pass string literals).
+struct TraceArg {
+  const char* key = "";
+  u64 value = 0;
+};
+
+/// A trace event's arguments, stored inline in the event.
+class TraceArgs {
+ public:
+  static constexpr u32 kMax = 6;
+
+  TraceArgs() = default;
+  TraceArgs(std::initializer_list<TraceArg> args) {
+    for (const TraceArg& a : args) push_back(a);
+  }
+  /// Appends one argument; more than kMax is a programming error.
+  void push_back(const TraceArg& a);
+  const TraceArg* begin() const { return items_.data(); }
+  const TraceArg* end() const { return items_.data() + size_; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  std::array<TraceArg, kMax> items_{};
+  u8 size_ = 0;
+};
+
 class ChromeTraceWriter {
  public:
-  /// One key/value argument pair rendered into the event's "args" object.
-  struct Arg {
-    std::string key;
-    u64 value = 0;
-  };
-
   /// Sets the process id stamped on every subsequently recorded event
   /// (default 0). The CMP engine assigns pid = core index to each core's
   /// writer and pid = num_cores to the shared-backend writer so Perfetto
@@ -77,17 +107,17 @@ class ChromeTraceWriter {
     return now >= window_start_ && now < window_end_;
   }
 
-  /// Duration span [start, end) on `tid`'s track.
-  void complete_event(ThreadId tid, const std::string& name, Cycle start, Cycle end,
-                      std::vector<Arg> args = {});
+  /// Duration span [start, end) on `tid`'s track. `name` must outlive the
+  /// writer, as for every event below.
+  void complete_event(ThreadId tid, const char* name, Cycle start, Cycle end,
+                      const TraceArgs& args = {});
 
   /// Thread-scoped instant event at `ts`.
-  void instant_event(ThreadId tid, const std::string& name, Cycle ts,
-                     std::vector<Arg> args = {});
+  void instant_event(ThreadId tid, const char* name, Cycle ts, const TraceArgs& args = {});
 
   /// Counter-track value at `ts` ("C" event; Perfetto renders a stepped
   /// area chart per counter name).
-  void counter_event(ThreadId tid, const std::string& name, Cycle ts, u64 value);
+  void counter_event(ThreadId tid, const char* name, Cycle ts, u64 value);
 
   size_t event_count() const { return events_.size(); }
 
@@ -104,26 +134,32 @@ class ChromeTraceWriter {
   static void write_merged(std::ostream& os,
                            const std::vector<const ChromeTraceWriter*>& writers);
 
-  void clear() { events_.clear(); }
+  void clear() {
+    events_.clear();
+    labels_.clear();
+  }
 
  private:
   struct Event {
-    char ph = 'i';  // 'X' | 'i' | 'C' | 'M'
-    bool proc_meta = false;  // 'M' only: process_name (vs thread_name)
+    Cycle ts = 0;
+    Cycle dur = 0;          // 'X' only
+    const char* name = "";  // all but 'M'
     u32 pid = 0;
     ThreadId tid = 0;
-    std::string name;
-    Cycle ts = 0;
-    Cycle dur = 0;  // 'X' only
-    std::vector<Arg> args;
+    u32 label = 0;          // 'M' only: index into labels_
+    char ph = 'i';          // 'X' | 'i' | 'C' | 'M'
+    bool proc_meta = false;  // 'M' only: process_name (vs thread_name)
+    TraceArgs args;
   };
 
-  static void write_events(std::ostream& os, const std::vector<Event>& events, bool& first);
+  void metadata(bool proc_meta, ThreadId tid, const std::string& label);
+  void write_events(std::ostream& os, bool& first) const;
 
   u32 pid_ = 0;
   Cycle window_start_ = 0;
   Cycle window_end_ = 0;
-  std::vector<Event> events_;
+  std::deque<Event> events_;
+  std::vector<std::string> labels_;
 };
 
 }  // namespace tlrob::obs

@@ -1,71 +1,37 @@
-// DCRA-style dynamically controlled resource allocation (Cazorla et al.,
-// MICRO 2004) — the paper's baseline resource-distribution mechanism.
+// DCRA-style resource allocation (Cazorla et al., MICRO 2004) — the paper's
+// baseline resource-distribution mechanism, in the loose form DESIGN.md §5
+// item 2 argues for.
 //
-// Threads are classified each cycle as *slow* (an in-flight L1 data miss;
-// likely memory bound) or *fast*. Every shared resource of capacity C is
-// partitioned: with F fast and S slow active threads and sharing factor X,
-// a fast thread may occupy up to E_F = C / (F + S*X) entries and a slow
-// thread up to X * E_F — slow threads receive a larger share so they can
-// expose memory-level parallelism, while the cap keeps them from starving
-// fast threads. A thread over its cap in any gated resource is barred from
-// fetching/dispatching until it drains. The gated resources are the shared
-// issue queue and the renameable portions of the two register files, per the
-// original proposal.
+// The original proposal classifies threads as fast or slow and caps each
+// thread's share of the shared issue queue and register files. Ours orders
+// fetch by ICOUNT (FetchPolicyKind::kDcra) and does not hard-cap a stalled
+// thread's issue-queue occupancy: its already-dispatched dependents stay in
+// the queue whatever the fetch policy does, so IQ clog scales with window
+// size — the paper's premise. What is left at dispatch is a loose register
+// guard (dcra_within_reg_guard), so no single thread renames its whole free
+// pool outright.
 #pragma once
 
-#include <vector>
-
 #include "common/types.hpp"
-#include "pipeline/fetch_policy.hpp"
 
 namespace tlrob {
 
 struct DcraConfig {
-  double sharing = 2.5;  // X: slow-thread multiplier
+  /// X, the slow-thread share multiplier of the original proposal. The loose
+  /// model above has no per-thread shares, so nothing reads it; the knob
+  /// (dcra_sharing) stays so existing configurations keep parsing.
+  double sharing = 2.5;
 };
 
-class DcraController {
- public:
-  DcraController(const DcraConfig& cfg, u32 num_threads);
-
-  /// Refreshes fast/slow classification and per-thread IQ usage snapshots
-  /// from this cycle's thread views.
-  void classify(const std::vector<ThreadFetchView>& views);
-
-  bool is_slow(ThreadId t) const { return slow_[t]; }
-
-  /// Marks the thread currently holding the second-level ROB partition
-  /// (kNoPrivileged when none). Only this thread may borrow other threads'
-  /// unused issue-queue share: its low-DoD qualification is precisely the
-  /// guarantee that borrowed slots are vacated quickly, whereas letting a
-  /// high-DoD (e.g. pointer-chasing) thread borrow pins the slack behind an
-  /// outstanding miss — the clog DCRA exists to prevent.
-  static constexpr ThreadId kNoPrivileged = 0xffffffffu;
-  void set_privileged(ThreadId t) { privileged_ = t; }
-
-  /// Base (guaranteed) share for a resource of total capacity `capacity`.
-  u32 base_share(ThreadId t, u32 capacity) const;
-
-  /// Effective cap: the base share, plus — for the privileged thread only —
-  /// every other thread's currently unused base share (Cazorla et al.:
-  /// resources not required by the other threads are shared out). The
-  /// borrower is throttled back as soon as the lenders' own usage rises,
-  /// because base shares are guaranteed.
-  u32 cap(ThreadId t, u32 capacity) const;
-
-  /// True if the thread's current usage of every gated resource is below its
-  /// cap. Capacities are the *shared pools* (IQ entries, renameable int/fp
-  /// registers).
-  bool within_caps(ThreadId t, u32 iq_use, u32 iq_capacity, u32 int_use, u32 int_capacity,
-                   u32 fp_use, u32 fp_capacity) const;
-
- private:
-  DcraConfig cfg_;
-  std::vector<bool> slow_;
-  std::vector<u32> iq_usage_;
-  u32 num_fast_ = 0;
-  u32 num_slow_ = 0;
-  ThreadId privileged_ = kNoPrivileged;
-};
+/// True while the thread's use of each renameable register pool is below
+/// seven eighths of the pool. Register-file occupancy is not hard-capped: a
+/// thread blocked on an L2 miss keeps its renamed registers whatever the
+/// fetch gating, which is exactly the residual pressure the paper observes
+/// DCRA cannot remove (Baseline_128 degrades *under DCRA*, §1/§5.2). A zero
+/// capacity leaves that pool unguarded.
+inline bool dcra_within_reg_guard(u32 int_use, u32 int_capacity, u32 fp_use, u32 fp_capacity) {
+  return (int_capacity == 0 || int_use < int_capacity - int_capacity / 8) &&
+         (fp_capacity == 0 || fp_use < fp_capacity - fp_capacity / 8);
+}
 
 }  // namespace tlrob

@@ -1,13 +1,11 @@
 #include "pipeline/fetch_policy.hpp"
 
-#include "pipeline/dcra.hpp"
-
 namespace tlrob {
 namespace {
 
 /// ICOUNT ordering: fewest instructions in the front end + issue queue first
 /// (ties by thread id for determinism). Stable insertion sort: n is the
-/// thread count (<= 8) and this runs twice per executed tick, so the
+/// thread count (<= 8) and this runs once per executed tick, so the
 /// temporary-buffer std::stable_sort was measurable on the hot path.
 void icount_order(const std::vector<ThreadFetchView>& views, std::vector<ThreadId>& out) {
   const u32 n = static_cast<u32>(views.size());
@@ -62,37 +60,26 @@ class FlushPolicy final : public StallPolicy {
   FetchPolicyKind kind() const override { return FetchPolicyKind::kFlush; }
 };
 
+/// ICOUNT-ordered fetch; DCRA's register guard applies at dispatch
+/// (dcra_within_reg_guard).
 class DcraPolicy final : public FetchPolicy {
  public:
-  explicit DcraPolicy(DcraController* dcra) : dcra_(dcra) {}
-
   void order(const std::vector<ThreadFetchView>& views, Cycle,
              std::vector<ThreadId>& out) override {
     icount_order(views, out);
   }
-  bool may_fetch(ThreadId tid, const std::vector<ThreadFetchView>& views) override {
-    // Resource-cap gating is enforced by the core at dispatch through the
-    // DcraController; at fetch we only gate threads whose front end has run
-    // far ahead (the caps make that the binding constraint).
-    (void)tid;
-    (void)views;
-    return true;
-  }
   FetchPolicyKind kind() const override { return FetchPolicyKind::kDcra; }
-
- private:
-  [[maybe_unused]] DcraController* dcra_;
 };
 
 }  // namespace
 
-std::unique_ptr<FetchPolicy> FetchPolicy::create(FetchPolicyKind kind, DcraController* dcra) {
+std::unique_ptr<FetchPolicy> FetchPolicy::create(FetchPolicyKind kind) {
   switch (kind) {
     case FetchPolicyKind::kRoundRobin: return std::make_unique<RoundRobinPolicy>();
     case FetchPolicyKind::kIcount: return std::make_unique<IcountPolicy>();
     case FetchPolicyKind::kStall: return std::make_unique<StallPolicy>();
     case FetchPolicyKind::kFlush: return std::make_unique<FlushPolicy>();
-    case FetchPolicyKind::kDcra: return std::make_unique<DcraPolicy>(dcra);
+    case FetchPolicyKind::kDcra: return std::make_unique<DcraPolicy>();
   }
   return std::make_unique<IcountPolicy>();
 }

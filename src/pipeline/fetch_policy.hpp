@@ -36,12 +36,8 @@ inline FetchPolicyKind parse_fetch_policy(const std::string& name) {
 struct ThreadFetchView {
   u32 frontend_count = 0;   // fetched, not yet dispatched
   u32 iq_count = 0;         // occupying issue-queue slots
-  u32 outstanding_l1 = 0;   // in-flight loads that missed L1
   u32 outstanding_l2 = 0;   // in-flight loads that missed L2
-  bool active = true;
 };
-
-class DcraController;
 
 class FetchPolicy {
  public:
@@ -67,9 +63,7 @@ class FetchPolicy {
 
   virtual FetchPolicyKind kind() const = 0;
 
-  /// Factory. `dcra` must outlive the policy for kDcra and may be null
-  /// otherwise.
-  static std::unique_ptr<FetchPolicy> create(FetchPolicyKind kind, DcraController* dcra);
+  static std::unique_ptr<FetchPolicy> create(FetchPolicyKind kind);
 };
 
 }  // namespace tlrob

@@ -12,8 +12,8 @@ IssueQueue::IssueQueue(u32 entries, u32 num_threads)
       scan_((entries + 63) / 64, 0),
       chk_src_(2 * entries, kInvalidPhysReg),
       park_next_(entries, kNoSlot),
+      park_prev_(entries, kNoSlot),
       park_reg_(entries, kInvalidPhysReg),
-      chained_(entries, 0),
       per_thread_(num_threads, 0),
       last_word_mask_(entries % 64 == 0 ? ~0ULL : (1ULL << (entries % 64)) - 1),
       free_(entries) {}
@@ -52,7 +52,7 @@ void IssueQueue::remove(DynInst* di) {
   bm_clear(live_, i);
   bm_clear(unissued_, i);
   bm_clear(scan_, i);
-  park_reg_[i] = kInvalidPhysReg;  // chain node (if any) goes stale
+  if (park_reg_[i] != kInvalidPhysReg) unpark(i);
   di->in_iq = false;
   di->iq_slot = -1;
   ++free_;
@@ -60,28 +60,36 @@ void IssueQueue::remove(DynInst* di) {
 }
 
 void IssueQueue::park(u32 slot, PhysReg r) {
-  if (chained_[slot] != 0) return;  // old chain not drained yet; stay scannable
+  assert(park_reg_[slot] == kInvalidPhysReg && "a scanned slot is never parked");
   if (r >= park_head_.size()) park_head_.resize(r + 1, kNoSlot);
+  const u32 head = park_head_[r];
   park_reg_[slot] = r;
-  park_next_[slot] = park_head_[r];
+  park_prev_[slot] = kNoSlot;
+  park_next_[slot] = head;
+  if (head != kNoSlot) park_prev_[head] = slot;
   park_head_[r] = slot;
-  chained_[slot] = 1;
   bm_clear(scan_, slot);
+}
+
+void IssueQueue::unpark(u32 slot) {
+  const u32 prev = park_prev_[slot];
+  const u32 next = park_next_[slot];
+  if (prev != kNoSlot)
+    park_next_[prev] = next;
+  else
+    park_head_[park_reg_[slot]] = next;
+  if (next != kNoSlot) park_prev_[next] = prev;
+  park_reg_[slot] = kInvalidPhysReg;
 }
 
 void IssueQueue::wake_waiters(PhysReg r) {
   if (r >= park_head_.size()) return;
   u32 i = park_head_[r];
-  if (i == kNoSlot) return;
   park_head_[r] = kNoSlot;
   while (i != kNoSlot) {
     const u32 next = park_next_[i];
-    park_next_[i] = kNoSlot;
-    chained_[i] = 0;
-    if (park_reg_[i] == r) {  // stale nodes (slot freed/reused) are skipped
-      park_reg_[i] = kInvalidPhysReg;
-      bm_set(scan_, i);
-    }
+    park_reg_[i] = kInvalidPhysReg;
+    bm_set(scan_, i);
     i = next;
   }
 }

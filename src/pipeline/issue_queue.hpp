@@ -149,22 +149,22 @@ class IssueQueue {
   static void bm_clear(std::vector<u64>& bm, u32 i) { bm[i >> 6] &= ~(1ULL << (i & 63)); }
 
   void park(u32 slot, PhysReg r);
+  void unpark(u32 slot);
 
   std::vector<DynInst*> slots_;
   std::vector<u64> live_;        // bit per slot: occupied
   std::vector<u64> unissued_;    // bit per slot: occupied and not issued
   std::vector<u64> scan_;        // bit per slot: unissued and not parked
   std::vector<PhysReg> chk_src_; // [2*slot + k]: wakeup sources to check
-  // Parking: intrusive singly-linked chains headed per register (grown on
-  // demand). A chain node is never unlinked eagerly — remove() only clears
-  // the slot's park_reg_, and wake_waiters() discards such stale nodes when
-  // it drains the chain. A slot still chained (chained_) cannot re-park and
-  // simply stays in the scan set until the old chain drains: conservative,
-  // never incorrect.
-  std::vector<u32> park_head_;   // [reg] -> first chained slot or kNoSlot
-  std::vector<u32> park_next_;   // [slot] -> next chained slot or kNoSlot
+  // Parking: intrusive doubly-linked chains headed per register (grown on
+  // demand). A slot is on a chain exactly while park_reg_ names a register:
+  // remove() unlinks a parked slot at once, so a reused slot can park on its
+  // new register in the next scan, and wake_waiters() drains only live
+  // waiters.
+  std::vector<u32> park_head_;   // [reg] -> first parked slot or kNoSlot
+  std::vector<u32> park_next_;   // [slot] -> next slot on its chain or kNoSlot
+  std::vector<u32> park_prev_;   // [slot] -> previous slot on its chain or kNoSlot
   std::vector<PhysReg> park_reg_;  // [slot] -> register parked on, or invalid
-  std::vector<u8> chained_;      // [slot] -> sits on some chain
   std::vector<u32> per_thread_;
   u64 last_word_mask_;           // valid bits of the final bitmap word
   u32 free_;

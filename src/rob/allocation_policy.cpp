@@ -131,19 +131,15 @@ void TwoLevelRobController::on_load_fill(DynInst& load, Cycle now) {
   maybe_release(tid, now);
 }
 
-bool TwoLevelRobController::evaluate(ThreadId tid, Candidate& c, Cycle now) {
-  ReorderBuffer& rob = *robs_[tid];
-  DynInst* load = rob.find(c.tseq);
-  if (load == nullptr || load->executed) return true;  // gone or filled
+TwoLevelRobController::Outcome TwoLevelRobController::decide(ThreadId tid, u64 tseq,
+                                                             Cycle now) const {
+  const ReorderBuffer& rob = *robs_[tid];
+  const DynInst* load = rob.find(tseq);
+  if (load == nullptr || load->executed) return Outcome::kDrop;  // gone or filled
 
   const bool can_acquire_fresh = second_.available() && now >= threads_[tid].cooldown_until;
   const bool can_renew = second_.owned_by(tid) && !lease_expired(tid, now);
-  // Every outcome that keeps the candidate defers it to the next re-check;
-  // next_wake() may replay that deferral while the machine stays quiet.
-  c.last_eval = now;
-  c.next_check = now + cfg_.recheck_interval;
-  c.rejected = false;
-  if (!can_acquire_fresh && !can_renew) return false;
+  if (!can_acquire_fresh && !can_renew) return Outcome::kDefer;
 
   bool conditions = true;
   if (cfg_.scheme == RobScheme::kReactive) {
@@ -152,18 +148,54 @@ bool TwoLevelRobController::evaluate(ThreadId tid, Candidate& c, Cycle now) {
     conditions = rob.head() == load;  // "full" requirement dropped
   }
   // kCdr: no positional requirements; the snapshot delay gated first_check.
+  if (!conditions) return Outcome::kDefer;
+  // A high count can shrink as independent work executes; the candidate
+  // keeps being re-checked while the miss is outstanding.
+  return dod_count(tid, tseq) < cfg_.dod_threshold ? Outcome::kGrant : Outcome::kReject;
+}
 
-  if (conditions) {
-    const u32 dod = dod_count(tid, c.tseq);
-    if (dod < cfg_.dod_threshold) {
-      acquire(tid, c.tseq, now);
-      return true;  // decision made; candidate retired
-    }
-    ++stats_.rejected_high_dod;
-    c.rejected = true;
-    // A high count can shrink as independent work executes; keep re-checking
-    // while the miss is outstanding.
+void TwoLevelRobController::stamp(ThreadId tid, Candidate& c, Outcome outcome,
+                                  Cycle now) const {
+  c.eval_at = now;
+  c.rob_stamp = robs_[tid]->changes();
+  c.level2_stamp = second_.changes();
+  c.outcome = outcome;
+}
+
+Cycle TwoLevelRobController::gate_after(ThreadId tid, Cycle t) const {
+  // Time enters an evaluation only through now >= cooldown_until (fresh
+  // acquisition) and now >= acquired_at + lease_limit (renewal), both
+  // monotone: a gate at or before `t` had already flipped by then.
+  Cycle gate = kNeverCycle;
+  if (threads_[tid].cooldown_until > t) gate = threads_[tid].cooldown_until;
+  if (second_.owned_by(tid)) {
+    const Cycle expiry = second_.acquired_at() + cfg_.lease_limit;
+    if (expiry > t) gate = std::min(gate, expiry);
   }
+  return gate;
+}
+
+bool TwoLevelRobController::stamps_match(ThreadId tid, const Candidate& c) const {
+  return c.eval_at != kNeverCycle && c.rob_stamp == robs_[tid]->changes() &&
+         c.level2_stamp == second_.changes();
+}
+
+bool TwoLevelRobController::stamp_holds(ThreadId tid, const Candidate& c, Cycle now) const {
+  return stamps_match(tid, c) && gate_after(tid, c.eval_at) > now;
+}
+
+bool TwoLevelRobController::evaluate(ThreadId tid, Candidate& c, Cycle now) {
+  const Outcome outcome = stamp_holds(tid, c, now) ? c.outcome : decide(tid, c.tseq, now);
+  if (outcome == Outcome::kDrop) return true;
+  if (outcome == Outcome::kGrant) {
+    acquire(tid, c.tseq, now);
+    return true;  // decision made; candidate retired
+  }
+  if (outcome == Outcome::kReject) ++stats_.rejected_high_dod;
+  // Every outcome that keeps the candidate defers it to the next re-check;
+  // next_wake() may replay that deferral while the machine stays quiet.
+  c.next_check = now + cfg_.recheck_interval;
+  stamp(tid, c, outcome, now);
   return false;
 }
 
@@ -204,43 +236,36 @@ bool TwoLevelRobController::adaptive_tick(Cycle now) {
 bool TwoLevelRobController::tick(Cycle now) {
   if (cfg_.scheme == RobScheme::kBaseline) return false;
   if (cfg_.scheme == RobScheme::kAdaptive) return adaptive_tick(now);
-  bool activity = false;
   // next_check_floor_ is a lower bound on every candidate's next_check: when
-  // now hasn't reached it, the candidate loops below would evaluate nothing,
-  // so only the per-thread release polls run. The bound is recomputed on
-  // each full pass and lowered whenever a candidate is pushed or deferred;
-  // erases can only raise the true minimum, which merely costs one extra
-  // full pass.
-  const bool cands_due = cfg_.scheme != RobScheme::kPredictive && now >= next_check_floor_;
-  if (cands_due) next_check_floor_ = kNeverCycle;
+  // now hasn't reached it, no candidate is due and only the holder's release
+  // can act (maybe_release is a no-op for every other thread). The bound is
+  // recomputed on each full pass and lowered whenever a candidate is pushed
+  // or deferred; erases can only raise the true minimum, which merely costs
+  // one extra full pass.
+  if (cfg_.scheme == RobScheme::kPredictive || now < next_check_floor_) {
+    const ThreadId owner = second_.owner();
+    return owner != SecondLevelRob::kNoOwner && maybe_release(owner, now);
+  }
+  next_check_floor_ = kNeverCycle;
+  bool activity = false;
   // Rotate the evaluation order so that when several threads have qualifying
   // candidates pending, the partition does not always go to the lowest id.
   const u32 n = static_cast<u32>(threads_.size());
   for (u32 i = 0; i < n; ++i) {
     const ThreadId tid = static_cast<ThreadId>((now + i) % n);
     ThreadState& ts = threads_[tid];
-    if (cands_due) {
-      for (auto it = ts.cands.begin(); it != ts.cands.end();) {
-        if (it->next_check <= now && evaluate(tid, *it, now)) {
-          it = ts.cands.erase(it);
-          activity = true;  // retirement or acquisition; deferrals stay put
-        } else {
-          next_check_floor_ = std::min(next_check_floor_, it->next_check);
-          ++it;
-        }
+    for (auto it = ts.cands.begin(); it != ts.cands.end();) {
+      if (it->next_check <= now && evaluate(tid, *it, now)) {
+        it = ts.cands.erase(it);
+        activity = true;  // retirement or acquisition; deferrals stay put
+      } else {
+        next_check_floor_ = std::min(next_check_floor_, it->next_check);
+        ++it;
       }
     }
     if (maybe_release(tid, now)) activity = true;
   }
   return activity;
-}
-
-bool TwoLevelRobController::repeats(const Candidate& c, Cycle quiet_since) const {
-  // An evaluation before the quiet spell may have seen state that has
-  // changed since (and one inside an active tick may precede a later
-  // thread's release in the same tick), so only a no-op tick's evaluation
-  // is known to repeat.
-  return c.last_eval != kNeverCycle && c.last_eval >= quiet_since;
 }
 
 Cycle TwoLevelRobController::grid_at_or_after(const Candidate& c, Cycle t) const {
@@ -249,23 +274,17 @@ Cycle TwoLevelRobController::grid_at_or_after(const Candidate& c, Cycle t) const
   return c.next_check + steps * cfg_.recheck_interval;
 }
 
-Cycle TwoLevelRobController::replay_until(ThreadId tid, const Candidate& c,
-                                          Cycle quiet_since) const {
-  if (!repeats(c, quiet_since)) return c.next_check;
-  // With the machine quiet, the outcome depends on time only through
-  // now >= cooldown_until and now >= acquired_at + lease_limit. A gate at
-  // or before the evaluation had already flipped when it ran; only a later
-  // one can change the outcome.
-  Cycle gate = kNeverCycle;
-  if (threads_[tid].cooldown_until > c.last_eval) gate = threads_[tid].cooldown_until;
-  if (second_.owned_by(tid)) {
-    const Cycle expiry = second_.acquired_at() + cfg_.lease_limit;
-    if (expiry > c.last_eval) gate = std::min(gate, expiry);
-  }
+Cycle TwoLevelRobController::replay_until(ThreadId tid, Candidate& c, Cycle now) {
+  // The machine state is frozen from `now` on, so an evaluation now (not a
+  // tick: nothing is counted and no re-check moves) tells every re-check of
+  // the sleep until a gate flips.
+  if (!stamp_holds(tid, c, now)) stamp(tid, c, decide(tid, c.tseq, now), now);
+  if (c.outcome == Outcome::kDrop || c.outcome == Outcome::kGrant) return c.next_check;
+  const Cycle gate = gate_after(tid, c.eval_at);
   return gate == kNeverCycle ? kNeverCycle : grid_at_or_after(c, gate);
 }
 
-Cycle TwoLevelRobController::next_wake(Cycle now, Cycle quiet_since) const {
+Cycle TwoLevelRobController::next_wake(Cycle now) {
   switch (cfg_.scheme) {
     case RobScheme::kBaseline:
     case RobScheme::kPredictive:
@@ -279,24 +298,42 @@ Cycle TwoLevelRobController::next_wake(Cycle now, Cycle quiet_since) const {
   }
   Cycle best = kNeverCycle;
   for (ThreadId tid = 0; tid < threads_.size(); ++tid)
-    for (const Candidate& c : threads_[tid].cands)
-      best = std::min(best, replay_until(tid, c, quiet_since));
+    for (Candidate& c : threads_[tid].cands) best = std::min(best, replay_until(tid, c, now));
   return best;
 }
 
-void TwoLevelRobController::replay_idle_to(Cycle wake, Cycle quiet_since) {
+void TwoLevelRobController::replay_idle_to(Cycle wake) {
   for (ThreadState& ts : threads_) {
     for (Candidate& c : ts.cands) {
-      // next_wake kept `wake` at or before the re-check of every other
-      // candidate (P-ROB's never-checked ones included).
-      if (c.next_check >= wake || !repeats(c, quiet_since)) continue;
+      // next_wake kept `wake` at or before the re-check of every candidate
+      // whose outcome could differ (P-ROB's never-checked ones included), so
+      // each re-check skipped here repeats the recorded outcome.
+      if (c.next_check >= wake) continue;
       const Cycle next = grid_at_or_after(c, wake);
-      if (c.rejected) stats_.rejected_high_dod += (next - c.next_check) / cfg_.recheck_interval;
+      if (c.outcome == Outcome::kReject)
+        stats_.rejected_high_dod += (next - c.next_check) / cfg_.recheck_interval;
       c.next_check = next;
-      c.last_eval = next - cfg_.recheck_interval;
+      c.eval_at = next - cfg_.recheck_interval;
     }
   }
   // next_check_floor_ stays a lower bound: replay only raised next_checks.
+}
+
+std::optional<u64> TwoLevelRobController::audit_stale_stamp(ThreadId tid) const {
+  for (const Candidate& c : threads_[tid].cands)
+    if (stamps_match(tid, c) && decide(tid, c.tseq, c.eval_at) != c.outcome) return c.tseq;
+  return std::nullopt;
+}
+
+bool TwoLevelRobController::test_only_flip_stamped_outcome(ThreadId tid) {
+  for (Candidate& c : threads_[tid].cands) {
+    if (!stamps_match(tid, c)) continue;
+    if (c.outcome == Outcome::kReject || c.outcome == Outcome::kDefer) {
+      c.outcome = c.outcome == Outcome::kReject ? Outcome::kDefer : Outcome::kReject;
+      return true;
+    }
+  }
+  return false;
 }
 
 void TwoLevelRobController::on_squash(ThreadId tid, u64 tseq) {

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -159,28 +160,35 @@ class TwoLevelRobController {
   /// controller-visible state (candidate retired, partition acquired /
   /// revoked / released, adaptive partition resized) — the core's idle-cycle
   /// fast-forward treats a false return as "this tick was a no-op".
+  ///
+  /// A due re-check whose stamps hold (see Candidate) repeats its last
+  /// outcome without looking at the ROB; one whose stamps are stale
+  /// evaluates afresh. With no candidate due, only the holder's release is
+  /// checked.
   bool tick(Cycle now);
 
-  /// Earliest future cycle at which tick() could act without any new
-  /// notification arriving first, given that every core tick from
-  /// `quiet_since` through `now` was a no-op: the next phase-classification
-  /// boundary (kAdaptive), kNeverCycle (baseline / predictive, which act
-  /// only on notifications), or the earliest candidate wake (reactive
-  /// variants). A candidate's wake is its next re-check, unless its last
-  /// deferring evaluation ran at or after `quiet_since`: that evaluation saw
-  /// today's state, so its re-checks repeat its outcome until a time gate
-  /// flips — the thread's cooldown_until or its lease expiry (acquired_at +
-  /// lease_limit), counting only gates after the evaluation, not after
-  /// `now`. Its wake is then the first re-check at or after that gate.
-  /// Pure time-gates only — state-driven work (lease release on drain) is
-  /// triggered by commits/fills, which are activity in their own right.
-  Cycle next_wake(Cycle now, Cycle quiet_since) const;
+  /// After a no-op core tick at `now`, with the machine state frozen until
+  /// the next activity: the earliest future cycle at which tick() could act
+  /// without any new notification arriving first. That is the next
+  /// phase-classification boundary (kAdaptive), kNeverCycle (baseline /
+  /// predictive, which act only on notifications), or the earliest
+  /// candidate wake (reactive variants). A candidate whose stamps are stale
+  /// is first evaluated at `now` without side effects on the machine (only
+  /// its stamps and recorded outcome change). A grant or drop then wakes the
+  /// core at its next re-check. A deferral or rejection repeats at every
+  /// re-check until a time gate flips — the thread's cooldown_until or its
+  /// lease expiry (acquired_at + lease_limit) — counting only gates after
+  /// the evaluation, not after `now`; its wake is the first re-check at or
+  /// after that gate. Pure time-gates only — state-driven work (lease
+  /// release on drain) is triggered by commits/fills, which are activity in
+  /// their own right.
+  Cycle next_wake(Cycle now);
 
-  /// Fast-forward to `wake` (at most next_wake(now, quiet_since)): advances
-  /// each replayable candidate's re-check along its grid to the first point
-  /// at or after `wake`, counting one rejected_high_dod per replayed
-  /// rejection, exactly as ticking every skipped re-check would.
-  void replay_idle_to(Cycle wake, Cycle quiet_since);
+  /// Fast-forward to `wake` (at most next_wake(now)): advances each
+  /// candidate's re-check along its grid to the first point at or after
+  /// `wake`, counting one rejected_high_dod per replayed rejection, exactly
+  /// as ticking every skipped re-check would.
+  void replay_idle_to(Cycle wake);
 
   /// Squash hook: drops candidates of `tid` younger than `tseq`.
   void on_squash(ThreadId tid, u64 tseq);
@@ -209,12 +217,41 @@ class TwoLevelRobController {
   /// active ticks, so this is constant across an idle fast-forwarded span.
   bool has_pending_candidate(ThreadId tid) const { return !threads_[tid].cands.empty(); }
 
+  /// Stamp audit (full tier): the tseq of the first candidate of `tid`
+  /// whose stamps match the live change counters but whose recorded outcome
+  /// differs from a fresh evaluation at its evaluation cycle — a state edit
+  /// that bypassed the counters — or nullopt.
+  std::optional<u64> audit_stale_stamp(ThreadId tid) const;
+
+  /// Test-only corruption hook for the invariant-audit suite: flips the
+  /// recorded outcome (rejection <-> deferral) of `tid`'s first candidate
+  /// whose stamps hold, leaving the stamps valid. Returns false when no
+  /// such candidate exists. Never called by the simulator.
+  bool test_only_flip_stamped_outcome(ThreadId tid);
+
  private:
+  /// What one evaluation of a candidate decides.
+  enum class Outcome : u8 {
+    kDrop,    // the load committed, was squashed or has filled: retire it
+    kGrant,   // acquire (or renew) the partition: retire it
+    kDefer,   // keep re-checking; no rejection counted
+    kReject,  // keep re-checking; counts one rejected_high_dod
+  };
+  /// An evaluation's inputs are the thread's ROB (the load's presence and
+  /// result-valid bit, the head, level-1 fullness, the DoD count), the
+  /// partition (owner, acquired_at), the thread's cooldown_until, and time.
+  /// The first three change only through edits that bump
+  /// ReorderBuffer::changes() or SecondLevelRob::changes() (cooldown_until
+  /// is written only at a release). So while both counters equal the
+  /// stamps, the outcome depends on time only through the two time gates,
+  /// and it repeats until the first gate after `eval_at`.
   struct Candidate {
     u64 tseq = 0;
     Cycle next_check = 0;
-    Cycle last_eval = kNeverCycle;  // last deferring evaluation (none yet)
-    bool rejected = false;          // that evaluation rejected a high DoD
+    Cycle eval_at = kNeverCycle;  // last evaluation (none yet)
+    u64 rob_stamp = 0;            // ReorderBuffer::changes() it saw
+    u64 level2_stamp = 0;         // SecondLevelRob::changes() it saw
+    Outcome outcome = Outcome::kDefer;
   };
   struct ThreadState {
     std::vector<Candidate> cands;
@@ -224,10 +261,23 @@ class TwoLevelRobController {
     u32 adaptive_extra = 0;    // kAdaptive: current growth above level 1
   };
 
-  /// Evaluates one candidate; returns true if it should be dropped (a drop
-  /// — retirement or acquisition — always counts as tick() activity; a
-  /// deferral only moves next_check, which next_wake() reports).
+  /// The due re-check of one candidate; returns true if it should be
+  /// dropped (a drop — retirement or acquisition — always counts as tick()
+  /// activity; a deferral only moves next_check, which next_wake() reports).
   bool evaluate(ThreadId tid, Candidate& c, Cycle now);
+  /// The paper's allocation decision for `tid`'s load `tseq` at `now`, from
+  /// the live state; no side effects.
+  Outcome decide(ThreadId tid, u64 tseq, Cycle now) const;
+  /// Records an evaluation of `c` at `now` and the counters it saw.
+  void stamp(ThreadId tid, Candidate& c, Outcome outcome, Cycle now) const;
+  /// True when `c` has been evaluated and its stamps equal the live change
+  /// counters.
+  bool stamps_match(ThreadId tid, const Candidate& c) const;
+  /// True when `c`'s recorded outcome is what decide() returns at `now`:
+  /// the stamps match and no time gate lies in (eval_at, now].
+  bool stamp_holds(ThreadId tid, const Candidate& c, Cycle now) const;
+  /// First time gate of `tid` after cycle `t`, or kNeverCycle.
+  Cycle gate_after(ThreadId tid, Cycle t) const;
   /// kAdaptive: periodic per-thread grow/shrink decision (ref [23]).
   /// Returns true iff any partition actually grew or shrank.
   bool adaptive_tick(Cycle now);
@@ -238,10 +288,9 @@ class TwoLevelRobController {
   /// True when `tid` holds the partition past the fairness bound, so its
   /// lease must not be renewed by further misses.
   bool lease_expired(ThreadId tid, Cycle now) const;
-  /// next_wake()'s bound for one candidate of thread `tid`.
-  Cycle replay_until(ThreadId tid, const Candidate& c, Cycle quiet_since) const;
-  /// Whether `c`'s last deferring evaluation ran in the current quiet spell.
-  bool repeats(const Candidate& c, Cycle quiet_since) const;
+  /// next_wake()'s bound for one candidate of thread `tid` (evaluating it
+  /// first when its stamps are stale).
+  Cycle replay_until(ThreadId tid, Candidate& c, Cycle now);
   /// First point of `c`'s re-check grid (next_check + k * recheck_interval,
   /// k >= 0) at or after `t`.
   Cycle grid_at_or_after(const Candidate& c, Cycle t) const;

@@ -47,12 +47,15 @@ enum class EvKind : u8 {
   kWake,
 };
 
+/// One scheduled event. Events of one cycle fire in schedule order, which
+/// is the order they sit in their slot (or in the overflow vector), so no
+/// sequence number is stored.
 struct SimEvent {
   Cycle when = 0;
-  u64 order = 0;  // global schedule order; FIFO tie-break within a cycle
-  EvKind kind = EvKind::kFuComplete;
   InstRef ref;
+  EvKind kind = EvKind::kFuComplete;
 };
+static_assert(sizeof(SimEvent) == 32);
 
 class EventWheel {
  public:
@@ -77,7 +80,7 @@ class EventWheel {
     // An event scheduled for the current (already-drained) cycle fires at
     // the next process_due, exactly as it did leaving the priority queue.
     if (when < cursor_) when = cursor_;
-    const SimEvent ev{when, order_++, kind, ref};
+    const SimEvent ev{when, ref, kind};
     if (when - cursor_ < horizon()) {
       // Any overflow event that has drifted within the horizon is older
       // than this one and must land in its slot first, or the FIFO
@@ -235,7 +238,6 @@ class EventWheel {
   u32 word_bits_;  // slots per occupancy word: min(64, horizon)
   Cycle cursor_ = 0;  // all cycles < cursor_ are drained
   Cycle overflow_min_ = kNeverCycle;  // earliest overflow_ cycle
-  u64 order_ = 0;
   u64 pending_ = 0;
   u64 scheduled_ = 0;
   u64 processed_ = 0;

@@ -22,7 +22,6 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
       mem_(cfg.memory, shared, core_id),
       bpred_(cfg.predictor, cfg.num_threads),
       lhp_(cfg.load_hit_entries, cfg.load_hit_history, cfg.num_threads),
-      dcra_(cfg.dcra, cfg.num_threads),
       second_(cfg.rob_second_level),
       wp_rng_(cfg.seed ^ 0xabcdef12345ULL),
       series_(cfg.telemetry.sample_interval),
@@ -36,7 +35,7 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
         "SmtCore: early register release is incompatible with the FLUSH policy "
         "(un-dispatched instructions cannot restore early-freed registers)");
 
-  fetch_policy_ = FetchPolicy::create(cfg.fetch_policy, &dcra_);
+  fetch_policy_ = FetchPolicy::create(cfg.fetch_policy);
 
   // The ROB ring slabs are sized for the largest window any scheme can ever
   // grant this configuration: the shared second level, or kAdaptive's
@@ -125,7 +124,7 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
 // ---------------------------------------------------------------------------
 
 void SmtCore::schedule(Cycle when, EvKind kind, const DynInst& di) {
-  wheel_.schedule(when, kind, InstRef{di.tid, di.tseq, di.replay_gen});
+  wheel_.schedule(when, kind, InstRef{.tseq = di.tseq, .tid = di.tid, .replay_gen = di.replay_gen});
 }
 
 DynInst* SmtCore::find_inst(const InstRef& ref) {
@@ -263,7 +262,7 @@ void SmtCore::drop_outstanding_counts(DynInst& di) {
 
 void SmtCore::finish_execution(DynInst& di) {
   if (di.executed) return;  // idempotent: commit-poll and events may race
-  di.executed = true;
+  threads_[di.tid].rob.mark_executed(di);
   di.complete_cycle = cycle_;
   if (di.dest_phys != kInvalidPhysReg) {
     rename_.set_ready(di.dest_phys);
@@ -574,9 +573,7 @@ void SmtCore::refresh_views() {
   for (ThreadId t = 0; t < cfg_.num_threads; ++t) {
     views_[t].frontend_count = threads_[t].frontend.size();
     views_[t].iq_count = iq_.occupancy(t);
-    views_[t].outstanding_l1 = threads_[t].outstanding_l1;
     views_[t].outstanding_l2 = threads_[t].outstanding_l2;
-    views_[t].active = true;
   }
 }
 
@@ -611,16 +608,11 @@ bool SmtCore::try_dispatch_one(ThreadState& ts, ThreadId tid) {
       return false;
     }
   }
-  if (cfg_.fetch_policy == FetchPolicyKind::kDcra) {
-    // Register files are per thread (M-Sim model), so DCRA's cross-thread
-    // partitioning applies to the shared issue queue; the per-thread rename
-    // pools are passed as the loose self-limits they are.
-    if (!dcra_.within_caps(tid, iq_.occupancy(tid), iq_.capacity(), rename_.int_in_use(tid),
-                           rename_.int_rename_pool(), rename_.fp_in_use(tid),
-                           rename_.fp_rename_pool())) {
-      ++stats_.per_cycle.stall_dcra;
-      return false;
-    }
+  if (cfg_.fetch_policy == FetchPolicyKind::kDcra &&
+      !dcra_within_reg_guard(rename_.int_in_use(tid), rename_.int_rename_pool(),
+                             rename_.fp_in_use(tid), rename_.fp_rename_pool())) {
+    ++stats_.per_cycle.stall_dcra;
+    return false;
   }
 
   DynInst di = std::move(f);
@@ -638,11 +630,8 @@ bool SmtCore::try_dispatch_one(ThreadState& ts, ThreadId tid) {
 }
 
 bool SmtCore::do_dispatch() {
+  // The one thread ranking of the tick: do_fetch reuses views_ and order_.
   refresh_views();
-  dcra_.classify(views_);
-  dcra_.set_privileged(second_.owner() == SecondLevelRob::kNoOwner
-                           ? DcraController::kNoPrivileged
-                           : second_.owner());
   fetch_policy_->order(views_, cycle_, order_);
   u32 budget = cfg_.dispatch_width;
   u32 dispatched = 0;
@@ -781,8 +770,10 @@ bool SmtCore::fetch_one(ThreadState& ts, ThreadId tid) {
 }
 
 bool SmtCore::do_fetch() {
-  refresh_views();
-  fetch_policy_->order(views_, cycle_, order_);
+  // views_ and order_ are do_dispatch's. Dispatch moves instructions from a
+  // thread's frontend into the issue queue, so every ICOUNT key (frontend +
+  // IQ count) and every outstanding-miss count is what dispatch ranked by:
+  // a refresh would rebuild the same views and the same order.
 
   u32 budget = cfg_.fetch_width;
   u32 threads_fetched = 0;
@@ -888,7 +879,6 @@ bool SmtCore::tick() {
     next_sample_ += sample_every_;
   }
   obs::enter(obs::Phase::kLoop);
-  if (active) quiet_since_ = cycle_ + 1;
   ++cycle_;
   idle_from_ = cycle_;
   return active;
@@ -953,7 +943,7 @@ void SmtCore::attribute_idle_span(Cycle from, Cycle to) {
   }
 }
 
-Cycle SmtCore::idle_wake(Cycle limit) const {
+Cycle SmtCore::idle_wake(Cycle limit) {
   // The tick just executed (at cycle_ - 1) was provably a no-op: no event
   // fired, nothing committed / issued / dispatched / fetched / released, and
   // the ROB controller made no state change. Every condition that could end
@@ -961,9 +951,9 @@ Cycle SmtCore::idle_wake(Cycle limit) const {
   //   - the next scheduled event (fills, completions, wake markers),
   //   - a frontend head reaching decode maturity,
   //   - a fetch stall (I-cache miss / post-squash redirect) expiring,
-  //   - the controller's next due re-check or phase boundary (a re-check
-  //     that repeats an evaluation made during this quiet spell is no
-  //     boundary: see TwoLevelRobController::next_wake).
+  //   - the controller's next re-check that can grant or drop, or its next
+  //     phase boundary (a re-check that repeats its candidate's recorded
+  //     outcome is no boundary: see TwoLevelRobController::next_wake).
   // (Nothing memory-side: the latency-chain model resolves every LLC/DRAM
   // access at issue time, so the shared backend never wakes a core on its
   // own — the completion is already in this core's wheel.)
@@ -972,7 +962,7 @@ Cycle SmtCore::idle_wake(Cycle limit) const {
   const Cycle now = cycle_ - 1;
   Cycle wake = limit;
   wake = std::min(wake, wheel_.next_event_or(kNeverCycle));
-  wake = std::min(wake, rob_ctrl_->next_wake(now, quiet_since_));
+  wake = std::min(wake, rob_ctrl_->next_wake(now));
   for (const ThreadState& ts : threads_) {
     if (!ts.frontend.empty()) {
       const Cycle mature = ts.frontend.front().fetch_cycle + cfg_.decode_depth;
@@ -1022,7 +1012,7 @@ void SmtCore::advance_idle_to(Cycle to) {
     counter += replayed;
     base += replayed;
   }
-  rob_ctrl_->replay_idle_to(to, quiet_since_);
+  rob_ctrl_->replay_idle_to(to);
   commit_rr_ += skipped;  // do_commit advances the rotation every cycle
   fast_forwarded_ += skipped;
   stats_.fast_forwarded_cycles += skipped;
@@ -1065,12 +1055,12 @@ void SmtCore::poll_second_level() {
 
 void SmtCore::trace_stage(const char* stage, const DynInst& di, bool spec) {
   if (!trace_->in_instruction_window(cycle_)) return;
-  std::vector<obs::ChromeTraceWriter::Arg> args = {
+  obs::TraceArgs args = {
       {"tseq", di.tseq}, {"pc", di.pc}, {"op", static_cast<u64>(di.op)}};
   if (di.is_mem()) args.push_back({"addr", di.mem_addr});
   if (di.wrong_path) args.push_back({"wp", 1});
   if (spec) args.push_back({"spec", 1});
-  trace_->instant_event(di.tid, stage, cycle_, std::move(args));
+  trace_->instant_event(di.tid, stage, cycle_, args);
 }
 
 void SmtCore::record_sample(Cycle label) {
@@ -1096,7 +1086,7 @@ void SmtCore::record_sample(Cycle label) {
         ts.rob.empty() ? 0 : ts.rob.count_unexecuted_younger(ts.rob.head()->tseq - 1,
                                                              0xffffffffu);
     th.outstanding_l2 = ts.outstanding_l2;
-    th.dcra_iq_cap = dcra_.cap(t, cfg_.iq_entries);
+    th.dcra_iq_cap = cfg_.iq_entries;  // the loose DCRA never caps a thread's IQ share
     th.committed = ts.committed - ts.committed_base;
     th.stall = stall_cycles_[t];
     if (trace_ != nullptr) {
@@ -1125,9 +1115,9 @@ void SmtCore::reset_measurement() {
   cycle_base_ = cycle_;
   for (auto& ts : threads_) ts.committed_base = ts.committed;
   // Restarting the holder's tenure moves its lease expiry, a controller
-  // input, outside any tick: no earlier evaluation may be replayed.
+  // input; reset_accounting bumps the partition's change counter, so no
+  // earlier evaluation is repeated.
   second_.reset_accounting(cycle_);
-  quiet_since_ = cycle_;
   stats_ = {};
   dod_true_.reset();
   dod_proxy_.reset();

@@ -19,7 +19,7 @@
 // provably idle cycles — every stage reports whether it changed state, and
 // when none did, the core sleeps until the next cycle at which anything
 // *can* happen (next scheduled event, next frontend-head maturity, next
-// fetch-stall expiry, next controller re-check), replaying the per-cycle
+// fetch-stall expiry, next controller re-check that can grant), replaying the per-cycle
 // stall counters for the skipped distance. Statistics are bit-identical to the cycle-by-cycle
 // execution; tests/golden pins that.
 #pragma once
@@ -247,12 +247,14 @@ class SmtCore {
   bool pinned() const { return pinned_; }
   /// After an idle tick(): the earliest future cycle anything can happen at
   /// on this core, bounded by `limit`. A result <= now() means no skip.
-  Cycle idle_wake(Cycle limit) const;
+  /// Not const: the allocation controller may evaluate stale candidates
+  /// (TwoLevelRobController::next_wake), which changes no machine state.
+  Cycle idle_wake(Cycle limit);
   /// While the core sleeps: the cycle in whose slot run_lockstep takes its
   /// next sample (advance_idle_to past it), kNeverCycle when sampling is off.
   Cycle sample_slot() const { return sample_every_ != 0 ? next_sample_ - 1 : kNeverCycle; }
   /// Jumps a sleeping core to `to`, replaying per-cycle stall counters,
-  /// sample points and the controller's quiet re-checks for the skipped
+  /// sample points and the controller's repeated re-checks for the skipped
   /// distance (`to` must not exceed its idle_wake bound). A sleep may be
   /// replayed in several calls; replay_idle_to ends it.
   void advance_idle_to(Cycle to);
@@ -368,7 +370,6 @@ class SmtCore {
   MemorySystem mem_;
   BranchPredictor bpred_;
   LoadHitPredictor lhp_;
-  DcraController dcra_;
   std::unique_ptr<FetchPolicy> fetch_policy_;
   SecondLevelRob second_;
   std::unique_ptr<TwoLevelRobController> rob_ctrl_;
@@ -380,9 +381,6 @@ class SmtCore {
   u64 commit_rr_ = 0;
   u64 fast_forwarded_ = 0;  // whole run; stats_ counts the measured part
   bool pinned_ = false;     // pin_for_test()
-  // First cycle of the current run of no-op ticks (fast-forwarded cycles
-  // included): the controller replays re-checks evaluated since then.
-  Cycle quiet_since_ = 0;
   // First cycle after the last executed tick: the start of the skipped span
   // replay_idle_to audits.
   Cycle idle_from_ = 0;

@@ -1,7 +1,10 @@
 // Unit tests for the pipeline components: rename/scoreboard, issue queue,
-// load/store queue, functional units, fetch policies and DCRA.
+// load/store queue, functional units, fetch policies and DCRA's register
+// guard.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <random>
 #include <sstream>
 
 #include "pipeline/dcra.hpp"
@@ -193,6 +196,123 @@ TEST(IssueQueue, CollectOrderIsSlotOrderNotAge) {
   EXPECT_EQ(all[1], &c);
 }
 
+// A slot freed while parked (a squash) is unlinked from its register's
+// chain at once, so the instruction that reuses the slot parks on its own
+// register in the very next scan instead of being rescanned every cycle
+// until the old register wakes.
+TEST(IssueQueue, SlotFreedWhileParkedParksOnItsNewRegisterNextScan) {
+  using S = IssueQueue::SrcState;
+  IssueQueue iq(4, 1);
+  static const StaticInst w = alu(ireg(1));
+  std::vector<DynInst*> out;
+  std::vector<PhysReg> visited;
+  auto waiting = [&](PhysReg r) {
+    visited.push_back(r);
+    return S::kWaitEvent;
+  };
+  DynInst a = dyn(&w, 0, 1);
+  a.src_phys[0] = 10;
+  iq.insert(&a);
+  iq.collect_issue_candidates(out, waiting);
+  EXPECT_EQ(visited, std::vector<PhysReg>{10});  // a parks on 10
+  iq.remove(&a);
+  DynInst b = dyn(&w, 0, 2);
+  b.src_phys[0] = 20;
+  iq.insert(&b);
+  ASSERT_EQ(b.iq_slot, 0);  // a's slot
+  visited.clear();
+  iq.collect_issue_candidates(out, waiting);
+  EXPECT_EQ(visited, std::vector<PhysReg>{20});  // b parks on 20
+  visited.clear();
+  iq.collect_issue_candidates(out, waiting);
+  iq.wake_waiters(10);  // a's register: nothing waits on it any more
+  iq.collect_issue_candidates(out, waiting);
+  EXPECT_TRUE(visited.empty());
+  iq.wake_waiters(20);
+  iq.collect_issue_candidates(out, [&](PhysReg r) {
+    visited.push_back(r);
+    return S::kReady;
+  });
+  EXPECT_EQ(visited, std::vector<PhysReg>{20});
+  EXPECT_EQ(out, std::vector<DynInst*>{&b});
+}
+
+// Seeded random traffic: inserts, squashes, issues (plain or speculative,
+// with replays), and register transitions the way the core makes them — a
+// not-ready register becomes ready or speculatively ready only together
+// with wake_waiters, a speculative one matures silently or is cancelled.
+// After every step the parked scan must return exactly the candidates of a
+// full rescan of the slots.
+TEST(IssueQueue, ParkedScanMatchesFullRescanUnderRandomTraffic) {
+  using S = IssueQueue::SrcState;
+  static const StaticInst w = alu(ireg(1));
+  for (u32 seed = 0; seed < 8; ++seed) {
+    std::mt19937 rng(seed * 7919u + 1u);
+    constexpr u32 kRegs = 12;
+    IssueQueue iq(16, 2);
+    std::vector<S> reg(kRegs, S::kReady);
+    std::deque<DynInst> pool;  // address-stable storage
+    std::vector<DynInst*> live;
+    std::vector<DynInst*> out;
+    u64 tseq = 0;
+    auto classify = [&](PhysReg r) { return reg[r]; };
+    auto any_reg = [&] {
+      return rng() % 4 == 0 ? kInvalidPhysReg : static_cast<PhysReg>(rng() % kRegs);
+    };
+    for (u32 step = 0; step < 3000; ++step) {
+      const u32 op = rng() % 8;
+      if (op <= 1 && iq.has_free()) {
+        pool.push_back(dyn(&w, rng() % 2, ++tseq));
+        DynInst& d = pool.back();
+        d.src_phys[0] = any_reg();
+        d.src_phys[1] = any_reg();
+        iq.insert(&d);
+        live.push_back(&d);
+      } else if (op == 2 && !live.empty()) {  // squash or completion
+        const size_t k = rng() % live.size();
+        iq.remove(live[k]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      } else if (op == 3 && !out.empty()) {  // issue one candidate
+        DynInst* d = out[rng() % out.size()];
+        d->issued = true;
+        iq.mark_issued(d);
+        if (rng() % 2 == 0) {
+          iq.remove(d);
+          std::erase(live, d);
+        }
+      } else if (op == 4 && !live.empty()) {  // replay a speculative issue
+        DynInst* d = live[rng() % live.size()];
+        if (d->issued) {
+          d->issued = false;
+          iq.mark_unissued(d);
+        }
+      } else {  // a register transition
+        const PhysReg r = static_cast<PhysReg>(rng() % kRegs);
+        const u32 to = rng() % 3;
+        if (reg[r] == S::kWaitEvent && to != 2) {
+          reg[r] = to == 0 ? S::kReady : S::kWaitTime;  // set_ready / set_spec_ready
+          iq.wake_waiters(r);
+        } else if (reg[r] == S::kWaitTime) {
+          reg[r] = to == 0 ? S::kReady : S::kWaitEvent;  // matures / clear_spec
+        } else if (reg[r] == S::kReady && to == 2) {
+          reg[r] = S::kWaitEvent;  // reallocated by rename
+        }
+      }
+      iq.collect_issue_candidates(out, classify);
+      std::vector<DynInst*> expect;
+      for (u32 i = 0; i < iq.capacity(); ++i) {
+        DynInst* d = const_cast<DynInst*>(iq.slot(i));
+        if (d == nullptr || d->issued) continue;
+        bool ready = true;
+        for (const PhysReg r : d->src_phys)
+          if (r != kInvalidPhysReg && reg[r] != S::kReady) ready = false;
+        if (ready) expect.push_back(d);
+      }
+      ASSERT_EQ(out, expect) << "seed " << seed << " step " << step;
+    }
+  }
+}
+
 StaticInst mem_op(OpClass op) {
   StaticInst si;
   si.op = op;
@@ -292,7 +412,7 @@ TEST(FuncUnits, PipelinedUnitsFreeNextCycle) {
 }
 
 TEST(FetchPolicy, IcountPrefersLeastLoaded) {
-  auto p = FetchPolicy::create(FetchPolicyKind::kIcount, nullptr);
+  auto p = FetchPolicy::create(FetchPolicyKind::kIcount);
   std::vector<ThreadFetchView> v(3);
   v[0].frontend_count = 10;
   v[1].frontend_count = 2;
@@ -305,7 +425,7 @@ TEST(FetchPolicy, IcountPrefersLeastLoaded) {
 }
 
 TEST(FetchPolicy, StallGatesOnOutstandingL2) {
-  auto p = FetchPolicy::create(FetchPolicyKind::kStall, nullptr);
+  auto p = FetchPolicy::create(FetchPolicyKind::kStall);
   std::vector<ThreadFetchView> v(2);
   v[0].outstanding_l2 = 1;
   EXPECT_FALSE(p->may_fetch(0, v));
@@ -314,13 +434,13 @@ TEST(FetchPolicy, StallGatesOnOutstandingL2) {
 }
 
 TEST(FetchPolicy, FlushRequestsSquash) {
-  auto p = FetchPolicy::create(FetchPolicyKind::kFlush, nullptr);
+  auto p = FetchPolicy::create(FetchPolicyKind::kFlush);
   EXPECT_TRUE(p->flush_on_l2_miss());
   EXPECT_EQ(p->kind(), FetchPolicyKind::kFlush);
 }
 
 TEST(FetchPolicy, RoundRobinRotates) {
-  auto p = FetchPolicy::create(FetchPolicyKind::kRoundRobin, nullptr);
+  auto p = FetchPolicy::create(FetchPolicyKind::kRoundRobin);
   std::vector<ThreadFetchView> v(4);
   std::vector<ThreadId> order;
   p->order(v, 0, order);
@@ -331,30 +451,11 @@ TEST(FetchPolicy, RoundRobinRotates) {
   EXPECT_EQ(order[0], 1u);
 }
 
-TEST(Dcra, ClassifiesByOutstandingL1) {
-  DcraController dcra(DcraConfig{}, 2);
-  std::vector<ThreadFetchView> v(2);
-  v[0].outstanding_l1 = 2;
-  dcra.classify(v);
-  EXPECT_TRUE(dcra.is_slow(0));
-  EXPECT_FALSE(dcra.is_slow(1));
-}
-
-TEST(Dcra, SlowThreadsGetLargerBaseShare) {
-  DcraController dcra(DcraConfig{}, 4);
-  std::vector<ThreadFetchView> v(4);
-  v[0].outstanding_l1 = 1;  // one slow, three fast
-  dcra.classify(v);
-  EXPECT_GT(dcra.base_share(0, 64), dcra.base_share(1, 64));
-}
-
-TEST(Dcra, FastThreadsAreNeverThrottled) {
-  DcraController dcra(DcraConfig{}, 4);
-  std::vector<ThreadFetchView> v(4);
-  v[0].outstanding_l1 = 1;
-  dcra.classify(v);
-  EXPECT_EQ(dcra.cap(1, 64), 64u);
-  EXPECT_EQ(dcra.cap(0, 64), 64u);  // slow: advisory estimate, not a hard cap
+TEST(Dcra, RegisterGuardStopsAtSevenEighthsOfEachPool) {
+  EXPECT_TRUE(dcra_within_reg_guard(83, 96, 0, 96));
+  EXPECT_FALSE(dcra_within_reg_guard(84, 96, 0, 96));  // 96 - 96/8 = 84
+  EXPECT_FALSE(dcra_within_reg_guard(0, 96, 84, 96));
+  EXPECT_TRUE(dcra_within_reg_guard(500, 0, 500, 0));  // an empty pool is unguarded
 }
 
 }  // namespace

@@ -122,7 +122,7 @@ TEST_P(WheelFuzz, MatchesStableSortedReferenceQueue) {
       // Includes already-due whens (clamped to the cursor, like the wheel).
       Cycle when = drained + rng() % 41;
       if (rng() % 8 == 0 && drained > 0) when = drained - 1;
-      wheel.schedule(when, EvKind::kWake, InstRef{0, order, 0});
+      wheel.schedule(when, EvKind::kWake, InstRef{.tseq = order});
       ref.push_back({std::max(when, drained), order});
       ++order;
     }
@@ -178,13 +178,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WheelFuzz, ::testing::Range(0u, 8u));
 // cycle, exactly as the priority queue's while-top-due loop did.
 TEST(WheelFuzz, HandlerSchedulingDuringDrainIsSafe) {
   EventWheel wheel(4);
-  for (u64 i = 0; i < 12; ++i) wheel.schedule(5, EvKind::kWake, InstRef{0, i, 0});
+  for (u64 i = 0; i < 12; ++i) wheel.schedule(5, EvKind::kWake, InstRef{.tseq = i});
   u32 fired_now = 0;
   wheel.process_due(5, [&](const SimEvent& ev) {
     ++fired_now;
     if (ev.ref.tid == 0 && ev.ref.tseq < 8) {
-      wheel.schedule(5, EvKind::kWake, InstRef{1, ev.ref.tseq, 0});
-      wheel.schedule(6, EvKind::kWake, InstRef{2, ev.ref.tseq, 0});
+      wheel.schedule(5, EvKind::kWake, InstRef{.tseq = ev.ref.tseq, .tid = 1});
+      wheel.schedule(6, EvKind::kWake, InstRef{.tseq = ev.ref.tseq, .tid = 2});
     }
   });
   EXPECT_EQ(fired_now, 20u);  // 12 initial + 8 scheduled mid-drain at cycle 5
@@ -431,6 +431,38 @@ TEST(FastForwardDifferential, ShortLeasesOnRRobCmp) {
     const RunResult r =
         expect_fast_forward_matches_pinned(cfg, benches, kGateInsts, 0, kGateWarmup, where);
     EXPECT_GT(run_counter(r, "rob.rejected_high_dod"), 0u) << where;
+  }
+}
+
+// R-ROB with threshold 1 never grants (that needs a DoD of 0), so it is the
+// Baseline_32 machine plus a controller that rejects every re-check. A
+// re-check that repeats its recorded outcome must not wake the core: on
+// every Table 2 mix the run executes at most 1 % more core ticks than
+// Baseline_32 (the parent's polled re-checks cost 16 % on Mix 1 at this
+// length) and every counter but the controller's and the skip count agrees.
+TEST(FastForwardDifferential, NeverGrantingRRobTicksLikeBaseline) {
+  for (u32 m = 1; m <= table2_mixes().size(); ++m) {
+    const std::vector<Benchmark> benches = mix_benchmarks(table2_mix(m));
+    SmtCore base(baseline32_config(), benches);
+    RunResult b = base.run(kGateInsts, 0, kGateWarmup);
+    SmtCore rrob(two_level_config(RobScheme::kReactive, 1), benches);
+    RunResult r = rrob.run(kGateInsts, 0, kGateWarmup);
+    const std::string where = "Mix " + std::to_string(m);
+
+    EXPECT_EQ(run_counter(r, "rob.allocations"), 0u) << where;
+    EXPECT_GT(run_counter(r, "rob.rejected_high_dod"), 0u) << where;
+    EXPECT_LE(rrob.executed_cycles() * 100, base.executed_cycles() * 101)
+        << where << ": " << rrob.executed_cycles() << " ticks against "
+        << base.executed_cycles();
+    EXPECT_EQ(r.cycles, b.cycles) << where;
+    for (size_t t = 0; t < r.threads.size(); ++t)
+      EXPECT_EQ(r.threads[t].committed, b.threads[t].committed) << where << " thread " << t;
+    for (auto* counters : {&r.counters, &b.counters})
+      std::erase_if(*counters, [](const auto& kv) {
+        return kv.first.starts_with("rob.") || kv.first == "core.fast_forwarded_cycles" ||
+               kv.first == "audit.checks_run";
+      });
+    EXPECT_EQ(r.counters, b.counters) << where;
   }
 }
 

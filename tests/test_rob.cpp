@@ -259,14 +259,28 @@ TEST_F(ControllerTest, ReactiveRechecksEveryInterval) {
   ctrl.on_l2_miss_detected(load, 100);
   ctrl.tick(100);  // rejected: DoD 20 >= 16
   ASSERT_TRUE(second_.available());
+  EXPECT_EQ(ctrl.stats().rejected_high_dod, 1u);
   // Independent work completes; the count drops below the threshold.
-  rob0_.for_each([](DynInst& d) {
-    if (!d.is_load()) d.executed = true;
+  rob0_.for_each([&](DynInst& d) {
+    if (!d.is_load() && !d.executed) rob0_.mark_executed(d);
   });
   ctrl.tick(105);  // before the 10-cycle recheck: no decision yet
   EXPECT_TRUE(second_.available());
   ctrl.tick(110);
   EXPECT_TRUE(second_.owned_by(0));
+  EXPECT_EQ(ctrl.stats().rejected_high_dod, 1u);
+}
+
+TEST_F(ControllerTest, UnchangedInputsRepeatTheRecordedRejection) {
+  auto ctrl = make(RobScheme::kReactive, 16);
+  DynInst& load = fill_rob0_with_miss(/*unexec=*/20);
+  ctrl.on_l2_miss_detected(load, 100);
+  for (Cycle t = 100; t <= 130; t += 5) ctrl.tick(t);
+  // Re-checks at 100, 110, 120 and 130 only: every one counts, also those
+  // decided from the stamps.
+  EXPECT_EQ(ctrl.stats().rejected_high_dod, 4u);
+  EXPECT_EQ(ctrl.audit_stale_stamp(0), std::nullopt);
+  EXPECT_TRUE(second_.available());
 }
 
 TEST_F(ControllerTest, CdrWaitsForSnapshotDelay) {
@@ -328,7 +342,7 @@ TEST_F(ControllerTest, ReleaseWaitsForTriggerAndDrain) {
   for (u32 i = 0; i < 10; ++i) rob0_.push(make_inst(next_tseq_++, true));
   ctrl.tick(150);
   EXPECT_TRUE(second_.owned_by(0)) << "trigger still outstanding";
-  load.executed = true;  // fill
+  rob0_.mark_executed(load);  // fill
   ctrl.tick(160);
   EXPECT_TRUE(second_.owned_by(0)) << "must drain to the first level first";
   EXPECT_EQ(rob0_.extra(), 0u) << "no further second-level dispatch while draining";
@@ -354,7 +368,7 @@ TEST_F(ControllerTest, LeaseExpiryStopsRenewalAndCooldownBlocksReacquisition) {
   ctrl.on_l2_miss_detected(load1, 150);
 
   // Past the lease limit the holder's fresh misses stop renewing.
-  load.executed = true;
+  rob0_.mark_executed(load);
   ctrl.tick(1200);  // trigger dead + drained? not drained yet
   while (rob0_.size() > 0) rob0_.pop_head();
   ctrl.tick(1210);
@@ -365,7 +379,7 @@ TEST_F(ControllerTest, LeaseExpiryStopsRenewalAndCooldownBlocksReacquisition) {
 
   // Thread 0 is in cooldown: a new qualifying miss must not steal it back
   // even after thread 1 releases.
-  load1.executed = true;
+  rob1_.mark_executed(load1);
   while (rob1_.size() > 0) rob1_.pop_head();
   ctrl.tick(1230);
   ASSERT_TRUE(second_.available());
@@ -376,32 +390,57 @@ TEST_F(ControllerTest, LeaseExpiryStopsRenewalAndCooldownBlocksReacquisition) {
 }
 
 // Quiet re-check replay. CDR, thread 0: load A takes the partition at 132
-// (lease expiry 132 + 1000 = 1132), then its younger load B, detected at
+// (lease expiry 132 + 1000 = 1132), then the younger load B, detected at
 // 1005, is rejected for a high DoD at every re-check (1037, 1047, ...) while
 // the lease can still be renewed. From the first re-check after the expiry
-// (1137) on, B can no longer renew and is deferred without a rejection.
+// (1137) on, B can no longer renew and is deferred without a rejection. The
+// window is built by push and changed by mark_executed only, as in the core.
 class QuietReplayTest : public ControllerTest {
  protected:
   QuietReplayTest() : ctrl_(make(RobScheme::kCdr, 15)) {
-    DynInst& a = fill_rob0_with_miss(/*unexec=*/5);
+    DynInst& a = push_load();
+    for (u32 i = 0; i < 5; ++i) rob0_.push(make_inst(next_tseq_++));
     ctrl_.on_l2_miss_detected(a, 100);
     ctrl_.tick(132);  // CDR snapshot: DoD 5 < 15
     EXPECT_TRUE(second_.owned_by(0));
+    b_ = &push_load();
+    for (u32 i = 0; i < 30; ++i) rob0_.push(make_inst(next_tseq_++));  // B's DoD: 30
+    ctrl_.on_l2_miss_detected(*b_, 1005);
+  }
+
+  DynInst& push_load() {
+    DynInst load = make_inst(next_tseq_++, false, OpClass::kLoad);
+    load.si = &load_si_;
+    load.is_l2_miss = true;
+    return rob0_.push(std::move(load));
+  }
+
+  /// Completes B's unexecuted younger instructions until its DoD is `dod`.
+  void execute_younger_of_b_down_to(u32 dod) {
+    u32 left = rob0_.count_unexecuted_younger(b_->tseq, rob0_.base_capacity());
     rob0_.for_each([&](DynInst& d) {
-      if (d.tseq != a.tseq) d.executed = false;  // B's DoD: 30 younger
+      if (left > dod && d.tseq > b_->tseq && !d.executed) {
+        rob0_.mark_executed(d);
+        --left;
+      }
     });
-    ctrl_.on_l2_miss_detected(*rob0_.find(a.tseq + 1), 1005);
   }
 
   TwoLevelRobController ctrl_;
+  DynInst* b_ = nullptr;
 };
 
 TEST_F(QuietReplayTest, TickedRechecksRejectUntilTheLeaseExpires) {
   for (Cycle t = 1037; t <= 1127; t += 10) ctrl_.tick(t);
   EXPECT_EQ(ctrl_.stats().rejected_high_dod, 10u);
-  // The expiry (1132) lies after B's last evaluation (1127), so the re-check
-  // at 1137 may differ, even though the expiry is behind `now` (1133).
-  EXPECT_EQ(ctrl_.next_wake(1133, /*quiet_since=*/1037), 1137u);
+  // B's last evaluation (1127) repeats until the expiry (1132), so the
+  // re-check at 1137 may differ.
+  EXPECT_EQ(ctrl_.next_wake(1130), 1137u);
+  // At 1133 the expiry lies between that evaluation and `now`: the stamp no
+  // longer holds, and the idle evaluation sees a lease B can no longer
+  // renew — a deferral no gate ends.
+  EXPECT_EQ(ctrl_.next_wake(1133), kNeverCycle);
+  EXPECT_EQ(ctrl_.stats().rejected_high_dod, 10u);
   ctrl_.tick(1137);
   EXPECT_EQ(ctrl_.stats().rejected_high_dod, 10u);
 }
@@ -409,14 +448,42 @@ TEST_F(QuietReplayTest, TickedRechecksRejectUntilTheLeaseExpires) {
 TEST_F(QuietReplayTest, ReplayMatchesTickingUpToTheGate) {
   ctrl_.tick(1037);
   ASSERT_EQ(ctrl_.stats().rejected_high_dod, 1u);
-  // An evaluation from before the quiet spell is not replayed.
-  EXPECT_EQ(ctrl_.next_wake(1040, /*quiet_since=*/1038), 1047u);
-  // One made inside it repeats up to the first re-check at or after 1132.
-  EXPECT_EQ(ctrl_.next_wake(1040, /*quiet_since=*/1037), 1137u);
-  ctrl_.replay_idle_to(1137, /*quiet_since=*/1037);
+  // A window edit after the evaluation leaves B's DoD at 30: the idle
+  // evaluation at 1040 rejects again and counts nothing itself.
+  rob0_.push(make_inst(next_tseq_++, /*executed=*/true));
+  EXPECT_EQ(ctrl_.next_wake(1040), 1137u);
+  EXPECT_EQ(ctrl_.stats().rejected_high_dod, 1u);
+  ctrl_.replay_idle_to(1137);
   EXPECT_EQ(ctrl_.stats().rejected_high_dod, 10u);  // as ticked: 1037 ... 1127
   ctrl_.tick(1137);
   EXPECT_EQ(ctrl_.stats().rejected_high_dod, 10u);
+}
+
+TEST_F(QuietReplayTest, AnIdleEvaluationThatWouldGrantWakesAtTheNextRecheck) {
+  ctrl_.tick(1037);
+  ASSERT_EQ(ctrl_.stats().rejected_high_dod, 1u);
+  execute_younger_of_b_down_to(14);
+  EXPECT_EQ(ctrl_.next_wake(1040), 1047u);
+  ctrl_.tick(1047);  // B renews the lease and retires
+  EXPECT_FALSE(ctrl_.has_pending_candidate(0));
+  EXPECT_EQ(ctrl_.stats().lease_grants_or_renewals, 2u);
+  EXPECT_EQ(ctrl_.stats().rejected_high_dod, 1u);
+}
+
+TEST_F(QuietReplayTest, StampAuditCatchesAnEditThatBypassesTheCounters) {
+  ctrl_.tick(1037);
+  EXPECT_EQ(ctrl_.audit_stale_stamp(0), std::nullopt);
+  // Through mark_executed the counter moves, so the stale stamp is never
+  // trusted and the audit has nothing to compare.
+  execute_younger_of_b_down_to(20);
+  EXPECT_EQ(ctrl_.audit_stale_stamp(0), std::nullopt);
+  ctrl_.tick(1047);  // re-stamped: still a rejection (20 >= 15)
+  ASSERT_EQ(ctrl_.stats().rejected_high_dod, 2u);
+  // A direct write leaves the stamp looking valid although B now qualifies.
+  rob0_.for_each([&](DynInst& d) {
+    if (d.tseq > b_->tseq) d.executed = true;
+  });
+  EXPECT_EQ(ctrl_.audit_stale_stamp(0), b_->tseq);
 }
 
 TEST_F(ControllerTest, SquashDropsCandidates) {
