@@ -164,12 +164,16 @@ int simulate(const Options& opts) {
   }
   if (profiler) {
     profiler->print(std::cerr, machine.executed_cycles());
-    u64 overflowed = 0;
-    for (u32 c = 0; c < machine.num_cores(); ++c)
+    u64 overflowed = 0, pooled = 0;
+    for (u32 c = 0; c < machine.num_cores(); ++c) {
       overflowed += machine.core(c).event_wheel().overflowed_total();
-    std::fprintf(stderr, "event wheel    %10llu events scheduled past the %u-cycle horizon\n",
+      pooled += machine.core(c).event_wheel().pooled();
+    }
+    std::fprintf(stderr,
+                 "event wheel    %10llu events scheduled past the %u-cycle horizon, "
+                 "%llu pool nodes (peak pending)\n",
                  static_cast<unsigned long long>(overflowed),
-                 machine.core(0).event_wheel().horizon());
+                 machine.core(0).event_wheel().horizon(), static_cast<unsigned long long>(pooled));
   }
 
   std::printf("%-10s %10s %10s\n", "thread", "committed", "IPC");

@@ -16,13 +16,6 @@
 
 namespace tlrob {
 
-struct DcraConfig {
-  /// X, the slow-thread share multiplier of the original proposal. The loose
-  /// model above has no per-thread shares, so nothing reads it; the knob
-  /// (dcra_sharing) stays so existing configurations keep parsing.
-  double sharing = 2.5;
-};
-
 /// True while the thread's use of each renameable register pool is below
 /// seven eighths of the pool. Register-file occupancy is not hard-capped: a
 /// thread blocked on an L2 miss keeps its renamed registers whatever the

@@ -33,12 +33,11 @@ static_assert(sizeof(MemoryChannelConfig) == 32);
 static_assert(sizeof(MemoryConfig) == 104);
 static_assert(sizeof(LlcConfig) == 40);
 static_assert(sizeof(DramConfig) == 64);
-static_assert(sizeof(DcraConfig) == 8);
 static_assert(sizeof(RobPolicyConfig) == 72);
 static_assert(sizeof(PredictorConfig) == 16);
 static_assert(sizeof(AuditConfig) == 32);
 static_assert(sizeof(obs::TelemetryConfig) == 8);
-static_assert(sizeof(MachineConfig) == 432);
+static_assert(sizeof(MachineConfig) == 424);
 
 /// Calls f(knob, field) for every MachineConfig field, in cell-key order.
 /// `Config` is MachineConfig or const MachineConfig. `llc.*` and `dram.*`
@@ -65,7 +64,6 @@ void for_each_knob(Config& c, F&& f) {
   f(Knob{"shared_regfile", "shared_regfile"}, c.shared_regfile);
   f(Knob{"early_register_release"}, c.early_register_release);
   f(Knob{"fetch_policy", "policy"}, c.fetch_policy);
-  f(Knob{"dcra.sharing", "dcra_sharing"}, c.dcra.sharing);
 
   f(Knob{"rob.scheme", "scheme"}, c.rob.scheme);
   f(Knob{"rob.dod_threshold", "threshold"}, c.rob.dod_threshold);

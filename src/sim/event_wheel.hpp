@@ -4,14 +4,23 @@
 // detection, replay, speculative-wakeup maturation) were previously held in
 // a std::priority_queue: every push/pop paid a heap reshuffle plus the
 // backing vector's growth, and finding "when is the next event" meant
-// nothing cheaper than popping. This wheel keeps one pre-sized FIFO slot per
-// cycle in a power-of-two horizon plus one occupancy bit per slot (a u64 per
-// 64 slots, scanned with countr_zero as the issue queue does): scheduling is
-// an O(1) append, the common tick drains one slot behind a one-bit test,
-// and both process_due() and next_event_or() — what the idle-cycle
-// fast-forward needs — jump straight to the next occupied slot. Slot
-// vectors keep their capacity across reuse, so steady state allocates
-// nothing.
+// nothing cheaper than popping. This wheel keeps one FIFO chain per cycle in
+// a power-of-two horizon plus one occupancy bit per slot (a u64 per 64
+// slots, scanned with countr_zero as the issue queue does): scheduling is an
+// O(1) append, the common tick drains one slot behind a one-bit test, and
+// both process_due() and next_event_or() — what the idle-cycle fast-forward
+// needs — jump straight to the next occupied slot.
+//
+// Storage is one node pool per wheel. A slot holds the u32 head and tail
+// indices of its chain; a node is a SimEvent plus its link (in the event's
+// tail padding, so 32 bytes). schedule() pops a node off a free list and
+// appends it to its slot's chain; a drain pops the chain's head, returns the
+// node to the free list and then calls the handler, so a same-cycle
+// schedule from the handler appends to the chain being drained and fires in
+// the same pass. Every node in a chain is a pending event, so the pool never
+// holds more nodes than the most events ever pending at once (pooled()) —
+// tens per core, not horizon x per-slot peak — and once it has reached that
+// peak, steady state allocates nothing.
 //
 // Processing order is identical to the old priority queue: ascending cycle,
 // FIFO (schedule order) within a cycle. Events beyond the horizon overflow
@@ -48,8 +57,8 @@ enum class EvKind : u8 {
 };
 
 /// One scheduled event. Events of one cycle fire in schedule order, which
-/// is the order they sit in their slot (or in the overflow vector), so no
-/// sequence number is stored.
+/// is the order they sit in their slot's chain (or in the overflow vector),
+/// so no sequence number is stored.
 struct SimEvent {
   Cycle when = 0;
   InstRef ref;
@@ -60,7 +69,7 @@ static_assert(sizeof(SimEvent) == 32);
 class EventWheel {
  public:
   explicit EventWheel(u32 horizon_log2 = 12)
-      : slots_(1u << horizon_log2),
+      : chains_(1u << horizon_log2),
         occupied_(std::max(1u, (1u << horizon_log2) / 64), 0),
         mask_((1u << horizon_log2) - 1),
         word_bits_(std::min(64u, 1u << horizon_log2)) {}
@@ -72,6 +81,8 @@ class EventWheel {
   /// Events scheduled a horizon or more ahead of the cursor (each took the
   /// overflow path once).
   u64 overflowed_total() const { return overflowed_; }
+  /// Nodes in the pool: never more than the most events pending at once.
+  u32 pooled() const { return static_cast<u32>(pool_.size()); }
   /// First cycle the wheel has fully drained through (all events at cycles
   /// below this have been handed out).
   Cycle drained_until() const { return cursor_; }
@@ -137,43 +148,91 @@ class EventWheel {
   void test_only_flip_occupancy(Cycle when) { occupied_[word_of(when)] ^= bit_of(when); }
 
   /// Audit recount: the pending counter must equal the events actually
-  /// sitting in slots + overflow, the schedule/process totals must account
+  /// sitting in chains + overflow, the schedule/process totals must account
   /// for every event exactly once (no drop, no duplicate), every occupancy
-  /// bit must equal "slot non-empty", and overflow_min_ must be the overflow
-  /// minimum and not behind the cursor.
+  /// bit must equal "chain non-empty", every chain must end at its tail and
+  /// hold only its slot's cycles, every pool node must be chained or free
+  /// (no leak), and overflow_min_ must be the overflow minimum and not
+  /// behind the cursor.
   bool audit_consistent() const {
-    u64 live = overflow_.size();
-    for (const auto& slot : slots_) live += slot.size();
-    if (live != pending_ || scheduled_ != processed_ + pending_) return false;
-    for (u32 i = 0; i < horizon(); ++i)
-      if (bit_set(i) != !slots_[i].empty()) return false;
+    const u64 nodes = pool_.size();
+    u64 chained = 0;
+    for (u32 i = 0; i < horizon(); ++i) {
+      const Chain& ch = chains_[i];
+      if (bit_set(i) != (ch.head != kNil)) return false;
+      u32 last = kNil;
+      for (u32 n = ch.head; n != kNil; n = pool_[n].next) {
+        // A cycle in the links would outrun the pool: stop there.
+        if (n >= nodes || ++chained > nodes || (pool_[n].when & mask_) != i) return false;
+        last = n;
+      }
+      if (last != kNil && last != ch.tail) return false;
+    }
+    u64 free = 0;
+    for (u32 n = free_; n != kNil; n = pool_[n].next)
+      if (n >= nodes || ++free > nodes) return false;
+    if (chained + free != nodes) return false;
+    if (chained + overflow_.size() != pending_ || scheduled_ != processed_ + pending_)
+      return false;
     Cycle min = kNeverCycle;
     for (const SimEvent& ev : overflow_) min = std::min(min, ev.when);
     return overflow_min_ == min && (overflow_.empty() || overflow_min_ >= cursor_);
   }
 
  private:
+  static constexpr u32 kNil = ~0u;  // end of a chain or of the free list
+
+  /// A pooled event: the SimEvent plus the index of the next node in its
+  /// chain (or in the free list), which sits in the event's tail padding.
+  struct Node : SimEvent {
+    u32 next = kNil;
+  };
+  static_assert(sizeof(Node) == sizeof(SimEvent));
+
+  /// One slot's FIFO chain of pool indices; head == kNil when empty (tail is
+  /// then stale).
+  struct Chain {
+    u32 head = kNil;
+    u32 tail = kNil;
+  };
+
   u32 word_of(Cycle c) const { return static_cast<u32>(c & mask_) >> 6; }
   u64 bit_of(Cycle c) const { return u64{1} << ((c & mask_) & 63); }
   bool bit_set(Cycle c) const { return (occupied_[word_of(c)] & bit_of(c)) != 0; }
 
   void push_slot(const SimEvent& ev) {
-    slots_[ev.when & mask_].push_back(ev);
+    u32 n = free_;
+    if (n == kNil) {
+      n = static_cast<u32>(pool_.size());
+      pool_.push_back(Node{ev});
+    } else {
+      free_ = pool_[n].next;
+      pool_[n] = Node{ev};
+    }
+    Chain& ch = chains_[ev.when & mask_];
+    if (ch.head == kNil) {
+      ch.head = n;
+    } else {
+      pool_[ch.tail].next = n;
+    }
+    ch.tail = n;
     occupied_[word_of(ev.when)] |= bit_of(ev.when);
   }
 
   /// Drains slot `c` (occupied, at the cursor) and moves the cursor past it.
   template <typename Handler>
   void drain_slot(Cycle c, Handler& handler) {
-    std::vector<SimEvent>& slot = slots_[c & mask_];
-    for (u32 i = 0; i < slot.size(); ++i) {  // index loop: handler may push
-      const SimEvent ev = slot[i];  // by value: a same-cycle push may grow
-                                    // (and reallocate) this very slot
+    Chain& ch = chains_[c & mask_];
+    while (ch.head != kNil) {  // re-read each pass: the handler may append
+      const u32 n = ch.head;
+      const SimEvent ev = pool_[n];  // by value: the handler may grow the pool
+      ch.head = pool_[n].next;
+      pool_[n].next = free_;  // freed before the call, so the handler's own
+      free_ = n;              // schedule reuses it: pooled() <= peak pending
       ++processed_;
       --pending_;
       handler(ev);
     }
-    slot.clear();  // keeps capacity: steady state never reallocates
     occupied_[word_of(c)] &= ~bit_of(c);
     cursor_ = c + 1;
   }
@@ -231,7 +290,9 @@ class EventWheel {
     overflow_min_ = far_min;
   }
 
-  std::vector<std::vector<SimEvent>> slots_;
+  std::vector<Chain> chains_;  // one per slot
+  std::vector<Node> pool_;  // chained (pending) or free nodes
+  u32 free_ = kNil;  // head of the free list, linked through Node::next
   std::vector<u64> occupied_;  // bit (c & mask_) set iff slot c is non-empty
   std::vector<SimEvent> overflow_;  // schedule order
   u32 mask_;

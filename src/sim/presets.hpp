@@ -7,7 +7,6 @@
 #include "memory/shared_memory.hpp"
 #include "branch/predictor.hpp"
 #include "obs/telemetry_config.hpp"
-#include "pipeline/dcra.hpp"
 #include "pipeline/fetch_policy.hpp"
 #include "rob/allocation_policy.hpp"
 #include "verify/audit_context.hpp"
@@ -64,7 +63,6 @@ struct MachineConfig {
   bool early_register_release = false;
 
   FetchPolicyKind fetch_policy = FetchPolicyKind::kDcra;
-  DcraConfig dcra{};
   RobPolicyConfig rob{};
   MemoryConfig memory{};
   /// Shared memory-side backend (CMP mode): LLC geometry/MSHRs and banked

@@ -9,9 +9,10 @@
 // after every audited cycle that each held pointer is a *live* slot of the
 // owning thread's slab — neither foreign storage nor recycled.
 //
-// EventWheelCheck recounts the calendar wheel: the events physically present
-// in its slots must match its pending counter, and schedule/process totals
-// must account for every event exactly once — a wheel that drops or
+// EventWheelCheck recounts the calendar wheel: the events physically chained
+// in its slots (plus its overflow) must match its pending counter, every pool
+// node must be chained or free, and schedule/process totals must account
+// for every event exactly once — a wheel that drops or
 // duplicates a wakeup produces a deadlocked or double-completed instruction
 // far downstream of the actual bug.
 #include <sstream>
@@ -68,7 +69,7 @@ class EventWheelCheck final : public InvariantCheck {
       os << "wheel accounting broken: pending=" << ctx.wheel->pending()
          << " scheduled=" << ctx.wheel->scheduled_total()
          << " processed=" << ctx.wheel->processed_total()
-         << " (slot recount, occupancy bitmap or overflow minimum disagrees — an event"
+         << " (chain recount, occupancy bitmap, pool or overflow minimum disagrees — an event"
          << " was dropped, duplicated or hidden)";
       out.violation(ctx.cycle, kNoThread, "events.wheel", os.str());
     }

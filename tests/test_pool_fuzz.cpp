@@ -15,7 +15,8 @@
 //     schedule/drain interleavings (including past-due and beyond-horizon
 //     whens, fast-forward jumps to the next event and drains up to three
 //     horizons ahead) and must hand out exactly the multiset of events a
-//     reference stable-sorted queue produces, in the same order.
+//     reference stable-sorted queue produces, in the same order, while its
+//     node pool never outgrows the most events pending at once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -115,6 +116,7 @@ TEST_P(WheelFuzz, MatchesStableSortedReferenceQueue) {
   std::vector<RefEvent> ref;
   u64 order = 0;
   Cycle drained = 0;  // reference mirror of wheel.drained_until()
+  u64 peak_pending = 0;
 
   for (int step = 0; step < 500; ++step) {
     const u32 pushes = rng() % 4;
@@ -125,6 +127,7 @@ TEST_P(WheelFuzz, MatchesStableSortedReferenceQueue) {
       wheel.schedule(when, EvKind::kWake, InstRef{.tseq = order});
       ref.push_back({std::max(when, drained), order});
       ++order;
+      peak_pending = std::max(peak_pending, wheel.pending());
     }
 
     // Mostly a tick or a short hop; sometimes a fast-forward-style jump to
@@ -165,6 +168,7 @@ TEST_P(WheelFuzz, MatchesStableSortedReferenceQueue) {
     ASSERT_EQ(wheel.drained_until(), drained);
     ASSERT_TRUE(wheel.audit_consistent());
     ASSERT_EQ(wheel.pending(), ref.size());
+    ASSERT_LE(wheel.pooled(), peak_pending);
   }
   ASSERT_EQ(wheel.scheduled_total(), wheel.processed_total() + wheel.pending());
 }
@@ -172,10 +176,11 @@ TEST_P(WheelFuzz, MatchesStableSortedReferenceQueue) {
 INSTANTIATE_TEST_SUITE_P(Seeds, WheelFuzz, ::testing::Range(0u, 8u));
 
 // A handler that schedules while its cycle is still draining: a same-cycle
-// schedule appends to the very slot vector being iterated, and the growth
-// past the vector's capacity reallocates it under the drain loop's feet. The
-// wheel must survive the reallocation and still deliver the new events this
-// cycle, exactly as the priority queue's while-top-due loop did.
+// schedule appends to the very chain being drained, and a schedule that
+// finds the free list empty grows (and may reallocate) the node pool under
+// the drain loop's feet. The wheel must survive the growth and still deliver
+// the appended events this cycle, exactly as the priority queue's
+// while-top-due loop did.
 TEST(WheelFuzz, HandlerSchedulingDuringDrainIsSafe) {
   EventWheel wheel(4);
   for (u64 i = 0; i < 12; ++i) wheel.schedule(5, EvKind::kWake, InstRef{.tseq = i});
@@ -194,6 +199,61 @@ TEST(WheelFuzz, HandlerSchedulingDuringDrainIsSafe) {
   EXPECT_EQ(fired_later, 8u);
   EXPECT_TRUE(wheel.audit_consistent());
   EXPECT_EQ(wheel.pending(), 0u);
+}
+
+// The pool's footprint bound: a million events through a steady population
+// of a few dozen pending (same-cycle, in-horizon and beyond-horizon whens,
+// a quarter of the handlers scheduling a follow-up) must never leave the
+// pool holding more nodes than the most events pending at any moment.
+TEST(WheelFuzz, PoolNeverOutgrowsPeakPending) {
+  std::mt19937 rng(0x5eedu);
+  EventWheel wheel(/*horizon_log2=*/6);
+  u64 peak_pending = 0;
+  // 1 in 5 same-cycle, 1 in 50 past the horizon, the rest inside it.
+  auto delay = [&]() -> Cycle {
+    const u32 roll = rng() % 50;
+    if (roll == 0) return wheel.horizon() + rng() % (2 * wheel.horizon());
+    if (roll < 10) return 0;
+    return 1 + rng() % (wheel.horizon() - 1);
+  };
+  auto schedule = [&](Cycle now) {
+    wheel.schedule(now + delay(), EvKind::kWake, InstRef{});
+    peak_pending = std::max(peak_pending, wheel.pending());
+  };
+
+  // One live event that reschedules itself from its handler, alternately in
+  // the same cycle and the next: its node is free again before the handler
+  // runs, so the pool stays at one node.
+  wheel.schedule(0, EvKind::kWake, InstRef{});
+  for (Cycle now = 0; now < 100; ++now) {
+    wheel.process_due(now, [&](const SimEvent& ev) {
+      const u64 hop = ev.ref.tseq + 1;  // odd hops stay in this cycle
+      if (hop < 200)
+        wheel.schedule(hop % 2 == 1 ? now : now + 1, EvKind::kWake, InstRef{.tseq = hop});
+    });
+  }
+  ASSERT_EQ(wheel.processed_total(), 200u);
+  ASSERT_EQ(wheel.pooled(), 1u);
+  peak_pending = 1;
+
+  Cycle last_fired = 0;
+  for (Cycle now = 100; wheel.scheduled_total() < 1'000'000; ++now) {
+    for (u32 i = rng() % 3; i > 0; --i) schedule(now);
+    wheel.process_due(now, [&](const SimEvent& ev) {
+      ASSERT_LE(ev.when, now);
+      ASSERT_GE(ev.when, last_fired);
+      last_fired = ev.when;
+      if (rng() % 4 == 0) schedule(now);
+    });
+    ASSERT_LE(wheel.pooled(), peak_pending) << "cycle " << now;
+    if (now % 4096 == 0) {
+      ASSERT_TRUE(wheel.audit_consistent()) << "cycle " << now;
+    }
+  }
+  EXPECT_GT(wheel.overflowed_total(), 10'000u);
+  EXPECT_LT(peak_pending, 200u);  // a steady population, not a backlog
+  EXPECT_TRUE(wheel.audit_consistent());
+  EXPECT_EQ(wheel.scheduled_total(), wheel.processed_total() + wheel.pending());
 }
 
 // A drain that jumps more than a horizon ahead must deliver the overflow

@@ -638,7 +638,6 @@ TEST(RunnerMemo, KeyCoversEveryOverrideKnob) {
       {"interchunk", "4"},
       {"critical_bytes", "64"},
       {"mshr", "8"},
-      {"dcra_sharing", "1.5"},
       {"seed", "7"},
       {"cores", "2"},
       {"llc", "512"},

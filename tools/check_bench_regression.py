@@ -30,7 +30,7 @@ import sys
 
 FILTER = (
     "BM_FourThreadMixTwoLevel|BM_SingleThread|BM_CacheHierarchyStress"
-    "|BM_TraceFrontendDecode|BM_CmpFourCoreMix"
+    "|BM_TraceFrontendDecode|BM_CmpFourCoreMix|BM_EventWheel"
 )
 MIN_TIME_S = 0.02  # per benchmark per run; a bare number of seconds
 PAIRS = 120

@@ -73,6 +73,7 @@ def main():
     rejected("cores=3 on a 4-entry list", run(simulate, "mix=1", "cores=3", *RUN))
     rejected("stats=maybe", run(simulate, "mix=1", "stats=maybe", *RUN))
     rejected("unknown key", run(simulate, "mix=1", "bogus=1", *RUN))
+    rejected("dcra_sharing=1.5 (a deleted knob)", run(simulate, "mix=1", "dcra_sharing=1.5", *RUN))
     rejected("unknown workload", run(simulate, "nosuch", *RUN))
     rejected("llc=0", run(simulate, "mix=1", "llc=0", *RUN))
     rejected("l1d_kb=0", run(simulate, "mix=1", "l1d_kb=0", *RUN))
@@ -129,8 +130,9 @@ def main():
     check("profile=1 prints the phase table on stderr",
           "samples" in profiled.stderr and "sampled" in profiled.stderr
           and "dispatch" in profiled.stderr, profiled.stderr[-300:])
-    check("profile=1 reports the event-wheel overflow count",
-          "events scheduled past the" in profiled.stderr, profiled.stderr[-300:])
+    check("profile=1 reports the event-wheel overflow count and pool size",
+          "events scheduled past the" in profiled.stderr
+          and "pool nodes (peak pending)" in profiled.stderr, profiled.stderr[-300:])
 
     with tempfile.TemporaryDirectory() as tmp:
         # trace= adds per-instruction instants to the trace_json= file on
