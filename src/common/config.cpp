@@ -28,38 +28,38 @@ u32 parse_u32(const std::string& text, const std::string& what) {
   return static_cast<u32>(value);
 }
 
+namespace {
+
+// The key of an option spelled `typed`: leading dashes dropped, inner dashes
+// read as underscores.
+std::string key_of(const std::string& typed) {
+  std::string key = typed.substr(std::min(typed.find_first_not_of('-'), typed.size()));
+  std::replace(key.begin(), key.end(), '-', '_');
+  return key;
+}
+
+bool is_option(const std::string& tok) { return tok.size() > 1 && tok[0] == '-'; }
+
+}  // namespace
+
+void Options::put(const std::string& typed, const std::string& value) {
+  values_.insert_or_assign(key_of(typed), Value{value, typed});
+}
+
 Options Options::from_args(int argc, const char* const* argv,
                            const std::set<std::string>& flags) {
-  auto strip_dashes = [](const std::string& s, size_t limit) {
-    size_t dashes = 0;
-    while (dashes < limit && s[dashes] == '-') ++dashes;
-    return dashes;
-  };
-  auto normalise = [](std::string key) {
-    std::replace(key.begin(), key.end(), '-', '_');
-    return key;
-  };
+  // Join each `--key value` into `--key=value`; from_tokens does the rest.
   std::vector<std::string> tokens;
   for (int i = 1; i < argc; ++i) {
     const std::string tok = argv[i];
-    const auto eq = tok.find('=');
-    if (eq != std::string::npos) {
-      const size_t dashes = strip_dashes(tok, eq);
-      tokens.push_back(normalise(tok.substr(dashes, eq - dashes)) + tok.substr(eq));
-    } else if (tok.size() > 1 && tok[0] == '-') {
-      const std::string key = normalise(tok.substr(strip_dashes(tok, tok.size())));
-      // The next token is this option's value unless the option is a
-      // declared flag or the next token is itself an option.
-      const std::string next = i + 1 < argc ? argv[i + 1] : "";
-      const bool next_is_value = i + 1 < argc && (next == "-" || next[0] != '-') &&
-                                 next.find('=') == std::string::npos;
-      if (flags.count(key) == 0 && next_is_value)
-        tokens.push_back(key + "=" + argv[++i]);
-      else
-        tokens.push_back("--" + key);
-    } else {
-      tokens.push_back(tok);  // positional, including a lone "-"
-    }
+    // The next token is this option's value unless the option is a
+    // declared flag or the next token is itself an option.
+    const std::string next = i + 1 < argc ? argv[i + 1] : "";
+    const bool takes_next = is_option(tok) && tok.find('=') == std::string::npos &&
+                            flags.count(key_of(tok)) == 0 && i + 1 < argc &&
+                            (next == "-" || next[0] != '-') &&
+                            next.find('=') == std::string::npos;
+    tokens.push_back(takes_next ? tok + "=" + argv[++i] : tok);
   }
   return from_tokens(tokens);
 }
@@ -67,22 +67,13 @@ Options Options::from_args(int argc, const char* const* argv,
 Options Options::from_tokens(const std::vector<std::string>& tokens) {
   Options opts;
   for (const auto& tok : tokens) {
-    // Accept both "key=value" and "--key=value".
-    size_t dashes = 0;
-    while (dashes < tok.size() && tok[dashes] == '-') ++dashes;
-    const std::string t = tok.substr(dashes);
-    auto eq = t.find('=');
-    if (eq == std::string::npos) {
-      if (tok.size() > 1 && tok[0] == '-') {
-        // (insert_or_assign sidesteps GCC 12's -Wrestrict false positive on
-        // map-subscript assignment from a literal, PR105329.)
-        opts.values_.insert_or_assign(t, std::string("1"));  // bare flag
-      } else {
-        opts.positional_.push_back(tok);
-      }
-    } else {
-      opts.values_[t.substr(0, eq)] = t.substr(eq + 1);
-    }
+    const auto eq = tok.find('=');
+    if (eq != std::string::npos)
+      opts.put(tok.substr(0, eq), tok.substr(eq + 1));
+    else if (is_option(tok))
+      opts.put(tok, "1");  // bare flag
+    else
+      opts.positional_.push_back(tok);  // including a lone "-"
   }
   return opts;
 }
@@ -90,7 +81,7 @@ Options Options::from_tokens(const std::vector<std::string>& tokens) {
 const std::string* Options::find(const std::string& key) const {
   read_.insert(key);
   auto it = values_.find(key);
-  return it == values_.end() ? nullptr : &it->second;
+  return it == values_.end() ? nullptr : &it->second.value;
 }
 
 std::vector<std::string> Options::unread_keys() const {
@@ -103,9 +94,7 @@ std::vector<std::string> Options::unread_keys() const {
 void Options::require_all_read(const std::string& note) const {
   const std::vector<std::string> unread = unread_keys();
   if (unread.empty()) return;
-  std::string flag = unread.front();
-  std::replace(flag.begin(), flag.end(), '_', '-');
-  throw std::invalid_argument("unknown option --" + flag + note);
+  throw std::invalid_argument("unknown option " + values_.at(unread.front()).typed + note);
 }
 
 std::string Options::get(const std::string& key, const std::string& fallback) const {
@@ -121,16 +110,6 @@ u64 Options::get_u64(const std::string& key, u64 fallback) const {
 u32 Options::get_u32(const std::string& key, u32 fallback) const {
   const std::string* v = find(key);
   return v == nullptr ? fallback : parse_u32(*v, "option " + key);
-}
-
-double Options::get_double(const std::string& key, double fallback) const {
-  const std::string* v = find(key);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(v->c_str(), &end);
-  if (v->empty() || *end != '\0')
-    throw std::invalid_argument("option " + key + ": expected a number, got '" + *v + "'");
-  return value;
 }
 
 std::vector<std::string> Options::get_list(const std::string& key) const {

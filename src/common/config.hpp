@@ -43,10 +43,11 @@ class Options {
                            const std::set<std::string>& flags = {});
 
   /// Parses a pre-split token list: "key=value" and "--key=value" set a
-  /// value, "--key" is a bare flag, anything else is positional.
+  /// value, "--key" is a bare flag, anything else is positional. Keys are
+  /// read as by from_args, which joins `--key value` and calls this.
   static Options from_tokens(const std::vector<std::string>& tokens);
 
-  void set(const std::string& key, const std::string& value) { values_[key] = value; }
+  void set(const std::string& key, const std::string& value) { put(key, value); }
 
   bool has(const std::string& key) const { return find(key) != nullptr; }
 
@@ -54,7 +55,6 @@ class Options {
   u64 get_u64(const std::string& key, u64 fallback) const;
   /// get_u64 that also rejects a value above 2^32-1.
   u32 get_u32(const std::string& key, u32 fallback) const;
-  double get_double(const std::string& key, double fallback) const;
   /// Accepts 0/1, true/false, yes/no and on/off.
   bool get_bool(const std::string& key, bool fallback) const;
 
@@ -70,15 +70,22 @@ class Options {
   /// sorted order: typos and flags the program does not know.
   std::vector<std::string> unread_keys() const;
 
-  /// Throws std::invalid_argument("unknown option --<key><note>") for the
-  /// first of unread_keys(), if any.
+  /// Throws std::invalid_argument("unknown option <key><note>") for the
+  /// first of unread_keys(), if any, spelling the key as it was typed
+  /// ("bogus" for bogus=1, "--bogus" for --bogus 1).
   void require_all_read(const std::string& note = "") const;
 
  private:
   /// Looks `key` up and records it as read.
   const std::string* find(const std::string& key) const;
+  /// Sets the key spelled `typed` on the command line to `value`.
+  void put(const std::string& typed, const std::string& value);
 
-  std::map<std::string, std::string> values_;
+  struct Value {
+    std::string value;
+    std::string typed;  // the key as the command line spelled it
+  };
+  std::map<std::string, Value> values_;
   mutable std::set<std::string> read_;
   std::vector<std::string> positional_;
 };

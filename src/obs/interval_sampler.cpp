@@ -47,7 +47,6 @@ void IntervalSeries::write_jsonl(std::ostream& os) const {
       os << "{\"rob\":" << json_u64(th.rob_occ) << ",\"rob_cap\":" << json_u64(th.rob_cap)
          << ",\"iq\":" << json_u64(th.iq_occ) << ",\"lsq\":" << json_u64(th.lsq_occ)
          << ",\"dod\":" << json_u64(th.dod_proxy) << ",\"mlp\":" << json_u64(th.outstanding_l2)
-         << ",\"dcra_iq_cap\":" << json_u64(th.dcra_iq_cap)
          << ",\"committed\":" << json_u64(th.committed) << ",\"ipc\":" << json_double(ipc)
          << ",\"stall\":[";
       for (size_t c = 0; c < kStallClassCount; ++c) {
@@ -63,7 +62,7 @@ void IntervalSeries::write_jsonl(std::ostream& os) const {
 
 void IntervalSeries::write_csv(std::ostream& os) const {
   os << "cycle,thread,rob_occ,rob_cap,iq_occ,lsq_occ,dod_proxy,outstanding_l2,"
-        "dcra_iq_cap,committed,interval_ipc,second_level_owner,llc_mshr";
+        "committed,interval_ipc,second_level_owner,llc_mshr";
   for (size_t c = 0; c < kStallClassCount; ++c)
     os << ",stall_" << kStallClassNames[c];
   os << "\n";
@@ -77,7 +76,7 @@ void IntervalSeries::write_csv(std::ostream& os) const {
           interval_ == 0 ? 0.0 : static_cast<double>(delta) / static_cast<double>(interval_);
       os << s.cycle << "," << t << "," << th.rob_occ << "," << th.rob_cap << "," << th.iq_occ
          << "," << th.lsq_occ << "," << th.dod_proxy << "," << th.outstanding_l2 << ","
-         << th.dcra_iq_cap << "," << th.committed << "," << json_double(ipc) << ",";
+         << th.committed << "," << json_double(ipc) << ",";
       if (s.second_level_owner == kNoOwner)
         os << "none";
       else

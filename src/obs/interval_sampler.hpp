@@ -60,8 +60,6 @@ struct ThreadSample {
   u32 lsq_occ = 0;         // LSQ entries
   u32 dod_proxy = 0;       // unexecuted insts in the first-level window
   u32 outstanding_l2 = 0;  // in-flight L2 misses (MLP)
-  u32 dcra_iq_cap = 0;     // IQ entries DCRA lets this thread hold: the whole
-                           // queue (the loose DCRA caps no thread, DESIGN §5)
   u64 committed = 0;       // cumulative committed (measurement-relative)
   /// Cumulative stall-taxonomy cycles (measurement-relative), indexed by
   /// StallClass; sums to the sample's cycle offset by construction.

@@ -1,13 +1,13 @@
 // SMT fetch policies: round-robin, ICOUNT, STALL, FLUSH, and DCRA-gated
 // ICOUNT (the paper's baseline).
 //
-// A policy does two things each cycle: ranks threads for fetch priority and
-// vetoes fetching for threads it wants gated. FLUSH additionally asks the
-// core to squash a thread's post-miss instructions when an L2 miss is
-// detected (implemented in the core as un-dispatch; see DESIGN.md).
+// A policy is a FetchPolicyKind value the core reads where it acts: the
+// thread ranking that orders dispatch and fetch each tick (fetch_order),
+// the fetch gate on an outstanding L2 miss (gates_fetch_on_l2_miss), FLUSH's
+// un-dispatch when that miss is detected, and DCRA's register guard at
+// dispatch (dcra_within_reg_guard). See DESIGN.md §2.2.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,38 +32,33 @@ inline FetchPolicyKind parse_fetch_policy(const std::string& name) {
   return parse_enum(kFetchPolicyNames, name, "fetch policy");
 }
 
-/// Per-thread snapshot handed to policies each cycle.
-struct ThreadFetchView {
-  u32 frontend_count = 0;   // fetched, not yet dispatched
-  u32 iq_count = 0;         // occupying issue-queue slots
-  u32 outstanding_l2 = 0;   // in-flight loads that missed L2
-};
+/// Fills `out` with thread ids highest-priority first. `icount[t]` is thread
+/// t's ICOUNT key: its instructions fetched but not yet dispatched plus its
+/// issue-queue entries. Round-robin rotates by `now`; every other policy
+/// ranks by ICOUNT, fewest first, ties by thread id. `out` keeps its
+/// capacity, so the per-tick ranking allocates nothing.
+void fetch_order(FetchPolicyKind kind, const std::vector<u32>& icount, Cycle now,
+                 std::vector<ThreadId>& out);
 
-class FetchPolicy {
- public:
-  virtual ~FetchPolicy() = default;
+/// STALL and FLUSH stop fetching for a thread while it has an L2 miss
+/// outstanding; FLUSH also un-dispatches the thread's instructions younger
+/// than the load when the miss is detected.
+inline bool gates_fetch_on_l2_miss(FetchPolicyKind kind) {
+  return kind == FetchPolicyKind::kStall || kind == FetchPolicyKind::kFlush;
+}
 
-  /// Fills `out` with thread ids highest-priority first. `out` is cleared
-  /// first; its capacity is retained across calls, so the per-cycle ranking
-  /// is allocation-free with a reused buffer. Policies are stateless between
-  /// calls.
-  virtual void order(const std::vector<ThreadFetchView>& views, Cycle now,
-                     std::vector<ThreadId>& out) = 0;
-
-  /// Gate: false forbids fetching for the thread this cycle.
-  virtual bool may_fetch(ThreadId tid, const std::vector<ThreadFetchView>& views) {
-    (void)tid;
-    (void)views;
-    return true;
-  }
-
-  /// FLUSH-style policies return true: the core squashes a thread's
-  /// instructions younger than a load when its L2 miss is detected.
-  virtual bool flush_on_l2_miss() const { return false; }
-
-  virtual FetchPolicyKind kind() const = 0;
-
-  static std::unique_ptr<FetchPolicy> create(FetchPolicyKind kind);
-};
+/// DCRA (Cazorla et al., MICRO 2004), in the loose form DESIGN.md §5 item 2
+/// argues for: ICOUNT-ordered fetch plus this guard at dispatch. True while
+/// the thread's use of each renameable register pool is below seven eighths
+/// of the pool, so no single thread renames its whole free pool outright.
+/// Neither the issue queue nor the register file is hard-capped: a thread
+/// blocked on an L2 miss keeps its dispatched dependents and renamed
+/// registers, which is exactly the residual pressure the paper observes DCRA
+/// cannot remove (Baseline_128 degrades *under DCRA*, §1/§5.2). A zero
+/// capacity leaves that pool unguarded.
+inline bool dcra_within_reg_guard(u32 int_use, u32 int_capacity, u32 fp_use, u32 fp_capacity) {
+  return (int_capacity == 0 || int_use < int_capacity - int_capacity / 8) &&
+         (fp_capacity == 0 || fp_use < fp_capacity - fp_capacity / 8);
+}
 
 }  // namespace tlrob

@@ -13,8 +13,6 @@ template <typename T>
 void parse_knob(const Options& opts, const std::string& key, const Knob& k, T& field) {
   if constexpr (std::is_same_v<T, bool>) {
     field = opts.get_bool(key, field);
-  } else if constexpr (std::is_same_v<T, double>) {
-    field = opts.get_double(key, field);
   } else if constexpr (std::is_same_v<T, u32>) {
     field = opts.get_u32(key, field);
   } else if constexpr (std::is_same_v<T, u64>) {

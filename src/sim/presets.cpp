@@ -49,6 +49,10 @@ const MachineConfig& MachineConfig::validate() const {
     throw std::invalid_argument(std::string("MachineConfig: rob_second_level must be nonzero "
                                             "under scheme ") +
                                 rob_scheme_name(rob.scheme));
+  // FLUSH un-dispatches instructions, which cannot restore a register an
+  // early release already freed.
+  if (early_register_release && fetch_policy == FetchPolicyKind::kFlush)
+    reject(*this, &fetch_policy, "flush is incompatible with early_register_release");
   // The shapes the Cache and RenameUnit constructors need, checked here too
   // so the error names the knob rather than the structure.
   auto check_cache = [this](const CacheGeometry& g) {

@@ -96,7 +96,8 @@ struct MachineConfig {
   /// structure is sized: throws std::invalid_argument naming the first
   /// kNonzero knob (sim/config_override.hpp) that is zero — a width,
   /// capacity, MSHR pool or re-check interval — a zero `rob_second_level`
-  /// under a scheme that uses_second_level, a cache geometry (L1s, L2, and
+  /// under a scheme that uses_second_level, the FLUSH fetch policy with
+  /// early register release, a cache geometry (L1s, L2, and
   /// the LLC when the machine has a shared backend) whose line size or set
   /// count is not a power of two, a DRAM geometry (with a shared backend)
   /// the DRAM model cannot map, or a register file too small for the

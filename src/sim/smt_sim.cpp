@@ -30,12 +30,6 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
       auditor_(cfg.audit, cfg.num_threads) {
   if (benchmarks_.size() != cfg.num_threads)
     throw std::invalid_argument("SmtCore: one benchmark per hardware thread required");
-  if (cfg.early_register_release && cfg.fetch_policy == FetchPolicyKind::kFlush)
-    throw std::invalid_argument(
-        "SmtCore: early register release is incompatible with the FLUSH policy "
-        "(un-dispatched instructions cannot restore early-freed registers)");
-
-  fetch_policy_ = FetchPolicy::create(cfg.fetch_policy);
 
   // The ROB ring slabs are sized for the largest window any scheme can ever
   // grant this configuration: the shared second level, or kAdaptive's
@@ -69,7 +63,7 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
   stall_cycles_.assign(cfg.num_threads, {});
   commit_base_scratch_.assign(cfg.num_threads, 0);
 
-  views_.resize(cfg.num_threads);
+  icount_.resize(cfg.num_threads);
   order_.reserve(cfg.num_threads);
   ready_scratch_.reserve(cfg.iq_entries);
   replay_regs_.reserve(64);
@@ -197,7 +191,7 @@ void SmtCore::handle_l2_miss_detect(DynInst& di) {
   if (trace_ != nullptr)
     trace_->instant_event(di.tid, "second_level_request", cycle_,
                           {{"tseq", di.tseq}, {"pc", di.pc}});
-  if (fetch_policy_->flush_on_l2_miss()) {
+  if (cfg_.fetch_policy == FetchPolicyKind::kFlush) {
     undispatch_after(di.tid, di.tseq);
     ++stats_.flush_triggered;
   }
@@ -500,8 +494,7 @@ void SmtCore::issue_load(DynInst& di) {
     if (const DynInst* st = ts.lsq.forwarding_store(di); st != nullptr) {
       // Forward from the youngest older overlapping store. Data arrives when
       // both the hit latency has elapsed and the store data exists.
-      const Cycle data_at =
-          st->executed ? cycle_ + 2 : std::max<Cycle>(cycle_ + 2, cycle_ + 4);
+      const Cycle data_at = st->executed ? cycle_ + 2 : cycle_ + 4;
       di.l1_hit = true;
       {
         obs::PhaseScope ps(obs::Phase::kPredict);
@@ -569,14 +562,6 @@ void SmtCore::issue_load(DynInst& di) {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-void SmtCore::refresh_views() {
-  for (ThreadId t = 0; t < cfg_.num_threads; ++t) {
-    views_[t].frontend_count = threads_[t].frontend.size();
-    views_[t].iq_count = iq_.occupancy(t);
-    views_[t].outstanding_l2 = threads_[t].outstanding_l2;
-  }
-}
-
 bool SmtCore::try_dispatch_one(ThreadState& ts, ThreadId tid) {
   if (ts.frontend.empty()) return false;
   DynInst& f = ts.frontend.front();
@@ -630,9 +615,10 @@ bool SmtCore::try_dispatch_one(ThreadState& ts, ThreadId tid) {
 }
 
 bool SmtCore::do_dispatch() {
-  // The one thread ranking of the tick: do_fetch reuses views_ and order_.
-  refresh_views();
-  fetch_policy_->order(views_, cycle_, order_);
+  // The one thread ranking of the tick: do_fetch reuses order_.
+  for (ThreadId t = 0; t < cfg_.num_threads; ++t)
+    icount_[t] = threads_[t].frontend.size() + iq_.occupancy(t);
+  fetch_order(cfg_.fetch_policy, icount_, cycle_, order_);
   u32 budget = cfg_.dispatch_width;
   u32 dispatched = 0;
   for (ThreadId t : order_) {
@@ -770,10 +756,10 @@ bool SmtCore::fetch_one(ThreadState& ts, ThreadId tid) {
 }
 
 bool SmtCore::do_fetch() {
-  // views_ and order_ are do_dispatch's. Dispatch moves instructions from a
-  // thread's frontend into the issue queue, so every ICOUNT key (frontend +
-  // IQ count) and every outstanding-miss count is what dispatch ranked by:
-  // a refresh would rebuild the same views and the same order.
+  // order_ is do_dispatch's. Dispatch moves instructions from a thread's
+  // frontend into the issue queue, so every ICOUNT key (frontend + IQ count)
+  // is what dispatch ranked by: a re-rank would rebuild the same order.
+  // Dispatch changes no outstanding-miss count either.
 
   u32 budget = cfg_.fetch_width;
   u32 threads_fetched = 0;
@@ -784,7 +770,7 @@ bool SmtCore::do_fetch() {
     if (ts.fetch_stall_until > cycle_) continue;
     if (ts.wrong_path && ts.wp_dead) continue;
     if (ts.frontend.size() >= cfg_.frontend_buffer) continue;
-    if (!fetch_policy_->may_fetch(t, views_)) {
+    if (gates_fetch_on_l2_miss(cfg_.fetch_policy) && ts.outstanding_l2 > 0) {
       ++stats_.per_cycle.policy_gated;
       continue;
     }
@@ -1086,7 +1072,6 @@ void SmtCore::record_sample(Cycle label) {
         ts.rob.empty() ? 0 : ts.rob.count_unexecuted_younger(ts.rob.head()->tseq - 1,
                                                              0xffffffffu);
     th.outstanding_l2 = ts.outstanding_l2;
-    th.dcra_iq_cap = cfg_.iq_entries;  // the loose DCRA never caps a thread's IQ share
     th.committed = ts.committed - ts.committed_base;
     th.stall = stall_cycles_[t];
     if (trace_ != nullptr) {

@@ -37,7 +37,6 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/interval_sampler.hpp"
 #include "memory/memory_system.hpp"
-#include "pipeline/dcra.hpp"
 #include "pipeline/fetch_policy.hpp"
 #include "pipeline/func_units.hpp"
 #include "pipeline/issue_queue.hpp"
@@ -305,7 +304,6 @@ class SmtCore {
   bool do_early_release();
 
   // -- helpers ----------------------------------------------------------------
-  void refresh_views();
   DynInst* find_inst(const InstRef& ref);
   void schedule(Cycle when, EvKind kind, const DynInst& di);
   void handle_fu_complete(DynInst& di);
@@ -370,7 +368,6 @@ class SmtCore {
   MemorySystem mem_;
   BranchPredictor bpred_;
   LoadHitPredictor lhp_;
-  std::unique_ptr<FetchPolicy> fetch_policy_;
   SecondLevelRob second_;
   std::unique_ptr<TwoLevelRobController> rob_ctrl_;
 
@@ -392,7 +389,7 @@ class SmtCore {
 
   // Reused per-cycle scratch (capacity retained; steady state never
   // allocates).
-  std::vector<ThreadFetchView> views_;
+  std::vector<u32> icount_;  // do_dispatch's ICOUNT keys, one per thread
   std::vector<ThreadId> order_;
   std::vector<DynInst*> ready_scratch_;
   std::vector<PhysReg> replay_regs_;     // worklist for replay_dependents_of

@@ -26,7 +26,6 @@ namespace {
 
 class DodRecountCheck final : public InvariantCheck {
  public:
-  const char* id() const override { return "dod.recount"; }
   Tier tier() const override { return Tier::kFull; }
 
   void run(const AuditContext& ctx, InvariantChecker& out) const override {

@@ -23,7 +23,6 @@ namespace {
 
 class IqCountsCheck final : public InvariantCheck {
  public:
-  const char* id() const override { return "iq.counts"; }
   Tier tier() const override { return Tier::kCheap; }
 
   void run(const AuditContext& ctx, InvariantChecker& out) const override {
@@ -66,7 +65,6 @@ class IqCountsCheck final : public InvariantCheck {
 
 class OccupancyCheck final : public InvariantCheck {
  public:
-  const char* id() const override { return "occupancy.cross"; }
   Tier tier() const override { return Tier::kFull; }
 
   void run(const AuditContext& ctx, InvariantChecker& out) const override {

@@ -28,7 +28,6 @@ namespace {
 
 class PoolCheck final : public InvariantCheck {
  public:
-  const char* id() const override { return "pool.liveness"; }
   Tier tier() const override { return Tier::kCheap; }
 
   void run(const AuditContext& ctx, InvariantChecker& out) const override {
@@ -59,7 +58,6 @@ class PoolCheck final : public InvariantCheck {
 
 class EventWheelCheck final : public InvariantCheck {
  public:
-  const char* id() const override { return "events.wheel"; }
   Tier tier() const override { return Tier::kFull; }
 
   void run(const AuditContext& ctx, InvariantChecker& out) const override {

@@ -17,7 +17,6 @@ namespace {
 
 class RobOrderCheck final : public InvariantCheck {
  public:
-  const char* id() const override { return "rob.order"; }
   Tier tier() const override { return Tier::kCheap; }
 
   void run(const AuditContext& ctx, InvariantChecker& out) const override {

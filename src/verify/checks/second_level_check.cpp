@@ -24,7 +24,6 @@ namespace {
 
 class SecondLevelCheck final : public InvariantCheck {
  public:
-  const char* id() const override { return "rob2.ownership"; }
   Tier tier() const override { return Tier::kCheap; }
 
   void run(const AuditContext& ctx, InvariantChecker& out) const override {
@@ -121,7 +120,6 @@ class SecondLevelCheck final : public InvariantCheck {
 // so a fresh evaluation at the recorded evaluation cycle must agree.
 class StampCheck final : public InvariantCheck {
  public:
-  const char* id() const override { return "rob2.stamp"; }
   Tier tier() const override { return Tier::kFull; }
 
   void run(const AuditContext& ctx, InvariantChecker& out) const override {

@@ -14,7 +14,6 @@ namespace {
 
 class SharedMemoryCheck final : public InvariantCheck {
  public:
-  const char* id() const override { return "shared.memory"; }
   Tier tier() const override { return Tier::kCheap; }
 
   void run(const AuditContext& ctx, InvariantChecker& out) const override {

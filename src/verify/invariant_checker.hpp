@@ -68,7 +68,6 @@ class InvariantCheck {
   enum class Tier : u8 { kCheap, kFull };
 
   virtual ~InvariantCheck() = default;
-  virtual const char* id() const = 0;
   virtual Tier tier() const = 0;
   virtual void run(const AuditContext& ctx, InvariantChecker& out) const = 0;
 };

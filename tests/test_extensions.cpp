@@ -95,6 +95,15 @@ TEST(EarlyRelease, RejectsFlushCombination) {
   cfg.early_register_release = true;
   cfg.fetch_policy = FetchPolicyKind::kFlush;
   EXPECT_THROW(SmtCore(cfg, mix_benchmarks(table2_mix(1))), std::invalid_argument);
+  // The rule is MachineConfig::validate()'s, and its error names both knobs.
+  try {
+    cfg.validate();
+    ADD_FAILURE() << "validate() accepted FLUSH with early register release";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("fetch_policy"), std::string::npos) << what;
+    EXPECT_NE(what.find("early_register_release"), std::string::npos) << what;
+  }
 }
 
 TEST(ConfigOverride, ParsesSchemesAndPolicies) {

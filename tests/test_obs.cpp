@@ -99,7 +99,6 @@ TEST(IntervalSampler, JsonlAndCsvExportShapes) {
                        .lsq_occ = 1,
                        .dod_proxy = 4,
                        .outstanding_l2 = 2,
-                       .dcra_iq_cap = 16,
                        .committed = 50});
   series.add(std::move(s));
 
@@ -114,7 +113,7 @@ TEST(IntervalSampler, JsonlAndCsvExportShapes) {
   series.write_csv(csv);
   const std::string text = csv.str();
   EXPECT_NE(text.find("cycle,thread,rob_occ"), std::string::npos);
-  EXPECT_NE(text.find("100,0,3,32,2,1,4,2,16,50"), std::string::npos);
+  EXPECT_NE(text.find("100,0,3,32,2,1,4,2,50"), std::string::npos);
 
   // An unowned second level serialises as null / empty.
   obs::IntervalSeries unowned(100);

@@ -7,7 +7,6 @@
 #include <random>
 #include <sstream>
 
-#include "pipeline/dcra.hpp"
 #include "pipeline/dyn_inst.hpp"
 #include "pipeline/fetch_policy.hpp"
 #include "pipeline/func_units.hpp"
@@ -412,42 +411,38 @@ TEST(FuncUnits, PipelinedUnitsFreeNextCycle) {
 }
 
 TEST(FetchPolicy, IcountPrefersLeastLoaded) {
-  auto p = FetchPolicy::create(FetchPolicyKind::kIcount);
-  std::vector<ThreadFetchView> v(3);
-  v[0].frontend_count = 10;
-  v[1].frontend_count = 2;
-  v[2].iq_count = 5;
   std::vector<ThreadId> order;
-  p->order(v, 0, order);
-  EXPECT_EQ(order[0], 1u);
-  EXPECT_EQ(order[1], 2u);
-  EXPECT_EQ(order[2], 0u);
+  fetch_order(FetchPolicyKind::kIcount, {10, 2, 5}, 0, order);
+  EXPECT_EQ(order, (std::vector<ThreadId>{1, 2, 0}));
+  // Every policy but round-robin ranks by ICOUNT, ties by thread id.
+  for (FetchPolicyKind kind : {FetchPolicyKind::kIcount, FetchPolicyKind::kStall,
+                               FetchPolicyKind::kFlush, FetchPolicyKind::kDcra}) {
+    fetch_order(kind, {3, 1, 3, 1}, 7, order);
+    EXPECT_EQ(order, (std::vector<ThreadId>{1, 3, 0, 2})) << fetch_policy_name(kind);
+  }
 }
 
 TEST(FetchPolicy, StallGatesOnOutstandingL2) {
-  auto p = FetchPolicy::create(FetchPolicyKind::kStall);
-  std::vector<ThreadFetchView> v(2);
-  v[0].outstanding_l2 = 1;
-  EXPECT_FALSE(p->may_fetch(0, v));
-  EXPECT_TRUE(p->may_fetch(1, v));
-  EXPECT_FALSE(p->flush_on_l2_miss());
+  EXPECT_TRUE(gates_fetch_on_l2_miss(FetchPolicyKind::kStall));
+  for (FetchPolicyKind kind :
+       {FetchPolicyKind::kRoundRobin, FetchPolicyKind::kIcount, FetchPolicyKind::kDcra})
+    EXPECT_FALSE(gates_fetch_on_l2_miss(kind)) << fetch_policy_name(kind);
 }
 
+// FLUSH gates fetch like STALL; the core's un-dispatch on a detected miss is
+// SmtCore.FlushPolicyUndispatchesOnL2Miss.
 TEST(FetchPolicy, FlushRequestsSquash) {
-  auto p = FetchPolicy::create(FetchPolicyKind::kFlush);
-  EXPECT_TRUE(p->flush_on_l2_miss());
-  EXPECT_EQ(p->kind(), FetchPolicyKind::kFlush);
+  EXPECT_TRUE(gates_fetch_on_l2_miss(FetchPolicyKind::kFlush));
 }
 
 TEST(FetchPolicy, RoundRobinRotates) {
-  auto p = FetchPolicy::create(FetchPolicyKind::kRoundRobin);
-  std::vector<ThreadFetchView> v(4);
+  const std::vector<u32> icount{9, 0, 4, 1};  // ignored
   std::vector<ThreadId> order;
-  p->order(v, 0, order);
-  EXPECT_EQ(order[0], 0u);
-  p->order(v, 1, order);
-  EXPECT_EQ(order[0], 1u);
-  p->order(v, 5, order);
+  fetch_order(FetchPolicyKind::kRoundRobin, icount, 0, order);
+  EXPECT_EQ(order, (std::vector<ThreadId>{0, 1, 2, 3}));
+  fetch_order(FetchPolicyKind::kRoundRobin, icount, 1, order);
+  EXPECT_EQ(order, (std::vector<ThreadId>{1, 2, 3, 0}));
+  fetch_order(FetchPolicyKind::kRoundRobin, icount, 5, order);
   EXPECT_EQ(order[0], 1u);
 }
 

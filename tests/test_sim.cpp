@@ -212,6 +212,9 @@ TEST(SmtCore, StallPolicyGatesFetch) {
   SmtCore core(cfg, mix_benchmarks(table2_mix(1)));
   const RunResult r = core.run(10000);
   EXPECT_GT(run_counter(r, "core.fetch.policy_gated"), 0u);
+  // STALL only gates fetch; un-dispatching on a miss is FLUSH's alone.
+  EXPECT_EQ(run_counter(r, "core.flush.triggered"), 0u);
+  EXPECT_EQ(run_counter(r, "core.flush.undispatched"), 0u);
 }
 
 TEST(SmtCore, WarmupExcludedFromStatistics) {

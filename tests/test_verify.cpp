@@ -154,7 +154,6 @@ class RecordingCheck final : public InvariantCheck {
  public:
   RecordingCheck(Tier tier, std::vector<Cycle>& runs, bool fire = false)
       : tier_(tier), runs_(runs), fire_(fire) {}
-  const char* id() const override { return "recording"; }
   Tier tier() const override { return tier_; }
   void run(const AuditContext& ctx, InvariantChecker& out) const override {
     runs_.push_back(ctx.cycle);

@@ -72,7 +72,12 @@ def main():
     rejected("cores=0", run(simulate, "mix=1", "cores=0", *RUN))
     rejected("cores=3 on a 4-entry list", run(simulate, "mix=1", "cores=3", *RUN))
     rejected("stats=maybe", run(simulate, "mix=1", "stats=maybe", *RUN))
-    rejected("unknown key", run(simulate, "mix=1", "bogus=1", *RUN))
+    # An unknown key is reported the way it was typed.
+    rejected("unknown key", run(simulate, "mix=1", "bogus=1", *RUN), "unknown option bogus")
+    rejected("unknown --key", run(simulate, "mix=1", "--bogus", "1", *RUN),
+             "unknown option --bogus")
+    rejected("tlrob-campaign fig2 lenght=5", run(campaign, "fig2", "lenght=5", *SHORT),
+             "unknown option lenght")
     rejected("dcra_sharing=1.5 (a deleted knob)", run(simulate, "mix=1", "dcra_sharing=1.5", *RUN))
     rejected("unknown workload", run(simulate, "nosuch", *RUN))
     rejected("llc=0", run(simulate, "mix=1", "llc=0", *RUN))

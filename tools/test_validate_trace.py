@@ -68,7 +68,7 @@ LEGACY_TRACE = {"traceEvents": [
 
 def sample(cycle, interval=500, stall=None, threads=1):
     th = {"rob": 1, "rob_cap": 32, "iq": 0, "lsq": 0, "dod": 0, "mlp": 0,
-          "dcra_iq_cap": 64, "committed": 0, "ipc": 0.0,
+          "committed": 0, "ipc": 0.0,
           "stall": stall if stall is not None else [cycle, 0, 0, 0, 0, 0, 0, 0]}
     return {"cycle": cycle, "interval": interval, "owner": None, "iq_occ": 0,
             "llc_mshr": 0, "threads": [dict(th) for _ in range(threads)]}

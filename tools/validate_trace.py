@@ -37,8 +37,7 @@ import sys
 from typing import Any, NoReturn
 
 THREAD_SAMPLE_KEYS = {
-    "rob", "rob_cap", "iq", "lsq", "dod", "mlp", "dcra_iq_cap", "committed", "ipc",
-    "stall",
+    "rob", "rob_cap", "iq", "lsq", "dod", "mlp", "committed", "ipc", "stall",
 }
 
 SERIES_SAMPLE_KEYS = ("cycle", "interval", "owner", "iq_occ", "llc_mshr", "threads")
