@@ -56,7 +56,8 @@ Options Options::from_args(int argc, const char* const* argv,
     // declared flag or the next token is itself an option.
     const std::string next = i + 1 < argc ? argv[i + 1] : "";
     const bool takes_next = is_option(tok) && tok.find('=') == std::string::npos &&
-                            flags.count(key_of(tok)) == 0 && i + 1 < argc &&
+                            !key_of(tok).empty() && flags.count(key_of(tok)) == 0 &&
+                            i + 1 < argc &&
                             (next == "-" || next[0] != '-') &&
                             next.find('=') == std::string::npos;
     tokens.push_back(takes_next ? tok + "=" + argv[++i] : tok);
@@ -68,6 +69,8 @@ Options Options::from_tokens(const std::vector<std::string>& tokens) {
   Options opts;
   for (const auto& tok : tokens) {
     const auto eq = tok.find('=');
+    if ((eq != std::string::npos || is_option(tok)) && key_of(tok.substr(0, eq)).empty())
+      throw std::invalid_argument("option '" + tok + "' has no key");
     if (eq != std::string::npos)
       opts.put(tok.substr(0, eq), tok.substr(eq + 1));
     else if (is_option(tok))

@@ -38,7 +38,8 @@ class Options {
   ///   --key                   a bare flag, stored as "1"
   ///   anything else           positional, kept in order
   /// A lone "-" is a value (stdout for sink paths) or a positional. Dashes
-  /// in keys read as underscores (--max-cycles == max_cycles).
+  /// in keys read as underscores (--max-cycles == max_cycles). An option
+  /// with no key ("=5", "--") throws std::invalid_argument quoting it.
   static Options from_args(int argc, const char* const* argv,
                            const std::set<std::string>& flags = {});
 

@@ -216,6 +216,15 @@ std::map<std::string, JobRecord> load_manifest(const std::string& path) {
   return by_digest;
 }
 
+/// True when the file at `path` is non-empty and its last byte is not a
+/// newline: a journal truncated mid-line.
+bool ends_mid_line(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in || in.tellg() <= 0) return false;
+  in.seekg(-1, std::ios::end);
+  return in.get() != '\n';
+}
+
 /// Serialises completions back into expansion order before any sink or the
 /// result vector sees them.
 class InOrderEmitter {
@@ -299,10 +308,13 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
 
   std::ofstream manifest;
   if (!opts.manifest_path.empty()) {
-    manifest.open(opts.manifest_path,
-                  opts.resume || opts.append_manifest ? std::ios::app : std::ios::trunc);
+    const bool append = opts.resume || opts.append_manifest;
+    manifest.open(opts.manifest_path, append ? std::ios::app : std::ios::trunc);
     if (!manifest.is_open())
       throw std::runtime_error("cannot open manifest: " + opts.manifest_path);
+    // A journal cut by a crash ends in a fragment: the first appended line
+    // starts fresh, or load_manifest would skip it glued to the fragment.
+    if (append && ends_mid_line(opts.manifest_path)) manifest << "\n";
   }
 
   for (ResultSink* sink : opts.sinks) sink->begin(spec, jobs);

@@ -2,7 +2,6 @@
 
 #include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 
 #include "common/config.hpp"
@@ -53,14 +52,15 @@ TraceGenSpec parse_tracegen(const std::string& name) {
   return spec;
 }
 
-/// Memo slot for one loaded trace workload: the once_flag serialises the
-/// (expensive) load-and-lower pass, the pointer is written exactly once
-/// under it. A load that throws leaves the once_flag unset, so a later
-/// retry (or another job's attempt) sees the error again instead of a null
-/// workload.
+/// Memo slot for one loaded trace workload: the mutex serialises the
+/// (expensive) load-and-lower pass, and the pointer is written once under
+/// it. A load that throws leaves the pointer null, so a later retry (or
+/// another job's attempt) sees the error again. Not a std::call_once: a
+/// call_once whose callable throws hangs the next caller under TSan's
+/// pthread_once, and a campaign resolves a missing trace file twice.
 struct WorkloadEntry {
-  std::once_flag once;
-  std::shared_ptr<const TraceWorkload> workload;
+  Mutex mu;
+  std::shared_ptr<const TraceWorkload> workload TLROB_GUARDED_BY(mu);
 };
 
 Mutex workload_mu;
@@ -75,18 +75,18 @@ std::shared_ptr<const TraceWorkload> trace_workload(const std::string& name) {
     if (!slot) slot = std::make_unique<WorkloadEntry>();
     entry = slot.get();
   }
-  std::call_once(entry->once, [&] {
-    if (has_prefix(name, kTraceGenPrefix)) {
-      const TraceGenSpec spec = parse_tracegen(name);
-      entry->workload =
-          TraceWorkload::from_records(name, synthesize_records(spec.profile, spec.records,
-                                                               spec.seed));
-    } else {
-      // Strip the "trace:" prefix to get the path; from_file() restores it
-      // as the workload name so Benchmark names round-trip through here.
-      entry->workload = TraceWorkload::from_file(name.substr(std::string(kTracePrefix).size()));
-    }
-  });
+  MutexLock lock(entry->mu);
+  if (entry->workload) return entry->workload;
+  if (has_prefix(name, kTraceGenPrefix)) {
+    const TraceGenSpec spec = parse_tracegen(name);
+    entry->workload =
+        TraceWorkload::from_records(name, synthesize_records(spec.profile, spec.records,
+                                                             spec.seed));
+  } else {
+    // Strip the "trace:" prefix to get the path; from_file() restores it
+    // as the workload name so Benchmark names round-trip through here.
+    entry->workload = TraceWorkload::from_file(name.substr(std::string(kTracePrefix).size()));
+  }
   return entry->workload;
 }
 

@@ -3,17 +3,23 @@
 
 Runs `simulate`, `tlrob-mktrace` and `tlrob-campaign` as subprocesses and
 asserts the shared front-end contract (common/config.hpp): `--key value`
-means the same as `key=value`; a typo, a malformed value or an input the
-machine cannot run exits 2 with an `error:` line on stderr, never an abort;
-`simulate` accepts trace workload tokens; `simulate profile=1` adds its
-phase table on stderr and `trace=` its instants to `trace_json=`, neither
-changing a byte of stdout. For
+means the same as `key=value`; a typo, a malformed value, an option with no
+key or an input the machine cannot run exits 2 with an `error:` line on
+stderr, never an abort; `simulate` accepts trace workload tokens; `simulate
+profile=1` adds its phase table on stderr and `trace=` its instants to
+`trace_json=`, neither changing a byte of stdout; fresh telemetry captures
+(1 core and a 4-core CMP) pass tools/validate_trace.py. For
 `tlrob-campaign` it also checks that a preset and the equivalent custom
-sweep write the same records, that `--resume` re-simulates a cell whose
-trace file was rewritten (and the single-thread reference it weighs by),
-that a missing trace file is a structured failed record, and that `--json -`
-keeps stdout to the records while the tables go to stderr. `simulate`
-fails a run that hits its cycle cap. Registered with ctest as `cli_contract_py`:
+sweep write the same records and series files, that records and series
+files are byte-identical at `--jobs 4` and `--jobs 1` (CMP presets with
+sampling, and gzip + raw trace files, also on a re-run), that `--resume` of
+a journal cut at any point writes the uninterrupted run's records and
+leaves a journal that replays every cell, that `--resume` re-simulates a
+cell whose trace file was rewritten (and the single-thread reference it
+weighs by), that a missing trace file is a structured failed record, and
+that `--json -` keeps stdout to the records while the tables go to stderr.
+`simulate` fails a run that hits its cycle cap. Registered with ctest as
+`cli_contract_py`:
 
     test_cli_contract.py <simulate> <tlrob-mktrace> <tlrob-campaign>
 """
@@ -26,10 +32,24 @@ import tempfile
 
 RUN = ["insts=2000", "warmup=500"]
 SHORT = ["--insts", "3000", "--warmup", "1000", "--no-render"]
+VALIDATE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "validate_trace.py")
 
 
 def run(*argv):
     return subprocess.run(list(argv), capture_output=True, text=True, timeout=300)
+
+
+def slurp(path):
+    """The file's bytes, or None when it does not exist."""
+    if not os.path.exists(path):
+        return None
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def tree(directory):
+    """File name -> bytes for every file in `directory`."""
+    return {name: slurp(os.path.join(directory, name)) for name in sorted(os.listdir(directory))}
 
 
 def main():
@@ -57,6 +77,15 @@ def main():
           traced.returncode == 0 and "tracegen:mcf@500@13" in traced.stdout,
           traced.stderr[-300:])
 
+    def validated(name, *args):
+        proc = run(sys.executable, VALIDATE, *args)
+        check(name + " passes validate_trace.py", proc.returncode == 0,
+              f"rc {proc.returncode}, {(proc.stdout + proc.stderr)[-300:]!r}")
+
+    def series_args(directory):
+        return ["--interval", "500"] + [arg for name in sorted(os.listdir(directory))
+                                        for arg in ("--series", os.path.join(directory, name))]
+
     def rejected(name, proc, *keys):
         check(name + " -> exit 2 with error:",
               proc.returncode == 2 and "error:" in proc.stderr,
@@ -79,6 +108,10 @@ def main():
     rejected("tlrob-campaign fig2 lenght=5", run(campaign, "fig2", "lenght=5", *SHORT),
              "unknown option lenght")
     rejected("dcra_sharing=1.5 (a deleted knob)", run(simulate, "mix=1", "dcra_sharing=1.5", *RUN))
+    # A token with no key is quoted whole, not reported as an empty option.
+    rejected("=5", run(simulate, "mix=1", "=5", *RUN), "'=5'")
+    rejected("--", run(simulate, "mix=1", "--", *RUN), "'--'")
+    rejected("tlrob-campaign fig2 =5", run(campaign, "fig2", "=5", *SHORT), "'=5'")
     rejected("unknown workload", run(simulate, "nosuch", *RUN))
     rejected("llc=0", run(simulate, "mix=1", "llc=0", *RUN))
     rejected("l1d_kb=0", run(simulate, "mix=1", "l1d_kb=0", *RUN))
@@ -158,6 +191,27 @@ def main():
         rejected("trace=500 without trace_json=", run(simulate, "mix=1", "trace=500", *RUN),
                  "option trace", "trace_json")
 
+        # Fresh captures meet every contract validate_trace.py checks: named
+        # tracks, grant spans and a gap-free sample grid (the fast-forward
+        # replay contract); a CMP trace also carries the shared backend's
+        # counter tracks.
+        series = os.path.join(tmp, "series.jsonl")
+        captured = run(simulate, "mix=2", "scheme=rrob", "insts=20000", "warmup=5000",
+                       "sample=500", "trace=20000:21000", "trace_json=" + trace_json,
+                       "sample_out=" + series)
+        check("a 1-core capture exits 0 with commit instants",
+              captured.returncode == 0 and b'"name":"commit"' in (slurp(trace_json) or b""),
+              captured.stderr[-200:])
+        validated("a 1-core capture", "--trace", trace_json, "--require-grants",
+                  "--series", series, "--interval", "500")
+        captured = run(simulate, "mix=2", "cores=4", "threads=16", "scheme=rrob", "insts=8000",
+                       "warmup=2000", "sample=500", "trace_json=" + trace_json,
+                       "sample_out=" + series)
+        check("a 4-core capture exits 0", captured.returncode == 0, captured.stderr[-200:])
+        validated("a 4-core capture", "--trace", trace_json, "--require-grants",
+                  "--require-counter", "llc_mshr_occupancy", "--series", series,
+                  "--interval", "500")
+
         one_cell = ["--schemes", "baseline32", "--mixes", "1", *SHORT]
         samples = os.path.join(tmp, "samples")
         os.mkdir(samples)
@@ -178,19 +232,115 @@ def main():
 
         # A preset is a campaign cell list like any custom sweep: fig2 on
         # one mix and the same three columns by hand write the same records,
-        # with and without sampling.
-        for sampling in ([], ["--sample-interval", "500"]):
-            label = " with --sample-interval 500" if sampling else ""
-            a, b = os.path.join(tmp, "preset.jsonl"), os.path.join(tmp, "custom.jsonl")
-            preset = run(campaign, "fig2", "--workload", "mix:1", *SHORT, *sampling,
-                         "--json", a)
+        # and with sampling the same series files.
+        a, b = os.path.join(tmp, "preset"), os.path.join(tmp, "custom")
+        for sampled in (False, True):
+            label = " with --sample-interval 500 --sample-dir" if sampled else ""
+            sampling_a, sampling_b = [], []
+            if sampled:
+                os.mkdir(a)
+                os.mkdir(b)
+                sampling_a = ["--sample-interval", "500", "--sample-dir", a]
+                sampling_b = ["--sample-interval", "500", "--sample-dir", b]
+            preset = run(campaign, "fig2", "--workload", "mix:1", *SHORT, *sampling_a,
+                         "--json", a + ".jsonl")
             custom = run(campaign, "--schemes", "baseline32,baseline128,rrob",
                          "--thresholds", "16", "--mixes", "1", "--name", "fig2", *SHORT,
-                         *sampling, "--json", b)
+                         *sampling_b, "--json", b + ".jsonl")
             same = (preset.returncode == 0 and custom.returncode == 0
-                    and open(a).read() == open(b).read())
+                    and slurp(a + ".jsonl") == slurp(b + ".jsonl"))
             check("fig2 --workload mix:1 == the custom sweep" + label, same,
                   f"rc {preset.returncode}/{custom.returncode}, {custom.stderr[-200:]!r}")
+        check("fig2 --workload mix:1 and the custom sweep write the same 3 series files",
+              len(tree(a)) == 3 and tree(a) == tree(b), f"{sorted(tree(a))} / {sorted(tree(b))}")
+        check("a sampled record carries obs.samples", b'"obs.samples"' in slurp(a + ".jsonl"))
+        validated("fig2's series", *series_args(a))
+
+        # Sampling on CMP presets keeps the --jobs contract: the records and
+        # every series file match at 4 workers and at 1.
+        sampled_runs = []
+        for jobs in ("4", "1"):
+            d = os.path.join(tmp, "cmp_jobs" + jobs)
+            os.mkdir(d)
+            proc = run(campaign, "cmp_mix,cmp_trace", *SHORT, "--jobs", jobs,
+                       "--sample-interval", "500", "--sample-dir", d, "--json", d + ".jsonl")
+            sampled_runs.append((proc.returncode, slurp(d + ".jsonl"), tree(d)))
+        (rc4, records, files), (rc1, _, files1) = sampled_runs
+        check("cmp_mix,cmp_trace with sampling: --jobs 4 == --jobs 1, records and series files",
+              rc4 == 0 and files and sampled_runs[0] == sampled_runs[1],
+              f"rc {rc4}/{rc1}, differing files "
+              f"{[n for n in files.keys() | files1.keys() if files.get(n) != files1.get(n)]}")
+        keys = [b'"obs.cmp.cores"', b'"obs.cmp.stall_dram_cycles"', b'"obs.cmp.llc_mshr_p90"',
+                b'"stall.t0.mem_llc_cycles"', b'"stall.t3.commit_cycles"']
+        check("cmp_mix,cmp_trace records carry the obs.cmp.* and stall.t* keys",
+              all(k in (records or b"") for k in keys),
+              f"missing {[k for k in keys if k not in (records or b'')]}")
+        validated("cmp_mix,cmp_trace's series", *series_args(os.path.join(tmp, "cmp_jobs4")))
+
+        # Trace files through the CLI: a gzip trace (when built with zlib), a
+        # raw trace, a generated one and a SPEC profile write the same
+        # records at any --jobs and on a re-run, with the trace.* counters.
+        gzip = "unavailable" not in run(mktrace, "--help").stdout
+        art = os.path.join(tmp, "art.champsim" + (".gz" if gzip else ""))
+        mcf = os.path.join(tmp, "mcf.trace")
+        made = [run(mktrace, "--profile", "art", "--records", "20000", "--seed", "3", "--out", art),
+                run(mktrace, "--profile", "mcf", "--records", "20000", "--seed", "5", "--out", mcf)]
+        check("tlrob-mktrace writes a gzip and a raw trace" if gzip else
+              "tlrob-mktrace writes two raw traces (built without zlib)",
+              all(p.returncode == 0 for p in made) and ("(gzip)" in made[0].stderr) == gzip,
+              " ".join(p.stdout + p.stderr for p in made)[-200:])
+        mixed = ["--workload", f"trace:{art},trace:{mcf},tracegen:mgrid@20000@7,crafty",
+                 "--schemes", "baseline32,rrob", "--thresholds", "16", *SHORT]
+        trace_runs = []
+        for jobs in ("4", "1", "4"):
+            out = os.path.join(tmp, "traces.jsonl")
+            proc = run(campaign, *mixed, "--jobs", jobs, "--json", out)
+            trace_runs.append((proc.returncode, slurp(out)))
+        rc, records = trace_runs[0]
+        check("a trace-file campaign: --jobs 4 == --jobs 1 == a re-run",
+              rc == 0 and records and trace_runs.count(trace_runs[0]) == 3,
+              f"rc {[r for r, _ in trace_runs]}")
+        check("trace-file records carry the trace.* counters",
+              b'"trace.records_decoded"' in (records or b"")
+              and b'"trace.t0.content_hash"' in (records or b""))
+        # The decoder reads back every record tlrob-mktrace wrote: each
+        # thread's content hash is the one tlrob-mktrace printed.
+        written = [p.stderr.rsplit("content hash ", 1)[-1].strip() for p in made]
+        counters = json.loads(records.splitlines()[0])["counters"] if rc == 0 else {}
+        read_back = [f"{counters.get(f'trace.t{t}.content_hash', 0):016x}" for t in (0, 1)]
+        check("trace-file records hash the records tlrob-mktrace wrote",
+              read_back == written, f"{read_back} / {written}")
+
+        # A journal cut by a crash at any point resumes to the uninterrupted
+        # run's records, and leaves a journal that replays every cell.
+        sweep = ["--schemes", "baseline32,rrob", "--thresholds", "16", "--mixes", "1,5",
+                 "--insts", "4000", "--warmup", "1000", "--no-render"]
+        journal, whole = os.path.join(tmp, "journal.jsonl"), os.path.join(tmp, "whole.jsonl")
+        full = run(campaign, *sweep, "--jobs", "1", "--manifest", journal, "--json", whole)
+        lines = (slurp(journal) or b"").splitlines(keepends=True)
+        shape = [b'"config":"single-thread"' in line for line in lines]
+        check("the uninterrupted run journals 6 references, then 4 cells",
+              full.returncode == 0 and shape == [True] * 6 + [False] * 4,
+              f"rc {full.returncode}, {shape}")
+        if shape == [True] * 6 + [False] * 4:
+            cuts = {"empty": b"",
+                    "after the references": b"".join(lines[:6]),
+                    "mid-line in a cell": b"".join(lines[:7]) + lines[7][:100],
+                    "before the last line": b"".join(lines[:-1])}
+            for name, cut in cuts.items():
+                with open(journal, "wb") as f:
+                    f.write(cut)
+                out = os.path.join(tmp, "resumed.jsonl")
+                resumed = run(campaign, *sweep, "--jobs", "4", "--manifest", journal,
+                              "--resume", "--json", out)
+                check(f"--resume of a journal cut {name} writes the uninterrupted records",
+                      resumed.returncode == 0 and slurp(out) == slurp(whole),
+                      resumed.stderr[-200:])
+                replay = run(campaign, *sweep, "--jobs", "4", "--manifest", journal,
+                             "--resume", "--json", out)
+                check(f"a second --resume of the journal cut {name} replays every cell",
+                      "4 resumed" in replay.stderr and slurp(out) == slurp(whole),
+                      replay.stderr[-200:])
 
         # --resume keys a trace: cell on the file's content, not its name; so
         # does the single-thread reference cell the record weighs by.

@@ -72,18 +72,20 @@ void print_usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opts = Options::from_args(argc, argv, kCampaignFlags);
-  if (opts.has("help")) {
-    print_usage();
-    return 0;
-  }
-  if (opts.has("list")) {
-    std::printf("%-24s %s\n", "preset", "sweep");
-    for (const auto& name : preset_names())
-      std::printf("%-24s %s\n", name.c_str(), preset_summary(name).c_str());
-    return 0;
-  }
-  // preset_main rejects an unknown preset name or option with exit status 2.
-  const std::string preset = opts.positional().empty() ? "" : opts.positional().front();
-  return preset_main(preset, argc, argv);
+  return cli_main([&] {
+    const Options opts = Options::from_args(argc, argv, kCampaignFlags);
+    if (opts.has("help")) {
+      print_usage();
+      return 0;
+    }
+    if (opts.has("list")) {
+      std::printf("%-24s %s\n", "preset", "sweep");
+      for (const auto& name : preset_names())
+        std::printf("%-24s %s\n", name.c_str(), preset_summary(name).c_str());
+      return 0;
+    }
+    // preset_main rejects an unknown preset name or option with exit status 2.
+    const std::string preset = opts.positional().empty() ? "" : opts.positional().front();
+    return preset_main(preset, argc, argv);
+  });
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate the telemetry artifacts the simulator exports (CI trace-smoke).
+"""Validate the telemetry artifacts the simulator exports (cli_contract_py).
 
 Checks a Chrome trace-event JSON file (simulate trace_json=)
 and/or an interval-sample JSONL series (sample_out= / --sample-dir) for the
