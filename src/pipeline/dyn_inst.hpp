@@ -63,9 +63,7 @@ struct DynInst {
   bool in_iq = false;       // occupies an issue-queue slot
   bool issued = false;
   bool executed = false;    // "result valid" bit — exactly what the paper's
-                            // DoD counter scans. Set through
-                            // ReorderBuffer::mark_executed, whose change
-                            // counter the allocation controller reads.
+                            // DoD counter scans
   bool branch_resolved = false;
   // Memory ops.
   bool lsq_allocated = false;

@@ -154,14 +154,6 @@ TwoLevelRobController::Outcome TwoLevelRobController::decide(ThreadId tid, u64 t
   return dod_count(tid, tseq) < cfg_.dod_threshold ? Outcome::kGrant : Outcome::kReject;
 }
 
-void TwoLevelRobController::stamp(ThreadId tid, Candidate& c, Outcome outcome,
-                                  Cycle now) const {
-  c.eval_at = now;
-  c.rob_stamp = robs_[tid]->changes();
-  c.level2_stamp = second_.changes();
-  c.outcome = outcome;
-}
-
 Cycle TwoLevelRobController::gate_after(ThreadId tid, Cycle t) const {
   // Time enters an evaluation only through now >= cooldown_until (fresh
   // acquisition) and now >= acquired_at + lease_limit (renewal), both
@@ -175,17 +167,8 @@ Cycle TwoLevelRobController::gate_after(ThreadId tid, Cycle t) const {
   return gate;
 }
 
-bool TwoLevelRobController::stamps_match(ThreadId tid, const Candidate& c) const {
-  return c.eval_at != kNeverCycle && c.rob_stamp == robs_[tid]->changes() &&
-         c.level2_stamp == second_.changes();
-}
-
-bool TwoLevelRobController::stamp_holds(ThreadId tid, const Candidate& c, Cycle now) const {
-  return stamps_match(tid, c) && gate_after(tid, c.eval_at) > now;
-}
-
 bool TwoLevelRobController::evaluate(ThreadId tid, Candidate& c, Cycle now) {
-  const Outcome outcome = stamp_holds(tid, c, now) ? c.outcome : decide(tid, c.tseq, now);
+  const Outcome outcome = decide(tid, c.tseq, now);
   if (outcome == Outcome::kDrop) return true;
   if (outcome == Outcome::kGrant) {
     acquire(tid, c.tseq, now);
@@ -195,7 +178,6 @@ bool TwoLevelRobController::evaluate(ThreadId tid, Candidate& c, Cycle now) {
   // Every outcome that keeps the candidate defers it to the next re-check;
   // next_wake() may replay that deferral while the machine stays quiet.
   c.next_check = now + cfg_.recheck_interval;
-  stamp(tid, c, outcome, now);
   return false;
 }
 
@@ -275,12 +257,12 @@ Cycle TwoLevelRobController::grid_at_or_after(const Candidate& c, Cycle t) const
 }
 
 Cycle TwoLevelRobController::replay_until(ThreadId tid, Candidate& c, Cycle now) {
-  // The machine state is frozen from `now` on, so an evaluation now (not a
+  // The machine state is frozen from `now` on, so a decision now (not a
   // tick: nothing is counted and no re-check moves) tells every re-check of
   // the sleep until a gate flips.
-  if (!stamp_holds(tid, c, now)) stamp(tid, c, decide(tid, c.tseq, now), now);
+  c.outcome = decide(tid, c.tseq, now);
   if (c.outcome == Outcome::kDrop || c.outcome == Outcome::kGrant) return c.next_check;
-  const Cycle gate = gate_after(tid, c.eval_at);
+  const Cycle gate = gate_after(tid, now);
   return gate == kNeverCycle ? kNeverCycle : grid_at_or_after(c, gate);
 }
 
@@ -307,33 +289,15 @@ void TwoLevelRobController::replay_idle_to(Cycle wake) {
     for (Candidate& c : ts.cands) {
       // next_wake kept `wake` at or before the re-check of every candidate
       // whose outcome could differ (P-ROB's never-checked ones included), so
-      // each re-check skipped here repeats the recorded outcome.
+      // each re-check skipped here repeats the outcome next_wake decided.
       if (c.next_check >= wake) continue;
       const Cycle next = grid_at_or_after(c, wake);
       if (c.outcome == Outcome::kReject)
         stats_.rejected_high_dod += (next - c.next_check) / cfg_.recheck_interval;
       c.next_check = next;
-      c.eval_at = next - cfg_.recheck_interval;
     }
   }
   // next_check_floor_ stays a lower bound: replay only raised next_checks.
-}
-
-std::optional<u64> TwoLevelRobController::audit_stale_stamp(ThreadId tid) const {
-  for (const Candidate& c : threads_[tid].cands)
-    if (stamps_match(tid, c) && decide(tid, c.tseq, c.eval_at) != c.outcome) return c.tseq;
-  return std::nullopt;
-}
-
-bool TwoLevelRobController::test_only_flip_stamped_outcome(ThreadId tid) {
-  for (Candidate& c : threads_[tid].cands) {
-    if (!stamps_match(tid, c)) continue;
-    if (c.outcome == Outcome::kReject || c.outcome == Outcome::kDefer) {
-      c.outcome = c.outcome == Outcome::kReject ? Outcome::kDefer : Outcome::kReject;
-      return true;
-    }
-  }
-  return false;
 }
 
 void TwoLevelRobController::on_squash(ThreadId tid, u64 tseq) {

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -161,10 +160,8 @@ class TwoLevelRobController {
   /// revoked / released, adaptive partition resized) — the core's idle-cycle
   /// fast-forward treats a false return as "this tick was a no-op".
   ///
-  /// A due re-check whose stamps hold (see Candidate) repeats its last
-  /// outcome without looking at the ROB; one whose stamps are stale
-  /// evaluates afresh. With no candidate due, only the holder's release is
-  /// checked.
+  /// Every due re-check decides afresh from the live state. With no
+  /// candidate due, only the holder's release is checked.
   bool tick(Cycle now);
 
   /// After a no-op core tick at `now`, with the machine state frozen until
@@ -172,22 +169,22 @@ class TwoLevelRobController {
   /// without any new notification arriving first. That is the next
   /// phase-classification boundary (kAdaptive), kNeverCycle (baseline /
   /// predictive, which act only on notifications), or the earliest
-  /// candidate wake (reactive variants). A candidate whose stamps are stale
-  /// is first evaluated at `now` without side effects on the machine (only
-  /// its stamps and recorded outcome change). A grant or drop then wakes the
-  /// core at its next re-check. A deferral or rejection repeats at every
-  /// re-check until a time gate flips — the thread's cooldown_until or its
-  /// lease expiry (acquired_at + lease_limit) — counting only gates after
-  /// the evaluation, not after `now`; its wake is the first re-check at or
+  /// candidate wake (reactive variants). Each candidate is decided at `now`
+  /// without side effects on the machine (only its recorded outcome
+  /// changes). A grant or drop then wakes the core at its next re-check. A
+  /// deferral or rejection repeats at every re-check until a time gate
+  /// after `now` flips — the thread's cooldown_until or its lease expiry
+  /// (acquired_at + lease_limit); its wake is the first re-check at or
   /// after that gate. Pure time-gates only — state-driven work (lease
   /// release on drain) is triggered by commits/fills, which are activity in
   /// their own right.
   Cycle next_wake(Cycle now);
 
-  /// Fast-forward to `wake` (at most next_wake(now)): advances each
-  /// candidate's re-check along its grid to the first point at or after
-  /// `wake`, counting one rejected_high_dod per replayed rejection, exactly
-  /// as ticking every skipped re-check would.
+  /// Fast-forward to `wake` (at most next_wake(now), which must precede it):
+  /// advances each candidate's re-check along its grid to the first point at
+  /// or after `wake`, counting one rejected_high_dod per replayed rejection
+  /// of the outcome next_wake decided, exactly as ticking every skipped
+  /// re-check would.
   void replay_idle_to(Cycle wake);
 
   /// Squash hook: drops candidates of `tid` younger than `tseq`.
@@ -217,18 +214,6 @@ class TwoLevelRobController {
   /// active ticks, so this is constant across an idle fast-forwarded span.
   bool has_pending_candidate(ThreadId tid) const { return !threads_[tid].cands.empty(); }
 
-  /// Stamp audit (full tier): the tseq of the first candidate of `tid`
-  /// whose stamps match the live change counters but whose recorded outcome
-  /// differs from a fresh evaluation at its evaluation cycle — a state edit
-  /// that bypassed the counters — or nullopt.
-  std::optional<u64> audit_stale_stamp(ThreadId tid) const;
-
-  /// Test-only corruption hook for the invariant-audit suite: flips the
-  /// recorded outcome (rejection <-> deferral) of `tid`'s first candidate
-  /// whose stamps hold, leaving the stamps valid. Returns false when no
-  /// such candidate exists. Never called by the simulator.
-  bool test_only_flip_stamped_outcome(ThreadId tid);
-
  private:
   /// What one evaluation of a candidate decides.
   enum class Outcome : u8 {
@@ -240,18 +225,12 @@ class TwoLevelRobController {
   /// An evaluation's inputs are the thread's ROB (the load's presence and
   /// result-valid bit, the head, level-1 fullness, the DoD count), the
   /// partition (owner, acquired_at), the thread's cooldown_until, and time.
-  /// The first three change only through edits that bump
-  /// ReorderBuffer::changes() or SecondLevelRob::changes() (cooldown_until
-  /// is written only at a release). So while both counters equal the
-  /// stamps, the outcome depends on time only through the two time gates,
-  /// and it repeats until the first gate after `eval_at`.
+  /// While the machine sleeps only time moves, so the outcome next_wake
+  /// decided repeats until the first time gate after its decision.
   struct Candidate {
     u64 tseq = 0;
     Cycle next_check = 0;
-    Cycle eval_at = kNeverCycle;  // last evaluation (none yet)
-    u64 rob_stamp = 0;            // ReorderBuffer::changes() it saw
-    u64 level2_stamp = 0;         // SecondLevelRob::changes() it saw
-    Outcome outcome = Outcome::kDefer;
+    Outcome outcome = Outcome::kDefer;  // next_wake's decision
   };
   struct ThreadState {
     std::vector<Candidate> cands;
@@ -268,14 +247,6 @@ class TwoLevelRobController {
   /// The paper's allocation decision for `tid`'s load `tseq` at `now`, from
   /// the live state; no side effects.
   Outcome decide(ThreadId tid, u64 tseq, Cycle now) const;
-  /// Records an evaluation of `c` at `now` and the counters it saw.
-  void stamp(ThreadId tid, Candidate& c, Outcome outcome, Cycle now) const;
-  /// True when `c` has been evaluated and its stamps equal the live change
-  /// counters.
-  bool stamps_match(ThreadId tid, const Candidate& c) const;
-  /// True when `c`'s recorded outcome is what decide() returns at `now`:
-  /// the stamps match and no time gate lies in (eval_at, now].
-  bool stamp_holds(ThreadId tid, const Candidate& c, Cycle now) const;
   /// First time gate of `tid` after cycle `t`, or kNeverCycle.
   Cycle gate_after(ThreadId tid, Cycle t) const;
   /// kAdaptive: periodic per-thread grow/shrink decision (ref [23]).
@@ -288,8 +259,8 @@ class TwoLevelRobController {
   /// True when `tid` holds the partition past the fairness bound, so its
   /// lease must not be renewed by further misses.
   bool lease_expired(ThreadId tid, Cycle now) const;
-  /// next_wake()'s bound for one candidate of thread `tid` (evaluating it
-  /// first when its stamps are stale).
+  /// next_wake()'s bound for one candidate of thread `tid`, deciding it at
+  /// `now` first.
   Cycle replay_until(ThreadId tid, Candidate& c, Cycle now);
   /// First point of `c`'s re-check grid (next_check + k * recheck_interval,
   /// k >= 0) at or after `t`.

@@ -18,14 +18,12 @@ DynInst& ReorderBuffer::push(DynInst&& di) {
   if (!insts_.empty() && insts_.back().tseq >= di.tseq)
     throw std::logic_error("ReorderBuffer::push out of program order");
   insts_.push_back(std::move(di));
-  ++changes_;
   return insts_.back();
 }
 
 void ReorderBuffer::pop_head() {
   if (insts_.empty()) throw std::logic_error("ReorderBuffer::pop_head on empty ROB");
   insts_.pop_front();
-  ++changes_;
 }
 
 DynInst* ReorderBuffer::find(u64 tseq) {

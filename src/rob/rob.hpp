@@ -19,12 +19,6 @@
 // 1); the two-level controller grants/revokes `extra` entries when the
 // shared second-level partition is allocated to this thread, up to the
 // `max_extra` the slab was sized for.
-//
-// changes() counts every edit the allocation controller's evaluation reads
-// (window contents, head, fullness, result-valid bits): push, pop_head,
-// squash_after and mark_executed bump it. The controller stamps each
-// evaluation with it, so `executed` must only ever be set through
-// mark_executed.
 #pragma once
 
 #include "common/ring_deque.hpp"
@@ -69,15 +63,6 @@ class ReorderBuffer {
   /// Commit: removes the head. Requires non-empty.
   void pop_head();
 
-  /// Sets `di`'s result-valid bit; `di` must be an entry of this window.
-  void mark_executed(DynInst& di) {
-    di.executed = true;
-    ++changes_;
-  }
-
-  /// Edits so far that the allocation controller's evaluation can see.
-  u64 changes() const { return changes_; }
-
   /// Lookup by per-thread sequence number (binary search over the window);
   /// nullptr if the instruction has committed or been squashed.
   DynInst* find(u64 tseq);
@@ -91,7 +76,6 @@ class ReorderBuffer {
   /// `on_remove(DynInst&)` for each before the slot is recycled.
   template <typename F>
   void squash_after(u64 tseq, F&& on_remove) {
-    ++changes_;
     while (!insts_.empty() && insts_.back().tseq > tseq) {
       on_remove(insts_.back());
       insts_.pop_back();
@@ -128,7 +112,6 @@ class ReorderBuffer {
   u32 base_capacity_;
   u32 max_extra_;
   u32 extra_ = 0;
-  u64 changes_ = 0;
   // Reusable taint scratch for count_true_dependents (one slot per physical
   // register, generation-stamped so it never needs clearing): the per-call
   // unordered_set showed up in the self-profile — the walk runs for every

@@ -9,21 +9,18 @@ void SecondLevelRob::allocate(ThreadId t, Cycle now) {
   owner_ = t;
   acquired_at_ = now;
   ++allocations_;
-  ++changes_;
 }
 
 void SecondLevelRob::release(Cycle now) {
   if (owner_ == kNoOwner) throw std::logic_error("SecondLevelRob::release without owner");
   busy_accum_ += now - acquired_at_;
   owner_ = kNoOwner;
-  ++changes_;
 }
 
 void SecondLevelRob::reset_accounting(Cycle now) {
   busy_accum_ = 0;
   allocations_ = owner_ == kNoOwner ? 0 : 1;
   if (owner_ != kNoOwner) acquired_at_ = now;
-  ++changes_;
 }
 
 u64 SecondLevelRob::busy_cycles(Cycle now) const {

@@ -39,10 +39,6 @@ class SecondLevelRob {
   /// is counted from `now` onward.
   void reset_accounting(Cycle now);
 
-  /// Edits so far that the allocation controller's evaluation can see (the
-  /// owner, acquired_at): allocate, release and reset_accounting bump it.
-  u64 changes() const { return changes_; }
-
   /// Test-only corruption hook for the invariant-audit suite: rewrites the
   /// owner without the allocate/release protocol, desynchronising ownership
   /// from the granted windows. Never called by the simulator.
@@ -54,7 +50,6 @@ class SecondLevelRob {
   u64 allocations_ = 0;
   Cycle acquired_at_ = 0;
   u64 busy_accum_ = 0;
-  u64 changes_ = 0;
 };
 
 }  // namespace tlrob

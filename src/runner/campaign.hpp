@@ -49,7 +49,8 @@ struct CampaignSpec {
 
   /// Where sampling columns (a nonzero config.telemetry.sample_interval,
   /// which also adds the obs.* summary counters to each record) write each
-  /// job's full series: <sample_dir>/samples_job<index>.jsonl. Empty = no
+  /// job's full series: <sample_dir>/samples_<name>_job<index>.jsonl (the
+  /// campaign name keeps a multi-preset run's files apart). Empty = no
   /// files. The series is a pure function of the JobSpec, so the files are
   /// byte-identical for any --jobs N.
   std::string sample_dir;

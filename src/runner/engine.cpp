@@ -74,8 +74,8 @@ JobRecord simulate_job(const JobSpec& spec) {
            obs::cmp_summary_counters(run.samples, run.stall_cycles, cfg.num_cores))
         rec.counters[name] = v;
     if (!run.samples.empty() && !spec.sample_dir.empty()) {
-      const std::string path =
-          spec.sample_dir + "/samples_job" + std::to_string(spec.index) + ".jsonl";
+      const std::string path = spec.sample_dir + "/samples_" + spec.campaign + "_job" +
+                               std::to_string(spec.index) + ".jsonl";
       std::ofstream out(path);
       if (!out.is_open()) throw std::runtime_error("cannot open sample sink: " + path);
       run.samples.write_jsonl(out);

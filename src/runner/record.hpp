@@ -36,7 +36,7 @@ struct JobSpec {
 
   /// Copied from CampaignSpec: when non-empty and the config samples
   /// (config.telemetry.sample_interval), the job writes its series to
-  /// <sample_dir>/samples_job<index>.jsonl. Not part of cell_key.
+  /// <sample_dir>/samples_<campaign>_job<index>.jsonl. Not part of cell_key.
   std::string sample_dir;
 };
 

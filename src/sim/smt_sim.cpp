@@ -256,7 +256,7 @@ void SmtCore::drop_outstanding_counts(DynInst& di) {
 
 void SmtCore::finish_execution(DynInst& di) {
   if (di.executed) return;  // idempotent: commit-poll and events may race
-  threads_[di.tid].rob.mark_executed(di);
+  di.executed = true;
   di.complete_cycle = cycle_;
   if (di.dest_phys != kInvalidPhysReg) {
     rename_.set_ready(di.dest_phys);
@@ -1100,8 +1100,7 @@ void SmtCore::reset_measurement() {
   cycle_base_ = cycle_;
   for (auto& ts : threads_) ts.committed_base = ts.committed;
   // Restarting the holder's tenure moves its lease expiry, a controller
-  // input; reset_accounting bumps the partition's change counter, so no
-  // earlier evaluation is repeated.
+  // input the next re-check decides from.
   second_.reset_accounting(cycle_);
   stats_ = {};
   dod_true_.reset();

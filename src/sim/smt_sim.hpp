@@ -246,8 +246,9 @@ class SmtCore {
   bool pinned() const { return pinned_; }
   /// After an idle tick(): the earliest future cycle anything can happen at
   /// on this core, bounded by `limit`. A result <= now() means no skip.
-  /// Not const: the allocation controller may evaluate stale candidates
-  /// (TwoLevelRobController::next_wake), which changes no machine state.
+  /// Not const: the allocation controller records each candidate's idle
+  /// decision (TwoLevelRobController::next_wake), which changes no machine
+  /// state.
   Cycle idle_wake(Cycle limit);
   /// While the core sleeps: the cycle in whose slot run_lockstep takes its
   /// next sample (advance_idle_to past it), kNeverCycle when sampling is off.

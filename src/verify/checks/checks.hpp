@@ -21,12 +21,6 @@ std::unique_ptr<InvariantCheck> make_rob_order_check();
 /// partition.
 std::unique_ptr<InvariantCheck> make_second_level_check();
 
-/// Allocation-controller stamps (full): every candidate whose stamps match
-/// the live change counters records the outcome a fresh evaluation at its
-/// evaluation cycle gives, so the re-checks the controller repeats from
-/// stamps equal the evaluations they stand for.
-std::unique_ptr<InvariantCheck> make_stamp_check();
-
 /// Shared-structure occupancy counts (cheap): the issue queue's free count
 /// and per-thread occupancy equal a recount of its slots (DCRA and ICOUNT
 /// steer fetch off these numbers — a leak silently rebalances every

@@ -113,34 +113,10 @@ class SecondLevelCheck final : public InvariantCheck {
   }
 };
 
-// The controller repeats a candidate's recorded outcome while the ROB's and
-// the partition's change counters equal the candidate's stamps. Any edit of
-// an evaluation input that bypasses the counters (an `executed` bit written
-// without ReorderBuffer::mark_executed, say) would make that repeat wrong,
-// so a fresh evaluation at the recorded evaluation cycle must agree.
-class StampCheck final : public InvariantCheck {
- public:
-  Tier tier() const override { return Tier::kFull; }
-
-  void run(const AuditContext& ctx, InvariantChecker& out) const override {
-    for (ThreadId t = 0; t < ctx.num_threads; ++t) {
-      const std::optional<u64> tseq = ctx.ctrl->audit_stale_stamp(t);
-      if (!tseq) continue;
-      std::ostringstream os;
-      os << "candidate tseq " << *tseq
-         << ": the recorded outcome differs from a fresh evaluation although its "
-         << "stamps match the change counters";
-      out.violation(ctx.cycle, t, "rob2.stamp", os.str());
-    }
-  }
-};
-
 }  // namespace
 
 std::unique_ptr<InvariantCheck> make_second_level_check() {
   return std::make_unique<SecondLevelCheck>();
 }
-
-std::unique_ptr<InvariantCheck> make_stamp_check() { return std::make_unique<StampCheck>(); }
 
 }  // namespace tlrob

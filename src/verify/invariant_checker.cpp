@@ -33,7 +33,6 @@ InvariantChecker::InvariantChecker(const AuditConfig& cfg, u32 num_threads)
   if (cfg_.full_interval == 0) cfg_.full_interval = 1;
   register_check(make_rob_order_check());
   register_check(make_second_level_check());
-  register_check(make_stamp_check());
   register_check(make_iq_counts_check());
   register_check(make_occupancy_check());
   register_check(make_dod_recount_check());

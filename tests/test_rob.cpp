@@ -262,7 +262,7 @@ TEST_F(ControllerTest, ReactiveRechecksEveryInterval) {
   EXPECT_EQ(ctrl.stats().rejected_high_dod, 1u);
   // Independent work completes; the count drops below the threshold.
   rob0_.for_each([&](DynInst& d) {
-    if (!d.is_load() && !d.executed) rob0_.mark_executed(d);
+    if (!d.is_load() && !d.executed) d.executed = true;
   });
   ctrl.tick(105);  // before the 10-cycle recheck: no decision yet
   EXPECT_TRUE(second_.available());
@@ -276,10 +276,8 @@ TEST_F(ControllerTest, UnchangedInputsRepeatTheRecordedRejection) {
   DynInst& load = fill_rob0_with_miss(/*unexec=*/20);
   ctrl.on_l2_miss_detected(load, 100);
   for (Cycle t = 100; t <= 130; t += 5) ctrl.tick(t);
-  // Re-checks at 100, 110, 120 and 130 only: every one counts, also those
-  // decided from the stamps.
+  // Re-checks at 100, 110, 120 and 130 only, and every one counts.
   EXPECT_EQ(ctrl.stats().rejected_high_dod, 4u);
-  EXPECT_EQ(ctrl.audit_stale_stamp(0), std::nullopt);
   EXPECT_TRUE(second_.available());
 }
 
@@ -342,7 +340,7 @@ TEST_F(ControllerTest, ReleaseWaitsForTriggerAndDrain) {
   for (u32 i = 0; i < 10; ++i) rob0_.push(make_inst(next_tseq_++, true));
   ctrl.tick(150);
   EXPECT_TRUE(second_.owned_by(0)) << "trigger still outstanding";
-  rob0_.mark_executed(load);  // fill
+  load.executed = true;  // fill
   ctrl.tick(160);
   EXPECT_TRUE(second_.owned_by(0)) << "must drain to the first level first";
   EXPECT_EQ(rob0_.extra(), 0u) << "no further second-level dispatch while draining";
@@ -368,7 +366,7 @@ TEST_F(ControllerTest, LeaseExpiryStopsRenewalAndCooldownBlocksReacquisition) {
   ctrl.on_l2_miss_detected(load1, 150);
 
   // Past the lease limit the holder's fresh misses stop renewing.
-  rob0_.mark_executed(load);
+  load.executed = true;
   ctrl.tick(1200);  // trigger dead + drained? not drained yet
   while (rob0_.size() > 0) rob0_.pop_head();
   ctrl.tick(1210);
@@ -379,7 +377,7 @@ TEST_F(ControllerTest, LeaseExpiryStopsRenewalAndCooldownBlocksReacquisition) {
 
   // Thread 0 is in cooldown: a new qualifying miss must not steal it back
   // even after thread 1 releases.
-  rob1_.mark_executed(load1);
+  load1.executed = true;
   while (rob1_.size() > 0) rob1_.pop_head();
   ctrl.tick(1230);
   ASSERT_TRUE(second_.available());
@@ -393,8 +391,7 @@ TEST_F(ControllerTest, LeaseExpiryStopsRenewalAndCooldownBlocksReacquisition) {
 // (lease expiry 132 + 1000 = 1132), then the younger load B, detected at
 // 1005, is rejected for a high DoD at every re-check (1037, 1047, ...) while
 // the lease can still be renewed. From the first re-check after the expiry
-// (1137) on, B can no longer renew and is deferred without a rejection. The
-// window is built by push and changed by mark_executed only, as in the core.
+// (1137) on, B can no longer renew and is deferred without a rejection.
 class QuietReplayTest : public ControllerTest {
  protected:
   QuietReplayTest() : ctrl_(make(RobScheme::kCdr, 15)) {
@@ -420,7 +417,7 @@ class QuietReplayTest : public ControllerTest {
     u32 left = rob0_.count_unexecuted_younger(b_->tseq, rob0_.base_capacity());
     rob0_.for_each([&](DynInst& d) {
       if (left > dod && d.tseq > b_->tseq && !d.executed) {
-        rob0_.mark_executed(d);
+        d.executed = true;
         --left;
       }
     });
@@ -433,12 +430,11 @@ class QuietReplayTest : public ControllerTest {
 TEST_F(QuietReplayTest, TickedRechecksRejectUntilTheLeaseExpires) {
   for (Cycle t = 1037; t <= 1127; t += 10) ctrl_.tick(t);
   EXPECT_EQ(ctrl_.stats().rejected_high_dod, 10u);
-  // B's last evaluation (1127) repeats until the expiry (1132), so the
-  // re-check at 1137 may differ.
+  // The idle decision at 1130 rejects again and holds until the expiry
+  // (1132), so the re-check at 1137 may differ.
   EXPECT_EQ(ctrl_.next_wake(1130), 1137u);
-  // At 1133 the expiry lies between that evaluation and `now`: the stamp no
-  // longer holds, and the idle evaluation sees a lease B can no longer
-  // renew — a deferral no gate ends.
+  // At 1133 the lease has expired: the idle decision sees a lease B can no
+  // longer renew — a deferral no gate ends.
   EXPECT_EQ(ctrl_.next_wake(1133), kNeverCycle);
   EXPECT_EQ(ctrl_.stats().rejected_high_dod, 10u);
   ctrl_.tick(1137);
@@ -448,8 +444,8 @@ TEST_F(QuietReplayTest, TickedRechecksRejectUntilTheLeaseExpires) {
 TEST_F(QuietReplayTest, ReplayMatchesTickingUpToTheGate) {
   ctrl_.tick(1037);
   ASSERT_EQ(ctrl_.stats().rejected_high_dod, 1u);
-  // A window edit after the evaluation leaves B's DoD at 30: the idle
-  // evaluation at 1040 rejects again and counts nothing itself.
+  // A window edit after the tick leaves B's DoD at 30: the idle decision at
+  // 1040 rejects again and counts nothing itself.
   rob0_.push(make_inst(next_tseq_++, /*executed=*/true));
   EXPECT_EQ(ctrl_.next_wake(1040), 1137u);
   EXPECT_EQ(ctrl_.stats().rejected_high_dod, 1u);
@@ -470,20 +466,17 @@ TEST_F(QuietReplayTest, AnIdleEvaluationThatWouldGrantWakesAtTheNextRecheck) {
   EXPECT_EQ(ctrl_.stats().rejected_high_dod, 1u);
 }
 
-TEST_F(QuietReplayTest, StampAuditCatchesAnEditThatBypassesTheCounters) {
+TEST_F(QuietReplayTest, EveryTickedRecheckDecidesFromTheLiveWindow) {
   ctrl_.tick(1037);
-  EXPECT_EQ(ctrl_.audit_stale_stamp(0), std::nullopt);
-  // Through mark_executed the counter moves, so the stale stamp is never
-  // trusted and the audit has nothing to compare.
-  execute_younger_of_b_down_to(20);
-  EXPECT_EQ(ctrl_.audit_stale_stamp(0), std::nullopt);
-  ctrl_.tick(1047);  // re-stamped: still a rejection (20 >= 15)
-  ASSERT_EQ(ctrl_.stats().rejected_high_dod, 2u);
-  // A direct write leaves the stamp looking valid although B now qualifies.
+  ASSERT_EQ(ctrl_.stats().rejected_high_dod, 1u);
+  // Nothing but the result-valid bits changes: B's DoD drops to 0 < 15.
   rob0_.for_each([&](DynInst& d) {
     if (d.tseq > b_->tseq) d.executed = true;
   });
-  EXPECT_EQ(ctrl_.audit_stale_stamp(0), b_->tseq);
+  ctrl_.tick(1047);  // B renews the lease and retires
+  EXPECT_FALSE(ctrl_.has_pending_candidate(0));
+  EXPECT_EQ(ctrl_.stats().lease_grants_or_renewals, 2u);
+  EXPECT_EQ(ctrl_.stats().rejected_high_dod, 1u);
 }
 
 TEST_F(ControllerTest, SquashDropsCandidates) {

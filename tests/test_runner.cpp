@@ -729,12 +729,12 @@ TEST(RunnerMemo, SampleDirCellsBypassTheMemo) {
   sampled.sample_dir = dir;
   for (int run = 0; run < 2; ++run) {
     for (u64 job = 0; job < 4; ++job)
-      std::remove((dir + "/samples_job" + std::to_string(job) + ".jsonl").c_str());
+      std::remove((dir + "/samples_memo_sampled_job" + std::to_string(job) + ".jsonl").c_str());
     const CampaignResult res = run_campaign(sampled, EngineOptions{});
     EXPECT_EQ(res.ok, 4u);
     EXPECT_EQ(res.deduplicated, 0u) << "run " << run;
     for (u64 job = 0; job < 4; ++job)  // every run writes its own series
-      EXPECT_FALSE(read_file(dir + "/samples_job" + std::to_string(job) + ".jsonl").empty());
+      EXPECT_FALSE(read_file(dir + "/samples_memo_sampled_job" + std::to_string(job) + ".jsonl").empty());
   }
 }
 
@@ -754,13 +754,13 @@ TEST(RunnerEngine, ResumeStillWritesSampleDirSeries) {
   EXPECT_EQ(run_campaign(sampled, eng).ok, 4u);
 
   for (u64 job = 0; job < 4; ++job)
-    std::remove((dir + "/samples_job" + std::to_string(job) + ".jsonl").c_str());
+    std::remove((dir + "/samples_resume_sampled_job" + std::to_string(job) + ".jsonl").c_str());
   eng.resume = true;
   const CampaignResult res = run_campaign(sampled, eng);
   EXPECT_EQ(res.ok, 4u);
   EXPECT_EQ(res.resumed, 0u);
   for (u64 job = 0; job < 4; ++job)
-    EXPECT_FALSE(read_file(dir + "/samples_job" + std::to_string(job) + ".jsonl").empty())
+    EXPECT_FALSE(read_file(dir + "/samples_resume_sampled_job" + std::to_string(job) + ".jsonl").empty())
         << "job " << job;
 }
 

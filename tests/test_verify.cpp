@@ -295,31 +295,6 @@ TEST(InjectedCorruption, CompletedTriggerLoadFiresTriggerCheck) {
   EXPECT_TRUE(any_violation_of(core, "rob2.trigger"));
 }
 
-// A due re-check whose stamps hold repeats the candidate's recorded outcome
-// instead of evaluating. The stamp audit re-evaluates every such candidate;
-// flipping one recorded outcome (a rejection into a deferral or back) while
-// its stamps stay valid must fire it.
-TEST(InjectedCorruption, FlippedStampedOutcomeFiresStampCheck) {
-  SmtCore core = make_audited_core(RobScheme::kReactive);
-  auto has_stamped_candidate = [&] {
-    for (ThreadId t = 0; t < core.config().num_threads; ++t)
-      if (core.rob_controller().test_only_flip_stamped_outcome(t)) {
-        core.rob_controller().test_only_flip_stamped_outcome(t);  // undo
-        return true;
-      }
-    return false;
-  };
-  ASSERT_TRUE(tick_until(core, 400000, has_stamped_candidate))
-      << "no stamped allocation candidate in 400k cycles";
-  ASSERT_EQ(core.audit_now(), 0u) << core.auditor().report();
-  bool flipped = false;
-  for (ThreadId t = 0; t < core.config().num_threads && !flipped; ++t)
-    flipped = core.rob_controller().test_only_flip_stamped_outcome(t);
-  ASSERT_TRUE(flipped);
-  EXPECT_GT(core.audit_now(), 0u);
-  EXPECT_TRUE(any_violation_of(core, "rob2.stamp"));
-}
-
 TEST(InjectedCorruption, FreeCountSkewFiresIqCounts) {
   SmtCore core = make_audited_core(RobScheme::kReactive);
   core.run(500);

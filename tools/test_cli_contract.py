@@ -270,6 +270,8 @@ def main():
               rc4 == 0 and files and sampled_runs[0] == sampled_runs[1],
               f"rc {rc4}/{rc1}, differing files "
               f"{[n for n in files.keys() | files1.keys() if files.get(n) != files1.get(n)]}")
+        check("cmp_mix,cmp_trace with sampling writes one series file per cell (8)",
+              len(files) == 8, f"{sorted(files)}")
         keys = [b'"obs.cmp.cores"', b'"obs.cmp.stall_dram_cycles"', b'"obs.cmp.llc_mshr_p90"',
                 b'"stall.t0.mem_llc_cycles"', b'"stall.t3.commit_cycles"']
         check("cmp_mix,cmp_trace records carry the obs.cmp.* and stall.t* keys",
