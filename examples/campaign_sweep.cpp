@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/config.hpp"
+#include "runner/cli.hpp"
 #include "runner/engine.hpp"
 #include "runner/render.hpp"
 
@@ -48,7 +49,7 @@ int run_example(const Options& opts) {
       {"R-ROB16", two_level_config(RobScheme::kReactive, 16), 0},
   };
   spec.mixes = {table2_mix(1), table2_mix(5), table2_mix(10)};
-  spec.lengths = {{opts.get_u64("insts", 8000), opts.get_u64("warmup", 2000)}};
+  spec.lengths = {runner::run_length(opts, {8000, 2000})};
   const u32 jobs = static_cast<u32>(opts.get_u64("jobs", 0));
   opts.require_all_read();
 

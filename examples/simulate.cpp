@@ -14,9 +14,9 @@
 // threads over the same four benchmarks, and `simulate mix=2 cores=4
 // threads=16` runs 4 cores x 4 threads.
 //
-// Run knobs: insts=N (default kDefaultCommitTarget), warmup=N (default
-// kDefaultWarmup; both in sim/experiment.hpp), max_cycles=N, stats=0|1 (dump
-// all counters).
+// Run knobs: insts=N (nonzero; default kDefaultCommitTarget), warmup=N
+// (default kDefaultWarmup; both in sim/experiment.hpp), max_cycles=N,
+// stats=0|1 (dump all counters).
 // Machine knobs: see sim/config_override.hpp (scheme=, threshold=, policy=,
 // rob1=, rob2=, l2_kb=, mem_lat=, seed=, ...). CMP knobs (cores=N,
 // llc=size_kb[:ways[:lat[:mshrs]]], dram=ch[:banks[:tcas[:trcd[:trp]]]])
@@ -63,9 +63,9 @@
 #include "common/config.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/self_profile.hpp"
+#include "runner/cli.hpp"
 #include "sim/cmp.hpp"
 #include "sim/config_override.hpp"
-#include "sim/experiment.hpp"
 #include "trace/resolve.hpp"
 
 using namespace tlrob;
@@ -90,8 +90,7 @@ int simulate(const Options& opts) {
   mix.benchmarks.resize(cfg.num_threads, mix.benchmarks.back());
   cfg.num_threads = trace::threads_per_core(mix, cfg.num_cores);
 
-  const u64 insts = opts.get_u64("insts", kDefaultCommitTarget);
-  const u64 warmup = opts.get_u64("warmup", kDefaultWarmup);
+  const auto [insts, warmup] = runner::run_length(opts);
   const u64 max_cycles = opts.get_u64("max_cycles", 0);
   const bool dump_stats = opts.get_bool("stats", false);
 

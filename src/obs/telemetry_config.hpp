@@ -1,5 +1,5 @@
 // Telemetry configuration (src/obs) — the observability counterpart of
-// verify/audit_context.hpp's AuditConfig.
+// verify/audit_config.hpp's AuditConfig.
 //
 // Everything in src/obs is compiled in unconditionally and gated at runtime;
 // the contract is that a config with everything off adds at most one

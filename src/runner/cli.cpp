@@ -12,14 +12,14 @@
 
 namespace tlrob::runner {
 
-namespace {
-
-RunLengthSpec run_length(const Options& opts) {
-  const RunLengthSpec defaults;
-  return {opts.get_u64("insts", defaults.insts), opts.get_u64("warmup", defaults.warmup)};
+RunLengthSpec run_length(const Options& opts, const RunLengthSpec& defaults) {
+  const RunLengthSpec length{opts.get_u64("insts", defaults.insts),
+                             opts.get_u64("warmup", defaults.warmup)};
+  if (length.insts == 0)
+    throw std::invalid_argument("option insts: must be nonzero (a run that commits nothing "
+                                "has no IPC)");
+  return length;
 }
-
-}  // namespace
 
 CampaignSpec custom_campaign(const Options& opts) {
   CampaignSpec spec;

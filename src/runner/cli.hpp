@@ -19,6 +19,11 @@ namespace tlrob::runner {
 /// tlrob-campaign's options that never take a value.
 inline const std::set<std::string> kCampaignFlags = {"resume", "no_render", "list", "help"};
 
+/// The run-length options every front end reads: insts= (the commit
+/// target) and warmup=, each defaulting to `defaults`. Throws
+/// std::invalid_argument naming insts when it is 0.
+RunLengthSpec run_length(const Options& opts, const RunLengthSpec& defaults = {});
+
 /// Builds a custom sweep spec from --schemes/--thresholds/--mixes and the
 /// other custom-sweep options. The options it shares with presets
 /// (--workload, --sample-interval, --sample-dir) are left to campaign_list;

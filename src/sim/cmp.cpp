@@ -10,7 +10,6 @@ namespace tlrob {
 
 CmpMachine::CmpMachine(const MachineConfig& cfg, const std::vector<Benchmark>& benchmarks)
     : cfg_(cfg.validate()) {
-  if (cfg.num_cores == 0) throw std::invalid_argument("CmpMachine: at least one core required");
   if (benchmarks.size() != static_cast<size_t>(cfg.num_cores) * cfg.num_threads)
     throw std::invalid_argument(
         "CmpMachine: one benchmark per hardware thread (num_cores * num_threads) required");

@@ -45,7 +45,7 @@ static_assert(sizeof(MachineConfig) == 424);
 template <typename Config, typename F>
   requires std::same_as<std::remove_const_t<Config>, MachineConfig>
 void for_each_knob(Config& c, F&& f) {
-  f(Knob{"num_cores", "cores"}, c.num_cores);
+  f(Knob{"num_cores", "cores", kNonzero}, c.num_cores);
   f(Knob{"num_threads", "threads", kNonzero}, c.num_threads);
   f(Knob{"fetch_width", "fetch_width", kNonzero}, c.fetch_width);
   f(Knob{"fetch_threads", "fetch_threads", kNonzero}, c.fetch_threads);
@@ -121,10 +121,9 @@ void for_each_knob(Config& c, F&& f) {
   f(Knob{"load_hit_history"}, c.load_hit_history);
 
   f(Knob{"audit.level", "audit"}, c.audit.level);
-  f(Knob{"audit.cheap_interval", "audit_cheap_interval"}, c.audit.cheap_interval);
-  f(Knob{"audit.full_interval", "audit_full_interval"}, c.audit.full_interval);
+  f(Knob{"audit.cheap_interval", "audit_cheap_interval", kNonzero}, c.audit.cheap_interval);
+  f(Knob{"audit.full_interval", "audit_full_interval", kNonzero}, c.audit.full_interval);
   f(Knob{"audit.abort_on_violation", "audit_abort"}, c.audit.abort_on_violation);
-  f(Knob{"audit.max_recorded"}, c.audit.max_recorded);
 
   f(Knob{"telemetry.sample_interval"}, c.telemetry.sample_interval);
   f(Knob{"seed", "seed"}, c.seed);

@@ -9,7 +9,7 @@
 #include "obs/telemetry_config.hpp"
 #include "pipeline/fetch_policy.hpp"
 #include "rob/allocation_policy.hpp"
-#include "verify/audit_context.hpp"
+#include "verify/audit_config.hpp"
 
 namespace tlrob {
 

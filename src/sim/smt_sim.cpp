@@ -69,26 +69,6 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
   replay_regs_.reserve(64);
   replay_victims_.reserve(cfg.iq_entries);
 
-  // The audit view is built once: every pointer below is stable for the
-  // core's lifetime (threads_ never resizes after construction). Only the
-  // cycle and the outstanding-miss snapshots refresh per audit.
-  audit_ctx_.num_threads = cfg_.num_threads;
-  audit_ctx_.scheme = cfg_.rob.scheme;
-  audit_ctx_.adaptive_max_extra = cfg_.rob.adaptive_max_extra;
-  for (auto& ts : threads_) {
-    audit_ctx_.robs.push_back(&ts.rob);
-    audit_ctx_.lsqs.push_back(&ts.lsq);
-  }
-  audit_ctx_.iq = &iq_;
-  audit_ctx_.rename = &rename_;
-  audit_ctx_.second = &second_;
-  audit_ctx_.ctrl = rob_ctrl_.get();
-  audit_ctx_.wheel = &wheel_;
-  audit_ctx_.shared = shared_;
-  audit_ctx_.outstanding_l1.assign(cfg_.num_threads, 0);
-  audit_ctx_.outstanding_l2.assign(cfg_.num_threads, 0);
-  audit_ctx_.last_committed = &auditor_.last_committed();
-
   // Functional cache warming (the stand-in for Simpoint fast-forwarding):
   // REUSED data starts resident, so short runs measure steady-state
   // behaviour instead of cold-start churn. Only content a benchmark actually
@@ -849,8 +829,7 @@ bool SmtCore::tick() {
   // surviving grant must be trigger-backed (see second_level_check.cpp).
   if (auditor_.enabled()) {
     obs::enter(obs::Phase::kAudit);
-    refresh_audit_ctx();
-    auditor_.run_span(audit_ctx_, cycle_, cycle_ + 1);
+    auditor_.run_span(*this, cycle_, cycle_ + 1);
   }
   // Observability, after every stage has settled. Ownership transitions only
   // happen in state-changing ticks, so polling per executed tick sees every
@@ -966,8 +945,7 @@ void SmtCore::replay_idle_to(Cycle wake) {
   // when sample points split its replay (advance_idle_to).
   if (auditor_.enabled()) {
     const obs::PhaseScope ps(obs::Phase::kAudit);
-    refresh_audit_ctx();
-    auditor_.run_span(audit_ctx_, idle_from_, wake);
+    auditor_.run_span(*this, idle_from_, wake);
   }
   advance_idle_to(wake);
 }
@@ -1083,18 +1061,7 @@ void SmtCore::record_sample(Cycle label) {
   series_.add(std::move(s));
 }
 
-void SmtCore::refresh_audit_ctx() {
-  audit_ctx_.cycle = cycle_;
-  for (ThreadId t = 0; t < cfg_.num_threads; ++t) {
-    audit_ctx_.outstanding_l1[t] = threads_[t].outstanding_l1;
-    audit_ctx_.outstanding_l2[t] = threads_[t].outstanding_l2;
-  }
-}
-
-u32 SmtCore::audit_now() {
-  refresh_audit_ctx();
-  return auditor_.run_all(audit_ctx_);
-}
+u32 SmtCore::audit_now() { return auditor_.run_all(*this); }
 
 void SmtCore::reset_measurement() {
   cycle_base_ = cycle_;

@@ -185,10 +185,16 @@ class SmtCore {
   u32 outstanding_l1(ThreadId t) const { return threads_[t].outstanding_l1; }
   u32 outstanding_l2(ThreadId t) const { return threads_[t].outstanding_l2; }
   const ReorderBuffer& rob(ThreadId t) const { return threads_[t].rob; }
+  const LoadStoreQueue& lsq(ThreadId t) const { return threads_[t].lsq; }
   const IssueQueue& issue_queue() const { return iq_; }
   TwoLevelRobController& rob_controller() { return *rob_ctrl_; }
+  const TwoLevelRobController& rob_controller() const { return *rob_ctrl_; }
   SecondLevelRob& second_level() { return second_; }
+  const SecondLevelRob& second_level() const { return second_; }
   RenameUnit& rename_unit() { return rename_; }
+  const RenameUnit& rename_unit() const { return rename_; }
+  /// The machine-wide LLC/DRAM backend; null without one.
+  const SharedMemory* shared_memory() const { return shared_; }
   const CoreStats& stats() const { return stats_; }
   const MachineConfig& config() const { return cfg_; }
   const EventWheel& event_wheel() const { return wheel_; }
@@ -221,8 +227,8 @@ class SmtCore {
   /// The pipeline invariant auditor (cfg.audit decides what runs per cycle).
   InvariantChecker& auditor() { return auditor_; }
 
-  /// Runs every registered invariant check against the current state
-  /// immediately, regardless of the configured audit level or intervals.
+  /// Runs every invariant check against the current state immediately,
+  /// regardless of the configured audit level or intervals.
   /// Returns the number of violations found by this sweep.
   u32 audit_now();
 
@@ -319,7 +325,6 @@ class SmtCore {
   /// outstanding-miss counts, rename state) and poisons its in-flight events.
   void release_entry(ThreadState& ts, DynInst& d);
   void drop_outstanding_counts(DynInst& di);
-  void refresh_audit_ctx();
   /// Captures one interval sample labelled `label` from the current state
   /// (also called from advance_idle_to()'s fast-forward replay, where the
   /// quiescent state is exactly the state every skipped cycle saw).
@@ -423,7 +428,6 @@ class SmtCore {
   u64 sl_trigger_ = 0;
 
   InvariantChecker auditor_;
-  AuditContext audit_ctx_;  // stable pointers into the members above
 };
 
 /// The one run loop every machine goes through (SmtCore::run and

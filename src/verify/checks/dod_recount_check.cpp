@@ -18,80 +18,69 @@
 #include <sstream>
 #include <vector>
 
-#include "rob/rob.hpp"
+#include "sim/smt_sim.hpp"
 #include "verify/checks/checks.hpp"
 
 namespace tlrob {
 namespace {
 
-class DodRecountCheck final : public InvariantCheck {
- public:
-  Tier tier() const override { return Tier::kFull; }
+void check_count(Cycle cycle, ThreadId t, const ReorderBuffer& rob, const DynInst& load,
+                 InvariantChecker& out) {
+  const u32 window = rob.base_capacity();
+  const u32 proxy = rob.count_unexecuted_younger(load.tseq, window);
 
-  void run(const AuditContext& ctx, InvariantChecker& out) const override {
-    for (ThreadId t = 0; t < ctx.num_threads; ++t) {
-      const ReorderBuffer& rob = *ctx.robs[t];
-      u32 l1_counted = 0;
-      u32 l2_counted = 0;
+  // Independent recount: order by architectural age (tseq), not by
+  // container position, then count the unexecuted among the oldest
+  // `window` younger instructions.
+  std::vector<const DynInst*> younger;
+  rob.for_each([&](const DynInst& d) {
+    if (d.tseq > load.tseq) younger.push_back(&d);
+  });
+  std::sort(younger.begin(), younger.end(),
+            [](const DynInst* a, const DynInst* b) { return a->tseq < b->tseq; });
+  if (younger.size() > window) younger.resize(window);
+  u32 truth = 0;
+  for (const DynInst* d : younger)
+    if (!d->executed) ++truth;
 
-      rob.for_each([&](const DynInst& d) {
-        if (d.l1_counted) ++l1_counted;
-        if (d.l2_counted) ++l2_counted;
-        if (d.executed && d.complete_cycle == kNeverCycle) {
-          std::ostringstream os;
-          os << "entry tseq " << d.tseq
-             << " has the result-valid bit set but never completed "
-             << "(the DoD counter would under-count it)";
-          out.violation(ctx.cycle, t, "dod.execflag", os.str());
-        }
-        if (d.is_load() && d.is_l2_miss && !d.executed && !d.wrong_path)
-          check_count(ctx, t, rob, d, out);
-      });
-
-      if (l1_counted != ctx.outstanding_l1[t] || l2_counted != ctx.outstanding_l2[t]) {
-        std::ostringstream os;
-        os << "outstanding counters (l1=" << ctx.outstanding_l1[t]
-           << ", l2=" << ctx.outstanding_l2[t] << ") != window recount (l1=" << l1_counted
-           << ", l2=" << l2_counted << ")";
-        out.violation(ctx.cycle, t, "dod.outstanding", os.str());
-      }
-    }
+  if (proxy != truth) {
+    std::ostringstream os;
+    os << "DoD counter for load tseq " << load.tseq << " returned " << proxy
+       << ", ground-truth recount is " << truth << " (" << younger.size()
+       << " younger in window " << window << ")";
+    out.violation(cycle, t, "dod.recount", os.str());
   }
-
- private:
-  static void check_count(const AuditContext& ctx, ThreadId t, const ReorderBuffer& rob,
-                          const DynInst& load, InvariantChecker& out) {
-    const u32 window = rob.base_capacity();
-    const u32 proxy = rob.count_unexecuted_younger(load.tseq, window);
-
-    // Independent recount: order by architectural age (tseq), not by
-    // container position, then count the unexecuted among the oldest
-    // `window` younger instructions.
-    std::vector<const DynInst*> younger;
-    rob.for_each([&](const DynInst& d) {
-      if (d.tseq > load.tseq) younger.push_back(&d);
-    });
-    std::sort(younger.begin(), younger.end(),
-              [](const DynInst* a, const DynInst* b) { return a->tseq < b->tseq; });
-    if (younger.size() > window) younger.resize(window);
-    u32 truth = 0;
-    for (const DynInst* d : younger)
-      if (!d->executed) ++truth;
-
-    if (proxy != truth) {
-      std::ostringstream os;
-      os << "DoD counter for load tseq " << load.tseq << " returned " << proxy
-         << ", ground-truth recount is " << truth << " (" << younger.size()
-         << " younger in window " << window << ")";
-      out.violation(ctx.cycle, t, "dod.recount", os.str());
-    }
-  }
-};
+}
 
 }  // namespace
 
-std::unique_ptr<InvariantCheck> make_dod_recount_check() {
-  return std::make_unique<DodRecountCheck>();
+void check_dod_recount(const SmtCore& core, Cycle cycle, InvariantChecker& out) {
+  for (ThreadId t = 0; t < core.config().num_threads; ++t) {
+    const ReorderBuffer& rob = core.rob(t);
+    u32 l1_counted = 0;
+    u32 l2_counted = 0;
+
+    rob.for_each([&](const DynInst& d) {
+      if (d.l1_counted) ++l1_counted;
+      if (d.l2_counted) ++l2_counted;
+      if (d.executed && d.complete_cycle == kNeverCycle) {
+        std::ostringstream os;
+        os << "entry tseq " << d.tseq << " has the result-valid bit set but never completed "
+           << "(the DoD counter would under-count it)";
+        out.violation(cycle, t, "dod.execflag", os.str());
+      }
+      if (d.is_load() && d.is_l2_miss && !d.executed && !d.wrong_path)
+        check_count(cycle, t, rob, d, out);
+    });
+
+    if (l1_counted != core.outstanding_l1(t) || l2_counted != core.outstanding_l2(t)) {
+      std::ostringstream os;
+      os << "outstanding counters (l1=" << core.outstanding_l1(t)
+         << ", l2=" << core.outstanding_l2(t) << ") != window recount (l1=" << l1_counted
+         << ", l2=" << l2_counted << ")";
+      out.violation(cycle, t, "dod.outstanding", os.str());
+    }
+  }
 }
 
 }  // namespace tlrob

@@ -7,27 +7,15 @@
 // surfaces it through the standard audit path so CMP fuzz runs abort with a
 // structured report instead of silently drifting.
 #include "memory/shared_memory.hpp"
+#include "sim/smt_sim.hpp"
 #include "verify/checks/checks.hpp"
 
 namespace tlrob {
-namespace {
 
-class SharedMemoryCheck final : public InvariantCheck {
- public:
-  Tier tier() const override { return Tier::kCheap; }
-
-  void run(const AuditContext& ctx, InvariantChecker& out) const override {
-    if (ctx.shared == nullptr) return;
-    std::string detail = ctx.shared->audit_check();
-    if (!detail.empty())
-      out.violation(ctx.cycle, kNoThread, "shared.memory", std::move(detail));
-  }
-};
-
-}  // namespace
-
-std::unique_ptr<InvariantCheck> make_shared_memory_check() {
-  return std::make_unique<SharedMemoryCheck>();
+void check_shared_memory(const SmtCore& core, Cycle cycle, InvariantChecker& out) {
+  if (core.shared_memory() == nullptr) return;
+  std::string detail = core.shared_memory()->audit_check();
+  if (!detail.empty()) out.violation(cycle, kNoThread, "shared.memory", std::move(detail));
 }
 
 }  // namespace tlrob

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
+#include "sim/smt_sim.hpp"
 #include "verify/checks/checks.hpp"
 
 namespace tlrob {
@@ -28,48 +30,33 @@ AuditConfig default_audit_config() {
 }
 
 InvariantChecker::InvariantChecker(const AuditConfig& cfg, u32 num_threads)
-    : cfg_(cfg), last_committed_(num_threads, 0) {
-  if (cfg_.cheap_interval == 0) cfg_.cheap_interval = 1;
-  if (cfg_.full_interval == 0) cfg_.full_interval = 1;
-  register_check(make_rob_order_check());
-  register_check(make_second_level_check());
-  register_check(make_iq_counts_check());
-  register_check(make_occupancy_check());
-  register_check(make_dod_recount_check());
-  register_check(make_pool_check());
-  register_check(make_event_wheel_check());
-  register_check(make_shared_memory_check());
-}
+    : cfg_(cfg),
+      checks_(std::begin(kStandardChecks), std::end(kStandardChecks)),
+      last_committed_(num_threads, 0) {}
 
-void InvariantChecker::register_check(std::unique_ptr<InvariantCheck> check) {
-  checks_.push_back(std::move(check));
-}
-
-void InvariantChecker::run_tier(const AuditContext& ctx, InvariantCheck::Tier tier) {
-  for (const auto& check : checks_) {
-    if (check->tier() != tier) continue;
-    check->run(ctx, *this);
+void InvariantChecker::run_tier(const SmtCore& core, Cycle cycle, AuditTier tier) {
+  for (const AuditCheck& check : checks_) {
+    if (check.tier != tier) continue;
+    check.run(core, cycle, *this);
     ++stats_.checks_run;
   }
 }
 
-void InvariantChecker::run_span(AuditContext& ctx, Cycle from, Cycle to) {
+void InvariantChecker::run_span(const SmtCore& core, Cycle from, Cycle to) {
   if (cfg_.level == AuditLevel::kOff) return;
-  auto at_first_point = [&](InvariantCheck::Tier tier, Cycle interval) {
+  auto at_first_point = [&](AuditTier tier, Cycle interval) {
     const Cycle gap = (interval - from % interval) % interval;  // cannot overflow
     if (gap >= to - from) return;
-    ctx.cycle = from + gap;
-    run_tier(ctx, tier);
+    run_tier(core, from + gap, tier);
   };
-  at_first_point(InvariantCheck::Tier::kCheap, cfg_.cheap_interval);
-  if (cfg_.level == AuditLevel::kFull)
-    at_first_point(InvariantCheck::Tier::kFull, cfg_.full_interval);
+  at_first_point(AuditTier::kCheap, cfg_.cheap_interval);
+  if (cfg_.level == AuditLevel::kFull) at_first_point(AuditTier::kFull, cfg_.full_interval);
 }
 
-u32 InvariantChecker::run_all(const AuditContext& ctx) {
+u32 InvariantChecker::run_all(const SmtCore& core) {
   const u64 before = stats_.violations;
-  run_tier(ctx, InvariantCheck::Tier::kCheap);
-  run_tier(ctx, InvariantCheck::Tier::kFull);
+  run_tier(core, core.now(), AuditTier::kCheap);
+  run_tier(core, core.now(), AuditTier::kFull);
   return static_cast<u32>(stats_.violations - before);
 }
 
@@ -93,7 +80,7 @@ void InvariantChecker::violation(Cycle cycle, ThreadId tid, const char* check,
     throw std::logic_error(std::string("unlisted violation kind ") + check);
   ++violations_by_kind_[static_cast<size_t>(kind - kViolationKinds.begin())];
   ++stats_.violations;
-  if (violations_.size() < cfg_.max_recorded)
+  if (violations_.size() < kMaxRecorded)
     violations_.push_back(AuditViolation{cycle, tid, check, std::move(detail)});
   if (cfg_.abort_on_violation) throw AuditFailure("pipeline invariant violated\n" + report());
 }

@@ -1,10 +1,12 @@
-// Registry and driver for pipeline invariant checks.
+// Driver for the pipeline invariant checks.
 //
-// A check is a stateless object inspecting an AuditContext and reporting
-// violations through the checker. The checker owns the violation log, the
-// per-event commit-order state, the audit statistics, and the tier gating
-// (cheap checks on multiples of cheap_interval, full checks on multiples of
-// full_interval at AuditLevel::kFull).
+// A check is a plain function over the core it audits (`const SmtCore&`),
+// the audit-point cycle and the checker, through which it reports
+// violations; verify/checks/checks.hpp lists the standard set with their
+// tiers. The checker owns the violation log, the per-event commit-order
+// state, the audit statistics, and the tier gating (cheap checks on
+// multiples of cheap_interval, full checks on multiples of full_interval at
+// AuditLevel::kFull).
 //
 // Violations are structured (cycle, thread, check id, detail) so a CI
 // failure names the broken contract instead of dumping an IPC diff; with
@@ -12,13 +14,12 @@
 // the full report.
 #pragma once
 
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/stats.hpp"
-#include "verify/audit_context.hpp"
+#include "verify/audit_config.hpp"
 
 namespace tlrob {
 
@@ -59,39 +60,46 @@ class AuditFailure : public std::runtime_error {
 };
 
 class InvariantChecker;
+class SmtCore;
 
-/// Interface every invariant check implements. `tier()` decides when the
-/// check runs; `run()` must not mutate pipeline state (it only sees const
-/// pointers) and reports through `InvariantChecker::violation`.
-class InvariantCheck {
- public:
-  enum class Tier : u8 { kCheap, kFull };
+/// When a check runs: every cheap_interval cycles, or every full_interval
+/// cycles at AuditLevel::kFull.
+enum class AuditTier : u8 { kCheap, kFull };
 
-  virtual ~InvariantCheck() = default;
-  virtual Tier tier() const = 0;
-  virtual void run(const AuditContext& ctx, InvariantChecker& out) const = 0;
+/// One invariant check: a tier and a function that inspects `core` at the
+/// audit point `cycle` and reports through InvariantChecker::violation. The
+/// core is const: a check never mutates pipeline state.
+struct AuditCheck {
+  AuditTier tier;
+  void (*run)(const SmtCore& core, Cycle cycle, InvariantChecker& out);
 };
 
 class InvariantChecker {
  public:
+  /// Violations kept with full detail; later ones are only counted.
+  static constexpr u32 kMaxRecorded = 64;
+
+  /// Installs the standard checks (kStandardChecks). `cfg`'s intervals must
+  /// be nonzero (MachineConfig::validate).
   explicit InvariantChecker(const AuditConfig& cfg, u32 num_threads);
 
-  /// Adds a check; the constructor installs the standard set (rob order,
-  /// second-level ownership, occupancy accounting, DoD recount, ...) this way.
-  void register_check(std::unique_ptr<InvariantCheck> check);
+  /// Adds a check after the standard ones (tests drive the span rule with
+  /// recording checks).
+  void add_check(AuditCheck check) { checks_.push_back(check); }
 
   bool enabled() const { return cfg_.level != AuditLevel::kOff; }
 
-  /// The one audit driver, over cycles [from, to) (from <= to) in which the
-  /// state `ctx` views does not change: one executed tick, or an idle span
-  /// the fast-forward skips. Honours the level; each tier runs once, at the
-  /// first of its audit points inside the span, with ctx.cycle set to it.
-  void run_span(AuditContext& ctx, Cycle from, Cycle to);
+  /// The one audit driver, over cycles [from, to) (from <= to) in which
+  /// `core`'s state does not change: one executed tick, or an idle span the
+  /// fast-forward skips. Honours the level; each tier runs once, at the
+  /// first of its audit points inside the span, and reports that cycle.
+  void run_span(const SmtCore& core, Cycle from, Cycle to);
 
-  /// Runs every registered check (both tiers) immediately, regardless of
-  /// level or interval. Returns the number of violations found by this
-  /// sweep. Used by tests and by SmtCore::audit_now().
-  u32 run_all(const AuditContext& ctx);
+  /// Runs every check (both tiers) over `core` immediately, at its current
+  /// cycle, regardless of level or interval. Returns the number of
+  /// violations found by this sweep. Used by tests and by
+  /// SmtCore::audit_now().
+  u32 run_all(const SmtCore& core);
 
   /// Per-event hook: thread `tid` committed the ROB head with sequence
   /// `tseq`. Verifies per-thread program order and feeds the head-vs-
@@ -99,7 +107,7 @@ class InvariantChecker {
   void on_commit(ThreadId tid, u64 tseq, Cycle now);
 
   /// Records a violation (called by checks); `check` must be one of
-  /// kViolationKinds. Honours max_recorded and abort_on_violation.
+  /// kViolationKinds. Honours kMaxRecorded and abort_on_violation.
   void violation(Cycle cycle, ThreadId tid, const char* check, std::string detail);
 
   const std::vector<AuditViolation>& violations() const { return violations_; }
@@ -114,10 +122,10 @@ class InvariantChecker {
   const std::vector<u64>& violations_by_kind() const { return violations_by_kind_; }
 
  private:
-  void run_tier(const AuditContext& ctx, InvariantCheck::Tier tier);
+  void run_tier(const SmtCore& core, Cycle cycle, AuditTier tier);
 
   AuditConfig cfg_;
-  std::vector<std::unique_ptr<InvariantCheck>> checks_;
+  std::vector<AuditCheck> checks_;
   std::vector<u64> last_committed_;  // per thread; 0 = nothing committed
   std::vector<AuditViolation> violations_;
   AuditStats stats_;

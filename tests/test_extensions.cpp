@@ -173,7 +173,7 @@ TEST(ConfigOverride, EveryNonzeroKnobRejectsZero) {
   for_each_knob(base, [&](const Knob& k, const auto&) {
     if ((k.flags & kNonzero) != 0) rows.push_back(k.name);
   });
-  EXPECT_EQ(rows.size(), 13u);
+  EXPECT_EQ(rows.size(), 16u);
   for (const std::string& name : rows) {
     MachineConfig cfg = base;
     for_each_knob(cfg, [&]<typename T>(const Knob& k, T& field) {

@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "sim/presets.hpp"
@@ -149,47 +149,37 @@ TEST(CleanRuns, SingleThreadFullAudit) {
 // The span driver: one gating rule for executed ticks and skipped spans
 // ---------------------------------------------------------------------------
 
-/// Records the cycle of every run; optionally reports a violation there.
-class RecordingCheck final : public InvariantCheck {
- public:
-  RecordingCheck(Tier tier, std::vector<Cycle>& runs, bool fire = false)
-      : tier_(tier), runs_(runs), fire_(fire) {}
-  Tier tier() const override { return tier_; }
-  void run(const AuditContext& ctx, InvariantChecker& out) const override {
-    runs_.push_back(ctx.cycle);
-    if (fire_) out.violation(ctx.cycle, kNoThread, "rob.order", "recording check fired");
-  }
-
- private:
-  Tier tier_;
-  std::vector<Cycle>& runs_;
-  bool fire_;
-};
+/// Recording checks: each reports a violation at every audit point it runs
+/// at, so the checker's violation log records the points; the kind names
+/// the tier.
+void record_cheap(const SmtCore&, Cycle cycle, InvariantChecker& out) {
+  out.violation(cycle, kNoThread, "rob.order", "cheap tier ran");
+}
+void record_full(const SmtCore&, Cycle cycle, InvariantChecker& out) {
+  out.violation(cycle, kNoThread, "dod.recount", "full tier ran");
+}
 
 /// A full-level checker (cheap tier every 8 cycles, full every 64) with one
 /// recording check per tier; the standard checks see a fresh one-thread core.
 struct SpanFixture {
   SmtCore core{single_thread_config(), {spec_benchmark("crafty")}};
-  AuditContext ctx;
-  std::vector<Cycle> cheap, full;
   InvariantChecker checker;
 
-  explicit SpanFixture(bool fire = false, Cycle cheap_interval = 8)
-      : checker(AuditConfig{AuditLevel::kFull, cheap_interval, 64, false, 64}, 1) {
-    ctx.num_threads = 1;
-    ctx.robs = {&core.rob(0)};
-    ctx.lsqs = {&core.lsq_for_test(0)};
-    ctx.iq = &core.issue_queue();
-    ctx.rename = &core.rename_unit();
-    ctx.second = &core.second_level();
-    ctx.ctrl = &core.rob_controller();
-    ctx.wheel = &core.event_wheel();
-    ctx.outstanding_l1 = ctx.outstanding_l2 = {0};
-    checker.register_check(
-        std::make_unique<RecordingCheck>(InvariantCheck::Tier::kCheap, cheap, fire));
-    checker.register_check(std::make_unique<RecordingCheck>(InvariantCheck::Tier::kFull, full));
+  explicit SpanFixture(Cycle cheap_interval = 8)
+      : checker(AuditConfig{AuditLevel::kFull, cheap_interval, 64, false}, 1) {
+    checker.add_check({AuditTier::kCheap, record_cheap});
+    checker.add_check({AuditTier::kFull, record_full});
   }
-  void span(Cycle from, Cycle to) { checker.run_span(ctx, from, to); }
+  void span(Cycle from, Cycle to) { checker.run_span(core, from, to); }
+  /// The audit points at which the recording check of kind `kind` ran.
+  std::vector<Cycle> runs(const std::string& kind) const {
+    std::vector<Cycle> cycles;
+    for (const AuditViolation& v : checker.violations())
+      if (v.check == kind) cycles.push_back(v.cycle);
+    return cycles;
+  }
+  std::vector<Cycle> cheap() const { return runs("rob.order"); }
+  std::vector<Cycle> full() const { return runs("dod.recount"); }
 };
 
 TEST(AuditSpan, SpanWithoutAnAuditPointRunsNothing) {
@@ -197,31 +187,32 @@ TEST(AuditSpan, SpanWithoutAnAuditPointRunsNothing) {
   f.span(1, 8);
   f.span(65, 72);
   f.span(9, 9);
-  EXPECT_TRUE(f.cheap.empty());
-  EXPECT_TRUE(f.full.empty());
+  EXPECT_TRUE(f.checker.violations().empty());
   EXPECT_EQ(f.checker.checks_executed(), 0u);
   // An interval near the top of the cycle range must not wrap around.
-  SpanFixture huge(false, ~Cycle{0} - 1);
+  SpanFixture huge(~Cycle{0} - 1);
   huge.span(5, 1000000);
-  EXPECT_TRUE(huge.cheap.empty());
+  EXPECT_TRUE(huge.cheap().empty());
 }
 
 TEST(AuditSpan, EachTierRunsOnceAtItsFirstPoint) {
   SpanFixture f;
   f.span(3, 200);  // cheap points 8, 16, ..., 192; full points 64, 128, 192
-  EXPECT_EQ(f.cheap, std::vector<Cycle>{8});
-  EXPECT_EQ(f.full, std::vector<Cycle>{64});
+  EXPECT_EQ(f.cheap(), std::vector<Cycle>{8});
+  EXPECT_EQ(f.full(), std::vector<Cycle>{64});
   f.span(256, 257);  // the one-cycle case of an executed tick
-  EXPECT_EQ(f.cheap, (std::vector<Cycle>{8, 256}));
-  EXPECT_EQ(f.full, (std::vector<Cycle>{64, 256}));
+  EXPECT_EQ(f.cheap(), (std::vector<Cycle>{8, 256}));
+  EXPECT_EQ(f.full(), (std::vector<Cycle>{64, 256}));
 }
 
 TEST(AuditSpan, ViolationReportsTheFirstPointsCycle) {
-  SpanFixture f(/*fire=*/true);
+  SpanFixture f;
   f.span(3, 200);
-  ASSERT_EQ(f.checker.violations().size(), 1u) << f.checker.report();
+  ASSERT_EQ(f.checker.violations().size(), 2u) << f.checker.report();
   EXPECT_EQ(f.checker.violations()[0].cycle, 8u);
   EXPECT_EQ(f.checker.violations()[0].check, "rob.order");
+  EXPECT_EQ(f.checker.violations()[1].cycle, 64u);
+  EXPECT_EQ(f.checker.violations()[1].check, "dod.recount");
 }
 
 // ---------------------------------------------------------------------------

@@ -142,8 +142,16 @@ def main():
                           (["cores=2", "llc=64:3"], "llc.geo.ways"),
                           (["cores=2", "threads=8", "dram=3"], "dram.channels"),
                           (["cores=2", "threads=8", "dram=2:3"], "dram.banks_per_channel"),
-                          (["int_regs=4"], "int_regs")]:
+                          (["int_regs=4"], "int_regs"),
+                          (["audit=cheap", "audit_cheap_interval=0"], "audit.cheap_interval")]:
         rejected(" ".join(argv), run(simulate, "mix=1", *argv, *RUN), setting)
+
+    # A run that commits nothing has no IPC: insts=0 is rejected before any
+    # simulation, not reported as a zero-cycle run or a failed cell.
+    rejected("insts=0", run(simulate, "mix=1", "insts=0", "warmup=0"), "insts")
+    rejected("tlrob-campaign --insts 0",
+             run(campaign, "--schemes", "rrob", "--mixes", "1", "--insts", "0",
+                 "--warmup", "0"), "insts")
 
     rejected("tlrob-campaign fig2,fig99", run(campaign, "fig2,fig99", *SHORT))
     rejected("tlrob-campaign --per-job-seeds", run(campaign, "--per-job-seeds", *SHORT))
