@@ -23,9 +23,10 @@
 // shape the machine.
 //
 // Observability knobs (src/obs):
-//   sample=N           interval telemetry every N cycles
-//   sample_out=PATH    write the machine-wide series as JSON lines ("-" = stdout)
-//   sample_csv=PATH    write the series as CSV ("-" = stdout)
+//   sample=N           interval telemetry every N cycles (the knob
+//                      telemetry.sample_interval)
+//   sample_out=PATH    write the machine-wide series as JSON lines ("-" =
+//                      stdout); alone it implies sample=1000
 //   trace_json=PATH    Chrome trace-event JSON (open in ui.perfetto.dev): one
 //                      process per core plus, on a machine with a shared
 //                      backend, a "shared backend" process (LLC MSHR-pool
@@ -39,10 +40,14 @@
 //                      to stderr (obs/self_profile.hpp), plus how many events
 //                      took the event wheel's overflow path
 //
+// Output: the machine, one line per knob of the table (describe()), the
+// workload and run length, then per-thread IPC.
+//
 // Options follow the common grammar (key=value, --key=value, --key value;
-// common/config.hpp). An unknown key, a bad value or a failed run prints
-// "error: ..." and exits with status 2. So does a run in which no thread
-// committed insts= before max_cycles=, after printing what it did.
+// common/config.hpp). An unknown key, a bad value, a machine validate()
+// rejects or a failed run prints "error: ..." and exits with status 2; a
+// rejected machine prints nothing to stdout first. So does a run in which no
+// thread committed insts= before max_cycles=, after printing what it did.
 //
 // Examples:
 //   ./simulate mix=1 scheme=rrob threshold=16
@@ -95,11 +100,10 @@ int simulate(const Options& opts) {
   const bool dump_stats = opts.get_bool("stats", false);
 
   // --- observability -------------------------------------------------------
-  cfg.telemetry.sample_interval = opts.get_u64("sample", cfg.telemetry.sample_interval);
   const bool profile = opts.get_bool("profile", false);
-  const std::string sample_out = opts.get("sample_out"), sample_csv = opts.get("sample_csv");
+  const std::string sample_out = opts.get("sample_out");
   const std::string trace_json = opts.get("trace_json"), trace_window = opts.get("trace");
-  if ((!sample_out.empty() || !sample_csv.empty()) && cfg.telemetry.sample_interval == 0)
+  if (!sample_out.empty() && cfg.telemetry.sample_interval == 0)
     cfg.telemetry.sample_interval = 1000;  // asking for the series implies sampling
   Cycle window_lo = 0, window_hi = 0;
   if (!trace_window.empty()) {
@@ -116,6 +120,11 @@ int simulate(const Options& opts) {
   }
   opts.require_all_read();
 
+  // The machine's constructor validates it, so a rejected config prints
+  // nothing.
+  const std::vector<Benchmark> benches = trace::resolve_mix_benchmarks(mix);
+  CmpMachine machine(cfg, benches);
+
   // Sinks open before the run, so a bad path fails fast; "-" is stdout.
   std::vector<std::unique_ptr<std::ofstream>> files;
   auto open_sink = [&files](const std::string& path) -> std::ostream* {
@@ -126,18 +135,14 @@ int simulate(const Options& opts) {
     return files.back().get();
   };
   std::ostream* const sample_os = open_sink(sample_out);
-  std::ostream* const csv_os = open_sink(sample_csv);
   std::ostream* const trace_os = open_sink(trace_json);
 
-  const std::vector<Benchmark> benches = trace::resolve_mix_benchmarks(mix);
-  std::printf("%s", describe(cfg).c_str());
-  std::printf("workload              ");
+  std::printf("%s%-*s", describe(cfg).c_str(), kDescribeLabelWidth, "workload");
   for (const auto& b : benches) std::printf(" %s", b.name.c_str());
-  std::printf("\nrun                    %llu insts after %llu warmup\n\n",
+  std::printf("\n%-*s %llu insts after %llu warmup\n\n", kDescribeLabelWidth, "run",
               static_cast<unsigned long long>(insts),
               static_cast<unsigned long long>(warmup));
 
-  CmpMachine machine(cfg, benches);
   std::vector<obs::ChromeTraceWriter> core_writers(trace_os != nullptr ? cfg.num_cores : 0);
   obs::ChromeTraceWriter backend_writer;
   if (trace_os != nullptr) {
@@ -154,7 +159,6 @@ int simulate(const Options& opts) {
   if (profiler) profiler->stop();
 
   if (sample_os != nullptr) r.samples.write_jsonl(*sample_os);
-  if (csv_os != nullptr) r.samples.write_csv(*csv_os);
   if (trace_os != nullptr) {
     std::vector<const obs::ChromeTraceWriter*> all;
     for (const auto& w : core_writers) all.push_back(&w);

@@ -1,7 +1,6 @@
 // The command-line option bag every front end parses through (simulate,
-// tlrob-campaign, tlrob-mktrace, campaign_sweep), plus the
-// error contract they share (cli_main). No flags library: one argv grammar,
-// documented on from_args.
+// tlrob-campaign, tlrob-mktrace), plus the error contract they share
+// (cli_main). No flags library: one argv grammar, documented on from_args.
 #pragma once
 
 #include <functional>

@@ -120,10 +120,6 @@ bool DramModel::bank_row_open(u32 channel, u32 bank) const {
   return bank_row_valid_[channel * cfg_.banks_per_channel + bank] != 0;
 }
 
-u64 DramModel::bank_open_row(u32 channel, u32 bank) const {
-  return bank_open_row_[channel * cfg_.banks_per_channel + bank];
-}
-
 std::string DramModel::audit_check() const {
   const u64 reads = stats_.reads;
   const u64 writes = stats_.writebacks;

@@ -107,7 +107,6 @@ class DramModel {
   BankRef map(Addr addr) const;
   Cycle bank_busy_until(u32 channel, u32 bank) const;
   bool bank_row_open(u32 channel, u32 bank) const;
-  u64 bank_open_row(u32 channel, u32 bank) const;
   Cycle transfer_cycles() const { return transfer_; }
 
   const DramConfig& config() const { return cfg_; }

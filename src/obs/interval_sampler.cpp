@@ -60,35 +60,6 @@ void IntervalSeries::write_jsonl(std::ostream& os) const {
   }
 }
 
-void IntervalSeries::write_csv(std::ostream& os) const {
-  os << "cycle,thread,rob_occ,rob_cap,iq_occ,lsq_occ,dod_proxy,outstanding_l2,"
-        "committed,interval_ipc,second_level_owner,llc_mshr";
-  for (size_t c = 0; c < kStallClassCount; ++c)
-    os << ",stall_" << kStallClassNames[c];
-  os << "\n";
-  std::vector<u64> prev_committed;
-  for (const IntervalSample& s : samples_) {
-    prev_committed.resize(s.threads.size(), 0);
-    for (size_t t = 0; t < s.threads.size(); ++t) {
-      const ThreadSample& th = s.threads[t];
-      const u64 delta = th.committed - std::min(th.committed, prev_committed[t]);
-      const double ipc =
-          interval_ == 0 ? 0.0 : static_cast<double>(delta) / static_cast<double>(interval_);
-      os << s.cycle << "," << t << "," << th.rob_occ << "," << th.rob_cap << "," << th.iq_occ
-         << "," << th.lsq_occ << "," << th.dod_proxy << "," << th.outstanding_l2 << ","
-         << th.committed << "," << json_double(ipc) << ",";
-      if (s.second_level_owner == kNoOwner)
-        os << "none";
-      else
-        os << s.second_level_owner;
-      os << "," << s.llc_mshr_occ;
-      for (size_t c = 0; c < kStallClassCount; ++c) os << "," << th.stall[c];
-      os << "\n";
-      prev_committed[t] = th.committed;
-    }
-  }
-}
-
 std::map<std::string, u64> series_summary_counters(const IntervalSeries& series) {
   std::map<std::string, u64> counters;
   if (series.empty()) return counters;

@@ -11,12 +11,9 @@
 // the per-cycle stall counters), and the series is bit-identical whether or
 // not the fast-forward fired. tests/test_obs.cpp pins this.
 //
-// Export formats:
-//   JSONL — one object per sample, fixed key order and number formatting
-//           (runner/json.hpp writers), so parallel campaign workers produce
-//           byte-identical files.
-//   CSV   — long form, one row per (sample, thread), for spreadsheet /
-//           pandas consumption.
+// Export format: JSONL, one object per sample, fixed key order and number
+// formatting (runner/json.hpp writers), so parallel campaign workers
+// produce byte-identical files.
 #pragma once
 
 #include <array>
@@ -103,9 +100,6 @@ class IntervalSeries {
   /// committed deltas between consecutive samples (the first sample's delta
   /// baseline is 0 committed).
   void write_jsonl(std::ostream& os) const;
-
-  /// Long-form CSV with a header row: one row per (sample, thread).
-  void write_csv(std::ostream& os) const;
 
   bool operator==(const IntervalSeries& o) const {
     return interval_ == o.interval_ && samples_ == o.samples_;

@@ -2,7 +2,6 @@
 
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 
@@ -12,9 +11,10 @@
 
 namespace tlrob::runner {
 
-RunLengthSpec run_length(const Options& opts, const RunLengthSpec& defaults) {
-  const RunLengthSpec length{opts.get_u64("insts", defaults.insts),
-                             opts.get_u64("warmup", defaults.warmup)};
+RunLengthSpec run_length(const Options& opts) {
+  RunLengthSpec length;
+  length.insts = opts.get_u64("insts", length.insts);
+  length.warmup = opts.get_u64("warmup", length.warmup);
   if (length.insts == 0)
     throw std::invalid_argument("option insts: must be nonzero (a run that commits nothing "
                                 "has no IPC)");
@@ -134,38 +134,21 @@ int run_from_options(const std::string& preset, const Options& opts) {
   const u32 jobs = ThreadPool::resolve_threads(static_cast<u32>(opts.get_u64("jobs", 0)));
   const std::string manifest_path = opts.get("manifest", "");
   const bool resume = opts.get_bool("resume", false);
-  const bool want_json = opts.has("json"), want_csv = opts.has("csv");
+  const bool want_json = opts.has("json");
+  const std::string json = opts.get("json", "");
   opts.require_all_read(preset.empty() ? "" : " (or not used by presets)");
-  if (want_json && want_csv && opts.get("json") == "-" && opts.get("csv") == "-")
-    throw std::invalid_argument(
-        "--json - and --csv - would interleave on stdout (send one to a file)");
 
-  // Structured sinks ("-" = stdout).
-  std::vector<std::unique_ptr<std::ofstream>> files;
-  std::vector<std::unique_ptr<ResultSink>> owned;
-  auto open_sink = [&](const std::string& path, bool csv) -> ResultSink* {
-    std::ostream* os = &std::cout;
-    if (path != "-") {
-      files.push_back(std::make_unique<std::ofstream>(path, std::ios::trunc));
-      if (!files.back()->is_open())
-        throw std::runtime_error("cannot open sink file: " + path);
-      os = files.back().get();
-    }
-    if (csv)
-      owned.push_back(std::make_unique<CsvSink>(*os));
-    else
-      owned.push_back(std::make_unique<JsonlSink>(*os));
-    return owned.back().get();
-  };
-
-  std::vector<ResultSink*> sinks;
-  if (want_json) sinks.push_back(open_sink(opts.get("json"), /*csv=*/false));
-  if (want_csv) sinks.push_back(open_sink(opts.get("csv"), /*csv=*/true));
-  // A structured sink on stdout keeps it to itself: the rendered tables and
+  // The record sink ("-" = stdout).
+  std::ofstream file;
+  if (want_json && json != "-") {
+    file.open(json, std::ios::trunc);
+    if (!file.is_open()) throw std::runtime_error("cannot open sink file: " + json);
+  }
+  std::optional<JsonlSink> sink;
+  if (want_json) sink.emplace(json == "-" ? std::cout : file);
+  // A record sink on stdout keeps it to itself: the rendered tables and
   // epilogues go to stderr, so every stdout line stays one record.
-  const bool sink_on_stdout =
-      (want_json && opts.get("json") == "-") || (want_csv && opts.get("csv") == "-");
-  std::FILE* const text = sink_on_stdout ? stderr : stdout;
+  std::FILE* const text = want_json && json == "-" ? stderr : stdout;
 
   // The campaigns run in order in this process, so they share the cell
   // memo; the sinks and the manifest see what separate runs would have
@@ -180,7 +163,7 @@ int run_from_options(const std::string& preset, const Options& opts) {
     eng.append_manifest = i > 0;
     FtTableSink table(text, run.title);
     if (render && run.table) eng.sinks.push_back(&table);
-    eng.sinks.insert(eng.sinks.end(), sinks.begin(), sinks.end());
+    if (sink) eng.sinks.push_back(&*sink);
 
     const CampaignResult result = run_campaign(run.spec, eng);
     if (render && run.epilogue != nullptr) run.epilogue(result, run.spec, text);

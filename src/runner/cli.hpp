@@ -20,9 +20,9 @@ namespace tlrob::runner {
 inline const std::set<std::string> kCampaignFlags = {"resume", "no_render", "list", "help"};
 
 /// The run-length options every front end reads: insts= (the commit
-/// target) and warmup=, each defaulting to `defaults`. Throws
+/// target) and warmup=, each defaulting to RunLengthSpec's. Throws
 /// std::invalid_argument naming insts when it is 0.
-RunLengthSpec run_length(const Options& opts, const RunLengthSpec& defaults = {});
+RunLengthSpec run_length(const Options& opts);
 
 /// Builds a custom sweep spec from --schemes/--thresholds/--mixes and the
 /// other custom-sweep options. The options it shares with presets
@@ -47,7 +47,7 @@ std::vector<PresetRun> campaign_list(const std::string& preset, const Options& o
 
 /// Runs campaign_list(preset, opts) one campaign after another, each with
 /// its stdout rendering (unless --no-render), and wires up the
-/// json/csv/manifest sinks, which see the campaigns in order. Returns a
+/// json/manifest sinks, which see the campaigns in order. Returns a
 /// process exit code (non-zero when any cell failed). Throws
 /// std::invalid_argument, before anything runs, on an option that nothing
 /// read: a typo, or a custom-sweep option given to presets.

@@ -52,27 +52,6 @@ DodSummary dod_from_json(const JsonValue& v) {
   return d;
 }
 
-template <typename T, typename Fn>
-std::string joined(const std::vector<T>& v, Fn to_text) {
-  std::string out;
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i) out += ";";
-    out += to_text(v[i]);
-  }
-  return out;
-}
-
-/// CSV field quoting, only applied when the content requires it.
-std::string csv_field(const std::string& s) {
-  if (s.find_first_of(",\"\n") == std::string::npos) return s;
-  std::string out = "\"";
-  for (const char c : s) {
-    if (c == '"') out += "\"\"";
-    else out.push_back(c);
-  }
-  return out + "\"";
-}
-
 }  // namespace
 
 std::string job_key(const JobSpec& spec) {
@@ -183,26 +162,6 @@ JobRecord record_from_json(const JsonValue& v) {
 
 JobRecord record_from_json_line(const std::string& line) {
   return record_from_json(parse_json(line));
-}
-
-std::string csv_header() {
-  return "job,campaign,config,mix,scheme,threshold,insts,warmup,max_cycles,seed,status,"
-         "error,cycles,ft,throughput,benchmarks,committed,mt_ipc,st_ipc,dod_true_mean,"
-         "dod_proxy_mean";
-}
-
-std::string to_csv_line(const JobRecord& r) {
-  std::ostringstream os;
-  os << r.job << ',' << csv_field(r.campaign) << ',' << csv_field(r.config) << ','
-     << csv_field(r.mix) << ',' << r.scheme << ',' << r.threshold << ',' << r.insts << ','
-     << r.warmup << ',' << r.max_cycles << ',' << r.seed << ',' << to_string(r.status)
-     << ',' << csv_field(r.error) << ',' << r.cycles << ',' << json_double(r.ft) << ','
-     << json_double(r.throughput) << ','
-     << csv_field(joined(r.benchmarks, [](const std::string& s) { return s; })) << ','
-     << joined(r.committed, json_u64) << ',' << joined(r.mt_ipc, json_double) << ','
-     << joined(r.st_ipc, json_double) << ',' << json_double(r.dod_true.mean()) << ','
-     << json_double(r.dod_proxy.mean());
-  return os.str();
 }
 
 }  // namespace tlrob::runner

@@ -2,9 +2,9 @@
 //
 // A JobSpec is one (configuration, mix, run-length) cell of a sweep; a
 // JobRecord is everything a completed cell produced, in a flat structure all
-// sinks (JSON lines, CSV, rendered tables) serialise from. Records are the
+// sinks (JSON lines, rendered tables) serialise from. Records are the
 // single source of truth: the printf tables the figure benches show are
-// rendered from the same JobRecords the JSON/CSV sinks write, so parallel
+// rendered from the same JobRecords the JSON sink writes, so parallel
 // and serial campaigns are comparable byte-for-byte.
 #pragma once
 
@@ -114,12 +114,5 @@ std::string to_json_line(const JobRecord& r);
 /// ignored.
 JobRecord record_from_json(const JsonValue& v);
 JobRecord record_from_json_line(const std::string& line);
-
-/// CSV header matching to_csv_line's columns.
-std::string csv_header();
-
-/// One CSV row; list-valued fields are ';'-joined, counters are omitted
-/// (use the JSON sink for the full record).
-std::string to_csv_line(const JobRecord& r);
 
 }  // namespace tlrob::runner

@@ -1,7 +1,7 @@
 // Rendering helpers fed by JobRecords — the figure-style presentations
 // (DoD histograms, per-column averages) that previously lived as printf
 // loops inside individual bench binaries. Everything here derives from the
-// same records the JSON/CSV sinks write.
+// same records the JSON sink writes.
 #pragma once
 
 #include <cstdio>

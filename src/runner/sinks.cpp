@@ -7,12 +7,6 @@ namespace tlrob::runner {
 
 void JsonlSink::emit(const JobRecord& record) { os_ << to_json_line(record) << "\n"; }
 
-void CsvSink::begin(const CampaignSpec&, const std::vector<JobSpec>&) {
-  os_ << csv_header() << "\n";
-}
-
-void CsvSink::emit(const JobRecord& record) { os_ << to_csv_line(record) << "\n"; }
-
 FtTableSink::FtTableSink(std::FILE* out, std::string title)
     : out_(out), title_(std::move(title)) {}
 

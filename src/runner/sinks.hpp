@@ -49,17 +49,6 @@ class JsonlSink : public ResultSink {
   std::ostream& os_;
 };
 
-/// RFC-4180-style CSV with a header row.
-class CsvSink : public ResultSink {
- public:
-  explicit CsvSink(std::ostream& os) : os_(os) {}
-  void begin(const CampaignSpec& spec, const std::vector<JobSpec>& jobs) override;
-  void emit(const JobRecord& record) override;
-
- private:
-  std::ostream& os_;
-};
-
 /// The paper-style fair-throughput table (one row per mix, one column per
 /// configuration, then the average row and each column's percentage
 /// improvement over the first, baseline, column). Streams each row

@@ -1,6 +1,7 @@
 // The MachineConfig knob table: for_each_knob names every field once, and
-// the CLI parser (apply_overrides), the campaign cell key (runner::cell_key)
-// and the validity check (MachineConfig::validate) all read it.
+// the CLI parser (apply_overrides), the campaign cell key (runner::cell_key),
+// the validity check (MachineConfig::validate) and the printed machine
+// (describe) all read it.
 #pragma once
 
 #include <concepts>
@@ -125,7 +126,7 @@ void for_each_knob(Config& c, F&& f) {
   f(Knob{"audit.full_interval", "audit_full_interval", kNonzero}, c.audit.full_interval);
   f(Knob{"audit.abort_on_violation", "audit_abort"}, c.audit.abort_on_violation);
 
-  f(Knob{"telemetry.sample_interval"}, c.telemetry.sample_interval);
+  f(Knob{"telemetry.sample_interval", "sample"}, c.telemetry.sample_interval);
   f(Knob{"seed", "seed"}, c.seed);
 }
 

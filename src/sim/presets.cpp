@@ -1,5 +1,6 @@
 #include "sim/presets.hpp"
 
+#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
@@ -128,53 +129,18 @@ MachineConfig cmp_config(u32 cores, RobScheme scheme, u32 dod_threshold) {
 
 std::string describe(const MachineConfig& cfg) {
   std::ostringstream os;
-  os << "cores                  " << cfg.num_cores << "\n"
-     << "threads (per core)     " << cfg.num_threads << "\n"
-     << "fetch width            " << cfg.fetch_width << " (up to " << cfg.fetch_threads
-     << " threads/cycle)\n"
-     << "issue width            " << cfg.issue_width << "\n"
-     << "commit width           " << cfg.commit_width << "\n"
-     << "rob level-1 (per thr)  " << cfg.rob_first_level << "\n"
-     << "rob level-2 (shared)   " << cfg.rob_second_level << "\n"
-     << "iq entries (shared)    " << cfg.iq_entries << "\n"
-     << "lsq entries (per thr)  " << cfg.lsq_entries << "\n"
-     << "int/fp physical regs   " << cfg.int_regs << "/" << cfg.fp_regs << "\n"
-     << "fetch policy           " << fetch_policy_name(cfg.fetch_policy) << "\n"
-     << "rob scheme             " << rob_scheme_name(cfg.rob.scheme) << " (DoD threshold "
-     << cfg.rob.dod_threshold << ")\n"
-     << "l1i                    " << (cfg.memory.l1i.size_bytes >> 10) << "KB/"
-     << cfg.memory.l1i.ways << "w/" << cfg.memory.l1i.line_bytes << "B/"
-     << cfg.memory.l1i.hit_latency << "cyc\n"
-     << "l1d                    " << (cfg.memory.l1d.size_bytes >> 10) << "KB/"
-     << cfg.memory.l1d.ways << "w/" << cfg.memory.l1d.line_bytes << "B/"
-     << cfg.memory.l1d.hit_latency << "cyc\n"
-     << "l2                     " << (cfg.memory.l2.size_bytes >> 20) << "MB/"
-     << cfg.memory.l2.ways << "w/" << cfg.memory.l2.line_bytes << "B/"
-     << cfg.memory.l2.hit_latency << "cyc\n"
-     << "memory                 " << cfg.memory.channel.first_chunk << "cyc first chunk, "
-     << cfg.memory.channel.interchunk << "cyc interchunk, " << cfg.memory.channel.bus_bytes * 8
-     << "-bit bus\n";
-  if (cfg.has_shared_backend())
-    os << "llc (shared)           " << (cfg.llc.geo.size_bytes >> 10) << "KB/" << cfg.llc.geo.ways
-       << "w/" << cfg.llc.geo.line_bytes << "B/" << cfg.llc.geo.hit_latency << "cyc, "
-       << cfg.llc.mshr_entries << " MSHRs\n"
-       << "dram (shared)          " << cfg.dram.channels << "ch x " << cfg.dram.banks_per_channel
-       << " banks, " << cfg.dram.row_bytes << "B rows, tCAS/tRCD/tRP " << cfg.dram.tcas << "/"
-       << cfg.dram.trcd << "/" << cfg.dram.trp << "cyc, "
-       << (cfg.dram.open_page ? "open" : "closed") << "-page\n";
-  os
-     << "branch predictor       " << cfg.predictor.gshare_entries << "-entry gshare, "
-     << cfg.predictor.history_bits << "-bit history/thread\n"
-     << "btb                    " << cfg.predictor.btb_entries << " entries, "
-     << cfg.predictor.btb_ways << "-way\n"
-     << "load-hit predictor     " << cfg.load_hit_entries << "-entry bimodal, "
-     << cfg.load_hit_history << "-bit history/thread\n"
-     << "invariant audit        " << audit_level_name(cfg.audit.level);
-  if (cfg.audit.level != AuditLevel::kOff)
-    os << " (cheap every " << cfg.audit.cheap_interval << ", full every "
-       << cfg.audit.full_interval << " cycles, "
-       << (cfg.audit.abort_on_violation ? "abort" : "record") << " on violation)";
-  os << "\n";
+  for_each_knob(cfg, [&]<typename T>(const Knob& k, const T& value) {
+    os << std::left << std::setw(kDescribeLabelWidth) << label(k) << ' ';
+    if constexpr (std::is_same_v<T, RobScheme>)
+      os << rob_scheme_name(value);
+    else if constexpr (std::is_same_v<T, FetchPolicyKind>)
+      os << fetch_policy_name(value);
+    else if constexpr (std::is_same_v<T, AuditLevel>)
+      os << audit_level_name(value);
+    else
+      os << static_cast<u64>(value);
+    os << '\n';
+  });
   return os.str();
 }
 

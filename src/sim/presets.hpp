@@ -126,7 +126,10 @@ MachineConfig single_thread_config();
 /// running the given ROB scheme (kBaseline => no second level per core).
 MachineConfig cmp_config(u32 cores, RobScheme scheme, u32 dod_threshold);
 
-/// Human-readable one-line-per-parameter dump (simulate prints it).
+/// The machine, one line per for_each_knob row (config_override.hpp): the
+/// knob's path, its CLI key in parentheses when that differs, then its
+/// value (an enum by name) in the column after kDescribeLabelWidth.
+inline constexpr int kDescribeLabelWidth = 46;
 std::string describe(const MachineConfig& cfg);
 
 }  // namespace tlrob

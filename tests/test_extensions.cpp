@@ -221,6 +221,27 @@ TEST(ConfigOverride, SharedBackendValidatesDramGeometry) {
   EXPECT_NO_THROW(single.validate());
 }
 
+// describe() prints the machine from the knob table: one line per knob, in
+// table order, each led by the knob's path; an enum prints by name.
+TEST(ConfigOverride, DescribePrintsEveryKnob) {
+  const MachineConfig cfg = cmp_config(2, RobScheme::kReactive, 16);
+  const std::string text = describe(cfg);
+  std::istringstream lines(text);
+  std::string line;
+  for_each_knob(cfg, [&](const Knob& k, const auto&) {
+    ASSERT_TRUE(std::getline(lines, line)) << k.name << " missing";
+    EXPECT_EQ(line.rfind(std::string(k.name) + ' ', 0), 0u) << k.name << ": " << line;
+  });
+  EXPECT_FALSE(std::getline(lines, line)) << "extra line: " << line;
+  std::string scheme = "rob.scheme (scheme)", lease = "rob.lease_limit (lease)";
+  scheme.resize(kDescribeLabelWidth, ' ');
+  lease.resize(kDescribeLabelWidth, ' ');
+  EXPECT_NE(text.find("\n" + scheme + " rrob\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\n" + lease + ' ' + std::to_string(cfg.rob.lease_limit) + '\n'),
+            std::string::npos)
+      << text;
+}
+
 TEST(ConfigOverride, LeavesDefaultsAlone) {
   const MachineConfig base = baseline32_config();
   const MachineConfig cfg = apply_overrides(base, Options::from_tokens({}));

@@ -291,29 +291,35 @@ TEST(RunnerEngine, RecordsWeighBySingleThreadRuns) {
 }
 
 // The tentpole determinism guarantee: a parallel campaign produces
-// byte-identical sink output to a serial one.
+// byte-identical sink output to a serial one, records and rendered table
+// alike.
 TEST(RunnerEngine, SerialAndParallelSinksAreByteIdentical) {
-  auto run_with_jobs = [](u32 jobs, std::string* json_out, std::string* csv_out) {
+  auto run_with_jobs = [](u32 jobs, std::string* json_out, std::string* table_out) {
     clear_cell_memo();  // two independent simulations, not one and its copy
-    std::ostringstream json, csv;
+    std::ostringstream json;
     JsonlSink jsink(json);
-    CsvSink csink(csv);
+    std::FILE* const table = std::tmpfile();
+    ASSERT_NE(table, nullptr);
+    FtTableSink tsink(table);
     EngineOptions eng;
     eng.jobs = jobs;
-    eng.sinks = {&jsink, &csink};
+    eng.sinks = {&jsink, &tsink};
     const CampaignResult res = run_campaign(small_spec(), eng);
     EXPECT_EQ(res.ok, 4u);
     EXPECT_EQ(res.failed, 0u);
     *json_out = json.str();
-    *csv_out = csv.str();
+    std::rewind(table);
+    for (int c; (c = std::fgetc(table)) != EOF;) table_out->push_back(static_cast<char>(c));
+    std::fclose(table);
   };
 
-  std::string json1, csv1, json4, csv4;
-  run_with_jobs(1, &json1, &csv1);
-  run_with_jobs(4, &json4, &csv4);
+  std::string json1, table1, json4, table4;
+  run_with_jobs(1, &json1, &table1);
+  run_with_jobs(4, &json4, &table4);
   EXPECT_FALSE(json1.empty());
   EXPECT_EQ(json1, json4);
-  EXPECT_EQ(csv1, csv4);
+  EXPECT_NE(table1.find("Average"), std::string::npos) << table1;
+  EXPECT_EQ(table1, table4);
 }
 
 // Failure isolation: a cell whose cycle cap is too small for its commit
@@ -639,6 +645,7 @@ TEST(RunnerMemo, KeyCoversEveryOverrideKnob) {
       {"critical_bytes", "64"},
       {"mshr", "8"},
       {"seed", "7"},
+      {"sample", "500"},
       {"cores", "2"},
       {"llc", "512"},
       {"dram", "4"},
@@ -674,8 +681,6 @@ TEST(RunnerMemo, KeyCoversEveryOverrideKnob) {
   differs("insts", [](JobSpec& js) { js.insts += 1; });
   differs("warmup", [](JobSpec& js) { js.warmup += 1; });
   differs("max_cycles", [](JobSpec& js) { js.max_cycles = 99999; });
-  differs("sampling period",
-          [](JobSpec& js) { js.config.telemetry.sample_interval = 500; });
 
   JobSpec renamed = base;
   renamed.index = 9;
@@ -843,13 +848,12 @@ TEST(RunnerCli, CoreSplitRejectsZeroCoresAndIndivisibleLists) {
   }
 }
 
-// "-" is the stdout value of --json/--csv, before or after the preset.
+// "-" is the stdout value of --json, before or after the preset.
 TEST(RunnerCli, DashIsAValueInBothArgumentOrders) {
   {
-    const char* argv[] = {"prog", "fig2", "--json", "-", "--csv", "-"};
-    const Options opts = Options::from_args(6, argv, kCampaignFlags);
+    const char* argv[] = {"prog", "fig2", "--json", "-"};
+    const Options opts = Options::from_args(4, argv, kCampaignFlags);
     EXPECT_EQ(opts.get("json"), "-");
-    EXPECT_EQ(opts.get("csv"), "-");
     ASSERT_EQ(opts.positional().size(), 1u);
     EXPECT_EQ(opts.positional()[0], "fig2");
   }
@@ -910,7 +914,7 @@ TEST(RunnerCli, PresetListsExpand) {
 // byte-identical to the three separate runs concatenated.
 TEST(RunnerCli, MultiPresetRunMatchesSeparateRunsConcatenated) {
   const std::string manifest = temp_path("tlrob_multi_manifest");
-  auto run = [&](const std::string& presets, const std::string& json, const std::string& csv) {
+  auto run = [&](const std::string& presets, const std::string& json) {
     clear_cell_memo();  // as a fresh process would start
     Options opts;
     opts.set("insts", std::to_string(kInsts));
@@ -918,13 +922,11 @@ TEST(RunnerCli, MultiPresetRunMatchesSeparateRunsConcatenated) {
     opts.set("jobs", "2");
     opts.set("no_render", "1");
     opts.set("json", json);
-    opts.set("csv", csv);
     opts.set("manifest", manifest);
     EXPECT_EQ(run_from_options(presets, opts), 0) << presets;
-    return std::make_pair(read_file(json), read_file(csv));
+    return read_file(json);
   };
-  const auto combined = run("fig2,fig3,fig6", temp_path("tlrob_multi"),
-                            temp_path("tlrob_multi_csv"));
+  const std::string combined = run("fig2,fig3,fig6", temp_path("tlrob_multi"));
   // Later presets append to the journal instead of truncating it. Each
   // preset also journals the reference cells its records weigh by.
   const std::string journal = read_file(manifest);
@@ -934,16 +936,11 @@ TEST(RunnerCli, MultiPresetRunMatchesSeparateRunsConcatenated) {
   EXPECT_EQ(std::count(journal.begin(), journal.end(), '\n'),
             static_cast<long>(99 + references));
   std::remove(manifest.c_str());
-  std::string json, csv;
-  for (const char* preset : {"fig2", "fig3", "fig6"}) {
-    const auto one = run(preset, temp_path(std::string("tlrob_") + preset),
-                         temp_path(std::string("tlrob_csv_") + preset));
-    json += one.first;
-    csv += one.second;
-  }
+  std::string json;
+  for (const char* preset : {"fig2", "fig3", "fig6"})
+    json += run(preset, temp_path(std::string("tlrob_") + preset));
   EXPECT_EQ(std::count(json.begin(), json.end(), '\n'), 99);
-  EXPECT_EQ(combined.first, json);
-  EXPECT_EQ(combined.second, csv);
+  EXPECT_EQ(combined, json);
 }
 
 TEST(RunnerPresets, AllPresetsExpand) {

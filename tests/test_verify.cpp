@@ -69,7 +69,9 @@ TEST(AuditConfig, LevelParsingRoundTrips) {
 TEST(AuditConfig, DescribeMentionsAuditLevel) {
   MachineConfig cfg = baseline32_config();
   cfg.audit.level = AuditLevel::kFull;
-  EXPECT_NE(describe(cfg).find("invariant audit        full"), std::string::npos);
+  std::string label = "audit.level (audit)";
+  label.resize(kDescribeLabelWidth, ' ');
+  EXPECT_NE(describe(cfg).find("\n" + label + " full\n"), std::string::npos) << describe(cfg);
 }
 
 TEST(AuditConfig, OffLevelRunsNoChecks) {

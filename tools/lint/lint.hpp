@@ -6,7 +6,7 @@
 // *contracts that make it true* statically, as named rules:
 //
 //   D1  no iteration over unordered containers in an emission path
-//       (stat/fingerprint/JSONL/CSV writers): hash-order is an invisible
+//       (stat/fingerprint/JSONL writers): hash-order is an invisible
 //       input, so anything emitted from it is nondeterministic.
 //   D2  no nondeterminism sources in the simulator core (src/sim, pipeline,
 //       rob, memory): rand()/random_device, wall-clock reads, pointer-

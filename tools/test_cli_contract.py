@@ -18,7 +18,8 @@ leaves a journal that replays every cell, that `--resume` re-simulates a
 cell whose trace file was rewritten (and the single-thread reference it
 weighs by), that a missing trace file is a structured failed record, and
 that `--json -` keeps stdout to the records while the tables go to stderr.
-`simulate` fails a run that hits its cycle cap. Registered with ctest as
+`simulate` fails a run that hits its cycle cap, and prints nothing to
+stdout for a machine `MachineConfig::validate()` rejects. Registered with ctest as
 `cli_contract_py`:
 
     test_cli_contract.py <simulate> <tlrob-mktrace> <tlrob-campaign>
@@ -144,7 +145,10 @@ def main():
                           (["cores=2", "threads=8", "dram=2:3"], "dram.banks_per_channel"),
                           (["int_regs=4"], "int_regs"),
                           (["audit=cheap", "audit_cheap_interval=0"], "audit.cheap_interval")]:
-        rejected(" ".join(argv), run(simulate, "mix=1", *argv, *RUN), setting)
+        proc = run(simulate, "mix=1", *argv, *RUN)
+        rejected(" ".join(argv), proc, setting)
+        # The machine is validated before its config is printed.
+        check(" ".join(argv) + " prints nothing to stdout", proc.stdout == "", proc.stdout[:200])
 
     # A run that commits nothing has no IPC: insts=0 is rejected before any
     # simulation, not reported as a zero-cycle run or a failed cell.
@@ -227,8 +231,13 @@ def main():
                  run(campaign, *one_cell, "--sample-dir", samples),
                  "--sample-dir", "--sample-interval")
         check("--sample-dir without --sample-interval writes nothing", not os.listdir(samples))
-        rejected("--json - --csv -", run(campaign, *one_cell, "--json", "-", "--csv", "-"),
-                 "--json", "--csv")
+        # Records and series have one writer each, the JSONL one.
+        table = os.path.join(tmp, "x.csv")
+        rejected("tlrob-campaign fig2 --csv", run(campaign, "fig2", *SHORT, "--csv", table),
+                 "--csv")
+        rejected("simulate sample_csv=", run(simulate, "mix=1", "sample_csv=" + table, *RUN),
+                 "sample_csv")
+        check("a rejected --csv / sample_csv= writes nothing", not os.path.exists(table))
 
         out = os.path.join(tmp, "art.trace")
         rejected("tlrob-mktrace --sed 7",

@@ -2,9 +2,9 @@
 //
 // Expands a declarative sweep (schemes × thresholds × mixes × run length)
 // or named presets (fig1..fig7, table2, ablation_*) into independent jobs,
-// executes them on `--jobs` workers, and streams results into
-// structured sinks. Parallel runs are byte-identical to serial ones, and
-// several presets in one run are byte-identical to separate runs
+// executes them on `--jobs` workers, and streams results into the
+// JSON-lines record sink. Parallel runs are byte-identical to serial ones,
+// and several presets in one run are byte-identical to separate runs
 // concatenated (they share the engine's cell memo, so a machine that
 // recurs across presets is simulated once).
 //
@@ -12,7 +12,7 @@
 //   tlrob-campaign fig2,fig3,fig6 --json paper.jsonl
 //   tlrob-campaign all --json all.jsonl
 //   tlrob-campaign --schemes rrob,prob --thresholds 8,16 --mixes 1,2
-//       --insts 20000 --warmup 5000 --csv sweep.csv
+//       --insts 20000 --warmup 5000 --json sweep.jsonl
 //   tlrob-campaign --workload trace:app.champsim.gz,trace:app.champsim.gz
 //       --insts 20000 --json out.jsonl
 //   tlrob-campaign fig2 --manifest fig2.manifest --resume
@@ -37,7 +37,6 @@ void print_usage() {
       "  --insts N        committed-instruction target per run (default %llu)\n"
       "  --warmup N       warmup commits excluded from statistics (default %llu)\n"
       "  --json PATH      JSON-lines sink ('-' = stdout)\n"
-      "  --csv PATH       CSV sink ('-' = stdout)\n"
       "  --manifest PATH  completion journal enabling --resume\n"
       "  --resume         replay successful cells from the manifest; a manifest\n"
       "                   without single-thread reference lines (written by an\n"
