@@ -41,7 +41,8 @@
 //                      took the event wheel's overflow path
 //
 // Output: the machine, one line per knob of the table (describe()), the
-// workload and run length, then per-thread IPC.
+// workload and run length, then per-thread IPC; on stderr when one sink
+// path (sample_out=, trace_json=) is "-" (stdout), and two may not be.
 //
 // Options follow the common grammar (key=value, --key=value, --key value;
 // common/config.hpp). An unknown key, a bad value, a machine validate()
@@ -118,6 +119,8 @@ int simulate(const Options& opts) {
     if (trace_json.empty())
       throw std::invalid_argument("option trace requires trace_json= (its instants go there)");
   }
+  if (sample_out == "-" && trace_json == "-")
+    throw std::invalid_argument("options sample_out and trace_json: at most one may be '-'");
   opts.require_all_read();
 
   // The machine's constructor validates it, so a rejected config prints
@@ -136,10 +139,11 @@ int simulate(const Options& opts) {
   };
   std::ostream* const sample_os = open_sink(sample_out);
   std::ostream* const trace_os = open_sink(trace_json);
+  std::FILE* const text = sample_out == "-" || trace_json == "-" ? stderr : stdout;
 
-  std::printf("%s%-*s", describe(cfg).c_str(), kDescribeLabelWidth, "workload");
-  for (const auto& b : benches) std::printf(" %s", b.name.c_str());
-  std::printf("\n%-*s %llu insts after %llu warmup\n\n", kDescribeLabelWidth, "run",
+  std::fprintf(text, "%s%-*s", describe(cfg).c_str(), kDescribeLabelWidth, "workload");
+  for (const auto& b : benches) std::fprintf(text, " %s", b.name.c_str());
+  std::fprintf(text, "\n%-*s %llu insts after %llu warmup\n\n", kDescribeLabelWidth, "run",
               static_cast<unsigned long long>(insts),
               static_cast<unsigned long long>(warmup));
 
@@ -179,11 +183,11 @@ int simulate(const Options& opts) {
                  machine.core(0).event_wheel().horizon(), static_cast<unsigned long long>(pooled));
   }
 
-  std::printf("%-10s %10s %10s\n", "thread", "committed", "IPC");
+  std::fprintf(text, "%-10s %10s %10s\n", "thread", "committed", "IPC");
   for (const auto& t : r.threads)
-    std::printf("%-10s %10llu %10.4f\n", t.benchmark.c_str(),
+    std::fprintf(text, "%-10s %10llu %10.4f\n", t.benchmark.c_str(),
                 static_cast<unsigned long long>(t.committed), t.ipc);
-  std::printf("%-10s %10llu %10.4f  (sum)\n", "cycles",
+  std::fprintf(text, "%-10s %10llu %10.4f  (sum)\n", "cycles",
               static_cast<unsigned long long>(r.cycles), r.total_throughput());
 
   if (cfg.rob.scheme != RobScheme::kBaseline) {
@@ -193,21 +197,21 @@ int simulate(const Options& opts) {
     const double pct = core_cycles == 0 ? 0.0
                                         : 100.0 * static_cast<double>(busy) /
                                               static_cast<double>(core_cycles);
-    std::printf("\nsecond level: %llu allocations, busy %llu/%llu %s (%.1f%%)\n",
+    std::fprintf(text, "\nsecond level: %llu allocations, busy %llu/%llu %s (%.1f%%)\n",
                 static_cast<unsigned long long>(run_counter(r, "rob2.allocations")),
                 static_cast<unsigned long long>(busy),
                 static_cast<unsigned long long>(core_cycles),
                 cfg.num_cores > 1 ? "core-cycles" : "cycles", pct);
   }
   if (r.dod_true.total_samples() > 0)
-    std::printf("long-latency loads: %llu, mean DoD %.2f (proxy %.2f)\n",
+    std::fprintf(text, "long-latency loads: %llu, mean DoD %.2f (proxy %.2f)\n",
                 static_cast<unsigned long long>(r.dod_true.total_samples()),
                 r.dod_true.mean(), r.dod_proxy.mean());
 
   if (dump_stats) {
-    std::printf("\n--- all counters ---\n");
+    std::fprintf(text, "\n--- all counters ---\n");
     for (const auto& [k, v] : r.counters)
-      std::printf("%-44s %llu\n", k.c_str(), static_cast<unsigned long long>(v));
+      std::fprintf(text, "%-44s %llu\n", k.c_str(), static_cast<unsigned long long>(v));
   }
   // What the run did is printed above; a run no thread finished still fails.
   if (const std::string error = r.cycle_cap_error(insts); !error.empty())

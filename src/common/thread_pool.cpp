@@ -1,5 +1,7 @@
 #include "common/thread_pool.hpp"
 
+#include <utility>
+
 namespace tlrob {
 
 u32 ThreadPool::resolve_threads(u32 threads) {
@@ -15,9 +17,9 @@ ThreadPool::ThreadPool(u32 threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  wait_idle();
   {
     MutexLock lock(mu_);
+    while (unfinished_ != 0) idle_cv_.wait(lock);
     stopping_ = true;
   }
   work_cv_.notify_all();
@@ -43,8 +45,15 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();
+    // Kept for wait_idle(): escaping the worker would std::terminate.
+    std::exception_ptr error;
+    try {
+      task();
+    } catch (...) {
+      error = std::current_exception();
+    }
     MutexLock lock(mu_);
+    if (error && !error_) error_ = error;
     if (--unfinished_ == 0) idle_cv_.notify_all();
   }
 }
@@ -52,6 +61,7 @@ void ThreadPool::worker_loop() {
 void ThreadPool::wait_idle() {
   MutexLock lock(mu_);
   while (unfinished_ != 0) idle_cv_.wait(lock);
+  if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
 }
 
 }  // namespace tlrob

@@ -3,13 +3,14 @@
 // The campaign runner (runner/engine.cpp) runs its cells on `--jobs`
 // workers. Workers take tasks from one FIFO queue, so tasks start in
 // submission order, and a one-worker pool runs them serially in that order.
-// One mutex guards the queue, the unfinished count and the stop flag
-// (statically checked under Clang via -Wthread-safety and the tlrob::Mutex
-// capability annotations); idle workers and wait_idle() block on condition
-// variables bound to it.
+// One mutex guards the queue, the unfinished count, the stop flag and a
+// task's exception (statically checked under Clang via -Wthread-safety and
+// the tlrob::Mutex capability annotations); idle workers and wait_idle()
+// block on condition variables bound to it.
 #pragma once
 
 #include <deque>
+#include <exception>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -34,7 +35,8 @@ class ThreadPool {
   /// thread, including from inside a running task.
   void submit(std::function<void()> task);
 
-  /// Blocks until every submitted task has finished.
+  /// Blocks until every submitted task has finished, then rethrows the
+  /// first exception a task threw since the last call, if any.
   void wait_idle();
 
   u32 size() const { return static_cast<u32>(workers_.size()); }
@@ -53,6 +55,7 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_ TLROB_GUARDED_BY(mu_);
   u64 unfinished_ TLROB_GUARDED_BY(mu_) = 0;  // submitted, not yet completed
   bool stopping_ TLROB_GUARDED_BY(mu_) = false;
+  std::exception_ptr error_ TLROB_GUARDED_BY(mu_);  // a task's, for wait_idle
 };
 
 /// perfbench/perfbench.cpp still names the pool by its old name; the next

@@ -2,14 +2,14 @@
 // (Table 1: 224 integer + 224 floating-point), free lists, and the
 // ready/speculative-ready scoreboard used by the issue queue.
 //
-// The register files are SHARED by all threads by default — "multiple
-// threads share ... the pool of physical registers used for renaming" (§1 of
-// the paper) — which is central to its story: with 4 threads, only
-// 224 - 4*32 = 96 renames per file exist, so blindly scaling every private
-// ROB to 128 entries (Baseline_128) oversubscribes the file catastrophically,
-// while granting the large second level to *one* low-DoD thread at a time
-// lets that thread alone use the slack. A per-thread-file mode is provided
-// for the ablation bench.
+// Each thread renames out of its own full-size files by default, following
+// M-Sim's SMT model (MachineConfig::shared_regfile = false). The shared
+// pool — "multiple threads share ... the pool of physical registers used
+// for renaming" (§1 of the paper) — is the ablation (tlrob-campaign
+// ablation_regfile): with 4 threads only 224 - 4*32 = 96 renames per file
+// exist, so scaling every private ROB to 128 entries (Baseline_128)
+// oversubscribes the file, and the register file, not the ROB, becomes the
+// binding window limit.
 #pragma once
 
 #include <string>
@@ -23,9 +23,9 @@ struct RenameConfig {
   u32 int_regs = 224;
   u32 fp_regs = 224;
   u32 num_threads = 4;
-  /// true: one pool of int_regs/fp_regs shared by all threads (paper model).
-  /// false: each thread gets its own full-size files (ablation).
-  bool shared = true;
+  /// false: each thread gets its own full-size files (the default).
+  /// true: one pool of int_regs/fp_regs shared by all threads (ablation).
+  bool shared = false;
 };
 
 class RenameUnit {

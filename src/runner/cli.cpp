@@ -5,7 +5,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "common/thread_pool.hpp"
 #include "sim/config_override.hpp"
 #include "trace/resolve.hpp"
 
@@ -131,12 +130,16 @@ int run_from_options(const std::string& preset, const Options& opts) {
   // file is created.
   const std::vector<PresetRun> runs = campaign_list(preset, opts);
   const bool render = !opts.get_bool("no_render", false);
-  const u32 jobs = ThreadPool::resolve_threads(static_cast<u32>(opts.get_u64("jobs", 0)));
+  const u32 jobs = opts.get_u32("jobs", 0);
   const std::string manifest_path = opts.get("manifest", "");
   const bool resume = opts.get_bool("resume", false);
   const bool want_json = opts.has("json");
   const std::string json = opts.get("json", "");
   opts.require_all_read(preset.empty() ? "" : " (or not used by presets)");
+
+  // Every campaign appends to the journal; a run not resumed starts it empty.
+  if (!manifest_path.empty() && !resume && !std::ofstream(manifest_path, std::ios::trunc))
+    throw std::runtime_error("cannot open manifest: " + manifest_path);
 
   // The record sink ("-" = stdout).
   std::ofstream file;
@@ -151,16 +154,14 @@ int run_from_options(const std::string& preset, const Options& opts) {
   std::FILE* const text = want_json && json == "-" ? stderr : stdout;
 
   // The campaigns run in order in this process, so they share the cell
-  // memo; the sinks and the manifest see what separate runs would have
+  // store; the sinks and the manifest see what separate runs would have
   // written, one after another.
   bool any_failed = false;
-  for (size_t i = 0; i < runs.size(); ++i) {
-    const PresetRun& run = runs[i];
+  for (const PresetRun& run : runs) {
     EngineOptions eng;
     eng.jobs = jobs;
     eng.manifest_path = manifest_path;
     eng.resume = resume;
-    eng.append_manifest = i > 0;
     FtTableSink table(text, run.title);
     if (render && run.table) eng.sinks.push_back(&table);
     if (sink) eng.sinks.push_back(&*sink);
@@ -169,8 +170,8 @@ int run_from_options(const std::string& preset, const Options& opts) {
     if (render && run.epilogue != nullptr) run.epilogue(result, run.spec, text);
     std::cerr << "campaign " << run.spec.name << ": " << result.records.size() << " cells, "
               << result.ok << " ok (" << result.deduplicated << " deduplicated), "
-              << result.failed << " failed, " << result.resumed << " resumed (" << jobs
-              << " worker" << (jobs == 1 ? "" : "s") << ")\n";
+              << result.failed << " failed, " << result.resumed << " resumed ("
+              << result.workers << " worker" << (result.workers == 1 ? "" : "s") << ")\n";
     any_failed |= result.failed > 0;
   }
   return any_failed ? 1 : 0;

@@ -1,5 +1,6 @@
 #include "runner/engine.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -90,9 +91,9 @@ JobRecord simulate_job(const JobSpec& spec) {
   return rec;
 }
 
-/// Adds a simulated record's single-thread references (st_ipc) and fair
-/// throughput. It runs outside every memo slot, because a reference cell
-/// weighs by its own key.
+/// Adds a record's single-thread references (st_ipc) and fair throughput,
+/// stored and journalled records' too. It runs outside every store slot,
+/// because a reference cell weighs by its own key.
 void weigh(JobRecord& rec) {
   if (rec.benchmarks.empty()) return;  // the simulation threw
   try {
@@ -106,32 +107,31 @@ void weigh(JobRecord& rec) {
   }
 }
 
-/// Memo slot for one cell_key: the once_flag serialises the simulation, and
-/// `record` is written exactly once under it. The record is kept as its
-/// JSON line, a third of its in-memory size. It stays empty when the cell
-/// must not be served from the memo, so every later request simulates for
-/// itself: the cell failed, or its line does not round-trip exactly (a
-/// non-finite double is written as null).
-struct CellMemoEntry {
+/// One finished cell: `record` is its JSON line (a third of a JobRecord's
+/// size), written once under `once`, or empty when the cell must not be
+/// served (it failed, or its line does not round-trip). `key` is the
+/// cell_key this process simulated it under; a journal entry has none.
+struct StoredCell {
   std::once_flag once;
+  std::string key;
   std::string record;
 };
 
-/// Guards the memo map's shape. Entries are shared_ptrs so a request that
-/// already holds one stays valid across clear_cell_memo().
-Mutex cell_memo_mu;
-std::map<std::string, std::shared_ptr<CellMemoEntry>> cell_memo TLROB_GUARDED_BY(cell_memo_mu);
+/// The cell store, keyed by cell_digest. Entries are shared_ptrs so a
+/// request that holds one stays valid across clear_cell_memo().
+Mutex cell_store_mu;
+std::map<std::string, std::shared_ptr<StoredCell>> cell_store TLROB_GUARDED_BY(cell_store_mu);
 
-std::shared_ptr<CellMemoEntry> memo_entry(const std::string& key) {
-  MutexLock lock(cell_memo_mu);
-  auto& slot = cell_memo[key];
-  if (!slot) slot = std::make_shared<CellMemoEntry>();
+std::shared_ptr<StoredCell> stored_cell(const std::string& digest) {
+  MutexLock lock(cell_store_mu);
+  auto& slot = cell_store[digest];
+  if (!slot) slot = std::make_shared<StoredCell>();
   return slot;
 }
 
-/// What the memo stores for `rec`: its JSON line, or nothing when the
+/// What the store keeps for `rec`: its JSON line, or nothing when the
 /// record must not be served.
-std::string memo_line(const JobRecord& rec) {
+std::string stored_line(const JobRecord& rec) {
   if (!rec.ok()) return "";
   std::string line = to_json_line(rec);
   return to_json_line(record_from_json_line(line)) == line ? line : "";
@@ -146,30 +146,28 @@ JobRecord restamped(JobRecord rec, const JobSpec& js) {
   return rec;
 }
 
-/// Simulates `js` through the memo, without weights. Sets *deduplicated
-/// when the record is a copy of an earlier simulation.
-JobRecord memo_simulate(const JobSpec& js, const std::string& key, bool* deduplicated) {
-  *deduplicated = false;
+/// Simulates `js` through the store, without weights. Sets *stored when
+/// the record is a stored copy; a hit on a simulated entry compares keys.
+JobRecord store_simulate(const JobSpec& js, const std::string& key, const std::string& digest,
+                         bool* stored) {
+  *stored = false;
   // A sample_dir cell must write its own series file, so its output is not
   // a pure function of cell_key.
   if (!js.sample_dir.empty()) return simulate_job(js);
-  const std::shared_ptr<CellMemoEntry> entry = memo_entry(key);
-  // Concurrent requests for the key block here until the first finishes.
+  const std::shared_ptr<StoredCell> entry = stored_cell(digest);
+  // Concurrent requests for the cell block here until the first finishes.
   std::optional<JobRecord> fresh;
   std::call_once(entry->once, [&] {
     fresh = simulate_job(js);
-    entry->record = memo_line(*fresh);
+    entry->key = key;
+    entry->record = stored_line(*fresh);
   });
   if (fresh) return std::move(*fresh);
+  if (!entry->key.empty() && entry->key != key)
+    throw std::logic_error("cell digest " + digest + " names two different cells");
   if (entry->record.empty()) return simulate_job(js);
-  *deduplicated = true;
+  *stored = true;
   return restamped(record_from_json_line(entry->record), js);
-}
-
-/// Stores a journalled record under `key`, unless the key already has one.
-void seed_memo(const std::string& key, const JobRecord& rec) {
-  const std::shared_ptr<CellMemoEntry> entry = memo_entry(key);
-  std::call_once(entry->once, [&] { entry->record = memo_line(rec); });
 }
 
 /// The reference cells `jobs` weigh by: one per distinct (workload token,
@@ -190,15 +188,12 @@ std::string manifest_line(const JobRecord& rec, const std::string& digest) {
   return line + ",\"cell\":" + json_escape(digest) + "}";
 }
 
-/// Loads successful records from a manifest journal, keyed by cell digest.
-/// Lines without a digest (journals from before it existed), unreadable and
-/// malformed lines are skipped: a journal truncated by a crash mid-line
-/// must not poison the resume, and an old line may describe a different
-/// machine under the same names. Ordered map on purpose (lint rule D1):
-/// anything that later iterates or emits the resume set must see one key
-/// order regardless of the journal's completion order.
-std::map<std::string, JobRecord> load_manifest(const std::string& path) {
-  std::map<std::string, JobRecord> by_digest;
+/// Loads a journal's successful records into the cell store (a digest it
+/// holds keeps its entry) and returns their digests. Malformed lines (a
+/// crash mid-line) and lines without a digest (older journals) are skipped.
+/// Ordered set on purpose (lint rule D1): one order whatever the journal's.
+std::set<std::string> load_manifest(const std::string& path) {
+  std::set<std::string> digests;
   std::ifstream in(path);
   std::string line;
   while (std::getline(in, line)) {
@@ -207,13 +202,16 @@ std::map<std::string, JobRecord> load_manifest(const std::string& path) {
       const JsonValue v = parse_json(line);
       const std::string& digest = v.at("cell").as_string();
       if (digest.empty()) continue;
-      JobRecord rec = record_from_json(v);
-      if (rec.ok()) by_digest[digest] = std::move(rec);
+      const JobRecord rec = record_from_json(v);
+      if (!rec.ok()) continue;
+      const std::shared_ptr<StoredCell> entry = stored_cell(digest);
+      std::call_once(entry->once, [&] { entry->record = stored_line(rec); });
+      digests.insert(digest);
     } catch (const std::invalid_argument&) {
       continue;
     }
   }
-  return by_digest;
+  return digests;
 }
 
 /// True when the file at `path` is non-empty and its last byte is not a
@@ -234,9 +232,12 @@ class InOrderEmitter {
 
   enum class Origin : u8 { kSimulated, kDeduplicated, kResumed };
 
-  void complete(JobRecord rec, Origin origin, const std::string& digest) {
+  /// A reference cell reaches the journal only: no sink, record or tally.
+  /// A resumed cell is journalled already.
+  void complete(JobRecord rec, Origin origin, const std::string& digest, bool reference) {
     MutexLock lock(mu_);
     if (origin != Origin::kResumed) write_journal(rec, digest);
+    if (reference) return;
     if (origin == Origin::kResumed)
       ++result_->resumed;
     else if (rec.ok())
@@ -253,12 +254,6 @@ class InOrderEmitter {
       pending_.erase(pending_.begin());
       ++next_;
     }
-  }
-
-  /// A reference cell reaches the journal only: no sink, record or tally.
-  void complete_reference(const JobRecord& rec, const std::string& digest) {
-    MutexLock lock(mu_);
-    write_journal(rec, digest);
   }
 
  private:
@@ -303,18 +298,18 @@ JobSpec reference_job(const std::string& benchmark, u64 insts) {
 CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts) {
   const std::vector<JobSpec> jobs = expand(spec);
 
-  std::map<std::string, JobRecord> done;
-  if (opts.resume && !opts.manifest_path.empty()) done = load_manifest(opts.manifest_path);
+  // A cell served from the store is resumed when its digest is journalled.
+  std::set<std::string> journalled;
+  if (opts.resume && !opts.manifest_path.empty()) journalled = load_manifest(opts.manifest_path);
 
   std::ofstream manifest;
   if (!opts.manifest_path.empty()) {
-    const bool append = opts.resume || opts.append_manifest;
-    manifest.open(opts.manifest_path, append ? std::ios::app : std::ios::trunc);
+    manifest.open(opts.manifest_path, std::ios::app);
     if (!manifest.is_open())
       throw std::runtime_error("cannot open manifest: " + opts.manifest_path);
     // A journal cut by a crash ends in a fragment: the first appended line
     // starts fresh, or load_manifest would skip it glued to the fragment.
-    if (append && ends_mid_line(opts.manifest_path)) manifest << "\n";
+    if (ends_mid_line(opts.manifest_path)) manifest << "\n";
   }
 
   for (ResultSink* sink : opts.sinks) sink->begin(spec, jobs);
@@ -323,26 +318,6 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
   result.records.reserve(jobs.size());
   InOrderEmitter emitter(opts, &manifest, &result);
 
-  // The resume lookup of a reference cell: a journalled one seeds the memo
-  // and needs no task. It runs before any cell, so a cell's weights never
-  // depend on which worker reaches a reference first. The references left
-  // are not in the journal, so run_one's lookup only ever finds cells.
-  std::vector<JobSpec> refs;
-  for (JobSpec& ref : reference_jobs(jobs)) {
-    if (!done.empty()) {
-      try {
-        const std::string key = cell_key(ref);
-        if (const auto it = done.find(cell_digest(key)); it != done.end()) {
-          seed_memo(key, it->second);
-          continue;
-        }
-      } catch (const std::exception&) {
-        continue;  // an unloadable trace: the cells that run it fail
-      }
-    }
-    refs.push_back(std::move(ref));
-  }
-
   using Origin = InOrderEmitter::Origin;
   auto run_one = [&](const JobSpec& js, bool reference) {
     std::string key;
@@ -350,33 +325,27 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
       key = cell_key(js);
     } catch (const std::exception&) {
       // A trace file that does not load has no content to key on: skip the
-      // memo and the resume lookup, and let execute_job record the failure.
-      // An empty digest keeps the journal line out of any later resume.
-      if (!reference) emitter.complete(execute_job(js), Origin::kSimulated, "");
+      // store, and let execute_job record the failure. An empty digest
+      // keeps the journal line out of any later resume.
+      if (!reference) emitter.complete(execute_job(js), Origin::kSimulated, "", false);
       return;
     }
     const std::string digest = cell_digest(key);
-    // A sample_dir cell must write its own series file: like the memo, the
-    // journal cannot replay it.
-    const auto it = js.sample_dir.empty() ? done.find(digest) : done.end();
-    if (it != done.end()) {
-      // The journalled cell may sit elsewhere, or under other names.
-      emitter.complete(restamped(it->second, js), Origin::kResumed, digest);
-      return;
-    }
-    bool deduplicated = false;
-    JobRecord rec = memo_simulate(js, key, &deduplicated);
+    bool stored = false;
+    JobRecord rec = store_simulate(js, key, digest, &stored);
     weigh(rec);
-    if (reference)
-      emitter.complete_reference(rec, digest);
-    else
-      emitter.complete(std::move(rec), deduplicated ? Origin::kDeduplicated : Origin::kSimulated,
-                       digest);
+    const Origin origin = !stored                      ? Origin::kSimulated
+                          : journalled.count(digest) ? Origin::kResumed
+                                                     : Origin::kDeduplicated;
+    emitter.complete(std::move(rec), origin, digest, reference);
   };
 
   // Tasks start in queue order, so the references, queued first, start
-  // ahead of the cells that weigh by them.
-  ThreadPool pool(opts.jobs);
+  // ahead of the cells that weigh by them. No worker starts without a task.
+  const std::vector<JobSpec> refs = reference_jobs(jobs);
+  result.workers = static_cast<u32>(
+      std::min<u64>(ThreadPool::resolve_threads(opts.jobs), refs.size() + jobs.size()));
+  ThreadPool pool(result.workers);
   for (const JobSpec& ref : refs) pool.submit([&run_one, &ref] { run_one(ref, true); });
   for (const JobSpec& js : jobs) pool.submit([&run_one, &js] { run_one(js, false); });
   pool.wait_idle();
@@ -386,8 +355,8 @@ CampaignResult run_campaign(const CampaignSpec& spec, const EngineOptions& opts)
 }
 
 void clear_cell_memo() {
-  MutexLock lock(cell_memo_mu);
-  cell_memo.clear();
+  MutexLock lock(cell_store_mu);
+  cell_store.clear();
 }
 
 }  // namespace tlrob::runner
@@ -396,8 +365,9 @@ namespace tlrob {
 
 double single_thread_ipc(const std::string& benchmark, u64 commit_target) {
   const runner::JobSpec js = runner::reference_job(benchmark, commit_target);
-  bool deduplicated = false;
-  const runner::JobRecord rec = runner::memo_simulate(js, runner::cell_key(js), &deduplicated);
+  const std::string key = runner::cell_key(js);
+  bool stored = false;
+  const runner::JobRecord rec = runner::store_simulate(js, key, runner::cell_digest(key), &stored);
   if (!rec.ok())
     throw std::runtime_error("single-thread reference " + benchmark + ": " + rec.error);
   return rec.mt_ipc.at(0);

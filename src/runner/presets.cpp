@@ -137,7 +137,7 @@ void fig7_epilogue(const CampaignResult& res, const CampaignSpec&, std::FILE* ou
 }
 
 void table2_epilogue(const CampaignResult&, const CampaignSpec& spec, std::FILE* out) {
-  // Part 1 reads the single-thread reference cells through the cell memo.
+  // Part 1 reads the single-thread reference cells through the cell store.
   // The campaign has just run the references of every benchmark in its
   // mixes; one outside every mix is simulated here on first use, and is not
   // journalled.

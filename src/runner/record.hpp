@@ -51,8 +51,8 @@ std::string job_key(const JobSpec& spec);
 /// hash, read through the trace resolver's cache (which pins one content per
 /// token per process), so a rewritten trace file is a different cell. Names
 /// (campaign, column, mix) are not part of it, so the same machine on the
-/// same workload has one key in every preset. This is what the engine's
-/// cell memo and manifest resume match on (DESIGN.md §7). Throws
+/// same workload has one key in every preset. The engine's cell store
+/// matches on it, and a journalled cell on its digest (DESIGN.md §7). Throws
 /// std::runtime_error when a `trace:` file cannot be loaded.
 std::string cell_key(const JobSpec& spec);
 

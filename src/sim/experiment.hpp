@@ -6,7 +6,7 @@
 // situation", §3) are campaign cells on the fixed single-thread reference
 // machine (sim/presets.hpp): runner::reference_job. The campaign engine
 // defines single_thread_ipc, so every reference is simulated once per
-// process in its cell memo and journalled in its manifest.
+// process in its cell store and journalled in its manifest.
 #pragma once
 
 #include "sim/metrics.hpp"
@@ -30,7 +30,7 @@ RunResult run_benchmarks(const MachineConfig& cfg, const std::vector<Benchmark>&
 
 /// Single-threaded IPC of a workload on the reference machine: the IPC of
 /// the cell runner::reference_job(benchmark, commit_target), looked up
-/// through the campaign engine's cell memo. Thread-safe: each key is
+/// through the campaign engine's cell store. Thread-safe: each key is
 /// simulated once per process, and concurrent callers of an in-flight key
 /// block until its record exists. Throws std::runtime_error when the
 /// reference fails.

@@ -137,6 +137,8 @@ std::string describe(const MachineConfig& cfg) {
       os << fetch_policy_name(value);
     else if constexpr (std::is_same_v<T, AuditLevel>)
       os << audit_level_name(value);
+    else if (k.cli != nullptr && (k.flags & kKiB) != 0)
+      os << (static_cast<u64>(value) >> 10);  // in the unit of the key beside it
     else
       os << static_cast<u64>(value);
     os << '\n';

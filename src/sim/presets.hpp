@@ -128,7 +128,9 @@ MachineConfig cmp_config(u32 cores, RobScheme scheme, u32 dod_threshold);
 
 /// The machine, one line per for_each_knob row (config_override.hpp): the
 /// knob's path, its CLI key in parentheses when that differs, then its
-/// value (an enum by name) in the column after kDescribeLabelWidth.
+/// value (an enum by name) in the column after kDescribeLabelWidth. A value
+/// is in its CLI key's unit (a kKiB knob with a key prints KiB), so every
+/// `key=value` read off the lines rebuilds the machine's keyed fields.
 inline constexpr int kDescribeLabelWidth = 46;
 std::string describe(const MachineConfig& cfg);
 

@@ -242,6 +242,36 @@ TEST(ConfigOverride, DescribePrintsEveryKnob) {
       << text;
 }
 
+// Every value describe() prints is in the unit of the CLI key it names, so
+// feeding each line back as `key=value` (the key in parentheses, or the path
+// when that is the key) rebuilds every keyed field, KiB sizes included.
+TEST(ConfigOverride, DescribeRoundTripsThroughOverrides) {
+  MachineConfig cfg = cmp_config(2, RobScheme::kReactive, 8);
+  cfg.memory.l1i.size_bytes = 32 << 10;  // not the default 64 KiB
+  Options printed;
+  std::istringstream lines(describe(cfg));
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream fields(line);
+    std::string key, value;
+    fields >> key >> value;
+    if (value.front() == '(') {
+      key = value.substr(1, value.size() - 2);
+      fields >> value;
+    }
+    printed.set(key, value);
+  }
+  const MachineConfig rebuilt = apply_overrides(baseline32_config(), printed);
+  auto keyed = [](const MachineConfig& c) {
+    std::vector<std::pair<std::string, u64>> out;
+    for_each_knob(c, [&](const Knob& k, const auto& v) {
+      if (k.cli != nullptr) out.emplace_back(k.name, static_cast<u64>(v));
+    });
+    return out;
+  };
+  EXPECT_EQ(keyed(rebuilt), keyed(cfg));
+  EXPECT_EQ(rebuilt.memory.l1i.size_bytes, 32u << 10);
+}
+
 TEST(ConfigOverride, LeavesDefaultsAlone) {
   const MachineConfig base = baseline32_config();
   const MachineConfig cfg = apply_overrides(base, Options::from_tokens({}));

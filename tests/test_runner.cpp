@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -183,6 +184,21 @@ TEST(RunnerPool, OneWorkerRunsTasksInSubmissionOrder) {
   EXPECT_EQ(order, expected);
   ASSERT_EQ(ids.size(), 1u);
   EXPECT_NE(*ids.begin(), std::this_thread::get_id());
+}
+
+// A task's exception reaches wait_idle() instead of ending its worker, and
+// the pool keeps running tasks.
+TEST(RunnerPool, TaskExceptionReachesWaitIdle) {
+  std::atomic<int> count{0};
+  ThreadPool pool(2);
+  pool.submit([] { throw std::logic_error("task failed"); });
+  for (int i = 0; i < 10; ++i)
+    pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_THROW(pool.wait_idle(), std::logic_error);
+  EXPECT_EQ(count.load(), 10);
+  pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
+  EXPECT_NO_THROW(pool.wait_idle());
+  EXPECT_EQ(count.load(), 11);
 }
 
 TEST(RunnerPool, DestructorRunsEveryQueuedTask) {
@@ -767,6 +783,56 @@ TEST(RunnerEngine, ResumeStillWritesSampleDirSeries) {
   for (u64 job = 0; job < 4; ++job)
     EXPECT_FALSE(read_file(dir + "/samples_resume_sampled_job" + std::to_string(job) + ".jsonl").empty())
         << "job " << job;
+}
+
+// A resume loads the journal into the cell store, so a later campaign of
+// the same cells in the same process copies them: nothing is simulated.
+TEST(RunnerEngine, ResumedRecordsServeLaterCampaigns) {
+  const std::string manifest = temp_path("tlrob_store_manifest");
+  std::remove(manifest.c_str());
+  const CampaignSpec spec = small_spec("store_campaign");
+  EngineOptions eng;
+  eng.manifest_path = manifest;
+  clear_cell_memo();
+  const CampaignResult first = run_campaign(spec, eng);
+  ASSERT_EQ(first.ok, 4u);
+
+  clear_cell_memo();  // as a fresh process would start
+  eng.resume = true;
+  EXPECT_EQ(run_campaign(spec, eng).resumed, 4u);
+  const CampaignResult later = run_campaign(spec, EngineOptions{});
+  EXPECT_EQ(later.ok, 4u);
+  EXPECT_EQ(later.deduplicated, 4u);
+  EXPECT_EQ(jsonl_of(later), jsonl_of(first));
+  std::remove(manifest.c_str());
+}
+
+// run_campaign never truncates its journal: two campaigns on one manifest
+// leave both runs' lines, references included.
+TEST(RunnerEngine, ManifestAppendsAcrossCampaigns) {
+  const std::string manifest = temp_path("tlrob_append_manifest");
+  std::remove(manifest.c_str());
+  const CampaignSpec spec = small_spec("append_campaign");
+  EngineOptions eng;
+  eng.manifest_path = manifest;
+  EXPECT_EQ(run_campaign(spec, eng).ok, 4u);
+  EXPECT_EQ(run_campaign(spec, eng).ok, 4u);
+  const std::string journal = read_file(manifest);
+  EXPECT_EQ(std::count(journal.begin(), journal.end(), '\n'),
+            static_cast<long>(2 * (4 + reference_count(spec))));
+  std::remove(manifest.c_str());
+}
+
+// The pool starts one worker per task at most, whatever --jobs asks for.
+TEST(RunnerEngine, WorkersNeverOutnumberTasks) {
+  CampaignSpec spec = small_spec("one_cell");
+  spec.columns.resize(1);
+  spec.mixes.resize(1);
+  EngineOptions eng;
+  eng.jobs = 4294967295u;
+  const CampaignResult res = run_campaign(spec, eng);
+  EXPECT_EQ(res.ok, 1u);
+  EXPECT_EQ(res.workers, 1 + reference_count(spec));
 }
 
 TEST(RunnerCli, ParsesMixedOptionForms) {

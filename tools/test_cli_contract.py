@@ -17,7 +17,8 @@ a journal cut at any point writes the uninterrupted run's records and
 leaves a journal that replays every cell, that `--resume` re-simulates a
 cell whose trace file was rewritten (and the single-thread reference it
 weighs by), that a missing trace file is a structured failed record, and
-that `--json -` keeps stdout to the records while the tables go to stderr.
+that `--json -` keeps stdout to the records while the tables go to stderr;
+so does `simulate sample_out=-`, and two `-` sinks are rejected.
 `simulate` fails a run that hits its cycle cap, and prints nothing to
 stdout for a machine `MachineConfig::validate()` rejects. Registered with ctest as
 `cli_contract_py`:
@@ -163,6 +164,9 @@ def main():
     rejected("tlrob-campaign --cores 4294967298",
              run(campaign, "--cores", "4294967298", "--schemes", "rrob", "--mixes", "1", *SHORT),
              "option cores")
+    rejected("tlrob-campaign --jobs 4294967296",
+             run(campaign, "--jobs", "4294967296", "--schemes", "rrob", "--mixes", "1", *SHORT),
+             "option jobs")
     rejected("tlrob-campaign --thresholds 4294967312",
              run(campaign, "--thresholds", "4294967312", "--mixes", "1", *SHORT),
              "option thresholds")
@@ -417,6 +421,15 @@ def main():
           piped.returncode == 0 and lines and all(map(is_record, lines)),
           f"rc {piped.returncode}, {len(lines)} lines, "
           f"first bad {next((l for l in lines if not is_record(l)), '')[:120]!r}")
+
+    # So does a `simulate` sink; two sinks on stdout are rejected up front.
+    series = run(simulate, "mix=1", "sample=500", "sample_out=-", *RUN)
+    lines = series.stdout.splitlines()
+    check("simulate sample_out=- writes one sample per stdout line",
+          series.returncode == 0 and lines and all(map(is_record, lines)), series.stdout[:200])
+    both = run(simulate, "mix=1", "sample_out=-", "trace_json=-", *RUN)
+    rejected("simulate sample_out=- trace_json=-", both, "sample_out", "trace_json")
+    check("simulate sample_out=- trace_json=- prints nothing to stdout", both.stdout == "")
 
     if failures:
         print(f"FAIL: {len(failures)} case(s): {', '.join(failures)}")

@@ -5,7 +5,7 @@
 // executes them on `--jobs` workers, and streams results into the
 // JSON-lines record sink. Parallel runs are byte-identical to serial ones,
 // and several presets in one run are byte-identical to separate runs
-// concatenated (they share the engine's cell memo, so a machine that
+// concatenated (they share the engine's cell store, so a machine that
 // recurs across presets is simulated once).
 //
 //   tlrob-campaign fig2 --jobs 8 --json fig2.jsonl
@@ -37,7 +37,8 @@ void print_usage() {
       "  --insts N        committed-instruction target per run (default %llu)\n"
       "  --warmup N       warmup commits excluded from statistics (default %llu)\n"
       "  --json PATH      JSON-lines sink ('-' = stdout)\n"
-      "  --manifest PATH  completion journal enabling --resume\n"
+      "  --manifest PATH  completion journal enabling --resume; truncated first\n"
+      "                   unless --resume is given, then appended to\n"
       "  --resume         replay successful cells from the manifest; a manifest\n"
       "                   without single-thread reference lines (written by an\n"
       "                   older build) has its references simulated once and\n"
