@@ -8,8 +8,8 @@ Btb::Btb(u32 entries, u32 ways) : ways_(ways) {
   if (ways == 0 || entries % ways != 0)
     throw std::invalid_argument("Btb: entries must be a multiple of ways");
   sets_ = entries / ways;
-  if ((sets_ & (sets_ - 1)) != 0)
-    throw std::invalid_argument("Btb: set count must be a power of two");
+  if (sets_ == 0 || (sets_ & (sets_ - 1)) != 0)
+    throw std::invalid_argument("Btb: set count must be a nonzero power of two");
   set_shift_ = 0;
   while ((sets_ >> set_shift_) > 1) ++set_shift_;
   valid_.assign(entries, 0);

@@ -45,7 +45,6 @@ struct CacheGeometry {
   u64 size_bytes = 32 << 10;
   u32 ways = 4;
   u32 line_bytes = 32;
-  u32 hit_latency = 1;
 };
 
 class Cache {
@@ -96,7 +95,6 @@ class Cache {
     return true;
   }
 
-  const CacheGeometry& geometry() const { return geo_; }
   u32 sets() const { return sets_; }
   const std::string& name() const { return name_; }
   const CacheStats& stats() const { return stats_; }

@@ -15,7 +15,7 @@ MemorySystem::MemorySystem(const MemoryConfig& cfg, SharedMemory* backend, u32 c
 }
 
 MemorySystem::L2Result MemorySystem::access_l2(Addr addr, Cycle when) {
-  const Cycle tag_done = when + cfg_.l2.hit_latency;
+  const Cycle tag_done = when + cfg_.l2_hit_latency;
   const Cache::Probe p = l2_->probe(addr, tag_done);
   if (p.present) {
     // Resident (ready_at <= tag_done) or merged into an in-flight fill.
@@ -49,7 +49,7 @@ MemorySystem::L2Result MemorySystem::access_l2(Addr addr, Cycle when) {
 
 DataAccess MemorySystem::access_data(Addr addr, bool is_store, Cycle now) {
   DataAccess out;
-  const Cycle l1_done = now + cfg_.l1d.hit_latency;
+  const Cycle l1_done = now + cfg_.l1d_hit_latency;
   const Cache::Probe p = l1d_->probe(addr, l1_done);
 
   if (p.present && p.ready_at <= l1_done) {
@@ -62,13 +62,13 @@ DataAccess MemorySystem::access_data(Addr addr, bool is_store, Cycle now) {
     // private hierarchy (the L1 MSHR it rides).
     out.data_ready = p.ready_at;
     out.l2_miss = p.fill_from_memory;
-    out.l2_miss_detect = now + cfg_.l1d.hit_latency + cfg_.l2.hit_latency;
+    out.l2_miss_detect = now + cfg_.l1d_hit_latency + cfg_.l2_hit_latency;
     out.seg_private = out.seg_llc = out.seg_dram = p.ready_at;
   } else {
     const L2Result l2r = access_l2(addr, l1_done);
     out.data_ready = l2r.ready;
     out.l2_miss = l2r.from_memory;
-    out.l2_miss_detect = now + cfg_.l1d.hit_latency + cfg_.l2.hit_latency;
+    out.l2_miss_detect = now + cfg_.l1d_hit_latency + cfg_.l2_hit_latency;
     out.seg_private = l2r.seg_private;
     out.seg_llc = l2r.seg_llc;
     out.seg_dram = l2r.seg_dram;

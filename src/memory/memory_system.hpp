@@ -15,9 +15,11 @@ namespace tlrob {
 class SharedMemory;
 
 struct MemoryConfig {
-  CacheGeometry l1i{64 << 10, 2, 64, 1};    // 64 KB, 2-way, 64 B, 1 cycle
-  CacheGeometry l1d{32 << 10, 4, 32, 1};    // 32 KB, 4-way, 32 B, 1 cycle
-  CacheGeometry l2{2 << 20, 8, 128, 10};    // 2 MB, 8-way, 128 B, 10 cycles
+  CacheGeometry l1i{64 << 10, 2, 64};  // 64 KB, 2-way, 64 B
+  CacheGeometry l1d{32 << 10, 4, 32};  // 32 KB, 4-way, 32 B
+  CacheGeometry l2{2 << 20, 8, 128};   // 2 MB, 8-way, 128 B
+  u32 l1d_hit_latency = 1;
+  u32 l2_hit_latency = 10;
   MemoryChannelConfig channel{};
 };
 

@@ -43,7 +43,7 @@ Cycle SharedMemory::admit(Cycle when) {
 }
 
 SharedMemory::Fill SharedMemory::request_fill(Addr addr, Cycle when, u32 core) {
-  const Cycle tag_done = when + cfg_.geo.hit_latency;
+  const Cycle tag_done = when + cfg_.hit_latency;
   const Cache::Probe p = llc_->probe(addr, tag_done);
   if (p.present) {
     if (p.ready_at > tag_done) {

@@ -30,8 +30,9 @@ struct LlcConfig {
   /// Routes L2 misses through the shared backend even for num_cores == 1
   /// (a single-core machine with an LLC). CMP machines always enable it.
   bool enabled = false;
-  CacheGeometry geo{8 << 20, 16, 128, 24};  // 8 MB, 16-way, 128 B, 24 cycles
-  u32 mshr_entries = 32;                    // outstanding DRAM fills, all cores
+  CacheGeometry geo{8 << 20, 16, 128};  // 8 MB, 16-way, 128 B
+  u32 hit_latency = 24;
+  u32 mshr_entries = 32;  // outstanding DRAM fills, all cores
 };
 
 /// The backend's own counters, exported under "llc." next to the LLC

@@ -12,6 +12,7 @@
 #include "common/sync.hpp"
 #include "obs/interval_sampler.hpp"
 #include "common/thread_pool.hpp"
+#include "sim/cmp.hpp"
 #include "sim/experiment.hpp"
 #include "trace/resolve.hpp"
 
@@ -38,8 +39,8 @@ JobRecord simulate_job(const JobSpec& spec) {
     cfg.seed = spec.seed;
     // Workload resolution happens inside the try: a missing or malformed
     // trace file fails this cell with a structured record, not the process.
-    const RunResult run = run_benchmarks(cfg, trace::resolve_mix_benchmarks(spec.mix),
-                                         spec.insts, spec.max_cycles, spec.warmup);
+    const RunResult run = CmpMachine(cfg, trace::resolve_mix_benchmarks(spec.mix))
+                              .run(spec.insts, spec.max_cycles, spec.warmup);
 
     rec.cycles = run.cycles;
     for (const auto& t : run.threads) {

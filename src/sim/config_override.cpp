@@ -56,7 +56,7 @@ void apply_spec(MachineConfig& cfg, const char* what, const std::string& spec,
 void apply_llc_spec(MachineConfig& cfg, const std::string& spec) {
   cfg.llc.enabled = true;
   apply_spec(cfg, "llc", spec,
-             {"llc.geo.size_bytes", "llc.geo.ways", "llc.geo.hit_latency", "llc.mshr_entries"});
+             {"llc.geo.size_bytes", "llc.geo.ways", "llc.hit_latency", "llc.mshr_entries"});
 }
 
 void apply_dram_spec(MachineConfig& cfg, const std::string& spec) {

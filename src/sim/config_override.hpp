@@ -2,6 +2,12 @@
 // the CLI parser (apply_overrides), the campaign cell key (runner::cell_key),
 // the validity check (MachineConfig::validate) and the printed machine
 // (describe) all read it.
+//
+// The contract: every field is a row, and every row is live or inert by
+// design. A live row changes a run's cycles, commits or some counter outside
+// audit.* on a base machine; an inert one (audit.*, the telemetry sampling
+// period) changes none of them. The KnobLiveness test holds each row to one
+// of the two, so a setting that nothing reads fails it.
 #pragma once
 
 #include <concepts>
@@ -29,16 +35,16 @@ struct Knob {
 // A new field changes its struct's size (LP64) and fails the build here
 // until for_each_knob names it too. One that fits in padding slips past;
 // RunnerMemo.KeyCoversEveryOverrideKnob covers every CLI key.
-static_assert(sizeof(CacheGeometry) == 24);
+static_assert(sizeof(CacheGeometry) == 16);
 static_assert(sizeof(MemoryChannelConfig) == 32);
-static_assert(sizeof(MemoryConfig) == 104);
-static_assert(sizeof(LlcConfig) == 40);
+static_assert(sizeof(MemoryConfig) == 88);
+static_assert(sizeof(LlcConfig) == 32);
 static_assert(sizeof(DramConfig) == 64);
 static_assert(sizeof(RobPolicyConfig) == 72);
 static_assert(sizeof(PredictorConfig) == 16);
 static_assert(sizeof(AuditConfig) == 32);
 static_assert(sizeof(obs::TelemetryConfig) == 8);
-static_assert(sizeof(MachineConfig) == 424);
+static_assert(sizeof(MachineConfig) == 400);
 
 /// Calls f(knob, field) for every MachineConfig field, in cell-key order.
 /// `Config` is MachineConfig or const MachineConfig. `llc.*` and `dram.*`
@@ -81,15 +87,14 @@ void for_each_knob(Config& c, F&& f) {
   f(Knob{"memory.l1i.size_bytes", "l1i_kb", kKiB}, c.memory.l1i.size_bytes);
   f(Knob{"memory.l1i.ways"}, c.memory.l1i.ways);
   f(Knob{"memory.l1i.line_bytes"}, c.memory.l1i.line_bytes);
-  f(Knob{"memory.l1i.hit_latency"}, c.memory.l1i.hit_latency);
   f(Knob{"memory.l1d.size_bytes", "l1d_kb", kKiB}, c.memory.l1d.size_bytes);
   f(Knob{"memory.l1d.ways"}, c.memory.l1d.ways);
   f(Knob{"memory.l1d.line_bytes"}, c.memory.l1d.line_bytes);
-  f(Knob{"memory.l1d.hit_latency"}, c.memory.l1d.hit_latency);
   f(Knob{"memory.l2.size_bytes", "l2_kb", kKiB}, c.memory.l2.size_bytes);
   f(Knob{"memory.l2.ways", "l2_ways"}, c.memory.l2.ways);
   f(Knob{"memory.l2.line_bytes"}, c.memory.l2.line_bytes);
-  f(Knob{"memory.l2.hit_latency"}, c.memory.l2.hit_latency);
+  f(Knob{"memory.l1d_hit_latency"}, c.memory.l1d_hit_latency);
+  f(Knob{"memory.l2_hit_latency"}, c.memory.l2_hit_latency);
   f(Knob{"memory.channel.bus_bytes"}, c.memory.channel.bus_bytes);
   f(Knob{"memory.channel.first_chunk", "mem_lat"}, c.memory.channel.first_chunk);
   f(Knob{"memory.channel.interchunk", "interchunk"}, c.memory.channel.interchunk);
@@ -100,7 +105,7 @@ void for_each_knob(Config& c, F&& f) {
   f(Knob{"llc.geo.size_bytes", nullptr, kKiB}, c.llc.geo.size_bytes);
   f(Knob{"llc.geo.ways"}, c.llc.geo.ways);
   f(Knob{"llc.geo.line_bytes"}, c.llc.geo.line_bytes);
-  f(Knob{"llc.geo.hit_latency"}, c.llc.geo.hit_latency);
+  f(Knob{"llc.hit_latency"}, c.llc.hit_latency);
   f(Knob{"llc.mshr_entries", nullptr, kNonzero}, c.llc.mshr_entries);
 
   f(Knob{"dram.channels"}, c.dram.channels);

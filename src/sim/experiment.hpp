@@ -1,6 +1,7 @@
-// Experiment harness under the campaign runner (runner::execute_job) and the
-// tests: runs benchmarks on a configured machine and reads the
-// single-thread references the paper's metrics weight by.
+// Experiment defaults under the campaign runner (runner::execute_job) and the
+// tests: the default run length, and the single-thread references the
+// paper's metrics weight by. A run itself is
+// `CmpMachine(cfg, benchmarks).run(insts, max_cycles, warmup)` (sim/cmp.hpp).
 //
 // Weighted-IPC denominators (each benchmark's IPC "in a single-threaded
 // situation", §3) are campaign cells on the fixed single-thread reference
@@ -22,11 +23,6 @@ namespace tlrob {
 /// and `tlrob-campaign --help`'s.
 inline constexpr u64 kDefaultCommitTarget = 120000;
 inline constexpr u64 kDefaultWarmup = 60000;
-
-/// Runs `benchmarks` (one per thread) on `cfg`.
-RunResult run_benchmarks(const MachineConfig& cfg, const std::vector<Benchmark>& benchmarks,
-                         u64 commit_target = kDefaultCommitTarget, u64 max_cycles = 0,
-                         u64 warmup_insts = kDefaultWarmup);
 
 /// Single-threaded IPC of a workload on the reference machine: the IPC of
 /// the cell runner::reference_job(benchmark, commit_target), looked up

@@ -78,6 +78,21 @@ const MachineConfig& MachineConfig::validate() const {
       reject(*this, &dram.row_bytes,
              "must be at least llc.geo.line_bytes (" + std::to_string(llc.geo.line_bytes) + ")");
   }
+  // The predictor tables index by mask, and their histories shift into
+  // fixed-width registers: gshare's u16, the load-hit predictor's u32.
+  for (const u32* field :
+       {&rob.predictor_entries, &predictor.gshare_entries, &load_hit_entries})
+    if (!is_pow2(*field)) reject(*this, field, "must be a power of two");
+  const PredictorConfig& bp = predictor;
+  if (bp.btb_ways == 0 || bp.btb_entries % bp.btb_ways != 0)
+    reject(*this, &bp.btb_ways,
+           "must divide predictor.btb_entries (" + std::to_string(bp.btb_entries) + ")");
+  if (!is_pow2(bp.btb_entries / bp.btb_ways))
+    reject(*this, &bp.btb_entries,
+           "gives " + std::to_string(bp.btb_entries / bp.btb_ways) +
+               " sets; the set count must be a nonzero power of two");
+  if (bp.history_bits > 16) reject(*this, &bp.history_bits, "must be at most 16");
+  if (load_hit_history > 31) reject(*this, &load_hit_history, "must be at most 31");
   // Each register file keeps the committed architectural state of every
   // thread it serves resident.
   const u64 served = shared_regfile ? num_threads : 1;

@@ -100,8 +100,10 @@ struct MachineConfig {
   /// early register release, a cache geometry (L1s, L2, and
   /// the LLC when the machine has a shared backend) whose line size or set
   /// count is not a power of two, a DRAM geometry (with a shared backend)
-  /// the DRAM model cannot map, or a register file too small for the
-  /// committed architectural state. Errors name the knob (its table path
+  /// the DRAM model cannot map, a predictor table (DoD, gshare, BTB sets,
+  /// load-hit) whose size is not a power of two, a history wider than its
+  /// register (gshare 16 bits, load-hit 31), or a register file too small
+  /// for the committed architectural state. Errors name the knob (its table path
   /// and CLI key). Returns *this, so constructors can validate in their
   /// initializer list.
   const MachineConfig& validate() const;

@@ -96,6 +96,12 @@ TEST(Btb, StoresAndEvictsLru) {
   EXPECT_TRUE(btb.lookup(0, c).has_value());
 }
 
+TEST(Btb, RejectsShapesItCannotIndex) {
+  EXPECT_THROW(Btb(0, 2), std::invalid_argument);  // no set to index
+  EXPECT_THROW(Btb(24, 2), std::invalid_argument);
+  EXPECT_THROW(Btb(8, 3), std::invalid_argument);
+}
+
 TEST(Btb, UpdateRefreshesTarget) {
   Btb btb(2048, 2);
   btb.update(0, 0x400, 0x1000);

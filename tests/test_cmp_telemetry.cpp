@@ -61,7 +61,7 @@ TEST(StallTaxonomy, ClosesInEveryPreset) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const MachineConfig cfg = sampled(c.cfg, 250);
-    const RunResult r = run_benchmarks(cfg, benches_for(cfg), 2000, 0, c.warmup);
+    const RunResult r = CmpMachine(cfg, benches_for(cfg)).run(2000, 0, c.warmup);
     ASSERT_EQ(r.stall_cycles.size(),
               static_cast<size_t>(cfg.num_cores) * cfg.num_threads);
     for (size_t t = 0; t < r.stall_cycles.size(); ++t) {
@@ -76,7 +76,7 @@ TEST(StallTaxonomy, ClosesInEveryPreset) {
 // for a telemetry-off run.
 TEST(StallTaxonomy, EmptyWhenSamplingIsOff) {
   const MachineConfig cfg = two_level_config(RobScheme::kReactive, 16);
-  const RunResult r = run_benchmarks(cfg, benches_for(cfg), 1500, 0, 0);
+  const RunResult r = CmpMachine(cfg, benches_for(cfg)).run(1500, 0, 0);
   EXPECT_TRUE(r.stall_cycles.empty());
   EXPECT_TRUE(obs::stall_summary_counters(r.stall_cycles).empty());
   EXPECT_TRUE(obs::cmp_summary_counters(r.samples, r.stall_cycles, 4).empty());
@@ -86,7 +86,7 @@ TEST(StallTaxonomy, EmptyWhenSamplingIsOff) {
 // backend classes — the taxonomy is not closed-but-degenerate.
 TEST(StallTaxonomy, CmpRunAttributesBackendStalls) {
   const MachineConfig cfg = sampled(cmp_config(4, RobScheme::kReactive, 16), 250);
-  const RunResult r = run_benchmarks(cfg, benches_for(cfg), 2000, 0, 0);
+  const RunResult r = CmpMachine(cfg, benches_for(cfg)).run(2000, 0, 0);
   u64 backend = 0;
   for (const auto& th : r.stall_cycles)
     backend += th[static_cast<size_t>(obs::StallClass::kMemLlc)] +

@@ -221,6 +221,60 @@ TEST(ConfigOverride, SharedBackendValidatesDramGeometry) {
   EXPECT_NO_THROW(single.validate());
 }
 
+// Every predictor table indexes by mask and every history shifts into a
+// fixed-width register, so validate() rejects the shapes the structures
+// cannot hold, naming the knob rather than the structure.
+TEST(MachineConfig, PredictorShapesAreCheckedNamingTheKnob) {
+  const auto error = [](const MachineConfig& cfg) -> std::string {
+    try {
+      cfg.validate();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const MachineConfig base = two_level_config(RobScheme::kPredictive, 16);
+  EXPECT_EQ(error(base), "accepted");
+  const std::pair<void (*)(MachineConfig&), std::string> cases[] = {
+      {[](MachineConfig& c) { c.rob.predictor_entries = 3; },
+       "rob.predictor_entries (predictor_entries) must be a power of two"},
+      {[](MachineConfig& c) { c.rob.predictor_entries = 0; },
+       "rob.predictor_entries (predictor_entries) must be a power of two"},
+      {[](MachineConfig& c) { c.predictor.gshare_entries = 2000; },
+       "predictor.gshare_entries must be a power of two"},
+      {[](MachineConfig& c) { c.load_hit_entries = 1000; },
+       "load_hit_entries must be a power of two"},
+      {[](MachineConfig& c) { c.predictor.btb_ways = 3; },
+       "predictor.btb_ways must divide predictor.btb_entries (2048)"},
+      {[](MachineConfig& c) { c.predictor.btb_ways = 0; },
+       "predictor.btb_ways must divide predictor.btb_entries (2048)"},
+      {[](MachineConfig& c) { c.predictor.btb_entries = 24; },
+       "predictor.btb_entries gives 12 sets; the set count must be a nonzero power of two"},
+      {[](MachineConfig& c) { c.predictor.btb_entries = 0; },
+       "predictor.btb_entries gives 0 sets; the set count must be a nonzero power of two"},
+      {[](MachineConfig& c) { c.predictor.history_bits = 17; },
+       "predictor.history_bits must be at most 16"},
+      {[](MachineConfig& c) { c.predictor.history_bits = 32; },
+       "predictor.history_bits must be at most 16"},
+      {[](MachineConfig& c) { c.load_hit_history = 32; },
+       "load_hit_history must be at most 31"},
+  };
+  for (const auto& [perturb, want] : cases) {
+    MachineConfig cfg = base;
+    perturb(cfg);
+    EXPECT_EQ(error(cfg), "MachineConfig: " + want);
+  }
+  // The widest histories the registers hold, and the smallest tables.
+  MachineConfig edge = base;
+  edge.predictor.history_bits = 16;
+  edge.load_hit_history = 31;
+  edge.rob.predictor_entries = 1;
+  edge.predictor.gshare_entries = 1;
+  edge.load_hit_entries = 1;
+  edge.predictor.btb_entries = 2;
+  EXPECT_EQ(error(edge), "accepted");
+}
+
 // describe() prints the machine from the knob table: one line per knob, in
 // table order, each led by the knob's path; an enum prints by name.
 TEST(ConfigOverride, DescribePrintsEveryKnob) {

@@ -11,16 +11,16 @@ namespace tlrob {
 namespace {
 
 TEST(Cache, GeometryValidation) {
-  EXPECT_THROW(Cache("bad", CacheGeometry{1024, 3, 32, 1}), std::invalid_argument);
-  EXPECT_THROW(Cache("bad", CacheGeometry{1024, 4, 48, 1}), std::invalid_argument);
+  EXPECT_THROW(Cache("bad", CacheGeometry{1024, 3, 32}), std::invalid_argument);
+  EXPECT_THROW(Cache("bad", CacheGeometry{1024, 4, 48}), std::invalid_argument);
   // Zero capacity divides by any way count but leaves no set (llc=0, l1d_kb=0).
-  EXPECT_THROW(Cache("empty", CacheGeometry{0, 4, 32, 1}), std::invalid_argument);
-  Cache ok("ok", CacheGeometry{32 << 10, 4, 32, 1});
+  EXPECT_THROW(Cache("empty", CacheGeometry{0, 4, 32}), std::invalid_argument);
+  Cache ok("ok", CacheGeometry{32 << 10, 4, 32});
   EXPECT_EQ(ok.sets(), 256u);
 }
 
 TEST(Cache, MissThenResidentHit) {
-  Cache c("c", CacheGeometry{1 << 10, 2, 32, 1});
+  Cache c("c", CacheGeometry{1 << 10, 2, 32});
   EXPECT_FALSE(c.probe(0x100, 0).present);
   c.fill(0x100, 0, /*ready_at=*/10, true, nullptr);
   const auto p = c.probe(0x100, 20);
@@ -30,7 +30,7 @@ TEST(Cache, MissThenResidentHit) {
 }
 
 TEST(Cache, PendingLineMergesAndReportsOrigin) {
-  Cache c("c", CacheGeometry{1 << 10, 2, 32, 1});
+  Cache c("c", CacheGeometry{1 << 10, 2, 32});
   c.fill(0x100, 0, /*ready_at=*/500, /*from_memory=*/true, nullptr);
   const auto p = c.probe(0x100, 50);  // fill still in flight
   EXPECT_TRUE(p.present);
@@ -41,7 +41,7 @@ TEST(Cache, PendingLineMergesAndReportsOrigin) {
 
 TEST(Cache, LruVictimSelection) {
   // 2-way, line 32B, 2 sets. Addresses in set 0: multiples of 64.
-  Cache c("c", CacheGeometry{128, 2, 32, 1});
+  Cache c("c", CacheGeometry{128, 2, 32});
   c.fill(0, 0, 0, false, nullptr);
   c.fill(64, 0, 0, false, nullptr);
   c.probe(0, 1);  // touch 0 -> 64 becomes LRU
@@ -52,7 +52,7 @@ TEST(Cache, LruVictimSelection) {
 }
 
 TEST(Cache, InFlightLinesAreNotVictimised) {
-  Cache c("c", CacheGeometry{128, 2, 32, 1});
+  Cache c("c", CacheGeometry{128, 2, 32});
   c.fill(0, 0, /*ready_at=*/1000, true, nullptr);   // pending
   c.fill(64, 0, /*ready_at=*/1000, true, nullptr);  // pending
   // Both ways of set 0 are in flight: a third fill must bypass.
@@ -61,7 +61,7 @@ TEST(Cache, InFlightLinesAreNotVictimised) {
 }
 
 TEST(Cache, DirtyEvictionReported) {
-  Cache c("c", CacheGeometry{128, 2, 32, 1});
+  Cache c("c", CacheGeometry{128, 2, 32});
   c.fill(0, 0, 0, false, nullptr);
   c.mark_dirty(0);
   c.fill(64, 0, 0, false, nullptr);
@@ -136,7 +136,7 @@ TEST(MemorySystem, L2MissGoesToMemoryAndReportsDetectTime) {
   const DataAccess a = ms.access_data(0x100000, false, 0);
   EXPECT_FALSE(a.l1_hit);
   EXPECT_TRUE(a.l2_miss);
-  EXPECT_EQ(a.l2_miss_detect, 0u + cfg.l1d.hit_latency + cfg.l2.hit_latency);
+  EXPECT_EQ(a.l2_miss_detect, 0u + cfg.l1d_hit_latency + cfg.l2_hit_latency);
   EXPECT_GT(a.data_ready, cfg.channel.first_chunk);
 }
 
@@ -150,7 +150,7 @@ TEST(MemorySystem, L2HitAfterL1Eviction) {
   const DataAccess a = ms.access_data(0x100000, false, 10000);
   EXPECT_FALSE(a.l1_hit);
   EXPECT_FALSE(a.l2_miss);  // still resident in L2
-  EXPECT_EQ(a.data_ready, 10000u + cfg.l1d.hit_latency + cfg.l2.hit_latency);
+  EXPECT_EQ(a.data_ready, 10000u + cfg.l1d_hit_latency + cfg.l2_hit_latency);
 }
 
 TEST(MemorySystem, SecondaryMissMergesIntoPendingFill) {
@@ -196,7 +196,7 @@ TEST(MemorySystem, StoresDirtyTheLine) {
 TEST(Cache, InvalidWayPreferredOverEviction) {
   // 2-way, 2 sets. One way of set 0 holds a line; a second fill to the same
   // set must take the empty way, not evict.
-  Cache c("c", CacheGeometry{128, 2, 32, 1});
+  Cache c("c", CacheGeometry{128, 2, 32});
   c.fill(0, 0, 0, false, nullptr);
   c.fill(64, 1, 1, false, nullptr);
   EXPECT_EQ(c.stats().evictions, 0u);
@@ -207,7 +207,7 @@ TEST(Cache, InvalidWayPreferredOverEviction) {
 TEST(Cache, LruVictimAfterMixedTouchOrder) {
   // 4-way, 1 set (128B / 4 ways / 32B lines). Fill A..D, then touch in the
   // order C, A, D — B is least recent and must be the victim.
-  Cache c("c", CacheGeometry{128, 4, 32, 1});
+  Cache c("c", CacheGeometry{128, 4, 32});
   const Addr A = 0 * 32, B = 1 * 32, C = 2 * 32, D = 3 * 32, E = 4 * 32;
   for (Addr a : {A, B, C, D}) c.fill(a, 0, 0, false, nullptr);
   c.probe(C, 1);
@@ -220,7 +220,7 @@ TEST(Cache, LruVictimAfterMixedTouchOrder) {
 
 TEST(Cache, ProbeOfInFlightLineRefreshesLru) {
   // A merged (in-flight) probe must refresh recency exactly like a hit.
-  Cache c("c", CacheGeometry{128, 2, 32, 1});
+  Cache c("c", CacheGeometry{128, 2, 32});
   c.fill(0, 0, /*ready_at=*/1000, true, nullptr);  // in flight
   c.fill(64, 1, 1, false, nullptr);                // resident
   c.probe(0, 2);  // merge: touches line 0 -> line 64 becomes LRU
@@ -231,7 +231,7 @@ TEST(Cache, ProbeOfInFlightLineRefreshesLru) {
 }
 
 TEST(Cache, InFlightLineVictimisableOnceReady) {
-  Cache c("c", CacheGeometry{128, 2, 32, 1});
+  Cache c("c", CacheGeometry{128, 2, 32});
   c.fill(0, 0, /*ready_at=*/1000, true, nullptr);
   c.fill(64, 0, /*ready_at=*/1000, true, nullptr);
   // Before the fills land every way is locked; after, normal LRU applies.
@@ -243,7 +243,7 @@ TEST(Cache, InFlightLineVictimisableOnceReady) {
 TEST(Cache, RefillKeepsLaterReadyAt) {
   // MSHR merge on the fill side: re-filling a present line must never pull
   // its ready time earlier (max semantics), but a later fill extends it.
-  Cache c("c", CacheGeometry{128, 2, 32, 1});
+  Cache c("c", CacheGeometry{128, 2, 32});
   c.fill(0, 0, /*ready_at=*/800, true, nullptr);
   c.fill(0, 1, /*ready_at=*/200, false, nullptr);  // earlier: ignored
   EXPECT_EQ(c.probe(0, 900).ready_at, 800u);
@@ -254,7 +254,7 @@ TEST(Cache, RefillKeepsLaterReadyAt) {
 TEST(Cache, FillClearsDirtyAndReportsVictim) {
   // Writeback ordering: the dirty bit travels with the victim exactly once;
   // the newly installed line starts clean.
-  Cache c("c", CacheGeometry{128, 2, 32, 1});
+  Cache c("c", CacheGeometry{128, 2, 32});
   c.fill(0, 0, 0, false, nullptr);
   c.mark_dirty(0);
   c.fill(64, 1, 1, false, nullptr);
@@ -271,7 +271,7 @@ TEST(Cache, FillClearsDirtyAndReportsVictim) {
 }
 
 TEST(Cache, MergeCountsNeitherMissNorEviction) {
-  Cache c("c", CacheGeometry{128, 2, 32, 1});
+  Cache c("c", CacheGeometry{128, 2, 32});
   c.fill(0x100, 0, /*ready_at=*/500, true, nullptr);
   c.probe(0x100, 10);  // merge
   c.probe(0x100, 20);  // merge
@@ -337,7 +337,7 @@ TEST(MemorySystem, DirtyL2EvictionQueuesWritebackBeforeNextFill) {
   EXPECT_EQ(ms.channel().stats().writebacks, wb_before + 1);
   const DataAccess next = ms.access_data(0x900000, false, t);
   EXPECT_TRUE(next.l2_miss);
-  const Cycle tag_done = t + cfg.l1d.hit_latency + cfg.l2.hit_latency;
+  const Cycle tag_done = t + cfg.l1d_hit_latency + cfg.l2_hit_latency;
   // evicting fill: tag_done + first_chunk + tr; writeback: + tr; next: + tr.
   EXPECT_EQ(next.data_ready, tag_done + cfg.channel.first_chunk + 3 * tr);
 }
@@ -354,7 +354,8 @@ TEST(MemorySystem, DirtyL2EvictionQueuesWritebackBeforeNextFill) {
 LlcConfig tiny_llc() {
   LlcConfig llc;
   llc.enabled = true;
-  llc.geo = CacheGeometry{4096, 2, 64, 10};
+  llc.geo = CacheGeometry{4096, 2, 64};
+  llc.hit_latency = 10;
   llc.mshr_entries = 4;
   return llc;
 }

@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "hand_traces.hpp"
 #include "runner/campaign.hpp"
 #include "runner/engine.hpp"
 #include "runner/golden.hpp"
@@ -300,8 +301,8 @@ TEST_P(CmpFuzz, RandomizedCmpGeometrySurvivesSquashStormsUnderFullAudit) {
   cfg.iq_entries = pick(16, 64);
   // A small thrash-prone LLC and few MSHRs so cross-core eviction, merge,
   // and pool-full paths all fire at fuzz run lengths.
-  cfg.llc.geo = CacheGeometry{u64{1} << pick(13, 15), 1u << pick(1, 3), 128,
-                              static_cast<u32>(pick(16, 32))};
+  cfg.llc.geo = CacheGeometry{u64{1} << pick(13, 15), 1u << pick(1, 3), 128};
+  cfg.llc.hit_latency = static_cast<u32>(pick(16, 32));
   cfg.llc.mshr_entries = pick(2, 8);
   cfg.dram.channels = 1u << pick(0, 2);
   cfg.dram.banks_per_channel = 1u << pick(1, 3);
@@ -552,6 +553,18 @@ TEST(FastForwardDifferential, SampledWarmupShortLeasesOnRRobCmp4) {
   EXPECT_GT(run_counter(r, "rob.rejected_high_dod"), 0u);
   EXPECT_EQ(run_counter(r, "audit.violations"), 0u);
   EXPECT_EQ(r.counters, plain.counters);
+}
+
+// Store-to-load forwarding (SmtCore::issue_load's LSQ path) on a hand-made
+// trace, since no shipped workload forwards: the forwarded loads run under a
+// full audit, and the fast-forwarded run matches the pinned one.
+TEST(FastForwardDifferential, StoreToLoadForwardingTrace) {
+  MachineConfig cfg = single_thread_config();
+  cfg.audit.level = AuditLevel::kFull;
+  const RunResult r = expect_fast_forward_matches_pinned(
+      cfg, {hand_traces::store_then_load()}, 4000, 0, 1000, "store_then_load");
+  EXPECT_GT(run_counter(r, "core.lsq.forwards"), 0u);
+  EXPECT_EQ(run_counter(r, "audit.violations"), 0u);
 }
 
 // Each core sleeps on its own: beside a compute-bound core, a memory-bound

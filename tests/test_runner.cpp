@@ -22,6 +22,7 @@
 #include "runner/engine.hpp"
 #include "runner/render.hpp"
 #include "common/thread_pool.hpp"
+#include "sim/cmp.hpp"
 #include "sim/config_override.hpp"
 #include "sim/experiment.hpp"
 #include "trace/resolve.hpp"
@@ -72,7 +73,8 @@ size_t reference_count(const CampaignSpec& spec) {
 /// Thread 0's IPC of `benchmark` run alone on the single-thread machine,
 /// simulated here rather than read through the memo.
 double direct_st_ipc(const std::string& benchmark, u64 insts) {
-  return run_benchmarks(single_thread_config(), {trace::resolve_benchmark(benchmark)}, insts)
+  return CmpMachine(single_thread_config(), {trace::resolve_benchmark(benchmark)})
+      .run(insts, 0, kDefaultWarmup)
       .threads.at(0)
       .ipc;
 }
@@ -271,8 +273,7 @@ TEST(RunnerEngine, ExecuteJobMatchesDirectSimulation) {
 
   MachineConfig cfg = js.config;
   cfg.seed = js.seed;
-  const RunResult direct =
-      run_benchmarks(cfg, mix_benchmarks(js.mix), js.insts, 0, js.warmup);
+  const RunResult direct = CmpMachine(cfg, mix_benchmarks(js.mix)).run(js.insts, 0, js.warmup);
   ASSERT_EQ(direct.threads.size(), rec.mt_ipc.size());
   std::vector<double> mt, st;
   for (const auto& t : direct.threads) {

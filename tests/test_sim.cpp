@@ -50,15 +50,19 @@ TEST(Presets, Table1Values) {
   EXPECT_EQ(mem.l1i.size_bytes, 64u << 10);
   EXPECT_EQ(mem.l1i.ways, 2u);
   EXPECT_EQ(mem.l1i.line_bytes, 64u);
-  EXPECT_EQ(mem.l1i.hit_latency, 1u);
+  // The L1I's 1-cycle hit is the fetch cycle itself: a resident line is
+  // available the cycle it is probed.
+  MemorySystem ms(mem);
+  const Cycle fill = ms.access_inst(0x400000, 0);
+  EXPECT_EQ(ms.access_inst(0x400000, fill + 7), fill + 7);
   EXPECT_EQ(mem.l1d.size_bytes, 32u << 10);
   EXPECT_EQ(mem.l1d.ways, 4u);
   EXPECT_EQ(mem.l1d.line_bytes, 32u);
-  EXPECT_EQ(mem.l1d.hit_latency, 1u);
+  EXPECT_EQ(mem.l1d_hit_latency, 1u);
   EXPECT_EQ(mem.l2.size_bytes, 2u << 20);
   EXPECT_EQ(mem.l2.ways, 8u);
   EXPECT_EQ(mem.l2.line_bytes, 128u);
-  EXPECT_EQ(mem.l2.hit_latency, 10u);
+  EXPECT_EQ(mem.l2_hit_latency, 10u);
   // Memory: 500-cycle first chunk, 2-cycle interchunk, 64-bit bus.
   EXPECT_EQ(mem.channel.first_chunk, 500u);
   EXPECT_EQ(mem.channel.interchunk, 2u);

@@ -13,7 +13,7 @@
 
 #include "rob/allocation_policy.hpp"
 #include "runner/engine.hpp"
-#include "sim/experiment.hpp"
+#include "sim/cmp.hpp"
 #include "sim/presets.hpp"
 #include "trace/byte_source.hpp"
 #include "trace/champsim.hpp"
@@ -332,7 +332,7 @@ TEST(TraceResolve, TracegenWorkloadRunsThroughTheCoreSplit) {
   cfg.num_cores = 2;
   cfg.num_threads = threads_per_core(mix, cfg.num_cores);
   ASSERT_EQ(cfg.num_threads, 1u);
-  const RunResult r = run_benchmarks(cfg, resolve_mix_benchmarks(mix), 2000, 0, 500);
+  const RunResult r = CmpMachine(cfg, resolve_mix_benchmarks(mix)).run(2000, 0, 500);
   ASSERT_EQ(r.threads.size(), 2u);
   EXPECT_EQ(r.threads[0].benchmark, "tracegen:art@500@11");
   EXPECT_EQ(r.threads[1].benchmark, "tracegen:mcf@500@13");

@@ -131,9 +131,9 @@ def main():
         rejected(knob + "=0", run(simulate, "mix=1", knob + "=0", *RUN), field)
     # Also rejected: a two-level scheme with no second level, DRAM timing with
     # no DRAM model, an MSHR pool with no slot, a value too big for its field,
-    # a cache or DRAM geometry the structure cannot index and a register file
-    # too small for the architectural state; each error names the knob, not
-    # the structure.
+    # a cache or DRAM geometry the structure cannot index, a register file
+    # too small for the architectural state and a predictor table that is not
+    # a power of two; each error names the knob, not the structure.
     for argv, setting in [(["scheme=rrob", "rob2=0"], "rob_second_level"),
                           (["dram=3"], "dram"),
                           (["mshr=0"], "memory.channel.mshr_entries"),
@@ -145,6 +145,8 @@ def main():
                           (["cores=2", "threads=8", "dram=3"], "dram.channels"),
                           (["cores=2", "threads=8", "dram=2:3"], "dram.banks_per_channel"),
                           (["int_regs=4"], "int_regs"),
+                          (["scheme=prob", "predictor_entries=3"],
+                           "rob.predictor_entries (predictor_entries)"),
                           (["audit=cheap", "audit_cheap_interval=0"], "audit.cheap_interval")]:
         proc = run(simulate, "mix=1", *argv, *RUN)
         rejected(" ".join(argv), proc, setting)
