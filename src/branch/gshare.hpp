@@ -51,7 +51,6 @@ class Gshare {
   u64 index(Addr pc, u16 history) const { return (pc >> 2) ^ history; }
 
   BimodalTable pht_;
-  u32 history_bits_;
   u16 history_mask_;
   std::vector<u16> histories_;
 };

@@ -26,7 +26,6 @@ struct DynInst {
   Addr actual_target = 0;   // control: actual next PC
   // Memory ops.
   Cycle l2_miss_detect_cycle = kNeverCycle;
-  Cycle fill_cycle = kNeverCycle;
   // Stall-taxonomy segment edges of an in-flight load's latency chain
   // (absolute cycles, non-decreasing; see DataAccess::seg_*). Only set on
   // issued loads that missed the L1; 0 otherwise.
@@ -35,8 +34,6 @@ struct DynInst {
   Cycle seg_dram_end = 0;
   // Bookkeeping.
   Cycle fetch_cycle = 0;
-  Cycle dispatch_cycle = 0;
-  Cycle issue_cycle = 0;
   Cycle complete_cycle = kNeverCycle;
   // Front-end prediction.
   BranchPrediction pred;
@@ -80,7 +77,7 @@ struct DynInst {
   bool is_mem() const { return is_memory(op); }
   bool is_ctrl() const { return is_control(op); }
 };
-static_assert(sizeof(DynInst) <= 184, "DynInst grew: keep the fields grouped by size");
+static_assert(sizeof(DynInst) <= 160, "DynInst grew: keep the fields grouped by size");
 
 /// Cross-cycle reference to an in-flight instruction.
 struct InstRef {

@@ -7,7 +7,8 @@ void fetch_order(FetchPolicyKind kind, const std::vector<u32>& icount, Cycle now
   const u32 n = static_cast<u32>(icount.size());
   out.resize(n);
   if (kind == FetchPolicyKind::kRoundRobin) {
-    for (u32 i = 0; i < n; ++i) out[i] = static_cast<ThreadId>((now + i) % n);
+    ThreadId t = static_cast<ThreadId>(now % n);
+    for (u32 i = 0; i < n; ++i, t = t + 1 == n ? 0 : t + 1) out[i] = t;
     return;
   }
   // Stable insertion sort: n is the thread count (<= 8) and this runs once

@@ -35,10 +35,14 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
   // grant this configuration: the shared second level, or kAdaptive's
   // per-thread growth bound.
   const u32 rob_max_extra = std::max(cfg.rob_second_level, cfg.rob.adaptive_max_extra);
+  // Fetch fills the frontend up to frontend_buffer; only FLUSH's
+  // undispatch_after pushes a whole window back in front of that.
+  const u32 frontend_slots =
+      cfg.frontend_buffer +
+      (cfg.fetch_policy == FetchPolicyKind::kFlush ? cfg.rob_first_level + rob_max_extra : 0);
   threads_.reserve(cfg.num_threads);
   for (ThreadId t = 0; t < cfg.num_threads; ++t) {
-    threads_.emplace_back(cfg.rob_first_level, rob_max_extra, cfg.lsq_entries,
-                          cfg.frontend_buffer);
+    threads_.emplace_back(cfg.rob_first_level, rob_max_extra, cfg.lsq_entries, frontend_slots);
     ThreadState& ts = threads_.back();
     // Global thread identity: CMP machines offset each core's threads so
     // every thread in the machine gets a distinct address space and workload
@@ -317,7 +321,6 @@ void SmtCore::undispatch_after(ThreadId tid, u64 tseq) {
     d.l1_hit = false;
     d.is_l2_miss = false;
     d.l2_miss_detect_cycle = kNeverCycle;
-    d.fill_cycle = kNeverCycle;
     d.seg_private_end = 0;
     d.seg_llc_end = 0;
     d.seg_dram_end = 0;
@@ -330,8 +333,8 @@ void SmtCore::undispatch_after(ThreadId tid, u64 tseq) {
     // The ROB pops youngest-first; pushing each straight onto the frontend's
     // front leaves them oldest-first ahead of the (younger) fetched entries —
     // the same order the old two-pass copy produced, without the scratch
-    // vector. The frontend ring is sized for the whole window, so this
-    // cannot overflow.
+    // vector. Under FLUSH the frontend ring is sized for the whole window,
+    // so this cannot overflow.
     ts.frontend.push_front(std::move(d));
     ++stats_.flush_undispatched;
   });
@@ -346,8 +349,8 @@ bool SmtCore::do_commit() {
   u32 budget = cfg_.commit_width;
   u32 pops = 0;
   const u32 n = cfg_.num_threads;
-  for (u32 i = 0; i < n && budget > 0; ++i) {
-    const ThreadId t = static_cast<ThreadId>((commit_rr_ + i) % n);
+  ThreadId t = static_cast<ThreadId>(commit_rr_ % n);
+  for (u32 i = 0; i < n && budget > 0; ++i, t = t + 1 == n ? 0 : t + 1) {
     ThreadState& ts = threads_[t];
     while (budget > 0) {
       DynInst* h = ts.rob.head();
@@ -435,7 +438,6 @@ bool SmtCore::issue_one(DynInst& di) {
 
   di.issued = true;
   iq_.mark_issued(&di);
-  di.issue_cycle = cycle_;
   if (trace_ != nullptr) trace_stage("issue", di, any_spec);
   ++stats_.issue_insts;
 
@@ -531,7 +533,6 @@ void SmtCore::issue_load(DynInst& di) {
   if (da.l2_miss) {
     di.is_l2_miss = true;
     di.l2_miss_detect_cycle = da.l2_miss_detect;
-    di.fill_cycle = data_cycle;
     schedule(da.l2_miss_detect, EvKind::kL2MissDetect, di);
     ++(di.wrong_path ? stats_.loads_l2_miss_wp : stats_.loads_l2_miss);
   }
@@ -584,7 +585,6 @@ bool SmtCore::try_dispatch_one(ThreadState& ts, ThreadId tid) {
   ts.frontend.pop_front();
   rename_.rename(di);
   di.dispatched = true;
-  di.dispatch_cycle = cycle_;
   DynInst& slot = ts.rob.push(std::move(di));
   iq_.insert(&slot);
   if (slot.is_mem()) ts.lsq.push(&slot);

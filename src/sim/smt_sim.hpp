@@ -296,10 +296,8 @@ class SmtCore {
     u32 outstanding_l2 = 0;
     u32 unresolved_ctrl = 0;  // dispatched control ops not yet resolved
 
-    ThreadState(u32 rob_cap, u32 rob_max_extra, u32 lsq_cap, u32 frontend_cap)
-        : rob(rob_cap, rob_max_extra),
-          lsq(lsq_cap),
-          frontend(frontend_cap + rob_cap + rob_max_extra) {}
+    ThreadState(u32 rob_cap, u32 rob_max_extra, u32 lsq_cap, u32 frontend_slots)
+        : rob(rob_cap, rob_max_extra), lsq(lsq_cap), frontend(frontend_slots) {}
   };
 
   // -- stages (each returns true iff it changed machine state this cycle) ----

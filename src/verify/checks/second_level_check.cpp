@@ -11,8 +11,13 @@
 //   * a holder is the registered owner and has a justifying trigger load
 //     that is a correct-path L2-missing load still waiting for its line;
 //   * baseline grants nothing; kAdaptive grows private ROBs only (bounded
-//     by adaptive_max_extra) and never touches the shared partition.
+//     by adaptive_max_extra) and never touches the shared partition;
+//   * each thread's allocation candidates name correct-path loads in its
+//     window that have not executed, in ascending tseq order under R-ROB
+//     and Relaxed — what lets the controller re-check only the candidates
+//     at the ROB's head.
 #include <sstream>
+#include <string>
 
 #include "sim/smt_sim.hpp"
 #include "verify/checks/checks.hpp"
@@ -48,6 +53,32 @@ void check_trigger(const SmtCore& core, Cycle cycle, ThreadId t, InvariantChecke
   out.violation(cycle, t, "rob2.trigger", os.str());
 }
 
+/// The controller's candidate list for `t`: each entry an outstanding
+/// correct-path load of the window, sorted by tseq where re-checks are
+/// head-gated. A candidate retires at its load's fill or squash, so one
+/// behind the head can only defer.
+void check_candidates(const SmtCore& core, Cycle cycle, ThreadId t, InvariantChecker& out) {
+  const TwoLevelRobController& ctrl = core.rob_controller();
+  u64 prev = 0;
+  for (const TwoLevelRobController::Candidate& c : ctrl.audit_candidates(t)) {
+    const DynInst* load = core.rob(t).find(c.tseq);
+    const char* problem = nullptr;
+    if (ctrl.head_gated() && c.tseq < prev) {
+      problem = " is out of tseq order";
+    } else if (load == nullptr) {
+      problem = " is no longer in the window";
+    } else if (!load->is_load() || load->wrong_path) {
+      problem = " is not a correct-path load";
+    } else if (load->executed) {
+      problem = " already completed; its fill should have retired it";
+    }
+    prev = c.tseq;
+    if (problem != nullptr)  // appends: GCC 12 -O3 misreads an operator+ chain (PR 105329)
+      out.violation(cycle, t, "rob2.candidate",
+                    std::string("candidate tseq ").append(std::to_string(c.tseq)).append(problem));
+  }
+}
+
 }  // namespace
 
 void check_second_level(const SmtCore& core, Cycle cycle, InvariantChecker& out) {
@@ -64,6 +95,7 @@ void check_second_level(const SmtCore& core, Cycle cycle, InvariantChecker& out)
 
   u32 holders = 0;
   for (ThreadId t = 0; t < core.config().num_threads; ++t) {
+    if (uses_second_level(scheme)) check_candidates(core, cycle, t, out);
     const u32 extra = core.rob(t).extra();
     if (extra == 0) continue;
 

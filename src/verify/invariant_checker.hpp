@@ -40,7 +40,8 @@ static_assert(names_every_field(kAuditStatFields));
 inline constexpr auto kViolationKinds = std::to_array<const char*>({
     "commit.order", "dod.execflag", "dod.outstanding", "dod.recount", "events.wheel",
     "iq.counts", "iq.rob_identity", "lsq.occupancy", "pool.liveness", "rename.accounting",
-    "rob.capacity", "rob.order", "rob2.ownership", "rob2.trigger", "shared.memory",
+    "rob.capacity", "rob.order", "rob2.candidate", "rob2.ownership", "rob2.trigger",
+    "shared.memory",
 });
 
 /// One recorded contract violation.

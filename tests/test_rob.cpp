@@ -271,6 +271,36 @@ TEST_F(ControllerTest, ReactiveRechecksEveryInterval) {
   EXPECT_EQ(ctrl.stats().rejected_high_dod, 1u);
 }
 
+TEST_F(ControllerTest, HeadLoadDetectedAfterAYoungerMissGetsTheGrantAtItsOwnRecheck) {
+  auto ctrl = make(RobScheme::kReactive, 16);
+  DynInst& head = fill_rob0_with_miss(/*unexec=*/5);
+  DynInst& younger = *rob0_.find(head.tseq + 1);  // unexecuted, so in head's DoD
+  younger.op = OpClass::kLoad;
+  younger.si = &load_si_;
+  younger.is_l2_miss = true;
+  ctrl.on_l2_miss_detected(younger, 100);
+  for (Cycle t = 100; t < 105; ++t) EXPECT_FALSE(ctrl.tick(t)) << "not the head: defers";
+  ctrl.on_l2_miss_detected(head, 105);
+  ASSERT_EQ(ctrl.audit_candidates(0).size(), 2u);
+  EXPECT_EQ(ctrl.audit_candidates(0)[0].tseq, head.tseq) << "candidates stay in tseq order";
+  EXPECT_TRUE(ctrl.tick(105));
+  EXPECT_TRUE(second_.owned_by(0));
+  EXPECT_EQ(ctrl.audit_trigger_tseq(0), head.tseq);
+  ASSERT_EQ(ctrl.audit_candidates(0).size(), 1u);
+
+  // The head commits; the younger load, now the head, keeps its own grid
+  // (100 + 10k) and renews the lease at its first point after the commit.
+  ctrl.on_load_fill(head, 200);
+  head.executed = true;
+  rob0_.pop_head();
+  rob0_.push(make_inst(next_tseq_++, /*executed=*/true));  // level 1 stays full
+  for (Cycle t = 201; t < 210; ++t) ctrl.tick(t);
+  EXPECT_EQ(ctrl.stats().lease_grants_or_renewals, 1u);
+  ctrl.tick(210);
+  EXPECT_EQ(ctrl.stats().lease_grants_or_renewals, 2u);
+  EXPECT_EQ(ctrl.audit_trigger_tseq(0), younger.tseq);
+}
+
 TEST_F(ControllerTest, UnchangedInputsRepeatTheRecordedRejection) {
   auto ctrl = make(RobScheme::kReactive, 16);
   DynInst& load = fill_rob0_with_miss(/*unexec=*/20);

@@ -288,6 +288,27 @@ TEST(InjectedCorruption, CompletedTriggerLoadFiresTriggerCheck) {
   EXPECT_TRUE(any_violation_of(core, "rob2.trigger"));
 }
 
+TEST(InjectedCorruption, ExecutedCandidateLoadFiresCandidateCheck) {
+  SmtCore core = make_audited_core(RobScheme::kReactive);
+  const TwoLevelRobController& ctrl = core.rob_controller();
+  ThreadId tid = 0;
+  const bool pending = tick_until(core, 400000, [&] {
+    for (tid = 0; tid < core.config().num_threads; ++tid)
+      if (!ctrl.audit_candidates(tid).empty()) return true;
+    return false;
+  });
+  ASSERT_TRUE(pending) << "no allocation candidate in 400k cycles";
+  ASSERT_EQ(core.audit_now(), 0u);
+  // Forge the result-valid bit without the fill notification: the candidate
+  // outlives its miss, and behind the head nothing would ever retire it.
+  DynInst* load = core.rob_for_test(tid).find(ctrl.audit_candidates(tid).front().tseq);
+  ASSERT_NE(load, nullptr);
+  load->executed = true;
+  load->complete_cycle = core.now();  // keep dod.execflag quiet; this test is rob2.candidate
+  EXPECT_GT(core.audit_now(), 0u);
+  EXPECT_TRUE(any_violation_of(core, "rob2.candidate"));
+}
+
 TEST(InjectedCorruption, FreeCountSkewFiresIqCounts) {
   SmtCore core = make_audited_core(RobScheme::kReactive);
   core.run(500);
