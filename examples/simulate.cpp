@@ -198,7 +198,7 @@ int simulate(const Options& opts) {
                                         : 100.0 * static_cast<double>(busy) /
                                               static_cast<double>(core_cycles);
     std::fprintf(text, "\nsecond level: %llu allocations, busy %llu/%llu %s (%.1f%%)\n",
-                static_cast<unsigned long long>(run_counter(r, "rob2.allocations")),
+                static_cast<unsigned long long>(run_counter(r, "rob.allocations")),
                 static_cast<unsigned long long>(busy),
                 static_cast<unsigned long long>(core_cycles),
                 cfg.num_cores > 1 ? "core-cycles" : "cycles", pct);

@@ -8,7 +8,6 @@ namespace tlrob {
 IssueQueue::IssueQueue(u32 entries, u32 num_threads)
     : slots_(entries, nullptr),
       live_((entries + 63) / 64, 0),
-      unissued_((entries + 63) / 64, 0),
       scan_((entries + 63) / 64, 0),
       chk_src_(2 * entries, kInvalidPhysReg),
       park_next_(entries, kNoSlot),
@@ -27,10 +26,7 @@ void IssueQueue::insert(DynInst* di) {
     const u32 i = (w << 6) + static_cast<u32>(std::countr_zero(free_bits));
     slots_[i] = di;
     bm_set(live_, i);
-    if (!di->issued) {
-      bm_set(unissued_, i);
-      bm_set(scan_, i);
-    }
+    if (!di->issued) bm_set(scan_, i);
     // A store issues on its address source alone (src[1]); the data (src[0])
     // is only needed at commit, so it never gates the candidate scan.
     chk_src_[2 * i] = di->is_store() ? kInvalidPhysReg : di->src_phys[0];
@@ -50,7 +46,6 @@ void IssueQueue::remove(DynInst* di) {
   assert(di->iq_slot >= 0 && slots_[i] == di);
   slots_[i] = nullptr;
   bm_clear(live_, i);
-  bm_clear(unissued_, i);
   bm_clear(scan_, i);
   if (park_reg_[i] != kInvalidPhysReg) unpark(i);
   di->in_iq = false;

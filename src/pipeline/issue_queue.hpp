@@ -8,7 +8,7 @@
 // the speculation confirms, and are re-armed if it does not.
 //
 // The per-cycle candidate scan is the core's hottest loop, so the queue
-// keeps occupancy and not-yet-issued bitmaps plus a dense mirror of the
+// keeps occupancy and scan-set bitmaps plus a dense mirror of the
 // source registers each entry's wakeup check must see ready: the scan walks
 // bitmap words and one flat array instead of dereferencing DynInsts
 // scattered across the per-thread ROB slabs. The slot a given insert takes
@@ -42,18 +42,12 @@ class IssueQueue {
   /// The issue stage confirmed `di` issued; a speculatively-issued entry
   /// keeps its slot but leaves the candidate-scan set until re-armed.
   void mark_issued(const DynInst* di) {
-    if (di->in_iq) {
-      bm_clear(unissued_, static_cast<u32>(di->iq_slot));
-      bm_clear(scan_, static_cast<u32>(di->iq_slot));
-    }
+    if (di->in_iq) bm_clear(scan_, static_cast<u32>(di->iq_slot));
   }
 
   /// Replay re-armed `di` (issued flag cleared): back into the scan set.
   void mark_unissued(const DynInst* di) {
-    if (di->in_iq) {
-      bm_set(unissued_, static_cast<u32>(di->iq_slot));
-      bm_set(scan_, static_cast<u32>(di->iq_slot));
-    }
+    if (di->in_iq) bm_set(scan_, static_cast<u32>(di->iq_slot));
   }
 
   /// Slot contents by index (nullptr = free); the invariant-audit checks
@@ -64,13 +58,6 @@ class IssueQueue {
   /// free-slot counter without touching the slots, simulating a leaked or
   /// double-freed entry. Never called by the simulator.
   void test_only_corrupt_free(i32 delta) { free_ = static_cast<u32>(free_ + delta); }
-
-  /// Invokes f(DynInst&) for every occupied slot.
-  template <typename F>
-  void for_each(F&& f) {
-    for (DynInst* di : slots_)
-      if (di != nullptr) f(*di);
-  }
 
   /// Collects occupied entries matching a predicate into a caller-owned
   /// scratch buffer (cleared first; capacity is retained across calls, so a
@@ -153,7 +140,6 @@ class IssueQueue {
 
   std::vector<DynInst*> slots_;
   std::vector<u64> live_;        // bit per slot: occupied
-  std::vector<u64> unissued_;    // bit per slot: occupied and not issued
   std::vector<u64> scan_;        // bit per slot: unissued and not parked
   std::vector<PhysReg> chk_src_; // [2*slot + k]: wakeup sources to check
   // Parking: intrusive doubly-linked chains headed per register (grown on

@@ -11,17 +11,9 @@ TwoLevelRobController::TwoLevelRobController(const RobPolicyConfig& cfg,
     : cfg_(cfg),
       robs_(std::move(robs)),
       second_(second),
-      threads_(robs_.size()),
-      allocations_by_thread_(robs_.size(), 0),
-      busy_by_thread_(robs_.size(), 0) {
+      threads_(robs_.size()) {
   if (cfg.scheme == RobScheme::kPredictive)
     predictor_ = std::make_unique<DodPredictor>(cfg.predictor_entries);
-}
-
-void TwoLevelRobController::reset_stats() {
-  stats_ = {};
-  std::fill(allocations_by_thread_.begin(), allocations_by_thread_.end(), 0);
-  std::fill(busy_by_thread_.begin(), busy_by_thread_.end(), 0);
 }
 
 u32 TwoLevelRobController::dod_count(ThreadId tid, u64 tseq) const {
@@ -33,8 +25,6 @@ void TwoLevelRobController::acquire(ThreadId tid, const DynInst& load, Cycle now
   if (second_.available()) {
     second_.allocate(tid, now);
     robs_[tid]->grant_extra(second_.entries());
-    ++stats_.allocations;
-    ++allocations_by_thread_[tid];
   } else if (second_.owned_by(tid)) {
     // Renewal: a drain (revoked extra, waiting for release) can be re-armed
     // by a fresh qualifying miss while the lease lasts.
@@ -42,7 +32,6 @@ void TwoLevelRobController::acquire(ThreadId tid, const DynInst& load, Cycle now
   }
   threads_[tid].trigger = &load;
   threads_[tid].trigger_tseq = load.tseq;
-  threads_[tid].has_trigger = true;
   ++stats_.lease_grants_or_renewals;
 }
 
@@ -53,18 +42,17 @@ bool TwoLevelRobController::maybe_release(ThreadId tid, Cycle now) {
 
   // The trigger's ROB slot is address-stable while it is live. A commit
   // frees the slot and a later dispatch reuses it under a new tseq; a squash
-  // of the trigger clears has_trigger first (on_squash).
+  // of the trigger clears it first (on_squash).
   const DynInst* t = ts.trigger;
-  if (ts.has_trigger && rob.owns(t) && t->tseq == ts.trigger_tseq && !t->executed)
+  if (t != nullptr && rob.owns(t) && t->tseq == ts.trigger_tseq && !t->executed)
     return false;  // still waiting on the miss
 
   // No justifying miss: stop dispatching into the second level and drain.
-  bool changed = rob.extra() != 0 || ts.has_trigger;
+  bool changed = rob.extra() != 0 || t != nullptr;
   rob.revoke_extra();
-  ts.has_trigger = false;
+  ts.trigger = nullptr;
   if (rob.size() > rob.base_capacity()) return changed;  // drain into level 1 first
 
-  busy_by_thread_[tid] += now - second_.acquired_at();
   // The cooldown exists to rotate the partition among contenders; with no
   // other thread waiting for it, re-acquisition is free.
   bool contended = false;
@@ -128,15 +116,15 @@ void TwoLevelRobController::on_load_fill(DynInst& load, Cycle now) {
     // completes, verifies the prediction and trains the predictor.
     const u32 actual = dod_count(tid, load.tseq);
     predictor_->update(tid, load.pc, actual);
-    if (second_.owned_by(tid) && ts.has_trigger && ts.trigger_tseq == load.tseq &&
+    if (second_.owned_by(tid) && ts.trigger != nullptr && ts.trigger_tseq == load.tseq &&
         actual >= cfg_.dod_threshold) {
       ++stats_.verification_failures;
-      ts.has_trigger = false;  // lease no longer justified; release on drain
+      ts.trigger = nullptr;  // lease no longer justified; release on drain
     }
   }
 
   std::erase_if(ts.cands, [&](const Candidate& c) { return c.tseq == load.tseq; });
-  // A younger front keeps a stale point of its grid (see recheck_due).
+  // A younger front keeps a stale point of its grid (see checked).
   if (!ts.cands.empty())
     next_check_floor_ = std::min(next_check_floor_, ts.cands.front().next_check);
   maybe_release(tid, now);
@@ -258,20 +246,21 @@ bool TwoLevelRobController::tick(Cycle now) {
   return activity;
 }
 
+std::span<TwoLevelRobController::Candidate> TwoLevelRobController::checked(ThreadId tid) {
+  std::vector<Candidate>& cands = threads_[tid].cands;
+  if (!head_gated()) return cands;
+  return {cands.begin(), std::ranges::find_if(cands, [&](const Candidate& c) {
+            return c.tseq != cands.front().tseq;
+          })};
+}
+
 bool TwoLevelRobController::recheck_due(ThreadId tid, Cycle now) {
   std::vector<Candidate>& cands = threads_[tid].cands;
   bool retired = false;
-  for (size_t i = 0; i < cands.size();) {
+  // A retirement can hand the front to a younger run: the span is re-read.
+  for (size_t i = 0; i < checked(tid).size();) {
     Candidate& c = cands[i];
-    if (head_gated()) {
-      // Only the oldest candidate can name the ROB's head, and any other
-      // defers at every re-check, which only moves next_check along its
-      // grid. So only the front (and any duplicate of it) is re-checked,
-      // and a younger one that becomes the front resumes at the first point
-      // of its grid at or after now.
-      if (c.tseq != cands.front().tseq) break;
-      c.next_check = grid_at_or_after(c, now);
-    }
+    if (head_gated()) c.next_check = grid_at_or_after(c, now);
     if (c.next_check <= now && evaluate(tid, c, now)) {
       cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(i));
       retired = true;
@@ -313,16 +302,17 @@ Cycle TwoLevelRobController::next_wake(Cycle now) {
   }
   Cycle best = kNeverCycle;
   for (ThreadId tid = 0; tid < threads_.size(); ++tid)
-    for (Candidate& c : threads_[tid].cands) best = std::min(best, replay_until(tid, c, now));
+    for (Candidate& c : checked(tid)) best = std::min(best, replay_until(tid, c, now));
   return best;
 }
 
 void TwoLevelRobController::replay_idle_to(Cycle wake) {
-  for (ThreadState& ts : threads_) {
-    for (Candidate& c : ts.cands) {
-      // next_wake kept `wake` at or before the re-check of every candidate
-      // whose outcome could differ (P-ROB's never-checked ones included), so
-      // each re-check skipped here repeats the outcome next_wake decided.
+  for (ThreadId tid = 0; tid < threads_.size(); ++tid) {
+    for (Candidate& c : checked(tid)) {
+      // next_wake kept `wake` at or before the re-check of every checked
+      // candidate whose outcome could differ (P-ROB's never-checked ones
+      // included), so each re-check skipped here repeats the outcome
+      // next_wake decided.
       if (c.next_check >= wake) continue;
       const Cycle next = grid_at_or_after(c, wake);
       if (c.outcome == Outcome::kReject)
@@ -337,7 +327,7 @@ void TwoLevelRobController::on_squash(ThreadId tid, u64 tseq) {
   if (!uses_second_level(cfg_.scheme)) return;
   ThreadState& ts = threads_[tid];
   std::erase_if(ts.cands, [&](const Candidate& c) { return c.tseq > tseq; });
-  if (ts.has_trigger && ts.trigger_tseq > tseq) ts.has_trigger = false;
+  if (ts.trigger != nullptr && ts.trigger_tseq > tseq) ts.trigger = nullptr;
 }
 
 }  // namespace tlrob

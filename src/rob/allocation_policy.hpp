@@ -113,8 +113,8 @@ struct RobPolicyConfig {
   u32 adaptive_issue_bound_threshold = 16;
 };
 
+/// Grants and tenures are counted by the partition (SecondLevelRob).
 struct RobControllerStats {
-  u64 allocations = 0;
   u64 lease_grants_or_renewals = 0;
   u64 releases = 0;
   u64 l2_miss_candidates = 0;
@@ -128,7 +128,6 @@ struct RobControllerStats {
 };
 
 inline constexpr auto kRobControllerStatFields = std::to_array<StatField<RobControllerStats>>({
-    {&RobControllerStats::allocations, "allocations"},
     {&RobControllerStats::lease_grants_or_renewals, "lease_grants_or_renewals"},
     {&RobControllerStats::releases, "releases"},
     {&RobControllerStats::l2_miss_candidates, "l2_miss_candidates"},
@@ -162,10 +161,8 @@ class TwoLevelRobController {
   /// fast-forward treats a false return as "this tick was a no-op".
   ///
   /// Called at every cycle, except the spans replay_idle_to() covers. Every
-  /// due re-check decides afresh from the live state: each CDR candidate's,
-  /// but under R-ROB and Relaxed only each thread's front (oldest)
-  /// candidate's, the only one that can name the ROB's head. The others
-  /// keep their re-check grid without being decided.
+  /// due re-check of a checked candidate (checked()) decides afresh from the
+  /// live state. The others keep a stale point of their re-check grid.
   bool tick(Cycle now);
 
   /// After a no-op core tick at `now`, with the machine state frozen until
@@ -181,17 +178,15 @@ class TwoLevelRobController {
   /// (acquired_at + lease_limit); its wake is the first re-check at or
   /// after that gate. Pure time-gates only — state-driven work (lease
   /// release on drain) is triggered by commits/fills, which are activity in
-  /// their own right. An R-ROB or Relaxed candidate behind its ROB's head
-  /// defers past any gate, but still bounds the sleep at its gate's re-check:
-  /// the wakes, and with them core.fast_forwarded_cycles, are those of
-  /// deciding every candidate. Called only after a tick at `now`.
+  /// their own right. Only checked candidates bound the sleep.
+  /// Called only after a tick at `now`.
   Cycle next_wake(Cycle now);
 
   /// Fast-forward to `wake` (at most next_wake(now), which must precede it):
-  /// advances each candidate's re-check along its grid to the first point at
-  /// or after `wake`, counting one rejected_high_dod per replayed rejection
-  /// of the outcome next_wake decided, exactly as ticking every skipped
-  /// re-check would.
+  /// advances each checked candidate's re-check along its grid to the first
+  /// point at or after `wake`, counting one rejected_high_dod per replayed
+  /// rejection of the outcome next_wake decided, exactly as ticking every
+  /// skipped re-check would.
   void replay_idle_to(Cycle wake);
 
   /// Squash hook: drops candidates of `tid` younger than `tseq`.
@@ -202,17 +197,13 @@ class TwoLevelRobController {
   DodPredictor* predictor() { return predictor_.get(); }
   const DodPredictor* predictor() const { return predictor_.get(); }
   const RobControllerStats& stats() const { return stats_; }
-  /// Per-thread families: second-level grants ("allocations.tN") and cycles
-  /// held ("busy.tN").
-  const std::vector<u64>& allocations_by_thread() const { return allocations_by_thread_; }
-  const std::vector<u64>& busy_by_thread() const { return busy_by_thread_; }
-  void reset_stats();
+  void reset_stats() { stats_ = {}; }
 
   /// Invariant-audit introspection: whether `tid`'s current grant is backed
   /// by a registered justifying miss, and which load it is. The audit's
   /// second-level check re-derives the paper's allocation contract from
   /// these plus the live ROB/partition state.
-  bool audit_has_trigger(ThreadId tid) const { return threads_[tid].has_trigger; }
+  bool audit_has_trigger(ThreadId tid) const { return threads_[tid].trigger != nullptr; }
   u64 audit_trigger_tseq(ThreadId tid) const { return threads_[tid].trigger_tseq; }
 
   /// What one evaluation of a candidate decides.
@@ -253,14 +244,19 @@ class TwoLevelRobController {
     std::vector<Candidate> cands;  // see audit_candidates for the order
     const DynInst* trigger = nullptr;  // load justifying current ownership
     u64 trigger_tseq = 0;              // its tseq
-    bool has_trigger = false;
     Cycle cooldown_until = 0;  // earliest re-acquisition after a lease
     u32 adaptive_extra = 0;    // kAdaptive: current growth above level 1
   };
 
   /// Registers `tseq` in `ts`'s candidates, in audit_candidates' order.
   void add_candidate(ThreadState& ts, u64 tseq, Cycle first_check);
-  /// tick()'s re-checks of `tid`'s due candidates, lowering
+  /// `tid`'s candidates that re-checks decide, next_wake bounds the sleep by
+  /// and replay_idle_to advances: all, except under R-ROB and Relaxed only
+  /// the front run (the oldest and any duplicate of it), which alone can
+  /// name the ROB's head. Any other only defers, so it keeps a stale point
+  /// of its grid and resumes at grid_at_or_after(c, now) as the front.
+  std::span<Candidate> checked(ThreadId tid);
+  /// tick()'s re-checks of `tid`'s due checked candidates, lowering
   /// next_check_floor_ to each kept one's next; returns true iff one retired.
   bool recheck_due(ThreadId tid, Cycle now);
   /// The due re-check of one candidate; returns true if it should be
@@ -298,13 +294,11 @@ class TwoLevelRobController {
   SecondLevelRob& second_;
   std::unique_ptr<DodPredictor> predictor_;
   std::vector<ThreadState> threads_;
-  /// Lower bound on every re-check tick() makes: each CDR candidate's
-  /// next_check, and each R-ROB or Relaxed thread's front candidate's. Lets
-  /// tick() skip the per-thread loops on cycles where nothing can be due.
+  /// Lower bound on every re-check tick() makes: each checked candidate's
+  /// next_check. Lets tick() skip the per-thread loops on cycles where
+  /// nothing can be due.
   Cycle next_check_floor_ = kNeverCycle;
   RobControllerStats stats_;
-  std::vector<u64> allocations_by_thread_;
-  std::vector<u64> busy_by_thread_;
 };
 
 }  // namespace tlrob

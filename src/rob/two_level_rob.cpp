@@ -1,5 +1,6 @@
 #include "rob/two_level_rob.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace tlrob {
@@ -8,25 +9,32 @@ void SecondLevelRob::allocate(ThreadId t, Cycle now) {
   if (!available()) throw std::logic_error("SecondLevelRob::allocate while not available");
   owner_ = t;
   acquired_at_ = now;
-  ++allocations_;
+  ++grants_[t];
 }
 
 void SecondLevelRob::release(Cycle now) {
   if (owner_ == kNoOwner) throw std::logic_error("SecondLevelRob::release without owner");
-  busy_accum_ += now - acquired_at_;
+  held_[owner_] += now - acquired_at_;
   owner_ = kNoOwner;
 }
 
 void SecondLevelRob::reset_accounting(Cycle now) {
-  busy_accum_ = 0;
-  allocations_ = owner_ == kNoOwner ? 0 : 1;
-  if (owner_ != kNoOwner) acquired_at_ = now;
+  std::ranges::fill(grants_, 0);
+  std::ranges::fill(held_, 0);
+  if (owner_ == kNoOwner) return;
+  grants_[owner_] = 1;
+  acquired_at_ = now;
+}
+
+std::vector<u64> SecondLevelRob::held_cycles(Cycle now) const {
+  std::vector<u64> held = held_;
+  if (owner_ != kNoOwner) held[owner_] += now - acquired_at_;
+  return held;
 }
 
 u64 SecondLevelRob::busy_cycles(Cycle now) const {
-  u64 busy = busy_accum_;
-  if (owner_ != kNoOwner) busy += now - acquired_at_;
-  return busy;
+  const std::vector<u64> held = held_cycles(now);
+  return std::reduce(held.begin(), held.end(), u64{0});
 }
 
 }  // namespace tlrob

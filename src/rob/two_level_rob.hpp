@@ -7,7 +7,13 @@
 // portions of oversized private ROBs; the allocation semantics are what this
 // class captures. On a CMP each SMT core owns a private instance — the
 // partition is shared between a core's threads, never across cores.
+//
+// It is also the one ledger of grants and tenures: the rob.allocations,
+// rob.allocations.tN, rob.busy.tN and rob2.busy_cycles counters all read it.
 #pragma once
+
+#include <numeric>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -17,7 +23,8 @@ class SecondLevelRob {
  public:
   static constexpr ThreadId kNoOwner = 0xffffffffu;
 
-  explicit SecondLevelRob(u32 entries) : entries_(entries) {}
+  /// A partition of `entries` shared by threads 0 .. threads-1.
+  SecondLevelRob(u32 entries, u32 threads) : entries_(entries), grants_(threads), held_(threads) {}
 
   u32 entries() const { return entries_; }
   bool available() const { return owner_ == kNoOwner && entries_ > 0; }
@@ -30,13 +37,18 @@ class SecondLevelRob {
   /// Relinquishes the partition. Requires an owner.
   void release(Cycle now);
 
-  u64 total_allocations() const { return allocations_; }
-  /// Cycles the partition spent allocated (for utilisation reporting).
-  u64 busy_cycles(Cycle now) const;
   Cycle acquired_at() const { return acquired_at_; }
 
-  /// Zeroes the utilisation accounting (warmup boundary); a live allocation
-  /// is counted from `now` onward.
+  /// Grants per thread since the last reset_accounting.
+  const std::vector<u64>& grants() const { return grants_; }
+  u64 total_grants() const { return std::reduce(grants_.begin(), grants_.end(), u64{0}); }
+  /// Cycles each thread held the partition, the open tenure counted up to
+  /// `now`.
+  std::vector<u64> held_cycles(Cycle now) const;
+  u64 busy_cycles(Cycle now) const;
+
+  /// Zeroes the ledger (warmup boundary). A partition held across it counts
+  /// as one grant to its holder, held from `now` on.
   void reset_accounting(Cycle now);
 
   /// Test-only corruption hook for the invariant-audit suite: rewrites the
@@ -47,9 +59,9 @@ class SecondLevelRob {
  private:
   u32 entries_;
   ThreadId owner_ = kNoOwner;
-  u64 allocations_ = 0;
   Cycle acquired_at_ = 0;
-  u64 busy_accum_ = 0;
+  std::vector<u64> grants_;  // per thread
+  std::vector<u64> held_;    // per thread, closed tenures only
 };
 
 }  // namespace tlrob

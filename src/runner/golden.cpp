@@ -10,7 +10,7 @@ GoldenRow golden_row(const JobRecord& record) {
     return it == record.counters.end() ? u64{0} : it->second;
   };
   return {record.config, record.mix, to_string(record.status), record.cycles, record.committed,
-          record.mt_ipc, counter("l2.misses"), counter("rob2.allocations")};
+          record.mt_ipc, counter("l2.misses"), counter("rob.allocations")};
 }
 
 }  // namespace tlrob::runner

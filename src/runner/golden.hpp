@@ -21,7 +21,7 @@ struct GoldenRow {
   std::vector<u64> committed;   // per thread, paper order
   std::vector<double> mt_ipc;   // per thread, derived from committed/cycles
   u64 l2_misses = 0;            // shared-L2 "l2.misses" counter
-  u64 second_level_grants = 0;  // "rob2.allocations" counter
+  u64 second_level_grants = 0;  // "rob.allocations" counter
 };
 
 /// The run length fixtures are recorded at. Deliberately short: long enough

@@ -22,7 +22,7 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
       mem_(cfg.memory, shared, core_id),
       bpred_(cfg.predictor, cfg.num_threads),
       lhp_(cfg.load_hit_entries, cfg.load_hit_history, cfg.num_threads),
-      second_(cfg.rob_second_level),
+      second_(cfg.rob_second_level, cfg.num_threads),
       wp_rng_(cfg.seed ^ 0xabcdef12345ULL),
       series_(cfg.telemetry.sample_interval),
       sample_every_(cfg.telemetry.sample_interval),
@@ -1001,7 +1001,7 @@ void SmtCore::flush_chrome_trace() {
 
 void SmtCore::poll_second_level() {
   const ThreadId owner = second_.owner();
-  const u64 allocs = second_.total_allocations();
+  const u64 allocs = second_.total_grants();
   if (owner == sl_owner_ && allocs == sl_allocs_) return;
   // A changed allocation count with an unchanged owner is a release and
   // re-grant inside one tick (the controller's maybe_release + acquire) —
@@ -1097,7 +1097,7 @@ RunResult SmtCore::run(u64 commit_target, u64 max_cycles, u64 warmup_insts) {
 
 void run_lockstep(std::span<SmtCore* const> cores, u64 commit_target, u64 max_cycles,
                   u64 warmup_insts) {
-  if (max_cycles == 0) max_cycles = (warmup_insts + commit_target) * 400 + 200000;
+  if (max_cycles == 0) max_cycles = default_cycle_cap(commit_target, warmup_insts);
   // A core pinned by a test pins the whole machine: nobody sleeps.
   const bool pinned = std::ranges::any_of(cores, &SmtCore::pinned);
   Cycle now = cores.front()->now();  // the machine clock; every core starts on it
@@ -1185,8 +1185,11 @@ RunResult SmtCore::snapshot_result() const {
   export_stats(c, "core.", stats_, kCoreStatFields);
   export_stats(c, "bpred.", bpred_.stats(), kBranchStatFields);
   export_stats(c, "rob.", rob_ctrl_->stats(), kRobControllerStatFields);
-  export_family(c, "rob.allocations.t", rob_ctrl_->allocations_by_thread(), thread_base_);
-  export_family(c, "rob.busy.t", rob_ctrl_->busy_by_thread(), thread_base_);
+  // The partition's ledger; an open tenure counts up to now.
+  c["rob.allocations"] = second_.total_grants();
+  export_family(c, "rob.allocations.t", second_.grants(), thread_base_);
+  export_family(c, "rob.busy.t", second_.held_cycles(cycle_), thread_base_);
+  c["rob2.busy_cycles"] = second_.busy_cycles(cycle_);
   if (const DodPredictor* p = std::as_const(*rob_ctrl_).predictor())
     export_stats(c, "dodpred.", p->stats(), kDodPredictorStatFields);
   export_stats(c, "l1i.", mem_.l1i().stats(), kCacheStatFields);
@@ -1200,8 +1203,6 @@ RunResult SmtCore::snapshot_result() const {
     for (size_t k = 0; k < kViolationKinds.size(); ++k)
       c[std::string("audit.violations.") + kViolationKinds[k]] = auditor_.violations_by_kind()[k];
   }
-  c["rob2.allocations"] = second_.total_allocations();
-  c["rob2.busy_cycles"] = second_.busy_cycles(cycle_);
   // Instruction sources merge last: the default hook is a no-op, so purely
   // synthetic runs produce exactly the counter set they always did. Like the
   // families above, sources report under the machine-global thread index,

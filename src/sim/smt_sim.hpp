@@ -432,10 +432,10 @@ class SmtCore {
 /// CmpMachine::run). Ticks `cores` in lockstep on one machine clock, each in
 /// its index slot (the deterministic interleaving of shared LLC/DRAM
 /// requests), until any thread on any core has committed `commit_target`
-/// instructions or `max_cycles` elapse (0 = derive a generous bound from the
-/// target). `warmup_insts` commits per fastest thread are executed first and
-/// then excluded from every statistic — the stand-in for the paper's
-/// Simpoint fast-forwarding (cold caches otherwise dominate short runs).
+/// instructions or `max_cycles` elapse (0 = default_cycle_cap).
+/// `warmup_insts` commits per fastest thread are executed first and then
+/// excluded from every statistic — the stand-in for the paper's Simpoint
+/// fast-forwarding (cold caches otherwise dominate short runs).
 /// A core whose tick was idle sleeps until its own wake bound while its
 /// peers run: the loop passes over it (stopping in its slot only to take
 /// its samples) and replays the skipped span when it wakes. The clock jumps
@@ -445,5 +445,11 @@ class SmtCore {
 /// are closed; callers take snapshot_result() afterwards.
 void run_lockstep(std::span<SmtCore* const> cores, u64 commit_target, u64 max_cycles = 0,
                   u64 warmup_insts = 0);
+
+/// run_lockstep's cycle cap when none is given: 400 cycles per instruction
+/// of warmup and target, plus 200000.
+constexpr u64 default_cycle_cap(u64 commit_target, u64 warmup_insts) {
+  return (warmup_insts + commit_target) * 400 + 200000;
+}
 
 }  // namespace tlrob

@@ -165,9 +165,11 @@ TEST(CmpTelemetry, PerThreadRobFamiliesUseTheMachineGlobalIndex) {
   for (u32 c = 0; c < 2; ++c)
     for (u32 t = 0; t < 4; ++t) {
       const std::string id = std::to_string(c * 4 + t);
-      const TwoLevelRobController& ctrl = machine.core(c).rob_controller();
-      EXPECT_EQ(run_counter(r, "rob.allocations.t" + id), ctrl.allocations_by_thread()[t]) << id;
-      EXPECT_EQ(run_counter(r, "rob.busy.t" + id), ctrl.busy_by_thread()[t]) << id;
+      const SmtCore& core = machine.core(c);
+      EXPECT_EQ(run_counter(r, "rob.allocations.t" + id), core.second_level().grants()[t]) << id;
+      EXPECT_EQ(run_counter(r, "rob.busy.t" + id),
+                core.second_level().held_cycles(core.now())[t])
+          << id;
     }
 }
 

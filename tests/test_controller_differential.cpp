@@ -1,14 +1,17 @@
 // Differential test of the allocation controller's re-check pass.
 //
-// TwoLevelRobController re-checks only an R-ROB or Relaxed candidate whose
-// load is its ROB's head, lets the others keep their re-check grid without
-// being decided, and keeps each thread's candidates in tseq order. The
-// reference below is the pass it replaced: every due candidate of every
-// thread is decided from the live window at every re-check, and every
-// candidate is decided at each idle wake. Both run over mirrored ROBs and
-// partitions driven by the same random stream of pushes, executions, pops,
-// squashes, miss detections (in any tseq order), fills and idle spans, and
-// must agree on everything the core can observe after every cycle.
+// TwoLevelRobController re-checks, wakes for and replays only an R-ROB or
+// Relaxed thread's front candidate, the only one that can name its ROB's
+// head, lets the others keep a stale point of their re-check grid, and
+// keeps each thread's candidates in tseq order. The reference below is the
+// pass it replaced: every due candidate of every thread is decided from the
+// live window at every re-check, and it ticks every cycle of each span the
+// production controller sleeps through and replays, where it must find
+// nothing to do. Both run over mirrored ROBs and partitions driven by the
+// same random stream of pushes, executions, pops, squashes, miss detections
+// (in any tseq order), fills and idle spans, and must agree on everything
+// the core can observe after every cycle; the production wake may only be
+// later than the reference's.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,8 +28,8 @@ namespace tlrob {
 namespace {
 
 /// The every-candidate controller (R-ROB, Relaxed and CDR only): the
-/// re-check pass, idle decision and quiet replay as they stood before
-/// head-gating, without the early-out that skipped passes nothing was due in.
+/// re-check pass and idle decision as they stood before head-gating,
+/// without the early-out that skipped passes nothing was due in.
 class ReferenceController {
  public:
   ReferenceController(const RobPolicyConfig& cfg, std::vector<ReorderBuffer*> robs,
@@ -34,9 +37,7 @@ class ReferenceController {
       : cfg_(cfg),
         robs_(std::move(robs)),
         second_(second),
-        threads_(robs_.size()),
-        allocations_by_thread_(robs_.size(), 0),
-        busy_by_thread_(robs_.size(), 0) {}
+        threads_(robs_.size()) {}
 
   void on_l2_miss_detected(DynInst& load, Cycle now) {
     ++stats_.l2_miss_candidates;
@@ -78,9 +79,9 @@ class ReferenceController {
   Cycle next_wake(Cycle now) {
     Cycle best = kNeverCycle;
     for (ThreadId tid = 0; tid < threads_.size(); ++tid)
-      for (Candidate& c : threads_[tid].cands) {
-        c.outcome = decide(tid, c.tseq, now);
-        if (c.outcome == Outcome::kDrop || c.outcome == Outcome::kGrant) {
+      for (const Candidate& c : threads_[tid].cands) {
+        const Outcome outcome = decide(tid, c.tseq, now);
+        if (outcome == Outcome::kDrop || outcome == Outcome::kGrant) {
           best = std::min(best, c.next_check);
         } else if (const Cycle gate = gate_after(tid, now); gate != kNeverCycle) {
           best = std::min(best, grid_at_or_after(c, gate));
@@ -89,20 +90,7 @@ class ReferenceController {
     return best;
   }
 
-  void replay_idle_to(Cycle wake) {
-    for (ThreadState& ts : threads_)
-      for (Candidate& c : ts.cands) {
-        if (c.next_check >= wake) continue;
-        const Cycle next = grid_at_or_after(c, wake);
-        if (c.outcome == Outcome::kReject)
-          stats_.rejected_high_dod += (next - c.next_check) / cfg_.recheck_interval;
-        c.next_check = next;
-      }
-  }
-
   const RobControllerStats& stats() const { return stats_; }
-  const std::vector<u64>& allocations_by_thread() const { return allocations_by_thread_; }
-  const std::vector<u64>& busy_by_thread() const { return busy_by_thread_; }
   bool has_pending_candidate(ThreadId tid) const { return !threads_[tid].cands.empty(); }
   std::vector<u64> candidate_tseqs(ThreadId tid) const {
     std::vector<u64> out;
@@ -118,7 +106,6 @@ class ReferenceController {
   struct Candidate {
     u64 tseq = 0;
     Cycle next_check = 0;
-    Outcome outcome = Outcome::kDefer;
   };
   struct ThreadState {
     std::vector<Candidate> cands;
@@ -161,8 +148,6 @@ class ReferenceController {
     if (second_.available()) {
       second_.allocate(tid, now);
       robs_[tid]->grant_extra(second_.entries());
-      ++stats_.allocations;
-      ++allocations_by_thread_[tid];
     } else if (second_.owned_by(tid)) {
       robs_[tid]->grant_extra(second_.entries());
     }
@@ -183,7 +168,6 @@ class ReferenceController {
     rob.revoke_extra();
     ts.has_trigger = false;
     if (rob.size() > rob.base_capacity()) return changed;
-    busy_by_thread_[tid] += now - second_.acquired_at();
     bool contended = false;
     for (u32 o = 0; o < threads_.size(); ++o)
       if (o != tid && !threads_[o].cands.empty()) contended = true;
@@ -218,13 +202,11 @@ class ReferenceController {
   SecondLevelRob& second_;
   std::vector<ThreadState> threads_;
   RobControllerStats stats_;
-  std::vector<u64> allocations_by_thread_;
-  std::vector<u64> busy_by_thread_;
 };
 
 /// One machine's ROBs and partition; the test keeps two in lockstep.
 struct Side {
-  Side(u32 threads, u32 rob1, u32 rob2) : second(rob2) {
+  Side(u32 threads, u32 rob1, u32 rob2) : second(rob2, threads) {
     for (u32 t = 0; t < threads; ++t) robs.push_back(std::make_unique<ReorderBuffer>(rob1, rob2));
   }
   std::vector<ReorderBuffer*> rob_ptrs() const {
@@ -265,21 +247,24 @@ class Differential {
       if (!agree(now, "tick") || !expect_eq(prod_active, ref_active, now, "tick activity"))
         return false;
       const Cycle wake = prod_.next_wake(now);
-      if (!expect_eq(wake, ref_.next_wake(now), now, "next_wake")) return false;
+      const Cycle ref_wake = ref_.next_wake(now);
+      if (!expect_eq(wake >= ref_wake, true, now, "next_wake not before the reference's"))
+        return false;
       if (mutated || prod_active || pick(2) == 0) {
         ++now;
         continue;
       }
       // The core is idle: sleep to its wake, or to an earlier one another
-      // structure asked for, replaying the span in one or two pieces.
+      // structure asked for, replaying the span in one or two pieces. The
+      // reference ticks every cycle of it instead, and none may act.
       const Cycle limit = std::min(wake, now + 2 + pick(80));
       const Cycle to = now + 1 + pick(limit - now);
-      if (const Cycle mid = now + 1 + pick(to - now); mid < to && pick(2) == 0) {
+      if (const Cycle mid = now + 1 + pick(to - now); mid < to && pick(2) == 0)
         prod_.replay_idle_to(mid);
-        ref_.replay_idle_to(mid);
-      }
       prod_.replay_idle_to(to);
-      ref_.replay_idle_to(to);
+      for (Cycle t = now + 1; t < to; ++t)
+        if (!expect_eq(ref_.tick(t), false, t, "reference activity in a replayed sleep"))
+          return false;
       if (!agree(to, "replay_idle_to")) return false;
       now = to;
     }
@@ -287,6 +272,7 @@ class Differential {
   }
 
   const RobControllerStats& stats() const { return prod_.stats(); }
+  u64 grants() const { return prod_side_.second.total_grants(); }
 
  private:
   static constexpr u32 kRob1 = 8;
@@ -412,9 +398,10 @@ class Differential {
     for (const auto& f : kRobControllerStatFields)
       ok &= expect_eq(prod_.stats().*f.member, ref_.stats().*f.member, now,
                       when + ": rob." + f.name);
-    ok &= expect_eq(prod_.allocations_by_thread(), ref_.allocations_by_thread(), now,
-                    when + ": allocations.tN");
-    ok &= expect_eq(prod_.busy_by_thread(), ref_.busy_by_thread(), now, when + ": busy.tN");
+    ok &= expect_eq(prod_side_.second.grants(), ref_side_.second.grants(), now,
+                    when + ": rob.allocations.tN");
+    ok &= expect_eq(prod_side_.second.held_cycles(now), ref_side_.second.held_cycles(now), now,
+                    when + ": rob.busy.tN");
     for (ThreadId t = 0; t < next_tseq_.size(); ++t) {
       const std::string thread = when + ": thread " + std::to_string(t) + " ";
       ok &= expect_eq(prod_side_.robs[t]->extra(), ref_side_.robs[t]->extra(), now,
@@ -449,15 +436,17 @@ class ControllerDifferential : public ::testing::TestWithParam<RobScheme> {};
 
 TEST_P(ControllerDifferential, HeadGatedPassMatchesEveryCandidatePass) {
   RobControllerStats seen;
+  u64 grants = 0;
   for (u64 seed = 1; seed <= 200; ++seed) {
     const u32 threads = 2 + static_cast<u32>(seed % 3);
     Differential d(GetParam(), threads, seed);
     ASSERT_TRUE(d.run(4000)) << "seed " << seed << ", " << threads << " threads";
     for (const auto& f : kRobControllerStatFields) seen.*f.member += d.stats().*f.member;
+    grants += d.grants();
   }
   // The stream reaches every outcome the comparison is about.
-  EXPECT_GT(seen.allocations, 0u);
-  EXPECT_GT(seen.lease_grants_or_renewals, seen.allocations);
+  EXPECT_GT(grants, 0u);
+  EXPECT_GT(seen.lease_grants_or_renewals, grants);
   EXPECT_GT(seen.releases, 0u);
   EXPECT_GT(seen.rejected_high_dod, 0u);
 }

@@ -168,9 +168,26 @@ TEST(GoldenRuns, FixturesExerciseSecondLevel) {
   u64 grants = 0;
   for (const char* preset : {"fig2", "fig4", "fig5", "fig6"})
     for (const JobRecord& r : fixture_records(preset))
-      grants += r.counters.at("rob2.allocations");
+      grants += r.counters.at("rob.allocations");
   EXPECT_GT(grants, 0u) << "no fixture records a second-level grant; the golden "
                            "run length is too short to exercise two-level schemes";
+}
+
+// Grants and tenures have one ledger, the partition's: in every record the
+// per-thread families sum to its totals.
+TEST(GoldenRuns, EveryRecordBalancesTheSecondLevelLedger) {
+  ASSERT_FALSE(fixture_lines().empty()) << "missing or empty " << kFixture;
+  for (const JobRecord& r : fixture_records()) {
+    u64 grants = 0;
+    u64 held = 0;
+    for (const auto& [key, value] : r.counters) {
+      if (key.starts_with("rob.allocations.t")) grants += value;
+      if (key.starts_with("rob.busy.t")) held += value;
+    }
+    const std::string cell = r.campaign + "/" + r.config + "/" + r.mix;
+    EXPECT_EQ(grants, r.counters.at("rob.allocations")) << cell;
+    EXPECT_EQ(held, r.counters.at("rob2.busy_cycles")) << cell;
+  }
 }
 
 // Every fixture line round-trips through the record parser byte for byte,

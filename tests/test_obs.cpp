@@ -195,7 +195,7 @@ TEST(ChromeTrace, GrantLifecycleSpansAppearInATwoLevelRun) {
   core.attach_chrome_trace(&trace);
   const RunResult r = core.run(4000);
 
-  ASSERT_GT(run_counter(r, "rob2.allocations"), 0u);
+  ASSERT_GT(run_counter(r, "rob.allocations"), 0u);
   EXPECT_GT(trace.count_named('X', "second_level_grant"), 0u);
   EXPECT_GT(trace.count_named('X', "l2_miss_shadow"), 0u);
   EXPECT_GT(trace.count_named('i', "second_level_request"), 0u);

@@ -582,7 +582,7 @@ TEST(FastForwardDifferential, IdleCoreSleepsWhileItsPeerRuns) {
   RunResult a = per_core.run(kInsts);
 
   CmpMachine global(cfg, benches);
-  const Cycle cap = kInsts * 400 + 200000;  // run_lockstep's default cap
+  const Cycle cap = default_cycle_cap(kInsts, 0);
   auto fastest = [&] {
     return std::max(global.core(0).fastest_measured(), global.core(1).fastest_measured());
   };

@@ -92,7 +92,7 @@ TEST_P(SchemeInvariants, CycleByCycle) {
 
   const RunResult r = core.snapshot_result();
   // Allocation/release accounting balances (an allocation may be live).
-  const u64 alloc = run_counter(r, "rob2.allocations");
+  const u64 alloc = run_counter(r, "rob.allocations");
   const u64 releases =
       run_counter(r, "rob.releases");
   EXPECT_LE(releases, alloc);

@@ -123,7 +123,7 @@ TEST(Rob, TrueDependentsFollowsTransitiveDataflow) {
 }
 
 TEST(SecondLevel, SingleOwnerSemantics) {
-  SecondLevelRob s(384);
+  SecondLevelRob s(384, 4);
   EXPECT_TRUE(s.available());
   s.allocate(2, 100);
   EXPECT_FALSE(s.available());
@@ -132,12 +132,36 @@ TEST(SecondLevel, SingleOwnerSemantics) {
   s.release(250);
   EXPECT_TRUE(s.available());
   EXPECT_EQ(s.busy_cycles(300), 150u);
-  EXPECT_EQ(s.total_allocations(), 1u);
+  EXPECT_EQ(s.total_grants(), 1u);
   EXPECT_THROW(s.release(300), std::logic_error);
 }
 
+// The one ledger of grants and tenures: a partition held across the warmup
+// reset is one grant to its holder, held from the reset on, and an open
+// tenure counts up to the reading.
+TEST(SecondLevel, LedgerCountsAHeldPartitionOnceFromTheReset) {
+  SecondLevelRob s(384, 3);
+  s.allocate(0, 10);
+  s.release(40);
+  s.allocate(1, 100);
+  s.reset_accounting(150);
+  EXPECT_EQ(s.grants(), (std::vector<u64>{0, 1, 0}));
+  EXPECT_EQ(s.held_cycles(200), (std::vector<u64>{0, 50, 0}));
+  EXPECT_EQ(s.acquired_at(), 150u);
+  s.release(250);
+  s.allocate(2, 300);
+  EXPECT_EQ(s.grants(), (std::vector<u64>{0, 1, 1}));
+  EXPECT_EQ(s.total_grants(), 2u);
+  EXPECT_EQ(s.held_cycles(320), (std::vector<u64>{0, 100, 20}));
+  EXPECT_EQ(s.busy_cycles(320), 120u);
+  s.reset_accounting(400);
+  s.release(401);
+  EXPECT_EQ(s.grants(), (std::vector<u64>{0, 0, 1}));
+  EXPECT_EQ(s.busy_cycles(500), 1u);
+}
+
 TEST(SecondLevel, ZeroEntriesNeverAvailable) {
-  SecondLevelRob s(0);
+  SecondLevelRob s(0, 1);
   EXPECT_FALSE(s.available());
 }
 
@@ -171,7 +195,7 @@ TEST(DodPredictor, RejectsNonPowerOfTwo) {
 
 class ControllerTest : public ::testing::Test {
  protected:
-  ControllerTest() : rob0_(32), rob1_(32), second_(384) {}
+  ControllerTest() : rob0_(32), rob1_(32), second_(384, 2) {}
 
   TwoLevelRobController make(RobScheme scheme, u32 threshold) {
     RobPolicyConfig cfg;
@@ -299,6 +323,45 @@ TEST_F(ControllerTest, HeadLoadDetectedAfterAYoungerMissGetsTheGrantAtItsOwnRech
   ctrl.tick(210);
   EXPECT_EQ(ctrl.stats().lease_grants_or_renewals, 2u);
   EXPECT_EQ(ctrl.audit_trigger_tseq(0), younger.tseq);
+}
+
+// Only the front candidate can name the head, so a younger one whose grid
+// reaches the thread's gate first must not end the core's sleep there.
+TEST_F(ControllerTest, NonFrontCandidateDoesNotBoundTheIdleWake) {
+  auto ctrl = make(RobScheme::kReactive, 16);  // re-check 10, cooldown 500
+  // Thread 1 contends with a miss its non-full window never lets it grant.
+  DynInst l1 = make_inst(1, false, OpClass::kLoad);
+  l1.si = &load_si_;
+  l1.tid = 1;
+  l1.is_l2_miss = true;
+  ctrl.on_l2_miss_detected(rob1_.push(std::move(l1)), 100);
+  // Thread 0: the head miss A, then loads B and C, all in A's DoD.
+  DynInst& a = fill_rob0_with_miss(/*unexec=*/0);
+  DynInst& b = *rob0_.find(a.tseq + 1);
+  DynInst& c = *rob0_.find(a.tseq + 2);
+  for (DynInst* d : {&b, &c}) {
+    d->op = OpClass::kLoad;
+    d->si = &load_si_;
+    d->executed = false;
+  }
+  ctrl.on_l2_miss_detected(a, 100);
+  ctrl.tick(100);
+  ASSERT_TRUE(second_.owned_by(0));
+  // A fills and commits; a contended release at 201 puts thread 0 in
+  // cooldown until 701.
+  ctrl.on_load_fill(a, 200);
+  a.executed = true;
+  rob0_.pop_head();
+  ctrl.tick(201);
+  ASSERT_TRUE(second_.available());
+
+  b.is_l2_miss = c.is_l2_miss = true;
+  ctrl.on_l2_miss_detected(b, 300);
+  ctrl.tick(300);  // B, the head, defers on the cooldown: grid 300 + 10k
+  ctrl.on_l2_miss_detected(c, 303);
+  EXPECT_FALSE(ctrl.tick(303));  // C, behind B, keeps its grid 303 + 10k
+  // C's first point after the gate (703) precedes B's (710).
+  EXPECT_EQ(ctrl.next_wake(303), 710u);
 }
 
 TEST_F(ControllerTest, UnchangedInputsRepeatTheRecordedRejection) {
@@ -579,7 +642,7 @@ TEST_F(ControllerTest, BaselineSchemeIsInert) {
   ctrl.tick(100);
   ctrl.on_load_fill(load, 600);
   EXPECT_TRUE(second_.available());
-  EXPECT_EQ(ctrl.stats().allocations, 0u);
+  EXPECT_EQ(second_.total_grants(), 0u);
 }
 
 }  // namespace

@@ -3,7 +3,12 @@
 // behaviour and the paper's mechanisms working together.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "runner/engine.hpp"
+#include "sim/cmp.hpp"
 #include "sim/experiment.hpp"
 #include "sim/metrics.hpp"
 #include "sim/presets.hpp"
@@ -130,16 +135,109 @@ TEST(SmtCore, FourThreadsAllMakeProgress) {
 TEST(SmtCore, BaselineNeverTouchesSecondLevel) {
   SmtCore core(baseline32_config(), mix_benchmarks(table2_mix(1)));
   const RunResult r = core.run(8000);
-  EXPECT_EQ(run_counter(r, "rob2.allocations"), 0u);
+  EXPECT_EQ(run_counter(r, "rob.allocations"), 0u);
   for (ThreadId t = 0; t < 4; ++t) EXPECT_EQ(core.rob(t).capacity(), 32u);
 }
 
 TEST(SmtCore, TwoLevelAllocatesOnMemoryBoundMix) {
   SmtCore core(two_level_config(RobScheme::kReactive, 16), mix_benchmarks(table2_mix(1)));
   const RunResult r = core.run(20000);
-  EXPECT_GT(run_counter(r, "rob2.allocations"), 0u);
+  EXPECT_GT(run_counter(r, "rob.allocations"), 0u);
   EXPECT_GT(run_counter(r, "rob2.busy_cycles"), 0u);
-  EXPECT_EQ(run_counter(r, "rob.allocations"), run_counter(r, "rob2.allocations"));
+  u64 grants = 0;
+  u64 held = 0;
+  for (ThreadId t = 0; t < 4; ++t) {
+    grants += run_counter(r, "rob.allocations.t" + std::to_string(t));
+    held += run_counter(r, "rob.busy.t" + std::to_string(t));
+  }
+  EXPECT_EQ(grants, run_counter(r, "rob.allocations"));
+  EXPECT_EQ(held, run_counter(r, "rob2.busy_cycles"));
+}
+
+// The partition's ledger against a per-cycle observer of each core's owner
+// and acquired_at. The machine ticks every cycle (no fast-forward), resets
+// at the first cycle past the warmup at which some core's partition is held
+// and stops at the first cycle past the target at which one is held. So a
+// tenure open across the reset must count as one grant to its holder, held
+// from the reset on, and a tenure open at exit as held up to the end.
+void expect_ledger_across_reset_and_exit(const MachineConfig& cfg) {
+  constexpr u64 kWarmup = 2000;
+  constexpr u64 kInsts = 6000;
+  std::vector<Benchmark> benches;
+  while (benches.size() < static_cast<size_t>(cfg.num_cores) * cfg.num_threads)
+    for (Benchmark& b : mix_benchmarks(table2_mix(1))) benches.push_back(std::move(b));
+  CmpMachine m(cfg, benches);
+  const u32 n = cfg.num_threads;
+  std::vector<u64> grants(benches.size()), held(benches.size());
+  struct Tenure {
+    ThreadId owner = SecondLevelRob::kNoOwner;
+    Cycle since = 0;
+  };
+  std::vector<Tenure> seen(m.num_cores());
+
+  auto any_held = [&] {
+    for (u32 c = 0; c < m.num_cores(); ++c)
+      if (m.core(c).second_level().owner() != SecondLevelRob::kNoOwner) return true;
+    return false;
+  };
+  auto fastest = [&] {
+    u64 best = 0;
+    for (u32 c = 0; c < m.num_cores(); ++c) best = std::max(best, m.core(c).fastest_measured());
+    return best;
+  };
+  // Ticks until `insts` commits with a partition held; false past the cap.
+  auto run_until = [&](u64 insts) {
+    while (fastest() < insts || !any_held()) {
+      const Cycle now = m.now();
+      if (now > default_cycle_cap(kInsts, kWarmup)) return false;
+      for (u32 c = 0; c < m.num_cores(); ++c) {
+        m.core(c).tick();
+        const SecondLevelRob& s = m.core(c).second_level();
+        Tenure& o = seen[c];
+        const bool same = o.owner == SecondLevelRob::kNoOwner || s.acquired_at() == o.since;
+        if (s.owner() == o.owner && same) continue;  // no tenure ended or began
+        if (o.owner != SecondLevelRob::kNoOwner) held[c * n + o.owner] += now - o.since;
+        o = {s.owner(), s.acquired_at()};
+        if (o.owner != SecondLevelRob::kNoOwner) ++grants[c * n + o.owner];
+      }
+    }
+    return true;
+  };
+
+  ASSERT_TRUE(run_until(kWarmup));
+  for (u32 c = 0; c < m.num_cores(); ++c) m.core(c).reset_measurement();
+  std::ranges::fill(grants, 0);
+  std::ranges::fill(held, 0);
+  for (u32 c = 0; c < m.num_cores(); ++c) {
+    if (seen[c].owner == SecondLevelRob::kNoOwner) continue;
+    grants[c * n + seen[c].owner] = 1;
+    seen[c].since = m.now();
+  }
+  ASSERT_TRUE(run_until(kInsts));
+  for (u32 c = 0; c < m.num_cores(); ++c)
+    if (seen[c].owner != SecondLevelRob::kNoOwner)
+      held[c * n + seen[c].owner] += m.now() - seen[c].since;
+
+  const RunResult r = m.snapshot_result();
+  u64 total_grants = 0;
+  u64 total_held = 0;
+  for (size_t t = 0; t < benches.size(); ++t) {
+    const std::string id = std::to_string(t);
+    EXPECT_EQ(run_counter(r, "rob.allocations.t" + id), grants[t]) << "thread " << id;
+    EXPECT_EQ(run_counter(r, "rob.busy.t" + id), held[t]) << "thread " << id;
+    total_grants += grants[t];
+    total_held += held[t];
+  }
+  EXPECT_EQ(run_counter(r, "rob.allocations"), total_grants);
+  EXPECT_EQ(run_counter(r, "rob2.busy_cycles"), total_held);
+}
+
+TEST(SecondLevelLedger, OneCoreHeldAcrossTheResetAndAtExit) {
+  expect_ledger_across_reset_and_exit(two_level_config(RobScheme::kReactive, 16));
+}
+
+TEST(SecondLevelLedger, TwoCoresHeldAcrossTheResetAndAtExit) {
+  expect_ledger_across_reset_and_exit(cmp_config(2, RobScheme::kReactive, 16));
 }
 
 TEST(SmtCore, DodHistogramsPopulatedOnMisses) {

@@ -44,7 +44,7 @@ class LowDodBeneficiary : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(LowDodBeneficiary, QualifiesForSecondLevel) {
   const RunResult r = run_single(GetParam(), RobScheme::kReactive, 16);
-  EXPECT_GT(run_counter(r, "rob2.allocations"), 0u) << GetParam();
+  EXPECT_GT(run_counter(r, "rob.allocations"), 0u) << GetParam();
   EXPECT_GT(run_counter(r, "rob2.busy_cycles"), r.cycles / 20) << GetParam();
 }
 
