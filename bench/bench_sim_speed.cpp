@@ -99,7 +99,7 @@ void BM_TraceFrontendDecode(benchmark::State& state) {
   constexpr u64 kUopsPerIter = 100000;
   u64 uops = 0;
   for (auto _ : state) {
-    auto src = bench.source_factory(bench, Addr{1} << 36, 1);
+    auto src = make_thread_context(bench, 0, 1);
     for (u64 i = 0; i < kUopsPerIter; ++i) benchmark::DoNotOptimize(src->next());
     uops += kUopsPerIter;
   }

@@ -7,10 +7,9 @@
 // the hazard tlrob-lint rule D1 exists to catch. A FlatMap is built once
 // (emplace during construction, then seal()), after which lookups are
 // branch-light binary searches over one contiguous array and iteration is
-// key-sorted, so emitting it is deterministic by construction. For the
-// access patterns it replaced (block_of_pc: ~dozens of keys, built at core
-// construction, probed on every fetch steer) the dense layout is also the
-// faster structure.
+// key-sorted, so emitting it is deterministic by construction. For a
+// lookup table built once and probed often (the trace lowering's
+// block_of_ip) the dense layout is also the faster structure.
 #pragma once
 
 #include <algorithm>

@@ -1,5 +1,6 @@
 #include "isa/program.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -17,10 +18,12 @@ void Program::finalize(Addr code_base) {
 
   code_base_ = code_base;
   Addr pc = code_base;
+  block_start_pcs_.reserve(blocks_.size());
   for (u32 bid = 0; bid < blocks_.size(); ++bid) {
     BasicBlock& b = blocks_[bid];
     if (b.insts.empty())
       throw std::logic_error(name_ + ": empty basic block " + std::to_string(bid));
+    block_start_pcs_.push_back(pc);
     if (b.fallthrough >= blocks_.size())
       throw std::logic_error(name_ + ": fallthrough out of range in block " + std::to_string(bid));
     for (u32 i = 0; i < b.insts.size(); ++i) {
@@ -47,6 +50,12 @@ void Program::finalize(Addr code_base) {
     }
   }
   finalized_ = true;
+}
+
+std::optional<u32> Program::block_starting_at(Addr pc) const {
+  const auto it = std::ranges::lower_bound(block_start_pcs_, pc);
+  if (it == block_start_pcs_.end() || *it != pc) return std::nullopt;
+  return static_cast<u32>(it - block_start_pcs_.begin());
 }
 
 }  // namespace tlrob

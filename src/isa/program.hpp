@@ -6,6 +6,7 @@
 // program for a configured number of committed instructions.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,12 +54,19 @@ class Program {
   bool finalized() const { return finalized_; }
   Addr code_base() const { return code_base_; }
 
+  /// The block whose first instruction sits at `pc`; nullopt for any other
+  /// PC, the middle of a block included. Built by finalize().
+  std::optional<u32> block_starting_at(Addr pc) const;
+
  private:
   std::string name_;
   std::vector<BasicBlock> blocks_;
   u32 num_agens_ = 0;
   u32 num_bgens_ = 0;
   Addr code_base_ = 0;
+  /// First PC of each block, by block id. finalize() numbers PCs in block
+  /// order, so this is sorted.
+  std::vector<Addr> block_start_pcs_;
   bool finalized_ = false;
 };
 

@@ -65,7 +65,6 @@ struct DynInst {
   // Memory ops.
   bool lsq_allocated = false;
   bool addr_resolved = false;   // store address known (gates younger loads)
-  bool l1_hit = false;
   bool is_l2_miss = false;      // long-latency load
   bool l1_counted = false;      // contributes to the thread's outstanding-L1 count
   bool l2_counted = false;

@@ -64,8 +64,10 @@ bool TwoLevelRobController::maybe_release(ThreadId tid, Cycle now) {
   return true;
 }
 
-bool TwoLevelRobController::lease_expired(ThreadId tid, Cycle now) const {
-  return second_.owned_by(tid) && now >= second_.acquired_at() + cfg_.lease_limit;
+bool TwoLevelRobController::may_take_or_renew(ThreadId tid, Cycle now) const {
+  const bool take = second_.available() && now >= threads_[tid].cooldown_until;
+  const bool renew = second_.owned_by(tid) && now < second_.acquired_at() + cfg_.lease_limit;
+  return take || renew;
 }
 
 void TwoLevelRobController::on_l2_miss_detected(DynInst& load, Cycle now) {
@@ -78,9 +80,7 @@ void TwoLevelRobController::on_l2_miss_detected(DynInst& load, Cycle now) {
     const auto pred = predictor_->predict(tid, load.pc);
     if (pred.has_value()) {
       ++stats_.predictions;
-      const bool can_acquire_fresh = second_.available() && now >= ts.cooldown_until;
-      const bool can_renew = second_.owned_by(tid) && !lease_expired(tid, now);
-      if (*pred < cfg_.dod_threshold && (can_acquire_fresh || can_renew)) {
+      if (*pred < cfg_.dod_threshold && may_take_or_renew(tid, now)) {
         acquire(tid, load, now);
         ++stats_.predictive_allocations;
       }
@@ -140,9 +140,7 @@ TwoLevelRobController::Outcome TwoLevelRobController::decide(ThreadId tid, u64 t
   if (load == nullptr && head_gated()) return Outcome::kDefer;
   if (load == nullptr || load->executed) return Outcome::kDrop;  // gone or filled
 
-  const bool can_acquire_fresh = second_.available() && now >= threads_[tid].cooldown_until;
-  const bool can_renew = second_.owned_by(tid) && !lease_expired(tid, now);
-  if (!can_acquire_fresh && !can_renew) return Outcome::kDefer;
+  if (!may_take_or_renew(tid, now)) return Outcome::kDefer;
   // Relaxed drops R-ROB's "first level full" requirement; kCdr has no
   // positional requirement, its snapshot delay gated first_check.
   if (cfg_.scheme == RobScheme::kReactive && !rob.first_level_full()) return Outcome::kDefer;

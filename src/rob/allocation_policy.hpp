@@ -278,9 +278,9 @@ class TwoLevelRobController {
   /// Returns true iff state changed (trigger cleared, extra revoked, or the
   /// partition released).
   bool maybe_release(ThreadId tid, Cycle now);
-  /// True when `tid` holds the partition past the fairness bound, so its
-  /// lease must not be renewed by further misses.
-  bool lease_expired(ThreadId tid, Cycle now) const;
+  /// True when `tid` may take the free partition (its cooldown is over) or
+  /// renew the one it holds (within the lease_limit fairness bound).
+  bool may_take_or_renew(ThreadId tid, Cycle now) const;
   /// next_wake()'s bound for one candidate of thread `tid`, deciding it at
   /// `now` first.
   Cycle replay_until(ThreadId tid, Candidate& c, Cycle now);

@@ -43,21 +43,7 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
   threads_.reserve(cfg.num_threads);
   for (ThreadId t = 0; t < cfg.num_threads; ++t) {
     threads_.emplace_back(cfg.rob_first_level, rob_max_extra, cfg.lsq_entries, frontend_slots);
-    ThreadState& ts = threads_.back();
-    // Global thread identity: CMP machines offset each core's threads so
-    // every thread in the machine gets a distinct address space and workload
-    // seed; core 0 keeps the historical single-core values bit-for-bit.
-    const u64 gt = thread_base_ + t;
-    const Addr base = static_cast<Addr>(gt + 1) << 36;
-    const u64 salt = cfg.seed + 7919ULL * (gt + 1);
-    ts.ctx = benchmarks_[t].source_factory
-                 ? benchmarks_[t].source_factory(benchmarks_[t], base, salt)
-                 : std::make_unique<ThreadContext>(benchmarks_[t], base, salt);
-    const Program& prog = ts.ctx->program();
-    ts.block_of_pc.reserve(prog.num_blocks());
-    for (u32 b = 0; b < prog.num_blocks(); ++b)
-      ts.block_of_pc.emplace(prog.block(b).insts.front().pc, b);
-    ts.block_of_pc.seal();
+    threads_.back().ctx = make_thread_context(benchmarks_[t], thread_base_ + t, cfg.seed);
   }
 
   std::vector<ReorderBuffer*> robs;
@@ -73,28 +59,10 @@ SmtCore::SmtCore(const MachineConfig& cfg, const std::vector<Benchmark>& benchma
   replay_regs_.reserve(64);
   replay_victims_.reserve(cfg.iq_entries);
 
-  // Functional cache warming (the stand-in for Simpoint fast-forwarding):
-  // REUSED data starts resident, so short runs measure steady-state
-  // behaviour instead of cold-start churn. Only content a benchmark actually
-  // re-touches is installed — streaming sweeps, pointer chases and the cold
-  // bodies of gather regions have no reuse to preserve, and warming them
-  // would only flush everyone else's hot sets. Large reuse prefixes go
-  // first, small per-thread hot sets last (LRU-youngest).
-  for (ThreadId t = 0; t < cfg.num_threads; ++t) {
-    const Addr base = threads_[t].ctx->addr_space_base();
-    for (const AddrGenSpec& s : benchmarks_[t].agens) {
-      if (s.pattern == AddrPattern::kRandom && s.hot_bytes > 0)
-        mem_.prewarm_region(base + s.base, s.hot_bytes);
-      else if (s.pattern == AddrPattern::kRandom && s.region_bytes <= (1 << 20))
-        mem_.prewarm_region(base + s.base, s.region_bytes);
-    }
-  }
-  for (ThreadId t = 0; t < cfg.num_threads; ++t) {
-    const Addr base = threads_[t].ctx->addr_space_base();
-    for (const AddrGenSpec& s : benchmarks_[t].agens)
-      if (s.pattern == AddrPattern::kStack)
-        mem_.prewarm_region(base + s.base, s.region_bytes);
-  }
+  // Functional cache warming, tier by tier (ThreadContext::warm_regions).
+  for (u32 tier = 0; tier < ThreadContext::kWarmTiers; ++tier)
+    for (const ThreadState& ts : threads_)
+      for (const AddrRegion& r : ts.ctx->warm_regions(tier)) mem_.prewarm_region(r.base, r.bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -214,7 +182,6 @@ void SmtCore::replay_dependents_of(PhysReg reg) {
       drop_outstanding_counts(*e);
       if (e->is_load()) {
         e->is_l2_miss = false;
-        e->l1_hit = false;
         e->addr_resolved = false;
       }
       ++stats_.issue_replays;
@@ -318,7 +285,6 @@ void SmtCore::undispatch_after(ThreadId tid, u64 tseq) {
     d.branch_resolved = false;
     d.addr_resolved = false;
     d.lsq_allocated = false;
-    d.l1_hit = false;
     d.is_l2_miss = false;
     d.l2_miss_detect_cycle = kNeverCycle;
     d.seg_private_end = 0;
@@ -477,7 +443,6 @@ void SmtCore::issue_load(DynInst& di) {
       // Forward from the youngest older overlapping store. Data arrives when
       // both the hit latency has elapsed and the store data exists.
       const Cycle data_at = st->executed ? cycle_ + 2 : cycle_ + 4;
-      di.l1_hit = true;
       {
         obs::PhaseScope ps(obs::Phase::kPredict);
         lhp_.update(di.tid, di.pc, true);
@@ -499,7 +464,6 @@ void SmtCore::issue_load(DynInst& di) {
     predicted_hit = lhp_.predict(di.tid, di.pc);
     lhp_.update(di.tid, di.pc, da.l1_hit);
   }
-  di.l1_hit = da.l1_hit;
   const Cycle data_cycle = da.data_ready + 1;  // +1: load-to-use forwarding
 
   if (da.l1_hit) {
@@ -647,7 +611,7 @@ DynInst SmtCore::make_correct_path_inst(ThreadState& ts, ThreadId tid) {
       if (di.op == OpClass::kBranch) {
         ts.wp_block = di.pred.taken ? op.si->taken_block : bb.fallthrough;
       } else {  // mispredicted return: steer by the (wrong) RAS target
-        if (const u32* block = ts.block_of_pc.find(di.pred.target))
+        if (const auto block = prog.block_starting_at(di.pred.target))
           ts.wp_block = *block;
         else
           ts.wp_dead = true;
@@ -671,11 +635,7 @@ DynInst SmtCore::make_wrong_path_inst(ThreadState& ts, ThreadId tid) {
   di.wrong_path = true;
 
   if (is_memory(si.op)) {
-    // Plausible-locality pseudo address: same region the static instruction
-    // touches on the correct path, random offset; generator state untouched.
-    const AddrGenSpec& spec = ts.ctx->benchmark().agens[static_cast<u32>(si.agen_id)];
-    const u64 region = std::max<u64>(8, spec.region_bytes);
-    di.mem_addr = ts.ctx->addr_space_base() + spec.base + (wp_rng_.next() % region & ~7ULL);
+    di.mem_addr = ts.ctx->wrong_path_addr(si, wp_rng_);
   }
 
   // Advance the cursor. Control flow follows the *prediction* (there is no
@@ -693,8 +653,8 @@ DynInst SmtCore::make_wrong_path_inst(ThreadState& ts, ThreadId tid) {
     di.taken = di.pred.taken;
     di.actual_target = di.pred.target;
     if (si.op == OpClass::kReturn) {
-      const u32* block = ts.block_of_pc.find(di.pred.target);
-      if (block == nullptr) {
+      const auto block = prog.block_starting_at(di.pred.target);
+      if (!block) {
         ts.wp_dead = true;  // fell off the CFG; stall until the squash
         return di;
       }
@@ -719,7 +679,7 @@ bool SmtCore::fetch_one(ThreadState& ts, ThreadId tid) {
   Cycle iready;
   {
     obs::PhaseScope ps(obs::Phase::kMemory);
-    iready = mem_.access_inst(icache_addr(ts, di.pc), cycle_);
+    iready = mem_.access_inst(ts.ctx->code_addr(di.pc), cycle_);
   }
   di.fetch_cycle = std::max(cycle_, iready);
   if (iready > cycle_) {

@@ -28,8 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "common/flat_map.hpp"
-
 #include "branch/load_hit_predictor.hpp"
 #include "branch/predictor.hpp"
 #include "common/ring_deque.hpp"
@@ -238,6 +236,7 @@ class SmtCore {
   LoadStoreQueue& lsq_for_test(ThreadId t) { return threads_[t].lsq; }
   IssueQueue& iq_for_test() { return iq_; }
   EventWheel& wheel_for_test() { return wheel_; }
+  MemorySystem& memory_for_test() { return mem_; }
   /// Pins this core, and so its lockstep machine, to cycle-by-cycle
   /// execution: the reference the fast-forward is tested against.
   void pin_for_test() { pinned_ = true; }
@@ -276,9 +275,6 @@ class SmtCore {
     /// Fetched, awaiting dispatch (oldest front). Sized for the fetch buffer
     /// plus the whole ROB slab: FLUSH un-dispatch pushes a full window back.
     RingDeque<DynInst> frontend;
-    /// Block index by entry PC. Sealed at construction; sorted flat storage
-    /// so any future iteration (or emission) of it is deterministic (D1).
-    FlatMap<Addr, u32> block_of_pc;
 
     u64 next_tseq = 1;
     u64 committed = 0;
@@ -355,9 +351,6 @@ class SmtCore {
   bool issue_one(DynInst& di);
   void issue_load(DynInst& di);
   void replay_dependents_of(PhysReg reg);
-  Addr icache_addr(const ThreadState& ts, Addr pc) const {
-    return ts.ctx->addr_space_base() + pc;
-  }
 
   MachineConfig cfg_;
   /// Machine-global index of thread 0 (core_id * num_threads): it keys the

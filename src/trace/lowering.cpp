@@ -169,54 +169,59 @@ TraceLowering build_lowering(TraceReader& reader, const std::string& name) {
       }
   };
 
+  // Shadow call stack: the blocks of the calls not yet returned from. A
+  // call's fall-through is where its return lands, which the call record
+  // itself never shows; the RAS pushes that block's PC at the call.
+  std::vector<u32> open_calls;
+  auto set_fallthrough = [](Succ& s, Addr ip) {
+    if (s.have_fallthrough) return;
+    s.fallthrough_ip = ip;
+    s.have_fallthrough = true;
+  };
+  // Records the edge from `from` to its dynamic successor `to_ip`.
+  auto link = [&](const ChampSimRecord& from, Addr to_ip) {
+    const u32 from_id = block_of.find(from.ip)->second;
+    Succ& s = succs[from_id];
+    const BranchKind kind = classify_branch(from);
+    if (kind == BranchKind::kDirectCall || kind == BranchKind::kIndirectCall) {
+      open_calls.push_back(from_id);
+      if (open_calls.size() > 1024) open_calls.erase(open_calls.begin());  // runaway guard
+    } else if (kind == BranchKind::kReturn && !open_calls.empty()) {
+      set_fallthrough(succs[open_calls.back()], to_ip);
+      open_calls.pop_back();
+    }
+    if (from.is_branch != 0 && from.branch_taken != 0) {
+      if (!s.have_taken) {
+        s.taken_ip = to_ip;
+        s.have_taken = true;
+      }
+    } else {
+      set_fallthrough(s, to_ip);
+    }
+  };
+
   ChampSimRecord first{}, prev{};
-  bool have_prev = false;
   ChampSimRecord rec;
   while (reader.next(rec)) {
     if (out.record_count == 0) first = rec;
     out.content_hash = fnv1a_record(out.content_hash, rec);
     validate_regs(rec, out.record_count);
     note_data(rec);
-    const u32 id = intern_block(rec);
-    if (have_prev) {
-      const u32 prev_id = block_of.find(prev.ip)->second;
-      Succ& s = succs[prev_id];
-      if (prev.is_branch != 0 && prev.branch_taken != 0) {
-        if (!s.have_taken) {
-          s.taken_ip = rec.ip;
-          s.have_taken = true;
-        }
-      } else if (!s.have_fallthrough) {
-        s.fallthrough_ip = rec.ip;
-        s.have_fallthrough = true;
-      }
-    }
-    (void)id;
+    intern_block(rec);
+    if (out.record_count > 0) link(prev, rec.ip);
     prev = rec;
-    have_prev = true;
     ++out.record_count;
   }
   if (out.record_count == 0)
     throw std::runtime_error(name + ": trace contains no records");
 
   // Loop-rewind closure: the last record's dynamic successor is record 0.
-  {
-    const u32 prev_id = block_of.find(prev.ip)->second;
-    Succ& s = succs[prev_id];
-    if (prev.is_branch != 0 && prev.branch_taken != 0) {
-      if (!s.have_taken) {
-        s.taken_ip = first.ip;
-        s.have_taken = true;
-      }
-    } else if (!s.have_fallthrough) {
-      s.fallthrough_ip = first.ip;
-      s.have_fallthrough = true;
-    }
-  }
+  link(prev, first.ip);
 
   // Patch successor edges: unobserved edges (never-taken branch, always-taken
-  // jump fallthrough) steer to block 0 — only wrong-path synthesis and
-  // static-target prediction ever consult them.
+  // jump fallthrough, a call never returned from) steer to block 0 — only
+  // wrong-path synthesis, static-target prediction and the RAS ever consult
+  // them.
   for (u32 b = 0; b < program->num_blocks(); ++b) {
     BasicBlock& bb = program->block(b);
     const Succ& s = succs[b];

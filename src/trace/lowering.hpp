@@ -8,8 +8,10 @@
 // register), register identities map deterministically onto the 64-register
 // micro-op file, and branch records terminate their block with the control
 // class ChampSim's register-pattern inference assigns them. Successor edges
-// (fallthrough / taken target) are the first-observed dynamic successors;
-// the stream end wraps to the first record, matching loop-rewind replay.
+// (fallthrough / taken target) are the first-observed dynamic successors,
+// except that a call falls through to where its matching return first
+// lands (a shadow call stack pairs them), so the RAS predicts returns; the
+// stream end wraps to the first record, matching loop-rewind replay.
 //
 // Everything here is a pure function of the record bytes, so the replay
 // layer (source.cpp) can re-derive each block's uop roles without storing

@@ -9,7 +9,6 @@ TraceReader::TraceReader(std::unique_ptr<TraceByteSource> src) : src_(std::move(
 }
 
 void TraceReader::refill() {
-  ++stalls_;
   buf_pos_ = 0;
   buf_len_ = 0;
   while (buf_len_ < buf_.size()) {

@@ -3,11 +3,9 @@
 // The reader pulls kPrefetchRecords-record chunks from its byte source into
 // a fixed buffer and hands out decoded ChampSimRecords one at a time — the
 // decoupled-frontend shape of ChampSim's IFETCH/DECODE buffers, sized so an
-// arbitrarily large trace streams in constant memory. Each refill that finds
-// the buffer empty is counted as one decode stall (a pure function of the
-// byte stream, so the counter is deterministic and never feeds timing back
-// into decoding). A stream whose byte count is not a multiple of the record
-// size throws: the trace was truncated mid-record.
+// arbitrarily large trace streams in constant memory. A stream whose byte
+// count is not a multiple of the record size throws: the trace was
+// truncated mid-record.
 #pragma once
 
 #include <memory>
@@ -33,7 +31,6 @@ class TraceReader {
 
   u64 records_decoded() const { return decoded_; }
   u64 rewinds() const { return rewinds_; }
-  u64 decode_stall_cycles() const { return stalls_; }
 
  private:
   void refill();
@@ -45,7 +42,6 @@ class TraceReader {
   bool eof_ = false;
   u64 decoded_ = 0;
   u64 rewinds_ = 0;
-  u64 stalls_ = 0;
 };
 
 }  // namespace tlrob::trace

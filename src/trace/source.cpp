@@ -9,10 +9,9 @@ namespace tlrob::trace {
 
 namespace {
 
-/// Threads own disjoint 64 GiB address windows ((t+1) << 36, smt_sim.cpp);
-/// trace data addresses fold into the window so coexisting replayed threads
-/// never alias each other's lines.
-constexpr Addr kDataAddrMask = (Addr{1} << 36) - 1;
+/// Trace data addresses fold into the thread's window (thread_placement),
+/// so coexisting replayed threads never alias each other's lines.
+constexpr Addr kDataAddrMask = (Addr{1} << kThreadWindowBits) - 1;
 
 }  // namespace
 
@@ -50,15 +49,12 @@ Benchmark trace_benchmark(std::shared_ptr<const TraceWorkload> workload) {
   Benchmark b;
   b.name = workload->name();
   b.program = low.program;
-  // Wrong-path synthesis reads this spec (fetch walks the static CFG past a
-  // mispredict and asks the spec for plausible addresses); correct-path
-  // replay never does. kStride keeps SmtCore's cache prewarm heuristics out
-  // of the picture — the trace stream itself warms the hierarchy.
+  // Only wrong-path synthesis reads this spec: past a mispredict, fetch walks
+  // the static CFG and ThreadContext::wrong_path_addr draws plausible
+  // addresses from it. Correct-path replay never does.
   AddrGenSpec wrong_path;
-  wrong_path.pattern = AddrPattern::kStride;
   wrong_path.base = static_cast<Addr>(low.data_base & kDataAddrMask);
   wrong_path.region_bytes = low.data_span;
-  wrong_path.stride = 64;
   b.agens = {wrong_path};
   b.bgens = {BranchGenSpec{}};  // outcomes come from the trace, never this
   b.expected_class = IlpClass::kMid;
@@ -174,12 +170,10 @@ void TraceThreadSource::append_source_counters(u32 tid,
   counters[prefix + "records_decoded"] = reader_->records_decoded();
   counters[prefix + "rewinds"] = reader_->rewinds();
   counters[prefix + "unmapped_fallbacks"] = unmapped_;
-  counters[prefix + "decode_stall_cycles"] = reader_->decode_stall_cycles();
   counters[prefix + "content_hash"] = workload_->lowering().content_hash;
   counters["trace.records_decoded"] += reader_->records_decoded();
   counters["trace.rewinds"] += reader_->rewinds();
   counters["trace.unmapped_fallbacks"] += unmapped_;
-  counters["trace.decode_stall_cycles"] += reader_->decode_stall_cycles();
 }
 
 }  // namespace tlrob::trace

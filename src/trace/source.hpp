@@ -60,6 +60,9 @@ class TraceThreadSource final : public ThreadContext {
 
   void append_source_counters(u32 tid, std::map<std::string, u64>& counters) const override;
 
+  /// None: the trace stream itself warms the hierarchy.
+  std::vector<AddrRegion> warm_regions(u32 /*tier*/) const override { return {}; }
+
   u64 unmapped_fallbacks() const { return unmapped_; }
   const TraceReader& reader() const { return *reader_; }
 

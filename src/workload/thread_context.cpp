@@ -1,8 +1,21 @@
 #include "workload/thread_context.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace tlrob {
+
+ThreadPlacement thread_placement(u64 global_thread, u64 seed) {
+  return {.base = static_cast<Addr>(global_thread + 1) << kThreadWindowBits,
+          .salt = seed + 7919ULL * (global_thread + 1)};
+}
+
+std::unique_ptr<ThreadContext> make_thread_context(const Benchmark& bench, u64 global_thread,
+                                                   u64 seed) {
+  const ThreadPlacement p = thread_placement(global_thread, seed);
+  return bench.source_factory ? bench.source_factory(bench, p.base, p.salt)
+                              : std::make_unique<ThreadContext>(bench, p.base, p.salt);
+}
 
 ThreadContext::ThreadContext(const Benchmark& bench, Addr addr_space_base, u64 salt)
     : bench_(&bench), addr_base_(addr_space_base) {
@@ -16,6 +29,33 @@ ThreadContext::ThreadContext(const Benchmark& bench, Addr addr_space_base, u64 s
   bgens_.reserve(bench.bgens.size());
   for (const auto& spec : bench.bgens) bgens_.emplace_back(spec, salt);
   ret_stack_.reserve(64);
+}
+
+Addr ThreadContext::wrong_path_addr(const StaticInst& si, Rng& rng) const {
+  const AddrGenSpec& spec = agens_[static_cast<u32>(si.agen_id)].spec();
+  const u64 region = std::max<u64>(8, spec.region_bytes);
+  return addr_base_ + spec.base + (rng.next() % region & ~7ULL);
+}
+
+std::vector<AddrRegion> ThreadContext::warm_regions(u32 tier) const {
+  // Only content the benchmark re-touches starts resident: streaming sweeps,
+  // pointer chases and the cold bodies of gather regions have no reuse to
+  // preserve, and warming them would only flush every other thread's hot
+  // set. Tier 0 holds the large reuse regions (a random region's hot
+  // prefix, or all of a random region up to 1 MiB), tier 1 the small stacks,
+  // which so end LRU-youngest.
+  std::vector<AddrRegion> out;
+  for (const AddrGen& g : agens_) {
+    const AddrGenSpec& s = g.spec();
+    const Addr at = addr_base_ + s.base;
+    if (tier == 0 && s.pattern == AddrPattern::kRandom && s.hot_bytes > 0)
+      out.push_back({at, s.hot_bytes});
+    else if (tier == 0 && s.pattern == AddrPattern::kRandom && s.region_bytes <= (1 << 20))
+      out.push_back({at, s.region_bytes});
+    else if (tier == 1 && s.pattern == AddrPattern::kStack)
+      out.push_back({at, s.region_bytes});
+  }
+  return out;
 }
 
 void ThreadContext::refill() {

@@ -237,7 +237,7 @@ TEST(FlatMap, IterationIsKeySortedRegardlessOfInsertionOrder) {
   }
   EXPECT_EQ(order, (std::vector<u64>{1, 2, 4, 7, 9}));
   // The key sequence (though not necessarily the dup-resolved values) is
-  // insertion-order independent — the D1 property block_of_pc relies on.
+  // insertion-order independent — the D1 property emission relies on.
   std::vector<u64> order_rev;
   for (const auto& [k, v] : reversed) order_rev.push_back(k);
   EXPECT_EQ(order, order_rev);

@@ -117,5 +117,21 @@ TEST(ProgramBuilder, ValidMultiBlockProgram) {
   EXPECT_THROW(p.finalize(), std::logic_error);  // double finalize
 }
 
+TEST(Program, BlockStartingAtAnswersBlockStartsOnly) {
+  ProgramBuilder pb("lookup");
+  const u32 entry = pb.current_block();
+  const u32 body = pb.new_block();
+  pb.in(entry).int_alu(ireg(1)).int_alu(ireg(2)).jump(body);
+  pb.in(body).int_alu(ireg(3)).jump(entry);
+  const Program p = pb.build(0, 0, 0x1000);
+  EXPECT_EQ(p.block_starting_at(0x1000), std::optional<u32>(entry));
+  EXPECT_EQ(p.block_starting_at(0x100c), std::optional<u32>(body));
+  // Mid-block PCs and PCs outside the code are no block's start: a return
+  // predicted to one ends its wrong path.
+  for (const Addr pc : {Addr{0}, Addr{0xffc}, Addr{0x1004}, Addr{0x1008}, Addr{0x1010},
+                        Addr{0x1014}})
+    EXPECT_FALSE(p.block_starting_at(pc).has_value()) << pc;
+}
+
 }  // namespace
 }  // namespace tlrob

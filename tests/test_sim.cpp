@@ -132,6 +132,56 @@ TEST(SmtCore, FourThreadsAllMakeProgress) {
   for (const auto& t : r.threads) EXPECT_GT(t.committed, 100u) << t.benchmark;
 }
 
+// Today's functional warming on Mix 1, pinned: the random regions of every
+// thread (a hot prefix, or a whole region up to 1 MiB) in spec order, then
+// the stacks of every thread, each region at its thread's placement. The
+// regions overflow the L2, so the install order decides what stays resident:
+// thread-major order leaves other lines, which the comparison sees.
+TEST(FunctionalWarming, Mix1WarmsRandomRegionsThenStacksAcrossThreads) {
+  const MachineConfig cfg = baseline32_config();
+  const std::vector<Benchmark> mix = mix_benchmarks(table2_mix(1));
+  std::vector<AddrRegion> tier_major, thread_major;
+  std::vector<std::vector<AddrRegion>> stacks(mix.size());
+  for (u32 t = 0; t < mix.size(); ++t) {
+    const Addr base = thread_placement(t, cfg.seed).base;
+    for (const AddrGenSpec& s : mix[t].agens) {
+      if (s.pattern == AddrPattern::kStack) stacks[t].push_back({base + s.base, s.region_bytes});
+      if (s.pattern != AddrPattern::kRandom) continue;
+      if (s.hot_bytes > 0)
+        tier_major.push_back({base + s.base, s.hot_bytes});
+      else if (s.region_bytes <= (1 << 20))
+        tier_major.push_back({base + s.base, s.region_bytes});
+      else
+        continue;
+      thread_major.push_back(tier_major.back());
+    }
+    thread_major.insert(thread_major.end(), stacks[t].begin(), stacks[t].end());
+  }
+  for (const auto& st : stacks) tier_major.insert(tier_major.end(), st.begin(), st.end());
+  ASSERT_EQ(tier_major.size(), 8u);
+
+  // Residency of every warmed line in the L1D and the L2 (probing touches
+  // only LRU state, alike in every system compared).
+  auto resident = [&](MemorySystem& m) {
+    std::vector<bool> v;
+    for (const AddrRegion& r : tier_major)
+      for (Addr a = r.base; a < r.base + r.bytes; a += cfg.memory.l1d.line_bytes) {
+        v.push_back(m.l1d().probe(a, 0).present);
+        v.push_back(m.l2().probe(a, 0).present);
+      }
+    return v;
+  };
+  auto warmed = [&](const std::vector<AddrRegion>& order) {
+    MemorySystem m(cfg.memory);
+    for (const AddrRegion& r : order) m.prewarm_region(r.base, r.bytes);
+    return resident(m);
+  };
+  SmtCore core(cfg, mix);
+  const std::vector<bool> expected = warmed(tier_major);
+  EXPECT_EQ(resident(core.memory_for_test()), expected);
+  EXPECT_NE(warmed(thread_major), expected);
+}
+
 TEST(SmtCore, BaselineNeverTouchesSecondLevel) {
   SmtCore core(baseline32_config(), mix_benchmarks(table2_mix(1)));
   const RunResult r = core.run(8000);

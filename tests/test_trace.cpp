@@ -5,6 +5,7 @@
 // failure (or a typed exception at resolution), never a crash.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -22,6 +23,7 @@
 #include "trace/source.hpp"
 #include "trace/synth.hpp"
 #include "workload/mixes.hpp"
+#include "workload/spec_profiles.hpp"
 
 namespace tlrob::trace {
 namespace {
@@ -160,6 +162,39 @@ TEST(TraceLowering, OutOfRangeRegisterThrows) {
   }
 }
 
+// A call record never shows where its return lands; the lowering pairs each
+// return with its call (a shadow call stack), and the call block falls
+// through to the landing block, whose PC the RAS pushes at the call.
+TEST(TraceLowering, CallFallsThroughToItsReturnsLandingBlock) {
+  auto control = [](u64 ip, std::array<u8, kNumSrcRegs> src, std::array<u8, kNumDestRegs> dest) {
+    ChampSimRecord rec;
+    rec.ip = ip;
+    rec.is_branch = 1;
+    rec.branch_taken = 1;
+    rec.src_regs = src;
+    rec.dest_regs = dest;
+    return rec;
+  };
+  const std::array<u8, kNumSrcRegs> call_src = {kRegInstructionPointer, kRegStackPointer, 0, 0};
+  const std::array<u8, kNumSrcRegs> ret_src = {kRegStackPointer, 0, 0, 0};
+  const std::array<u8, kNumDestRegs> ip_sp = {kRegInstructionPointer, kRegStackPointer};
+  // 0x100 calls 0x200, which calls 0x300; each return lands after its call.
+  const std::vector<ChampSimRecord> recs = {
+      control(0x100, call_src, ip_sp),                  // call f
+      control(0x200, call_src, ip_sp),                  // f: call g
+      control(0x300, ret_src, ip_sp),                   // g: return to f
+      control(0x204, ret_src, ip_sp),                   // f: return to main
+      control(0x104, {}, {kRegInstructionPointer, 0}),  // main: jump back to 0x100
+  };
+  ASSERT_EQ(classify_branch(recs[0]), BranchKind::kDirectCall);
+  ASSERT_EQ(classify_branch(recs[2]), BranchKind::kReturn);
+  const auto wl = TraceWorkload::from_records("calls", recs);
+  const TraceLowering& low = wl->lowering();
+  auto block = [&](u64 ip) { return *low.block_of_ip.find(ip); };
+  EXPECT_EQ(low.program->block(block(0x100)).fallthrough, block(0x104));
+  EXPECT_EQ(low.program->block(block(0x200)).fallthrough, block(0x204));
+}
+
 // -- byte sources & malformed files ----------------------------------------
 
 TEST(TraceFiles, RawFileRoundTrip) {
@@ -232,8 +267,8 @@ TEST(TraceReplay, DeterministicAndRewinding) {
   const Benchmark bench = resolve_benchmark("tracegen:art@300@5");
   ASSERT_TRUE(bench.source_factory);
 
-  auto a = bench.source_factory(bench, Addr{1} << 36, 101);
-  auto b = bench.source_factory(bench, Addr{1} << 36, 909);  // salt must not matter
+  auto a = make_thread_context(bench, 0, 101);
+  auto b = make_thread_context(bench, 0, 909);  // the seed (so the salt) must not matter
   for (int i = 0; i < 2000; ++i) {
     const ArchOp x = a->next();
     const ArchOp y = b->next();
@@ -252,20 +287,66 @@ TEST(TraceReplay, DeterministicAndRewinding) {
 
 TEST(TraceReplay, AddressesStayInThreadWindow) {
   const Benchmark bench = resolve_benchmark("tracegen:mcf@200@7");
-  const Addr base = Addr{3} << 36;
-  auto src = bench.source_factory(bench, base, 1);
+  const Addr base = thread_placement(2, 1).base;
+  auto src = make_thread_context(bench, 2, 1);
   for (int i = 0; i < 1000; ++i) {
     const ArchOp op = src->next();
     if (op.si->is_load() || op.si->is_store()) {
       EXPECT_GE(op.mem_addr, base) << i;
-      EXPECT_LT(op.mem_addr, base + (Addr{1} << 36)) << i;
+      EXPECT_LT(op.mem_addr, base + (Addr{1} << kThreadWindowBits)) << i;
     }
   }
 }
 
+// The replayed returns of a synthesized trace with calls all predict right:
+// each call pushes the PC its return lands on.
+TEST(TraceReplay, ReturnsPredictThroughTheRas) {
+  SmtCore core(single_thread_config(), {resolve_benchmark("tracegen:crafty@500@19")});
+  const RunResult r = core.run(3000, 0, 1000);
+  EXPECT_GT(run_counter(r, "bpred.branch.returns"), 0u);
+  EXPECT_EQ(run_counter(r, "bpred.branch.ras_mispredict"), 0u);
+}
+
+TEST(TraceReplay, WarmsNothing) {
+  const auto src = make_thread_context(resolve_benchmark("tracegen:art@100@2"), 0, 1);
+  for (u32 tier = 0; tier < ThreadContext::kWarmTiers; ++tier)
+    EXPECT_TRUE(src->warm_regions(tier).empty()) << tier;
+}
+
+// Today's layout, pinned: machine-global thread g owns the 64 GiB window from
+// (g + 1) << 36, fetches PC p from base + p, and a trace's data addresses
+// fold into exactly that window.
+TEST(ThreadPlacement, DisjointWindowsCodeAtBasePlusPcTraceDataInTheWindow) {
+  constexpr Addr kWindow = Addr{1} << 36;
+  ASSERT_EQ(Addr{1} << kThreadWindowBits, kWindow);
+  for (u64 g = 0; g < 16; ++g) {
+    const ThreadPlacement p = thread_placement(g, 12345);
+    EXPECT_EQ(p.base, (g + 1) * kWindow) << g;
+    EXPECT_EQ(p.salt, 12345 + 7919 * (g + 1)) << g;
+  }
+
+  const Benchmark& art = spec_benchmark("art");
+  const auto ctx = make_thread_context(art, 5, 1);
+  for (u32 b = 0; b < art.program->num_blocks(); ++b)
+    for (const StaticInst& si : art.program->block(b).insts)
+      EXPECT_EQ(ctx->code_addr(si.pc), thread_placement(5, 1).base + si.pc);
+
+  const Addr above = (Addr{0xabc} << 36) | 0x12345678;  // bits above the window
+  const Benchmark trace = trace_benchmark(TraceWorkload::from_records(
+      "window", {load_record(0x100, above), load_record(0x104, kWindow - 8)}));
+  const auto src = make_thread_context(trace, 2, 1);
+  const Addr base = thread_placement(2, 1).base;
+  std::vector<Addr> loads;
+  while (loads.size() < 2) {
+    const ArchOp op = src->next();
+    if (op.si->is_load()) loads.push_back(op.mem_addr);
+  }
+  EXPECT_EQ(loads, (std::vector<Addr>{base + 0x12345678, base + kWindow - 8}));
+}
+
 TEST(TraceReplay, SourceCountersExported) {
   const Benchmark bench = resolve_benchmark("tracegen:art@100@2");
-  auto src = bench.source_factory(bench, Addr{1} << 36, 1);
+  auto src = make_thread_context(bench, 0, 1);
   for (int i = 0; i < 500; ++i) src->next();
 
   std::map<std::string, u64> counters;

@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
       }
       files = compile_db_files(db_path);
       // The compile database only lists .cpp TUs; headers carry contracts
-      // too (block_of_pc lived in a header), so walk src/ for them.
+      // too, so walk src/ for them.
       const fs::path src = root_path / "src";
       if (fs::is_directory(src))
         for (const auto& e : fs::recursive_directory_iterator(src))
